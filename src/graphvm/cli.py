@@ -16,11 +16,12 @@ from fractions import Fraction
 
 from . import equivalence, export, oracle, sampling
 from .execution import (T_CONL, T_DET, T_NL, Test, Verdict, evaluate_test,
-                        language, accept_mass, plug, t_prob)
+                        landing, language, accept_mass, t_prob)
 from .encodings import (EncodedMachine, TapeLayout, encode_machine,
                         encode_word, run_word)
 from .graphing import classify, cost, validate
-from .machines import (MachineParseError, MachineSpecError, load_machine)
+from .machines import (MachineParseError, MachineSpecError, load_machine,
+                       parse_rational)
 from .realizers import Microcosm
 
 EXIT_OK = 0
@@ -30,13 +31,6 @@ EXIT_PARSE = 4
 EXIT_INVALID = 5
 
 
-def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        p, q = text.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
-
-
 def _test_from_args(args) -> Test:
     if args.test == "det":
         return T_DET
@@ -44,7 +38,7 @@ def _test_from_args(args) -> Test:
         return T_NL
     if args.test == "conl":
         return T_CONL
-    return t_prob(_parse_fraction(args.cutpoint))
+    return t_prob(parse_rational(args.cutpoint))
 
 
 def _load(path: str) -> EncodedMachine:
@@ -73,10 +67,7 @@ def cmd_run(args) -> int:
                            [export.result_payload(result)])
         accepting = None
         for record, edge in zip(result.paths, result.graphing.edges):
-            src = edge.source.intersect(regions.launch)
-            if src.is_empty():
-                continue
-            if not edge.realizer.apply(src).intersect(regions.accept).is_empty():
+            if not landing(edge, regions, regions.accept).is_empty():
                 accepting = record.steps
                 break
         if verdict is not Verdict.ACCEPT:
@@ -196,9 +187,19 @@ def cmd_experiment(args) -> int:
                 export.write_json(os.path.join(out, "experiment.json"), payload)
             return EXIT_MISMATCH
     elif args.kind in ("closure", "associativity"):
-        payload = _property_experiment(args)
-        failures = payload["failures"]
-        print(f"{args.kind}: {payload['passes']}/{payload['count']} passed")
+        seeds = range(args.seed, args.seed + args.count)
+        failures = [seed for seed in seeds if not sampling.property_holds(
+            args.kind, seed, args.mode, args.max_steps)]
+        passes = args.count - len(failures)
+        payload = {
+            "experiment": args.kind,
+            "mode": args.mode,
+            "seed": args.seed,
+            "count": args.count,
+            "passes": passes,
+            "failures": failures,
+        }
+        print(f"{args.kind}: {passes}/{args.count} passed")
         if out:
             export.write_json(os.path.join(out, "experiment.json"), payload)
         return EXIT_OK if not failures else EXIT_MISMATCH
@@ -207,42 +208,6 @@ def cmd_experiment(args) -> int:
     if out:
         export.write_json(os.path.join(out, "experiment.json"), payload)
     return EXIT_OK
-
-
-def _property_experiment(args) -> dict:
-    from .graphing import GraphingClass
-
-    passes = 0
-    failures = []
-    for k in range(args.count):
-        seed = args.seed + k
-        if args.kind == "closure":
-            f, g = sampling.random_pair(seed, args.mode)
-            result = plug(f, g, max_steps=args.max_steps)
-            wanted = {"det": GraphingClass.DETERMINISTIC,
-                      "nondet": GraphingClass.NONDETERMINISTIC,
-                      "prob": GraphingClass.PROBABILISTIC}[args.mode]
-            got = classify(result.graphing)
-            ok = result.diagnostics.clean() and (
-                got == wanted or got == GraphingClass.DETERMINISTIC)
-        else:
-            f, g, h = sampling.random_triple(seed, args.mode)
-            left = plug(plug(f, g).graphing, h)
-            right = plug(f, plug(g, h).graphing)
-            ok = (left.diagnostics.clean() and right.diagnostics.clean()
-                  and left.graphing.same_as(right.graphing))
-        if ok:
-            passes += 1
-        else:
-            failures.append(seed)
-    return {
-        "experiment": args.kind,
-        "mode": getattr(args, "mode", "det"),
-        "seed": args.seed,
-        "count": args.count,
-        "passes": passes,
-        "failures": failures,
-    }
 
 
 def cmd_encode(args) -> int:

@@ -30,7 +30,7 @@ from .space import MeasurableSet, RationalBox, RationalInterval
 from .realizers import Microcosm, Realizer
 from .graphing import (Edge, Graphing, PROBABILITIES, TRIVIAL)
 from .machines import ACCEPT, ADVANCE, MARKER, MachineSpec, validate_spec
-from .execution import PlugResult, Regions
+from .execution import PlugResult, Regions, accept_mass, reject_mass
 
 IN = "in"
 OUT = "out"
@@ -69,6 +69,14 @@ class TapeLayout:
 
     def reject_cell(self, row: int = 0) -> int:
         return row * self.row_stride + 2 * len(self.alphabet) + 3
+
+    def tape_boxes(self, rows: int = 1) -> list[RationalBox]:
+        """The In and Out cells of the marker and of every symbol, per
+        row: the carrier of a word, and the tape part of a machine's."""
+        return [RationalBox.make(self.symbol_cell(symbol, kind, row))
+                for row in range(rows)
+                for symbol in (MARKER,) + self.alphabet
+                for kind in (IN, OUT)]
 
     def cell_names(self, rows: int = 1) -> dict[int, str]:
         names = {}
@@ -112,12 +120,7 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
     cells = len(word) + 1
     symbols = [MARKER] + list(word)
     edges = []
-    carrier_boxes = []
     for row in range(state_rows):
-        for symbol in (MARKER,) + layout.alphabet:
-            for kind in (IN, OUT):
-                carrier_boxes.append(
-                    RationalBox.make(layout.symbol_cell(symbol, kind, row)))
         for pos in range(cells):
             nxt = (pos + 1) % cells
             src_cell = layout.symbol_cell(symbols[pos], OUT, row)
@@ -133,7 +136,8 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
                 edges.append(Edge(Fraction(1), forward.target,
                                   realizer.invert()))
     graphing = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
-                             MeasurableSet.from_boxes(carrier_boxes),
+                             MeasurableSet.from_boxes(
+                                 layout.tape_boxes(state_rows)),
                              edges)
     return WordEncoding(word, layout, state_rows, one_way, graphing)
 
@@ -222,12 +226,8 @@ def encode_machine(spec: MachineSpec,
                                     - layout.accept_cell(init_row)))]
     edges.extend(_response_edges(spec, layout, row_of))
 
-    carrier_boxes = []
+    carrier_boxes = layout.tape_boxes(len(spec.states))
     for row in range(len(spec.states)):
-        for symbol in (MARKER,) + tuple(spec.alphabet):
-            for kind in (IN, OUT):
-                carrier_boxes.append(
-                    RationalBox.make(layout.symbol_cell(symbol, kind, row)))
         carrier_boxes.append(RationalBox.make(layout.accept_cell(row)))
         carrier_boxes.append(RationalBox.make(layout.reject_cell(row)))
 
@@ -253,17 +253,8 @@ def classify_result(result: PlugResult, regions: Regions) -> str:
     """Boolean reading of an execution result: 'true' when all launch
     mass lands in accept and none in reject, 'false' when some lands in
     reject, 'other' otherwise."""
-    accept_total = Fraction(0)
-    reject_total = Fraction(0)
-    for e in result.graphing.edges:
-        src = e.source.intersect(regions.launch)
-        if src.is_empty():
-            continue
-        landed = e.realizer.apply(src)
-        accept_total += e.weight * landed.intersect(regions.accept).measure()
-        reject_total += e.weight * landed.intersect(regions.reject).measure()
-    if reject_total > 0:
+    if reject_mass(result, regions) > 0:
         return "false"
-    if accept_total == regions.launch.measure():
+    if accept_mass(result, regions) == 1:
         return "true"
     return "other"

@@ -32,18 +32,9 @@ from .graphing import Edge, Graphing, TRIVIAL
 Constraint = dict[int, RationalInterval]
 
 
-def _constrain(base: Constraint, j: int,
-               interval: RationalInterval) -> Constraint | None:
-    got = base.get(j, FULL).intersect(interval)
-    if got is None:
-        return None
-    out = dict(base)
-    out[j] = got
-    return out
-
-
-def _pull_back(prefix: Realizer, constraints: Constraint) -> Constraint | None:
-    """Express constraints on the image of ``prefix`` in source terms."""
+def _pull_back(prefix: Realizer, constraints: Constraint) -> RationalBox | None:
+    """Express constraints on the image of ``prefix`` in source terms,
+    as a box at cell 0."""
     out: Constraint = {}
     for j, interval in constraints.items():
         lo = interval.lo - prefix.offset_at(j)
@@ -51,29 +42,8 @@ def _pull_back(prefix: Realizer, constraints: Constraint) -> Constraint | None:
         lo, hi = max(lo, ZERO), min(hi, ONE)
         if lo >= hi:
             return None
-        got = _constrain(out, prefix.perm_preimage(j), RationalInterval(lo, hi))
-        if got is None:
-            return None
-        out = got
-    return out
-
-
-def _merge(a: Constraint, b: Constraint) -> Constraint | None:
-    out = dict(a)
-    for j, interval in b.items():
-        merged = _constrain(out, j, interval)
-        if merged is None:
-            return None
-        out = merged
-    return out
-
-
-def _constraint_key(c: Constraint):
-    return tuple(sorted((j, iv.lo, iv.hi) for j, iv in c.items()))
-
-
-def constraint_set(c: Constraint, cell: int = 0) -> MeasurableSet:
-    return MeasurableSet.of(RationalBox.make(cell, c))
+        out[prefix.perm_preimage(j)] = RationalInterval(lo, hi)
+    return RationalBox.make(0, out)
 
 
 @dataclass(frozen=True)
@@ -85,19 +55,16 @@ class PhiWord:
     realizer: Realizer
     domain: tuple[tuple[int, RationalInterval], ...]
 
-    @property
-    def domain_constraints(self) -> Constraint:
-        return dict(self.domain)
-
 
 def _word_states(generators, k: int, positive_only: bool):
     """Breadth-first words up to length k with their composites and
-    stepwise domains, deduplicated by (composite, domain)."""
+    stepwise domains (boxes at cell 0), deduplicated by (composite,
+    domain)."""
     letters = [(idx, 1, g) for idx, g in enumerate(generators)]
     if not positive_only:
         letters += [(idx, -1, g.invert()) for idx, g in enumerate(generators)]
-    start = ((), Realizer.identity(), {})
-    seen = {(Realizer.identity().key(), ())}
+    start = ((), Realizer.identity(), RationalBox.make(0))
+    seen = {(Realizer.identity().key(), start[2])}
     frontier = [start]
     yield start
     for _ in range(k):
@@ -110,12 +77,12 @@ def _word_states(generators, k: int, positive_only: bool):
                 pulled = _pull_back(comp, constraints)
                 if pulled is None:
                     continue
-                new_dom = _merge(dom, pulled)
+                new_dom = dom.intersect(pulled)
                 if new_dom is None:
                     continue
                 new_comp = comp.compose(g)
                 state = (word + ((idx, exp),), new_comp, new_dom)
-                key = (new_comp.key(), _constraint_key(new_dom))
+                key = (new_comp.key(), new_dom)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -129,8 +96,7 @@ def phi_words(generators, k: int, positive_only: bool = False) -> list[PhiWord]:
     <= k with nonempty domain (the empty word always included)."""
     out = []
     for word, comp, dom in _word_states(list(generators), k, positive_only):
-        out.append(PhiWord(word, comp,
-                           tuple(sorted(dom.items()))))
+        out.append(PhiWord(word, comp, dom.coords))
     return out
 
 
@@ -172,24 +138,6 @@ class CompilationWitness:
     pieces: tuple[WitnessPiece, ...]
 
 
-def _restrict_to_part(source: MeasurableSet, part: MeasurableSet) -> MeasurableSet:
-    """Intersect a real source set with cell-free coordinate constraints."""
-    out = []
-    for sb in source.boxes:
-        for pb in part.boxes:
-            coords = sb.coord_map
-            ok = True
-            for j, iv in pb.coords:
-                got = coords.get(j, FULL).intersect(iv)
-                if got is None:
-                    ok = False
-                    break
-                coords[j] = got
-            if ok:
-                out.append(RationalBox.make(sb.cell, coords))
-    return MeasurableSet.from_boxes(out)
-
-
 def is_compilable(target: Realizer, generators, max_word_len: int = 6,
                   max_parts: int = 8) -> CompilationWitness | None:
     """Search for a finite partition of the target's domain on which
@@ -198,13 +146,13 @@ def is_compilable(target: Realizer, generators, max_word_len: int = 6,
     target_constraints = target.input_constraints()
     if target_constraints is None:
         raise ValueError("target realizer is void")
-    remaining = constraint_set(target_constraints)
+    remaining = MeasurableSet.of(RationalBox.make(0, target_constraints))
     gens = list(generators)
     pieces: list[WitnessPiece] = []
     for word, comp, dom in _word_states(gens, max_word_len, True):
         if comp != target:
             continue
-        part = remaining.intersect(constraint_set(dom))
+        part = remaining.intersect(MeasurableSet.of(dom))
         if part.is_empty():
             continue
         pieces.append(WitnessPiece(
@@ -222,10 +170,14 @@ class WitnessError(ValueError):
     pass
 
 
-def _check_witness(edge_index: int, edge: Edge, witness: CompilationWitness):
+def _witness_sources(edge_index: int, edge: Edge,
+                     witness: CompilationWitness) -> list[MeasurableSet]:
+    """Check the witness against the edge; return the edge's source
+    restricted to each witness part."""
     if witness.target != edge.realizer:
         raise WitnessError(f"edge {edge_index}: witness target differs "
                            f"from the edge realizer")
+    sources = []
     covered = MeasurableSet.empty()
     for part_index, piece in enumerate(witness.pieces):
         comp = Realizer.identity()
@@ -234,9 +186,14 @@ def _check_witness(edge_index: int, edge: Edge, witness: CompilationWitness):
         if comp != edge.realizer:
             raise WitnessError(f"edge {edge_index}, part {part_index}: "
                                f"word composes to a different map")
-        covered = covered.union(_restrict_to_part(edge.source, piece.part))
+        source = MeasurableSet.empty()
+        for pb in piece.part.boxes:
+            source = source.union(edge.source.restrict(pb.coord_map))
+        sources.append(source)
+        covered = covered.union(source)
     if covered != edge.source:
         raise WitnessError(f"edge {edge_index}: parts do not cover the source")
+    return sources
 
 
 def compile_graphing(g: Graphing, witnesses: dict[int, CompilationWitness],
@@ -250,9 +207,8 @@ def compile_graphing(g: Graphing, witnesses: dict[int, CompilationWitness],
         if witness is None:
             new_edges.append(edge)
             continue
-        _check_witness(idx, edge, witness)
-        for piece in witness.pieces:
-            source = _restrict_to_part(edge.source, piece.part)
+        sources = _witness_sources(idx, edge, witness)
+        for piece, source in zip(witness.pieces, sources):
             if source.is_empty():
                 continue
             new_edges.append(Edge(edge.weight, source, piece.composite))

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .space import MeasurableSet, RationalBox, _subtract_box
+from .space import MeasurableSet
 from .realizers import Realizer
 from .graphing import Edge, Graphing, join_monoids, validate
 
@@ -126,44 +126,11 @@ class _Piece:
     src_in_cut: bool
 
 
-class _CutIndex:
-    """Cut region indexed by cell for fast membership splits."""
-
-    def __init__(self, cut: MeasurableSet):
-        self.set = cut
-        self.by_cell: dict[int, list[RationalBox]] = {}
-        for b in cut.boxes:
-            self.by_cell.setdefault(b.cell, []).append(b)
-
-    def intersect(self, s: MeasurableSet) -> MeasurableSet:
-        hits = []
-        for a in s.boxes:
-            for b in self.by_cell.get(a.cell, ()):
-                got = a.intersect(b)
-                if got is not None:
-                    hits.append(got)
-        if len(hits) <= 1:
-            return MeasurableSet(tuple(hits))
-        return MeasurableSet.from_boxes(hits)
-
-    def subtract(self, s: MeasurableSet) -> MeasurableSet:
-        kept = []
-        for a in s.boxes:
-            if a.cell not in self.by_cell:
-                kept.append(a)
-                continue
-            pieces = [a]
-            for b in self.by_cell[a.cell]:
-                pieces = [p for piece in pieces for p in _subtract_box(piece, b)]
-            kept.extend(pieces)
-        return MeasurableSet.from_boxes(kept)
-
-
-def _split_pieces(g: Graphing, side: str, cut: _CutIndex) -> list[_Piece]:
+def _split_pieces(g: Graphing, side: str, cut: MeasurableSet) -> list[_Piece]:
     pieces = []
     for idx, e in enumerate(g.edges):
-        inside = cut.intersect(e.source)
-        outside = e.source.subtract(inside)
+        inside = e.source.intersect(cut)
+        outside = e.source.subtract(cut)
         if not inside.is_empty():
             pieces.append(_Piece(side, idx, e.weight, inside, e.realizer, True))
         if not outside.is_empty():
@@ -199,9 +166,8 @@ def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
     monoid = join_monoids(f.weights, g.weights)
     if cut is None:
         cut = f.carrier.intersect(g.carrier)
-    cut_index = _CutIndex(cut)
     sides = {"F": f, "G": g}
-    pieces = {side: _split_pieces(graphing, side, cut_index)
+    pieces = {side: _split_pieces(graphing, side, cut)
               for side, graphing in sides.items()}
     buckets: dict[str, dict[int, list[tuple[int, _Piece]]]] = {}
     for side, plist in pieces.items():
@@ -238,13 +204,13 @@ def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
     budget = max_steps
     while queue:
         path = queue.popleft()
-        exits = cut_index.subtract(path.image)
+        exits = path.image.subtract(cut)
         if not exits.is_empty():
             src = path.composite.invert().apply(exits)
             result_edges.append(Edge(path.weight, src, path.composite))
             records.append(PathRecord(path.steps, path.regions, src,
                                       path.composite, path.weight))
-        inside = cut_index.intersect(path.image)
+        inside = path.image.intersect(cut)
         if inside.is_empty():
             continue
         other = "G" if path.side == "F" else "F"
@@ -393,10 +359,6 @@ class MeasurementMap:
     def constant(value) -> "MeasurementMap":
         return MeasurementMap((), value)
 
-    @staticmethod
-    def from_table(mapping, default=None) -> "MeasurementMap":
-        return MeasurementMap(tuple(sorted(mapping.items())), default)
-
     def __call__(self, weight):
         for key, value in self.table:
             if key == weight:
@@ -421,29 +383,36 @@ def measurement(f: Graphing, g: Graphing, m: MeasurementMap,
 
 # -- acceptance ---------------------------------------------------------------
 
-def _edge_landing(e: Edge, regions: Regions, where: MeasurableSet) -> Fraction:
+def landing(e: Edge, regions: Regions, where: MeasurableSet) -> MeasurableSet:
+    """The part of ``where`` into which the edge carries launch-region
+    points.  It can be nonempty while carrying no mass, on a weight-0
+    edge."""
     src = e.source.intersect(regions.launch)
     if src.is_empty():
-        return Fraction(0)
-    landed = e.realizer.apply(src).intersect(where)
-    return e.weight * landed.measure()
+        return src
+    return e.realizer.apply(src).intersect(where)
+
+
+def _landed_mass(result: PlugResult, regions: Regions,
+                 where: MeasurableSet) -> Fraction:
+    lam = regions.launch.measure()
+    if lam == 0:
+        raise ValueError("launch region is null")
+    total = sum((e.weight * landing(e, regions, where).measure()
+                 for e in result.graphing.edges), Fraction(0))
+    return total / lam
 
 
 def accept_mass(result: PlugResult, regions: Regions) -> Fraction:
     """Weight mass carried from the launch region into the accept cells,
     normalised by the launch measure."""
-    total = sum((_edge_landing(e, regions, regions.accept)
-                 for e in result.graphing.edges), Fraction(0))
-    lam = regions.launch.measure()
-    if lam == 0:
-        raise ValueError("launch region is null")
-    return total / lam
+    return _landed_mass(result, regions, regions.accept)
 
 
 def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
-    total = sum((_edge_landing(e, regions, regions.reject)
-                 for e in result.graphing.edges), Fraction(0))
-    return total / regions.launch.measure()
+    """Weight mass carried from the launch region into the reject cells,
+    normalised by the launch measure."""
+    return _landed_mass(result, regions, regions.reject)
 
 
 def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
@@ -459,15 +428,11 @@ def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
     diag = result.diagnostics
     pending = diag.unresolved_mass > 0
     if test.kind in ("det", "nl"):
-        hit = any(_edge_landing(e, regions, regions.accept) > 0
-                  for e in result.graphing.edges)
-        if hit:
+        if accept_mass(result, regions) > 0:
             return Verdict.ACCEPT
         return Verdict.UNDETERMINED if pending else Verdict.REJECT
     if test.kind == "conl":
-        hit = any(_edge_landing(e, regions, regions.reject) > 0
-                  for e in result.graphing.edges)
-        if hit:
+        if reject_mass(result, regions) > 0:
             return Verdict.REJECT
         return Verdict.UNDETERMINED if pending else Verdict.ACCEPT
     mass = accept_mass(result, regions)

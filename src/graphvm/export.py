@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .space import MeasurableSet, RationalBox
 from .realizers import Microcosm, Realizer
-from .graphing import Graphing
+from .graphing import Graphing, cost
 from .execution import INFINITY, PathRecord, PlugResult
 
 
@@ -70,8 +70,7 @@ def graphing_payload(g: Graphing) -> dict:
             }
             for e in g.edges
         ],
-        "cost": frac_str(sum((e.source.measure() for e in g.edges),
-                             Fraction(0))),
+        "cost": frac_str(cost(g)),
     }
 
 

@@ -150,9 +150,6 @@ class GraphingClass(enum.Enum):
     PROBABILISTIC = "probabilistic"
     GENERAL = "general"
 
-    def admits_deterministic(self) -> bool:
-        return True  # deterministic graphings belong to every class
-
 
 @dataclass(frozen=True)
 class Graphing:
@@ -173,12 +170,6 @@ class Graphing:
     def same_as(self, other: "Graphing") -> bool:
         """Equality as canonical graphings (carrier plus edge multiset)."""
         return self.canonical_key() == other.canonical_key()
-
-
-def empty_graphing(weights=TRIVIAL, microcosm=None,
-                   carrier=None) -> Graphing:
-    return Graphing.make(weights, microcosm or Microcosm.macrocosm(),
-                         carrier or MeasurableSet.empty(), ())
 
 
 def validate(g: Graphing) -> list[str]:

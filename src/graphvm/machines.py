@@ -147,21 +147,25 @@ def validate_spec(spec: MachineSpec) -> list[str]:
     return problems
 
 
-def _parse_fraction(tok: str, line_no: int) -> Fraction:
+def parse_rational(text: str) -> Fraction:
+    """An integer or ``p/q`` as an exact rational; ValueError otherwise,
+    a zero denominator included."""
+    p, slash, q = text.partition("/")
     try:
-        if "/" in tok:
-            p, q = tok.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise MachineParseError(line_no, f"bad rational {tok!r}") from None
+        return Fraction(int(p), int(q) if slash else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_action(tokens: list[str], line_no: int) -> Action:
     idx = 0
     weight = Fraction(1)
     if tokens and (tokens[0][0].isdigit() or "/" in tokens[0]):
-        weight = _parse_fraction(tokens[0], line_no)
+        try:
+            weight = parse_rational(tokens[0])
+        except ValueError:
+            raise MachineParseError(
+                line_no, f"bad rational {tokens[0]!r}") from None
         idx = 1
     if idx >= len(tokens):
         raise MachineParseError(line_no, "missing action keyword")

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ZERO,
-                    ONE)
+from .space import MeasurableSet, RationalBox, RationalInterval, ZERO, ONE
 
 
 class DomainViolation(ValueError):
@@ -105,9 +104,6 @@ class Realizer:
     def is_identity(self) -> bool:
         return self.shift == 0 and not self.perm and not self.offsets
 
-    def moved_coordinates(self) -> set[int]:
-        return {j for j, _ in self.perm} | {j for j, _ in self.offsets}
-
     def input_constraints(self) -> dict[int, RationalInterval] | None:
         """Per input coordinate, the interval on which the map is defined.
 
@@ -161,21 +157,7 @@ class Realizer:
         constraints = self.input_constraints()
         if constraints is None:
             return MeasurableSet.empty()
-        if not constraints:
-            return within
-        kept = []
-        for b in within.boxes:
-            coords = b.coord_map
-            ok = True
-            for j, iv in constraints.items():
-                got = coords.get(j, FULL).intersect(iv)
-                if got is None:
-                    ok = False
-                    break
-                coords[j] = got
-            if ok:
-                kept.append(RationalBox.make(b.cell, coords))
-        return MeasurableSet.from_boxes(kept)
+        return within.restrict(constraints)
 
     def compose(self, then: "Realizer") -> "Realizer":
         """The map acting as ``then`` after ``self``."""
@@ -241,10 +223,6 @@ def compose(r1: Realizer, r2: Realizer) -> Realizer:
 
 def invert(r: Realizer) -> Realizer:
     return r.invert()
-
-
-def apply(r: Realizer, s: MeasurableSet) -> MeasurableSet:
-    return r.apply(s)
 
 
 def domain_of(r: Realizer, within: MeasurableSet) -> MeasurableSet:

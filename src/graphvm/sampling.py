@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from .space import MeasurableSet, RationalBox, RationalInterval
 from .realizers import Microcosm, Realizer
-from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL
+from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
+                       classify)
+from .execution import plug
 
 
 def _dyadic_interval(rng: random.Random, denominator: int = 8) -> RationalInterval:
@@ -110,3 +112,29 @@ def random_triple(seed: int, mode: str = "det"):
     g = _layered_graphing(rng, b, c, mode)
     h = _layered_graphing(rng, c, d, mode)
     return f, g, h
+
+
+_CLASS_OF_MODE = {"det": GraphingClass.DETERMINISTIC,
+                  "nondet": GraphingClass.NONDETERMINISTIC,
+                  "prob": GraphingClass.PROBABILISTIC}
+
+
+def property_holds(kind: str, seed: int, mode: str, max_steps: int) -> bool:
+    """One seeded check, every plug within ``max_steps``.  ``closure``:
+    plugging a random pair gives clean diagnostics and a graphing of the
+    mode's class (or deterministic).  ``associativity``: all four plugs
+    of the two nestings of a random triple are clean, and the nestings
+    give the same graphing."""
+    if kind == "closure":
+        f, g = random_pair(seed, mode)
+        result = plug(f, g, max_steps=max_steps)
+        got = classify(result.graphing)
+        return result.diagnostics.clean() and (
+            got == _CLASS_OF_MODE[mode] or got == GraphingClass.DETERMINISTIC)
+    f, g, h = random_triple(seed, mode)
+    fg = plug(f, g, max_steps=max_steps)
+    gh = plug(g, h, max_steps=max_steps)
+    left = plug(fg.graphing, h, max_steps=max_steps)
+    right = plug(f, gh.graphing, max_steps=max_steps)
+    return (all(r.diagnostics.clean() for r in (fg, gh, left, right))
+            and left.graphing.same_as(right.graphing))

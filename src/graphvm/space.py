@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -44,9 +45,6 @@ class RationalInterval:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         return RationalInterval(lo, hi) if lo < hi else None
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x < self.hi
 
     def covers(self, other: "RationalInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -111,11 +109,6 @@ class RationalBox:
                 return None
             coords[j] = got
         return RationalBox.make(self.cell, coords)
-
-    def contains_point(self, cell: int, values: Mapping[int, Fraction]) -> bool:
-        if cell != self.cell:
-            return False
-        return all(iv.contains(values.get(j, ZERO)) for j, iv in self.coords)
 
     def key(self):
         return (self.cell, tuple((j, iv.lo, iv.hi) for j, iv in self.coords))
@@ -244,13 +237,18 @@ class MeasurableSet:
     def measure(self) -> Fraction:
         return sum((b.measure() for b in self.boxes), ZERO)
 
+    @cached_property
+    def _by_cell(self) -> dict[int, list[RationalBox]]:
+        by_cell: dict[int, list[RationalBox]] = {}
+        for b in self.boxes:
+            by_cell.setdefault(b.cell, []).append(b)
+        return by_cell
+
     def intersect(self, other: "MeasurableSet") -> "MeasurableSet":
         hits = []
-        theirs_by_cell: dict[int, list[RationalBox]] = {}
-        for b in other.boxes:
-            theirs_by_cell.setdefault(b.cell, []).append(b)
+        theirs = other._by_cell
         for a in self.boxes:
-            for b in theirs_by_cell.get(a.cell, ()):
+            for b in theirs.get(a.cell, ()):
                 got = a.intersect(b)
                 if got is not None:
                     hits.append(got)
@@ -268,18 +266,32 @@ class MeasurableSet:
     def subtract(self, other: "MeasurableSet") -> "MeasurableSet":
         if self.is_empty() or other.is_empty():
             return self
-        pieces = list(self.boxes)
-        for b in other.boxes:
-            pieces = [p for piece in pieces for p in _subtract_box(piece, b)]
-        return MeasurableSet.from_boxes(pieces)
+        kept = []
+        theirs = other._by_cell
+        for a in self.boxes:
+            pieces = [a]
+            for b in theirs.get(a.cell, ()):
+                pieces = [p for piece in pieces for p in _subtract_box(piece, b)]
+            kept.extend(pieces)
+        return MeasurableSet.from_boxes(kept)
+
+    def restrict(self, constraints: Mapping[int, RationalInterval]) -> "MeasurableSet":
+        """The part of the set whose coordinates lie in ``constraints``,
+        in every cell."""
+        if not constraints:
+            return self
+        meet = RationalBox.make(0, constraints).coords
+        kept = []
+        for b in self.boxes:
+            got = b.intersect(RationalBox(b.cell, meet))
+            if got is not None:
+                kept.append(got)
+        return MeasurableSet.from_boxes(kept)
 
     def subset_of(self, other: "MeasurableSet") -> bool:
         # Exact representation: every nonempty set has positive measure,
         # so inclusion reduces to a measure identity.
         return self.intersect(other).measure() == self.measure()
-
-    def contains_point(self, cell: int, values: Mapping[int, Fraction]) -> bool:
-        return any(b.contains_point(cell, values) for b in self.boxes)
 
     def cells(self) -> set[int]:
         return {b.cell for b in self.boxes}
@@ -291,22 +303,6 @@ class MeasurableSet:
 
 
 _EMPTY = MeasurableSet(())
-
-
-def measure(s: MeasurableSet) -> Fraction:
-    return s.measure()
-
-
-def intersect(a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    return a.intersect(b)
-
-
-def union(a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    return a.union(b)
-
-
-def subtract(a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    return a.subtract(b)
 
 
 def common_refinement(sets: Sequence[MeasurableSet]) -> list[RationalBox]:

@@ -1,7 +1,8 @@
 import json
 import os
 
-from graphvm.cli import EXIT_OK, EXIT_PARSE, EXIT_UNDETERMINED, main
+from graphvm.cli import (EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
+                         EXIT_UNDETERMINED, main)
 
 MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
 
@@ -105,6 +106,20 @@ def test_experiment_closure_and_associativity(tmp_path):
     assert payload["passes"] == 25
     code = main(["experiment", "associativity", "--seed", "3", "--count", "10"])
     assert code == EXIT_OK
+
+
+def test_zero_denominator_cutpoint_is_a_validation_error(capsys):
+    code = main(["run", mach("coin-flip.mach"), "01", "--test", "prob",
+                 "--cutpoint", "1/0"])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_associativity_honours_the_step_budget(capsys):
+    code = main(["experiment", "associativity", "--seed", "1", "--count",
+                 "5", "--max-steps", "0"])
+    assert code == EXIT_MISMATCH
+    assert "0/5 passed" in capsys.readouterr().out
 
 
 def test_encode_word_and_machine(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from graphvm.execution import (INFINITY, MeasurementMap, T_CONL, T_DET,
                                Regions, Verdict, accept_mass, cycles,
-                               evaluate_test, measurement, plug, t_prob)
+                               evaluate_test, landing, measurement, plug,
+                               reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
                               TRIVIAL, classify, disjoint_union)
 from graphvm.realizers import Microcosm, Realizer
@@ -253,3 +254,26 @@ def test_prob_test_verdicts():
         is Verdict.REJECT  # strict cutpoint
     assert evaluate_test(result, t_prob(Fraction(1, 3)), regions) \
         is Verdict.ACCEPT
+
+
+def test_landed_masses_reject_a_null_launch_region():
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(10))],
+                 (0, 10))
+    result = plug(f, graphing([], (5,)))
+    null = Regions(MeasurableSet.empty(), ms(cellbox(10)), ms(cellbox(11)))
+    with pytest.raises(ValueError):
+        accept_mass(result, null)
+    with pytest.raises(ValueError):
+        reject_mass(result, null)
+
+
+def test_weightless_edge_lands_without_mass():
+    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
+    f = graphing([Edge(Fraction(0), ms(cellbox(0)), Realizer.shift_by(10)),
+                  Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(11))],
+                 (0, 10, 11), PROBABILITIES)
+    result = plug(f, graphing([], (5,)))
+    weightless, = [e for e in result.graphing.edges if e.weight == 0]
+    assert landing(weightless, regions, regions.accept) == ms(cellbox(10))
+    assert accept_mass(result, regions) == 0
+    assert reject_mass(result, regions) == 1

@@ -155,3 +155,14 @@ def test_pairwise_disjointness_of_canonical_boxes():
     for i, x in enumerate(a.boxes):
         for y in a.boxes[i + 1:]:
             assert x.intersect(y) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets(), boxes(cells=1, coords=3))
+def test_restrict_meets_every_cell_with_the_constraints(s, constraint_box):
+    c = constraint_box.coord_map
+    expected = MeasurableSet.empty()
+    for cell in s.cells():
+        expected = expected.union(
+            s.intersect(MeasurableSet.of(RationalBox.make(cell, c))))
+    assert s.restrict(c) == expected
