@@ -2,8 +2,8 @@
 
 from .space import (MeasurableSet, RationalBox, RationalInterval, box,
                     common_refinement, interval)
-from .realizers import (DomainViolation, Microcosm, Realizer, compose,
-                        domain_of, in_microcosm, invert, standard_generators)
+from .realizers import (DomainViolation, Microcosm, Realizer, in_microcosm,
+                        standard_generators)
 from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
                        TableWeights, classify, cost, disjoint_union, validate)
 from .execution import (AlternatingCycle, Diagnostics, INFINITY,

@@ -116,38 +116,14 @@ class PlugResult:
     diagnostics: Diagnostics
 
 
-@dataclass(frozen=True)
-class _Piece:
-    side: str
-    edge_index: int
-    weight: Fraction
-    source: MeasurableSet
-    realizer: Realizer
-    src_in_cut: bool
+# One trail entry per edge a path takes: the (side, edge index), the
+# region alive just before the step, and the composite and weight after it.
+_Step = tuple[tuple[str, int], MeasurableSet, Realizer, Fraction]
 
 
-def _split_pieces(g: Graphing, side: str, cut: MeasurableSet) -> list[_Piece]:
-    pieces = []
-    for idx, e in enumerate(g.edges):
-        inside = e.source.intersect(cut)
-        outside = e.source.subtract(cut)
-        if not inside.is_empty():
-            pieces.append(_Piece(side, idx, e.weight, inside, e.realizer, True))
-        if not outside.is_empty():
-            pieces.append(_Piece(side, idx, e.weight, outside, e.realizer, False))
-    return pieces
-
-
-@dataclass
-class _Path:
-    side: str
-    start: MeasurableSet            # surviving sub-domain of the first source
-    composite: Realizer
-    image: MeasurableSet
-    weight: Fraction
-    steps: tuple[tuple[str, int], ...]
-    regions: tuple[MeasurableSet, ...]
-    visits: dict                    # (side, piece id) -> [(region, composite, weight)]
+def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
+    steps, regions, composites, weights = zip(*trail)
+    return PathRecord(steps, regions, source, composites[-1], weights[-1])
 
 
 def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
@@ -167,78 +143,62 @@ def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
     if cut is None:
         cut = f.carrier.intersect(g.carrier)
     sides = {"F": f, "G": g}
-    pieces = {side: _split_pieces(graphing, side, cut)
-              for side, graphing in sides.items()}
-    buckets: dict[str, dict[int, list[tuple[int, _Piece]]]] = {}
-    for side, plist in pieces.items():
-        bucket: dict[int, list[tuple[int, _Piece]]] = {}
-        for pid, piece in enumerate(plist):
-            if not piece.src_in_cut:
-                continue
-            for cell in piece.source.cells():
-                bucket.setdefault(cell, []).append((pid, piece))
-        buckets[side] = bucket
+    edges_by_cell: dict[str, dict[int, list[int]]] = {}
+    for side, graphing in sides.items():
+        lookup = edges_by_cell[side] = {}
+        for idx, e in enumerate(graphing.edges):
+            for cell in e.source.cells():
+                lookup.setdefault(cell, []).append(idx)
 
     diag = Diagnostics()
     result_edges: list[Edge] = []
     records: list[PathRecord] = []
     dead_records: list[PathRecord] = []
-    queue: deque[_Path] = deque()
+    queue: deque[tuple[MeasurableSet, tuple[_Step, ...]]] = deque()
 
-    for side in ("F", "G"):
-        for pid, piece in enumerate(pieces[side]):
-            if piece.src_in_cut:
-                continue
-            queue.append(_Path(
-                side=side,
-                start=piece.source,
-                composite=piece.realizer,
-                image=piece.realizer.apply(piece.source),
-                weight=piece.weight,
-                steps=((side, piece.edge_index),),
-                regions=(piece.source,),
-                visits={(side, pid): ((piece.source, piece.realizer,
-                                       piece.weight),)},
-            ))
+    for side, graphing in sides.items():
+        for idx, e in enumerate(graphing.edges):
+            start = e.source.subtract(cut)
+            if not start.is_empty():
+                queue.append((e.realizer.apply(start),
+                              (((side, idx), start, e.realizer, e.weight),)))
 
     budget = max_steps
     while queue:
-        path = queue.popleft()
-        exits = path.image.subtract(cut)
+        image, trail = queue.popleft()
+        (side, _), _, composite, weight = trail[-1]
+        exits = image.subtract(cut)
         if not exits.is_empty():
-            src = path.composite.invert().apply(exits)
-            result_edges.append(Edge(path.weight, src, path.composite))
-            records.append(PathRecord(path.steps, path.regions, src,
-                                      path.composite, path.weight))
-        inside = path.image.intersect(cut)
+            src = composite.invert().apply(exits)
+            result_edges.append(Edge(weight, src, composite))
+            records.append(_record(trail, src))
+        # a path inside the cut only meets the part of a source in the
+        # cut, so whole edges need no split at it
+        inside = image.intersect(cut)
         if inside.is_empty():
             continue
-        other = "G" if path.side == "F" else "F"
+        other = "G" if side == "F" else "F"
+        other_edges = sides[other].edges
+        lookup = edges_by_cell[other]
         covered = MeasurableSet.empty()
-        candidates: dict[int, _Piece] = {}
-        for cell in inside.cells():
-            for pid, piece in buckets[other].get(cell, ()):
-                candidates.setdefault(pid, piece)
-        for pid in sorted(candidates):
-            piece = candidates[pid]
-            hit = inside.intersect(piece.source)
+        for idx in sorted({i for cell in inside.cells()
+                           for i in lookup.get(cell, ())}):
+            e = other_edges[idx]
+            hit = inside.intersect(e.source)
             if hit.is_empty():
                 continue
             covered = covered.union(hit)
             if budget <= 0:
                 diag.complete = False
-                diag.unresolved_mass += path.weight * hit.measure()
+                diag.unresolved_mass += weight * hit.measure()
                 continue
             budget -= 1
             diag.steps_used += 1
-            new_comp = path.composite.compose(piece.realizer)
-            new_weight = monoid.product(path.weight, piece.weight)
-            prior = path.visits.get((other, pid), ())
-            repeat = None
-            for region, comp, weight in prior:
-                if comp == new_comp and hit.subset_of(region):
-                    repeat = weight
-                    break
+            new_comp = composite.compose(e.realizer)
+            new_weight = monoid.product(weight, e.weight)
+            repeat = next((w for key, region, comp, w in trail
+                           if key == (other, idx) and comp == new_comp
+                           and hit.subset_of(region)), None)
             if repeat is not None:
                 mass = new_weight * hit.measure()
                 if new_weight == repeat:
@@ -248,25 +208,12 @@ def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
                     # bounded by the mass entering the repeat
                     diag.unresolved_mass += mass
                 continue
-            visits = dict(path.visits)
-            visits[(other, pid)] = prior + ((hit, new_comp, new_weight),)
-            queue.append(_Path(
-                side=other,
-                start=path.composite.invert().apply(hit),
-                composite=new_comp,
-                image=piece.realizer.apply(hit),
-                weight=new_weight,
-                steps=path.steps + ((other, piece.edge_index),),
-                regions=path.regions + (hit,),
-                visits=visits,
-            ))
+            queue.append((e.realizer.apply(hit),
+                          trail + (((other, idx), hit, new_comp, new_weight),)))
         dead = inside.subtract(covered)
         if not dead.is_empty():
-            diag.dead_mass += path.weight * dead.measure()
-            dead_records.append(PathRecord(
-                path.steps, path.regions,
-                path.composite.invert().apply(dead),
-                path.composite, path.weight))
+            diag.dead_mass += weight * dead.measure()
+            dead_records.append(_record(trail, composite.invert().apply(dead)))
 
     order = sorted(range(len(result_edges)), key=lambda i: result_edges[i].key())
     edges = tuple(result_edges[i] for i in order)
@@ -290,49 +237,22 @@ class AlternatingCycle:
     weight: Fraction
 
 
-def _cycle_support(f: Graphing, g: Graphing,
-                   steps: tuple[tuple[str, int], ...]):
-    sides = {"F": f, "G": g}
-    monoid = join_monoids(f.weights, g.weights)
-    first = sides[steps[0][0]].edges[steps[0][1]]
-    comp = None
-    weight = monoid.one()
-    image = None
-    for side, idx in steps:
-        e = sides[side].edges[idx]
-        if comp is None:
-            comp = e.realizer
-            weight = e.weight
-            image = e.realizer.apply(e.source)
-            continue
-        hit = image.intersect(e.source)
-        if hit.is_empty():
-            return None
-        comp = comp.compose(e.realizer)
-        image = e.realizer.apply(hit)
-        weight = monoid.product(weight, e.weight)
-    closing = image.intersect(first.source)
-    if closing.is_empty():
-        return None
-    support = comp.invert().apply(closing)
-    return support, comp, weight
-
-
-def cycles(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
+def cycles(f: Graphing, g: Graphing,
            max_len: int = 8) -> list[AlternatingCycle]:
     """All alternating cycles of length <= max_len with nonempty support,
-    deduplicated up to rotation."""
+    deduplicated up to rotation: each is kept in its least rotation."""
     sides = {"F": f, "G": g}
-    found: dict[tuple, AlternatingCycle] = {}
+    monoid = join_monoids(f.weights, g.weights)
+    found: list[AlternatingCycle] = []
 
-    def extend(steps, image):
-        if len(steps) >= 2 and steps[0][0] != steps[-1][0]:
-            closed = _cycle_support(f, g, steps)
-            if closed is not None:
-                canon = min(steps[i:] + steps[:i] for i in range(len(steps)))
-                if canon not in found:
-                    support, comp, weight = _cycle_support(f, g, canon)
-                    found[canon] = AlternatingCycle(canon, comp, support, weight)
+    def extend(steps, image, comp, weight):
+        if len(steps) >= 2 and steps[0][0] != steps[-1][0] and \
+                steps == min(steps[i:] + steps[:i] for i in range(len(steps))):
+            first = sides[steps[0][0]].edges[steps[0][1]]
+            closing = image.intersect(first.source)
+            if not closing.is_empty():
+                found.append(AlternatingCycle(
+                    steps, comp, comp.invert().apply(closing), weight))
         if len(steps) >= max_len:
             return
         other = "G" if steps[-1][0] == "F" else "F"
@@ -340,12 +260,14 @@ def cycles(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
             hit = image.intersect(e.source)
             if hit.is_empty():
                 continue
-            extend(steps + ((other, idx),), e.realizer.apply(hit))
+            extend(steps + ((other, idx),), e.realizer.apply(hit),
+                   comp.compose(e.realizer), monoid.product(weight, e.weight))
 
     for side in ("F", "G"):
         for idx, e in enumerate(sides[side].edges):
-            extend(((side, idx),), e.realizer.apply(e.source))
-    return [found[k] for k in sorted(found)]
+            extend(((side, idx),), e.realizer.apply(e.source), e.realizer,
+                   e.weight)
+    return sorted(found, key=lambda cyc: cyc.steps)
 
 
 @dataclass(frozen=True)

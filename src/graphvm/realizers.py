@@ -216,19 +216,6 @@ class Realizer:
 _IDENTITY = Realizer(0)
 
 
-def compose(r1: Realizer, r2: Realizer) -> Realizer:
-    """Composite applying r1 first, then r2."""
-    return r1.compose(r2)
-
-
-def invert(r: Realizer) -> Realizer:
-    return r.invert()
-
-
-def domain_of(r: Realizer, within: MeasurableSet) -> MeasurableSet:
-    return r.domain_within(within)
-
-
 def preimage_within(r: Realizer, source: MeasurableSet,
                     target: MeasurableSet) -> MeasurableSet:
     """Subset of ``source`` that r maps into ``target``."""

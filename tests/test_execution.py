@@ -277,3 +277,30 @@ def test_weightless_edge_lands_without_mass():
     assert landing(weightless, regions, regions.accept) == ms(cellbox(10))
     assert accept_mass(result, regions) == 0
     assert reject_mass(result, regions) == 1
+
+
+def test_decaying_revisit_is_unresolved_not_looping():
+    # 0 -> 5 -> 6 -> 5: the second entry into G's edge repeats the first
+    # with the same composite but half the weight
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
+                  Edge(Fraction(1, 2), ms(cellbox(6)), Realizer.shift_by(-1))],
+                 (0, 5, 6), PROBABILITIES)
+    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
+                 (5, 6), PROBABILITIES)
+    result = plug(f, g, cut=ms(cellbox(5), cellbox(6)))
+    diag = result.diagnostics
+    assert diag.complete
+    assert diag.steps_used == 3
+    assert diag.unresolved_mass == Fraction(1, 2)
+    assert diag.looping_mass == 0
+    assert result.graphing.edges == ()
+
+
+def test_cycle_closing_only_from_a_later_rotation_is_not_kept():
+    # G then F returns into G's source, but the least rotation, F then G,
+    # does not return into F's
+    f = graphing([Edge(Fraction(1), ms(cellbox(0, "1/2", "3/4")),
+                       Realizer.identity())], (0,))
+    g = graphing([Edge(Fraction(1), ms(cellbox(0, "1/4", "3/4")),
+                       Realizer.offset({1: Fraction(1, 4)}))], (0,))
+    assert cycles(f, g, max_len=4) == []
