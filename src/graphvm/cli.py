@@ -84,21 +84,20 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _oracle_words(machine: EncodedMachine, test: Test, max_len: int):
-    spec = machine.spec
-    if test.kind == "conl":
-        return oracle.oracle_language(spec, max_len, "co")
-    if test.kind == "prob":
-        return oracle.oracle_language(spec, max_len, "prob", test.cutpoint)
-    return oracle.oracle_language(spec, max_len, "accept")
-
-
 def cmd_language(args) -> int:
     machine = _load(args.machine)
     test = _test_from_args(args)
     got = language(machine, test, args.max_len, one_way=args.one_way,
                    max_steps=args.max_steps)
-    expected = _oracle_words(machine, test, args.max_len)
+    spec = machine.spec
+    if test.kind == "prob":
+        probabilities = {
+            w: oracle.pfa_accept_prob(spec, w)
+            for w in oracle.words_up_to(spec.alphabet, args.max_len)}
+        expected = [w for w, p in probabilities.items() if p > test.cutpoint]
+    else:
+        expected = oracle.oracle_language(
+            spec, args.max_len, "co" if test.kind == "conl" else "accept")
     print(f"graphing language ({len(got.accepted)} words): "
           + " ".join(repr(w) for w in got.accepted))
     print(f"oracle language   ({len(expected)} words): "
@@ -113,8 +112,7 @@ def cmd_language(args) -> int:
     }
     if test.kind == "prob":
         payload["probabilities"] = {
-            w: export.frac_str(oracle.pfa_accept_prob(machine.spec, w))
-            for w in oracle.words_up_to(machine.spec.alphabet, args.max_len)}
+            w: export.frac_str(p) for w, p in probabilities.items()}
     out = _ensure_out(args)
     if out:
         export.write_json(os.path.join(out, "language.json"), payload)

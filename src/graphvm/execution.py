@@ -374,7 +374,6 @@ class LanguageResult:
 
 
 def language(machine, test: Test, max_len: int, one_way: bool = False,
-             state_rows: int | None = None,
              max_steps: int = 10000) -> LanguageResult:
     """Words of length <= max_len the encoded machine accepts under the
     test, in (length, alphabet) order.  Undetermined words are excluded
@@ -385,7 +384,7 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     problems = validate(machine.graphing)
     if problems:
         raise ValueError(f"machine graphing invalid: {problems}")
-    rows = state_rows if state_rows is not None else len(machine.spec.states)
+    rows = len(machine.spec.states)
     accepted, undetermined = [], []
     verdicts: dict[str, Verdict] = {}
     for word in words_up_to(machine.spec.alphabet, max_len):

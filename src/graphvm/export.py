@@ -124,27 +124,22 @@ def _node_id(name: str) -> str:
     return '"' + name.replace('"', "'") + '"'
 
 
-def graphing_dot(g: Graphing, names: dict[int, str] | None = None,
-                 bold_edges: set[int] | None = None,
-                 title: str = "graphing") -> str:
+def graphing_dot(g: Graphing, names: dict[int, str] | None = None) -> str:
     """Quotient picture of a graphing: one node per cell, dashed for
-    permutation-realized edges, bold for the flagged ones."""
+    permutation-realized edges."""
     names = names or {}
-    bold_edges = bold_edges or set()
-    lines = [f'digraph {_node_id(title)} {{', "  rankdir=LR;"]
+    lines = ['digraph "graphing" {', "  rankdir=LR;"]
     cells = sorted(g.carrier.cells() | {
         c for e in g.edges for c in (e.source.cells() | e.target.cells())})
     for cell in cells:
         label = names.get(cell, f"cell{cell}")
         lines.append(f"  {_node_id(label)};")
-    for idx, e in enumerate(g.edges):
+    for e in g.edges:
         for src_cell in sorted(e.source.cells()):
             for dst_cell in sorted(e.target.cells()):
                 attrs = []
                 if e.realizer.perm:
                     attrs.append("style=dashed")
-                if idx in bold_edges:
-                    attrs.append("penwidth=3")
                 if e.weight != 1:
                     attrs.append(f'label="{frac_str(e.weight)}"')
                 attr = (" [" + ",".join(attrs) + "]") if attrs else ""

@@ -178,8 +178,7 @@ def validate(g: Graphing) -> list[str]:
     for i, e in enumerate(g.edges):
         if not g.weights.admits(e.weight):
             problems.append(f"edge {i}: weight {e.weight} not in monoid")
-        dom = e.realizer.domain_within(e.source)
-        if dom.measure() != e.source.measure():
+        if e.realizer.domain_within(e.source) != e.source:
             problems.append(f"edge {i}: source exceeds realizer domain")
             continue
         if not e.source.subset_of(g.carrier):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 MARKER = "*"
 
@@ -81,7 +82,7 @@ class MachineSpec:
     def initial(self) -> str:
         return self.states[0]
 
-    @property
+    @cached_property
     def transition_map(self) -> dict[tuple[str, str], tuple[Action, ...]]:
         return dict(self.transitions)
 

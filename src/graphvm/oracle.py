@@ -88,42 +88,24 @@ def dfa_accepts(spec: MachineSpec, word: str) -> bool:
         seen.add(config)
 
 
-def _reachable_outcomes(spec: MachineSpec, word: str):
-    """Per reachable configuration, the outcomes its single steps emit,
-    plus the continuation graph."""
-    start = initial_config(spec, word)
-    frontier = [start]
-    emitted: dict[Config, set[str]] = {}
-    graph: dict[Config, list[Config]] = {}
-    while frontier:
-        config = frontier.pop()
-        if config in emitted:
-            continue
-        emitted[config] = set()
-        graph[config] = []
-        for step in successors(spec, word, config):
-            if step.outcome == "cont":
-                graph[config].append(step.config)
-                if step.config not in emitted:
-                    frontier.append(step.config)
-            else:
-                emitted[config].add(step.outcome)
-    return emitted, graph
-
-
-def _outcome_reachable(spec: MachineSpec, word: str, outcome: str) -> bool:
-    emitted, graph = _reachable_outcomes(spec, word)
-    seen = set()
+def _chain(spec: MachineSpec, word: str) -> dict[Config, list[Step]]:
+    """Every configuration reachable from the initial one, which comes
+    first, mapped to its single steps."""
+    chain: dict[Config, list[Step]] = {}
     stack = [initial_config(spec, word)]
     while stack:
         config = stack.pop()
-        if config in seen:
+        if config in chain:
             continue
-        seen.add(config)
-        if outcome in emitted[config]:
-            return True
-        stack.extend(graph[config])
-    return False
+        steps = chain[config] = successors(spec, word, config)
+        stack.extend(step.config for step in steps
+                     if step.outcome == "cont" and step.config not in chain)
+    return chain
+
+
+def _outcome_reachable(spec: MachineSpec, word: str, outcome: str) -> bool:
+    return any(step.outcome == outcome
+               for steps in _chain(spec, word).values() for step in steps)
 
 
 def nfa_accepts(spec: MachineSpec, word: str) -> bool:
@@ -160,51 +142,36 @@ def _solve_linear(matrix: list[list[Fraction]],
     return [a[i][n] for i in range(n)]
 
 
-def _absorption(spec: MachineSpec, word: str, outcome: str) -> Fraction:
-    """Exact probability that the run halts with ``outcome``."""
-    start = initial_config(spec, word)
-    # forward exploration with weighted continuations
-    configs: list[Config] = []
-    index: dict[Config, int] = {}
-    cont: dict[Config, list[tuple[Fraction, Config]]] = {}
+def _absorption(spec: MachineSpec, chain: dict[Config, list[Step]],
+                outcome: str) -> Fraction:
+    """Exact probability that the run explored by ``chain`` halts with
+    ``outcome``."""
     direct: dict[Config, Fraction] = {}
-    stack = [start]
-    while stack:
-        config = stack.pop()
-        if config in index:
-            continue
-        index[config] = len(configs)
-        configs.append(config)
-        cont[config] = []
-        direct[config] = Fraction(0)
-        total = Fraction(0)
-        for step in successors(spec, word, config):
-            total += step.weight
-            if step.outcome == "cont":
-                cont[config].append((step.weight, step.config))
-                if step.config not in index:
-                    stack.append(step.config)
-            elif step.outcome == outcome:
-                direct[config] += step.weight
+    for config, steps in chain.items():
+        direct[config] = sum((step.weight for step in steps
+                              if step.outcome == outcome), Fraction(0))
         # substochastic deficit halts with a rejection in prob mode
+        total = sum((step.weight for step in steps), Fraction(0))
         if outcome == REJECT and spec.mode == "prob" and total < 1:
             direct[config] += 1 - total
     # keep only configurations from which the outcome is reachable;
     # the rest absorb with probability zero and would make the system
     # singular if retained
-    reaching = {c for c in configs if direct[c] > 0}
+    reaching = {c for c in chain if direct[c] > 0}
     changed = True
     while changed:
         changed = False
-        for c in configs:
+        for c, steps in chain.items():
             if c in reaching:
                 continue
-            if any(nxt in reaching for w, nxt in cont[c] if w > 0):
+            if any(step.outcome == "cont" and step.weight > 0
+                   and step.config in reaching for step in steps):
                 reaching.add(c)
                 changed = True
+    start = next(iter(chain))
     if start not in reaching:
         return Fraction(0)
-    order = [c for c in configs if c in reaching]
+    order = [c for c in chain if c in reaching]
     pos = {c: i for i, c in enumerate(order)}
     n = len(order)
     matrix = [[Fraction(0)] * n for _ in range(n)]
@@ -212,26 +179,27 @@ def _absorption(spec: MachineSpec, word: str, outcome: str) -> Fraction:
     for c in order:
         i = pos[c]
         matrix[i][i] += 1
-        for w, nxt in cont[c]:
-            if nxt in pos:
-                matrix[i][pos[nxt]] -= w
+        for step in chain[c]:
+            if step.outcome == "cont" and step.config in pos:
+                matrix[i][pos[step.config]] -= step.weight
     solution = _solve_linear(matrix, rhs)
     return solution[pos[start]]
 
 
 def pfa_accept_prob(spec: MachineSpec, word: str) -> Fraction:
-    return _absorption(spec, word, ACCEPT)
+    return _absorption(spec, _chain(spec, word), ACCEPT)
 
 
 def pfa_outcome_probs(spec: MachineSpec, word: str):
     """(accept, reject, dead, diverge) probabilities, summing to 1.
 
-    The first three are independent absorption solves; divergence is
-    the remaining mass, never negative for a substochastic machine.
+    The first three are independent absorption solves on one chain;
+    divergence is the remaining mass, never negative for a
+    substochastic machine.
     """
-    acc = _absorption(spec, word, ACCEPT)
-    rej = _absorption(spec, word, REJECT)
-    dead = _absorption(spec, word, "dead")
+    chain = _chain(spec, word)
+    acc, rej, dead = (_absorption(spec, chain, outcome)
+                      for outcome in (ACCEPT, REJECT, "dead"))
     return acc, rej, dead, Fraction(1) - acc - rej - dead
 
 

@@ -289,9 +289,7 @@ class MeasurableSet:
         return MeasurableSet.from_boxes(kept)
 
     def subset_of(self, other: "MeasurableSet") -> bool:
-        # Exact representation: every nonempty set has positive measure,
-        # so inclusion reduces to a measure identity.
-        return self.intersect(other).measure() == self.measure()
+        return self.intersect(other) == self
 
     def cells(self) -> set[int]:
         return {b.cell for b in self.boxes}

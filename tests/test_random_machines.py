@@ -1,0 +1,78 @@
+"""Seeded random machines: the VM's verdicts against the oracle's.
+
+The machines come from ``perfbench/machinegen.py``, which is loaded
+from its file and only read.  Every (mode, heads, states, one/two-way)
+shape is drawn at least once, and every word of length <= 3 is run.
+
+- det and nondet machines: ``language`` under the mode's own test and
+  under ``T_CONL`` equals ``oracle_language`` in mode ``"accept"`` and
+  ``"co"``, and leaves no word undetermined.
+- prob machines: the accept mass never exceeds the oracle's exact
+  acceptance probability, and equals it when the run is clean.  Runs
+  with probabilistic loops only reach a lower bound today.
+"""
+
+import importlib.util
+import os
+import random
+
+import pytest
+
+from graphvm.encodings import encode_machine, run_word
+from graphvm.execution import T_CONL, T_DET, T_NL, accept_mass, language
+from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
+
+MACHINEGEN = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                          "machinegen.py")
+SEED = 1
+COUNT = 60
+MAX_LEN = 3
+
+
+def _load_machinegen():
+    spec = importlib.util.spec_from_file_location("perfbench_machinegen",
+                                                  MACHINEGEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _machines():
+    gen = _load_machinegen()
+    shapes = [(mode, heads, states, two_way)
+              for mode in gen.MODES
+              for heads in range(1, gen.MAX_HEADS + 1)
+              for states in range(1, gen.MAX_STATES + 1)
+              for two_way in (False, True)]
+    rng = random.Random(SEED)
+    return [gen.random_spec(rng, i, *shapes[i % len(shapes)])
+            for i in range(COUNT)]
+
+
+MACHINES = _machines()
+
+
+def _id(spec):
+    way = "2way" if spec.two_way else "1way"
+    return (f"{spec.name}-{spec.mode}-{spec.heads}h-"
+            f"{len(spec.states)}s-{way}")
+
+
+@pytest.mark.parametrize("spec", MACHINES, ids=[_id(s) for s in MACHINES])
+def test_random_machine_agrees_with_oracle(spec):
+    machine = encode_machine(spec)
+    one_way = not spec.two_way
+    if spec.mode == "prob":
+        for word in words_up_to(spec.alphabet, MAX_LEN):
+            result, regions = run_word(machine, word, one_way=one_way)
+            mass = accept_mass(result, regions)
+            prob = pfa_accept_prob(spec, word)
+            assert mass <= prob, word
+            if result.diagnostics.clean():
+                assert mass == prob, word
+        return
+    own = T_DET if spec.mode == "det" else T_NL
+    for test, mode in ((own, "accept"), (T_CONL, "co")):
+        got = language(machine, test, MAX_LEN, one_way=one_way)
+        assert got.undetermined == [], test.kind
+        assert got.accepted == oracle_language(spec, MAX_LEN, mode), test.kind

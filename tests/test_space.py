@@ -111,6 +111,14 @@ def test_subtract_measure_identity(a, b):
     assert a.subtract(b).measure() == a.measure() - a.intersect(b).measure()
 
 
+@settings(max_examples=150, deadline=None)
+@given(sets(), sets())
+def test_subset_of_agrees_with_the_measure_identity(a, b):
+    assert a.subset_of(b) == (a.intersect(b).measure() == a.measure())
+    assert a.intersect(b).subset_of(a)
+    assert a.subset_of(a.union(b))
+
+
 @settings(max_examples=100, deadline=None)
 @given(sets(), sets(), sets())
 def test_boolean_laws(a, b, c):
