@@ -78,6 +78,12 @@ class TapeLayout:
                 for symbol in (MARKER,) + self.alphabet
                 for kind in (IN, OUT)]
 
+    def accept_boxes(self, rows: int = 1) -> list[RationalBox]:
+        return [RationalBox.make(self.accept_cell(row)) for row in range(rows)]
+
+    def reject_boxes(self, rows: int = 1) -> list[RationalBox]:
+        return [RationalBox.make(self.reject_cell(row)) for row in range(rows)]
+
     def cell_names(self, rows: int = 1) -> dict[int, str]:
         names = {}
         for row in range(rows):
@@ -155,14 +161,12 @@ class EncodedMachine:
     @cached_property
     def accept_region(self) -> MeasurableSet:
         return MeasurableSet.from_boxes(
-            RationalBox.make(self.layout.accept_cell(row))
-            for row in range(len(self.spec.states)))
+            self.layout.accept_boxes(len(self.spec.states)))
 
     @cached_property
     def reject_region(self) -> MeasurableSet:
         return MeasurableSet.from_boxes(
-            RationalBox.make(self.layout.reject_cell(row))
-            for row in range(len(self.spec.states)))
+            self.layout.reject_boxes(len(self.spec.states)))
 
     def launch_region(self, word_len: int) -> MeasurableSet:
         """Accept region of the initial row with every head's address on
@@ -226,14 +230,12 @@ def encode_machine(spec: MachineSpec,
                                     - layout.accept_cell(init_row)))]
     edges.extend(_response_edges(spec, layout, row_of))
 
-    carrier_boxes = layout.tape_boxes(len(spec.states))
-    for row in range(len(spec.states)):
-        carrier_boxes.append(RationalBox.make(layout.accept_cell(row)))
-        carrier_boxes.append(RationalBox.make(layout.reject_cell(row)))
-
+    rows = len(spec.states)
+    carrier = MeasurableSet.from_boxes(layout.tape_boxes(rows)
+                                       + layout.accept_boxes(rows)
+                                       + layout.reject_boxes(rows))
     monoid = PROBABILITIES if spec.mode == "prob" else TRIVIAL
-    graphing = Graphing.make(monoid, Microcosm.mi(spec.heads),
-                             MeasurableSet.from_boxes(carrier_boxes), edges)
+    graphing = Graphing.make(monoid, Microcosm.mi(spec.heads), carrier, edges)
     return EncodedMachine(spec, layout, graphing)
 
 

@@ -146,6 +146,10 @@ def _absorption(spec: MachineSpec, chain: dict[Config, list[Step]],
                 outcome: str) -> Fraction:
     """Exact probability that the run explored by ``chain`` halts with
     ``outcome``."""
+    if spec.mode == "nondet":
+        # branches of a nondet machine carry no probabilities, and a
+        # configuration's unit weights can sum past 1
+        raise ValueError("outcome probabilities need a det or prob machine")
     direct: dict[Config, Fraction] = {}
     for config, steps in chain.items():
         direct[config] = sum((step.weight for step in steps

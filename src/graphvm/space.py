@@ -122,50 +122,31 @@ def box(cell: int, coords: Mapping[int, RationalInterval] | None = None) -> Rati
     return RationalBox.make(cell, coords)
 
 
-def _subtract_box(a: RationalBox, b: RationalBox) -> list[RationalBox]:
-    """a minus b as disjoint boxes (not canonicalised)."""
-    if a.intersect(b) is None:
-        return [a]
-    pieces: list[RationalBox] = []
-    remaining = a.coord_map
-    axes = sorted(set(remaining) | {j for j, _ in b.coords})
-    for j in axes:
-        cur = remaining.get(j, FULL)
-        cut = b.interval_at(j)
-        if cur.lo < cut.lo:
-            left = dict(remaining)
-            left[j] = RationalInterval(cur.lo, cut.lo)
-            pieces.append(RationalBox.make(a.cell, left))
-        if cut.hi < cur.hi:
-            right = dict(remaining)
-            right[j] = RationalInterval(cut.hi, cur.hi)
-            pieces.append(RationalBox.make(a.cell, right))
-        overlap = cur.intersect(cut)
-        assert overlap is not None
-        remaining[j] = overlap
-    return pieces
-
-
 # -- canonical form ---------------------------------------------------------
 #
-# Canonicalisation recurses over the constrained coordinates in fixed
-# ascending order: slice the first coordinate at every endpoint, canonicalise
-# each slice over the remaining coordinates, and merge adjacent slices whose
-# canonical content coincides.  The outcome depends only on the point set, so
-# point-set-equal inputs produce identical tuples of boxes.
+# One sweep gives the canonical form of both a union and a difference.  Its
+# items are the coordinate maps of boxes, each kept or removed.  It recurses
+# over the constrained coordinates in fixed ascending order: slice the first
+# coordinate at every endpoint of every item, sweep each slice over the
+# remaining coordinates with the items that cover it, and merge adjacent
+# slices whose canonical content coincides.  A slice with no coordinate left
+# survives when some kept item covers it and no removed item does.  The
+# outcome depends only on the point set, so point-set-equal inputs produce
+# identical tuples of boxes.
 
 _CoordMap = tuple[tuple[int, RationalInterval], ...]
 
 
-def _canon_group(items: list[dict[int, RationalInterval]],
+def _canon_group(kept: list[dict[int, RationalInterval]],
+                 removed: list[dict[int, RationalInterval]],
                  axes: list[int]) -> list[_CoordMap]:
-    if not items:
+    if not kept:
         return []
     if not axes:
-        return [()]
+        return [] if removed else [()]
     j, rest = axes[0], axes[1:]
     points = {ZERO, ONE}
-    for item in items:
+    for item in itertools.chain(kept, removed):
         iv = item.get(j, FULL)
         points.add(iv.lo)
         points.add(iv.hi)
@@ -173,9 +154,10 @@ def _canon_group(items: list[dict[int, RationalInterval]],
     runs: list[list] = []  # [lo, hi, canonical slice]
     for lo, hi in zip(cuts, cuts[1:]):
         piece = RationalInterval(lo, hi)
-        sub = [{k: v for k, v in item.items() if k != j}
-               for item in items if item.get(j, FULL).covers(piece)]
-        content = _canon_group(sub, rest)
+        content = _canon_group(
+            [item for item in kept if item.get(j, FULL).covers(piece)],
+            [item for item in removed if item.get(j, FULL).covers(piece)],
+            rest)
         if runs and runs[-1][1] == lo and runs[-1][2] == content:
             runs[-1][1] = hi
         else:
@@ -184,25 +166,27 @@ def _canon_group(items: list[dict[int, RationalInterval]],
     for lo, hi, content in runs:
         iv = RationalInterval(lo, hi)
         for sub in content:
-            if iv == FULL:
-                out.append(sub)
-            else:
-                out.append(tuple(sorted(sub + ((j, iv),))))
+            # every axis in ``sub`` comes after j, so the pair goes first
+            out.append(sub if iv == FULL else ((j, iv),) + sub)
     return out
 
 
-def _canonicalize(boxes: Iterable[RationalBox]) -> tuple[RationalBox, ...]:
+def _canonicalize(boxes: Iterable[RationalBox],
+                  removed: Mapping[int, list[RationalBox]]) -> tuple[RationalBox, ...]:
+    """Canonical boxes of the points in some of ``boxes`` and in none of
+    the boxes that ``removed`` lists for their cell."""
     boxes = list(boxes)
-    if len(boxes) <= 1:
+    if not removed and len(boxes) <= 1:
         return tuple(boxes)  # a single normalised box is its canonical form
     by_cell: dict[int, list[RationalBox]] = {}
     for b in boxes:
         by_cell.setdefault(b.cell, []).append(b)
     out: list[RationalBox] = []
     for cell in sorted(by_cell):
-        group = by_cell[cell]
-        axes = sorted({j for b in group for j, _ in b.coords})
-        for coords in _canon_group([b.coord_map for b in group], axes):
+        group, minus = by_cell[cell], removed.get(cell, [])
+        axes = sorted({j for b in group + minus for j, _ in b.coords})
+        for coords in _canon_group([b.coord_map for b in group],
+                                   [b.coord_map for b in minus], axes):
             out.append(RationalBox(cell, coords))
     out.sort(key=RationalBox.key)
     return tuple(out)
@@ -221,7 +205,7 @@ class MeasurableSet:
 
     @staticmethod
     def from_boxes(boxes: Iterable[RationalBox]) -> "MeasurableSet":
-        return MeasurableSet(_canonicalize(boxes))
+        return MeasurableSet(_canonicalize(boxes, {}))
 
     @staticmethod
     def empty() -> "MeasurableSet":
@@ -266,14 +250,16 @@ class MeasurableSet:
     def subtract(self, other: "MeasurableSet") -> "MeasurableSet":
         if self.is_empty() or other.is_empty():
             return self
-        kept = []
+        out: list[RationalBox] = []
         theirs = other._by_cell
-        for a in self.boxes:
-            pieces = [a]
-            for b in theirs.get(a.cell, ()):
-                pieces = [p for piece in pieces for p in _subtract_box(piece, b)]
-            kept.extend(pieces)
-        return MeasurableSet.from_boxes(kept)
+        # self's cells come in ascending order, so appending keeps the order
+        for cell, mine in self._by_cell.items():
+            cut = theirs.get(cell)
+            if cut is None:
+                out.extend(mine)  # untouched: already canonical
+            elif all(b.coords for b in cut):  # a box with no coords fills the cell
+                out.extend(_canonicalize(mine, theirs))
+        return MeasurableSet(tuple(out))
 
     def restrict(self, constraints: Mapping[int, RationalInterval]) -> "MeasurableSet":
         """The part of the set whose coordinates lie in ``constraints``,

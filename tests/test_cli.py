@@ -150,3 +150,17 @@ def test_outputs_are_deterministic(tmp_path):
                      "--max-len", "3", "--out", str(out)]) == EXIT_OK
     for name in ("trace.jsonl", "run.dot", "language.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_language_prob_on_a_nondet_machine_is_a_validation_error(
+        tmp_path, capsys):
+    nondet = tmp_path / "nondet.mach"
+    nondet.write_text("name: n\nalphabet: 0 1\nheads: 1\nstates: q0\n"
+                      "mode: nondet\ntwoway: true\n"
+                      "q0, * -> advance goto q0\nq0, * -> accept\n"
+                      "q0, 0 -> advance goto q0\nq0, 1 -> advance goto q0\n")
+    code = main(["language", str(nondet), "--test", "prob", "--max-len", "2"])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

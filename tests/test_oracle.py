@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from graphvm.machines import Action, MachineSpec, parse_machine
 from graphvm.oracle import (conl_accepts, dfa_accepts, initial_config,
                             nfa_accepts, oracle_language, pfa_accept_prob,
@@ -207,3 +209,15 @@ def test_language_enumeration_order():
 def test_words_up_to_order():
     assert list(words_up_to(("0", "1"), 2)) == ["", "0", "1", "00", "01",
                                                 "10", "11"]
+
+
+def test_probabilities_of_a_nondet_machine_are_refused():
+    spec = MachineSpec("n", ("0", "1"), 1, ("q0",), "nondet", True, (
+        (("q0", "*"), (Action("advance", goto="q0"), Action("accept"))),
+        (("q0", "0"), (Action("advance", goto="q0"),)),
+        (("q0", "1"), (Action("advance", goto="q0"),)),
+    ))
+    with pytest.raises(ValueError):
+        pfa_accept_prob(spec, "01")
+    with pytest.raises(ValueError):
+        pfa_outcome_probs(spec, "01")

@@ -105,6 +105,65 @@ def test_inclusion_exclusion(a, b):
         a.union(b).measure() + a.intersect(b).measure()
 
 
+# Every endpoint drawn by ``boxes`` is a multiple of 1/9, so each midpoint
+# (2k+1)/18 of the 1/9 grid stands for its whole grid square: membership
+# at these points decides the point set exactly.
+_MIDPOINTS = [Fraction(2 * k + 1, 18) for k in range(9)]
+_GRID = [(cell, {1: x, 2: y}) for cell in range(2)
+         for x in _MIDPOINTS for y in _MIDPOINTS]
+
+
+def _contains(s, cell, point):
+    return any(b.cell == cell and all(iv.lo <= point[j] < iv.hi
+                                      for j, iv in b.coords)
+               for b in s.boxes)
+
+
+def _check_against_points(a, b):
+    results = {"subtract": (a.subtract(b), lambda x, y: x and not y),
+               "intersect": (a.intersect(b), lambda x, y: x and y),
+               "union": (a.union(b), lambda x, y: x or y)}
+    for name, (got, rule) in results.items():
+        assert MeasurableSet.from_boxes(got.boxes).boxes == got.boxes, name
+        for cell, point in _GRID:
+            want = rule(_contains(a, cell, point), _contains(b, cell, point))
+            assert _contains(got, cell, point) == want, (name, cell, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets(), sets())
+def test_set_operations_agree_with_point_membership(a, b):
+    _check_against_points(a, b)
+
+
+def test_subtract_passes_through_untouched_and_whole_cells():
+    ninth = Fraction(1, 9)
+    several = ms(RationalBox.make(0, {1: interval(0, 3 * ninth)}),
+                 RationalBox.make(0, {1: interval(3 * ninth, 1),
+                                      2: interval(0, 4 * ninth)}),
+                 RationalBox.make(1, {2: interval(2 * ninth, 5 * ninth)}),
+                 RationalBox.make(1, {1: interval(ninth, 2 * ninth),
+                                      2: interval(6 * ninth, 1)}))
+    in_cell_0 = [b for b in several.boxes if b.cell == 0]
+    assert len(in_cell_0) == 2
+    # other misses cell 0, which passes through box for box
+    other_cell = ms(RationalBox.make(1, {1: interval(0, 5 * ninth)}))
+    got = several.subtract(other_cell)
+    assert [b for b in got.boxes if b.cell == 0] == in_cell_0
+    _check_against_points(several, other_cell)
+    # a whole-cell box beside a partial box in the same cell drops that
+    # cell; the partial box in cell 1 is swept
+    whole = ms(RationalBox.make(0),
+               RationalBox.make(0, {2: interval(0, ninth)}),
+               RationalBox.make(1, {1: interval(ninth, 7 * ninth)}))
+    assert several.subtract(whole).cells() == {1}
+    _check_against_points(several, whole)
+    # removed boxes in cells the set lacks change nothing
+    elsewhere = ms(RationalBox.make(2), RationalBox.make(3, {1: interval(0, ninth)}))
+    assert several.subtract(elsewhere).boxes == several.boxes
+    _check_against_points(several, elsewhere)
+
+
 @settings(max_examples=150, deadline=None)
 @given(sets(), sets())
 def test_subtract_measure_identity(a, b):
