@@ -19,7 +19,7 @@ from .execution import (T_CONL, T_DET, T_NL, Test, Verdict, evaluate_test,
                         landing, language, accept_mass, t_prob)
 from .encodings import (EncodedMachine, TapeLayout, encode_machine,
                         encode_word, run_word)
-from .graphing import classify, cost, validate
+from .graphing import classify, cost
 from .machines import (MachineParseError, MachineSpecError, load_machine,
                        parse_rational)
 from .realizers import Microcosm
@@ -54,9 +54,11 @@ def _ensure_out(args) -> str | None:
 
 def cmd_run(args) -> int:
     machine = _load(args.machine)
+    test = _test_from_args(args)
+    if test.kind == "prob":
+        oracle.require_probabilities(machine.spec)
     result, regions = run_word(machine, args.word, one_way=args.one_way,
                                max_steps=args.max_steps)
-    test = _test_from_args(args)
     verdict = evaluate_test(result, test, regions)
     print(f"{machine.spec.name} on {args.word!r}: {verdict.value}")
     if test.kind == "prob":
@@ -131,6 +133,7 @@ def cmd_language(args) -> int:
 
 def cmd_experiment(args) -> int:
     out = _ensure_out(args)
+    code = EXIT_OK
     if args.kind == "cost":
         partial, total = equivalence.treeing_cost(args.heads, args.depth)
         payload = {
@@ -165,8 +168,15 @@ def cmd_experiment(args) -> int:
                                                 target)
         recompiled = EncodedMachine(machine.spec, machine.layout, compiled)
         test = _test_from_args(args)
-        before = language(machine, test, args.max_len)
-        after = language(recompiled, test, args.max_len)
+        before, after = (language(m, test, args.max_len,
+                                  max_steps=args.max_steps)
+                         for m in (machine, recompiled))
+        undetermined = [w for w, v in before.verdicts.items()
+                        if Verdict.UNDETERMINED in (v, after.verdicts[w])]
+        if undetermined:
+            print("undetermined words: "
+                  + " ".join(repr(w) for w in undetermined))
+            return EXIT_UNDETERMINED
         same = before.accepted == after.accepted
         payload = {
             "experiment": "compile",
@@ -181,9 +191,7 @@ def cmd_experiment(args) -> int:
         print(f"compile {machine.spec.name} into unit shifts: language "
               f"{'unchanged' if same else 'CHANGED'} up to length {args.max_len}")
         if not same:
-            if out:
-                export.write_json(os.path.join(out, "experiment.json"), payload)
-            return EXIT_MISMATCH
+            code = EXIT_MISMATCH
     elif args.kind in ("closure", "associativity"):
         seeds = range(args.seed, args.seed + args.count)
         failures = [seed for seed in seeds if not sampling.property_holds(
@@ -198,14 +206,13 @@ def cmd_experiment(args) -> int:
             "failures": failures,
         }
         print(f"{args.kind}: {passes}/{args.count} passed")
-        if out:
-            export.write_json(os.path.join(out, "experiment.json"), payload)
-        return EXIT_OK if not failures else EXIT_MISMATCH
+        if failures:
+            code = EXIT_MISMATCH
     else:
         raise ValueError(f"unknown experiment {args.kind!r}")
     if out:
         export.write_json(os.path.join(out, "experiment.json"), payload)
-    return EXIT_OK
+    return code
 
 
 def cmd_encode(args) -> int:
@@ -232,11 +239,6 @@ def cmd_encode(args) -> int:
 
 def cmd_validate(args) -> int:
     machine = _load(args.machine)
-    problems = validate(machine.graphing)
-    if problems:
-        for p in problems:
-            print(f"violation: {p}")
-        return EXIT_INVALID
     print(f"{machine.spec.name}: ok "
           f"({len(machine.graphing.edges)} edges, "
           f"{classify(machine.graphing).value})")
@@ -250,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, test=True):
-        p.add_argument("--max-steps", type=int, default=10000)
         p.add_argument("--out", default=None, help="output directory")
         if test:
+            p.add_argument("--max-steps", type=int, default=10000)
             p.add_argument("--test", choices=["det", "nl", "conl", "prob"],
                            default="det")
             p.add_argument("--cutpoint", default="1/2")
@@ -300,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="det")
         q.add_argument("--seed", type=int, default=1)
         q.add_argument("--count", type=int, default=100)
+        q.add_argument("--max-steps", type=int, default=10000)
         common(q, test=False)
         q.set_defaults(func=cmd_experiment)
 

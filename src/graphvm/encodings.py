@@ -28,9 +28,9 @@ from functools import cached_property
 
 from .space import MeasurableSet, RationalBox, RationalInterval
 from .realizers import Microcosm, Realizer
-from .graphing import (Edge, Graphing, PROBABILITIES, TRIVIAL)
+from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, validate
 from .machines import ACCEPT, ADVANCE, MARKER, MachineSpec, validate_spec
-from .execution import PlugResult, Regions, accept_mass, reject_mass
+from .execution import PlugResult, Regions, accept_mass, plug, reject_mass
 
 IN = "in"
 OUT = "out"
@@ -150,9 +150,17 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
 
 @dataclass(frozen=True)
 class EncodedMachine:
+    """A machine spec with its graphing, which is validated here, once,
+    whoever built it: runs plug it without checking it again."""
+
     spec: MachineSpec
     layout: TapeLayout
     graphing: Graphing
+
+    def __post_init__(self):
+        problems = validate(self.graphing)
+        if problems:
+            raise ValueError(f"machine graphing invalid: {problems}")
 
     @property
     def initial_row(self) -> int:
@@ -241,13 +249,13 @@ def encode_machine(spec: MachineSpec,
 
 def run_word(machine: EncodedMachine, word: str, one_way: bool = False,
              max_steps: int = 10000):
-    """Plug the machine against the word; returns the plug result and
-    the regions the tests need."""
-    from .execution import plug
-
+    """Plug the machine against the word, validating neither side: the
+    machine was when it was built, and ``encode_word`` builds valid
+    graphings.  Returns the plug result and the regions the tests need."""
     enc = encode_word(word, machine.layout,
                       state_rows=len(machine.spec.states), one_way=one_way)
-    result = plug(machine.graphing, enc.graphing, max_steps=max_steps)
+    result = plug(machine.graphing, enc.graphing, max_steps=max_steps,
+                  validate_inputs=False)
     return result, machine.regions_for(len(word))
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .space import MeasurableSet
 from .realizers import Realizer
 from .graphing import Edge, Graphing, join_monoids, validate
+from .oracle import require_probabilities, words_up_to
 
 
 class _Infinity:
@@ -131,8 +132,9 @@ def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
     """Compose ``f`` and ``g`` across ``cut`` (their carrier overlap by
     default) into the graphing of maximal alternating paths.
 
-    ``validate_inputs=False`` skips the well-formedness sweep for
-    callers that already hold validated graphings.
+    ``validate_inputs=False`` skips the well-formedness sweep; ``run_word``
+    passes it, as machines are validated when built and its word
+    graphing comes straight from ``encode_word``.
     """
     if validate_inputs:
         for name, graphing in (("first", f), ("second", g)):
@@ -378,25 +380,16 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     """Words of length <= max_len the encoded machine accepts under the
     test, in (length, alphabet) order.  Undetermined words are excluded
     from the list and reported separately."""
-    from .encodings import encode_word
-    from .oracle import words_up_to
+    from .encodings import run_word
 
-    problems = validate(machine.graphing)
-    if problems:
-        raise ValueError(f"machine graphing invalid: {problems}")
-    rows = len(machine.spec.states)
-    accepted, undetermined = [], []
+    if test.kind == "prob":
+        require_probabilities(machine.spec)
     verdicts: dict[str, Verdict] = {}
     for word in words_up_to(machine.spec.alphabet, max_len):
-        enc = encode_word(word, machine.layout, state_rows=rows,
-                          one_way=one_way)
-        result = plug(machine.graphing, enc.graphing, max_steps=max_steps,
-                      validate_inputs=False)
-        verdict = evaluate_test(result, test,
-                                machine.regions_for(len(word)))
-        verdicts[word] = verdict
-        if verdict is Verdict.ACCEPT:
-            accepted.append(word)
-        elif verdict is Verdict.UNDETERMINED:
-            undetermined.append(word)
-    return LanguageResult(accepted, undetermined, verdicts)
+        result, regions = run_word(machine, word, one_way=one_way,
+                                   max_steps=max_steps)
+        verdicts[word] = evaluate_test(result, test, regions)
+    return LanguageResult(
+        [w for w, v in verdicts.items() if v is Verdict.ACCEPT],
+        [w for w, v in verdicts.items() if v is Verdict.UNDETERMINED],
+        verdicts)

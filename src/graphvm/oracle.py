@@ -142,14 +142,18 @@ def _solve_linear(matrix: list[list[Fraction]],
     return [a[i][n] for i in range(n)]
 
 
+def require_probabilities(spec: MachineSpec) -> None:
+    """Raise unless the spec's branch weights are probabilities: a nondet
+    configuration's unit weights can sum past 1."""
+    if spec.mode == "nondet":
+        raise ValueError("outcome probabilities need a det or prob machine")
+
+
 def _absorption(spec: MachineSpec, chain: dict[Config, list[Step]],
                 outcome: str) -> Fraction:
     """Exact probability that the run explored by ``chain`` halts with
     ``outcome``."""
-    if spec.mode == "nondet":
-        # branches of a nondet machine carry no probabilities, and a
-        # configuration's unit weights can sum past 1
-        raise ValueError("outcome probabilities need a det or prob machine")
+    require_probabilities(spec)
     direct: dict[Config, Fraction] = {}
     for config, steps in chain.items():
         direct[config] = sum((step.weight for step in steps
@@ -215,25 +219,16 @@ def words_up_to(alphabet, max_len: int):
 
 
 def oracle_language(spec: MachineSpec, max_len: int,
-                    mode: str = "accept",
-                    cutpoint: Fraction = Fraction(1, 2)) -> list[str]:
+                    mode: str = "accept") -> list[str]:
     """Accepted words of length <= max_len.
 
     mode 'accept': det simulation or branch reachability; mode 'co':
-    no rejecting branch; mode 'prob': acceptance probability strictly
-    above the cutpoint.
+    no rejecting branch.
     """
-    out = []
-    for word in words_up_to(spec.alphabet, max_len):
-        if mode == "accept":
-            ok = dfa_accepts(spec, word) if spec.mode == "det" \
-                else nfa_accepts(spec, word)
-        elif mode == "co":
-            ok = conl_accepts(spec, word)
-        elif mode == "prob":
-            ok = pfa_accept_prob(spec, word) > cutpoint
-        else:
-            raise ValueError(f"unknown oracle mode {mode!r}")
-        if ok:
-            out.append(word)
-    return out
+    if mode == "accept":
+        accepts = dfa_accepts if spec.mode == "det" else nfa_accepts
+    elif mode == "co":
+        accepts = conl_accepts
+    else:
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    return [w for w in words_up_to(spec.alphabet, max_len) if accepts(spec, w)]

@@ -164,3 +164,26 @@ def test_language_prob_on_a_nondet_machine_is_a_validation_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_run_prob_on_a_nondet_machine_is_a_validation_error(tmp_path,
+                                                            capsys):
+    nondet = tmp_path / "nondet.mach"
+    nondet.write_text("name: n\nalphabet: 0 1\nheads: 1\nstates: q0\n"
+                      "mode: nondet\ntwoway: true\n"
+                      "q0, 0 -> accept\nq0, 0 -> advance goto q0\n"
+                      "q0, 1 -> advance goto q0\nq0, * -> accept\n")
+    code = main(["run", str(nondet), "0", "--test", "prob"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_compile_honours_the_step_budget(capsys):
+    code = main(["experiment", "compile", mach("ones.mach"), "--max-len", "2",
+                 "--max-steps", "0"])
+    assert code == EXIT_UNDETERMINED
+    out = capsys.readouterr().out
+    assert "undetermined words: '' '0' '1'" in out
+    assert "unchanged" not in out

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm.encodings import (IN, OUT, TapeLayout, classify_result,
-                               encode_machine, encode_word, run_word,
-                               slice_interval)
-from graphvm.execution import T_DET, Verdict, evaluate_test, language
-from graphvm.graphing import GraphingClass, classify, validate
+from graphvm.encodings import (IN, OUT, EncodedMachine, TapeLayout,
+                               classify_result, encode_machine, encode_word,
+                               run_word, slice_interval)
+from graphvm.execution import T_DET, Verdict, evaluate_test, language, t_prob
+from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
 from graphvm.machines import MARKER, parse_machine
-from graphvm.oracle import dfa_accepts, oracle_language
-from graphvm.realizers import in_microcosm
+from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
+from graphvm.realizers import Realizer, in_microcosm
 from graphvm.space import MeasurableSet, RationalBox
 
 LAYOUT = TapeLayout(("0", "1"))
@@ -88,10 +88,14 @@ def test_one_way_word_drops_reverse_edges():
 
 
 def test_word_encoding_is_deterministic_graphing():
-    for word in ("", "0", "01", "110"):
-        enc = encode_word(word, LAYOUT, state_rows=2)
-        assert validate(enc.graphing) == []
-        assert classify(enc.graphing) == GraphingClass.DETERMINISTIC
+    # run_word plugs word graphings unvalidated, so pin every shape
+    for word in words_up_to(LAYOUT.alphabet, 3):
+        for rows in (1, 2, 3):
+            for one_way in (False, True):
+                enc = encode_word(word, LAYOUT, state_rows=rows,
+                                  one_way=one_way)
+                assert validate(enc.graphing) == []
+                assert classify(enc.graphing) == GraphingClass.DETERMINISTIC
 
 
 def test_word_rejects_foreign_symbols():
@@ -288,3 +292,30 @@ def test_classify_result_tracks_the_oracle():
             result, regions = run_word(m, word)
             verdict = classify_result(result, regions)
             assert (verdict == "true") == dfa_accepts(spec, word)
+
+
+def test_machine_graphing_is_validated_when_built():
+    m = encode_machine(ONES)
+    stray = Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
+                 Realizer.shift_by(100))
+    bad = Graphing.make(m.graphing.weights, m.graphing.microcosm,
+                        m.graphing.carrier, m.graphing.edges + (stray,))
+    with pytest.raises(ValueError, match="machine graphing invalid"):
+        EncodedMachine(m.spec, m.layout, bad)
+
+
+def test_language_refuses_the_prob_test_before_any_run():
+    nondet = parse_machine("""
+name: n
+alphabet: 0 1
+heads: 1
+states: q0
+mode: nondet
+twoway: true
+q0, 0 -> accept
+q0, 0 -> advance goto q0
+q0, 1 -> advance goto q0
+q0, * -> accept
+""")
+    with pytest.raises(ValueError, match="need a det or prob machine"):
+        language(encode_machine(nondet), t_prob(), 2)
