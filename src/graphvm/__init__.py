@@ -2,7 +2,7 @@
 
 from .space import (MeasurableSet, RationalBox, RationalInterval, box,
                     common_refinement, interval)
-from .realizers import (DomainViolation, Microcosm, Realizer, in_microcosm,
+from .realizers import (DomainViolation, Microcosm, Realizer,
                         standard_generators)
 from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
                        TableWeights, classify, cost, disjoint_union, validate)

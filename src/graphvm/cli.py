@@ -239,6 +239,7 @@ def cmd_encode(args) -> int:
 
 def cmd_validate(args) -> int:
     machine = _load(args.machine)
+    _ensure_out(args)
     print(f"{machine.spec.name}: ok "
           f"({len(machine.graphing.edges)} edges, "
           f"{classify(machine.graphing).value})")

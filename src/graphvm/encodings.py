@@ -110,10 +110,6 @@ class WordEncoding:
     one_way: bool
     graphing: Graphing
 
-    @property
-    def slices(self) -> int:
-        return len(self.word) + 1
-
 
 def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
                 one_way: bool = False) -> WordEncoding:
@@ -125,22 +121,25 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
         raise ValueError("need at least one state row")
     cells = len(word) + 1
     symbols = [MARKER] + list(word)
+
+    def step(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int) -> Edge:
+        """Carry the address slice of ``src_pos`` in ``src_cell`` onto
+        that of ``dst_pos`` in ``dst_cell``."""
+        source = MeasurableSet.of(RationalBox.make(
+            src_cell, {1: slice_interval(src_pos, cells)}))
+        realizer = Realizer.make(dst_cell - src_cell, None,
+                                 {1: Fraction(dst_pos - src_pos, cells)})
+        return Edge(Fraction(1), source, realizer)
+
     edges = []
     for row in range(state_rows):
         for pos in range(cells):
             nxt = (pos + 1) % cells
-            src_cell = layout.symbol_cell(symbols[pos], OUT, row)
-            dst_cell = layout.symbol_cell(symbols[nxt], IN, row)
-            offset = Fraction(nxt - pos, cells)
-            realizer = Realizer.make(dst_cell - src_cell,
-                                     None, {1: offset} if offset else None)
-            source = MeasurableSet.of(RationalBox.make(
-                src_cell, {1: slice_interval(pos, cells)}))
-            forward = Edge(Fraction(1), source, realizer)
-            edges.append(forward)
+            out_cell = layout.symbol_cell(symbols[pos], OUT, row)
+            in_cell = layout.symbol_cell(symbols[nxt], IN, row)
+            edges.append(step(out_cell, pos, in_cell, nxt))
             if not one_way:
-                edges.append(Edge(Fraction(1), forward.target,
-                                  realizer.invert()))
+                edges.append(step(in_cell, nxt, out_cell, pos))
     graphing = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
                              MeasurableSet.from_boxes(
                                  layout.tape_boxes(state_rows)),
@@ -162,10 +161,6 @@ class EncodedMachine:
         if problems:
             raise ValueError(f"machine graphing invalid: {problems}")
 
-    @property
-    def initial_row(self) -> int:
-        return 0
-
     @cached_property
     def accept_region(self) -> MeasurableSet:
         return MeasurableSet.from_boxes(
@@ -177,14 +172,14 @@ class EncodedMachine:
             self.layout.reject_boxes(len(self.spec.states)))
 
     def launch_region(self, word_len: int) -> MeasurableSet:
-        """Accept region of the initial row with every head's address on
-        the marker slice; runs that honour the automaton semantics start
-        exactly here."""
+        """Accept region of the initial state's row, row 0, with every
+        head's address on the marker slice; runs that honour the
+        automaton semantics start exactly here."""
         cells = word_len + 1
         coords = {j: slice_interval(0, cells)
                   for j in range(1, self.spec.heads + 1)}
         return MeasurableSet.of(RationalBox.make(
-            self.layout.accept_cell(self.initial_row), coords))
+            self.layout.accept_cell(), coords))
 
     def regions_for(self, word_len: int) -> Regions:
         return Regions(self.launch_region(word_len),
@@ -221,21 +216,20 @@ def _response_edges(spec: MachineSpec, layout: TapeLayout,
     return edges
 
 
-def encode_machine(spec: MachineSpec,
-                   layout: TapeLayout | None = None) -> EncodedMachine:
+def encode_machine(spec: MachineSpec) -> EncodedMachine:
     """Compile a machine spec into a graphing in the microcosm of its
-    head count."""
+    head count.  Each state owns the row of its index, so the initial
+    state, the first, owns row 0."""
     problems = validate_spec(spec)
     if problems:
         raise ValueError("; ".join(problems))
-    layout = layout or TapeLayout(tuple(spec.alphabet))
+    layout = TapeLayout(tuple(spec.alphabet))
     row_of = {state: i for i, state in enumerate(spec.states)}
-    init_row = row_of[spec.initial]
 
     edges = [Edge(Fraction(1),
-                  MeasurableSet.of(RationalBox.make(layout.accept_cell(init_row))),
-                  Realizer.shift_by(layout.symbol_cell(MARKER, OUT, init_row)
-                                    - layout.accept_cell(init_row)))]
+                  MeasurableSet.of(RationalBox.make(layout.accept_cell())),
+                  Realizer.shift_by(layout.symbol_cell(MARKER, OUT)
+                                    - layout.accept_cell()))]
     edges.extend(_response_edges(spec, layout, row_of))
 
     rows = len(spec.states)

@@ -215,7 +215,7 @@ def compile_graphing(g: Graphing, witnesses: dict[int, CompilationWitness],
     return Graphing.make(g.weights, target_microcosm, g.carrier, new_edges)
 
 
-def unit_shift_witnesses(g: Graphing, max_parts: int = 8) -> dict[int, CompilationWitness]:
+def unit_shift_witnesses(g: Graphing) -> dict[int, CompilationWitness]:
     """Witnesses decomposing every pure-shift edge into unit shifts."""
     out = {}
     gens = [Realizer.shift_by(1), Realizer.shift_by(-1)]
@@ -223,8 +223,7 @@ def unit_shift_witnesses(g: Graphing, max_parts: int = 8) -> dict[int, Compilati
         r = edge.realizer
         if r.perm or r.offsets:
             raise WitnessError(f"edge {idx}: not a pure shift")
-        witness = is_compilable(r, gens, max_word_len=max(1, abs(r.shift)),
-                                max_parts=max_parts)
+        witness = is_compilable(r, gens, max_word_len=max(1, abs(r.shift)))
         if witness is None:
             raise WitnessError(f"edge {idx}: no unit-shift decomposition")
         out[idx] = witness
@@ -301,10 +300,10 @@ def _swap_parents(i: int) -> dict[tuple[int, ...], int]:
     return parents
 
 
-def build_treeing(i: int, depth: int, cell: int = 0) -> Graphing:
+def build_treeing(i: int, depth: int) -> Graphing:
     """Explicit truncated treeing as a graphing: one edge per
-    non-sorted ranking, sourced on the dyadic boxes decided within
-    ``depth`` bits.  Its cost equals the partial sum of
+    non-sorted ranking, sourced on the dyadic boxes of cell 0 decided
+    within ``depth`` bits.  Its cost equals the partial sum of
     :func:`treeing_cost`."""
     if i < 2:
         raise ValueError("need at least two coordinates to permute")
@@ -321,7 +320,7 @@ def build_treeing(i: int, depth: int, cell: int = 0) -> Graphing:
             order = tuple(j for _, j in sorted(
                 (intervals[j].lo, j) for j in intervals))
             if order in parents:
-                sources[order].append(RationalBox.make(cell, intervals))
+                sources[order].append(RationalBox.make(0, intervals))
             return
         if level >= depth:
             return
@@ -342,7 +341,7 @@ def build_treeing(i: int, depth: int, cell: int = 0) -> Graphing:
         if boxes:
             edges.append(Edge(Fraction(1), MeasurableSet.from_boxes(boxes),
                               Realizer.head_swap(parents[sigma])))
-    carrier = MeasurableSet.of(RationalBox.make(cell))
+    carrier = MeasurableSet.of(RationalBox.make(0))
     return Graphing.make(TRIVIAL, Microcosm.mi(i), carrier, edges)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .space import MeasurableSet
 from .realizers import Realizer
 from .graphing import Edge, Graphing, join_monoids, validate
-from .oracle import require_probabilities, words_up_to
+from .machines import require_probabilities, words_up_to
 
 
 class _Infinity:
@@ -127,10 +127,10 @@ def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
     return PathRecord(steps, regions, source, composites[-1], weights[-1])
 
 
-def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
-         max_steps: int = 10000, validate_inputs: bool = True) -> PlugResult:
-    """Compose ``f`` and ``g`` across ``cut`` (their carrier overlap by
-    default) into the graphing of maximal alternating paths.
+def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
+         validate_inputs: bool = True) -> PlugResult:
+    """Compose ``f`` and ``g`` across the cut, their carrier overlap,
+    into the graphing of maximal alternating paths.
 
     ``validate_inputs=False`` skips the well-formedness sweep; ``run_word``
     passes it, as machines are validated when built and its word
@@ -142,8 +142,7 @@ def plug(f: Graphing, g: Graphing, cut: MeasurableSet | None = None,
             if problems:
                 raise ValueError(f"{name} graphing invalid: {problems}")
     monoid = join_monoids(f.weights, g.weights)
-    if cut is None:
-        cut = f.carrier.intersect(g.carrier)
+    cut = f.carrier.intersect(g.carrier)
     sides = {"F": f, "G": g}
     edges_by_cell: dict[str, dict[int, list[int]]] = {}
     for side, graphing in sides.items():

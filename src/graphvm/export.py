@@ -124,10 +124,9 @@ def _node_id(name: str) -> str:
     return '"' + name.replace('"', "'") + '"'
 
 
-def graphing_dot(g: Graphing, names: dict[int, str] | None = None) -> str:
+def graphing_dot(g: Graphing, names: dict[int, str]) -> str:
     """Quotient picture of a graphing: one node per cell, dashed for
     permutation-realized edges."""
-    names = names or {}
     lines = ['digraph "graphing" {', "  rankdir=LR;"]
     cells = sorted(g.carrier.cells() | {
         c for e in g.edges for c in (e.source.cells() | e.target.cells())})

@@ -30,6 +30,7 @@ the run dead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,14 +90,17 @@ class MachineSpec:
     def actions(self, state: str, symbol: str) -> tuple[Action, ...]:
         return self.transition_map.get((state, symbol), ())
 
-    def uses_retreat(self) -> bool:
-        return any(a.kind == RETREAT
-                   for _, acts in self.transitions for a in acts)
-
     def retreat_entered_states(self) -> set[str]:
         """States that can be entered through a retreat step."""
         return {a.goto for _, acts in self.transitions for a in acts
                 if a.kind == RETREAT and a.goto is not None}
+
+
+def require_probabilities(spec: MachineSpec) -> None:
+    """Raise unless the spec's branch weights are probabilities: a nondet
+    configuration's unit weights can sum past 1."""
+    if spec.mode == "nondet":
+        raise ValueError("outcome probabilities need a det or prob machine")
 
 
 def validate_spec(spec: MachineSpec) -> list[str]:
@@ -146,6 +150,13 @@ def validate_spec(spec: MachineSpec) -> list[str]:
         if spec.mode == "prob" and total > 1:
             problems.append(f"{where}: weights sum to {total} > 1")
     return problems
+
+
+def words_up_to(alphabet, max_len: int):
+    """All words of length <= max_len in (length, alphabet-order) order."""
+    for length in range(max_len + 1):
+        for combo in itertools.product(alphabet, repeat=length):
+            yield "".join(combo)
 
 
 def parse_rational(text: str) -> Fraction:

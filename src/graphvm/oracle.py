@@ -18,11 +18,11 @@ configuration chain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .machines import ACCEPT, ADVANCE, MARKER, REJECT, MachineSpec
+from .machines import (ACCEPT, ADVANCE, MARKER, REJECT, MachineSpec,
+                       require_probabilities, words_up_to)
 
 Config = tuple[str, tuple[int, ...]]
 
@@ -142,13 +142,6 @@ def _solve_linear(matrix: list[list[Fraction]],
     return [a[i][n] for i in range(n)]
 
 
-def require_probabilities(spec: MachineSpec) -> None:
-    """Raise unless the spec's branch weights are probabilities: a nondet
-    configuration's unit weights can sum past 1."""
-    if spec.mode == "nondet":
-        raise ValueError("outcome probabilities need a det or prob machine")
-
-
 def _absorption(spec: MachineSpec, chain: dict[Config, list[Step]],
                 outcome: str) -> Fraction:
     """Exact probability that the run explored by ``chain`` halts with
@@ -209,13 +202,6 @@ def pfa_outcome_probs(spec: MachineSpec, word: str):
     acc, rej, dead = (_absorption(spec, chain, outcome)
                       for outcome in (ACCEPT, REJECT, "dead"))
     return acc, rej, dead, Fraction(1) - acc - rej - dead
-
-
-def words_up_to(alphabet, max_len: int):
-    """All words of length <= max_len in (length, alphabet-order) order."""
-    for length in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            yield "".join(combo)
 
 
 def oracle_language(spec: MachineSpec, max_len: int,

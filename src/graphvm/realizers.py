@@ -271,7 +271,7 @@ class Microcosm:
         gens = tuple(sorted(set(generators), key=Realizer.key))
         return Microcosm("fingen", 0, gens)
 
-    def contains(self, r: Realizer, word_bound: int = 16) -> bool:
+    def contains(self, r: Realizer) -> bool:
         if self.kind == "macro":
             return True
         if self.kind == "minf":
@@ -281,7 +281,7 @@ class Microcosm:
         if self.kind == "mi":
             return not r.offsets and all(
                 j <= self.arity and k <= self.arity for j, k in r.perm)
-        return self.membership_witness(r, word_bound) is not None
+        return self.membership_witness(r) is not None
 
     def membership_witness(self, r: Realizer,
                            word_bound: int = 16) -> list[Realizer] | None:
@@ -339,10 +339,6 @@ class Microcosm:
         if self.kind == "fingen":
             return f"fingen[{len(self.generators)}]"
         return self.kind
-
-
-def in_microcosm(r: Realizer, m: Microcosm, word_bound: int = 16) -> bool:
-    return m.contains(r, word_bound)
 
 
 def standard_generators(i: int) -> list[Realizer]:

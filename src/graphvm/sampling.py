@@ -20,16 +20,19 @@ from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
 from .execution import plug
 
 
-def _dyadic_interval(rng: random.Random, denominator: int = 8) -> RationalInterval:
-    lo = rng.randrange(0, denominator - 1)
-    hi = rng.randrange(lo + 1, denominator)
-    return RationalInterval(Fraction(lo, denominator), Fraction(hi, denominator))
+# denominator of every sampled interval endpoint and offset
+GRID = 8
 
 
-def _disjoint_intervals(rng: random.Random, count: int,
-                        denominator: int = 8) -> list[RationalInterval]:
-    cuts = sorted(rng.sample(range(denominator + 1), count + 1))
-    return [RationalInterval(Fraction(a, denominator), Fraction(b, denominator))
+def _dyadic_interval(rng: random.Random) -> RationalInterval:
+    lo = rng.randrange(0, GRID - 1)
+    hi = rng.randrange(lo + 1, GRID)
+    return RationalInterval(Fraction(lo, GRID), Fraction(hi, GRID))
+
+
+def _disjoint_intervals(rng: random.Random, count: int) -> list[RationalInterval]:
+    cuts = sorted(rng.sample(range(GRID + 1), count + 1))
+    return [RationalInterval(Fraction(a, GRID), Fraction(b, GRID))
             for a, b in zip(cuts, cuts[1:])]
 
 
@@ -42,8 +45,8 @@ def _random_realizer(rng: random.Random, src_cell: int, dst_cell: int,
     if rng.randrange(2) == 0:
         room_up = 1 - source_interval.hi
         room_down = source_interval.lo
-        choices = [Fraction(k, 8) for k in range(-8, 9)
-                   if k != 0 and -room_down <= Fraction(k, 8) <= room_up]
+        choices = [Fraction(k, GRID) for k in range(-GRID, GRID + 1)
+                   if k != 0 and -room_down <= Fraction(k, GRID) <= room_up]
         offsets = {coord: rng.choice(choices)} if choices else None
     else:
         offsets = None

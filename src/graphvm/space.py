@@ -140,7 +140,7 @@ _CoordMap = tuple[tuple[int, RationalInterval], ...]
 def _canon_group(kept: list[dict[int, RationalInterval]],
                  removed: list[dict[int, RationalInterval]],
                  axes: list[int]) -> list[_CoordMap]:
-    if not kept:
+    if all(item in removed for item in kept):
         return []
     if not axes:
         return [] if removed else [()]

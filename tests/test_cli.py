@@ -136,9 +136,12 @@ def test_encode_word_and_machine(tmp_path, capsys):
     assert "style=dashed" in dot  # the head-swap edges
 
 
-def test_validate_verb(capsys):
+def test_validate_verb(tmp_path, capsys):
     assert main(["validate", mach("guess-11.mach")]) == EXIT_OK
     assert "ok" in capsys.readouterr().out
+    out = tmp_path / "new"
+    assert main(["validate", mach("ones.mach"), "--out", str(out)]) == EXIT_OK
+    assert out.is_dir() and not any(out.iterdir())  # created, left empty
 
 
 def test_outputs_are_deterministic(tmp_path):

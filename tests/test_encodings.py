@@ -9,7 +9,7 @@ from graphvm.execution import T_DET, Verdict, evaluate_test, language, t_prob
 from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
 from graphvm.machines import MARKER, parse_machine
 from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
-from graphvm.realizers import Realizer, in_microcosm
+from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
 
 LAYOUT = TapeLayout(("0", "1"))
@@ -55,7 +55,6 @@ def test_encode_single_zero_word():
     enc = encode_word("0", LAYOUT)
     g = enc.graphing
     assert len(g.edges) == 4  # 2 forward + 2 backward
-    assert enc.slices == 2
     sources = {(b.cell, b.interval_at(1)) for e in g.edges for b in e.source.boxes}
     assert (LAYOUT.symbol_cell(MARKER, OUT), slice_interval(0, 2)) in sources
     assert (LAYOUT.symbol_cell("0", OUT), slice_interval(1, 2)) in sources
@@ -96,6 +95,14 @@ def test_word_encoding_is_deterministic_graphing():
                                   one_way=one_way)
                 assert validate(enc.graphing) == []
                 assert classify(enc.graphing) == GraphingClass.DETERMINISTIC
+                if not one_way:
+                    # each reverse edge inverts a forward edge
+                    forward = encode_word(word, LAYOUT, state_rows=rows,
+                                          one_way=True).graphing.edges
+                    inverses = [Edge(Fraction(1), e.target, e.realizer.invert())
+                                for e in forward]
+                    assert list(enc.graphing.edges) == sorted(
+                        list(forward) + inverses, key=Edge.key)
 
 
 def test_word_rejects_foreign_symbols():
@@ -106,7 +113,7 @@ def test_word_rejects_foreign_symbols():
 def test_word_slices_tile_the_interval():
     for word in ("0", "01", "1101"):
         enc = encode_word(word, LAYOUT)
-        n = enc.slices
+        n = len(word) + 1
         # images of all forward edges per In-cell tile [0,1) per row
         per_cell = {}
         for e in enc.graphing.edges:
@@ -118,7 +125,7 @@ def test_word_slices_tile_the_interval():
 
 
 def test_ones_machine_has_the_four_drawn_edges():
-    m = encode_machine(ONES, LAYOUT)
+    m = encode_machine(ONES)
     g = m.graphing
     assert len(g.edges) == 4
     hops = {(e.source.boxes[0].cell, e.target.boxes[0].cell) for e in g.edges}
@@ -130,11 +137,11 @@ def test_ones_machine_has_the_four_drawn_edges():
     }
     assert validate(g) == []
     assert classify(g) == GraphingClass.DETERMINISTIC
-    assert all(in_microcosm(e.realizer, g.microcosm) for e in g.edges)
+    assert all(g.microcosm.contains(e.realizer) for e in g.edges)
 
 
 def test_one_then_zero_machine_has_two_dashed_edges():
-    m = encode_machine(ONE_THEN_ZERO, LAYOUT)
+    m = encode_machine(ONE_THEN_ZERO)
     g = m.graphing
     assert len(g.edges) == 5
     dashed = [e for e in g.edges if e.realizer.perm]
@@ -192,7 +199,7 @@ s, 0 -> 1/3 accept
 
 
 def test_golden_verdicts_first_machine():
-    m = encode_machine(ONES, LAYOUT)
+    m = encode_machine(ONES)
     for word, want in [("0", Verdict.REJECT), ("11", Verdict.ACCEPT),
                        ("01", Verdict.ACCEPT)]:
         result, regions = run_word(m, word)
@@ -201,7 +208,7 @@ def test_golden_verdicts_first_machine():
 
 
 def test_golden_verdicts_second_machine():
-    m = encode_machine(ONE_THEN_ZERO, LAYOUT)
+    m = encode_machine(ONE_THEN_ZERO)
     for word, want in [("0", Verdict.REJECT), ("11", Verdict.REJECT),
                        ("01", Verdict.ACCEPT)]:
         result, regions = run_word(m, word)
@@ -210,7 +217,7 @@ def test_golden_verdicts_second_machine():
 
 
 def test_head_swap_path_continues_after_permutation():
-    m = encode_machine(ONE_THEN_ZERO, LAYOUT)
+    m = encode_machine(ONE_THEN_ZERO)
 
     def crosses_swap(p):
         return any(m.graphing.edges[idx].realizer.perm
@@ -227,7 +234,7 @@ def test_head_swap_path_continues_after_permutation():
 
 
 def test_classify_result_examples():
-    m = encode_machine(ONES, LAYOUT)
+    m = encode_machine(ONES)
     result, regions = run_word(m, "11")
     assert classify_result(result, regions) == "true"
     result, regions = run_word(m, "0")
@@ -239,20 +246,20 @@ heads: 1
 states: s
 mode: det
 twoway: true
-"""), LAYOUT)
+"""))
     result, regions = run_word(empty, "0")
     assert classify_result(result, regions) == "other"
 
 
 def test_oracle_equivalence_small_two_head_sweep():
-    m = encode_machine(ONE_THEN_ZERO, LAYOUT)
+    m = encode_machine(ONE_THEN_ZERO)
     got = language(m, T_DET, 4)
     assert got.accepted == oracle_language(ONE_THEN_ZERO, 4)
     assert not got.undetermined
 
 
 def test_empty_word_runs_on_the_bare_marker():
-    m = encode_machine(ONES, LAYOUT)
+    m = encode_machine(ONES)
     result, regions = run_word(m, "")
     assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
     assert classify_result(result, regions) == "false"
@@ -273,7 +280,7 @@ check, 1 -> accept
 check, 0 -> reject
 check, * -> reject
 """)
-    m = encode_machine(spec, LAYOUT)
+    m = encode_machine(spec)
     result, regions = run_word(m, "01", one_way=True)
     # the retreat emission finds no reverse edge: the run dies cleanly
     assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
@@ -286,7 +293,7 @@ check, * -> reject
 
 def test_classify_result_tracks_the_oracle():
     for spec in (ONES, ONE_THEN_ZERO):
-        m = encode_machine(spec, LAYOUT)
+        m = encode_machine(spec)
         from graphvm.oracle import words_up_to
         for word in words_up_to(spec.alphabet, 4):
             result, regions = run_word(m, word)

@@ -108,8 +108,7 @@ def test_exact_loop_is_settled_divergence():
                  (0, 5, 6))
     g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
                  (5, 6))
-    cut = ms(cellbox(5), cellbox(6))
-    result = plug(f, g, cut=cut)
+    result = plug(f, g)
     assert result.diagnostics.complete
     assert result.diagnostics.looping_mass > 0
     assert result.diagnostics.unresolved_mass == 0
@@ -229,7 +228,7 @@ def test_unit_loop_with_branch_keeps_verdict_exact():
                  (0, 5, 6, 9))
     g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
                  (5, 6))
-    result = plug(f, g, cut=ms(cellbox(5), cellbox(6)))
+    result = plug(f, g)
     assert result.diagnostics.complete
     assert result.diagnostics.unresolved_mass == 0
     assert result.diagnostics.looping_mass > 0
@@ -287,7 +286,7 @@ def test_decaying_revisit_is_unresolved_not_looping():
                  (0, 5, 6), PROBABILITIES)
     g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
                  (5, 6), PROBABILITIES)
-    result = plug(f, g, cut=ms(cellbox(5), cellbox(6)))
+    result = plug(f, g)
     diag = result.diagnostics
     assert diag.complete
     assert diag.steps_used == 3

@@ -99,4 +99,3 @@ a, 0 -> retreat goto b
 b, 0 -> advance goto a
 """)
     assert spec.retreat_entered_states() == {"b"}
-    assert spec.uses_retreat()

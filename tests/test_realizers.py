@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphvm.realizers import (DomainViolation, Microcosm, Realizer,
-                               in_microcosm, preimage_within,
-                               standard_generators)
+                               preimage_within, standard_generators)
 from graphvm.space import MeasurableSet, RationalBox, interval
 
 
@@ -83,14 +82,14 @@ def test_preimage_within():
 
 
 def test_microcosm_memberships():
-    assert in_microcosm(Realizer.shift_by(5), Microcosm.m1())
-    assert not in_microcosm(Realizer.head_swap(3), Microcosm.mi(2))
-    assert in_microcosm(Realizer.head_swap(3), Microcosm.mi(3))
-    assert in_microcosm(Realizer.head_swap(3), Microcosm.m_infinity())
+    assert Microcosm.m1().contains(Realizer.shift_by(5))
+    assert not Microcosm.mi(2).contains(Realizer.head_swap(3))
+    assert Microcosm.mi(3).contains(Realizer.head_swap(3))
+    assert Microcosm.m_infinity().contains(Realizer.head_swap(3))
     word_edge = Realizer.make(1, None, {1: Fraction(1, 3)})
     for m in (Microcosm.m1(), Microcosm.mi(4), Microcosm.m_infinity()):
-        assert not in_microcosm(word_edge, m)
-    assert in_microcosm(word_edge, Microcosm.macrocosm())
+        assert not m.contains(word_edge)
+    assert Microcosm.macrocosm().contains(word_edge)
 
 
 def test_finitely_generated_membership_with_certificate():

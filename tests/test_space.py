@@ -134,6 +134,9 @@ def _check_against_points(a, b):
 @given(sets(), sets())
 def test_set_operations_agree_with_point_membership(a, b):
     _check_against_points(a, b)
+    # a set against itself, and against a superset
+    _check_against_points(a, a)
+    _check_against_points(a, a.union(b))
 
 
 def test_subtract_passes_through_untouched_and_whole_cells():
