@@ -74,11 +74,8 @@ def cmd_run(args) -> int:
                 break
         if verdict is not Verdict.ACCEPT:
             accepting = None
-        rows = len(machine.spec.states)
-        names = machine.layout.cell_names(rows)
-        enc = encode_word(args.word, machine.layout, state_rows=rows,
-                          one_way=args.one_way)
-        dot = export.run_dot(machine.graphing, enc.graphing, names, accepting)
+        names = machine.layout.cell_names(len(machine.spec.states))
+        dot = export.run_dot(result, names, accepting)
         with open(os.path.join(out, "run.dot"), "w", encoding="utf-8") as fh:
             fh.write(dot)
     if verdict is Verdict.UNDETERMINED:
@@ -193,6 +190,8 @@ def cmd_experiment(args) -> int:
         if not same:
             code = EXIT_MISMATCH
     elif args.kind in ("closure", "associativity"):
+        if args.count < 1:
+            raise ValueError("--count must be at least 1")
         seeds = range(args.seed, args.seed + args.count)
         failures = [seed for seed in seeds if not sampling.property_holds(
             args.kind, seed, args.mode, args.max_steps)]

@@ -104,25 +104,16 @@ def orbit(cell: int, values: dict[int, Fraction], generators,
           k: int, positive_only: bool = False) -> list:
     """Points reachable from (cell, values) by generator words of length
     <= k; with inverses this samples the orbit equivalence, positive
-    words sample the reachability preorder."""
-    gens = list(generators)
-    steps = gens if positive_only else gens + [g.invert() for g in gens]
-    start = (cell, tuple(sorted((j, v) for j, v in values.items() if v != 0)))
-    seen = {start}
-    frontier = [start]
-    for _ in range(k):
-        nxt = []
-        for c, items in frontier:
-            for g in steps:
-                image = g.apply_point(c, dict(items))
-                if image is None:
-                    continue
-                point = (image[0], tuple(sorted(image[1].items())))
-                if point not in seen:
-                    seen.add(point)
-                    nxt.append(point)
-        frontier = nxt
-    return sorted(seen)
+    words sample the reachability preorder.  A word reaches the point
+    when the point lies in the word's stepwise domain."""
+    if not all(ZERO <= v < ONE for v in values.values()):
+        raise ValueError("point coordinates must lie in [0, 1)")
+    reached = set()
+    for _, comp, dom in _word_states(list(generators), k, positive_only):
+        if all(iv.lo <= values.get(j, ZERO) < iv.hi for j, iv in dom.coords):
+            image_cell, image = comp.apply_point(cell, values)
+            reached.add((image_cell, tuple(sorted(image.items()))))
+    return sorted(reached)
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,7 @@ class PlugResult:
     paths: list[PathRecord]          # aligned with graphing.edges
     dead_paths: list[PathRecord]     # maximal paths that die inside the cut
     diagnostics: Diagnostics
+    operands: tuple[Graphing, Graphing]   # the sides "F" and "G" of the steps
 
 
 # One trail entry per edge a path takes: the (side, edge index), the
@@ -144,13 +145,6 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     monoid = join_monoids(f.weights, g.weights)
     cut = f.carrier.intersect(g.carrier)
     sides = {"F": f, "G": g}
-    edges_by_cell: dict[str, dict[int, list[int]]] = {}
-    for side, graphing in sides.items():
-        lookup = edges_by_cell[side] = {}
-        for idx, e in enumerate(graphing.edges):
-            for cell in e.source.cells():
-                lookup.setdefault(cell, []).append(idx)
-
     diag = Diagnostics()
     result_edges: list[Edge] = []
     records: list[PathRecord] = []
@@ -164,7 +158,6 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
                 queue.append((e.realizer.apply(start),
                               (((side, idx), start, e.realizer, e.weight),)))
 
-    budget = max_steps
     while queue:
         image, trail = queue.popleft()
         (side, _), _, composite, weight = trail[-1]
@@ -179,21 +172,13 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
         if inside.is_empty():
             continue
         other = "G" if side == "F" else "F"
-        other_edges = sides[other].edges
-        lookup = edges_by_cell[other]
         covered = MeasurableSet.empty()
-        for idx in sorted({i for cell in inside.cells()
-                           for i in lookup.get(cell, ())}):
-            e = other_edges[idx]
-            hit = inside.intersect(e.source)
-            if hit.is_empty():
-                continue
+        for idx, e, hit in sides[other].edges_meeting(inside):
             covered = covered.union(hit)
-            if budget <= 0:
+            if diag.steps_used >= max_steps:
                 diag.complete = False
                 diag.unresolved_mass += weight * hit.measure()
                 continue
-            budget -= 1
             diag.steps_used += 1
             new_comp = composite.compose(e.realizer)
             new_weight = monoid.product(weight, e.weight)
@@ -223,7 +208,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     graphing = Graphing(monoid, f.microcosm.join(g.microcosm), carrier, edges)
     if not diag.complete:
         diag.notes.append(f"step budget {max_steps} exhausted; result partial")
-    return PlugResult(graphing, paths, dead_records, diag)
+    return PlugResult(graphing, paths, dead_records, diag, (f, g))
 
 
 # -- cycles and measurement ---------------------------------------------------
@@ -257,10 +242,7 @@ def cycles(f: Graphing, g: Graphing,
         if len(steps) >= max_len:
             return
         other = "G" if steps[-1][0] == "F" else "F"
-        for idx, e in enumerate(sides[other].edges):
-            hit = image.intersect(e.source)
-            if hit.is_empty():
-                continue
+        for idx, e, hit in sides[other].edges_meeting(image):
             extend(steps + ((other, idx),), e.realizer.apply(hit),
                    comp.compose(e.realizer), monoid.product(weight, e.weight))
 

@@ -149,14 +149,11 @@ def graphing_dot(g: Graphing, names: dict[int, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_dot(machine_graphing: Graphing, word_graphing: Graphing,
-            names: dict[int, str], accepting_steps) -> str:
-    """Computation picture: machine and word edges together, with the
-    accepting path's steps drawn bold when there is one."""
-    bold_machine = {idx for side, idx in (accepting_steps or ())
-                    if side == "F"}
-    bold_word = {idx for side, idx in (accepting_steps or ())
-                 if side == "G"}
+def run_dot(result: PlugResult, names: dict[int, str], accepting_steps) -> str:
+    """Computation picture: the machine and word edges the result was
+    plugged from, with the accepting path's steps drawn bold when there
+    is one."""
+    bold = set(accepting_steps or ())
     lines = ['digraph "run" {', "  rankdir=LR;"]
     seen_nodes = set()
 
@@ -167,8 +164,7 @@ def run_dot(machine_graphing: Graphing, word_graphing: Graphing,
             lines.append(f"  {_node_id(label)};")
         return _node_id(label)
 
-    for tag, graphing, bold in (("machine", machine_graphing, bold_machine),
-                                ("word", word_graphing, bold_word)):
+    for tag, side, graphing in zip(("machine", "word"), "FG", result.operands):
         for idx, e in enumerate(graphing.edges):
             for src_cell in sorted(e.source.cells()):
                 for dst_cell in sorted(e.target.cells()):
@@ -177,7 +173,7 @@ def run_dot(machine_graphing: Graphing, word_graphing: Graphing,
                         attrs.append("style=dashed")
                     if tag == "word":
                         attrs.append("color=gray40")
-                    if idx in bold:
+                    if (side, idx) in bold:
                         attrs.append("penwidth=3")
                     lines.append(f"  {node(src_cell)} -> {node(dst_cell)}"
                                  f" [{','.join(attrs)}];")

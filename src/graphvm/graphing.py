@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .space import MeasurableSet, common_refinement
 from .realizers import Microcosm, Realizer
@@ -163,6 +164,25 @@ class Graphing:
         return Graphing(weights, microcosm, carrier,
                         tuple(sorted(edges, key=Edge.key)))
 
+    @cached_property
+    def edges_by_cell(self) -> dict[int, list[int]]:
+        """Per cell, the ascending indices of the edges whose source meets it."""
+        by_cell: dict[int, list[int]] = {}
+        for idx, e in enumerate(self.edges):
+            for cell in e.source.cells():
+                by_cell.setdefault(cell, []).append(idx)
+        return by_cell
+
+    def edges_meeting(self, s: MeasurableSet):
+        """``(index, edge, meet)`` for every edge whose source meets ``s``,
+        in edge-index order; ``meet`` is ``s`` intersected with the source."""
+        by_cell = self.edges_by_cell
+        for idx in sorted({i for cell in s.cells() for i in by_cell.get(cell, ())}):
+            e = self.edges[idx]
+            meet = s.intersect(e.source)
+            if not meet.is_empty():
+                yield idx, e, meet
+
     def canonical_key(self):
         return (tuple(b.key() for b in self.carrier.boxes),
                 tuple(e.key() for e in self.edges))
@@ -193,19 +213,13 @@ def validate(g: Graphing) -> list[str]:
 
 def classify(g: Graphing) -> GraphingClass:
     """Strongest applicable class of the graphing."""
-    all_unit = all(g.weights.is_unit(e.weight) for e in g.edges)
-    overlap = False
-    for i, e in enumerate(g.edges):
-        for f in g.edges[i + 1:]:
-            if not e.source.intersect(f.source).is_empty():
-                overlap = True
-                break
-        if overlap:
-            break
-    if all_unit and not overlap:
-        return GraphingClass.DETERMINISTIC
-    if all_unit:
-        return GraphingClass.NONDETERMINISTIC
+    if all(g.weights.is_unit(e.weight) for e in g.edges):
+        overlap = any(
+            not g.edges[i].source.intersect(g.edges[j].source).is_empty()
+            for idxs in g.edges_by_cell.values()
+            for i, j in combinations(idxs, 2))
+        return (GraphingClass.NONDETERMINISTIC if overlap
+                else GraphingClass.DETERMINISTIC)
     rational = all(isinstance(e.weight, Fraction) and 0 <= e.weight <= 1
                    for e in g.edges)
     if rational and _probabilistic_sums_ok(g):

@@ -113,6 +113,8 @@ def validate_spec(spec: MachineSpec) -> list[str]:
         problems.append(f"unknown mode {spec.mode!r}")
     if MARKER in spec.alphabet:
         problems.append("alphabet must not contain the marker")
+    if len(set(spec.alphabet)) != len(spec.alphabet):
+        problems.append("duplicate alphabet symbols")
     if len(set(spec.states)) != len(spec.states):
         problems.append("duplicate state names")
     symbols = set(spec.alphabet) | {MARKER}

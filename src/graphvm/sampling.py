@@ -92,29 +92,23 @@ def _emit(rng, edges, src, dst, iv, mode):
         edges.append(Edge(1 - split, source, Realizer.shift_by(dst - src)))
 
 
+def _chain(seed: int, mode: str, *layers) -> tuple[Graphing, ...]:
+    """One layered graphing per pair of consecutive layers, all drawn
+    from one generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    return tuple(_layered_graphing(rng, left, right, mode)
+                 for left, right in zip(layers, layers[1:]))
+
+
 def random_pair(seed: int, mode: str) -> tuple[Graphing, Graphing]:
     """Two layered graphings sharing a middle region: their default cut."""
-    rng = random.Random(seed)
-    left = [0, 1]
-    middle = [10, 11, 12]
-    right = [20, 21]
-    f = _layered_graphing(rng, left, middle, mode)
-    g = _layered_graphing(rng, middle, right, mode)
-    return f, g
+    return _chain(seed, mode, [0, 1], [10, 11, 12], [20, 21])
 
 
 def random_triple(seed: int, mode: str = "det"):
     """Three layered graphings chained through two disjoint cuts; the
     outer carriers never meet, as associativity requires."""
-    rng = random.Random(seed)
-    a = [0, 1]
-    b = [10, 11, 12]
-    c = [20, 21, 22]
-    d = [30, 31]
-    f = _layered_graphing(rng, a, b, mode)
-    g = _layered_graphing(rng, b, c, mode)
-    h = _layered_graphing(rng, c, d, mode)
-    return f, g, h
+    return _chain(seed, mode, [0, 1], [10, 11, 12], [20, 21, 22], [30, 31])
 
 
 _CLASS_OF_MODE = {"det": GraphingClass.DETERMINISTIC,

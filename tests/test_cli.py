@@ -1,6 +1,9 @@
 import json
 import os
 
+import pytest
+
+from graphvm import cli, encodings
 from graphvm.cli import (EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_UNDETERMINED, main)
 
@@ -55,6 +58,32 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+def test_repeated_alphabet_symbol_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "twice.mach"
+    bad.write_text("name: x\nalphabet: 0 0\nheads: 1\nstates: s\nmode: det\n"
+                   "twoway: true\ns, * -> reject\ns, 0 -> accept\n")
+    for argv in (["validate", str(bad)], ["run", str(bad), "0"],
+                 ["language", str(bad), "--max-len", "1"]):
+        assert main(argv) == EXIT_PARSE
+        assert "duplicate alphabet symbols" in capsys.readouterr().err
+
+
+def test_run_out_encodes_the_word_once(tmp_path, monkeypatch):
+    calls = []
+    real = encodings.encode_word
+
+    def counting(word, *args, **kwargs):
+        calls.append(word)
+        return real(word, *args, **kwargs)
+
+    monkeypatch.setattr(encodings, "encode_word", counting)
+    monkeypatch.setattr(cli, "encode_word", counting)
+    assert main(["run", mach("one-then-zero.mach"), "0110",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == ["0110"]
+    assert (tmp_path / "run.dot").read_text().startswith('digraph "run"')
+
+
 def test_language_agreement(tmp_path, capsys):
     code = main(["language", mach("even-ones.mach"), "--max-len", "4",
                  "--one-way", "--out", str(tmp_path)])
@@ -106,6 +135,16 @@ def test_experiment_closure_and_associativity(tmp_path):
     assert payload["passes"] == 25
     code = main(["experiment", "associativity", "--seed", "3", "--count", "10"])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("kind", ["closure", "associativity"])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_experiment_count_below_one_is_a_validation_error(kind, count,
+                                                          capsys):
+    assert main(["experiment", kind, "--count", count]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count must be at least 1" in captured.err
 
 
 def test_zero_denominator_cutpoint_is_a_validation_error(capsys):

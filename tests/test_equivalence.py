@@ -56,6 +56,12 @@ def test_orbit_examples():
     assert [p[0] for p in forward] == [0, 1, 2]
     both = orbit(0, {1: Fraction(1, 4)}, [Realizer.shift_by(1)], 2)
     assert [p[0] for p in both] == [-2, -1, 0, 1, 2]
+    # a word reaches the point only where every step stays in [0, 1)
+    half = Realizer.offset({1: Fraction(1, 2)})
+    assert orbit(0, {1: Fraction(1, 4)}, [half], 3) == \
+        [(0, ((1, Fraction(1, 4)),)), (0, ((1, Fraction(3, 4)),))]
+    with pytest.raises(ValueError):
+        orbit(0, {1: Fraction(3, 2)}, [half], 1)
 
 
 def test_mutually_compilable_generators_give_the_same_orbits():

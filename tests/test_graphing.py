@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
                               TRIVIAL, TableWeights, WeightError, classify,
                               cost, disjoint_union, join_monoids, validate)
+from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
+from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
 
 
@@ -129,3 +132,44 @@ def test_target_is_derived():
     e = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")),
              Realizer.make(1, None, {1: Fraction(1, 2)}))
     assert e.target == ms(cellbox(1, "1/2", 1))
+
+
+def _sampled_graphings():
+    """Seeded sampling pairs and triples in every mode, and the graphings
+    their plugs produce."""
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(8):
+            f, g = random_pair(seed, mode)
+            yield from (f, g, plug(f, g).graphing)
+        for seed in range(3):
+            f, g, h = random_triple(seed, mode)
+            yield from (f, g, h, plug(f, g).graphing, plug(g, h).graphing)
+
+
+def test_edges_meeting_matches_a_scan_of_every_edge():
+    for g in _sampled_graphings():
+        queries = [g.carrier] + [e.source for e in g.edges] + \
+            [e.target for e in g.edges] + \
+            [ms(cellbox(c, Fraction(1, 4), Fraction(5, 8)))
+             for c in g.carrier.cells()]
+        for s in queries:
+            scan = [(i, e, s.intersect(e.source))
+                    for i, e in enumerate(g.edges)
+                    if not s.intersect(e.source).is_empty()]
+            assert list(g.edges_meeting(s)) == scan
+
+
+def test_classify_matches_the_pairwise_overlap_definition():
+    seen = set()
+    for g in _sampled_graphings():
+        got = classify(g)
+        seen.add(got)
+        if not all(g.weights.is_unit(e.weight) for e in g.edges):
+            assert got in (GraphingClass.PROBABILISTIC, GraphingClass.GENERAL)
+            continue
+        overlap = any(not e.source.intersect(f.source).is_empty()
+                      for e, f in combinations(g.edges, 2))
+        assert got == (GraphingClass.NONDETERMINISTIC if overlap
+                       else GraphingClass.DETERMINISTIC)
+    assert {GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
+            GraphingClass.PROBABILISTIC} <= seen

@@ -80,11 +80,16 @@ def test_spec_validation():
     bad = MachineSpec("m", ("0",), 1, ("s",), "det", True,
                       ((("s", "0"), (Action("advance", swap=2, goto="s"),)),))
     assert any("swap target" in p for p in validate_spec(bad))
+    bad = MachineSpec("m", ("0", "0"), 1, ("s",), "det", True,
+                      ((("s", "0"), (Action("accept"),)),))
+    assert validate_spec(bad) == ["duplicate alphabet symbols"]
 
 
 def test_parse_rejects_invalid_spec():
     with pytest.raises(MachineSpecError):
         parse_machine(ONES.replace("mode: det", "mode: banana"))
+    with pytest.raises(MachineSpecError, match="duplicate alphabet"):
+        parse_machine(ONES.replace("alphabet: 0 1", "alphabet: 0 0"))
 
 
 def test_retreat_entered_states():
