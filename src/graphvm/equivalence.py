@@ -344,6 +344,8 @@ def separation_experiment(i: int, j: int, max_word_len: int = 6,
     generator set within the bounds."""
     if not (2 <= i < j):
         raise ValueError("need 2 <= i < j")
+    if min(max_word_len, max_parts) < 0:
+        raise ValueError("search bounds must be nonnegative")
     total_i = treeing_cost(i, 0)[1]
     total_j = treeing_cost(j, 0)[1]
     witness = is_compilable(Realizer.head_swap(j), standard_generators(i),

@@ -133,10 +133,14 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     """Compose ``f`` and ``g`` across the cut, their carrier overlap,
     into the graphing of maximal alternating paths.
 
+    Every edge source must lie in its graphing's carrier, as ``validate``
+    checks: paths start where the carrier outside the cut meets a source.
     ``validate_inputs=False`` skips the well-formedness sweep; ``run_word``
     passes it, as machines are validated when built and its word
     graphing comes straight from ``encode_word``.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
     if validate_inputs:
         for name, graphing in (("first", f), ("second", g)):
             problems = validate(graphing)
@@ -151,12 +155,12 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     dead_records: list[PathRecord] = []
     queue: deque[tuple[MeasurableSet, tuple[_Step, ...]]] = deque()
 
+    outside = {side: graphing.carrier.subtract(cut)
+               for side, graphing in sides.items()}
     for side, graphing in sides.items():
-        for idx, e in enumerate(graphing.edges):
-            start = e.source.subtract(cut)
-            if not start.is_empty():
-                queue.append((e.realizer.apply(start),
-                              (((side, idx), start, e.realizer, e.weight),)))
+        for idx, e, start in graphing.edges_meeting(outside[side]):
+            queue.append((e.realizer.apply(start),
+                          (((side, idx), start, e.realizer, e.weight),)))
 
     while queue:
         image, trail = queue.popleft()
@@ -204,8 +208,8 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     order = sorted(range(len(result_edges)), key=lambda i: result_edges[i].key())
     edges = tuple(result_edges[i] for i in order)
     paths = [records[i] for i in order]
-    carrier = f.carrier.union(g.carrier).subtract(cut)
-    graphing = Graphing(monoid, f.microcosm.join(g.microcosm), carrier, edges)
+    graphing = Graphing(monoid, f.microcosm.join(g.microcosm),
+                        outside["F"].union(outside["G"]), edges)
     if not diag.complete:
         diag.notes.append(f"step budget {max_steps} exhausted; result partial")
     return PlugResult(graphing, paths, dead_records, diag, (f, g))
@@ -363,6 +367,8 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     from the list and reported separately."""
     from .encodings import run_word
 
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     if test.kind == "prob":
         require_probabilities(machine.spec)
     verdicts: dict[str, Verdict] = {}

@@ -147,6 +147,25 @@ def test_experiment_count_below_one_is_a_validation_error(kind, count,
     assert "--count must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["language", mach("ones.mach"), "--max-len", "-1"], "max_len"),
+    (["experiment", "compile", mach("ones.mach"), "--max-len", "-2"],
+     "max_len"),
+    (["run", mach("ones.mach"), "01", "--max-steps", "-3"], "max_steps"),
+    (["experiment", "closure", "--max-steps", "-1", "--count", "2"],
+     "max_steps"),
+    (["experiment", "separation", "2", "3", "--max-word-len", "-1"],
+     "search bounds"),
+    (["experiment", "separation", "2", "3", "--max-parts", "-1"],
+     "search bounds"),
+])
+def test_negative_bound_is_a_validation_error(argv, message, capsys):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_zero_denominator_cutpoint_is_a_validation_error(capsys):
     code = main(["run", mach("coin-flip.mach"), "01", "--test", "prob",
                  "--cutpoint", "1/0"])

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm.encodings import (IN, OUT, EncodedMachine, TapeLayout,
-                               classify_result, encode_machine, encode_word,
-                               run_word, slice_interval)
+from graphvm import encodings
+from graphvm.encodings import (IN, OUT, WORD_EDGE_CACHE, EncodedMachine,
+                               TapeLayout, classify_result, encode_machine,
+                               encode_word, run_word, slice_interval)
 from graphvm.execution import T_DET, Verdict, evaluate_test, language, t_prob
 from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
 from graphvm.machines import MARKER, parse_machine
@@ -103,6 +104,63 @@ def test_word_encoding_is_deterministic_graphing():
                                 for e in forward]
                     assert list(enc.graphing.edges) == sorted(
                         list(forward) + inverses, key=Edge.key)
+
+
+@pytest.mark.parametrize("alphabet", [("0", "1"), ("a", "b", "c")])
+def test_cached_word_encodings_equal_fresh_ones(alphabet, monkeypatch):
+    layout = TapeLayout(alphabet)
+    shapes = [(word, rows, one_way) for word in words_up_to(alphabet, 4)
+              for rows in (1, 2, 3) for one_way in (False, True)]
+    cached = [encode_word(w, layout, rows, one_way).graphing.canonical_key()
+              for w, rows, one_way in shapes]
+    monkeypatch.setattr(encodings, "_word_edge",
+                        encodings._word_edge.__wrapped__)
+    monkeypatch.setattr(encodings, "_tape_carrier",
+                        encodings._tape_carrier.__wrapped__)
+    assert cached == [
+        encode_word(w, layout, rows, one_way).graphing.canonical_key()
+        for w, rows, one_way in shapes]
+
+
+def _covering_words(alphabet, length):
+    """Words of the given length that put every symbol, and every pair of
+    symbols, at every position: each word edge key of the length once."""
+    base = alphabet[0] * length
+    words = {base[:i] + a + base[i + 1:]
+             for i in range(length) for a in alphabet}
+    words |= {base[:i] + a + b + base[i + 2:]
+              for i in range(length - 1) for a in alphabet for b in alphabet}
+    return sorted(words) or [""]
+
+
+def test_word_edges_up_to_length_ten_fit_in_the_cache():
+    encodings._word_edge.cache_clear()
+    for alphabet in (("0", "1"), ("a", "b", "c")):
+        layout = TapeLayout(alphabet)
+        for length in range(11):
+            for word in _covering_words(alphabet, length):
+                encode_word(word, layout, state_rows=3)
+    info = encodings._word_edge.cache_info()
+    # every miss is still held: nothing was evicted
+    assert info.misses == info.currsize <= WORD_EDGE_CACHE
+
+
+def test_repeated_word_encoding_builds_no_set_or_realizer(monkeypatch):
+    encode_word("0110", LAYOUT, state_rows=2)
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return staticmethod(wrapper)
+
+    monkeypatch.setattr(MeasurableSet, "from_boxes",
+                        counting("from_boxes", MeasurableSet.from_boxes))
+    monkeypatch.setattr(Realizer, "make", counting("make", Realizer.make))
+    again = encode_word("0110", LAYOUT, state_rows=2)
+    assert calls == []
+    assert len(again.graphing.edges) == 2 * 2 * 5
 
 
 def test_word_rejects_foreign_symbols():

@@ -149,6 +149,41 @@ def test_associativity_random():
         assert left.graphing.same_as(right.graphing), seed
 
 
+def _start_scan_pairs():
+    """Seeded sampling pairs and the four plugs of seeded triples in every
+    mode, then every shipped machine against its words up to length 2."""
+    import os
+    from graphvm.encodings import encode_machine, encode_word
+    from graphvm.machines import load_machine, words_up_to
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(10):
+            yield random_pair(seed, mode)
+            f, g, h = random_triple(seed, mode)
+            fg, gh = plug(f, g).graphing, plug(g, h).graphing
+            yield from ((f, g), (g, h), (fg, h), (f, gh))
+    machines = os.path.join(os.path.dirname(__file__), "..", "machines")
+    for name in sorted(os.listdir(machines)):
+        m = encode_machine(load_machine(os.path.join(machines, name)))
+        for word in words_up_to(m.spec.alphabet, 2):
+            for one_way in (False, True):
+                yield m.graphing, encode_word(
+                    word, m.layout, len(m.spec.states), one_way).graphing
+
+
+def test_starts_through_the_edge_index_match_the_per_edge_scan():
+    for f, g in _start_scan_pairs():
+        cut = f.carrier.intersect(g.carrier)
+        for side in (f, g):
+            brute = [(idx, start) for idx, e in enumerate(side.edges)
+                     for start in [e.source.subtract(cut)]
+                     if not start.is_empty()]
+            indexed = [(idx, start) for idx, _, start
+                       in side.edges_meeting(side.carrier.subtract(cut))]
+            assert indexed == brute
+        assert plug(f, g).graphing.carrier == \
+            f.carrier.union(g.carrier).subtract(cut)
+
+
 def test_weight_monoid_mismatch_rejected():
     from graphvm.graphing import TableWeights
     table = TableWeights(("e",), {("e", "e"): "e"}, "e")
