@@ -98,8 +98,7 @@ class TapeLayout:
 
 
 def slice_interval(position: int, cells: int) -> RationalInterval:
-    return RationalInterval(Fraction(position, cells),
-                            Fraction(position + 1, cells))
+    return RationalInterval.over(position, position + 1, cells)
 
 
 @dataclass(frozen=True)

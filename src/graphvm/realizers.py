@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .space import MeasurableSet, RationalBox, RationalInterval, ZERO, ONE
 
@@ -50,9 +51,8 @@ class Realizer:
     def make(shift: int = 0,
              perm: dict[int, int] | None = None,
              offsets: dict[int, Fraction] | None = None) -> "Realizer":
-        norm_off = tuple(sorted(
-            (j, Fraction(c)) for j, c in (offsets or {}).items()
-            if Fraction(c) != 0))
+        exact = ((j, Fraction(c)) for j, c in (offsets or {}).items())
+        norm_off = tuple(sorted((j, c) for j, c in exact if c != 0))
         if any(j < 1 for j, _ in norm_off):
             raise ValueError("offsets apply to positive coordinates only")
         return Realizer(shift, _normalize_perm(perm or {}), norm_off)
@@ -92,6 +92,11 @@ class Realizer:
     def _offset_map(self) -> dict[int, Fraction]:
         return dict(self.offsets)
 
+    @cached_property
+    def _offset_ints(self) -> dict[int, tuple[int, int]]:
+        """Each offset as its numerator and denominator."""
+        return {j: (c.numerator, c.denominator) for j, c in self.offsets}
+
     def perm_image(self, j: int) -> int:
         return self._perm_map.get(j, j)
 
@@ -112,13 +117,13 @@ class Realizer:
         searches and are dropped there).
         """
         out: dict[int, RationalInterval] = {}
-        for j, c in self.offsets:
-            i = self.perm_preimage(j)
-            lo = max(ZERO, -c)
-            hi = min(ONE, ONE - c)
-            if lo >= hi:
+        for j, (p, q) in self._offset_ints.items():
+            if not -q < p < q:
                 return None
-            out[i] = RationalInterval(lo, hi)
+            # [max(0, -c), min(1, 1 - c)) for the offset c = p/q
+            out[self.perm_preimage(j)] = (RationalInterval.over(0, q - p, q)
+                                          if p > 0 else
+                                          RationalInterval.over(-p, q, q))
         return out
 
     def is_void(self) -> bool:
@@ -126,15 +131,22 @@ class Realizer:
 
     def apply_box(self, b: RationalBox) -> RationalBox:
         coords: dict[int, RationalInterval] = {}
+        offsets = self._offset_ints
         touched = {self.perm_image(j) for j, _ in b.coords}
-        touched.update(j for j, _ in self.offsets)
+        touched.update(offsets)
         for j in touched:
-            src = b.interval_at(self.perm_preimage(j))
-            c = self._offset_map.get(j, ZERO)
-            lo, hi = src.lo + c, src.hi + c
-            if lo < 0 or hi > 1:
-                raise DomainViolation(b, self.perm_preimage(j))
-            coords[j] = RationalInterval(lo, hi)
+            i = self.perm_preimage(j)
+            src = b.interval_at(i)
+            if j not in offsets:
+                coords[j] = src
+                continue
+            p, q = offsets[j]
+            scale = lcm(src.d, q)
+            m, c = scale // src.d, p * (scale // q)
+            lo, hi = src.a * m + c, src.b * m + c
+            if lo < 0 or hi > scale:
+                raise DomainViolation(b, i)
+            coords[j] = RationalInterval.over(lo, hi, scale)
         return RationalBox.make(b.cell + self.shift, coords)
 
     def apply(self, s: MeasurableSet) -> MeasurableSet:

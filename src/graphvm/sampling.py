@@ -27,13 +27,12 @@ GRID = 8
 def _dyadic_interval(rng: random.Random) -> RationalInterval:
     lo = rng.randrange(0, GRID - 1)
     hi = rng.randrange(lo + 1, GRID)
-    return RationalInterval(Fraction(lo, GRID), Fraction(hi, GRID))
+    return RationalInterval.over(lo, hi, GRID)
 
 
 def _disjoint_intervals(rng: random.Random, count: int) -> list[RationalInterval]:
     cuts = sorted(rng.sample(range(GRID + 1), count + 1))
-    return [RationalInterval(Fraction(a, GRID), Fraction(b, GRID))
-            for a, b in zip(cuts, cuts[1:])]
+    return [RationalInterval.over(a, b, GRID) for a, b in zip(cuts, cuts[1:])]
 
 
 def _random_realizer(rng: random.Random, src_cell: int, dst_cell: int,
@@ -43,11 +42,13 @@ def _random_realizer(rng: random.Random, src_cell: int, dst_cell: int,
     perm = {1: 2, 2: 1} if rng.randrange(4) == 0 else None
     coord = 2 if perm else 1  # either way the constraint lands on input 1
     if rng.randrange(2) == 0:
-        room_up = 1 - source_interval.hi
-        room_down = source_interval.lo
-        choices = [Fraction(k, GRID) for k in range(-GRID, GRID + 1)
-                   if k != 0 and -room_down <= Fraction(k, GRID) <= room_up]
-        offsets = {coord: rng.choice(choices)} if choices else None
+        # the offsets k/GRID that keep the interval inside [0, 1]; the
+        # floors are exact bounds on the integer k
+        iv = source_interval
+        room_down = iv.a * GRID // iv.d
+        room_up = (iv.d - iv.b) * GRID // iv.d
+        choices = [k for k in range(-room_down, room_up + 1) if k != 0]
+        offsets = {coord: Fraction(rng.choice(choices), GRID)} if choices else None
     else:
         offsets = None
     return Realizer.make(dst_cell - src_cell, perm, offsets)

@@ -8,10 +8,13 @@ half-open rational intervals [lo, hi).  The measure is counting measure
 on cells times Lebesgue measure on the cube, so a box has measure equal
 to the product of its constrained interval lengths.
 
-Everything here is immutable and exact: endpoints are
-``fractions.Fraction`` and set operations never approximate.  Half-open
-intervals make finite partitions exact rather than almost-everywhere,
-so emptiness checks replace null-measure conditions.
+Everything here is immutable and exact, and set operations never
+approximate.  Inside, an interval is two integer numerators over one
+integer denominator, and comparisons, intersections and sweeps run on
+plain integers; at the API, endpoints, lengths and measures are
+``fractions.Fraction``.  Half-open intervals make finite partitions
+exact rather than almost-everywhere, so emptiness checks replace
+null-measure conditions.
 """
 
 from __future__ import annotations
@@ -20,44 +23,118 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class RationalInterval:
-    """Half-open interval [lo, hi) with 0 <= lo < hi <= 1."""
+    """Half-open interval [lo, hi) with 0 <= lo < hi <= 1.
 
-    lo: Fraction
-    hi: Fraction
+    Stored as integers ``a < b`` over one denominator ``d`` in lowest
+    terms (``gcd(a, b, d) == 1``), so that lo = a/d and hi = b/d.  The
+    form is unique, so equality and hashing on ``(a, b, d)`` are
+    equality of the rationals.  Instances are immutable.
+    """
 
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        # over the lcm of two reduced denominators the form is lowest terms
+        d = lcm(lo.denominator, hi.denominator)
+        _set_a(self, lo.numerator * (d // lo.denominator))
+        _set_b(self, hi.numerator * (d // hi.denominator))
+        _set_d(self, d)
+        self.__post_init__()
+
+    @classmethod
+    def over(cls, a: int, b: int, d: int) -> "RationalInterval":
+        """The interval [a/d, b/d) for integers a, b and d."""
+        g = gcd(a, b, d)
+        if g > 1:
+            a, b, d = a // g, b // g, d // g
+        iv = _new(cls)
+        _set_a(iv, a)
+        _set_b(iv, b)
+        _set_d(iv, d)
+        iv.__post_init__()
+        return iv
+
+    # Every constructor runs this check; perfbench's tracer wraps it to
+    # count constructions.
     def __post_init__(self):
-        if not (ZERO <= self.lo < self.hi <= ONE):
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi})")
+        if not 0 <= self.a < self.b <= self.d:
+            raise ValueError(
+                f"invalid interval [{self.a}/{self.d}, {self.b}/{self.d})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalInterval is immutable")
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def length(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.b - self.a, self.d)
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalInterval):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     def intersect(self, other: "RationalInterval") -> "RationalInterval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return RationalInterval(lo, hi) if lo < hi else None
+        # both intervals' endpoints as numerators over self.d * other.d
+        a, b = self.a * other.d, self.b * other.d
+        oa, ob = other.a * self.d, other.b * self.d
+        if a >= oa and b <= ob:
+            return self
+        if oa >= a and ob <= b:
+            return other
+        lo, hi = max(a, oa), min(b, ob)
+        if lo >= hi:
+            return None
+        return RationalInterval.over(lo, hi, self.d * other.d)
 
     def covers(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        return (self.a * other.d <= other.a * self.d
+                and other.b * self.d <= self.b * other.d)
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi})"
 
+    def __repr__(self) -> str:
+        return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
-FULL = RationalInterval(ZERO, ONE)
+
+# construction writes the slots past the immutability guard
+_new = object.__new__
+_set_a = RationalInterval.a.__set__
+_set_b = RationalInterval.b.__set__
+_set_d = RationalInterval.d.__set__
+
+FULL = RationalInterval(0, 1)
 
 
 def interval(lo, hi) -> RationalInterval:
-    return RationalInterval(Fraction(lo), Fraction(hi))
+    return RationalInterval(lo, hi)
+
+
+def _scaled(iv: RationalInterval, scale: int) -> tuple[int, int]:
+    """The endpoints of ``iv`` as numerators over ``scale``, a multiple
+    of its denominator."""
+    m = scale // iv.d
+    return iv.a * m, iv.b * m
 
 
 @dataclass(frozen=True)
@@ -79,7 +156,7 @@ class RationalBox:
         for j, iv in sorted((coords or {}).items()):
             if j < 1:
                 raise ValueError(f"coordinate index must be positive, got {j}")
-            if iv != FULL:
+            if iv.d != 1:  # [0, 1) is the one interval over denominator 1
                 items.append((j, iv))
         return RationalBox(cell, tuple(items))
 
@@ -94,10 +171,11 @@ class RationalBox:
         return FULL
 
     def measure(self) -> Fraction:
-        m = ONE
+        num = den = 1
         for _, iv in self.coords:
-            m *= iv.length
-        return m
+            num *= iv.b - iv.a
+            den *= iv.d
+        return Fraction(num, den)
 
     def intersect(self, other: "RationalBox") -> "RationalBox | None":
         if self.cell != other.cell:
@@ -108,7 +186,9 @@ class RationalBox:
             if got is None:
                 return None
             coords[j] = got
-        return RationalBox.make(self.cell, coords)
+        # already normalised: every index comes from a normalised box, and
+        # a meet with an interval short of [0, 1) falls short of it too
+        return RationalBox(self.cell, tuple(sorted(coords.items())))
 
     def key(self):
         return (self.cell, tuple((j, iv.lo, iv.hi) for j, iv in self.coords))
@@ -145,36 +225,43 @@ def _canon_group(kept: list[dict[int, RationalInterval]],
     if not axes:
         return [] if removed else [()]
     j, rest = axes[0], axes[1:]
-    points = {ZERO, ONE}
-    for item in itertools.chain(kept, removed):
-        iv = item.get(j, FULL)
-        points.add(iv.lo)
-        points.add(iv.hi)
-    cuts = sorted(points)
-    runs: list[list] = []  # [lo, hi, canonical slice]
+    intervals = [item.get(j, FULL) for item in kept + removed]
+    scale = lcm(*(iv.d for iv in intervals))
+    spans = [_scaled(iv, scale) for iv in intervals]
+    kept_spans, removed_spans = spans[:len(kept)], spans[len(kept):]
+    cuts = sorted({0, scale}.union(*spans))
+    runs: list[list] = []  # [lo, hi, canonical slice], numerators over scale
     for lo, hi in zip(cuts, cuts[1:]):
-        piece = RationalInterval(lo, hi)
         content = _canon_group(
-            [item for item in kept if item.get(j, FULL).covers(piece)],
-            [item for item in removed if item.get(j, FULL).covers(piece)],
+            [item for item, (a, b) in zip(kept, kept_spans)
+             if a <= lo and hi <= b],
+            [item for item, (a, b) in zip(removed, removed_spans)
+             if a <= lo and hi <= b],
             rest)
-        if runs and runs[-1][1] == lo and runs[-1][2] == content:
+        if runs and runs[-1][2] == content:
             runs[-1][1] = hi
         else:
             runs.append([lo, hi, content])
     out: list[_CoordMap] = []
     for lo, hi, content in runs:
-        iv = RationalInterval(lo, hi)
-        for sub in content:
+        if lo == 0 and hi == scale:
+            out.extend(content)
+        elif content:
+            iv = RationalInterval.over(lo, hi, scale)
             # every axis in ``sub`` comes after j, so the pair goes first
-            out.append(sub if iv == FULL else ((j, iv),) + sub)
+            out.extend(((j, iv),) + sub for sub in content)
     return out
 
 
 def _canonicalize(boxes: Iterable[RationalBox],
                   removed: Mapping[int, list[RationalBox]]) -> tuple[RationalBox, ...]:
     """Canonical boxes of the points in some of ``boxes`` and in none of
-    the boxes that ``removed`` lists for their cell."""
+    the boxes that ``removed`` lists for their cell.
+
+    They come out in ``RationalBox.key`` order with no sort: cells are
+    swept in ascending order, and the sweep emits a cell's boxes in
+    ascending order of their first constrained axis, then of the next.
+    """
     boxes = list(boxes)
     if not removed and len(boxes) <= 1:
         return tuple(boxes)  # a single normalised box is its canonical form
@@ -188,7 +275,6 @@ def _canonicalize(boxes: Iterable[RationalBox],
         for coords in _canon_group([b.coord_map for b in group],
                                    [b.coord_map for b in minus], axes):
             out.append(RationalBox(cell, coords))
-    out.sort(key=RationalBox.key)
     return tuple(out)
 
 
@@ -294,7 +380,9 @@ def common_refinement(sets: Sequence[MeasurableSet]) -> list[RationalBox]:
 
     Returns plain boxes (a partition, not a canonical set): adjacent
     parts are deliberately left unmerged so every input set is exactly
-    a union of whole parts.
+    a union of whole parts.  The parts come in ``RationalBox.key``
+    order: cells ascend, and each cell's grid is walked in ascending
+    lexicographic order of its constrained axes.
     """
     by_cell: dict[int, list[RationalBox]] = {}
     for s in sets:
@@ -304,22 +392,21 @@ def common_refinement(sets: Sequence[MeasurableSet]) -> list[RationalBox]:
     for cell in sorted(by_cell):
         group = by_cell[cell]
         axes = sorted({j for b in group for j, _ in b.coords})
-        cuts: dict[int, list[Fraction]] = {}
+        spans: list[list[tuple[int, int]]] = [[] for _ in group]
+        grids = []
         for j in axes:
-            points = {ZERO, ONE}
-            for b in group:
-                iv = b.interval_at(j)
-                points.add(iv.lo)
-                points.add(iv.hi)
-            cuts[j] = sorted(points)
-        grids = [
-            [RationalInterval(lo, hi) for lo, hi in zip(cuts[j], cuts[j][1:])]
-            for j in axes
-        ]
-        for combo in itertools.product(*grids) if axes else [()]:
-            candidate = RationalBox.make(cell, dict(zip(axes, combo)))
-            if any(all(b.interval_at(j).covers(iv) for j, iv in zip(axes, combo))
-                   for b in group):
-                parts.append(candidate)
-    parts.sort(key=RationalBox.key)
+            intervals = [b.interval_at(j) for b in group]
+            scale = lcm(*(iv.d for iv in intervals))
+            ends = [_scaled(iv, scale) for iv in intervals]
+            for box_spans, end in zip(spans, ends):
+                box_spans.append(end)
+            cuts = sorted({0, scale}.union(*ends))
+            grids.append([(lo, hi, RationalInterval.over(lo, hi, scale))
+                          for lo, hi in zip(cuts, cuts[1:])])
+        for combo in itertools.product(*grids):
+            if any(all(a <= lo and hi <= b
+                       for (a, b), (lo, hi, _) in zip(box_spans, combo))
+                   for box_spans in spans):
+                parts.append(RationalBox.make(
+                    cell, {j: iv for j, (_, _, iv) in zip(axes, combo)}))
     return parts

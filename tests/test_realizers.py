@@ -31,6 +31,28 @@ def test_apply_outside_domain_reports_box_and_coordinate():
     assert err.value.coordinate == 1
 
 
+def test_apply_box_raises_exactly_past_the_boundary():
+    # the offset's denominator differs from the intervals', so the check
+    # runs over their common denominator
+    up, down = Realizer.offset({1: Fraction(1, 4)}), \
+        Realizer.offset({1: Fraction(-1, 4)})
+    assert up.apply_box(RationalBox.make(0, {1: interval("1/2", "3/4")})) == \
+        RationalBox.make(0, {1: interval("3/4", 1)})
+    assert down.apply_box(RationalBox.make(0, {1: interval("1/4", "5/6")})) == \
+        RationalBox.make(0, {1: interval(0, "7/12")})
+    for r, b in ((up, RationalBox.make(0, {1: interval("1/2", "5/6")})),
+                 (down, RationalBox.make(0, {1: interval("1/6", "1/2")}))):
+        with pytest.raises(DomainViolation):
+            r.apply_box(b)
+    # through a permutation the violation names the input coordinate
+    swap_up = Realizer.make(0, {1: 2, 2: 1}, {2: Fraction(1, 3)})
+    assert swap_up.apply_box(RationalBox.make(0, {1: interval(0, "2/3")})) == \
+        RationalBox.make(0, {2: interval("1/3", 1)})
+    with pytest.raises(DomainViolation) as err:
+        swap_up.apply_box(RationalBox.make(0, {1: interval(0, "5/6")}))
+    assert err.value.coordinate == 1
+
+
 def test_compose_examples():
     r = Realizer.make(2, {1: 2, 2: 1}, {1: Fraction(1, 3)})
     assert r.compose(Realizer.identity()) == r

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphvm.space import (MeasurableSet, RationalBox, RationalInterval,
+from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
                            common_refinement, interval)
 
 
@@ -18,6 +18,42 @@ def test_interval_invariants():
         RationalInterval(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
         RationalInterval(Fraction(-1, 2), Fraction(1, 2))
+
+
+def test_interval_form_is_unique():
+    half = RationalInterval(Fraction(1, 2), 1)
+    assert RationalInterval(Fraction(2, 4), 1) == half
+    assert hash(RationalInterval(Fraction(2, 4), 1)) == hash(half)
+    assert RationalInterval.over(3, 6, 6) == half
+    assert hash(RationalInterval.over(3, 6, 6)) == hash(half)
+    assert RationalInterval.over(2, 3, 6) != RationalInterval.over(1, 2, 4)
+    with pytest.raises(ValueError):
+        RationalInterval.over(2, 2, 6)
+    with pytest.raises(ValueError):
+        RationalInterval.over(3, 7, 6)
+    with pytest.raises(AttributeError):
+        half.a = 0
+
+
+def test_interval_endpoints_come_back_in_lowest_terms():
+    iv = RationalInterval.over(2, 4, 12)
+    for got, want in ((iv.lo, Fraction(1, 6)), (iv.hi, Fraction(1, 3)),
+                      (iv.length, Fraction(1, 6))):
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+    assert type(FULL.lo) is Fraction and FULL.lo == 0 and FULL.hi == 1
+    assert type(MeasurableSet.of(RationalBox.make(0, {1: iv})).measure()) \
+        is Fraction
+
+
+def test_interval_text_is_unchanged():
+    assert str(interval("2/6", "4/6")) == "[1/3,2/3)"
+    assert str(FULL) == "[0,1)"
+    assert str(interval(0, "1/2")) == "[0,1/2)"
+    assert str(RationalBox.make(2, {1: interval("1/4", 1),
+                                    3: interval(0, "5/12")})) == \
+        "{cell 2: x1 in [1/4,1), x3 in [0,5/12)}"
 
 
 def test_measure_examples():
@@ -77,25 +113,43 @@ def test_common_refinement_restores_inputs():
         assert covered == original
 
 
-_frac = st.integers(0, 8)
+# Endpoints on the 1/9 grid, or each interval on the 1/4 or the 1/6 grid:
+# the mixed sets make the sweep scale numerators to a common denominator.
+_NINTHS = (9,)
+_MIXED = (4, 6)
+
+
+def _endpoints(draw, denominators):
+    d = draw(st.sampled_from(denominators))
+    lo = draw(st.integers(0, d - 1))
+    return Fraction(lo, d), Fraction(draw(st.integers(lo + 1, d)), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interval_meet_and_cover_agree_with_fractions(data):
+    (alo, ahi), (blo, bhi) = (_endpoints(data.draw, _MIXED)
+                              for _ in range(2))
+    a, b = RationalInterval(alo, ahi), RationalInterval(blo, bhi)
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    assert a.intersect(b) == (RationalInterval(lo, hi) if lo < hi else None)
+    assert a.covers(b) == (alo <= blo and bhi <= ahi)
 
 
 @st.composite
-def boxes(draw, cells=2, coords=2):
+def boxes(draw, cells=2, coords=2, denominators=_NINTHS):
     cell = draw(st.integers(0, cells - 1))
     constraints = {}
     for j in range(1, coords + 1):
         if draw(st.booleans()):
-            lo = draw(_frac)
-            hi = draw(st.integers(lo + 1, 9))
-            constraints[j] = RationalInterval(Fraction(lo, 9), Fraction(hi, 9))
+            constraints[j] = RationalInterval(*_endpoints(draw, denominators))
     return RationalBox.make(cell, constraints)
 
 
 @st.composite
-def sets(draw):
+def sets(draw, denominators=_NINTHS):
     return MeasurableSet.from_boxes(
-        draw(st.lists(boxes(), min_size=0, max_size=4)))
+        draw(st.lists(boxes(denominators=denominators), min_size=0, max_size=4)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,29 +159,38 @@ def test_inclusion_exclusion(a, b):
         a.union(b).measure() + a.intersect(b).measure()
 
 
-# Every endpoint drawn by ``boxes`` is a multiple of 1/9, so each midpoint
-# (2k+1)/18 of the 1/9 grid stands for its whole grid square: membership
-# at these points decides the point set exactly.
-_MIDPOINTS = [Fraction(2 * k + 1, 18) for k in range(9)]
-_GRID = [(cell, {1: x, 2: y}) for cell in range(2)
-         for x in _MIDPOINTS for y in _MIDPOINTS]
+# Every endpoint drawn on the 1/9 grid is a multiple of 1/9, so each
+# midpoint (2k+1)/18 of the 1/9 grid stands for its whole grid square:
+# membership at these points decides the point set exactly.  Endpoints on
+# the 1/4 and 1/6 grids are multiples of 1/12, and so is the 1/12 grid's.
+def _grid_points(n):
+    """Midpoints of the squares of the 1/n grid on coordinates 1 and 2,
+    in cells 0 and 1."""
+    mids = [Fraction(2 * k + 1, 2 * n) for k in range(n)]
+    return [(cell, {1: x, 2: y}) for cell in range(2) for x in mids for y in mids]
 
 
-def _contains(s, cell, point):
-    return any(b.cell == cell and all(iv.lo <= point[j] < iv.hi
-                                      for j, iv in b.coords)
-               for b in s.boxes)
+_GRID = _grid_points(9)
+_GRID_12 = _grid_points(12)
 
 
-def _check_against_points(a, b):
-    results = {"subtract": (a.subtract(b), lambda x, y: x and not y),
-               "intersect": (a.intersect(b), lambda x, y: x and y),
-               "union": (a.union(b), lambda x, y: x or y)}
-    for name, (got, rule) in results.items():
+def _points_in(s, grid):
+    """The indices of the points of ``grid`` that lie in ``s``."""
+    boxes = [(b.cell, [(j, iv.lo, iv.hi) for j, iv in b.coords])
+             for b in s.boxes]
+    return {k for k, (cell, point) in enumerate(grid)
+            if any(c == cell and all(lo <= point[j] < hi for j, lo, hi in cons)
+                   for c, cons in boxes)}
+
+
+def _check_against_points(a, b, grid=_GRID):
+    in_a, in_b = _points_in(a, grid), _points_in(b, grid)
+    results = {"subtract": (a.subtract(b), in_a - in_b),
+               "intersect": (a.intersect(b), in_a & in_b),
+               "union": (a.union(b), in_a | in_b)}
+    for name, (got, want) in results.items():
         assert MeasurableSet.from_boxes(got.boxes).boxes == got.boxes, name
-        for cell, point in _GRID:
-            want = rule(_contains(a, cell, point), _contains(b, cell, point))
-            assert _contains(got, cell, point) == want, (name, cell, point)
+        assert _points_in(got, grid) == want, name
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,6 +200,27 @@ def test_set_operations_agree_with_point_membership(a, b):
     # a set against itself, and against a superset
     _check_against_points(a, a)
     _check_against_points(a, a.union(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets(_MIXED), sets(_MIXED))
+def test_set_operations_agree_with_point_membership_across_denominators(a, b):
+    _check_against_points(a, b, _GRID_12)
+    _check_against_points(a, a, _GRID_12)
+    _check_against_points(a, a.union(b), _GRID_12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([_NINTHS, _MIXED]).flatmap(
+    lambda ds: st.tuples(sets(ds), sets(ds))))
+def test_results_come_in_key_order(pair):
+    a, b = pair
+    results = [MeasurableSet.from_boxes(a.boxes + b.boxes), a.union(b),
+               a.intersect(b), a.subtract(b), b.subtract(a)]
+    for got in results:
+        assert list(got.boxes) == sorted(got.boxes, key=RationalBox.key)
+    parts = common_refinement([a, b])
+    assert parts == sorted(parts, key=RationalBox.key)
 
 
 def test_subtract_passes_through_untouched_and_whole_cells():
@@ -181,15 +265,30 @@ def test_subset_of_agrees_with_the_measure_identity(a, b):
     assert a.subset_of(a.union(b))
 
 
-@settings(max_examples=100, deadline=None)
-@given(sets(), sets(), sets())
-def test_boolean_laws(a, b, c):
+def _check_boolean_laws(a, b, c):
     assert a.intersect(b) == b.intersect(a)
     assert a.union(b) == b.union(a)
     assert a.intersect(b.union(c)) == a.intersect(b).union(a.intersect(c))
     assert a.subtract(b).subtract(c) == a.subtract(b.union(c))
     assert a.union(a) == a
     assert a.intersect(a) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets(), sets(), sets())
+def test_boolean_laws(a, b, c):
+    _check_boolean_laws(a, b, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets(_MIXED), sets(_MIXED), sets(_MIXED))
+def test_boolean_laws_across_denominators(a, b, c):
+    _check_boolean_laws(a, b, c)
+    meet_of_union = a.intersect(b.union(c))
+    nested_difference = a.subtract(b).subtract(c)
+    x, y, z = (_points_in(s, _GRID_12) for s in (a, b, c))
+    assert _points_in(meet_of_union, _GRID_12) == x & (y | z)
+    assert _points_in(nested_difference, _GRID_12) == x - y - z
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,12 +326,27 @@ def test_pairwise_disjointness_of_canonical_boxes():
             assert x.intersect(y) is None
 
 
-@settings(max_examples=150, deadline=None)
-@given(sets(), boxes(cells=1, coords=3))
-def test_restrict_meets_every_cell_with_the_constraints(s, constraint_box):
+def _check_restrict(s, constraint_box):
     c = constraint_box.coord_map
     expected = MeasurableSet.empty()
     for cell in s.cells():
         expected = expected.union(
             s.intersect(MeasurableSet.of(RationalBox.make(cell, c))))
     assert s.restrict(c) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets(), boxes(cells=1, coords=3))
+def test_restrict_meets_every_cell_with_the_constraints(s, constraint_box):
+    _check_restrict(s, constraint_box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets(_MIXED), boxes(cells=1, coords=2, denominators=_MIXED))
+def test_restrict_across_denominators(s, constraint_box):
+    _check_restrict(s, constraint_box)
+    c = constraint_box.coord_map
+    inside = {k for k, (_, point) in enumerate(_GRID_12)
+              if all(iv.lo <= point[j] < iv.hi for j, iv in c.items())}
+    assert _points_in(s.restrict(c), _GRID_12) == \
+        _points_in(s, _GRID_12) & inside
