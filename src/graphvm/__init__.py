@@ -1,6 +1,6 @@
 """Exact virtual machine for weighted graphings over Z x [0,1]^N."""
 
-from .space import (MeasurableSet, RationalBox, RationalInterval, box,
+from .space import (MeasurableSet, RationalBox, RationalInterval,
                     common_refinement, interval)
 from .realizers import (DomainViolation, Microcosm, Realizer,
                         standard_generators)

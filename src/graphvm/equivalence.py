@@ -29,22 +29,6 @@ from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ONE,
 from .realizers import Microcosm, Realizer, standard_generators
 from .graphing import Edge, Graphing, TRIVIAL
 
-Constraint = dict[int, RationalInterval]
-
-
-def _pull_back(prefix: Realizer, constraints: Constraint) -> RationalBox | None:
-    """Express constraints on the image of ``prefix`` in source terms,
-    as a box at cell 0."""
-    out: Constraint = {}
-    for j, interval in constraints.items():
-        lo = interval.lo - prefix.offset_at(j)
-        hi = interval.hi - prefix.offset_at(j)
-        lo, hi = max(lo, ZERO), min(hi, ONE)
-        if lo >= hi:
-            return None
-        out[prefix.perm_preimage(j)] = RationalInterval(lo, hi)
-    return RationalBox.make(0, out)
-
 
 @dataclass(frozen=True)
 class PhiWord:
@@ -71,16 +55,15 @@ def _word_states(generators, k: int, positive_only: bool):
         nxt = []
         for word, comp, dom in frontier:
             for idx, exp, g in letters:
-                constraints = g.input_constraints()
+                # dom lies in comp's domain, so stepping on through g keeps
+                # exactly the points of dom in the composite's domain
+                new_comp = comp.compose(g)
+                constraints = new_comp.input_constraints()
                 if constraints is None:
                     continue
-                pulled = _pull_back(comp, constraints)
-                if pulled is None:
-                    continue
-                new_dom = dom.intersect(pulled)
+                new_dom = dom.intersect(RationalBox.make(0, constraints))
                 if new_dom is None:
                     continue
-                new_comp = comp.compose(g)
                 state = (word + ((idx, exp),), new_comp, new_dom)
                 key = (new_comp.key(), new_dom)
                 if key in seen:

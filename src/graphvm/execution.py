@@ -297,8 +297,6 @@ def landing(e: Edge, regions: Regions, where: MeasurableSet) -> MeasurableSet:
     points.  It can be nonempty while carrying no mass, on a weight-0
     edge."""
     src = e.source.intersect(regions.launch)
-    if src.is_empty():
-        return src
     return e.realizer.apply(src).intersect(where)
 
 

@@ -183,13 +183,9 @@ class Graphing:
             if not meet.is_empty():
                 yield idx, e, meet
 
-    def canonical_key(self):
-        return (tuple(b.key() for b in self.carrier.boxes),
-                tuple(e.key() for e in self.edges))
-
     def same_as(self, other: "Graphing") -> bool:
         """Equality as canonical graphings (carrier plus edge multiset)."""
-        return self.canonical_key() == other.canonical_key()
+        return self.carrier == other.carrier and self.edges == other.edges
 
 
 def validate(g: Graphing) -> list[str]:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
-from .space import MeasurableSet, RationalBox, RationalInterval, ZERO, ONE
+from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ZERO,
+                    ONE)
 
 
 class DomainViolation(ValueError):
@@ -80,31 +80,17 @@ class Realizer:
     def offset(coords: dict[int, Fraction]) -> "Realizer":
         return Realizer.make(0, None, coords)
 
-    @cached_property
-    def _perm_map(self) -> dict[int, int]:
-        return dict(self.perm)
-
-    @cached_property
-    def _perm_inv(self) -> dict[int, int]:
-        return {k: j for j, k in self.perm}
-
-    @cached_property
-    def _offset_map(self) -> dict[int, Fraction]:
-        return dict(self.offsets)
-
-    @cached_property
-    def _offset_ints(self) -> dict[int, tuple[int, int]]:
-        """Each offset as its numerator and denominator."""
-        return {j: (c.numerator, c.denominator) for j, c in self.offsets}
-
     def perm_image(self, j: int) -> int:
-        return self._perm_map.get(j, j)
+        for a, b in self.perm:
+            if a == j:
+                return b
+        return j
 
     def perm_preimage(self, j: int) -> int:
-        return self._perm_inv.get(j, j)
-
-    def offset_at(self, j: int) -> Fraction:
-        return self._offset_map.get(j, ZERO)
+        for a, b in self.perm:
+            if b == j:
+                return a
+        return j
 
     def is_identity(self) -> bool:
         return self.shift == 0 and not self.perm and not self.offsets
@@ -117,7 +103,8 @@ class Realizer:
         searches and are dropped there).
         """
         out: dict[int, RationalInterval] = {}
-        for j, (p, q) in self._offset_ints.items():
+        for j, c in self.offsets:
+            p, q = c.numerator, c.denominator
             if not -q < p < q:
                 return None
             # [max(0, -c), min(1, 1 - c)) for the offset c = p/q
@@ -130,22 +117,16 @@ class Realizer:
         return self.input_constraints() is None
 
     def apply_box(self, b: RationalBox) -> RationalBox:
-        coords: dict[int, RationalInterval] = {}
-        offsets = self._offset_ints
-        touched = {self.perm_image(j) for j, _ in b.coords}
-        touched.update(offsets)
-        for j in touched:
-            i = self.perm_preimage(j)
-            src = b.interval_at(i)
-            if j not in offsets:
-                coords[j] = src
-                continue
-            p, q = offsets[j]
+        # coords[j] is the input interval at perm_preimage(j)
+        coords = {self.perm_image(j): iv for j, iv in b.coords}
+        for j, c in self.offsets:
+            p, q = c.numerator, c.denominator
+            src = coords.get(j, FULL)
             scale = lcm(src.d, q)
-            m, c = scale // src.d, p * (scale // q)
-            lo, hi = src.a * m + c, src.b * m + c
+            m, k = scale // src.d, p * (scale // q)
+            lo, hi = src.a * m + k, src.b * m + k
             if lo < 0 or hi > scale:
-                raise DomainViolation(b, i)
+                raise DomainViolation(b, self.perm_preimage(j))
             coords[j] = RationalInterval.over(lo, hi, scale)
         return RationalBox.make(b.cell + self.shift, coords)
 
@@ -154,16 +135,12 @@ class Realizer:
 
     def apply_point(self, cell: int, values: dict[int, Fraction]):
         """Image of a point, or None when outside the domain."""
-        out: dict[int, Fraction] = {}
-        touched = {self.perm_image(j) for j in values}
-        touched.update(j for j, _ in self.offsets)
-        for j in touched:
-            v = values.get(self.perm_preimage(j), ZERO) + self._offset_map.get(j, ZERO)
-            if not (ZERO <= v < ONE):
-                return None
-            if v != 0:
-                out[j] = v
-        return (cell + self.shift, out)
+        out = {self.perm_image(j): v for j, v in values.items()}
+        for j, c in self.offsets:
+            out[j] = out.get(j, ZERO) + c
+        if not all(ZERO <= v < ONE for v in out.values()):
+            return None
+        return (cell + self.shift, {j: v for j, v in out.items() if v != 0})
 
     def domain_within(self, within: MeasurableSet) -> MeasurableSet:
         constraints = self.input_constraints()
@@ -176,20 +153,14 @@ class Realizer:
         support = ({j for j, _ in self.perm} | {j for j, _ in then.perm}
                    | {k for _, k in self.perm} | {k for _, k in then.perm})
         perm = {j: then.perm_image(self.perm_image(j)) for j in support}
-        offs: dict[int, Fraction] = {}
-        touched = {j for j, _ in then.offsets}
-        touched.update(then.perm_image(j) for j, _ in self.offsets)
-        for j in touched:
-            c = self._offset_map.get(then.perm_preimage(j), ZERO) \
-                + then._offset_map.get(j, ZERO)
-            if c != 0:
-                offs[j] = c
+        offs = {then.perm_image(j): c for j, c in self.offsets}
+        for j, c in then.offsets:
+            offs[j] = offs.get(j, ZERO) + c
         return Realizer.make(self.shift + then.shift, perm, offs)
 
     def invert(self) -> "Realizer":
         perm = {k: j for j, k in self.perm}
-        offs = {j: -self._offset_map[self.perm_image(j)]
-                for j in (self.perm_preimage(k) for k, _ in self.offsets)}
+        offs = {self.perm_preimage(j): -c for j, c in self.offsets}
         return Realizer.make(-self.shift, perm, offs)
 
     def key(self):
@@ -202,7 +173,7 @@ class Realizer:
         if self.perm:
             cycles = []
             seen: set[int] = set()
-            pm = self._perm_map
+            pm = dict(self.perm)
             for start in sorted(pm):
                 if start in seen:
                     continue
@@ -231,13 +202,7 @@ _IDENTITY = Realizer(0)
 def preimage_within(r: Realizer, source: MeasurableSet,
                     target: MeasurableSet) -> MeasurableSet:
     """Subset of ``source`` that r maps into ``target``."""
-    src = r.domain_within(source)
-    if src.is_empty():
-        return src
-    image = r.apply(src)
-    hit = image.intersect(target)
-    if hit.is_empty():
-        return hit
+    hit = r.apply(r.domain_within(source)).intersect(target)
     return r.invert().apply(hit)
 
 

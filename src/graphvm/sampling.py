@@ -78,8 +78,6 @@ def _layered_graphing(rng: random.Random, left_cells, right_cells,
 def _emit(rng, edges, src, dst, iv, mode):
     source = MeasurableSet.of(RationalBox.make(src, {1: iv}))
     realizer = _random_realizer(rng, src, dst, iv)
-    if realizer.domain_within(source) != source:
-        realizer = Realizer.shift_by(dst - src)
     if mode == "det":
         edges.append(Edge(Fraction(1), source, realizer))
     elif mode == "nondet":

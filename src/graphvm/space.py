@@ -198,10 +198,6 @@ class RationalBox:
         return f"{{cell {self.cell}" + (f": {inner}}}" if inner else "}")
 
 
-def box(cell: int, coords: Mapping[int, RationalInterval] | None = None) -> RationalBox:
-    return RationalBox.make(cell, coords)
-
-
 # -- canonical form ---------------------------------------------------------
 #
 # One sweep gives the canonical form of both a union and a difference.  Its

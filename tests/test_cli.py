@@ -1,9 +1,10 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from graphvm import cli, encodings
+from graphvm import cli, encodings, load_machine, pfa_accept_prob
 from graphvm.cli import (EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_UNDETERMINED, main)
 
@@ -248,3 +249,28 @@ def test_compile_honours_the_step_budget(capsys):
     out = capsys.readouterr().out
     assert "undetermined words: '' '0' '1'" in out
     assert "unchanged" not in out
+
+
+def test_run_prob_prints_the_oracle_accept_mass(capsys):
+    path = mach("coin-flip.mach")
+    code = main(["run", path, "01", "--test", "prob", "--one-way"])
+    assert code == EXIT_OK
+    p = pfa_accept_prob(load_machine(path), "01")
+    assert p == Fraction(3, 4)
+    assert f"accept mass: {p.numerator}/{p.denominator}" in \
+        capsys.readouterr().out
+
+
+def test_run_prob_out_of_steps_is_undetermined(capsys):
+    code = main(["run", mach("coin-flip.mach"), "0", "--test", "prob",
+                 "--one-way", "--max-steps", "0"])
+    assert code == EXIT_UNDETERMINED
+    assert "undetermined" in capsys.readouterr().out
+
+
+def test_language_out_of_steps_lists_undetermined_words(capsys):
+    code = main(["language", mach("ones.mach"), "--max-len", "2",
+                 "--max-steps", "0"])
+    assert code == EXIT_UNDETERMINED
+    assert "undetermined words: '' '0' '1' '00' '01' '10' '11'" in \
+        capsys.readouterr().out

@@ -57,6 +57,19 @@ def test_validate_microcosm_membership():
     assert validate(ok) == []
 
 
+def test_validate_reports_a_weight_outside_the_monoid():
+    heavy = simple([Edge(Fraction(3, 2), ms(cellbox(0)), Realizer.shift_by(1))],
+                   monoid=PROBABILITIES)
+    assert validate(heavy) == ["edge 0: weight 3/2 not in monoid"]
+
+
+def test_sampled_graphings_are_valid():
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(60):
+            for g in random_pair(seed, mode) + random_triple(seed, mode):
+                assert validate(g) == []
+
+
 def test_validate_domain():
     bad = simple([Edge(Fraction(1), ms(cellbox(0)),
                        Realizer.make(1, None, {1: Fraction(1, 2)}))])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -135,6 +136,27 @@ def test_microcosm_join():
     assert Microcosm.m_infinity().join(offset_fg) == Microcosm.macrocosm()
 
 
+def test_microcosm_join_with_finitely_generated():
+    up = Realizer.shift_by(1)
+    swap3 = Realizer.head_swap(3)
+    a = Microcosm.finitely_generated([up])
+    b = Microcosm.finitely_generated([swap3, up])
+    assert a.join(b) == Microcosm.finitely_generated([up, swap3])
+    # a named finite family joins through its standard generators
+    down = Realizer.shift_by(-1)
+    assert Microcosm.m1().join(a) == a.join(Microcosm.m1()) == \
+        Microcosm.finitely_generated([up, down])
+    assert b.join(Microcosm.mi(3)) == Microcosm.finitely_generated(
+        [up, down, Realizer.head_swap(2), swap3])
+
+
+def test_microcosm_describe():
+    assert Microcosm.mi(3).describe() == "mi(3)"
+    assert Microcosm.finitely_generated(
+        standard_generators(3)).describe() == "fingen[4]"
+    assert Microcosm.m_infinity().describe() == "minf"
+
+
 def _random_mi_member(rng: random.Random, arity: int) -> Realizer:
     r = Realizer.shift_by(rng.randrange(-3, 4))
     for _ in range(rng.randrange(0, 4)):
@@ -161,17 +183,19 @@ def test_mi_members_form_a_group():
 
 
 _frac9 = st.integers(0, 8)
+COORDS = (1, 2, 3)
 
 
 @st.composite
 def realizers(draw):
     shift = draw(st.integers(-3, 3))
-    perm = {1: 2, 2: 1} if draw(st.booleans()) else None
+    perm = dict(zip(COORDS, draw(st.permutations(COORDS))))
     offsets = {}
-    if draw(st.booleans()):
-        num = draw(st.integers(-8, 8))
-        if num:
-            offsets[draw(st.integers(1, 2))] = Fraction(num, 9)
+    for j in COORDS:
+        if draw(st.booleans()):
+            num = draw(st.integers(-8, 8))
+            if num:
+                offsets[j] = Fraction(num, 9)
     return Realizer.make(shift, perm, offsets)
 
 
@@ -179,7 +203,7 @@ def realizers(draw):
 def boxes(draw):
     cell = draw(st.integers(-1, 1))
     constraints = {}
-    for j in (1, 2):
+    for j in COORDS:
         if draw(st.booleans()):
             lo = draw(_frac9)
             hi = draw(st.integers(lo + 1, 9))
@@ -210,6 +234,56 @@ def test_compose_matches_sequential_application(r1, r2, b):
 def test_invert_round_trips(r, b):
     s = r.domain_within(ms(b))
     assert r.invert().apply(r.apply(s)) == s
+
+
+# Grid points sit on multiples of 1/18; every interval the strategies make
+# has endpoints on multiples of 1/9, so a side of 1/36 from a grid point
+# stays on the same side of every endpoint.
+_SIDE = Fraction(1, 36)
+
+
+def _grid_points(b):
+    """The corners and centres of ``b`` on each coordinate in COORDS,
+    with zero coordinates left out."""
+    choices = [(iv.lo, (iv.lo + iv.hi) / 2)
+               for iv in (b.interval_at(j) for j in COORDS)]
+    for values in itertools.product(*choices):
+        yield {j: v for j, v in zip(COORDS, values) if v != 0}
+
+
+def _point_box(cell, values):
+    """The box of side _SIDE whose lowest corner is the point."""
+    return RationalBox.make(cell, {
+        j: interval(values.get(j, 0), values.get(j, 0) + _SIDE)
+        for j in COORDS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(realizers(), boxes())
+def test_apply_point_agrees_with_apply_box(r, b):
+    constraints = r.input_constraints()
+    for values in _grid_points(b):
+        inside = constraints is not None and all(
+            iv.lo <= values.get(j, 0) < iv.hi for j, iv in constraints.items())
+        image = r.apply_point(b.cell, values)
+        assert (image is not None) == inside
+        if image is None:
+            with pytest.raises(DomainViolation):
+                r.apply_box(_point_box(b.cell, values))
+            continue
+        assert r.apply_box(_point_box(b.cell, values)) == _point_box(*image)
+        assert r.invert().apply_point(*image) == (b.cell, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(realizers(), realizers(), boxes())
+def test_compose_agrees_with_apply_point(r1, r2, b):
+    both = r1.compose(r2)
+    for values in _grid_points(b):
+        middle = r1.apply_point(b.cell, values)
+        if middle is None:
+            continue
+        assert both.apply_point(b.cell, values) == r2.apply_point(*middle)
 
 
 def test_text_form():
