@@ -253,14 +253,15 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
 
 
 def run_word(machine: EncodedMachine, word: str, one_way: bool = False,
-             max_steps: int = 10000):
+             max_steps: int = 10000, memo: dict | None = None):
     """Plug the machine against the word, validating neither side: the
     machine was when it was built, and ``encode_word`` builds valid
-    graphings.  Returns the plug result and the regions the tests need."""
+    graphings.  ``memo`` is handed to ``plug``.  Returns the plug result
+    and the regions the tests need."""
     enc = encode_word(word, machine.layout,
                       state_rows=len(machine.spec.states), one_way=one_way)
     result = plug(machine.graphing, enc.graphing, max_steps=max_steps,
-                  validate_inputs=False)
+                  validate_inputs=False, memo=memo)
     return result, machine.regions_for(len(word))
 
 

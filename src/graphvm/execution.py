@@ -128,8 +128,24 @@ def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
     return PathRecord(steps, regions, source, composites[-1], weights[-1])
 
 
+def _memoised(memo: dict, method):
+    """``method(a, b)``, looked up in ``memo`` by ``(method, a, b)``.
+
+    A miss calls ``method``, the class attribute read when the plug
+    began, so whatever is bound there sees every computation.  Results
+    are shared, which is safe: sets and realizers are immutable.
+    """
+    def call(a, b):
+        key = (method, a, b)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = method(a, b)
+        return got
+    return call
+
+
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
-         validate_inputs: bool = True) -> PlugResult:
+         validate_inputs: bool = True, memo: dict | None = None) -> PlugResult:
     """Compose ``f`` and ``g`` across the cut, their carrier overlap,
     into the graphing of maximal alternating paths.
 
@@ -138,6 +154,12 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     ``validate_inputs=False`` skips the well-formedness sweep; ``run_word``
     passes it, as machines are validated when built and its word
     graphing comes straight from ``encode_word``.
+
+    ``memo`` is a table that several plugs share, as ``language`` does
+    with every word of one call against one machine: ``Realizer.apply``
+    and ``compose`` and ``MeasurableSet.intersect`` and ``subtract`` are
+    looked up in it by operand pair and computed only on a miss.  A
+    lone plug keeps no table.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -146,8 +168,14 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             problems = validate(graphing)
             if problems:
                 raise ValueError(f"{name} graphing invalid: {problems}")
+    apply, compose = Realizer.apply, Realizer.compose
+    intersect, subtract = MeasurableSet.intersect, MeasurableSet.subtract
+    if memo is not None:
+        apply, compose, intersect, subtract = (
+            _memoised(memo, method)
+            for method in (apply, compose, intersect, subtract))
     monoid = join_monoids(f.weights, g.weights)
-    cut = f.carrier.intersect(g.carrier)
+    cut = intersect(f.carrier, g.carrier)
     sides = {"F": f, "G": g}
     diag = Diagnostics()
     result_edges: list[Edge] = []
@@ -155,36 +183,36 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     dead_records: list[PathRecord] = []
     queue: deque[tuple[MeasurableSet, tuple[_Step, ...]]] = deque()
 
-    outside = {side: graphing.carrier.subtract(cut)
+    outside = {side: subtract(graphing.carrier, cut)
                for side, graphing in sides.items()}
     for side, graphing in sides.items():
-        for idx, e, start in graphing.edges_meeting(outside[side]):
-            queue.append((e.realizer.apply(start),
+        for idx, e, start in graphing.edges_meeting(outside[side], intersect):
+            queue.append((apply(e.realizer, start),
                           (((side, idx), start, e.realizer, e.weight),)))
 
     while queue:
         image, trail = queue.popleft()
         (side, _), _, composite, weight = trail[-1]
-        exits = image.subtract(cut)
+        exits = subtract(image, cut)
         if not exits.is_empty():
-            src = composite.invert().apply(exits)
+            src = apply(composite.invert(), exits)
             result_edges.append(Edge(weight, src, composite))
             records.append(_record(trail, src))
         # a path inside the cut only meets the part of a source in the
         # cut, so whole edges need no split at it
-        inside = image.intersect(cut)
+        inside = intersect(image, cut)
         if inside.is_empty():
             continue
         other = "G" if side == "F" else "F"
         covered = MeasurableSet.empty()
-        for idx, e, hit in sides[other].edges_meeting(inside):
+        for idx, e, hit in sides[other].edges_meeting(inside, intersect):
             covered = covered.union(hit)
             if diag.steps_used >= max_steps:
                 diag.complete = False
                 diag.unresolved_mass += weight * hit.measure()
                 continue
             diag.steps_used += 1
-            new_comp = composite.compose(e.realizer)
+            new_comp = compose(composite, e.realizer)
             new_weight = monoid.product(weight, e.weight)
             repeat = next((w for key, region, comp, w in trail
                            if key == (other, idx) and comp == new_comp
@@ -198,12 +226,12 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
                     # bounded by the mass entering the repeat
                     diag.unresolved_mass += mass
                 continue
-            queue.append((e.realizer.apply(hit),
+            queue.append((apply(e.realizer, hit),
                           trail + (((other, idx), hit, new_comp, new_weight),)))
-        dead = inside.subtract(covered)
+        dead = subtract(inside, covered)
         if not dead.is_empty():
             diag.dead_mass += weight * dead.measure()
-            dead_records.append(_record(trail, composite.invert().apply(dead)))
+            dead_records.append(_record(trail, apply(composite.invert(), dead)))
 
     order = sorted(range(len(result_edges)), key=lambda i: result_edges[i].key())
     edges = tuple(result_edges[i] for i in order)
@@ -370,9 +398,12 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     if test.kind == "prob":
         require_probabilities(machine.spec)
     verdicts: dict[str, Verdict] = {}
+    # one table for every word of this call, dropped when it returns: the
+    # words repeat the same set and realizer operations on equal operands
+    memo: dict = {}
     for word in words_up_to(machine.spec.alphabet, max_len):
         result, regions = run_word(machine, word, one_way=one_way,
-                                   max_steps=max_steps)
+                                   max_steps=max_steps, memo=memo)
         verdicts[word] = evaluate_test(result, test, regions)
     return LanguageResult(
         [w for w, v in verdicts.items() if v is Verdict.ACCEPT],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .space import MeasurableSet, RationalBox
 from .realizers import Microcosm, Realizer
@@ -23,10 +24,17 @@ def frac_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """``frac_str(Fraction(num, den))`` for a positive ``den``, without
+    building the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def box_payload(b: RationalBox) -> dict:
     return {
         "cell": b.cell,
-        "coords": {str(j): [frac_str(iv.lo), frac_str(iv.hi)]
+        "coords": {str(j): [_ratio_str(iv.a, iv.d), _ratio_str(iv.b, iv.d)]
                    for j, iv in b.coords},
     }
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
-from .space import MeasurableSet, common_refinement
+from .space import MeasurableSet, common_refinement, lazy
 from .realizers import Microcosm, Realizer
 
 UNIT = Fraction(1)
@@ -136,13 +135,18 @@ class Edge:
     source: MeasurableSet
     realizer: Realizer
 
-    @cached_property
+    @lazy
     def target(self) -> MeasurableSet:
         return self.realizer.apply(self.source)
 
-    def key(self):
+    # Word edges are shared between the word graphings that sort them.
+    @lazy
+    def _key(self):
         return (tuple(b.key() for b in self.source.boxes),
                 self.realizer.key(), self.weight)
+
+    def key(self):
+        return self._key
 
 
 class GraphingClass(enum.Enum):
@@ -164,7 +168,7 @@ class Graphing:
         return Graphing(weights, microcosm, carrier,
                         tuple(sorted(edges, key=Edge.key)))
 
-    @cached_property
+    @lazy
     def edges_by_cell(self) -> dict[int, list[int]]:
         """Per cell, the ascending indices of the edges whose source meets it."""
         by_cell: dict[int, list[int]] = {}
@@ -173,13 +177,16 @@ class Graphing:
                 by_cell.setdefault(cell, []).append(idx)
         return by_cell
 
-    def edges_meeting(self, s: MeasurableSet):
+    def edges_meeting(self, s: MeasurableSet, intersect=None):
         """``(index, edge, meet)`` for every edge whose source meets ``s``,
-        in edge-index order; ``meet`` is ``s`` intersected with the source."""
+        in edge-index order; ``meet`` is ``s`` intersected with the source,
+        by ``intersect(s, source)`` when given (a memoised lookup, say)
+        and by ``MeasurableSet.intersect`` otherwise."""
+        intersect = intersect or MeasurableSet.intersect
         by_cell = self.edges_by_cell
         for idx in sorted({i for cell in s.cells() for i in by_cell.get(cell, ())}):
             e = self.edges[idx]
-            meet = s.intersect(e.source)
+            meet = intersect(s, e.source)
             if not meet.is_empty():
                 yield idx, e, meet
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ZERO,
-                    ONE)
+                    ONE, lazy)
 
 
 class DomainViolation(ValueError):
@@ -46,6 +46,15 @@ class Realizer:
     shift: int
     perm: tuple[tuple[int, int], ...] = ()
     offsets: tuple[tuple[int, Fraction], ...] = ()
+
+    # Hashing the offsets' Fractions is dear, and realizers are memo keys;
+    # equality stays the dataclass's structural one.
+    @lazy
+    def _hash(self) -> int:
+        return hash((self.shift, self.perm, self.offsets))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(shift: int = 0,

@@ -22,12 +22,33 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class lazy:
+    """A per-instance attribute computed on first read and stored in the
+    instance ``__dict__``, where every later read finds it without
+    calling back here.
+
+    Unlike ``functools.cached_property`` on Python 3.11 it takes no
+    lock: two threads racing on a first read both compute the value,
+    and, since every use here is a pure function of a frozen instance,
+    both store equal values.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class RationalInterval:
@@ -285,6 +306,15 @@ class MeasurableSet:
 
     boxes: tuple[RationalBox, ...]
 
+    # Sets are hashed as memo keys over and over; equality stays the
+    # dataclass's structural one.
+    @lazy
+    def _hash(self) -> int:
+        return hash(self.boxes)
+
+    def __hash__(self):
+        return self._hash
+
     @staticmethod
     def from_boxes(boxes: Iterable[RationalBox]) -> "MeasurableSet":
         return MeasurableSet(_canonicalize(boxes, {}))
@@ -303,7 +333,7 @@ class MeasurableSet:
     def measure(self) -> Fraction:
         return sum((b.measure() for b in self.boxes), ZERO)
 
-    @cached_property
+    @lazy
     def _by_cell(self) -> dict[int, list[RationalBox]]:
         by_cell: dict[int, list[RationalBox]] = {}
         for b in self.boxes:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphvm.execution import (INFINITY, MeasurementMap, T_CONL, T_DET,
-                               Regions, Verdict, accept_mass, cycles,
+                               T_NL, Regions, Verdict, accept_mass, cycles,
                                evaluate_test, landing, measurement, plug,
                                reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
@@ -338,3 +338,117 @@ def test_cycle_closing_only_from_a_later_rotation_is_not_kept():
     g = graphing([Edge(Fraction(1), ms(cellbox(0, "1/4", "3/4")),
                        Realizer.offset({1: Fraction(1, 4)}))], (0,))
     assert cycles(f, g, max_len=4) == []
+
+
+# -- the table that language shares across its words --------------------------
+
+def _shipped_machines():
+    import os
+    from graphvm.encodings import encode_machine
+    from graphvm.machines import load_machine
+    here = os.path.join(os.path.dirname(__file__), "..", "machines")
+    for name in sorted(os.listdir(here)):
+        yield name, encode_machine(load_machine(os.path.join(here, name)))
+
+
+def _tests_for(mode):
+    """Every test the mode allows: the prob test needs probabilities."""
+    tests = [T_DET, T_NL, T_CONL]
+    return tests if mode == "nondet" else tests + [t_prob()]
+
+
+def test_a_shared_table_gives_the_same_results():
+    from graphvm import export
+    from graphvm.encodings import run_word
+    from graphvm.execution import language
+    from graphvm.machines import words_up_to
+    for name, m in _shipped_machines():
+        for one_way in (False, True):
+            words = list(words_up_to(m.spec.alphabet, 4))
+            memo: dict = {}
+            plain = {}
+            for word in words:
+                alone = run_word(m, word, one_way=one_way)
+                shared, _ = run_word(m, word, one_way=one_way, memo=memo)
+                assert export.dumps(export.result_payload(shared)) == \
+                    export.dumps(export.result_payload(alone[0])), \
+                    (name, one_way, word)
+                plain[word] = alone
+            for test in _tests_for(m.spec.mode):
+                want = {word: evaluate_test(result, test, regions)
+                        for word, (result, regions) in plain.items()}
+                assert language(m, test, 4, one_way=one_way).verdicts == \
+                    want, (name, one_way, test)
+
+
+def _counting(monkeypatch):
+    """Wrap ``Realizer.compose`` and ``MeasurableSet.intersect`` so that
+    each computation is logged as ``(method, a, b)``; the log and a flag
+    telling whether the call came while ``run_word``'s plug ran."""
+    from graphvm import encodings
+    log = []
+    inside = [False]
+    for cls, name in ((Realizer, "compose"), (MeasurableSet, "intersect")):
+        method = getattr(cls, name)
+
+        def counted(a, b, method=method, name=name):
+            log.append((name, a, b, inside[0]))
+            return method(a, b)
+
+        monkeypatch.setattr(cls, name, counted)
+    real_plug = encodings.plug
+
+    def flagged_plug(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_plug(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(encodings, "plug", flagged_plug)
+    return log
+
+
+def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
+    from graphvm.execution import language
+    machines = dict(_shipped_machines())
+    log = _counting(monkeypatch)
+    for name, test in (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
+                       ("coin-flip.mach", t_prob())):
+        log.clear()
+        first = language(machines[name], test, 4)
+        first_log = list(log)
+        # evaluate_test's landing meets lie outside the table; every
+        # compose and intersect a plug does goes through it
+        in_plug = [(method, a, b) for method, a, b, flag in first_log if flag]
+        assert in_plug and len(set(in_plug)) == len(in_plug), name
+        assert any(method == "compose" for method, _, _ in in_plug), name
+        # the table is dropped with the call: the same call again
+        # computes everything again
+        log.clear()
+        again = language(machines[name], test, 4)
+        assert again.verdicts == first.verdicts
+        assert len(log) == len(first_log), name
+
+
+def test_a_lone_plug_keeps_no_table(monkeypatch):
+    from graphvm import execution
+    from graphvm.encodings import encode_word
+    machines = dict(_shipped_machines())
+    m = machines["one-then-zero.mach"]
+    word = encode_word("0110", m.layout, len(m.spec.states)).graphing
+    f, g = random_pair(1, "nondet")
+    log = _counting(monkeypatch)
+
+    def no_table(*args):
+        raise AssertionError("a lone plug made a table")
+
+    monkeypatch.setattr(execution, "_memoised", no_table)
+    for left, right in ((m.graphing, word), (f, g)):
+        log.clear()
+        first = plug(left, right)
+        counted = len(log)
+        log.clear()
+        second = plug(left, right)
+        assert counted > 0 and len(log) == counted
+        assert second.graphing.same_as(first.graphing)

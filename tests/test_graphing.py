@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -145,6 +146,38 @@ def test_target_is_derived():
     e = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")),
              Realizer.make(1, None, {1: Fraction(1, 2)}))
     assert e.target == ms(cellbox(1, "1/2", 1))
+
+
+def test_cached_edge_keys_equal_fresh_ones():
+    from graphvm.encodings import encode_machine, encode_word
+    from graphvm.machines import parse_machine
+    m = encode_machine(parse_machine("""
+name: ones
+alphabet: 0 1
+heads: 1
+states: s0
+mode: det
+twoway: true
+s0, * -> reject
+s0, 0 -> advance goto s0
+s0, 1 -> accept
+"""))
+    words = [encode_word(w, m.layout).graphing for w in ("", "0110", "10")]
+    for g in [m.graphing] + words + list(_sampled_graphings()):
+        for e in g.edges:
+            fresh = (tuple(b.key() for b in e.source.boxes),
+                     e.realizer.key(), e.weight)
+            assert e.key() == fresh
+            assert e.key() is e.key()  # computed once, then read back
+        assert list(g.edges) == sorted(g.edges, key=lambda e: (
+            tuple(b.key() for b in e.source.boxes), e.realizer.key(),
+            e.weight))
+    e = words[1].edges[0]
+    assert [f.name for f in dataclasses.fields(Edge)] == \
+        ["weight", "source", "realizer"]
+    assert repr(e) == (f"Edge(weight={e.weight!r}, source={e.source!r}, "
+                       f"realizer={e.realizer!r})")
+    assert e == Edge(e.weight, e.source, e.realizer)
 
 
 def _sampled_graphings():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -68,6 +69,25 @@ def test_compose_acts_left_to_right():
     second = Realizer.head_swap(2)
     both = first.compose(second)
     assert both.apply(s) == second.apply(first.apply(s))
+
+
+def test_realizers_built_along_different_paths_hash_alike():
+    quarter = Fraction(1, 4)
+    made = Realizer.make(3, {1: 2, 2: 1}, {2: quarter})
+    composed = Realizer.shift_by(1).compose(Realizer.head_swap(2)).compose(
+        Realizer.make(2, None, {2: quarter}))
+    inverted = Realizer.make(-3, {1: 2, 2: 1}, {1: -quarter}).invert()
+    for r in (composed, inverted):
+        assert r == made
+        assert hash(r) == hash(made) == hash(r)
+    swap = Realizer.head_swap(3)
+    assert swap.compose(swap) == Realizer.identity()
+    assert hash(swap.compose(swap)) == hash(Realizer.identity())
+    # the cached hash is no field, and the repr is the dataclass's own
+    assert [f.name for f in dataclasses.fields(Realizer)] == \
+        ["shift", "perm", "offsets"]
+    assert repr(made) == ("Realizer(shift=3, perm=((1, 2), (2, 1)), "
+                          "offsets=((2, Fraction(1, 4)),))")
 
 
 def test_invert_examples():
@@ -234,6 +254,8 @@ def test_compose_matches_sequential_application(r1, r2, b):
 def test_invert_round_trips(r, b):
     s = r.domain_within(ms(b))
     assert r.invert().apply(r.apply(s)) == s
+    back = r.invert().invert()
+    assert back == r and hash(back) == hash(r)
 
 
 # Grid points sit on multiples of 1/18; every interval the strategies make

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,29 @@ def test_partition_of_unit_merges_to_full_box():
     left = RationalBox.make(0, {1: interval(0, "1/3")})
     right = RationalBox.make(0, {1: interval("1/3", 1)})
     assert ms(left, right) == ms(RationalBox.make(0))
+
+
+def test_sets_built_along_different_paths_hash_alike():
+    merged = ms(RationalBox.make(0, {1: interval("1/4", 1)}))
+    halves = ms(RationalBox.make(0, {1: interval("1/4", "1/2")}),
+                RationalBox.make(0, {1: interval("1/2", 1)}))
+    difference = ms(RationalBox.make(0)).subtract(
+        ms(RationalBox.make(0, {1: interval(0, "1/4")})))
+    meet = ms(RationalBox.make(0, {1: interval("1/8", 1)})).intersect(
+        ms(RationalBox.make(0, {1: interval("1/4", 1)}),
+           RationalBox.make(1)))
+    for s in (halves, difference, meet):
+        assert s == merged
+        assert hash(s) == hash(merged) == hash(s)
+        assert {merged: "found"}[s] == "found"
+    # the cached hash is no field, and equality stays structural: the raw
+    # constructor trusts its input, so an unmerged split is another set
+    assert [f.name for f in dataclasses.fields(MeasurableSet)] == ["boxes"]
+    assert repr(merged) == f"MeasurableSet(boxes={merged.boxes!r})"
+    assert MeasurableSet(halves.boxes) == merged
+    assert MeasurableSet((RationalBox.make(0, {1: interval("1/4", "1/2")}),
+                          RationalBox.make(0, {1: interval("1/2", 1)}))) \
+        != merged
 
 
 def test_intersect_examples():
@@ -306,6 +330,7 @@ def test_point_set_equality_gives_identical_forms(a, b):
     left = MeasurableSet.from_boxes(a.boxes + b.boxes)
     right = MeasurableSet.from_boxes(b.boxes + a.boxes + a.intersect(b).boxes)
     assert left.boxes == right.boxes
+    assert hash(left) == hash(right)
 
 
 @settings(max_examples=100, deadline=None)
