@@ -1,8 +1,9 @@
 """Deterministic serialization: JSON payloads with p/q rationals, DOT.
 
 Every rational is rendered as the string "p/q" (denominator always
-written), never as a float; exports carry no wall-clock data, so
-identical inputs produce byte-identical files.
+written), never as a float; a weight that is no rational, from a
+table monoid, is written as its ``str``.  Exports carry no wall-clock
+data, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ from .execution import INFINITY, PathRecord, PlugResult
 
 
 def frac_str(value) -> str:
+    """``p/q`` for a rational (a ``Fraction`` or an ``int``), read off
+    its own numerator and denominator; ``inf`` for INFINITY; and
+    ``str(value)`` for anything else, such as the element of a
+    ``TableWeights`` monoid that an edge may weigh."""
     if value is INFINITY:
         return "inf"
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    if isinstance(value, (Fraction, int)):
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def _ratio_str(num: int, den: int) -> str:

@@ -60,7 +60,8 @@ class Realizer:
     def make(shift: int = 0,
              perm: dict[int, int] | None = None,
              offsets: dict[int, Fraction] | None = None) -> "Realizer":
-        exact = ((j, Fraction(c)) for j, c in (offsets or {}).items())
+        exact = ((j, c if type(c) is Fraction else Fraction(c))
+                 for j, c in (offsets or {}).items())
         norm_off = tuple(sorted((j, c) for j, c in exact if c != 0))
         if any(j < 1 for j, _ in norm_off):
             raise ValueError("offsets apply to positive coordinates only")
@@ -164,13 +165,26 @@ class Realizer:
         perm = {j: then.perm_image(self.perm_image(j)) for j in support}
         offs = {then.perm_image(j): c for j, c in self.offsets}
         for j, c in then.offsets:
-            offs[j] = offs.get(j, ZERO) + c
-        return Realizer.make(self.shift + then.shift, perm, offs)
+            mine = offs.get(j)
+            if mine is None:
+                offs[j] = c
+                continue
+            # p/q + r/s over q*s in integers; Fraction reduces it once
+            p = mine.numerator * c.denominator + c.numerator * mine.denominator
+            if p:
+                offs[j] = Fraction(p, mine.denominator * c.denominator)
+            else:
+                del offs[j]
+        # every offset is a nonzero Fraction on a positive coordinate
+        return Realizer(self.shift + then.shift, _normalize_perm(perm),
+                        tuple(sorted(offs.items())))
 
     def invert(self) -> "Realizer":
-        perm = {k: j for j, k in self.perm}
-        offs = {self.perm_preimage(j): -c for j, c in self.offsets}
-        return Realizer.make(-self.shift, perm, offs)
+        # the inverse of a normal permutation is normal
+        perm = tuple(sorted((k, j) for j, k in self.perm))
+        offs = tuple(sorted((self.perm_preimage(j), -c)
+                            for j, c in self.offsets))
+        return Realizer(-self.shift, perm, offs)
 
     def key(self):
         return (self.shift, self.perm,

@@ -10,11 +10,14 @@ to the product of its constrained interval lengths.
 
 Everything here is immutable and exact, and set operations never
 approximate.  Inside, an interval is two integer numerators over one
-integer denominator, and comparisons, intersections and sweeps run on
-plain integers; at the API, endpoints, lengths and measures are
-``fractions.Fraction``.  Half-open intervals make finite partitions
-exact rather than almost-everywhere, so emptiness checks replace
-null-measure conditions.
+integer denominator, and comparisons, sort keys, intersections, sweeps
+and measures run on plain integers; at the API, endpoints, lengths and
+measures are ``fractions.Fraction``.  Since everything is immutable, an
+operation whose result equals an operand returns the operand itself: a
+meet of boxes that cuts nothing, a set meet or restriction that leaves
+every box whole, a cell with one box and nothing to remove.  Half-open
+intervals make finite partitions exact rather than almost-everywhere,
+so emptiness checks replace null-measure conditions.
 """
 
 from __future__ import annotations
@@ -127,6 +130,15 @@ class RationalInterval:
             return None
         return RationalInterval.over(lo, hi, self.d * other.d)
 
+    def __lt__(self, other):
+        """Order by ``(lo, hi)``, compared by cross-multiplication."""
+        if not isinstance(other, RationalInterval):
+            return NotImplemented
+        lo, other_lo = self.a * other.d, other.a * self.d
+        if lo != other_lo:
+            return lo < other_lo
+        return self.b * other.d < other.b * self.d
+
     def covers(self, other: "RationalInterval") -> bool:
         return (self.a * other.d <= other.a * self.d
                 and other.b * self.d <= self.b * other.d)
@@ -192,27 +204,43 @@ class RationalBox:
         return FULL
 
     def measure(self) -> Fraction:
+        return Fraction(*self._measure_ratio())
+
+    def _measure_ratio(self) -> tuple[int, int]:
+        """The measure as an integer numerator over an integer
+        denominator, not reduced."""
         num = den = 1
         for _, iv in self.coords:
             num *= iv.b - iv.a
             den *= iv.d
-        return Fraction(num, den)
+        return num, den
 
     def intersect(self, other: "RationalBox") -> "RationalBox | None":
+        """The meet of two boxes, None when it is empty, and ``self``
+        itself when every interval of ``other`` covers its own."""
         if self.cell != other.cell:
             return None
         coords: dict[int, RationalInterval] = dict(self.coords)
+        changed = False
         for j, iv in other.coords:
-            got = coords.get(j, FULL).intersect(iv)
+            mine = coords.get(j, FULL)
+            got = mine.intersect(iv)
             if got is None:
                 return None
-            coords[j] = got
+            if got is not mine:
+                coords[j] = got
+                changed = True
+        if not changed:
+            return self
         # already normalised: every index comes from a normalised box, and
         # a meet with an interval short of [0, 1) falls short of it too
         return RationalBox(self.cell, tuple(sorted(coords.items())))
 
     def key(self):
-        return (self.cell, tuple((j, iv.lo, iv.hi) for j, iv in self.coords))
+        """Sort key: ``(cell, coords)``.  Coordinate indices compare as
+        integers and intervals by ``(lo, hi)`` (``RationalInterval.__lt__``),
+        so no ``Fraction`` is built or compared."""
+        return (self.cell, self.coords)
 
     def __str__(self) -> str:
         inner = ", ".join(f"x{j} in {iv}" for j, iv in self.coords)
@@ -288,6 +316,9 @@ def _canonicalize(boxes: Iterable[RationalBox],
     out: list[RationalBox] = []
     for cell in sorted(by_cell):
         group, minus = by_cell[cell], removed.get(cell, [])
+        if len(group) == 1 and not minus:
+            out.append(group[0])  # a cell's only box is its canonical form
+            continue
         axes = sorted({j for b in group + minus for j, _ in b.coords})
         for coords in _canon_group([b.coord_map for b in group],
                                    [b.coord_map for b in minus], axes):
@@ -331,7 +362,15 @@ class MeasurableSet:
         return not self.boxes
 
     def measure(self) -> Fraction:
-        return sum((b.measure() for b in self.boxes), ZERO)
+        # a running numerator over the lcm of the boxes' denominators
+        num, den = 0, 1
+        for b in self.boxes:
+            bnum, bden = b._measure_ratio()
+            if den % bden:
+                scale = bden // gcd(den, bden)
+                num, den = num * scale, den * scale
+            num += bnum * (den // bden)
+        return Fraction(num, den)
 
     @lazy
     def _by_cell(self) -> dict[int, list[RationalBox]]:
@@ -341,13 +380,28 @@ class MeasurableSet:
         return by_cell
 
     def intersect(self, other: "MeasurableSet") -> "MeasurableSet":
+        """The meet, and ``self`` itself when each of its boxes lies
+        inside one box of ``other``."""
         hits = []
+        unchanged = True
         theirs = other._by_cell
         for a in self.boxes:
             for b in theirs.get(a.cell, ()):
                 got = a.intersect(b)
                 if got is not None:
                     hits.append(got)
+                    unchanged = unchanged and got is a
+        return self._from_hits(hits, unchanged)
+
+    def _from_hits(self, hits: list[RationalBox],
+                   unchanged: bool) -> "MeasurableSet":
+        """The set of ``hits``, the nonempty meets of this set's boxes with
+        the pairwise-disjoint boxes of another set; ``unchanged`` says
+        that every hit is one of this set's boxes, as it was.  Then each
+        box is hit at most once, so when all of them are, the result is
+        ``self``."""
+        if unchanged and len(hits) == len(self.boxes):
+            return self
         if len(hits) <= 1:
             return MeasurableSet(tuple(hits))
         return MeasurableSet.from_boxes(hits)
@@ -380,11 +434,13 @@ class MeasurableSet:
             return self
         meet = RationalBox.make(0, constraints).coords
         kept = []
+        unchanged = True
         for b in self.boxes:
             got = b.intersect(RationalBox(b.cell, meet))
             if got is not None:
                 kept.append(got)
-        return MeasurableSet.from_boxes(kept)
+                unchanged = unchanged and got is b
+        return self._from_hits(kept, unchanged)
 
     def subset_of(self, other: "MeasurableSet") -> bool:
         return self.intersect(other) == self

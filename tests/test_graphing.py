@@ -10,7 +10,7 @@ from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
 from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
-from graphvm.space import MeasurableSet, RationalBox, interval
+from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
 
 
 def ms(*boxes):
@@ -219,3 +219,32 @@ def test_classify_matches_the_pairwise_overlap_definition():
                        else GraphingClass.DETERMINISTIC)
     assert {GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
             GraphingClass.PROBABILISTIC} <= seen
+
+
+def _fractions_in(key):
+    """The Fractions anywhere in a nest of tuples and intervals."""
+    if isinstance(key, Fraction):
+        return [key]
+    if isinstance(key, tuple):
+        return [f for part in key for f in _fractions_in(part)]
+    if isinstance(key, RationalInterval):
+        return _fractions_in((key.a, key.b, key.d))
+    return []
+
+
+def test_edge_keys_build_no_fractions_outside_the_weight():
+    import os
+    from graphvm.encodings import TapeLayout, encode_machine, encode_word
+    from graphvm.machines import load_machine
+    here = os.path.join(os.path.dirname(__file__), "..", "machines")
+    graphings = [encode_word("01101001", TapeLayout(("0", "1")),
+                             state_rows=3).graphing]
+    graphings += [encode_machine(load_machine(os.path.join(here, name))).graphing
+                  for name in sorted(os.listdir(here))]
+    assert len(graphings) == 12
+    for g in graphings:
+        assert g.edges
+        for e in g.edges:
+            boxes, realizer, weight = e.key()
+            assert _fractions_in((boxes, realizer)) == []
+            assert weight is e.weight

@@ -319,3 +319,84 @@ def test_standard_generators():
     assert gens[0] == Realizer.shift_by(1)
     assert gens[1] == Realizer.shift_by(-1)
     assert gens[2:] == [Realizer.head_swap(2), Realizer.head_swap(3)]
+
+
+# -- integer offset arithmetic against a Fraction reference -------------------
+
+@st.composite
+def mixed_realizers(draw):
+    """Realizers whose offsets lie on the 1/4, 1/6 or 1/9 grid and often
+    cancel, or overflow [0, 1), once composed."""
+    shift = draw(st.integers(-2, 2))
+    perm = dict(zip(COORDS, draw(st.permutations(COORDS))))
+    offsets = {}
+    for j in COORDS:
+        d = draw(st.sampled_from((4, 6, 9)))
+        num = draw(st.integers(-d, d))
+        if num:
+            offsets[j] = Fraction(num, d)
+    return Realizer.make(shift, perm, offsets)
+
+
+def _reference_compose(first, then):
+    """``first.compose(then)`` in Fraction arithmetic, through ``make``."""
+    p, q = dict(first.perm), dict(then.perm)
+    perm = {j: q.get(p.get(j, j), p.get(j, j)) for j in set(p) | set(q)}
+    offsets = {}
+    for j, c in first.offsets:
+        k = q.get(j, j)
+        offsets[k] = offsets.get(k, Fraction(0)) + c
+    for j, c in then.offsets:
+        offsets[j] = offsets.get(j, Fraction(0)) + c
+    return Realizer.make(first.shift + then.shift, perm, offsets)
+
+
+def _reference_invert(r):
+    back = {k: j for j, k in r.perm}
+    return Realizer.make(-r.shift, back,
+                         {back.get(j, j): -c for j, c in r.offsets})
+
+
+def _check_normal(r):
+    assert all(type(j) is int and type(c) is Fraction and c != 0
+               for j, c in r.offsets)
+    assert list(r.offsets) == sorted(r.offsets)
+    assert len({j for j, _ in r.offsets}) == len(r.offsets)
+    assert all(j != k for j, k in r.perm)
+    assert list(r.perm) == sorted(r.perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_realizers(), mixed_realizers())
+def test_compose_and_invert_match_a_fraction_reference(r1, r2):
+    for got, want in ((r1.compose(r2), _reference_compose(r1, r2)),
+                      (r2.compose(r1), _reference_compose(r2, r1)),
+                      (r1.compose(r1.invert()), Realizer.identity()),
+                      (r1.invert(), _reference_invert(r1))):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        _check_normal(got)
+
+
+def test_make_keeps_its_checks_and_wraps_only_what_is_no_fraction():
+    third = Fraction(1, 3)
+    r = Realizer.make(0, None, {2: third, 1: 0, 3: "1/6"})
+    assert r.offsets == ((2, third), (3, Fraction(1, 6)))
+    assert r.offsets[0][1] is third
+    _check_normal(r)
+    with pytest.raises(ValueError):
+        Realizer.make(0, None, {0: third})
+    with pytest.raises(ValueError):
+        Realizer.make(0, {1: 2, 2: 3})
+    with pytest.raises(ValueError):
+        Realizer.make(0, {0: 1, 1: 0})
+
+
+def test_compose_cancels_offsets_exactly():
+    up = Realizer.offset({1: Fraction(1, 4), 2: Fraction(1, 6)})
+    down = Realizer.offset({1: Fraction(-2, 8), 2: Fraction(1, 3)})
+    both = up.compose(down)
+    assert both.offsets == ((2, Fraction(1, 2)),)
+    _check_normal(both)
+    assert up.compose(up.invert()) == Realizer.identity()

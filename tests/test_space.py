@@ -375,3 +375,163 @@ def test_restrict_across_denominators(s, constraint_box):
               if all(iv.lo <= point[j] < iv.hi for j, iv in c.items())}
     assert _points_in(s.restrict(c), _GRID_12) == \
         _points_in(s, _GRID_12) & inside
+
+
+# -- fast paths: results that return an operand unchanged ---------------------
+
+_ALL_GRIDS = (4, 6, 9)  # endpoints on all three lie on the 1/36 grid
+
+
+def _squares_in(s, n=36):
+    """The squares of the 1/n grid on coordinates 1 and 2, in cells 0 and
+    1, whose midpoints lie in ``s``.  Every endpoint is a multiple of 1/n,
+    so the midpoint (2k+1)/(2n) lies in [a/d, b/d) exactly when a*n/d <= k
+    < b*n/d: the squares are counted from the endpoints' integers."""
+    out = set()
+    for b in s.boxes:
+        spans = []
+        for j in (1, 2):
+            iv = b.interval_at(j)
+            assert n % iv.d == 0
+            spans.append(range(iv.a * (n // iv.d), iv.b * (n // iv.d)))
+        out.update((b.cell, x, y) for x in spans[0] for y in spans[1])
+    return out
+
+
+def _inside_one_box_of(s, other):
+    """Whether each box of ``s`` lies inside a single box of ``other``."""
+    return all(any(x.cell == y.cell and
+                   all(y.interval_at(j).covers(x.interval_at(j))
+                       for j in (1, 2))
+                   for y in other.boxes)
+               for x in s.boxes)
+
+
+def _is_canonical(s):
+    return (MeasurableSet.from_boxes(s.boxes).boxes == s.boxes
+            and list(s.boxes) == sorted(s.boxes, key=RationalBox.key))
+
+
+@st.composite
+def _nested_pair(draw):
+    """A set ``b``, and a set ``a`` made of sub-boxes of ``b``'s boxes,
+    which often lie inside one box of ``b`` each."""
+    b = draw(sets(_ALL_GRIDS))
+    picks = draw(st.lists(st.sampled_from(b.boxes), max_size=3)) \
+        if b.boxes else []
+    shrunk = [x.intersect(draw(boxes(denominators=_ALL_GRIDS)))
+              for x in picks]
+    a = MeasurableSet.from_boxes(x for x in shrunk if x is not None)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(sets(_ALL_GRIDS), sets(_ALL_GRIDS)), _nested_pair()))
+def test_intersect_returns_the_operand_when_nothing_is_cut(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        got = x.intersect(y)
+        assert _squares_in(got) == _squares_in(x) & _squares_in(y)
+        assert _is_canonical(got)
+        if _inside_one_box_of(x, y):
+            assert got is x
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets(_ALL_GRIDS), boxes(cells=1, coords=2, denominators=_ALL_GRIDS),
+       st.booleans())
+def test_restrict_returns_the_operand_when_nothing_is_cut(s, constraint_box,
+                                                          inside):
+    c = constraint_box.coord_map
+    if inside:  # first move the set inside the constraints
+        s = s.restrict(c)
+    got = s.restrict(c)
+    within = _squares_in(
+        MeasurableSet.of(RationalBox.make(0, c), RationalBox.make(1, c)))
+    assert _squares_in(got) == _squares_in(s) & within
+    assert _is_canonical(got)
+    if all(c.get(j, FULL).covers(b.interval_at(j))
+           for b in s.boxes for j in (1, 2)):
+        assert got is s
+    assert (got is s) == (got == s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(boxes(cells=4, denominators=_ALL_GRIDS), max_size=4,
+                unique_by=lambda b: b.cell))
+def test_one_box_per_cell_is_its_own_canonical_form(one_per_cell):
+    emitted = MeasurableSet.from_boxes(one_per_cell)
+    # each box twice over: the same point set, swept cell by cell
+    swept = MeasurableSet.from_boxes(one_per_cell + one_per_cell)
+    assert emitted.boxes == swept.boxes
+    assert sorted(one_per_cell, key=RationalBox.key) == list(emitted.boxes)
+    assert all(any(b is x for x in one_per_cell) for b in emitted.boxes)
+
+
+def test_intersect_and_restrict_keep_the_operand_examples():
+    quarter = RationalBox.make(0, {1: interval("1/4", "1/2")})
+    wide = ms(RationalBox.make(0, {1: interval(0, "3/4")}), RationalBox.make(2))
+    narrow = ms(quarter, RationalBox.make(2, {2: interval("1/6", "5/9")}))
+    assert narrow.intersect(wide) is narrow
+    assert narrow.restrict({1: interval(0, "1/2")}) is not narrow
+    assert narrow.restrict({2: interval(0, 1)}) is narrow
+    alone = ms(quarter)
+    assert alone.restrict({1: interval("1/6", "5/6")}) is alone
+    assert quarter.intersect(RationalBox.make(0)) is quarter
+    # a box that spans two boxes of the other set is cut in two and merged
+    # back: equal, but built anew
+    halves = ms(RationalBox.make(0, {1: interval(0, "1/2"), 2: interval(0, "1/2")}),
+                RationalBox.make(0, {1: interval("1/2", 1)}))
+    left = ms(RationalBox.make(0, {2: interval(0, "1/3")}))
+    got = left.intersect(halves)
+    assert got == left and got is not left
+
+
+# -- the order of intervals and boxes, without Fraction -----------------------
+
+@st.composite
+def _intervals(draw, denominators=_ALL_GRIDS):
+    return RationalInterval(*_endpoints(draw, denominators))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_intervals(), max_size=8))
+def test_intervals_sort_by_their_endpoints(ivs):
+    assert sorted(ivs) == sorted(ivs, key=lambda iv: (iv.lo, iv.hi))
+    for x in ivs:
+        for y in ivs:
+            assert (x < y) == ((x.lo, x.hi) < (y.lo, y.hi))
+
+
+def _fraction_key(b):
+    """The box key in Fractions, as it was written before intervals
+    ordered themselves."""
+    return (b.cell, tuple((j, iv.lo, iv.hi) for j, iv in b.coords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(boxes(cells=2, coords=3, denominators=_ALL_GRIDS), max_size=8))
+def test_box_keys_sort_as_their_fraction_keys(bs):
+    assert sorted(bs, key=RationalBox.key) == sorted(bs, key=_fraction_key)
+    for b in bs:
+        cell, coords = b.key()
+        assert cell == b.cell and coords is b.coords
+
+
+def test_box_keys_hold_no_fractions():
+    b = RationalBox.make(3, {1: interval("1/4", "1/2"), 4: interval("2/9", 1)})
+    cell, coords = b.key()
+    assert all(type(j) is int and type(iv) is RationalInterval
+               for j, iv in coords)
+    assert not any(isinstance(x, Fraction)
+                   for _, iv in coords for x in (iv.a, iv.b, iv.d))
+    assert RationalInterval.__lt__(FULL, 1) is NotImplemented
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(boxes(cells=2, coords=3, denominators=_ALL_GRIDS), max_size=5))
+def test_measure_sums_to_the_fraction_sum(bs):
+    s = MeasurableSet(tuple(bs))  # raw: the boxes may overlap
+    got = s.measure()
+    assert type(got) is Fraction
+    assert got == sum((b.measure() for b in bs), Fraction(0))
