@@ -159,10 +159,8 @@ def cmd_experiment(args) -> int:
     elif args.kind == "compile":
         machine = _load(args.machine)
         witnesses = equivalence.unit_shift_witnesses(machine.graphing)
-        target = Microcosm.finitely_generated(
-            equivalence.standard_generators(1))
         compiled = equivalence.compile_graphing(machine.graphing, witnesses,
-                                                target)
+                                                Microcosm.mi(1))
         recompiled = EncodedMachine(machine.spec, machine.layout, compiled)
         test = _test_from_args(args)
         before, after = (language(m, test, args.max_len,

@@ -281,6 +281,8 @@ def build_treeing(i: int, depth: int) -> Graphing:
     :func:`treeing_cost`."""
     if i < 2:
         raise ValueError("need at least two coordinates to permute")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     parents = _swap_parents(i)
     sources: dict[tuple[int, ...], list[RationalBox]] = {
         sigma: [] for sigma in parents}

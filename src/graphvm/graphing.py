@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .space import MeasurableSet, common_refinement, lazy
+from .space import MeasurableSet, lazy, owned_parts
 from .realizers import Microcosm, Realizer
 
 UNIT = Fraction(1)
@@ -119,8 +119,9 @@ class WeightError(ValueError):
 
 
 def join_monoids(a: WeightMonoid, b: WeightMonoid) -> WeightMonoid:
-    """Common monoid when one embeds in the other (trivial embeds in all)."""
-    if a is b or type(a) is type(b):
+    """Common monoid when one embeds in the other (trivial embeds in all);
+    two table monoids join only when their elements, table and unit agree."""
+    if a is b or (type(a) is type(b) and vars(a) == vars(b)):
         return a
     if isinstance(a, TrivialWeights):
         return b
@@ -225,22 +226,12 @@ def classify(g: Graphing) -> GraphingClass:
                 else GraphingClass.DETERMINISTIC)
     rational = all(isinstance(e.weight, Fraction) and 0 <= e.weight <= 1
                    for e in g.edges)
-    if rational and _probabilistic_sums_ok(g):
+    # per part of the sources' refinement, the weight of the edges over it
+    sums = (sum(g.edges[i].weight for i in owners)
+            for _, owners in owned_parts([e.source for e in g.edges]))
+    if rational and all(total <= 1 for total in sums):
         return GraphingClass.PROBABILISTIC
     return GraphingClass.GENERAL
-
-
-def _probabilistic_sums_ok(g: Graphing) -> bool:
-    parts = common_refinement([e.source for e in g.edges])
-    for part in parts:
-        part_set = MeasurableSet.of(part)
-        total = Fraction(0)
-        for e in g.edges:
-            if part_set.subset_of(e.source):
-                total += e.weight
-        if total > 1:
-            return False
-    return True
 
 
 def cost(g: Graphing) -> Fraction:

@@ -331,7 +331,7 @@ class Microcosm:
             return Microcosm.finitely_generated(
                 fg.generators + tuple(standard_generators(
                     named.arity if named.kind == "mi" else 1)))
-        return a if _KIND_ORDER[a.kind] >= _KIND_ORDER[b.kind] else b
+        return max(a, b, key=lambda m: (_KIND_ORDER[m.kind], m.arity))
 
     def describe(self) -> str:
         if self.kind == "mi":

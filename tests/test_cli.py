@@ -128,6 +128,18 @@ def test_experiment_compile(capsys):
     assert "unchanged" in capsys.readouterr().out
 
 
+def test_experiment_compile_on_every_shipped_machine(capsys):
+    for name in sorted(os.listdir(MACHINES)):
+        code = main(["experiment", "compile", mach(name), "--max-len", "3"])
+        out, err = capsys.readouterr()
+        if name == "one-then-zero.mach":  # two heads: a swap is no shift
+            assert code == EXIT_INVALID
+            assert "not a pure shift" in err
+        else:
+            assert code == EXIT_OK, (name, err)
+            assert "language unchanged" in out
+
+
 def test_experiment_closure_and_associativity(tmp_path):
     code = main(["experiment", "closure", "--mode", "det", "--seed", "1",
                  "--count", "25", "--out", str(tmp_path)])

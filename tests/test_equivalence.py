@@ -213,6 +213,12 @@ def test_treeing_cost_closed_forms():
     assert treeing_cost(4, 0)[1] == Fraction(23, 24)
 
 
+def test_treeing_rejects_a_negative_depth_like_its_cost():
+    for fn in (treeing_cost, build_treeing):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            fn(2, -1)
+
+
 def test_treeing_level_contributions_match_series():
     # level d adds 2^(d-1) prefix cells of measure 4^(-d) for two coords
     for depth in range(1, 8):

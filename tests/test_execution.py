@@ -7,7 +7,7 @@ from graphvm.execution import (INFINITY, MeasurementMap, T_CONL, T_DET,
                                evaluate_test, landing, measurement, plug,
                                reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, classify, disjoint_union)
+                              TRIVIAL, classify, disjoint_union, validate)
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
@@ -26,6 +26,22 @@ def cellbox(cell, lo=None, hi=None):
 def graphing(edges, cells, monoid=TRIVIAL):
     return Graphing.make(monoid, Microcosm.macrocosm(),
                          ms(*[cellbox(c) for c in cells]), edges)
+
+
+def test_plug_result_validates_whichever_arity_comes_first():
+    def swap_up(cell, j):
+        """A valid mi(j) graphing: cell -> cell + 1 by the swap (1 j)."""
+        return Graphing.make(
+            TRIVIAL, Microcosm.mi(j), ms(cellbox(cell), cellbox(cell + 1)),
+            [Edge(Fraction(1), ms(cellbox(cell)),
+                  Realizer.make(1, {1: j, j: 1}))])
+    swap13, swap15 = swap_up(0, 3), swap_up(1, 5)
+    for f, g in [(swap13, swap15), (swap15, swap13)]:
+        assert validate(f) == validate(g) == []
+        result = plug(f, g)
+        assert len(result.graphing.edges) == 1
+        assert validate(result.graphing) == []
+        assert result.graphing.microcosm == Microcosm.mi(5)
 
 
 def test_empty_cut_is_disjoint_union():

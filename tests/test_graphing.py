@@ -1,6 +1,7 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -92,6 +93,17 @@ def test_classify_examples():
         GraphingClass.PROBABILISTIC
 
 
+def test_classify_sums_every_edge_over_a_shared_part():
+    # each pair of sources sums to 1, but [1/4, 1/2) lies in all three
+    half = Fraction(1, 2)
+    edges = [Edge(half, ms(cellbox(0, lo, hi)), Realizer.shift_by(1))
+             for lo, hi in [(0, "1/2"), ("1/4", "3/4"), ("1/4", "1/2")]]
+    assert classify(simple(edges, monoid=PROBABILITIES)) == \
+        GraphingClass.GENERAL
+    assert classify(simple(edges[:2], monoid=PROBABILITIES)) == \
+        GraphingClass.PROBABILISTIC
+
+
 def test_classify_deterministic_implies_probabilistic_admissible():
     a = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
     g = simple([a], monoid=PROBABILITIES)
@@ -134,6 +146,25 @@ def test_join_monoids():
     with pytest.raises(WeightError):
         join_monoids(table, PROBABILITIES)
     assert join_monoids(table, TRIVIAL) is table
+
+
+def test_join_monoids_joins_a_table_only_with_an_equal_one():
+    def parity(e, a):
+        return TableWeights((e, a), {(e, e): e, (e, a): a,
+                                     (a, e): a, (a, a): e}, e)
+    table = parity("e", "a")
+    assert join_monoids(table, parity("e", "a")) is table
+    # other elements: plugging used to look up ("a", "b") in one table
+    with pytest.raises(WeightError):
+        join_monoids(table, parity("e", "b"))
+    # the same elements under another table: used to multiply by the first
+    absorbing = TableWeights(("e", "a"), {("e", "e"): "e", ("e", "a"): "a",
+                                          ("a", "e"): "a", ("a", "a"): "a"},
+                             "e")
+    with pytest.raises(WeightError):
+        join_monoids(table, absorbing)
+    with pytest.raises(WeightError):
+        join_monoids(absorbing, table)
 
 
 def test_table_weights_laws_checked():
@@ -219,6 +250,57 @@ def test_classify_matches_the_pairwise_overlap_definition():
                        else GraphingClass.DETERMINISTIC)
     assert {GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
             GraphingClass.PROBABILISTIC} <= seen
+
+
+def _midpoint_class(g):
+    """The class of ``g`` read off the midpoints of the 1/16 grid: the
+    weight over a midpoint is the sum of the weights of the sources that
+    contain it.  Every endpoint is asserted to lie on the 1/16 grid, so
+    each midpoint stands for its whole grid square."""
+    axes = {}
+    for e in g.edges:
+        for b in e.source.boxes:
+            axes.setdefault(b.cell, set()).update(j for j, _ in b.coords)
+    weight_at = Counter()
+    for e in g.edges:
+        for b in e.source.boxes:
+            spans = []
+            for j in sorted(axes[b.cell]):
+                iv = b.interval_at(j)
+                assert 16 % iv.d == 0
+                # midpoints (2k+1)/32 of the grid squares inside [a/d, b/d)
+                spans.append([x for x in range(1, 32, 2)
+                              if 32 * iv.a <= x * iv.d < 32 * iv.b])
+            for point in product(*spans):
+                weight_at[b.cell, point] += e.weight
+    most = max(weight_at.values(), default=0)
+    if all(g.weights.is_unit(e.weight) for e in g.edges):
+        return (GraphingClass.DETERMINISTIC if most <= 1
+                else GraphingClass.NONDETERMINISTIC)
+    if most <= 1 and all(0 <= e.weight <= 1 for e in g.edges):
+        return GraphingClass.PROBABILISTIC
+    return GraphingClass.GENERAL
+
+
+def test_classify_matches_a_grid_midpoint_reference():
+    seen = Counter()
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(60):
+            f, g = random_pair(seed, mode)
+            a, b, c = random_triple(seed, mode)
+            sampled = [f, g, plug(f, g).graphing, a, b, c,
+                       plug(a, b).graphing, plug(b, c).graphing]
+            if mode == "prob":
+                # weights w -> (1 + w)/2: two halves over one point exceed 1
+                sampled += [Graphing.make(
+                    x.weights, x.microcosm, x.carrier,
+                    [Edge((1 + e.weight) / 2, e.source, e.realizer)
+                     for e in x.edges]) for x in sampled]
+            for x in sampled:
+                got = classify(x)
+                assert got == _midpoint_class(x), (mode, seed)
+                seen[got] += 1
+    assert set(seen) == set(GraphingClass)
 
 
 def _fractions_in(key):

@@ -170,6 +170,14 @@ def test_microcosm_join_with_finitely_generated():
         [up, down, Realizer.head_swap(2), swap3])
 
 
+def test_microcosm_join_of_named_families_is_commutative():
+    named = [Microcosm.m1(), *(Microcosm.mi(i) for i in range(2, 6)),
+             Microcosm.m_infinity(), Microcosm.macrocosm()]
+    # listed from smallest to largest, so the join is the later of the two
+    for (i, a), (j, b) in itertools.product(enumerate(named), repeat=2):
+        assert a.join(b) == b.join(a) == named[max(i, j)]
+
+
 def test_microcosm_describe():
     assert Microcosm.mi(3).describe() == "mi(3)"
     assert Microcosm.finitely_generated(
