@@ -43,7 +43,9 @@ class PhiWord:
 def _word_states(generators, k: int, positive_only: bool):
     """Breadth-first words up to length k with their composites and
     stepwise domains (boxes at cell 0), deduplicated by (composite,
-    domain)."""
+    domain).  Iterating raises ValueError when k is negative."""
+    if k < 0:
+        raise ValueError("word length bound must be nonnegative")
     letters = [(idx, 1, g) for idx, g in enumerate(generators)]
     if not positive_only:
         letters += [(idx, -1, g.invert()) for idx, g in enumerate(generators)]
@@ -117,6 +119,8 @@ def is_compilable(target: Realizer, generators, max_word_len: int = 6,
     """Search for a finite partition of the target's domain on which
     generator words realize the same map.  None means nothing was found
     within the bounds, not that no witness exists."""
+    if min(max_word_len, max_parts) < 0:
+        raise ValueError("search bounds must be nonnegative")
     target_constraints = target.input_constraints()
     if target_constraints is None:
         raise ValueError("target realizer is void")
@@ -172,9 +176,9 @@ def _witness_sources(edge_index: int, edge: Edge,
 
 def compile_graphing(g: Graphing, witnesses: dict[int, CompilationWitness],
                      target_microcosm: Microcosm) -> Graphing:
-    """Replace each edge by one edge per witness part, realized by the
-    part's generator word; the partial map of every edge is unchanged,
-    so executions and cost are preserved."""
+    """Replace each edge by one edge per witness part.  Each part keeps
+    the edge's realizer, which its generator word was checked to compose
+    to, so executions and cost are preserved."""
     new_edges = []
     for idx, edge in enumerate(g.edges):
         witness = witnesses.get(idx)
@@ -182,10 +186,10 @@ def compile_graphing(g: Graphing, witnesses: dict[int, CompilationWitness],
             new_edges.append(edge)
             continue
         sources = _witness_sources(idx, edge, witness)
-        for piece, source in zip(witness.pieces, sources):
+        for source in sources:
             if source.is_empty():
                 continue
-            new_edges.append(Edge(edge.weight, source, piece.composite))
+            new_edges.append(Edge(edge.weight, source, edge.realizer))
     return Graphing.make(g.weights, target_microcosm, g.carrier, new_edges)
 
 
@@ -329,8 +333,6 @@ def separation_experiment(i: int, j: int, max_word_len: int = 6,
     generator set within the bounds."""
     if not (2 <= i < j):
         raise ValueError("need 2 <= i < j")
-    if min(max_word_len, max_parts) < 0:
-        raise ValueError("search bounds must be nonnegative")
     total_i = treeing_cost(i, 0)[1]
     total_j = treeing_cost(j, 0)[1]
     witness = is_compilable(Realizer.head_swap(j), standard_generators(i),

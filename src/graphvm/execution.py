@@ -259,6 +259,8 @@ def cycles(f: Graphing, g: Graphing,
            max_len: int = 8) -> list[AlternatingCycle]:
     """All alternating cycles of length <= max_len with nonempty support,
     deduplicated up to rotation: each is kept in its least rotation."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     sides = {"F": f, "G": g}
     monoid = join_monoids(f.weights, g.weights)
     found: list[AlternatingCycle] = []

@@ -65,8 +65,6 @@ def microcosm_payload(m: Microcosm) -> dict:
     payload = {"kind": m.kind}
     if m.kind == "mi":
         payload["arity"] = m.arity
-    if m.kind == "fingen":
-        payload["generators"] = [realizer_payload(g) for g in m.generators]
     return payload
 
 

@@ -14,7 +14,7 @@ microcosms is decidable by inspection rather than word search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -122,9 +122,6 @@ class Realizer:
                                           if p > 0 else
                                           RationalInterval.over(-p, q, q))
         return out
-
-    def is_void(self) -> bool:
-        return self.input_constraints() is None
 
     def apply_box(self, b: RationalBox) -> RationalBox:
         # coords[j] is the input interval at perm_preimage(j)
@@ -236,17 +233,17 @@ _KIND_ORDER = {"m1": 0, "mi": 1, "minf": 2, "macro": 3}
 
 @dataclass(frozen=True)
 class Microcosm:
-    """A composition-closed family of realizers, named or finitely generated.
+    """A named composition-closed family of realizers, on the chain
+    m1 < mi(2) < mi(3) < ... < minf < macro.
 
-    The named families: translations only (m1); translations plus
-    permutations of the first i coordinates (mi); translations plus all
-    finite-support permutations (minf); everything (macro).  A finitely
-    generated microcosm decides membership by bounded word search.
+    The families: translations only (m1); translations plus permutations
+    of the first i coordinates (mi); translations plus all finite-support
+    permutations (minf); everything (macro).  Membership is decided by
+    inspecting the realizer.
     """
 
     kind: str
     arity: int = 0
-    generators: tuple[Realizer, ...] = field(default=())
 
     @staticmethod
     def m1() -> "Microcosm":
@@ -266,11 +263,6 @@ class Microcosm:
     def macrocosm() -> "Microcosm":
         return Microcosm("macro")
 
-    @staticmethod
-    def finitely_generated(generators) -> "Microcosm":
-        gens = tuple(sorted(set(generators), key=Realizer.key))
-        return Microcosm("fingen", 0, gens)
-
     def contains(self, r: Realizer) -> bool:
         if self.kind == "macro":
             return True
@@ -278,66 +270,16 @@ class Microcosm:
             return not r.offsets
         if self.kind == "m1":
             return not r.offsets and not r.perm
-        if self.kind == "mi":
-            return not r.offsets and all(
-                j <= self.arity and k <= self.arity for j, k in r.perm)
-        return self.membership_witness(r) is not None
-
-    def membership_witness(self, r: Realizer,
-                           word_bound: int = 16) -> list[Realizer] | None:
-        """For a finitely generated microcosm: a generator word composing
-        to r, searched breadth-first up to ``word_bound`` letters.  None
-        means not found within the bound, not a definite negative."""
-        if self.kind != "fingen":
-            return [r] if self.contains(r) else None
-        if r.is_identity():
-            return []
-        frontier: list[tuple[Realizer, list[Realizer]]] = [(Realizer.identity(), [])]
-        seen = {Realizer.identity().key()}
-        for _ in range(word_bound):
-            nxt = []
-            for cur, word in frontier:
-                for g in self.generators:
-                    cand = cur.compose(g)
-                    if cand.is_void():
-                        continue
-                    k = cand.key()
-                    if k in seen:
-                        continue
-                    seen.add(k)
-                    if cand == r:
-                        return word + [g]
-                    nxt.append((cand, word + [g]))
-            frontier = nxt
-        return None
+        return not r.offsets and all(
+            j <= self.arity and k <= self.arity for j, k in r.perm)
 
     def join(self, other: "Microcosm") -> "Microcosm":
-        """Smallest named family containing both, widening when mixing a
-        finitely generated microcosm with an infinite named one."""
-        a, b = self, other
-        if a == b:
-            return a
-        if "macro" in (a.kind, b.kind):
-            return Microcosm.macrocosm()
-        if a.kind == "fingen" and b.kind == "fingen":
-            return Microcosm.finitely_generated(a.generators + b.generators)
-        if "fingen" in (a.kind, b.kind):
-            fg = a if a.kind == "fingen" else b
-            named = b if a.kind == "fingen" else a
-            if named.kind == "minf":
-                if all(not g.offsets for g in fg.generators):
-                    return named
-                return Microcosm.macrocosm()
-            return Microcosm.finitely_generated(
-                fg.generators + tuple(standard_generators(
-                    named.arity if named.kind == "mi" else 1)))
-        return max(a, b, key=lambda m: (_KIND_ORDER[m.kind], m.arity))
+        """The least family of the chain that contains both."""
+        return max(self, other, key=lambda m: (_KIND_ORDER[m.kind], m.arity))
 
     def describe(self) -> str:
         if self.kind == "mi":
             return f"mi({self.arity})"
-        if self.kind == "fingen":
-            return f"fingen[{len(self.generators)}]"
         return self.kind
 
 

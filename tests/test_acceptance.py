@@ -169,9 +169,7 @@ def test_criterion_7_treeing_cost():
 def test_criterion_8_compilation_preserves_language_and_cost():
     m = machine("ones.mach")
     witnesses = unit_shift_witnesses(m.graphing)
-    compiled = compile_graphing(
-        m.graphing, witnesses,
-        Microcosm.finitely_generated(standard_generators(1)))
+    compiled = compile_graphing(m.graphing, witnesses, Microcosm.mi(1))
     recompiled = EncodedMachine(m.spec, m.layout, compiled)
     before = language(m, T_DET, 8)
     after = language(recompiled, T_DET, 8)

@@ -8,10 +8,11 @@ from graphvm.equivalence import (CompilationWitness, WitnessError,
                                  is_compilable, orbit, phi_words,
                                  separation_experiment, treeing_cost,
                                  unit_shift_witnesses)
-from graphvm.execution import T_DET, language
+from graphvm.execution import (MeasurementMap, T_DET, cycles, language,
+                               measurement)
 from graphvm.graphing import Edge, Graphing, TRIVIAL, cost, validate
 from graphvm.machines import parse_machine
-from graphvm.realizers import Microcosm, Realizer, standard_generators
+from graphvm.realizers import Microcosm, Realizer
 from graphvm.space import MeasurableSet, RationalBox, interval
 
 
@@ -152,7 +153,7 @@ s0, 1 -> accept
 def test_compile_machine_into_unit_shifts_preserves_language():
     m = encode_machine(ONES)
     witnesses = unit_shift_witnesses(m.graphing)
-    target = Microcosm.finitely_generated(standard_generators(1))
+    target = Microcosm.mi(1)
     compiled = compile_graphing(m.graphing, witnesses, target)
     assert validate(compiled) == []
     assert compiled.same_as(m.graphing)  # same partial maps, same sources
@@ -185,6 +186,23 @@ def _piece(part, word):
     for letter in word:
         comp = comp.compose(letter)
     return WitnessPiece(part, word, comp)
+
+
+def test_compiled_edge_carries_the_checked_realizer():
+    # the piece's word composes to the edge's shift 1; its composite field
+    # claims shift 2, which no check covers, so the edge must not take it
+    g = Graphing.make(TRIVIAL, Microcosm.m1(),
+                      MeasurableSet.of(*(RationalBox.make(c) for c in range(3))),
+                      [Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
+                            Realizer.shift_by(1))])
+    from graphvm.equivalence import WitnessPiece
+    piece = WitnessPiece(MeasurableSet.of(RationalBox.make(0)),
+                         (Realizer.shift_by(1),), Realizer.shift_by(2))
+    compiled = compile_graphing(
+        g, {0: CompilationWitness(Realizer.shift_by(1), (piece,))},
+        Microcosm.m1())
+    assert validate(compiled) == []
+    assert compiled.same_as(g)
 
 
 def test_invalid_witness_names_edge_and_part():
@@ -265,3 +283,27 @@ def test_separation_experiment():
     assert report["treeing_total_large"] == Fraction(23, 24)
     with pytest.raises(ValueError):
         separation_experiment(2, 2)
+
+
+def _two_cell_shift():
+    return Graphing.make(TRIVIAL, Microcosm.m1(),
+                         MeasurableSet.of(RationalBox.make(0), RationalBox.make(1)),
+                         [Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
+                               Realizer.shift_by(1))])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cycles(_two_cell_shift(), _two_cell_shift(), max_len=-3),
+    lambda: measurement(_two_cell_shift(), _two_cell_shift(),
+                        MeasurementMap.constant(Fraction(1)), max_len=-1),
+    lambda: is_compilable(Realizer.shift_by(1), [Realizer.shift_by(1)],
+                          max_word_len=-1),
+    lambda: is_compilable(Realizer.shift_by(1), [Realizer.shift_by(1)],
+                          max_parts=-1),
+    lambda: phi_words([Realizer.shift_by(1)], -2),
+    lambda: orbit(0, {}, [Realizer.shift_by(1)], -1),
+], ids=["cycles", "measurement", "is_compilable-word-len",
+        "is_compilable-parts", "phi_words", "orbit"])
+def test_negative_search_bound_is_an_error(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()

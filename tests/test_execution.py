@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,19 +30,32 @@ def graphing(edges, cells, monoid=TRIVIAL):
 
 
 def test_plug_result_validates_whichever_arity_comes_first():
-    def swap_up(cell, j):
-        """A valid mi(j) graphing: cell -> cell + 1 by the swap (1 j)."""
+    # a member of each family of the chain, with the box it is defined on;
+    # f carries cell 0 to 17 by a member, g carries 17 to 18 by the inverse
+    # of a member, so over m1 this is the chain shift 17 then shift 1
+    members = [
+        (Microcosm.m1(), Realizer.identity(), {}),
+        (Microcosm.mi(3), Realizer.head_swap(3), {}),
+        (Microcosm.mi(5), Realizer.make(0, {1: 4, 4: 5, 5: 1}), {}),
+        (Microcosm.m_infinity(), Realizer.head_swap(7), {}),
+        (Microcosm.macrocosm(), Realizer.offset({2: Fraction(1, 2)}),
+         {2: interval(0, "1/2")}),
+    ]
+
+    def one_edge(m, source, r, shift):
         return Graphing.make(
-            TRIVIAL, Microcosm.mi(j), ms(cellbox(cell), cellbox(cell + 1)),
-            [Edge(Fraction(1), ms(cellbox(cell)),
-                  Realizer.make(1, {1: j, j: 1}))])
-    swap13, swap15 = swap_up(0, 3), swap_up(1, 5)
-    for f, g in [(swap13, swap15), (swap15, swap13)]:
-        assert validate(f) == validate(g) == []
-        result = plug(f, g)
-        assert len(result.graphing.edges) == 1
-        assert validate(result.graphing) == []
-        assert result.graphing.microcosm == Microcosm.mi(5)
+            TRIVIAL, m, ms(cellbox(source.cell), cellbox(source.cell + shift)),
+            [Edge(Fraction(1), ms(source), r.compose(Realizer.shift_by(shift)))])
+
+    for (ma, ra, ca), (mb, rb, cb) in itertools.product(members, repeat=2):
+        f = one_edge(ma, RationalBox.make(0, ca), ra, 17)
+        g = one_edge(mb, rb.apply_box(RationalBox.make(17, cb)), rb.invert(), 1)
+        for first, second in ((f, g), (g, f)):
+            assert validate(first) == validate(second) == []
+            result = plug(first, second)
+            assert len(result.graphing.edges) == 1
+            assert validate(result.graphing) == []
+            assert result.graphing.microcosm == ma.join(mb)
 
 
 def test_empty_cut_is_disjoint_union():

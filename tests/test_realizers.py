@@ -113,7 +113,7 @@ def test_domain_of_examples():
         ms(RationalBox.make(0, {1: interval(0, "1/2")}))
     gone = Realizer.offset({1: Fraction(1)})
     assert gone.domain_within(full).is_empty()
-    assert gone.is_void()
+    assert gone.input_constraints() is None
 
 
 def test_preimage_within():
@@ -135,53 +135,24 @@ def test_microcosm_memberships():
     assert Microcosm.macrocosm().contains(word_edge)
 
 
-def test_finitely_generated_membership_with_certificate():
-    fg = Microcosm.finitely_generated([Realizer.shift_by(1),
-                                       Realizer.shift_by(-1)])
-    word = fg.membership_witness(Realizer.shift_by(3), word_bound=5)
-    assert word is not None and len(word) == 3
-    assert fg.membership_witness(Realizer.head_swap(2), word_bound=4) is None
-    assert fg.membership_witness(Realizer.identity()) == []
-
-
 def test_microcosm_join():
     assert Microcosm.m1().join(Microcosm.mi(3)) == Microcosm.mi(3)
     assert Microcosm.mi(2).join(Microcosm.macrocosm()) == Microcosm.macrocosm()
-    fg = Microcosm.finitely_generated([Realizer.shift_by(1)])
-    joined = fg.join(fg)
-    assert joined.kind == "fingen"
-    assert Microcosm.m_infinity().join(fg) == Microcosm.m_infinity()
-    offset_fg = Microcosm.finitely_generated(
-        [Realizer.offset({1: Fraction(1, 2)})])
-    assert Microcosm.m_infinity().join(offset_fg) == Microcosm.macrocosm()
 
 
-def test_microcosm_join_with_finitely_generated():
-    up = Realizer.shift_by(1)
-    swap3 = Realizer.head_swap(3)
-    a = Microcosm.finitely_generated([up])
-    b = Microcosm.finitely_generated([swap3, up])
-    assert a.join(b) == Microcosm.finitely_generated([up, swap3])
-    # a named finite family joins through its standard generators
-    down = Realizer.shift_by(-1)
-    assert Microcosm.m1().join(a) == a.join(Microcosm.m1()) == \
-        Microcosm.finitely_generated([up, down])
-    assert b.join(Microcosm.mi(3)) == Microcosm.finitely_generated(
-        [up, down, Realizer.head_swap(2), swap3])
+# the chain, listed from smallest to largest
+CHAIN = [Microcosm.m1(), *(Microcosm.mi(i) for i in range(2, 6)),
+         Microcosm.m_infinity(), Microcosm.macrocosm()]
 
 
 def test_microcosm_join_of_named_families_is_commutative():
-    named = [Microcosm.m1(), *(Microcosm.mi(i) for i in range(2, 6)),
-             Microcosm.m_infinity(), Microcosm.macrocosm()]
-    # listed from smallest to largest, so the join is the later of the two
-    for (i, a), (j, b) in itertools.product(enumerate(named), repeat=2):
-        assert a.join(b) == b.join(a) == named[max(i, j)]
+    # the join is the later of the two
+    for (i, a), (j, b) in itertools.product(enumerate(CHAIN), repeat=2):
+        assert a.join(b) == b.join(a) == CHAIN[max(i, j)]
 
 
 def test_microcosm_describe():
     assert Microcosm.mi(3).describe() == "mi(3)"
-    assert Microcosm.finitely_generated(
-        standard_generators(3)).describe() == "fingen[4]"
     assert Microcosm.m_infinity().describe() == "minf"
 
 
@@ -191,6 +162,23 @@ def _random_mi_member(rng: random.Random, arity: int) -> Realizer:
         j = rng.randrange(2, arity + 1)
         r = r.compose(Realizer.head_swap(j))
     return r
+
+
+def test_membership_is_upward_closed_along_the_chain():
+    rng = random.Random(15)
+    draws = [_random_mi_member(rng, arity)
+             for arity in range(2, 8) for _ in range(8)]
+    draws += [r.compose(Realizer.offset({rng.randrange(1, 4):
+                                         Fraction(rng.randrange(1, 8), 8)}))
+              for r in draws[::4]]
+    # every family of the chain holds a draw that the one below it lacks
+    for below, above in zip(CHAIN, CHAIN[1:]):
+        assert any(above.contains(r) and not below.contains(r)
+                   for r in draws)
+    for a, b in itertools.product(CHAIN, repeat=2):
+        for r in draws:
+            if a.contains(r):
+                assert a.join(b).contains(r)
 
 
 def test_mi_members_form_a_group():
