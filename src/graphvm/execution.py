@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .space import MeasurableSet
+from .space import MeasurableSet, lazy
 from .realizers import Realizer
 from .graphing import Edge, Graphing, join_monoids, validate
 from .machines import require_probabilities, words_up_to
@@ -111,11 +111,31 @@ class PathRecord:
 
 @dataclass
 class PlugResult:
+    """A plug's graphing and diagnostics, with the path search's trails.
+
+    ``paths`` (aligned with ``graphing.edges``) and ``dead_paths`` (the
+    maximal paths that die inside the cut, in the order the search met
+    them) are built from the trails the first time they are read, so a
+    caller that only reads the graphing never builds them.
+    """
+
     graphing: Graphing
-    paths: list[PathRecord]          # aligned with graphing.edges
-    dead_paths: list[PathRecord]     # maximal paths that die inside the cut
     diagnostics: Diagnostics
     operands: tuple[Graphing, Graphing]   # the sides "F" and "G" of the steps
+    # per result edge, in edge order: the path's trail and its source
+    exit_trails: list[tuple[tuple[_Step, ...], MeasurableSet]]
+    # per dead path: its trail and the region that dies after the last step
+    dead_trails: list[tuple[tuple[_Step, ...], MeasurableSet]]
+
+    @lazy
+    def paths(self) -> list[PathRecord]:
+        return [_record(trail, src) for trail, src in self.exit_trails]
+
+    @lazy
+    def dead_paths(self) -> list[PathRecord]:
+        # the source is the dead region pulled back along the composite
+        return [_record(trail, trail[-1][2].invert().apply(dead))
+                for trail, dead in self.dead_trails]
 
 
 # One trail entry per edge a path takes: the (side, edge index), the
@@ -128,12 +148,19 @@ def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
     return PathRecord(steps, regions, source, composites[-1], weights[-1])
 
 
+def _split(image: MeasurableSet,
+           cut: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
+    """``image`` outside the cut, where a path leaves it, and inside."""
+    return image.subtract(cut), image.intersect(cut)
+
+
 def _memoised(memo: dict, method):
     """``method(a, b)``, looked up in ``memo`` by ``(method, a, b)``.
 
-    A miss calls ``method``, the class attribute read when the plug
-    began, so whatever is bound there sees every computation.  Results
-    are shared, which is safe: sets and realizers are immutable.
+    A miss calls ``method``, as read when the plug began: a class
+    attribute, so whatever is bound there sees every computation, or
+    ``_split``, which calls the class attributes.  Results are shared,
+    which is safe: sets and realizers are immutable.
     """
     def call(a, b):
         key = (method, a, b)
@@ -155,11 +182,18 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     passes it, as machines are validated when built and its word
     graphing comes straight from ``encode_word``.
 
+    At each node of the search, one split of the image at the cut gives
+    the part that exits and the part that goes on, and the dead part is
+    what the other side's sources leave of the latter: none when one
+    source holds all of it, else one difference from the union of the
+    hits.  The result keeps each path's trail; ``PlugResult`` builds the
+    path records only when they are read.
+
     ``memo`` is a table that several plugs share, as ``language`` does
     with every word of one call against one machine: ``Realizer.apply``
-    and ``compose`` and ``MeasurableSet.intersect`` and ``subtract`` are
-    looked up in it by operand pair and computed only on a miss.  A
-    lone plug keeps no table.
+    and ``compose``, ``MeasurableSet.intersect`` and ``subtract`` and the
+    split at the cut are looked up in it by operand pair and computed
+    only on a miss.  A lone plug keeps no table.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -170,17 +204,18 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
                 raise ValueError(f"{name} graphing invalid: {problems}")
     apply, compose = Realizer.apply, Realizer.compose
     intersect, subtract = MeasurableSet.intersect, MeasurableSet.subtract
+    split = _split
     if memo is not None:
-        apply, compose, intersect, subtract = (
+        apply, compose, intersect, subtract, split = (
             _memoised(memo, method)
-            for method in (apply, compose, intersect, subtract))
+            for method in (apply, compose, intersect, subtract, split))
     monoid = join_monoids(f.weights, g.weights)
     cut = intersect(f.carrier, g.carrier)
     sides = {"F": f, "G": g}
     diag = Diagnostics()
     result_edges: list[Edge] = []
-    records: list[PathRecord] = []
-    dead_records: list[PathRecord] = []
+    exit_trails: list[tuple[tuple[_Step, ...], MeasurableSet]] = []
+    dead_trails: list[tuple[tuple[_Step, ...], MeasurableSet]] = []
     queue: deque[tuple[MeasurableSet, tuple[_Step, ...]]] = deque()
 
     outside = {side: subtract(graphing.carrier, cut)
@@ -193,20 +228,19 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     while queue:
         image, trail = queue.popleft()
         (side, _), _, composite, weight = trail[-1]
-        exits = subtract(image, cut)
+        exits, inside = split(image, cut)
         if not exits.is_empty():
             src = apply(composite.invert(), exits)
             result_edges.append(Edge(weight, src, composite))
-            records.append(_record(trail, src))
+            exit_trails.append((trail, src))
         # a path inside the cut only meets the part of a source in the
         # cut, so whole edges need no split at it
-        inside = intersect(image, cut)
         if inside.is_empty():
             continue
         other = "G" if side == "F" else "F"
-        covered = MeasurableSet.empty()
+        hits: list[MeasurableSet] = []
         for idx, e, hit in sides[other].edges_meeting(inside, intersect):
-            covered = covered.union(hit)
+            hits.append(hit)
             if diag.steps_used >= max_steps:
                 diag.complete = False
                 diag.unresolved_mass += weight * hit.measure()
@@ -228,19 +262,25 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
                 continue
             queue.append((apply(e.realizer, hit),
                           trail + (((other, idx), hit, new_comp, new_weight),)))
+        # a meet that cuts nothing returns its operand: then one source
+        # holds all of inside and nothing dies here
+        if any(hit is inside for hit in hits):
+            continue
+        covered = hits[0] if len(hits) == 1 else MeasurableSet.from_boxes(
+            b for hit in hits for b in hit.boxes)
         dead = subtract(inside, covered)
         if not dead.is_empty():
             diag.dead_mass += weight * dead.measure()
-            dead_records.append(_record(trail, apply(composite.invert(), dead)))
+            dead_trails.append((trail, dead))
 
     order = sorted(range(len(result_edges)), key=lambda i: result_edges[i].key())
     edges = tuple(result_edges[i] for i in order)
-    paths = [records[i] for i in order]
     graphing = Graphing(monoid, f.microcosm.join(g.microcosm),
                         outside["F"].union(outside["G"]), edges)
     if not diag.complete:
         diag.notes.append(f"step budget {max_steps} exhausted; result partial")
-    return PlugResult(graphing, paths, dead_records, diag, (f, g))
+    return PlugResult(graphing, diag, (f, g),
+                      [exit_trails[i] for i in order], dead_trails)
 
 
 # -- cycles and measurement ---------------------------------------------------

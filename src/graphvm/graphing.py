@@ -185,7 +185,14 @@ class Graphing:
         and by ``MeasurableSet.intersect`` otherwise."""
         intersect = intersect or MeasurableSet.intersect
         by_cell = self.edges_by_cell
-        for idx in sorted({i for cell in s.cells() for i in by_cell.get(cell, ())}):
+        boxes = s.boxes
+        if boxes and boxes[0].cell == boxes[-1].cell:
+            # boxes come in cell order: one cell, whose list is ascending
+            indices = by_cell.get(boxes[0].cell, ())
+        else:
+            indices = sorted({i for cell in s.cells()
+                              for i in by_cell.get(cell, ())})
+        for idx in indices:
             e = self.edges[idx]
             meet = intersect(s, e.source)
             if not meet.is_empty():

@@ -177,6 +177,12 @@ class Realizer:
                         tuple(sorted(offs.items())))
 
     def invert(self) -> "Realizer":
+        return self._inverse
+
+    # One inverse per realizer, so a memo table meets the same object
+    # every time the inverse is a key.
+    @lazy
+    def _inverse(self) -> "Realizer":
         # the inverse of a normal permutation is normal
         perm = tuple(sorted((k, j) for j, k in self.perm))
         offs = tuple(sorted((self.perm_preimage(j), -c)

@@ -1,14 +1,16 @@
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from graphvm.execution import (INFINITY, MeasurementMap, T_CONL, T_DET,
-                               T_NL, Regions, Verdict, accept_mass, cycles,
-                               evaluate_test, landing, measurement, plug,
-                               reject_mass, t_prob)
+from graphvm.execution import (INFINITY, MeasurementMap, PathRecord, T_CONL,
+                               T_DET, T_NL, Regions, Verdict, accept_mass,
+                               cycles, evaluate_test, landing, measurement,
+                               plug, reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, classify, disjoint_union, validate)
+                              TRIVIAL, classify, disjoint_union, join_monoids,
+                              validate)
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
@@ -482,3 +484,176 @@ def test_a_lone_plug_keeps_no_table(monkeypatch):
         second = plug(left, right)
         assert counted > 0 and len(log) == counted
         assert second.graphing.same_as(first.graphing)
+
+
+# -- the dead part and the records, against an eager reference ----------------
+
+def _eager_plug(f, g, max_steps=10000):
+    """The path search as a plain loop over every edge: it builds each
+    record when it meets the path, and unions a node's hits one by one
+    into the part that does not die.  Returns the sorted edges, their
+    records, the dead records and the diagnostics."""
+    monoid = join_monoids(f.weights, g.weights)
+    cut = f.carrier.intersect(g.carrier)
+    sides = {"F": f, "G": g}
+    found, dead_paths = [], []
+    diag = {"steps_used": 0, "unresolved_mass": Fraction(0),
+            "looping_mass": Fraction(0), "dead_mass": Fraction(0)}
+
+    def record(trail, source):
+        return PathRecord(tuple(step[0] for step in trail),
+                          tuple(step[1] for step in trail),
+                          source, trail[-1][2], trail[-1][3])
+
+    queue = deque()
+    for side, graphing in sides.items():
+        for idx, e in enumerate(graphing.edges):
+            start = e.source.subtract(cut)
+            if not start.is_empty():
+                queue.append((e.realizer.apply(start),
+                              (((side, idx), start, e.realizer, e.weight),)))
+    while queue:
+        image, trail = queue.popleft()
+        (side, _), _, composite, weight = trail[-1]
+        exits = image.subtract(cut)
+        if not exits.is_empty():
+            src = composite.invert().apply(exits)
+            found.append((Edge(weight, src, composite), record(trail, src)))
+        inside = image.intersect(cut)
+        if inside.is_empty():
+            continue
+        other = "G" if side == "F" else "F"
+        covered = MeasurableSet.empty()
+        for idx, e in enumerate(sides[other].edges):
+            hit = inside.intersect(e.source)
+            if hit.is_empty():
+                continue
+            covered = covered.union(hit)
+            if diag["steps_used"] >= max_steps:
+                diag["unresolved_mass"] += weight * hit.measure()
+                continue
+            diag["steps_used"] += 1
+            comp = composite.compose(e.realizer)
+            w = monoid.product(weight, e.weight)
+            repeat = next((rw for key, region, rc, rw in trail
+                           if key == (other, idx) and rc == comp
+                           and hit.subset_of(region)), None)
+            if repeat is not None:
+                kind = "looping_mass" if w == repeat else "unresolved_mass"
+                diag[kind] += w * hit.measure()
+                continue
+            queue.append((e.realizer.apply(hit),
+                          trail + (((other, idx), hit, comp, w),)))
+        dead = inside.subtract(covered)
+        if not dead.is_empty():
+            diag["dead_mass"] += weight * dead.measure()
+            dead_paths.append(record(trail, composite.invert().apply(dead)))
+    found.sort(key=lambda pair: pair[0].key())
+    return ([e for e, _ in found], [r for _, r in found], dead_paths, diag)
+
+
+def _assert_matches_eager(result, f, g, max_steps=10000):
+    edges, paths, dead_paths, diag = _eager_plug(f, g, max_steps)
+    assert list(result.graphing.edges) == edges
+    assert result.paths == paths
+    assert result.dead_paths == dead_paths
+    got = result.diagnostics
+    assert (got.steps_used, got.unresolved_mass, got.looping_mass,
+            got.dead_mass) == (diag["steps_used"], diag["unresolved_mass"],
+                               diag["looping_mass"], diag["dead_mass"])
+
+
+def test_overlapping_sources_that_cover_part_of_a_node():
+    # g's two sources on the cut overlap, and together miss [3/4, 1)
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
+                 (0, 5))
+    g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
+                       Realizer.shift_by(4)),
+                  Edge(Fraction(1), ms(cellbox(5, "1/4", "3/4")),
+                       Realizer.shift_by(5))], (5, 9, 10))
+    result = plug(f, g)
+    assert classify(g) is GraphingClass.NONDETERMINISTIC
+    assert result.diagnostics.dead_mass == Fraction(1, 4)
+    assert [p.source for p in result.dead_paths] == [ms(cellbox(0, "3/4", 1))]
+    _assert_matches_eager(result, f, g)
+
+
+def test_a_fully_covered_node_leaves_nothing_dead():
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
+                 (0, 5))
+    # one source holds the whole node; then two that only cover it together
+    for sources in ([ms(cellbox(5)), ms(cellbox(5, 0, "1/2"))],
+                    [ms(cellbox(5, 0, "1/2")), ms(cellbox(5, "1/2", 1))]):
+        g = graphing([Edge(Fraction(1), src, Realizer.shift_by(4 + k))
+                      for k, src in enumerate(sources)], (5, 9, 10))
+        result = plug(f, g)
+        assert result.diagnostics.dead_mass == 0
+        assert result.dead_paths == []
+        assert len(result.graphing.edges) == 2
+        _assert_matches_eager(result, f, g)
+
+
+def test_a_budget_that_runs_out_mid_node():
+    # the first hit takes the only step; the next two are unresolved, and
+    # all three count as covered, so [5/8, 1) dies
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
+                 (0, 5))
+    g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/4")),
+                       Realizer.shift_by(4)),
+                  Edge(Fraction(1), ms(cellbox(5, "1/8", "1/2")),
+                       Realizer.shift_by(5)),
+                  Edge(Fraction(1), ms(cellbox(5, "1/2", "5/8")),
+                       Realizer.shift_by(6))], (5, 9, 10, 11))
+    result = plug(f, g, max_steps=1)
+    diag = result.diagnostics
+    assert not diag.complete and diag.steps_used == 1
+    assert diag.unresolved_mass == Fraction(1, 2)
+    assert diag.dead_mass == Fraction(3, 8)
+    assert [p.source for p in result.dead_paths] == [ms(cellbox(0, "5/8", 1))]
+    _assert_matches_eager(result, f, g, max_steps=1)
+
+
+def test_plug_matches_the_eager_reference():
+    for f, g in _start_scan_pairs():
+        _assert_matches_eager(plug(f, g), f, g)
+        _assert_matches_eager(plug(f, g, max_steps=3), f, g, max_steps=3)
+
+
+def test_a_shared_table_matches_the_eager_reference():
+    from graphvm.encodings import run_word
+    from graphvm.machines import words_up_to
+    for _, m in _shipped_machines():
+        memo: dict = {}
+        for word in words_up_to(m.spec.alphabet, 3):
+            result, _ = run_word(m, word, memo=memo)
+            _assert_matches_eager(result, *result.operands)
+
+
+def test_records_are_built_only_when_read(monkeypatch):
+    from graphvm import execution, sampling
+    from graphvm.encodings import run_word
+    from graphvm.execution import language
+    from graphvm.machines import words_up_to
+
+    def no_record(*args):
+        raise AssertionError("a path record was built")
+
+    monkeypatch.setattr(execution, "PathRecord", no_record)
+    runs = []
+    for _, m in _shipped_machines():
+        language(m, T_NL if m.spec.mode == "nondet" else T_DET, 3)
+        for word in words_up_to(m.spec.alphabet, 2):
+            result, regions = run_word(m, word)
+            evaluate_test(result, T_NL, regions)
+            assert "paths" not in vars(result)
+            assert "dead_paths" not in vars(result)
+            runs.append(result)
+    for seed in range(6):
+        for mode in ("det", "nondet", "prob"):
+            assert sampling.property_holds("closure", seed, mode, 10000)
+        assert sampling.property_holds("associativity", seed, "det", 10000)
+    monkeypatch.undo()
+    # read afterwards, the records are the eager reference's
+    assert any(r.paths for r in runs) and any(r.dead_paths for r in runs)
+    for result in runs:
+        _assert_matches_eager(result, *result.operands)

@@ -396,3 +396,21 @@ def test_compose_cancels_offsets_exactly():
     assert both.offsets == ((2, Fraction(1, 2)),)
     _check_normal(both)
     assert up.compose(up.invert()) == Realizer.identity()
+
+
+def test_inverse_is_cached_and_matches_the_reference():
+    rng = random.Random(16)
+    draws = [_random_mi_member(rng, arity)
+             for arity in range(2, 6) for _ in range(8)]
+    draws += [r.compose(Realizer.offset(
+        {j: Fraction(rng.randrange(-8, 9), rng.choice((4, 6, 9)))
+         for j in rng.sample(COORDS, rng.randrange(1, 4))}))
+        for r in draws]
+    assert any(r.offsets and r.perm for r in draws)
+    for r in draws:
+        inverse = r.invert()
+        assert inverse is r.invert()
+        assert inverse == _reference_invert(r)
+        assert hash(inverse) == hash(_reference_invert(r))
+        assert inverse.invert() == r
+        _check_normal(inverse)
