@@ -86,6 +86,11 @@ def cmd_run(args) -> int:
 def cmd_language(args) -> int:
     machine = _load(args.machine)
     test = _test_from_args(args)
+    if args.one_way and machine.spec.retreat_entered_states():
+        # a one-way word lets each retreat die, which the oracle does not
+        # model: the two languages would differ on every such word
+        raise ValueError(f"{machine.spec.name} retreats: --one-way needs "
+                         f"a machine that never retreats")
     got = language(machine, test, args.max_len, one_way=args.one_way,
                    max_steps=args.max_steps)
     spec = machine.spec

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .space import MeasurableSet, RationalBox, RationalInterval
+from .space import MeasurableSet, RationalBox, RationalInterval, lazy
 from .realizers import Microcosm, Realizer
 from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, validate
 from .machines import ACCEPT, ADVANCE, MARKER, MachineSpec, validate_spec
@@ -103,10 +103,6 @@ def slice_interval(position: int, cells: int) -> RationalInterval:
 
 @dataclass(frozen=True)
 class WordEncoding:
-    word: str
-    layout: TapeLayout
-    state_rows: int
-    one_way: bool
     graphing: Graphing
 
 
@@ -155,7 +151,7 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
                 edges.append(_word_edge(in_cell, nxt, out_cell, pos, cells))
     graphing = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
                              _tape_carrier(layout, state_rows), edges)
-    return WordEncoding(word, layout, state_rows, one_way, graphing)
+    return WordEncoding(graphing)
 
 
 @dataclass(frozen=True)
@@ -172,12 +168,12 @@ class EncodedMachine:
         if problems:
             raise ValueError(f"machine graphing invalid: {problems}")
 
-    @cached_property
+    @lazy
     def accept_region(self) -> MeasurableSet:
         return MeasurableSet.from_boxes(
             self.layout.accept_boxes(len(self.spec.states)))
 
-    @cached_property
+    @lazy
     def reject_region(self) -> MeasurableSet:
         return MeasurableSet.from_boxes(
             self.layout.reject_boxes(len(self.spec.states)))
@@ -214,14 +210,11 @@ def _response_edges(spec: MachineSpec, layout: TapeLayout,
                     dst = (layout.accept_cell(row_of[state])
                            if action.kind == ACCEPT
                            else layout.reject_cell(row_of[state]))
-                elif action.kind == ADVANCE:
-                    target_symbol = MARKER if action.swap else symbol
-                    dst = layout.symbol_cell(target_symbol, OUT,
-                                             row_of[action.goto])
-                else:  # retreat exits through the word's reverse edges
-                    target_symbol = MARKER if action.swap else symbol
-                    dst = layout.symbol_cell(target_symbol, IN,
-                                             row_of[action.goto])
+                else:  # a retreat exits through the word's reverse edges
+                    dst = layout.symbol_cell(
+                        MARKER if action.swap else symbol,
+                        OUT if action.kind == ADVANCE else IN,
+                        row_of[action.goto])
                 realizer = Realizer.make(dst - src_cell, perm)
                 edges.append(Edge(action.weight, source, realizer))
     return edges

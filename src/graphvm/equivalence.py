@@ -105,7 +105,6 @@ def orbit(cell: int, values: dict[int, Fraction], generators,
 class WitnessPiece:
     part: MeasurableSet                 # cell-free constraints, kept at cell 0
     word: tuple[Realizer, ...]
-    composite: Realizer
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def is_compilable(target: Realizer, generators, max_word_len: int = 6,
             continue
         pieces.append(WitnessPiece(
             part, tuple(gens[idx] if exp == 1 else gens[idx].invert()
-                        for idx, exp in word), comp))
+                        for idx, exp in word)))
         remaining = remaining.subtract(part)
         if remaining.is_empty():
             break

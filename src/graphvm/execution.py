@@ -113,23 +113,25 @@ class PathRecord:
 class PlugResult:
     """A plug's graphing and diagnostics, with the path search's trails.
 
-    ``paths`` (aligned with ``graphing.edges``) and ``dead_paths`` (the
-    maximal paths that die inside the cut, in the order the search met
-    them) are built from the trails the first time they are read, so a
-    caller that only reads the graphing never builds them.
+    ``paths`` (aligned with ``graphing.edges``, whose sources they take)
+    and ``dead_paths`` (the maximal paths that die inside the cut, in the
+    order the search met them) are built from the trails the first time
+    they are read, so a caller that only reads the graphing never builds
+    them.
     """
 
     graphing: Graphing
     diagnostics: Diagnostics
     operands: tuple[Graphing, Graphing]   # the sides "F" and "G" of the steps
-    # per result edge, in edge order: the path's trail and its source
-    exit_trails: list[tuple[tuple[_Step, ...], MeasurableSet]]
+    # per result edge, in edge order: the path's trail
+    exit_trails: list[tuple[_Step, ...]]
     # per dead path: its trail and the region that dies after the last step
     dead_trails: list[tuple[tuple[_Step, ...], MeasurableSet]]
 
     @lazy
     def paths(self) -> list[PathRecord]:
-        return [_record(trail, src) for trail, src in self.exit_trails]
+        return [_record(trail, e.source)
+                for trail, e in zip(self.exit_trails, self.graphing.edges)]
 
     @lazy
     def dead_paths(self) -> list[PathRecord]:
@@ -213,8 +215,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     cut = intersect(f.carrier, g.carrier)
     sides = {"F": f, "G": g}
     diag = Diagnostics()
-    result_edges: list[Edge] = []
-    exit_trails: list[tuple[tuple[_Step, ...], MeasurableSet]] = []
+    exits_found: list[tuple[Edge, tuple[_Step, ...]]] = []
     dead_trails: list[tuple[tuple[_Step, ...], MeasurableSet]] = []
     queue: deque[tuple[MeasurableSet, tuple[_Step, ...]]] = deque()
 
@@ -231,8 +232,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
         exits, inside = split(image, cut)
         if not exits.is_empty():
             src = apply(composite.invert(), exits)
-            result_edges.append(Edge(weight, src, composite))
-            exit_trails.append((trail, src))
+            exits_found.append((Edge(weight, src, composite), trail))
         # a path inside the cut only meets the part of a source in the
         # cut, so whole edges need no split at it
         if inside.is_empty():
@@ -273,14 +273,14 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             diag.dead_mass += weight * dead.measure()
             dead_trails.append((trail, dead))
 
-    order = sorted(range(len(result_edges)), key=lambda i: result_edges[i].key())
-    edges = tuple(result_edges[i] for i in order)
+    exits_found.sort(key=lambda found: found[0].key())
     graphing = Graphing(monoid, f.microcosm.join(g.microcosm),
-                        outside["F"].union(outside["G"]), edges)
+                        outside["F"].union(outside["G"]),
+                        tuple(e for e, _ in exits_found))
     if not diag.complete:
         diag.notes.append(f"step budget {max_steps} exhausted; result partial")
     return PlugResult(graphing, diag, (f, g),
-                      [exit_trails[i] for i in order], dead_trails)
+                      [trail for _, trail in exits_found], dead_trails)
 
 
 # -- cycles and measurement ---------------------------------------------------

@@ -22,8 +22,8 @@ Text format, one machine per file::
     s0, 0 -> advance goto s0
     s0, 1 -> accept
 
-The symbol ``*`` stands for the marker.  Weights are ``p/q`` rationals
-and only meaningful in ``prob`` mode.  ``accept``/``reject`` are
+The symbol ``*`` stands for the marker.  Weights are positive ``p/q``
+rationals, only meaningful in ``prob`` mode.  ``accept``/``reject`` are
 terminal and take no ``goto``.  Missing (state, symbol) entries halt
 the run dead.
 """
@@ -33,7 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+
+from .space import lazy
 
 MARKER = "*"
 
@@ -83,7 +84,7 @@ class MachineSpec:
     def initial(self) -> str:
         return self.states[0]
 
-    @cached_property
+    @lazy
     def transition_map(self) -> dict[tuple[str, str], tuple[Action, ...]]:
         return dict(self.transitions)
 
@@ -135,8 +136,8 @@ def validate_spec(spec: MachineSpec) -> list[str]:
                 continue
             if spec.mode in ("det", "nondet") and a.weight != 1:
                 problems.append(f"{where}: weight {a.weight} in {spec.mode} mode")
-            if not (0 <= a.weight <= 1):
-                problems.append(f"{where}: weight {a.weight} outside [0,1]")
+            if not (0 < a.weight <= 1):
+                problems.append(f"{where}: weight {a.weight} outside (0,1]")
             total += a.weight
             if a.kind == RETREAT and not spec.two_way:
                 problems.append(f"{where}: retreat in a one-way machine")

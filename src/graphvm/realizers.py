@@ -102,9 +102,6 @@ class Realizer:
                 return a
         return j
 
-    def is_identity(self) -> bool:
-        return self.shift == 0 and not self.perm and not self.offsets
-
     def input_constraints(self) -> dict[int, RationalInterval] | None:
         """Per input coordinate, the interval on which the map is defined.
 

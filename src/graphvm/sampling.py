@@ -78,11 +78,9 @@ def _layered_graphing(rng: random.Random, left_cells, right_cells,
 def _emit(rng, edges, src, dst, iv, mode):
     source = MeasurableSet.of(RationalBox.make(src, {1: iv}))
     realizer = _random_realizer(rng, src, dst, iv)
-    if mode == "det":
+    if mode in ("det", "nondet"):
         edges.append(Edge(Fraction(1), source, realizer))
-    elif mode == "nondet":
-        edges.append(Edge(Fraction(1), source, realizer))
-        if rng.randrange(2) == 0:
+        if mode == "nondet" and rng.randrange(2) == 0:
             other = Realizer.shift_by(dst - src)
             edges.append(Edge(Fraction(1), source, other))
     else:

@@ -180,8 +180,7 @@ def test_criterion_8_compilation_preserves_language_and_cost():
     from graphvm.space import MeasurableSet, RationalBox, interval
     halves = tuple(
         WitnessPiece(MeasurableSet.of(RationalBox.make(0, {1: piece})),
-                     (m.graphing.edges[0].realizer,),
-                     m.graphing.edges[0].realizer)
+                     (m.graphing.edges[0].realizer,))
         for piece in (interval(0, "1/2"), interval("1/2", 1)))
     split = compile_graphing(
         m.graphing,

@@ -95,6 +95,19 @@ def test_language_agreement(tmp_path, capsys):
     assert payload["graphing"] == payload["oracle"]
 
 
+def test_language_one_way_refuses_a_machine_that_retreats(capsys):
+    argv = ["language", mach("last-is-one.mach"), "--one-way",
+            "--max-len", "3"]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "last-is-one retreats" in captured.err
+    assert captured.out == ""
+    # the two-way words, and a one-way run, are still allowed
+    assert main(argv[:2] + argv[3:]) == EXIT_OK
+    assert main(["run", mach("last-is-one.mach"), "01",
+                 "--one-way"]) == EXIT_OK
+
+
 def test_language_prob_table(tmp_path):
     code = main(["language", mach("biased-first.mach"), "--test", "prob",
                  "--max-len", "2", "--one-way", "--out", str(tmp_path)])

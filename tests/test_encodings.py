@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from graphvm import encodings
 from graphvm.encodings import (IN, OUT, WORD_EDGE_CACHE, EncodedMachine,
                                TapeLayout, classify_result, encode_machine,
                                encode_word, run_word, slice_interval)
-from graphvm.execution import T_DET, Verdict, evaluate_test, language, t_prob
+from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, evaluate_test,
+                               language, t_prob)
 from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
-from graphvm.machines import MARKER, parse_machine
+from graphvm.machines import MARKER, load_machine, parse_machine
 from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
 from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
@@ -347,6 +349,26 @@ check, * -> reject
     # against the two-way word the same machine accepts
     result, regions = run_word(m, "01", one_way=False)
     assert evaluate_test(result, T_DET, regions) is Verdict.ACCEPT
+
+
+def test_one_way_words_change_nothing_without_retreats():
+    """A machine that never retreats never takes a reverse word edge, so
+    dropping them changes no verdict: why ``language --one-way`` refuses
+    only machines that retreat."""
+    tests_of = {"det": (T_DET, T_CONL), "nondet": (T_NL, T_CONL),
+                "prob": (t_prob(),)}
+    here = os.path.join(os.path.dirname(__file__), "..", "machines")
+    checked = []
+    for name in sorted(os.listdir(here)):
+        spec = load_machine(os.path.join(here, name))
+        if spec.retreat_entered_states():
+            continue
+        m = encode_machine(spec)
+        for test in tests_of[spec.mode]:
+            assert (language(m, test, 4, one_way=True).verdicts
+                    == language(m, test, 4).verdicts), (name, test.kind)
+        checked.append(name)
+    assert checked
 
 
 def test_classify_result_tracks_the_oracle():

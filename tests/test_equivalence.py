@@ -4,7 +4,7 @@ import pytest
 
 from graphvm.encodings import EncodedMachine, encode_machine
 from graphvm.equivalence import (CompilationWitness, WitnessError,
-                                 build_treeing, compile_graphing,
+                                 WitnessPiece, build_treeing, compile_graphing,
                                  is_compilable, orbit, phi_words,
                                  separation_experiment, treeing_cost,
                                  unit_shift_witnesses)
@@ -19,7 +19,7 @@ from graphvm.space import MeasurableSet, RationalBox, interval
 def test_phi_words_identity_only():
     words = phi_words([], 0)
     assert len(words) == 1
-    assert words[0].realizer.is_identity()
+    assert words[0].realizer == Realizer.identity()
     assert words[0].letters == ()
 
 
@@ -173,31 +173,23 @@ def test_compile_with_source_splitting_witness_keeps_cost():
     left = MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")}))
     right = MeasurableSet.of(RationalBox.make(0, {1: interval("1/2", 1)}))
     witness = CompilationWitness(Realizer.shift_by(1), tuple(
-        _piece(part, (Realizer.shift_by(1),)) for part in (left, right)))
+        WitnessPiece(part, (Realizer.shift_by(1),))
+        for part in (left, right)))
     compiled = compile_graphing(g, {0: witness}, Microcosm.m1())
     assert len(compiled.edges) == 2
     assert cost(compiled) == cost(g)
     assert validate(compiled) == []
 
 
-def _piece(part, word):
-    from graphvm.equivalence import WitnessPiece
-    comp = Realizer.identity()
-    for letter in word:
-        comp = comp.compose(letter)
-    return WitnessPiece(part, word, comp)
-
-
 def test_compiled_edge_carries_the_checked_realizer():
-    # the piece's word composes to the edge's shift 1; its composite field
-    # claims shift 2, which no check covers, so the edge must not take it
+    # the piece's word composes to the edge's shift 1, which the witness
+    # checks prove, so the compiled edge carries that realizer
     g = Graphing.make(TRIVIAL, Microcosm.m1(),
                       MeasurableSet.of(*(RationalBox.make(c) for c in range(3))),
                       [Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
                             Realizer.shift_by(1))])
-    from graphvm.equivalence import WitnessPiece
     piece = WitnessPiece(MeasurableSet.of(RationalBox.make(0)),
-                         (Realizer.shift_by(1),), Realizer.shift_by(2))
+                         (Realizer.shift_by(1),))
     compiled = compile_graphing(
         g, {0: CompilationWitness(Realizer.shift_by(1), (piece,))},
         Microcosm.m1())
@@ -211,13 +203,15 @@ def test_invalid_witness_names_edge_and_part():
                       MeasurableSet.of(RationalBox.make(0), RationalBox.make(1)),
                       [Edge(Fraction(1), src, Realizer.shift_by(1))])
     wrong = CompilationWitness(Realizer.shift_by(1), (
-        _piece(MeasurableSet.of(RationalBox.make(0)), (Realizer.shift_by(2),)),))
+        WitnessPiece(MeasurableSet.of(RationalBox.make(0)),
+                     (Realizer.shift_by(2),)),))
     with pytest.raises(WitnessError) as err:
         compile_graphing(g, {0: wrong}, Microcosm.m1())
     assert "edge 0" in str(err.value) and "part 0" in str(err.value)
     gappy = CompilationWitness(Realizer.shift_by(1), (
-        _piece(MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")})),
-               (Realizer.shift_by(1),)),))
+        WitnessPiece(
+            MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")})),
+            (Realizer.shift_by(1),)),))
     with pytest.raises(WitnessError) as err:
         compile_graphing(g, {0: gappy}, Microcosm.m1())
     assert "cover" in str(err.value)

@@ -92,6 +92,31 @@ def test_parse_rejects_invalid_spec():
         parse_machine(ONES.replace("alphabet: 0 1", "alphabet: 0 0"))
 
 
+def test_zero_weight_action_is_refused(tmp_path, capsys):
+    # a zero-weight branch carries no mass in the graphing, yet the
+    # oracle would still count where it leads
+    from graphvm.cli import EXIT_PARSE, main
+    text = """
+name: zero
+alphabet: 0 1
+heads: 1
+states: s
+mode: prob
+twoway: true
+s, * -> reject
+s, 0 -> 0/1 accept
+s, 0 -> 1/1 reject
+s, 1 -> reject
+"""
+    with pytest.raises(MachineSpecError, match="weight 0"):
+        parse_machine(text)
+    path = tmp_path / "zero.mach"
+    path.write_text(text)
+    argv = ["language", str(path), "--test", "nl", "--max-len", "2"]
+    assert main(argv) == EXIT_PARSE
+    assert "weight 0" in capsys.readouterr().err
+
+
 def test_retreat_entered_states():
     spec = parse_machine("""
 name: r
