@@ -50,6 +50,8 @@ class TapeLayout:
     def __post_init__(self):
         if MARKER in self.alphabet:
             raise ValueError("alphabet must not contain the marker")
+        if any(len(symbol) != 1 for symbol in self.alphabet):
+            raise ValueError("alphabet symbols must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet has duplicates")
 

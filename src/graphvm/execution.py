@@ -17,6 +17,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .space import MeasurableSet, lazy
 from .realizers import Realizer
@@ -156,23 +157,6 @@ def _split(image: MeasurableSet,
     return image.subtract(cut), image.intersect(cut)
 
 
-def _memoised(memo: dict, method):
-    """``method(a, b)``, looked up in ``memo`` by ``(method, a, b)``.
-
-    A miss calls ``method``, as read when the plug began: a class
-    attribute, so whatever is bound there sees every computation, or
-    ``_split``, which calls the class attributes.  Results are shared,
-    which is safe: sets and realizers are immutable.
-    """
-    def call(a, b):
-        key = (method, a, b)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = method(a, b)
-        return got
-    return call
-
-
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
          validate_inputs: bool = True, memo: dict | None = None) -> PlugResult:
     """Compose ``f`` and ``g`` across the cut, their carrier overlap,
@@ -192,10 +176,12 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     path records only when they are read.
 
     ``memo`` is a table that several plugs share, as ``language`` does
-    with every word of one call against one machine: ``Realizer.apply``
-    and ``compose``, ``MeasurableSet.intersect`` and ``subtract`` and the
-    split at the cut are looked up in it by operand pair and computed
-    only on a miss.  A lone plug keeps no table.
+    with every word of one call against one machine.  It keys one
+    ``lru_cache`` per operation (``Realizer.apply`` and ``compose``,
+    ``MeasurableSet.intersect`` and ``subtract``, the split at the cut)
+    by the method read when the plug began, so whatever is bound there
+    sees every miss; results are shared, as sets and realizers are
+    immutable.  A lone plug keeps no table.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -209,7 +195,8 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     split = _split
     if memo is not None:
         apply, compose, intersect, subtract, split = (
-            _memoised(memo, method)
+            memo.get(method)
+            or memo.setdefault(method, lru_cache(maxsize=None)(method))
             for method in (apply, compose, intersect, subtract, split))
     monoid = join_monoids(f.weights, g.weights)
     cut = intersect(f.carrier, g.carrier)

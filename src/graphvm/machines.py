@@ -22,10 +22,11 @@ Text format, one machine per file::
     s0, 0 -> advance goto s0
     s0, 1 -> accept
 
-The symbol ``*`` stands for the marker.  Weights are positive ``p/q``
-rationals, only meaningful in ``prob`` mode.  ``accept``/``reject`` are
-terminal and take no ``goto``.  Missing (state, symbol) entries halt
-the run dead.
+Each header appears once (``twoway`` may be left out, and is then
+true).  Symbols are single characters; ``*`` stands for the marker.
+Weights are positive ``p/q`` rationals, only meaningful in ``prob``
+mode.  ``accept``/``reject`` are terminal and take no ``goto``.
+Missing (state, symbol) entries halt the run dead.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ REJECT = "reject"
 _MOVES = (ADVANCE, RETREAT)
 _TERMINALS = (ACCEPT, REJECT)
 _MODES = ("det", "nondet", "prob")
+_HEADERS = ("name", "alphabet", "heads", "states", "mode", "twoway")
 
 
 class MachineParseError(ValueError):
@@ -114,6 +116,8 @@ def validate_spec(spec: MachineSpec) -> list[str]:
         problems.append(f"unknown mode {spec.mode!r}")
     if MARKER in spec.alphabet:
         problems.append("alphabet must not contain the marker")
+    if any(len(symbol) != 1 for symbol in spec.alphabet):
+        problems.append("alphabet symbols must be single characters")
     if len(set(spec.alphabet)) != len(spec.alphabet):
         problems.append("duplicate alphabet symbols")
     if len(set(spec.states)) != len(spec.states):
@@ -234,7 +238,11 @@ def parse_machine(text: str) -> MachineSpec:
             transitions[key].append(action)
         elif ":" in line:
             key, value = line.split(":", 1)
-            headers[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key not in _HEADERS or key in headers:
+                problem = "repeated" if key in headers else "unknown"
+                raise MachineParseError(line_no, f"{problem} header {key!r}")
+            headers[key] = value.strip()
         else:
             raise MachineParseError(line_no, f"cannot parse {line!r}")
 
@@ -255,8 +263,6 @@ def parse_machine(text: str) -> MachineSpec:
     if two_way_text not in ("true", "false"):
         raise MachineParseError(0, "twoway must be true or false")
     two_way = two_way_text == "true"
-    if not states:
-        raise MachineParseError(0, "states header is empty")
     spec = MachineSpec(name, alphabet, heads, states, mode, two_way,
                        tuple((k, tuple(transitions[k])) for k in order))
     problems = validate_spec(spec)

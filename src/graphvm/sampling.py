@@ -92,6 +92,8 @@ def _emit(rng, edges, src, dst, iv, mode):
 def _chain(seed: int, mode: str, *layers) -> tuple[Graphing, ...]:
     """One layered graphing per pair of consecutive layers, all drawn
     from one generator seeded with ``seed``."""
+    if mode not in _CLASS_OF_MODE:
+        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     return tuple(_layered_graphing(rng, left, right, mode)
                  for left, right in zip(layers, layers[1:]))
@@ -119,6 +121,8 @@ def property_holds(kind: str, seed: int, mode: str, max_steps: int) -> bool:
     mode's class (or deterministic).  ``associativity``: all four plugs
     of the two nestings of a random triple are clean, and the nestings
     give the same graphing."""
+    if kind not in ("closure", "associativity"):
+        raise ValueError(f"unknown property {kind!r}")
     if kind == "closure":
         f, g = random_pair(seed, mode)
         result = plug(f, g, max_steps=max_steps)

@@ -260,3 +260,27 @@ def test_criterion_10_exactness_sweep(tmp_path):
            "no float literals or comparisons in the code, no non-p/q "
            "numerics in generated reports"
            + (f"; offenders {offenders[:4]}" if offenders else ""))
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares ``dependencies = []``
+    import sys
+    outside = []
+    package = os.path.join(ROOT, "src", "graphvm")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside.extend(f"{name}:{node.lineno} {module}"
+                           for module in modules
+                           if module.split(".")[0] not in
+                           sys.stdlib_module_names | {"graphvm"})
+    assert not outside, outside

@@ -220,6 +220,11 @@ def test_encode_word_and_machine(tmp_path, capsys):
     assert "style=dashed" in dot  # the head-swap edges
 
 
+def test_encode_word_refuses_a_multi_character_symbol(capsys):
+    assert main(["encode", "word", "ab", "--alphabet", "ab"]) == EXIT_INVALID
+    assert "single characters" in capsys.readouterr().err
+
+
 def test_validate_verb(tmp_path, capsys):
     assert main(["validate", mach("guess-11.mach")]) == EXIT_OK
     assert "ok" in capsys.readouterr().out

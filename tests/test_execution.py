@@ -181,6 +181,19 @@ def test_associativity_random():
         assert left.graphing.same_as(right.graphing), seed
 
 
+def test_sampling_refuses_an_unknown_mode_or_property():
+    from graphvm.sampling import property_holds
+    # an unknown mode would draw split weights over the trivial monoid,
+    # and an unknown property kind would run the associativity check
+    for draw in (lambda: random_pair(1, "banana"),
+                 lambda: random_triple(1, "banana"),
+                 lambda: property_holds("closure", 1, "banana", 100)):
+        with pytest.raises(ValueError, match="unknown mode 'banana'"):
+            draw()
+    with pytest.raises(ValueError, match="unknown property 'closur'"):
+        property_holds("closur", 1, "det", 100)
+
+
 def _start_scan_pairs():
     """Seeded sampling pairs and the four plugs of seeded triples in every
     mode, then every shipped machine against its words up to length 2."""
@@ -475,7 +488,7 @@ def test_a_lone_plug_keeps_no_table(monkeypatch):
     def no_table(*args):
         raise AssertionError("a lone plug made a table")
 
-    monkeypatch.setattr(execution, "_memoised", no_table)
+    monkeypatch.setattr(execution, "lru_cache", no_table)
     for left, right in ((m.graphing, word), (f, g)):
         log.clear()
         first = plug(left, right)

@@ -92,6 +92,30 @@ def test_parse_rejects_invalid_spec():
         parse_machine(ONES.replace("alphabet: 0 1", "alphabet: 0 0"))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a symbol is one character of a word, so an ``ab`` transition could
+    # never fire
+    ("alphabet: 0 1", "alphabet: 0 1 ab", "single characters"),
+    # ``two_way`` is not ``twoway``: the machine would stay two-way
+    ("twoway: true", "two_way: false", "line 7: unknown header 'two_way'"),
+    # the second name would win silently
+    ("mode: det", "mode: det\nname: other", "line 7: repeated header 'name'"),
+    ("states: s0", "states:", "at least one state is required"),
+])
+def test_malformed_machine_file_is_a_parse_error(old, new, message, tmp_path,
+                                                 capsys):
+    from graphvm.cli import EXIT_PARSE, main
+    text = ONES.replace(old, new)
+    with pytest.raises((MachineParseError, MachineSpecError), match=message):
+        parse_machine(text)
+    path = tmp_path / "bad.mach"
+    path.write_text(text)
+    for argv in (["validate", str(path)],
+                 ["language", str(path), "--max-len", "1"]):
+        assert main(argv) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
+
 def test_zero_weight_action_is_refused(tmp_path, capsys):
     # a zero-weight branch carries no mass in the graphing, yet the
     # oracle would still count where it leads
