@@ -134,7 +134,9 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
                 one_way: bool = False) -> WordEncoding:
     """Graphing of the marked cyclic word, duplicated across state rows.
     Its edges and carrier are built once per key and shared between calls:
-    an edge depends on its cells, its slices and the word length only."""
+    an edge depends on its cells, its slices and the word length only.
+    No two sources share a (cell, slice), so emitting by cell, then by
+    position, gives ``Edge.key`` order and the cell index unsorted."""
     for ch in word:
         if ch not in layout.alphabet:
             raise ValueError(f"symbol {ch!r} not in alphabet")
@@ -142,17 +144,24 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
         raise ValueError("need at least one state row")
     cells = len(word) + 1
     symbols = [MARKER] + list(word)
-    edges = []
-    for row in range(state_rows):
-        for pos in range(cells):
-            nxt = (pos + 1) % cells
-            out_cell = layout.symbol_cell(symbols[pos], OUT, row)
-            in_cell = layout.symbol_cell(symbols[nxt], IN, row)
-            edges.append(_word_edge(out_cell, pos, in_cell, nxt, cells))
-            if not one_way:
-                edges.append(_word_edge(in_cell, nxt, out_cell, pos, cells))
-    graphing = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
-                             _tape_carrier(layout, state_rows), edges)
+    positions = [(s, [p for p, x in enumerate(symbols) if x == s])
+                 for s in (MARKER,) + layout.alphabet if s in symbols]
+    # a symbol's Out cell comes right after its In cell
+    in_cell = {s: layout.symbol_cell(s, IN) for s, _ in positions}
+    edges, by_cell = [], {}
+    for base in range(0, state_rows * layout.row_stride, layout.row_stride):
+        for symbol, at in positions:
+            for out in (1,) if one_way else (0, 1):
+                cell = base + in_cell[symbol] + out
+                by_cell[cell] = list(range(len(edges), len(edges) + len(at)))
+                for pos in at:
+                    # Out carries pos to the next In, In back to the last Out
+                    to = (pos + 1 if out else pos - 1) % cells
+                    dst = base + in_cell[symbols[to]] + 1 - out
+                    edges.append(_word_edge(cell, pos, dst, to, cells))
+    graphing = Graphing(TRIVIAL, Microcosm.macrocosm(),
+                        _tape_carrier(layout, state_rows), tuple(edges))
+    vars(graphing)["edges_by_cell"] = by_cell
     return WordEncoding(graphing)
 
 
@@ -253,11 +262,17 @@ def run_word(machine: EncodedMachine, word: str, one_way: bool = False,
     machine was when it was built, and ``encode_word`` builds valid
     graphings.  ``memo`` is handed to ``plug``.  Returns the plug result
     and the regions the tests need."""
+    return (_plug_word(machine, word, one_way, max_steps, memo),
+            machine.regions_for(len(word)))
+
+
+def _plug_word(machine: EncodedMachine, word: str, one_way: bool,
+               max_steps: int, memo: dict | None) -> PlugResult:
+    """``run_word`` without the regions, which depend on the length only."""
     enc = encode_word(word, machine.layout,
                       state_rows=len(machine.spec.states), one_way=one_way)
-    result = plug(machine.graphing, enc.graphing, max_steps=max_steps,
-                  validate_inputs=False, memo=memo)
-    return result, machine.regions_for(len(word))
+    return plug(machine.graphing, enc.graphing, max_steps=max_steps,
+                validate_inputs=False, memo=memo)
 
 
 def classify_result(result: PlugResult, regions: Regions) -> str:

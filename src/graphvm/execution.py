@@ -18,10 +18,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
-from .space import MeasurableSet, lazy
+from .space import MeasurableSet, _exact, lazy
 from .realizers import Realizer
-from .graphing import Edge, Graphing, join_monoids, validate
+from .graphing import (Edge, Graphing, ProbabilityWeights, TrivialWeights,
+                       join_monoids, validate)
 from .machines import require_probabilities, words_up_to
 
 
@@ -62,6 +64,7 @@ class Test:
     def __post_init__(self):
         if self.kind not in ("det", "nl", "conl", "prob"):
             raise ValueError(f"unknown test kind {self.kind!r}")
+        _exact(self.cutpoint)           # refuses a binary floating value
         if not (0 <= self.cutpoint < 1):
             raise ValueError("cutpoint must lie in [0, 1)")
 
@@ -72,7 +75,7 @@ T_CONL = Test("conl")
 
 
 def t_prob(cutpoint=Fraction(1, 2)) -> Test:
-    return Test("prob", Fraction(cutpoint))
+    return Test("prob", _exact(cutpoint))
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,8 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             diag.dead_mass += weight * dead.measure()
             dead_trails.append((trail, dead))
 
-    exits_found.sort(key=lambda found: found[0].key())
+    if len(exits_found) > 1:
+        exits_found.sort(key=lambda found: found[0].key())
     graphing = Graphing(monoid, f.microcosm.join(g.microcosm),
                         outside["F"].union(outside["G"]),
                         tuple(e for e, _ in exits_found))
@@ -379,6 +383,17 @@ def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
     return _landed_mass(result, regions, regions.reject)
 
 
+def _carries_mass(result: PlugResult, regions: Regions,
+                  where: MeasurableSet) -> bool:
+    """Whether landed mass in ``where`` is positive: with nonnegative
+    weights, whether some edge of positive weight lands in it at all."""
+    if not isinstance(result.graphing.weights,
+                      (TrivialWeights, ProbabilityWeights)):
+        return _landed_mass(result, regions, where) > 0
+    return any(e.weight > 0 and not landing(e, regions, where).is_empty()
+               for e in result.graphing.edges)
+
+
 def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
     """Apply a test to an execution result.
 
@@ -392,11 +407,11 @@ def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
     diag = result.diagnostics
     pending = diag.unresolved_mass > 0
     if test.kind in ("det", "nl"):
-        if accept_mass(result, regions) > 0:
+        if _carries_mass(result, regions, regions.accept):
             return Verdict.ACCEPT
         return Verdict.UNDETERMINED if pending else Verdict.REJECT
     if test.kind == "conl":
-        if reject_mass(result, regions) > 0:
+        if _carries_mass(result, regions, regions.reject):
             return Verdict.REJECT
         return Verdict.UNDETERMINED if pending else Verdict.ACCEPT
     mass = accept_mass(result, regions)
@@ -420,7 +435,7 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     """Words of length <= max_len the encoded machine accepts under the
     test, in (length, alphabet) order.  Undetermined words are excluded
     from the list and reported separately."""
-    from .encodings import run_word
+    from .encodings import _plug_word
 
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -430,10 +445,12 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     # one table for every word of this call, dropped when it returns: the
     # words repeat the same set and realizer operations on equal operands
     memo: dict = {}
-    for word in words_up_to(machine.spec.alphabet, max_len):
-        result, regions = run_word(machine, word, one_way=one_way,
-                                   max_steps=max_steps, memo=memo)
-        verdicts[word] = evaluate_test(result, test, regions)
+    words = words_up_to(machine.spec.alphabet, max_len)
+    for length, same_length in groupby(words, len):
+        regions = machine.regions_for(length)   # words come in length order
+        for word in same_length:
+            result = _plug_word(machine, word, one_way, max_steps, memo)
+            verdicts[word] = evaluate_test(result, test, regions)
     return LanguageResult(
         [w for w, v in verdicts.items() if v is Verdict.ACCEPT],
         [w for w, v in verdicts.items() if v is Verdict.UNDETERMINED],

@@ -98,6 +98,11 @@ class MachineSpec:
         return {a.goto for _, acts in self.transitions for a in acts
                 if a.kind == RETREAT and a.goto is not None}
 
+    # once per spec, which the parser and the encoder both check
+    @lazy
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_find_problems(self))
+
 
 def require_probabilities(spec: MachineSpec) -> None:
     """Raise unless the spec's branch weights are probabilities: a nondet
@@ -107,6 +112,11 @@ def require_probabilities(spec: MachineSpec) -> None:
 
 
 def validate_spec(spec: MachineSpec) -> list[str]:
+    """The spec's problems, in a list of its own; empty when it is valid."""
+    return list(spec._problems)
+
+
+def _find_problems(spec: MachineSpec) -> list[str]:
     problems = []
     if spec.heads < 1:
         problems.append("heads must be at least 1")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ZERO,
-                    ONE, lazy)
+                    ONE, _exact, lazy)
 
 
 class DomainViolation(ValueError):
@@ -60,7 +60,7 @@ class Realizer:
     def make(shift: int = 0,
              perm: dict[int, int] | None = None,
              offsets: dict[int, Fraction] | None = None) -> "Realizer":
-        exact = ((j, c if type(c) is Fraction else Fraction(c))
+        exact = ((j, c if type(c) is Fraction else _exact(c))
                  for j, c in (offsets or {}).items())
         norm_off = tuple(sorted((j, c) for j, c in exact if c != 0))
         if any(j < 1 for j, _ in norm_off):

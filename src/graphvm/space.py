@@ -26,10 +26,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational, Real
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _exact(value) -> Fraction:
+    """``value`` as a ``Fraction``, refusing a binary floating value."""
+    if isinstance(value, Real) and not isinstance(value, Rational):
+        raise TypeError(f"{value!r} is a binary approximation: use p/q")
+    return Fraction(value)
 
 
 class lazy:
@@ -66,7 +74,7 @@ class RationalInterval:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _exact(lo), _exact(hi)
         # over the lcm of two reduced denominators the form is lowest terms
         d = lcm(lo.denominator, hi.denominator)
         _set_a(self, lo.numerator * (d // lo.denominator))

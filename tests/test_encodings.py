@@ -124,6 +124,43 @@ def test_cached_word_encodings_equal_fresh_ones(alphabet, monkeypatch):
     assert all(c.same_as(f) for c, f in zip(cached, fresh, strict=True))
 
 
+def _per_position_edges(word, layout, rows, one_way):
+    """The word edges built position by position, unsorted: the Out edge
+    of each position and, two-way, the In edge back to it."""
+    cells = len(word) + 1
+    symbols = [MARKER] + list(word)
+    edges = []
+    for row in range(rows):
+        for pos in range(cells):
+            nxt = (pos + 1) % cells
+            out_cell = layout.symbol_cell(symbols[pos], OUT, row)
+            in_cell = layout.symbol_cell(symbols[nxt], IN, row)
+            edges.append(encodings._word_edge(out_cell, pos, in_cell, nxt,
+                                              cells))
+            if not one_way:
+                edges.append(encodings._word_edge(in_cell, nxt, out_cell, pos,
+                                                  cells))
+    return edges
+
+
+@pytest.mark.parametrize("alphabet, max_len",
+                         [(("0", "1"), 8), (("a", "b", "c"), 5)])
+def test_word_graphings_come_in_key_order_with_their_index(alphabet, max_len):
+    layout = TapeLayout(alphabet)
+    for word in words_up_to(alphabet, max_len):
+        for rows in (1, 2, 3):
+            for one_way in (False, True):
+                g = encode_word(word, layout, rows, one_way).graphing
+                made = Graphing.make(g.weights, g.microcosm, g.carrier,
+                                     _per_position_edges(word, layout, rows,
+                                                         one_way))
+                assert g.edges == made.edges, (word, rows, one_way)
+                # the index a fresh graphing sweeps for, in the same order
+                swept = Graphing(g.weights, g.microcosm, g.carrier,
+                                 g.edges).edges_by_cell
+                assert list(g.edges_by_cell.items()) == list(swept.items())
+
+
 def _covering_words(alphabet, length):
     """Words of the given length that put every symbol, and every pair of
     symbols, at every position: each word edge key of the length once."""

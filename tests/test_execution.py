@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from graphvm.execution import (INFINITY, MeasurementMap, PathRecord, T_CONL,
-                               T_DET, T_NL, Regions, Verdict, accept_mass,
+                               T_DET, T_NL, Regions, Test, Verdict,
+                               accept_mass,
                                cycles, evaluate_test, landing, measurement,
                                plug, reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, classify, disjoint_union, join_monoids,
-                              validate)
+                              TRIVIAL, TableWeights, classify, disjoint_union,
+                              join_monoids, validate)
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
@@ -356,6 +357,38 @@ def test_weightless_edge_lands_without_mass():
     assert landing(weightless, regions, regions.accept) == ms(cellbox(10))
     assert accept_mass(result, regions) == 0
     assert reject_mass(result, regions) == 1
+
+
+BOOLEAN = TableWeights((Fraction(0), Fraction(1)),
+                       {(a, b): a * b for a in (Fraction(0), Fraction(1))
+                        for b in (Fraction(0), Fraction(1))}, Fraction(1))
+
+
+@pytest.mark.parametrize("monoid", [PROBABILITIES, BOOLEAN])
+def test_a_weightless_landing_decides_no_verdict(monoid):
+    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
+    for to_accept, to_reject, det, conl in (
+            (0, 1, Verdict.REJECT, Verdict.REJECT),
+            (1, 0, Verdict.ACCEPT, Verdict.ACCEPT)):
+        f = graphing([Edge(Fraction(to_accept), ms(cellbox(0)),
+                           Realizer.shift_by(10)),
+                      Edge(Fraction(to_reject), ms(cellbox(0)),
+                           Realizer.shift_by(11))],
+                     (0, 10, 11), monoid)
+        result = plug(f, graphing([], (5,)))
+        assert evaluate_test(result, T_DET, regions) is det
+        assert evaluate_test(result, T_NL, regions) is det
+        assert evaluate_test(result, T_CONL, regions) is conl
+
+
+def test_float_cutpoints_are_refused():
+    # integer division makes a float: the slip these refuse
+    for make in (lambda: Test("prob", 1 / 2), lambda: t_prob(1 / 10)):
+        with pytest.raises(TypeError, match="p/q"):
+            make()
+    assert t_prob("1/10").cutpoint == Fraction(1, 10)
+    assert t_prob(0).cutpoint == 0
+    assert Test("prob", Fraction(1, 3)).cutpoint == Fraction(1, 3)
 
 
 def test_decaying_revisit_is_unresolved_not_looping():

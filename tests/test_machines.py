@@ -85,6 +85,33 @@ def test_spec_validation():
     assert validate_spec(bad) == ["duplicate alphabet symbols"]
 
 
+def test_a_parsed_spec_is_validated_once(monkeypatch):
+    from graphvm import machines
+    from graphvm.encodings import encode_machine
+    checked = []
+    find = machines._find_problems
+    monkeypatch.setattr(machines, "_find_problems",
+                        lambda spec: checked.append(spec) or find(spec))
+    spec = parse_machine(ONES)
+    encode_machine(spec)
+    assert checked == [spec]
+    # each caller gets a list of its own
+    first = validate_spec(spec)
+    first.append("scribble")
+    assert validate_spec(spec) == [] and len(checked) == 1
+
+
+def test_a_hand_built_invalid_spec_is_refused_when_encoded():
+    from graphvm.encodings import encode_machine
+    bad = MachineSpec("m", ("0",), 1, ("s",), "det", False,
+                      ((("s", "0"), (Action("retreat", goto="s"),)),))
+    with pytest.raises(ValueError, match="retreat in a one-way machine"):
+        encode_machine(bad)
+    # again, from the problems the spec keeps
+    with pytest.raises(ValueError, match="retreat in a one-way machine"):
+        encode_machine(bad)
+
+
 def test_parse_rejects_invalid_spec():
     with pytest.raises(MachineSpecError):
         parse_machine(ONES.replace("mode: det", "mode: banana"))

@@ -19,7 +19,9 @@ import random
 import pytest
 
 from graphvm.encodings import encode_machine, run_word
-from graphvm.execution import T_CONL, T_DET, T_NL, accept_mass, language
+from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, accept_mass,
+                               evaluate_test, language, reject_mass)
+from graphvm.machines import load_machine
 from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
 
 MACHINEGEN = os.path.join(os.path.dirname(__file__), "..", "perfbench",
@@ -76,3 +78,37 @@ def test_random_machine_agrees_with_oracle(spec):
         got = language(machine, test, MAX_LEN, one_way=one_way)
         assert got.undetermined == [], test.kind
         assert got.accepted == oracle_language(spec, MAX_LEN, mode), test.kind
+
+
+def _by_landed_mass(result, test, regions):
+    """The det/nl/conl verdict by the landed mass: accept when
+    ``accept_mass > 0`` (det, nl), reject when ``reject_mass > 0`` (conl)."""
+    pending = result.diagnostics.unresolved_mass > 0
+    if test.kind == "conl":
+        if reject_mass(result, regions) > 0:
+            return Verdict.REJECT
+        return Verdict.UNDETERMINED if pending else Verdict.ACCEPT
+    if accept_mass(result, regions) > 0:
+        return Verdict.ACCEPT
+    return Verdict.UNDETERMINED if pending else Verdict.REJECT
+
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "machines")
+SHIPPED_SPECS = [load_machine(os.path.join(SHIPPED, name))
+                 for name in sorted(os.listdir(SHIPPED))]
+
+
+@pytest.mark.parametrize(
+    "spec, max_len", [(s, 4) for s in SHIPPED_SPECS]
+    + [(s, MAX_LEN) for s in MACHINES],
+    ids=[s.name for s in SHIPPED_SPECS] + [_id(s) for s in MACHINES])
+def test_verdicts_by_existence_match_the_landed_mass(spec, max_len):
+    machine = encode_machine(spec)
+    for word in words_up_to(spec.alphabet, max_len):
+        # a budget of 5 leaves mass pending on the longer words
+        for max_steps in (10000, 5):
+            result, regions = run_word(machine, word, not spec.two_way,
+                                       max_steps)
+            for test in (T_DET, T_NL, T_CONL):
+                assert evaluate_test(result, test, regions) \
+                    is _by_landed_mass(result, test, regions), (word, test)

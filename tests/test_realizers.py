@@ -72,6 +72,17 @@ def test_compose_acts_left_to_right():
     assert both.apply(s) == second.apply(first.apply(s))
 
 
+def test_float_offsets_are_refused():
+    # integer division makes a float: the slip these refuse
+    with pytest.raises(TypeError, match="p/q"):
+        Realizer.make(0, None, {1: 1 / 10})
+    with pytest.raises(TypeError, match="p/q"):
+        Realizer.offset({2: 1 / 2})
+    assert Realizer.make(0, None, {1: "1/10"}) \
+        == Realizer.make(0, None, {1: Fraction(1, 10)})
+    assert Realizer.make(0, None, {1: 0}) == Realizer.identity()
+
+
 def test_realizers_built_along_different_paths_hash_alike():
     quarter = Fraction(1, 4)
     made = Realizer.make(3, {1: 2, 2: 1}, {2: quarter})

@@ -21,6 +21,16 @@ def test_interval_invariants():
         RationalInterval(Fraction(-1, 2), Fraction(1, 2))
 
 
+def test_float_endpoints_are_refused():
+    # integer division makes a float: the slip these refuse
+    for lo, hi in ((1 / 10, 1 / 2), (0, 1 / 2), (Fraction(1, 10), 1 / 1)):
+        with pytest.raises(TypeError, match="p/q"):
+            interval(lo, hi)
+        with pytest.raises(TypeError, match="p/q"):
+            RationalInterval(lo, hi)
+    assert interval(0, "1/2") == interval(Fraction(0), Fraction(1, 2))
+
+
 def test_interval_form_is_unique():
     half = RationalInterval(Fraction(1, 2), 1)
     assert RationalInterval(Fraction(2, 4), 1) == half
