@@ -136,7 +136,7 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
     Its edges and carrier are built once per key and shared between calls:
     an edge depends on its cells, its slices and the word length only.
     No two sources share a (cell, slice), so emitting by cell, then by
-    position, gives ``Edge.key`` order and the cell index unsorted."""
+    position, gives ``Edge.key`` order and the cell index, unswept."""
     for ch in word:
         if ch not in layout.alphabet:
             raise ValueError(f"symbol {ch!r} not in alphabet")
