@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import equivalence, export, oracle, sampling
-from .execution import (T_CONL, T_DET, T_NL, Test, Verdict, evaluate_test,
-                        landing, language, accept_mass, t_prob)
+from .execution import (T_CONL, T_DET, T_NL, Test, Verdict, _by_cutpoint,
+                        evaluate_test, landing, language, accept_mass, t_prob)
 from .encodings import (EncodedMachine, TapeLayout, encode_machine,
                         encode_word, run_word)
 from .graphing import classify, cost
@@ -59,10 +59,13 @@ def cmd_run(args) -> int:
         oracle.require_probabilities(machine.spec)
     result, regions = run_word(machine, args.word, one_way=args.one_way,
                                max_steps=args.max_steps)
-    verdict = evaluate_test(result, test, regions)
+    # a prob verdict reads the accept mass the run prints: sum it once
+    mass = accept_mass(result, regions) if test.kind == "prob" else None
+    verdict = (evaluate_test(result, test, regions) if mass is None
+               else _by_cutpoint(mass, result, test, regions))
     print(f"{machine.spec.name} on {args.word!r}: {verdict.value}")
-    if test.kind == "prob":
-        print(f"accept mass: {export.frac_str(accept_mass(result, regions))}")
+    if mass is not None:
+        print(f"accept mass: {export.frac_str(mass)}")
     out = _ensure_out(args)
     if out:
         export.write_jsonl(os.path.join(out, "trace.jsonl"),

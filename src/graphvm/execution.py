@@ -5,10 +5,12 @@ Plugging two graphings composes every maximal path that alternates
 between their edges, starts outside the cut region and ends outside it;
 each such path becomes one edge of the result, realized by the exact
 composite map on the exact surviving domain.  Paths that die inside the
-cut vanish.  The search is breadth-first with exact domain propagation,
-a step budget, and a repetition detector, so a verdict is only ever
-``undetermined`` when mass remains whose fate the budget could not
-settle.
+cut vanish: the search keeps the nodes where something may die, and the
+dead regions and their mass are built from them only when read.  The
+search is breadth-first with exact domain propagation, a step budget,
+and a repetition detector that scans a path's trail only when the path
+takes an edge already on it, so a verdict is only ever ``undetermined``
+when mass remains whose fate the budget could not settle.
 """
 
 from __future__ import annotations
@@ -90,15 +92,45 @@ class Regions:
 
 @dataclass
 class Diagnostics:
+    """Where a plug's mass went.
+
+    ``dead_mass`` is summed over the dead regions, which are built from
+    the search's open nodes the first time it or ``PlugResult.dead_paths``
+    is read.
+    """
+
     complete: bool = True
     steps_used: int = 0
     unresolved_mass: Fraction = Fraction(0)
     looping_mass: Fraction = Fraction(0)
-    dead_mass: Fraction = Fraction(0)
     notes: list[str] = field(default_factory=list)
+    # per node that no hit holds whole, in search order: its trail, the
+    # part of its image inside the cut, and the hits
+    _open_nodes: list[tuple[tuple[_Step, ...], MeasurableSet,
+                            list[MeasurableSet]]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     def clean(self) -> bool:
         return self.complete and self.unresolved_mass == 0
+
+    @lazy
+    def _dead(self) -> list[tuple[tuple[_Step, ...], MeasurableSet]]:
+        """Per path that dies inside the cut: its trail and the dead
+        region, what the hits leave of the node's part inside the cut.
+        ``subtract`` reads its other operand cell by cell only, so the
+        hits, which may overlap, go in as they are: one sweep per node."""
+        regions = []
+        for trail, inside, hits in self._open_nodes:
+            dead = inside.subtract(
+                MeasurableSet(tuple(b for hit in hits for b in hit.boxes)))
+            if dead.boxes:
+                regions.append((trail, dead))
+        return regions
+
+    @lazy
+    def dead_mass(self) -> Fraction:
+        return sum((trail[-1][3] * dead.measure()
+                    for trail, dead in self._dead), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -121,7 +153,8 @@ class PlugResult:
     and ``dead_paths`` (the maximal paths that die inside the cut, in the
     order the search met them) are built from the trails the first time
     they are read, so a caller that only reads the graphing never builds
-    them.
+    them.  ``dead_paths`` reads the dead regions that
+    ``diagnostics.dead_mass`` reads, so reading both sweeps each node once.
     """
 
     graphing: Graphing
@@ -129,8 +162,6 @@ class PlugResult:
     operands: tuple[Graphing, Graphing]   # the sides "F" and "G" of the steps
     # per result edge, in edge order: the path's trail
     exit_trails: list[tuple[_Step, ...]]
-    # per dead path: its trail and the region that dies after the last step
-    dead_trails: list[tuple[tuple[_Step, ...], MeasurableSet]]
 
     @lazy
     def paths(self) -> list[PathRecord]:
@@ -141,7 +172,7 @@ class PlugResult:
     def dead_paths(self) -> list[PathRecord]:
         # the source is the dead region pulled back along the composite
         return [_record(trail, trail[-1][2].invert().apply(dead))
-                for trail, dead in self.dead_trails]
+                for trail, dead in self.diagnostics._dead]
 
 
 # One trail entry per edge a path takes: the (side, edge index), the
@@ -172,11 +203,17 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     graphing comes straight from ``encode_word``.
 
     At each node of the search, one split of the image at the cut gives
-    the part that exits and the part that goes on, and the dead part is
-    what the other side's sources leave of the latter: none when one
-    source holds all of it, else one difference from the union of the
-    hits.  The result keeps each path's trail; ``PlugResult`` builds the
-    path records only when they are read.
+    the part that exits and the part that goes on.  The dead part is what
+    the other side's sources leave of the latter: none when one source
+    holds all of it, as the meet then returns the node's own set.  Any
+    other node is kept with its trail and its hits, and its dead part is
+    swept only when ``dead_paths`` or ``diagnostics.dead_mass`` is read;
+    ``language`` and the property checks read neither.  A path repeats
+    when it takes an edge of its trail again with the same composite, on
+    a part of the region it had there; each path carries its trail's
+    edge keys, so the trail is scanned only for a key already in it.
+    The result keeps each path's trail; ``PlugResult`` builds the path
+    records only when they are read.
 
     ``memo`` is a table that several plugs share, as ``language`` does
     with every word of one call against one machine.  It keys one
@@ -202,76 +239,82 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             or memo.setdefault(method, lru_cache(maxsize=None)(method))
             for method in (apply, compose, intersect, subtract, split))
     monoid = join_monoids(f.weights, g.weights)
+    product = monoid.product
     cut = intersect(f.carrier, g.carrier)
     sides = {"F": f, "G": g}
     diag = Diagnostics()
+    steps = 0
     exits_found: list[tuple[Edge, tuple[_Step, ...]]] = []
-    dead_trails: list[tuple[tuple[_Step, ...], MeasurableSet]] = []
-    queue: deque[tuple[MeasurableSet, tuple[_Step, ...]]] = deque()
+    # each path: its image, its trail and the trail's (side, edge) keys
+    queue: deque[tuple[MeasurableSet, tuple[_Step, ...],
+                       tuple[tuple[str, int], ...]]] = deque()
 
     outside = {side: subtract(graphing.carrier, cut)
                for side, graphing in sides.items()}
     for side, graphing in sides.items():
         for idx, e, start in graphing.edges_meeting(outside[side], intersect):
             queue.append((apply(e.realizer, start),
-                          (((side, idx), start, e.realizer, e.weight),)))
+                          (((side, idx), start, e.realizer, e.weight),),
+                          ((side, idx),)))
 
     while queue:
-        image, trail = queue.popleft()
+        image, trail, keys = queue.popleft()
         (side, _), _, composite, weight = trail[-1]
         exits, inside = split(image, cut)
-        if not exits.is_empty():
+        if exits.boxes:
             src = apply(composite.invert(), exits)
             exits_found.append((Edge(weight, src, composite), trail))
         # a path inside the cut only meets the part of a source in the
         # cut, so whole edges need no split at it
-        if inside.is_empty():
+        if not inside.boxes:
             continue
         other = "G" if side == "F" else "F"
         hits: list[MeasurableSet] = []
+        # a meet that cuts nothing returns its operand: then one source
+        # holds all of inside and nothing dies here
+        whole = False
         for idx, e, hit in sides[other].edges_meeting(inside, intersect):
             hits.append(hit)
-            if diag.steps_used >= max_steps:
+            whole = whole or hit is inside
+            if steps >= max_steps:
                 diag.complete = False
                 diag.unresolved_mass += weight * hit.measure()
                 continue
-            diag.steps_used += 1
+            steps += 1
             new_comp = compose(composite, e.realizer)
-            new_weight = monoid.product(weight, e.weight)
-            repeat = next((w for key, region, comp, w in trail
-                           if key == (other, idx) and comp == new_comp
-                           and hit.subset_of(region)), None)
-            if repeat is not None:
-                mass = new_weight * hit.measure()
-                if new_weight == repeat:
-                    diag.looping_mass += mass
-                else:
-                    # decaying revisit: its remaining emissions are
-                    # bounded by the mass entering the repeat
-                    diag.unresolved_mass += mass
-                continue
+            new_weight = product(weight, e.weight)
+            key = (other, idx)
+            # a repeat takes an edge the trail took before, so the trail
+            # is scanned only when the key is already in it
+            if key in keys:
+                repeat = next((w for k, region, comp, w in trail
+                               if k == key and comp == new_comp
+                               and hit.subset_of(region)), None)
+                if repeat is not None:
+                    mass = new_weight * hit.measure()
+                    if new_weight == repeat:
+                        diag.looping_mass += mass
+                    else:
+                        # decaying revisit: its remaining emissions are
+                        # bounded by the mass entering the repeat
+                        diag.unresolved_mass += mass
+                    continue
             queue.append((apply(e.realizer, hit),
-                          trail + (((other, idx), hit, new_comp, new_weight),)))
-        # a meet that cuts nothing returns its operand: then one source
-        # holds all of inside and nothing dies here
-        if any(hit is inside for hit in hits):
-            continue
-        covered = hits[0] if len(hits) == 1 else MeasurableSet.from_boxes(
-            b for hit in hits for b in hit.boxes)
-        dead = subtract(inside, covered)
-        if not dead.is_empty():
-            diag.dead_mass += weight * dead.measure()
-            dead_trails.append((trail, dead))
+                          trail + ((key, hit, new_comp, new_weight),),
+                          keys + (key,)))
+        if not whole:
+            diag._open_nodes.append((trail, inside, hits))
 
     if len(exits_found) > 1:
         exits_found.sort(key=lambda found: found[0].key())
     graphing = Graphing(monoid, f.microcosm.join(g.microcosm),
                         outside["F"].union(outside["G"]),
                         tuple(e for e, _ in exits_found))
+    diag.steps_used = steps
     if not diag.complete:
         diag.notes.append(f"step budget {max_steps} exhausted; result partial")
     return PlugResult(graphing, diag, (f, g),
-                      [trail for _, trail in exits_found], dead_trails)
+                      [trail for _, trail in exits_found])
 
 
 # -- cycles and measurement ---------------------------------------------------
@@ -390,7 +433,13 @@ def _carries_mass(result: PlugResult, regions: Regions,
     if not isinstance(result.graphing.weights,
                       (TrivialWeights, ProbabilityWeights)):
         return _landed_mass(result, regions, where) > 0
-    return any(e.weight > 0 and not landing(e, regions, where).is_empty()
+    # a realizer moves every cell by its shift, so an edge whose shifted
+    # source cells miss those of ``where`` lands nothing there
+    cells = where.cells()
+    return any(e.weight > 0
+               and any(b.cell + e.realizer.shift in cells
+                       for b in e.source.boxes)
+               and not landing(e, regions, where).is_empty()
                for e in result.graphing.edges)
 
 
@@ -414,10 +463,15 @@ def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
         if _carries_mass(result, regions, regions.reject):
             return Verdict.REJECT
         return Verdict.UNDETERMINED if pending else Verdict.ACCEPT
-    mass = accept_mass(result, regions)
+    return _by_cutpoint(accept_mass(result, regions), result, test, regions)
+
+
+def _by_cutpoint(mass: Fraction, result: PlugResult, test: Test,
+                 regions: Regions) -> Verdict:
+    """The prob test's verdict on ``mass``, the result's accept mass."""
     if mass > test.cutpoint:
         return Verdict.ACCEPT
-    slack = diag.unresolved_mass / regions.launch.measure()
+    slack = result.diagnostics.unresolved_mass / regions.launch.measure()
     if mass + slack <= test.cutpoint:
         return Verdict.REJECT
     return Verdict.UNDETERMINED

@@ -146,6 +146,7 @@ def test_exact_loop_is_settled_divergence():
     assert result.diagnostics.looping_mass > 0
     assert result.diagnostics.unresolved_mass == 0
     assert len(result.graphing.edges) == 0
+    _assert_matches_eager_at_budgets(f, g)
 
 
 def test_undetermined_only_when_it_could_flip():
@@ -317,6 +318,7 @@ def test_unit_loop_with_branch_keeps_verdict_exact():
     exits = [e for e in result.graphing.edges
              if list(e.target.cells()) == [9]]
     assert len(exits) == 1
+    _assert_matches_eager_at_budgets(f, g)
 
 
 def test_prob_test_verdicts():
@@ -381,6 +383,27 @@ def test_a_weightless_landing_decides_no_verdict(monoid):
         assert evaluate_test(result, T_CONL, regions) is conl
 
 
+def test_an_edge_that_cannot_land_makes_no_apply_call(monkeypatch):
+    # the only edge carries the launch cell to the reject cell, so the
+    # accept test need not image it, while the conl test must
+    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(11))],
+                 (0, 11))
+    result = plug(f, graphing([], (5,)))
+    calls = []
+    apply = Realizer.apply
+
+    def counted(realizer, s):
+        calls.append(realizer)
+        return apply(realizer, s)
+
+    monkeypatch.setattr(Realizer, "apply", counted)
+    assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
+    assert calls == []
+    assert evaluate_test(result, T_CONL, regions) is Verdict.REJECT
+    assert calls == [Realizer.shift_by(11)]
+
+
 def test_float_cutpoints_are_refused():
     # integer division makes a float: the slip these refuse
     for make in (lambda: Test("prob", 1 / 2), lambda: t_prob(1 / 10)):
@@ -406,6 +429,7 @@ def test_decaying_revisit_is_unresolved_not_looping():
     assert diag.unresolved_mass == Fraction(1, 2)
     assert diag.looping_mass == 0
     assert result.graphing.edges == ()
+    _assert_matches_eager_at_budgets(f, g)
 
 
 def test_cycle_closing_only_from_a_later_rotation_is_not_kept():
@@ -609,6 +633,12 @@ def _assert_matches_eager(result, f, g, max_steps=10000):
                                diag["looping_mass"], diag["dead_mass"])
 
 
+def _assert_matches_eager_at_budgets(f, g):
+    for max_steps in (10000, 1, 3):
+        _assert_matches_eager(plug(f, g, max_steps=max_steps), f, g,
+                              max_steps)
+
+
 def test_overlapping_sources_that_cover_part_of_a_node():
     # g's two sources on the cut overlap, and together miss [3/4, 1)
     f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
@@ -675,6 +705,48 @@ def test_a_shared_table_matches_the_eager_reference():
             _assert_matches_eager(result, *result.operands)
 
 
+def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
+    # f carries cells 0 and 1 into the cut; g's sources on cell 5 overlap
+    # and miss [3/4, 1), and on cell 6 two halves cover it only together:
+    # two nodes that no hit holds whole, and one dead path
+    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
+                  Edge(Fraction(1), ms(cellbox(1)), Realizer.shift_by(5))],
+                 (0, 1, 5, 6))
+    g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
+                       Realizer.shift_by(4)),
+                  Edge(Fraction(1), ms(cellbox(5, "1/4", "3/4")),
+                       Realizer.shift_by(5)),
+                  Edge(Fraction(1), ms(cellbox(6, 0, "1/2")),
+                       Realizer.shift_by(5)),
+                  Edge(Fraction(1), ms(cellbox(6, "1/2", 1)),
+                       Realizer.shift_by(6))], (5, 6, 9, 10, 11, 12))
+    _, _, dead_paths, diag = _eager_plug(f, g)
+    assert [p.source for p in dead_paths] == [ms(cellbox(0, "3/4", 1))]
+    cut = f.carrier.intersect(g.carrier)
+    taken = []
+    subtract = MeasurableSet.subtract
+
+    def counted(a, b):
+        taken.append(b)
+        return subtract(a, b)
+
+    monkeypatch.setattr(MeasurableSet, "subtract", counted)
+    for order in (("dead_paths", "dead_mass"), ("dead_mass", "dead_paths")):
+        result = plug(f, g)
+        # the plug itself only takes the cut away: no dead region yet
+        assert taken and all(b == cut for b in taken)
+        taken.clear()
+        got = {}
+        for name in order:
+            owner = result if name == "dead_paths" else result.diagnostics
+            got[name] = getattr(owner, name)
+            # the first read sweeps both nodes, the second sweeps none
+            assert len(taken) == 2 and cut not in taken, order
+        assert got == {"dead_paths": dead_paths,
+                       "dead_mass": diag["dead_mass"]}
+        taken.clear()
+
+
 def test_records_are_built_only_when_read(monkeypatch):
     from graphvm import execution, sampling
     from graphvm.encodings import run_word
@@ -684,7 +756,12 @@ def test_records_are_built_only_when_read(monkeypatch):
     def no_record(*args):
         raise AssertionError("a path record was built")
 
+    def no_dead_region(diagnostics):
+        raise AssertionError("a dead region was computed")
+
     monkeypatch.setattr(execution, "PathRecord", no_record)
+    monkeypatch.setattr(execution.Diagnostics, "_dead",
+                        property(no_dead_region))
     runs = []
     for _, m in _shipped_machines():
         language(m, T_NL if m.spec.mode == "nondet" else T_DET, 3)

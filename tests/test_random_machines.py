@@ -80,6 +80,24 @@ def test_random_machine_agrees_with_oracle(spec):
         assert got.accepted == oracle_language(spec, MAX_LEN, mode), test.kind
 
 
+def test_repeats_by_key_match_the_full_trail_scan():
+    """Every word up to length 3 on every seeded machine, run in its own
+    direction: the plug, whose repeat test scans a trail only for an edge
+    key already on it, equals the eager reference, which scans every
+    trail.  The runs include exact loops and decaying revisits."""
+    from test_execution import _assert_matches_eager
+    looping = decaying = 0
+    for spec in MACHINES:
+        machine = encode_machine(spec)
+        for word in words_up_to(spec.alphabet, MAX_LEN):
+            result, _ = run_word(machine, word, not spec.two_way)
+            _assert_matches_eager(result, *result.operands)
+            diag = result.diagnostics
+            looping += diag.looping_mass > 0
+            decaying += diag.complete and diag.unresolved_mass > 0
+    assert looping and decaying
+
+
 def _by_landed_mass(result, test, regions):
     """The det/nl/conl verdict by the landed mass: accept when
     ``accept_mass > 0`` (det, nl), reject when ``reject_mass > 0`` (conl)."""
