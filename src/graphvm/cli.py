@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import equivalence, export, oracle, sampling
-from .execution import (T_CONL, T_DET, T_NL, Test, Verdict, _by_cutpoint,
-                        evaluate_test, landing, language, accept_mass, t_prob)
+from .execution import (Test, Verdict, _by_cutpoint, evaluate_test, landing,
+                        language, accept_mass, t_prob)
 from .encodings import (EncodedMachine, TapeLayout, encode_machine,
                         encode_word, run_word)
 from .graphing import classify, cost
@@ -32,13 +32,9 @@ EXIT_INVALID = 5
 
 
 def _test_from_args(args) -> Test:
-    if args.test == "det":
-        return T_DET
-    if args.test == "nl":
-        return T_NL
-    if args.test == "conl":
-        return T_CONL
-    return t_prob(parse_rational(args.cutpoint))
+    if args.test == "prob":
+        return t_prob(parse_rational(args.cutpoint))
+    return Test(args.test)
 
 
 def _load(path: str) -> EncodedMachine:

@@ -29,7 +29,8 @@ from functools import lru_cache
 from .space import MeasurableSet, RationalBox, RationalInterval, lazy
 from .realizers import Microcosm, Realizer
 from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, validate
-from .machines import ACCEPT, ADVANCE, MARKER, MachineSpec, validate_spec
+from .machines import (ACCEPT, ADVANCE, MARKER, MachineSpec,
+                       alphabet_problems, validate_spec)
 from .execution import PlugResult, Regions, accept_mass, plug, reject_mass
 
 IN = "in"
@@ -48,12 +49,9 @@ class TapeLayout:
     alphabet: tuple[str, ...]
 
     def __post_init__(self):
-        if MARKER in self.alphabet:
-            raise ValueError("alphabet must not contain the marker")
-        if any(len(symbol) != 1 for symbol in self.alphabet):
-            raise ValueError("alphabet symbols must be single characters")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet has duplicates")
+        problems = alphabet_problems(self.alphabet)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def row_stride(self) -> int:
@@ -130,6 +128,12 @@ def _tape_carrier(layout: TapeLayout, rows: int) -> MeasurableSet:
     return MeasurableSet.from_boxes(layout.tape_boxes(rows))
 
 
+@lru_cache(maxsize=64)
+def _launch_set(cell: int, heads: int, cells: int) -> MeasurableSet:
+    coords = {j: slice_interval(0, cells) for j in range(1, heads + 1)}
+    return MeasurableSet.of(RationalBox.make(cell, coords))
+
+
 def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
                 one_way: bool = False) -> WordEncoding:
     """Graphing of the marked cyclic word, duplicated across state rows.
@@ -162,13 +166,14 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
     graphing = Graphing(TRIVIAL, Microcosm.macrocosm(),
                         _tape_carrier(layout, state_rows), tuple(edges))
     vars(graphing)["edges_by_cell"] = by_cell
+    vars(graphing)["_problems"] = ()      # valid by construction
     return WordEncoding(graphing)
 
 
 @dataclass(frozen=True)
 class EncodedMachine:
     """A machine spec with its graphing, which is validated here, once,
-    whoever built it: runs plug it without checking it again."""
+    whoever built it: runs plug it without sweeping it again."""
 
     spec: MachineSpec
     layout: TapeLayout
@@ -193,11 +198,8 @@ class EncodedMachine:
         """Accept region of the initial state's row, row 0, with every
         head's address on the marker slice; runs that honour the
         automaton semantics start exactly here."""
-        cells = word_len + 1
-        coords = {j: slice_interval(0, cells)
-                  for j in range(1, self.spec.heads + 1)}
-        return MeasurableSet.of(RationalBox.make(
-            self.layout.accept_cell(), coords))
+        return _launch_set(self.layout.accept_cell(), self.spec.heads,
+                           word_len + 1)
 
     def regions_for(self, word_len: int) -> Regions:
         return Regions(self.launch_region(word_len),
@@ -258,21 +260,14 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
 
 def run_word(machine: EncodedMachine, word: str, one_way: bool = False,
              max_steps: int = 10000, memo: dict | None = None):
-    """Plug the machine against the word, validating neither side: the
-    machine was when it was built, and ``encode_word`` builds valid
-    graphings.  ``memo`` is handed to ``plug``.  Returns the plug result
-    and the regions the tests need."""
-    return (_plug_word(machine, word, one_way, max_steps, memo),
-            machine.regions_for(len(word)))
-
-
-def _plug_word(machine: EncodedMachine, word: str, one_way: bool,
-               max_steps: int, memo: dict | None) -> PlugResult:
-    """``run_word`` without the regions, which depend on the length only."""
+    """Plug the machine against the word.  Neither side is swept again:
+    the machine was when it was built, and ``encode_word`` records that
+    its graphings have no problems.  ``memo`` is handed to ``plug``.
+    Returns the plug result and the regions the tests need."""
     enc = encode_word(word, machine.layout,
                       state_rows=len(machine.spec.states), one_way=one_way)
-    return plug(machine.graphing, enc.graphing, max_steps=max_steps,
-                validate_inputs=False, memo=memo)
+    result = plug(machine.graphing, enc.graphing, max_steps, memo=memo)
+    return result, machine.regions_for(len(word))
 
 
 def classify_result(result: PlugResult, regions: Regions) -> str:

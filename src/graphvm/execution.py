@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 
 from .space import MeasurableSet, _exact, lazy
 from .realizers import Realizer
@@ -192,15 +191,14 @@ def _split(image: MeasurableSet,
 
 
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
-         validate_inputs: bool = True, memo: dict | None = None) -> PlugResult:
+         memo: dict | None = None) -> PlugResult:
     """Compose ``f`` and ``g`` across the cut, their carrier overlap,
     into the graphing of maximal alternating paths.
 
     Every edge source must lie in its graphing's carrier, as ``validate``
     checks: paths start where the carrier outside the cut meets a source.
-    ``validate_inputs=False`` skips the well-formedness sweep; ``run_word``
-    passes it, as machines are validated when built and its word
-    graphing comes straight from ``encode_word``.
+    Each graphing keeps its problems, so a graphing plugged again, such
+    as a machine against every word, is swept only once.
 
     At each node of the search, one split of the image at the cut gives
     the part that exits and the part that goes on.  The dead part is what
@@ -225,11 +223,10 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    if validate_inputs:
-        for name, graphing in (("first", f), ("second", g)):
-            problems = validate(graphing)
-            if problems:
-                raise ValueError(f"{name} graphing invalid: {problems}")
+    for name, graphing in (("first", f), ("second", g)):
+        problems = validate(graphing)
+        if problems:
+            raise ValueError(f"{name} graphing invalid: {problems}")
     apply, compose = Realizer.apply, Realizer.compose
     intersect, subtract = MeasurableSet.intersect, MeasurableSet.subtract
     split = _split
@@ -489,7 +486,7 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     """Words of length <= max_len the encoded machine accepts under the
     test, in (length, alphabet) order.  Undetermined words are excluded
     from the list and reported separately."""
-    from .encodings import _plug_word
+    from .encodings import run_word
 
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -499,12 +496,9 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     # one table for every word of this call, dropped when it returns: the
     # words repeat the same set and realizer operations on equal operands
     memo: dict = {}
-    words = words_up_to(machine.spec.alphabet, max_len)
-    for length, same_length in groupby(words, len):
-        regions = machine.regions_for(length)   # words come in length order
-        for word in same_length:
-            result = _plug_word(machine, word, one_way, max_steps, memo)
-            verdicts[word] = evaluate_test(result, test, regions)
+    for word in words_up_to(machine.spec.alphabet, max_len):
+        result, regions = run_word(machine, word, one_way, max_steps, memo)
+        verdicts[word] = evaluate_test(result, test, regions)
     return LanguageResult(
         [w for w, v in verdicts.items() if v is Verdict.ACCEPT],
         [w for w, v in verdicts.items() if v is Verdict.UNDETERMINED],

@@ -140,14 +140,9 @@ class Edge:
     def target(self) -> MeasurableSet:
         return self.realizer.apply(self.source)
 
-    # Word edges are shared between the word graphings that sort them.
-    @lazy
-    def _key(self):
+    def key(self):
         return (tuple(b.key() for b in self.source.boxes),
                 self.realizer.key(), self.weight)
-
-    def key(self):
-        return self._key
 
 
 class GraphingClass(enum.Enum):
@@ -202,9 +197,19 @@ class Graphing:
         """Equality as canonical graphings (carrier plus edge multiset)."""
         return self.carrier == other.carrier and self.edges == other.edges
 
+    # once per graphing; ``encode_word`` records none for its graphings
+    @lazy
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_find_problems(self))
+
 
 def validate(g: Graphing) -> list[str]:
-    """All invariant violations, empty when the graphing is well formed."""
+    """All invariant violations, empty when the graphing is well formed:
+    the graphing's problems, in a list of its own."""
+    return list(g._problems)
+
+
+def _find_problems(g: Graphing) -> list[str]:
     problems = []
     for i, e in enumerate(g.edges):
         if not g.weights.admits(e.weight):

@@ -116,6 +116,18 @@ def validate_spec(spec: MachineSpec) -> list[str]:
     return list(spec._problems)
 
 
+def alphabet_problems(alphabet) -> list[str]:
+    """The alphabet rules that a spec and a ``TapeLayout`` both enforce."""
+    problems = []
+    if MARKER in alphabet:
+        problems.append("alphabet must not contain the marker")
+    if any(len(symbol) != 1 for symbol in alphabet):
+        problems.append("alphabet symbols must be single characters")
+    if len(set(alphabet)) != len(alphabet):
+        problems.append("duplicate alphabet symbols")
+    return problems
+
+
 def _find_problems(spec: MachineSpec) -> list[str]:
     problems = []
     if spec.heads < 1:
@@ -124,12 +136,7 @@ def _find_problems(spec: MachineSpec) -> list[str]:
         problems.append("at least one state is required")
     if spec.mode not in _MODES:
         problems.append(f"unknown mode {spec.mode!r}")
-    if MARKER in spec.alphabet:
-        problems.append("alphabet must not contain the marker")
-    if any(len(symbol) != 1 for symbol in spec.alphabet):
-        problems.append("alphabet symbols must be single characters")
-    if len(set(spec.alphabet)) != len(spec.alphabet):
-        problems.append("duplicate alphabet symbols")
+    problems.extend(alphabet_problems(spec.alphabet))
     if len(set(spec.states)) != len(spec.states):
         problems.append("duplicate state names")
     symbols = set(spec.alphabet) | {MARKER}

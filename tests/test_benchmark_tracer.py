@@ -4,7 +4,9 @@
 module attribute (``getattr``) or as an entry of a class ``__dict__``,
 so deleting or moving one of those names breaks
 ``perfbench/run.py --trace 1``.  This test fails first.  The tracer is
-loaded from its file and only read.
+loaded from its file and only read.  With it installed, ``language``
+must give each word its own ``run_word`` span, so that the per-word
+glue is not counted as ``language``'s own time.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench",
                       "tracer.py")
+MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
 
 
 def _load_tracer():
@@ -37,3 +40,20 @@ def test_wrapped_name_resolves(layer, name):
         assert attr in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, name))
+
+
+def test_language_traces_one_run_word_and_one_plug_per_word():
+    from graphvm.encodings import encode_machine
+    from graphvm.execution import T_DET, language
+    from graphvm.machines import load_machine
+    tracer = _load_tracer()
+    for layer in tracer.WRAPPED:
+        importlib.import_module(f"graphvm.{layer}")
+    machine = encode_machine(load_machine(os.path.join(MACHINES,
+                                                       "ones.mach")))
+    with tracer.Tracer() as traced:
+        result = language(machine, T_DET, 3)
+    calls = {name: row["calls"] for name, row in traced.summary().items()}
+    assert len(result.verdicts) == 15         # 1 + 2 + 4 + 8 words
+    assert calls.get("encodings.run_word") == 15
+    assert calls.get("execution.plug") == 15

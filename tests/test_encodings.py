@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm import encodings
+from graphvm import encodings, graphing
 from graphvm.encodings import (IN, OUT, WORD_EDGE_CACHE, EncodedMachine,
                                TapeLayout, classify_result, encode_machine,
                                encode_word, run_word, slice_interval)
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, evaluate_test,
                                language, t_prob)
 from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
-from graphvm.machines import MARKER, load_machine, parse_machine
+from graphvm.machines import (MARKER, MachineSpec, load_machine,
+                              parse_machine, validate_spec)
 from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
 from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
@@ -90,13 +91,15 @@ def test_one_way_word_drops_reverse_edges():
 
 
 def test_word_encoding_is_deterministic_graphing():
-    # run_word plugs word graphings unvalidated, so pin every shape
+    # encode_word records that its graphings have no problems, so sweep
+    # every shape here
     for word in words_up_to(LAYOUT.alphabet, 3):
         for rows in (1, 2, 3):
             for one_way in (False, True):
                 enc = encode_word(word, LAYOUT, state_rows=rows,
                                   one_way=one_way)
-                assert validate(enc.graphing) == []
+                assert vars(enc.graphing)["_problems"] == ()
+                assert graphing._find_problems(enc.graphing) == []
                 assert classify(enc.graphing) == GraphingClass.DETERMINISTIC
                 if not one_way:
                     # each reverse edge inverts a forward edge
@@ -416,6 +419,17 @@ def test_classify_result_tracks_the_oracle():
             result, regions = run_word(m, word)
             verdict = classify_result(result, regions)
             assert (verdict == "true") == dfa_accepts(spec, word)
+
+
+@pytest.mark.parametrize("alphabet", [("0", MARKER), ("0", "01"),
+                                      ("0", "1", "0")])
+def test_tape_layout_refuses_what_a_spec_refuses(alphabet):
+    problems = validate_spec(MachineSpec("m", alphabet, 1, ("s",), "det",
+                                         False))
+    assert len(problems) == 1
+    with pytest.raises(ValueError) as refused:
+        TapeLayout(alphabet)
+    assert str(refused.value) == problems[0]
 
 
 def test_machine_graphing_is_validated_when_built():

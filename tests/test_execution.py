@@ -547,6 +547,9 @@ def test_a_lone_plug_keeps_no_table(monkeypatch):
 
     monkeypatch.setattr(execution, "lru_cache", no_table)
     for left, right in ((m.graphing, word), (f, g)):
+        # each graphing is swept on its first check only: do it first
+        validate(left)
+        validate(right)
         log.clear()
         first = plug(left, right)
         counted = len(log)
@@ -554,6 +557,67 @@ def test_a_lone_plug_keeps_no_table(monkeypatch):
         second = plug(left, right)
         assert counted > 0 and len(log) == counted
         assert second.graphing.same_as(first.graphing)
+
+
+# -- each graphing is checked once, however often it is plugged ----------------
+
+def _counting_sweeps(monkeypatch):
+    """The graphings ``graphing._find_problems`` sweeps, in call order."""
+    from graphvm import graphing as graphing_module
+    swept = []
+    find = graphing_module._find_problems
+    monkeypatch.setattr(graphing_module, "_find_problems",
+                        lambda g: swept.append(g) or find(g))
+    return swept
+
+
+def _shift_pair():
+    """``f`` carries cell 0 to cell 1, ``g`` carries cell 1 to cell 2."""
+    return (graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))],
+                     (0, 1)),
+            graphing([Edge(Fraction(1), ms(cellbox(1)), Realizer.shift_by(1))],
+                     (1, 2)))
+
+
+def test_plug_refuses_an_invalid_graphing_on_either_side():
+    f, g = _shift_pair()
+    # a source outside the carrier
+    bad = graphing([Edge(Fraction(1), ms(cellbox(1)), Realizer.shift_by(1))],
+                   (2,))
+    for left, right, name in ((bad, g, "first"), (f, bad, "second")):
+        # the second plug reads the problems the graphing keeps
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"{name} graphing invalid: "
+                               r"\['edge 0: source not in carrier'\]"):
+                plug(left, right)
+
+
+def test_a_graphing_plugged_twice_is_swept_once(monkeypatch):
+    swept = _counting_sweeps(monkeypatch)
+    f, g = _shift_pair()
+    first = plug(f, g)
+    assert [id(x) for x in swept] == [id(f), id(g)]
+    second = plug(f, g)
+    assert len(swept) == 2 and second.graphing.same_as(first.graphing)
+    # a plug result is a graphing like any other
+    h = graphing([Edge(Fraction(1), ms(cellbox(2)), Realizer.shift_by(1))],
+                 (2, 3))
+    for _ in range(2):
+        plug(first.graphing, h)
+    assert [id(x) for x in swept[2:]] == [id(first.graphing), id(h)]
+
+
+def test_word_graphings_are_never_swept(monkeypatch):
+    from graphvm.encodings import run_word
+    from graphvm.execution import language
+    # each machine is swept when it is built, before the count starts
+    machines = dict(_shipped_machines())
+    swept = _counting_sweeps(monkeypatch)
+    for m in machines.values():
+        test = T_NL if m.spec.mode == "nondet" else T_DET
+        language(m, test, 3)
+        run_word(m, "0110")
+    assert swept == []
 
 
 # -- the dead part and the records, against an eager reference ----------------
