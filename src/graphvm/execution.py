@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from .space import MeasurableSet, _exact, lazy
 from .realizers import Realizer
@@ -93,6 +94,13 @@ class Regions:
 class Diagnostics:
     """Where a plug's mass went.
 
+    A region adds its measure times the weight of the path that reaches
+    it when that weight is a rational, and its bare measure when it is
+    not, as for the elements of a ``TableWeights`` monoid.  So under any
+    weights the masses say how much of the space the plug left
+    unresolved, looping or dead, and ``clean()`` fails when the budget
+    runs out.
+
     ``dead_mass`` is summed over the dead regions, which are built from
     the search's open nodes the first time it or ``PlugResult.dead_paths``
     is read.
@@ -128,8 +136,17 @@ class Diagnostics:
 
     @lazy
     def dead_mass(self) -> Fraction:
-        return sum((trail[-1][3] * dead.measure()
-                    for trail, dead in self._dead), Fraction(0))
+        return sum((_mass(trail[-1][3], dead) for trail, dead in self._dead),
+                   Fraction(0))
+
+
+def _mass(weight, region: MeasurableSet) -> Fraction:
+    """The mass ``Diagnostics`` adds for ``region`` on a path of the
+    given weight: the measure scaled by a rational weight, and the bare
+    measure under any other."""
+    if isinstance(weight, Rational):
+        return weight * region.measure()
+    return region.measure()
 
 
 @dataclass(frozen=True)
@@ -275,7 +292,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             whole = whole or hit is inside
             if steps >= max_steps:
                 diag.complete = False
-                diag.unresolved_mass += weight * hit.measure()
+                diag.unresolved_mass += _mass(weight, hit)
                 continue
             steps += 1
             new_comp = compose(composite, e.realizer)
@@ -288,7 +305,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
                                if k == key and comp == new_comp
                                and hit.subset_of(region)), None)
                 if repeat is not None:
-                    mass = new_weight * hit.measure()
+                    mass = _mass(new_weight, hit)
                     if new_weight == repeat:
                         diag.looping_mass += mass
                     else:

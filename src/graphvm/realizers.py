@@ -122,7 +122,8 @@ class Realizer:
 
     def apply_box(self, b: RationalBox) -> RationalBox:
         # coords[j] is the input interval at perm_preimage(j)
-        coords = {self.perm_image(j): iv for j, iv in b.coords}
+        coords = ({self.perm_image(j): iv for j, iv in b.coords}
+                  if self.perm else dict(b.coords))
         for j, c in self.offsets:
             p, q = c.numerator, c.denominator
             src = coords.get(j, FULL)
@@ -132,9 +133,19 @@ class Realizer:
             if lo < 0 or hi > scale:
                 raise DomainViolation(b, self.perm_preimage(j))
             coords[j] = RationalInterval.over(lo, hi, scale)
-        return RationalBox.make(b.cell + self.shift, coords)
+        if self.perm:
+            return RationalBox.make(b.cell + self.shift, coords)
+        # Without a permutation the image is already normal: it keeps b's
+        # indices in b's order, as an offset on a coordinate b leaves free
+        # has raised above, and a nonzero offset never yields [0, 1).
+        return RationalBox(b.cell + self.shift, tuple(coords.items()))
 
     def apply(self, s: MeasurableSet) -> MeasurableSet:
+        """The image of ``s``.  A one-box set maps to its box's image,
+        a normal box and so already canonical; the images of several
+        boxes are swept into canonical form."""
+        if len(s.boxes) == 1:
+            return MeasurableSet((self.apply_box(s.boxes[0]),))
         return MeasurableSet.from_boxes(self.apply_box(b) for b in s.boxes)
 
     def apply_point(self, cell: int, values: dict[int, Fraction]):
@@ -153,10 +164,13 @@ class Realizer:
         return within.restrict(constraints)
 
     def compose(self, then: "Realizer") -> "Realizer":
-        """The map acting as ``then`` after ``self``."""
+        """The map acting as ``then`` after ``self``, built in normal
+        form: a composite of permutations is one, so its moved pairs need
+        no check, and the offsets are summed in integers."""
         support = ({j for j, _ in self.perm} | {j for j, _ in then.perm}
                    | {k for _, k in self.perm} | {k for _, k in then.perm})
-        perm = {j: then.perm_image(self.perm_image(j)) for j in support}
+        perm = tuple(sorted((j, k) for j in support
+                            if (k := then.perm_image(self.perm_image(j))) != j))
         offs = {then.perm_image(j): c for j, c in self.offsets}
         for j, c in then.offsets:
             mine = offs.get(j)
@@ -170,7 +184,7 @@ class Realizer:
             else:
                 del offs[j]
         # every offset is a nonzero Fraction on a positive coordinate
-        return Realizer(self.shift + then.shift, _normalize_perm(perm),
+        return Realizer(self.shift + then.shift, perm,
                         tuple(sorted(offs.items())))
 
     def invert(self) -> "Realizer":

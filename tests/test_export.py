@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
-from graphvm.execution import INFINITY, PathRecord
+import pytest
+
+from graphvm.execution import INFINITY, PathRecord, plug
 from graphvm.export import (dumps, frac_str, graphing_dot, graphing_payload,
-                            path_payload)
+                            path_payload, result_payload)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, TableWeights,
                               classify, validate)
 from graphvm.realizers import Microcosm, Realizer
@@ -49,3 +51,78 @@ def test_a_table_weighted_graphing_exports_to_json_and_dot():
     dot = graphing_dot(g, {0: "left", 1: "right"})
     assert dot.count('"left" -> "right"') == 2
     assert 'label="a"' in dot and 'label="e"' in dot
+
+
+# A table weight has no size: a plug's diagnostics add the bare measure of
+# a region on a path that weighs one, and a rational weight scales it.
+BOOLEAN = TableWeights((Fraction(0), Fraction(1)),
+                       {(a, b): a * b for a in (Fraction(0), Fraction(1))
+                        for b in (Fraction(0), Fraction(1))}, Fraction(1))
+
+
+def _cells(*cells):
+    return MeasurableSet.of(*(RationalBox.make(c) for c in cells))
+
+
+def _into_cell_2(monoid, weight, source):
+    """A graphing on cells 1 and 2 with one edge from ``source`` to 2."""
+    return Graphing.make(monoid, Microcosm.macrocosm(), _cells(1, 2),
+                         [Edge(weight, source, Realizer.shift_by(1))])
+
+
+def _diagnostics(result):
+    payload = result_payload(result)
+    assert json.loads(dumps(payload)) == payload
+    return payload["diagnostics"]
+
+
+@pytest.mark.parametrize("monoid, weights, unresolved", [
+    (PARITY, ("a", "e"), "1/1"),
+    (BOOLEAN, (Fraction(1), Fraction(0)), "1/2")])
+def test_a_table_weighted_budget_leaves_the_plug_unclean(monoid, weights,
+                                                         unresolved):
+    left = MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")}))
+    f = Graphing.make(monoid, Microcosm.macrocosm(), _cells(0, 1),
+                      [Edge(weights[0], left, Realizer.shift_by(1)),
+                       Edge(weights[1], left,
+                            Realizer.make(1, None, {1: Fraction(1, 2)}))])
+    result = plug(f, _into_cell_2(monoid, monoid.one(), _cells(1)),
+                  max_steps=0)
+    assert not result.diagnostics.clean()
+    diag = _diagnostics(result)
+    assert diag["complete"] is False
+    assert diag["unresolved_mass"] == unresolved
+
+
+def test_a_table_weighted_dead_path_exports_its_bare_measure():
+    # f's "e" edge lands on [1/2, 1) of cell 1, where g has no source
+    g = _into_cell_2(PARITY, "a", MeasurableSet.of(
+        RationalBox.make(1, {1: interval(0, "1/2")})))
+    result = plug(_table_graphing(), g)
+    assert result.diagnostics.clean()
+    payload = result_payload(result)
+    assert payload["diagnostics"]["dead_mass"] == "1/2"
+    dead, = payload["dead_paths"]
+    assert dead["weight"] == "e"
+    assert dead["source"]["measure"] == "1/2"
+    assert [p["weight"] for p in payload["paths"]] == ["a"]
+    assert payload["graphing"]["edges"][0]["weight"] == "a"
+
+
+@pytest.mark.parametrize("back, kind", [("e", "looping_mass"),
+                                        ("a", "unresolved_mass")])
+def test_a_table_weighted_repeat_adds_its_bare_measure(back, kind):
+    # 0 -> 5 -> 6 -> 5: the second entry into g's edge repeats the first
+    # with the same composite, under the same weight when the way back
+    # weighs "e" and under another when it weighs "a"
+    f = Graphing.make(PARITY, Microcosm.macrocosm(), _cells(0, 5, 6),
+                      [Edge("e", _cells(0), Realizer.shift_by(5)),
+                       Edge(back, _cells(6), Realizer.shift_by(-1))])
+    g = Graphing.make(PARITY, Microcosm.macrocosm(), _cells(5, 6),
+                      [Edge("e", _cells(5), Realizer.shift_by(1))])
+    result = plug(f, g)
+    diag = _diagnostics(result)
+    assert diag["complete"] is True and diag["steps_used"] == 3
+    assert {name: diag[name] for name in ("looping_mass", "unresolved_mass")} \
+        == {"looping_mass": "0/1", "unresolved_mass": "0/1", kind: "1/1"}
+    assert result.graphing.edges == ()

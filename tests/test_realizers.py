@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphvm.realizers as realizer_module
 from graphvm.realizers import (DomainViolation, Microcosm, Realizer,
                                preimage_within, standard_generators)
+from graphvm.sampling import random_pair
 from graphvm.space import MeasurableSet, RationalBox, interval
 
 
@@ -215,9 +217,10 @@ COORDS = (1, 2, 3)
 
 
 @st.composite
-def realizers(draw):
+def realizers(draw, permute=True):
     shift = draw(st.integers(-3, 3))
-    perm = dict(zip(COORDS, draw(st.permutations(COORDS))))
+    perm = (dict(zip(COORDS, draw(st.permutations(COORDS)))) if permute
+            else None)
     offsets = {}
     for j in COORDS:
         if draw(st.booleans()):
@@ -264,6 +267,84 @@ def test_invert_round_trips(r, b):
     assert r.invert().apply(r.apply(s)) == s
     back = r.invert().invert()
     assert back == r and hash(back) == hash(r)
+
+
+# ``realizers()`` permutes nothing one time in six; this draws both kinds
+# alike
+any_realizers = st.one_of(realizers(), realizers(permute=False))
+
+
+def _reference_apply_box(r, b):
+    """``r.apply_box(b)`` in Fraction arithmetic through
+    ``RationalBox.make``, or, when an offset takes the box out of [0, 1),
+    the input coordinate of the first such offset in offset order."""
+    coords = {r.perm_image(j): iv for j, iv in b.coords}
+    for j, c in r.offsets:
+        iv = coords.get(j, interval(0, 1))
+        if iv.lo + c < 0 or iv.hi + c > 1:
+            return r.perm_preimage(j)
+        coords[j] = interval(iv.lo + c, iv.hi + c)
+    return RationalBox.make(b.cell + r.shift, coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_realizers, boxes())
+def test_a_one_box_image_is_the_swept_one(r, b):
+    for box in r.domain_within(ms(b)).boxes:
+        image = r.apply_box(box)
+        assert image == RationalBox.make(image.cell, image.coord_map)
+        assert image == _reference_apply_box(r, box)
+        # one box skips the sweep, and the box given twice goes through it
+        assert r.apply(ms(box)).boxes == \
+            MeasurableSet.from_boxes([image]).boxes == \
+            MeasurableSet.from_boxes([image, image]).boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_realizers, boxes())
+def test_a_violation_names_the_input_coordinate(r, b):
+    want = _reference_apply_box(r, b)
+    if isinstance(want, RationalBox):
+        assert r.apply(ms(b)) == ms(want)
+        return
+    for call in (r.apply_box, lambda box: r.apply(ms(box))):
+        with pytest.raises(DomainViolation) as err:
+            call(b)
+        assert (err.value.box, err.value.coordinate) == (b, want)
+
+
+def test_one_box_images_and_composites_take_the_direct_path(monkeypatch):
+    # the realizers and one-box sets of seeded pairs, in every mode
+    edges = [e for seed in range(6) for mode in ("det", "nondet", "prob")
+             for graphing in random_pair(seed, mode) for e in graphing.edges]
+    images = [(e.realizer, MeasurableSet((b,)),
+               MeasurableSet.from_boxes([e.realizer.apply_box(b)]))
+              for e in edges for b in e.source.boxes]
+    realizers_met = {e.realizer for e in edges}
+    composites = [(r1, r2, _reference_compose(r1, r2))
+                  for r1 in realizers_met for r2 in realizers_met]
+    assert any(r.perm for r, _, _ in images)
+    assert any(not r.perm for r, _, _ in images)
+    calls = []
+    from_boxes = MeasurableSet.from_boxes
+    normalize = realizer_module._normalize_perm
+
+    def counted_from_boxes(boxes):
+        calls.append("from_boxes")
+        return from_boxes(boxes)
+
+    def counted_normalize(perm):
+        calls.append("_normalize_perm")
+        return normalize(perm)
+
+    monkeypatch.setattr(MeasurableSet, "from_boxes",
+                        staticmethod(counted_from_boxes))
+    monkeypatch.setattr(realizer_module, "_normalize_perm", counted_normalize)
+    for r, s, want in images:
+        assert r.apply(s) == want
+    for r1, r2, want in composites:
+        assert r1.compose(r2) == want
+    assert calls == []
 
 
 # Grid points sit on multiples of 1/18; every interval the strategies make
