@@ -423,20 +423,24 @@ def _landed_mass(result: PlugResult, regions: Regions,
     lam = regions.launch.measure()
     if lam == 0:
         raise ValueError("launch region is null")
-    total = sum((e.weight * landing(e, regions, where).measure()
+    total = sum((_mass(e.weight, landing(e, regions, where))
                  for e in result.graphing.edges), Fraction(0))
     return total / lam
 
 
 def accept_mass(result: PlugResult, regions: Regions) -> Fraction:
-    """Weight mass carried from the launch region into the accept cells,
-    normalised by the launch measure."""
+    """Mass carried from the launch region into the accept cells,
+    normalised by the launch measure: each edge adds the measure it lands
+    there, scaled by a rational weight and bare under any other (the
+    rule of ``Diagnostics``)."""
     return _landed_mass(result, regions, regions.accept)
 
 
 def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
-    """Weight mass carried from the launch region into the reject cells,
-    normalised by the launch measure."""
+    """Mass carried from the launch region into the reject cells,
+    normalised by the launch measure: each edge adds the measure it lands
+    there, scaled by a rational weight and bare under any other (the
+    rule of ``Diagnostics``)."""
     return _landed_mass(result, regions, regions.reject)
 
 

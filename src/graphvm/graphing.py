@@ -210,18 +210,28 @@ def validate(g: Graphing) -> list[str]:
 
 
 def _find_problems(g: Graphing) -> list[str]:
+    """The problems of ``validate``, each decided box by box: a set lies
+    in the domain or the carrier exactly when each of its boxes does.
+    A cell the carrier holds whole holds any box, so a box's image is
+    built only when it lands in another cell, and the edge's ``target``
+    is never built."""
     problems = []
+    carrier = g.carrier
+    whole = {b.cell for b in carrier.boxes if not b.coords}
     for i, e in enumerate(g.edges):
+        r, boxes = e.realizer, e.source.boxes
         if not g.weights.admits(e.weight):
             problems.append(f"edge {i}: weight {e.weight} not in monoid")
-        if e.realizer.domain_within(e.source) != e.source:
+        if not all(map(r.defined_on, boxes)):
             problems.append(f"edge {i}: source exceeds realizer domain")
             continue
-        if not e.source.subset_of(g.carrier):
+        if not all(b.cell in whole or carrier.contains_box(b)
+                   for b in boxes):
             problems.append(f"edge {i}: source not in carrier")
-        if not e.target.subset_of(g.carrier):
+        if not all(b.cell + r.shift in whole
+                   or carrier.contains_box(r.apply_box(b)) for b in boxes):
             problems.append(f"edge {i}: target not in carrier")
-        if not g.microcosm.contains(e.realizer):
+        if not g.microcosm.contains(r):
             problems.append(f"edge {i}: realizer not in microcosm "
                             f"{g.microcosm.describe()}")
     return problems

@@ -120,6 +120,17 @@ class Realizer:
                                           RationalInterval.over(-p, q, q))
         return out
 
+    def defined_on(self, b: RationalBox) -> bool:
+        """Whether the map is defined on all of ``b``, so that
+        ``apply_box(b)`` does not raise: each offset keeps the input
+        interval it moves inside [0, 1), compared in integers."""
+        for j, c in self.offsets:
+            p, q = c.numerator, c.denominator
+            iv = b.interval_at(self.perm_preimage(j))
+            if iv.a * q + p * iv.d < 0 or iv.b * q + p * iv.d > q * iv.d:
+                return False
+        return True
+
     def apply_box(self, b: RationalBox) -> RationalBox:
         # coords[j] is the input interval at perm_preimage(j)
         coords = ({self.perm_image(j): iv for j, iv in b.coords}

@@ -38,8 +38,9 @@ def _disjoint_intervals(rng: random.Random, count: int) -> list[RationalInterval
 def _random_realizer(rng: random.Random, src_cell: int, dst_cell: int,
                      source_interval: RationalInterval) -> Realizer:
     """A realizer from src_cell to dst_cell whose domain covers the
-    given coordinate-1 interval."""
-    perm = {1: 2, 2: 1} if rng.randrange(4) == 0 else None
+    given coordinate-1 interval, built in normal form: the one
+    transposition as its moved pairs, a nonzero offset or none."""
+    perm = ((1, 2), (2, 1)) if rng.randrange(4) == 0 else ()
     coord = 2 if perm else 1  # either way the constraint lands on input 1
     if rng.randrange(2) == 0:
         # the offsets k/GRID that keep the interval inside [0, 1]; the
@@ -48,10 +49,11 @@ def _random_realizer(rng: random.Random, src_cell: int, dst_cell: int,
         room_down = iv.a * GRID // iv.d
         room_up = (iv.d - iv.b) * GRID // iv.d
         choices = [k for k in range(-room_down, room_up + 1) if k != 0]
-        offsets = {coord: Fraction(rng.choice(choices), GRID)} if choices else None
+        offsets = ((coord, Fraction(rng.choice(choices), GRID)),) \
+            if choices else ()
     else:
-        offsets = None
-    return Realizer.make(dst_cell - src_cell, perm, offsets)
+        offsets = ()
+    return Realizer(dst_cell - src_cell, perm, offsets)
 
 
 def _layered_graphing(rng: random.Random, left_cells, right_cells,
@@ -76,7 +78,8 @@ def _layered_graphing(rng: random.Random, left_cells, right_cells,
 
 
 def _emit(rng, edges, src, dst, iv, mode):
-    source = MeasurableSet.of(RationalBox.make(src, {1: iv}))
+    # make drops the interval when it is [0, 1): one normal box is canonical
+    source = MeasurableSet((RationalBox.make(src, {1: iv}),))
     realizer = _random_realizer(rng, src, dst, iv)
     if mode in ("det", "nondet"):
         edges.append(Edge(Fraction(1), source, realizer))

@@ -453,6 +453,16 @@ class MeasurableSet:
     def subset_of(self, other: "MeasurableSet") -> bool:
         return self.intersect(other) == self
 
+    def contains_box(self, b: RationalBox) -> bool:
+        """Whether the normal box ``b`` lies inside the set.  One of the
+        set's boxes that covers it interval by interval (a whole cell
+        covers anything in it) decides it in integers; only a box that
+        no single one covers goes through the sweep of ``subset_of``."""
+        for mine in self._by_cell.get(b.cell, ()):
+            if all(iv.covers(b.interval_at(j)) for j, iv in mine.coords):
+                return True
+        return MeasurableSet((b,)).subset_of(self)
+
     def cells(self) -> set[int]:
         return {b.cell for b in self.boxes}
 

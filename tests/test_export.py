@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm.execution import INFINITY, PathRecord, plug
+from graphvm.execution import (INFINITY, T_CONL, T_DET, T_NL, PathRecord,
+                               Regions, Verdict, accept_mass, evaluate_test,
+                               plug, reject_mass, t_prob)
 from graphvm.export import (dumps, frac_str, graphing_dot, graphing_payload,
                             path_payload, result_payload)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, TableWeights,
@@ -126,3 +128,17 @@ def test_a_table_weighted_repeat_adds_its_bare_measure(back, kind):
     assert {name: diag[name] for name in ("looping_mass", "unresolved_mass")} \
         == {"looping_mass": "0/1", "unresolved_mass": "0/1", kind: "1/1"}
     assert result.graphing.edges == ()
+
+
+@pytest.mark.parametrize("test", [T_DET, T_NL, T_CONL, t_prob()],
+                         ids=lambda t: t.kind)
+def test_a_table_weighted_result_is_evaluated_by_its_bare_measure(test):
+    # both result edges weigh "a" and land half of cell 2 each
+    result = plug(_table_graphing(), _into_cell_2(PARITY, "a", _cells(1)))
+    assert [e.weight for e in result.graphing.edges] == ["a", "a"]
+    landing_in_2 = Regions(_cells(0), _cells(2), _cells(3))
+    assert accept_mass(result, landing_in_2) == 1
+    assert reject_mass(result, landing_in_2) == 0
+    assert evaluate_test(result, test, landing_in_2) is Verdict.ACCEPT
+    swapped = Regions(_cells(0), _cells(3), _cells(2))
+    assert evaluate_test(result, test, swapped) is Verdict.REJECT

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -70,6 +71,160 @@ def test_sampled_graphings_are_valid():
         for seed in range(60):
             for g in random_pair(seed, mode) + random_triple(seed, mode):
                 assert validate(g) == []
+
+
+def _reference_problems(g):
+    """``validate`` in set algebra: the domain as a restriction of the
+    source, containment as a meet compared with its operand, and the
+    target as the whole image of the source."""
+    problems = []
+    for i, e in enumerate(g.edges):
+        if not g.weights.admits(e.weight):
+            problems.append(f"edge {i}: weight {e.weight} not in monoid")
+        if e.realizer.domain_within(e.source) != e.source:
+            problems.append(f"edge {i}: source exceeds realizer domain")
+            continue
+        if not e.source.subset_of(g.carrier):
+            problems.append(f"edge {i}: source not in carrier")
+        if not e.realizer.apply(e.source).subset_of(g.carrier):
+            problems.append(f"edge {i}: target not in carrier")
+        if not g.microcosm.contains(e.realizer):
+            problems.append(f"edge {i}: realizer not in microcosm "
+                            f"{g.microcosm.describe()}")
+    return problems
+
+
+def _random_box(rng, cell):
+    coords = {}
+    for j in (1, 2, 3):
+        if rng.randrange(2):
+            d = rng.choice((2, 3, 4, 8))
+            a = rng.randrange(d)
+            coords[j] = RationalInterval.over(a, rng.randrange(a + 1, d + 1), d)
+    return RationalBox.make(cell, coords)
+
+
+def _random_graphing(rng):
+    """Cells held whole, cut into several boxes, or partly; sources of
+    one to three boxes, often met with the carrier; realizers with
+    permutations and offsets of both signs; weights and microcosms that
+    may not admit them."""
+    cells = rng.sample(range(5), rng.randrange(1, 5))
+    pieces = []
+    for c in cells:
+        kind = rng.randrange(3)
+        if kind == 0:
+            pieces.append(ms(cellbox(c)))
+        elif kind == 1:  # the cell less a box: several boxes, as an L
+            pieces.append(ms(cellbox(c)).subtract(ms(_random_box(rng, c))))
+        else:
+            pieces.append(ms(*(_random_box(rng, c)
+                               for _ in range(rng.randrange(1, 4)))))
+    carrier = MeasurableSet.empty()
+    for piece in pieces:
+        carrier = carrier.union(piece)
+    edges = []
+    for _ in range(rng.randrange(6)):
+        source = ms(*(_random_box(rng, rng.choice(cells + [5]))
+                      for _ in range(rng.randrange(1, 4))))
+        if rng.randrange(2):
+            source = source.intersect(carrier)
+        perm = rng.choice((None, None, {1: 2, 2: 1}, {1: 3, 3: 1},
+                           {1: 2, 2: 3, 3: 1}))
+        offsets = {j: Fraction(rng.randrange(-8, 9), rng.choice((4, 8)))
+                   for j in rng.sample((1, 2, 3), rng.choice((0, 0, 1, 2)))}
+        realizer = Realizer.make(rng.choice((0, 0, 1, -1, 2)), perm, offsets)
+        weight = rng.choice((Fraction(1), Fraction(1), Fraction(1, 2),
+                             Fraction(3, 2)))
+        edges.append(Edge(weight, source, realizer))
+    return Graphing.make(
+        rng.choice((TRIVIAL, PROBABILITIES)),
+        rng.choice((Microcosm.m1(), Microcosm.mi(2), Microcosm.m_infinity(),
+                    Microcosm.macrocosm())), carrier, edges)
+
+
+def _with_a_corner_cut(g, rng):
+    """``g`` over a carrier that loses a corner of one of its cells."""
+    cell = rng.choice(sorted(g.carrier.cells()))
+    a, b = rng.randrange(1, 8), rng.randrange(1, 8)
+    corner = RationalBox.make(cell, {1: RationalInterval.over(a, 8, 8),
+                                     2: RationalInterval.over(0, b, 8)})
+    return Graphing.make(g.weights, g.microcosm,
+                         g.carrier.subtract(ms(corner)), g.edges)
+
+
+_PROBLEM_KINDS = ("not in monoid", "exceeds realizer domain",
+                  "source not in carrier", "target not in carrier",
+                  "not in microcosm")
+
+
+def test_validate_matches_the_set_algebra_reference():
+    rng = random.Random(23)
+    corpus = [_random_graphing(rng) for _ in range(1500)]
+    sampled = list(_sampled_graphings())
+    corpus += sampled + [_with_a_corner_cut(g, rng) for g in sampled]
+    seen = Counter()
+    for g in corpus:
+        got = validate(g)
+        assert got == _reference_problems(g)
+        seen.update(kind for p in got for kind in _PROBLEM_KINDS if kind in p)
+        for e in g.edges:
+            seen["perm"] += bool(e.realizer.perm)
+            for j, c in e.realizer.offsets:
+                free = all(b.interval_at(e.realizer.perm_preimage(j)).d == 1
+                           for b in e.source.boxes)
+                seen["free" if free else "constrained", c > 0] += 1
+            seen["several boxes"] += len(e.source.boxes) > 1
+            for b in e.source.boxes:
+                # inside the carrier, but in no one of its boxes
+                seen["swept"] += MeasurableSet((b,)).subset_of(g.carrier) \
+                    and not any(
+                    b.intersect(mine) is b
+                    for mine in g.carrier._by_cell.get(b.cell, ()))
+    assert all(seen[kind] for kind in _PROBLEM_KINDS)
+    assert all(seen[kind, sign] for kind in ("free", "constrained")
+               for sign in (False, True))
+    assert seen["perm"] and seen["several boxes"] and seen["swept"]
+
+
+def test_sampled_graphings_are_built_and_checked_box_by_box(monkeypatch):
+    import graphvm.realizers as realizer_module
+    calls = Counter()
+
+    def count(owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrap(counted))
+
+    count(Realizer, "make", staticmethod)
+    count(realizer_module, "_normalize_perm")
+    # at seed 15 _disjoint_intervals draws the cuts 0 and 8 in every mode
+    sampled = [g for seed in (0, 1, 2, 3, 4, 5, 15)
+               for mode in ("det", "nondet", "prob")
+               for g in random_pair(seed, mode)]
+    assert calls == Counter()
+    for name in ("intersect", "subset_of"):
+        count(MeasurableSet, name)
+    for name in ("apply", "domain_within"):
+        count(Realizer, name)
+    for g in sampled:
+        assert validate(g) == []
+    assert calls == Counter()
+    monkeypatch.undo()
+    edges = [e for g in sampled for e in g.edges]
+    assert not any("target" in vars(e) for e in edges)
+    for e in edges:
+        r = e.realizer
+        made = Realizer.make(r.shift, dict(r.perm), dict(r.offsets))
+        assert (r, hash(r), repr(r)) == (made, hash(made), repr(made))
+        assert e.source == MeasurableSet.from_boxes(e.source.boxes)
+    assert any(e.realizer.perm for e in edges)
+    assert any(e.realizer.offsets for e in edges)
+    # the cuts 0 and 8 give [0, 1), which the source box leaves out
+    assert any(b.coords == () for e in edges for b in e.source.boxes)
 
 
 def test_validate_domain():

@@ -468,6 +468,23 @@ def test_compose_and_invert_match_a_fraction_reference(r1, r2):
         _check_normal(got)
 
 
+# mixed realizers draw offsets of both signs, +-1 (void maps) included
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(realizers(), mixed_realizers()), boxes())
+def test_defined_on_is_exactly_where_apply_box_does_not_raise(r, b):
+    try:
+        r.apply_box(b)
+        applies = True
+    except DomainViolation:
+        applies = False
+    assert r.defined_on(b) == applies
+    assert r.defined_on(b) == (r.domain_within(ms(b)) == ms(b))
+    # the part of b in the domain reaches the domain's edge exactly
+    for part in r.domain_within(ms(b)).boxes:
+        assert r.defined_on(part)
+        r.apply_box(part)
+
+
 def test_make_keeps_its_checks_and_wraps_only_what_is_no_fraction():
     third = Fraction(1, 3)
     r = Realizer.make(0, None, {2: third, 1: 0, 3: "1/6"})
