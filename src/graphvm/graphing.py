@@ -55,6 +55,8 @@ class TrivialWeights(WeightMonoid):
         return UNIT
 
     def admits(self, w):
+        if isinstance(w, Fraction):  # lowest terms: 1 is 1/1
+            return w.numerator == w.denominator
         return w == UNIT
 
 
@@ -70,7 +72,8 @@ class ProbabilityWeights(WeightMonoid):
         return a * b
 
     def admits(self, w):
-        return isinstance(w, Fraction) and 0 <= w <= 1
+        # in integers: a Fraction's denominator is positive
+        return isinstance(w, Fraction) and 0 <= w.numerator <= w.denominator
 
 
 class TableWeights(WeightMonoid):
@@ -225,11 +228,12 @@ def _find_problems(g: Graphing) -> list[str]:
         if not all(map(r.defined_on, boxes)):
             problems.append(f"edge {i}: source exceeds realizer domain")
             continue
-        if not all(b.cell in whole or carrier.contains_box(b)
+        if not all(b.cell in whole or MeasurableSet((b,)).subset_of(carrier)
                    for b in boxes):
             problems.append(f"edge {i}: source not in carrier")
         if not all(b.cell + r.shift in whole
-                   or carrier.contains_box(r.apply_box(b)) for b in boxes):
+                   or MeasurableSet((r.apply_box(b),)).subset_of(carrier)
+                   for b in boxes):
             problems.append(f"edge {i}: target not in carrier")
         if not g.microcosm.contains(r):
             problems.append(f"edge {i}: realizer not in microcosm "
@@ -246,8 +250,7 @@ def classify(g: Graphing) -> GraphingClass:
             for i, j in combinations(idxs, 2))
         return (GraphingClass.NONDETERMINISTIC if overlap
                 else GraphingClass.DETERMINISTIC)
-    rational = all(isinstance(e.weight, Fraction) and 0 <= e.weight <= 1
-                   for e in g.edges)
+    rational = all(PROBABILITIES.admits(e.weight) for e in g.edges)
     # per part of the sources' refinement, the weight of the edges over it
     sums = (sum(g.edges[i].weight for i in owners)
             for _, owners in owned_parts([e.source for e in g.edges]))

@@ -144,12 +144,10 @@ class Realizer:
             if lo < 0 or hi > scale:
                 raise DomainViolation(b, self.perm_preimage(j))
             coords[j] = RationalInterval.over(lo, hi, scale)
-        if self.perm:
-            return RationalBox.make(b.cell + self.shift, coords)
-        # Without a permutation the image is already normal: it keeps b's
-        # indices in b's order, as an offset on a coordinate b leaves free
-        # has raised above, and a nonzero offset never yields [0, 1).
-        return RationalBox(b.cell + self.shift, tuple(coords.items()))
+        # The image is normal once its indices are sorted: the permutation
+        # moves positive indices only, an offset on a coordinate b leaves
+        # free has raised above, and a nonzero offset never yields [0, 1).
+        return RationalBox(b.cell + self.shift, tuple(sorted(coords.items())))
 
     def apply(self, s: MeasurableSet) -> MeasurableSet:
         """The image of ``s``.  A one-box set maps to its box's image,

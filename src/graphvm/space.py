@@ -399,15 +399,8 @@ class MeasurableSet:
                 if got is not None:
                     hits.append(got)
                     unchanged = unchanged and got is a
-        return self._from_hits(hits, unchanged)
-
-    def _from_hits(self, hits: list[RationalBox],
-                   unchanged: bool) -> "MeasurableSet":
-        """The set of ``hits``, the nonempty meets of this set's boxes with
-        the pairwise-disjoint boxes of another set; ``unchanged`` says
-        that every hit is one of this set's boxes, as it was.  Then each
-        box is hit at most once, so when all of them are, the result is
-        ``self``."""
+        # other's boxes are pairwise disjoint, so a box that one of them
+        # holds whole meets no other: when every box is hit so, it is self
         if unchanged and len(hits) == len(self.boxes):
             return self
         if len(hits) <= 1:
@@ -436,32 +429,14 @@ class MeasurableSet:
         return MeasurableSet(tuple(out))
 
     def restrict(self, constraints: Mapping[int, RationalInterval]) -> "MeasurableSet":
-        """The part of the set whose coordinates lie in ``constraints``,
-        in every cell."""
-        if not constraints:
-            return self
+        """The part of the set whose coordinates lie in ``constraints``:
+        its meet with the constraint box in each of its cells."""
         meet = RationalBox.make(0, constraints).coords
-        kept = []
-        unchanged = True
-        for b in self.boxes:
-            got = b.intersect(RationalBox(b.cell, meet))
-            if got is not None:
-                kept.append(got)
-                unchanged = unchanged and got is b
-        return self._from_hits(kept, unchanged)
+        return self.intersect(MeasurableSet(
+            tuple(RationalBox(cell, meet) for cell in self._by_cell)))
 
     def subset_of(self, other: "MeasurableSet") -> bool:
         return self.intersect(other) == self
-
-    def contains_box(self, b: RationalBox) -> bool:
-        """Whether the normal box ``b`` lies inside the set.  One of the
-        set's boxes that covers it interval by interval (a whole cell
-        covers anything in it) decides it in integers; only a box that
-        no single one covers goes through the sweep of ``subset_of``."""
-        for mine in self._by_cell.get(b.cell, ()):
-            if all(iv.covers(b.interval_at(j)) for j, iv in mine.coords):
-                return True
-        return MeasurableSet((b,)).subset_of(self)
 
     def cells(self) -> set[int]:
         return {b.cell for b in self.boxes}

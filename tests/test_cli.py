@@ -95,6 +95,27 @@ def test_language_agreement(tmp_path, capsys):
     assert payload["graphing"] == payload["oracle"]
 
 
+def test_language_mismatch_lists_the_words_of_each_side(tmp_path, monkeypatch,
+                                                        capsys):
+    oracle_language = cli.oracle.oracle_language
+
+    def skewed(spec, max_len, mode):
+        # the oracle loses '00' and gains '1', which the machine rejects
+        words = oracle_language(spec, max_len, mode)
+        return sorted(set(words) - {"00"} | {"1"}, key=lambda w: (len(w), w))
+
+    monkeypatch.setattr(cli.oracle, "oracle_language", skewed)
+    code = main(["language", mach("even-ones.mach"), "--max-len", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "MISMATCH; graphing-only: ['00'], oracle-only: ['1']" in out
+    assert "languages agree" not in out
+    payload = json.loads((tmp_path / "language.json").read_text())
+    assert payload["graphing"] == ["", "0", "00", "11"]
+    assert payload["oracle"] == ["", "0", "1", "11"]
+
+
 def test_language_one_way_refuses_a_machine_that_retreats(capsys):
     argv = ["language", mach("last-is-one.mach"), "--one-way",
             "--max-len", "3"]

@@ -60,10 +60,34 @@ def test_validate_microcosm_membership():
     assert validate(ok) == []
 
 
+# (weight, admitted as a probability, admitted as the trivial weight):
+# only a Fraction is a probability, while 1 in any numeric type is trivial
+_WEIGHTS = [
+    (Fraction(0), True, False), (Fraction(1, 2), True, False),
+    (Fraction(1), True, True), (Fraction(3, 2), False, False),
+    (Fraction(-1, 2), False, False), (Fraction(-1), False, False),
+    (0, False, False), (1, False, True), (2, False, False),
+    (False, False, False), (True, False, True),
+    (1 / 2, False, False), (1 / 1, False, True),  # integer division: floats
+    ("e", False, False), ("a", False, False),
+]
+
+
 def test_validate_reports_a_weight_outside_the_monoid():
     heavy = simple([Edge(Fraction(3, 2), ms(cellbox(0)), Realizer.shift_by(1))],
                    monoid=PROBABILITIES)
     assert validate(heavy) == ["edge 0: weight 3/2 not in monoid"]
+    for w, probability, trivial in _WEIGHTS:
+        assert PROBABILITIES.admits(w) is probability, w
+        assert TRIVIAL.admits(w) is trivial, w
+        # with weights other than 1, classify holds a graphing
+        # probabilistic exactly when the probability monoid admits each
+        g = simple([Edge(w, ms(cellbox(0)), Realizer.shift_by(1)),
+                    Edge(Fraction(1, 3), ms(cellbox(1)), Realizer.shift_by(1))],
+                   monoid=PROBABILITIES)
+        want = (GraphingClass.PROBABILISTIC if probability
+                else GraphingClass.GENERAL)
+        assert classify(g) is want, w
 
 
 def test_sampled_graphings_are_valid():

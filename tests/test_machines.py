@@ -45,6 +45,7 @@ q, * -> accept
     acts = spec.actions("p", "a")
     assert acts[0] == Action("advance", Fraction(1, 3), 2, "q")
     assert acts[1] == Action("reject", Fraction(2, 3))
+    assert parse_machine(format_machine(spec)) == spec
 
 
 def test_parse_errors_cite_line_numbers():
@@ -83,6 +84,13 @@ def test_spec_validation():
     bad = MachineSpec("m", ("0", "0"), 1, ("s",), "det", True,
                       ((("s", "0"), (Action("accept"),)),))
     assert validate_spec(bad) == ["duplicate alphabet symbols"]
+    # the parser refuses both before a spec exists
+    bad = MachineSpec("m", ("0",), 1, ("s",), "nondet", True,
+                      ((("s", "0"), ()),))
+    assert validate_spec(bad) == ["transition (s, 0): empty action set"]
+    bad = MachineSpec("m", ("0",), 1, ("s",), "det", True,
+                      ((("s", "0"), (Action("jump", goto="s"),)),))
+    assert validate_spec(bad) == ["transition (s, 0): unknown action 'jump'"]
 
 
 def test_a_parsed_spec_is_validated_once(monkeypatch):
@@ -128,6 +136,22 @@ def test_parse_rejects_invalid_spec():
     # the second name would win silently
     ("mode: det", "mode: det\nname: other", "line 7: repeated header 'name'"),
     ("states: s0", "states:", "at least one state is required"),
+    ("heads: 1", "heads: 0", "heads must be at least 1"),
+    ("states: s0", "states: s0 s0", "duplicate state names"),
+    ("s0, 1 -> accept", "s0, 1 -> 1/2 accept", "weight 1/2 in det mode"),
+    ("s0, 1 -> accept", "s0, 1 -> accept goto s0", "terminal action with goto"),
+    ("s0, 0 -> advance goto s0", "s0, 0 -> advance", "move without goto"),
+    ("s0, 1 -> accept", "s0, 1 -> 1/2", "line 11: missing action keyword"),
+    ("s0, 0 -> advance goto s0", "s0, 0 -> advance goto s0 swap",
+     "line 10: swap needs a head number"),
+    ("s0, 0 -> advance goto s0", "s0, 0 -> advance swap x goto s0",
+     "line 10: bad head number 'x'"),
+    ("s0, 1 -> accept", "s0, 1 -> accept now",
+     "line 11: unexpected token 'now'"),
+    ("s0, 1 -> accept", "s0, 1 -> accept\ns0 1 accept",
+     "line 12: cannot parse 's0 1 accept'"),
+    ("heads: 1", "heads: one", "heads must be an integer"),
+    ("twoway: true", "twoway: yes", "twoway must be true or false"),
 ])
 def test_malformed_machine_file_is_a_parse_error(old, new, message, tmp_path,
                                                  capsys):

@@ -21,7 +21,7 @@ import pytest
 from graphvm.encodings import encode_machine, run_word
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, accept_mass,
                                evaluate_test, language, reject_mass)
-from graphvm.machines import load_machine
+from graphvm.machines import format_machine, load_machine, parse_machine
 from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
 
 MACHINEGEN = os.path.join(os.path.dirname(__file__), "..", "perfbench",
@@ -62,6 +62,8 @@ def _id(spec):
 
 @pytest.mark.parametrize("spec", MACHINES, ids=[_id(s) for s in MACHINES])
 def test_random_machine_agrees_with_oracle(spec):
+    # perfbench's single-runs writes each machine out with format_machine
+    assert parse_machine(format_machine(spec)) == spec
     machine = encode_machine(spec)
     one_way = not spec.two_way
     if spec.mode == "prob":

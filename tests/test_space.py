@@ -299,42 +299,6 @@ def test_subset_of_agrees_with_the_measure_identity(a, b):
     assert a.subset_of(a.union(b))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([_NINTHS, _MIXED]).flatmap(
-    lambda ds: st.tuples(boxes(denominators=ds), sets(ds), sets(ds))))
-def test_contains_box_is_the_one_box_subset_test(drawn):
-    b, s, other = drawn
-    # with b's union the box is inside, often across several of its boxes
-    for carrier in (s, s.union(ms(b)), s.union(ms(b)).subtract(other)):
-        assert carrier.contains_box(b) == \
-            MeasurableSet((b,)).subset_of(carrier)
-
-
-def test_contains_box_sweeps_only_a_box_no_single_box_covers(monkeypatch):
-    # an L-shape in cell 0: its two canonical boxes meet along x1 = 1/2
-    ell = ms(RationalBox.make(0, {1: interval(0, "1/2")}),
-             RationalBox.make(0, {1: interval("1/2", 1), 2: interval(0, "1/2")}),
-             RationalBox.make(1))
-    assert len(ell.boxes) == 3
-    swept = []
-    subset_of = MeasurableSet.subset_of
-
-    def counted(self, other):
-        swept.append(self)
-        return subset_of(self, other)
-
-    monkeypatch.setattr(MeasurableSet, "subset_of", counted)
-    across = RationalBox.make(0, {1: interval("1/4", "3/4"),
-                                  2: interval(0, "1/2")})
-    inside = [RationalBox.make(0, {1: interval("1/4", "1/2")}),
-              RationalBox.make(1, {2: interval("1/3", 1)}), across]
-    outside = [RationalBox.make(0), RationalBox.make(2),
-               RationalBox.make(0, {1: interval("1/4", "3/4")})]
-    assert all(ell.contains_box(b) for b in inside)
-    assert swept == [MeasurableSet((across,))]
-    assert not any(ell.contains_box(b) for b in outside)
-
-
 def _check_boolean_laws(a, b, c):
     assert a.intersect(b) == b.intersect(a)
     assert a.union(b) == b.union(a)
