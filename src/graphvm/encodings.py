@@ -70,20 +70,6 @@ class TapeLayout:
     def reject_cell(self, row: int = 0) -> int:
         return row * self.row_stride + 2 * len(self.alphabet) + 3
 
-    def tape_boxes(self, rows: int = 1) -> list[RationalBox]:
-        """The In and Out cells of the marker and of every symbol, per
-        row: the carrier of a word, and the tape part of a machine's."""
-        return [RationalBox.make(self.symbol_cell(symbol, kind, row))
-                for row in range(rows)
-                for symbol in (MARKER,) + self.alphabet
-                for kind in (IN, OUT)]
-
-    def accept_boxes(self, rows: int = 1) -> list[RationalBox]:
-        return [RationalBox.make(self.accept_cell(row)) for row in range(rows)]
-
-    def reject_boxes(self, rows: int = 1) -> list[RationalBox]:
-        return [RationalBox.make(self.reject_cell(row)) for row in range(rows)]
-
     def cell_names(self, rows: int = 1) -> dict[int, str]:
         names = {}
         for row in range(rows):
@@ -95,6 +81,12 @@ class TapeLayout:
             names[self.accept_cell(row)] = f"accept{suffix}"
             names[self.reject_cell(row)] = f"reject{suffix}"
         return names
+
+
+def _whole_cells(cells) -> MeasurableSet:
+    """The union of the given cells, each whole, in ascending order:
+    already canonical, so built without a sweep."""
+    return MeasurableSet(tuple(RationalBox(cell, ()) for cell in cells))
 
 
 def slice_interval(position: int, cells: int) -> RationalInterval:
@@ -125,7 +117,11 @@ def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
 
 @lru_cache(maxsize=64)
 def _tape_carrier(layout: TapeLayout, rows: int) -> MeasurableSet:
-    return MeasurableSet.from_boxes(layout.tape_boxes(rows))
+    """The In and Out cells of the marker and of every symbol, per row:
+    each row's cells but its last two, the accept and reject cells."""
+    stride = layout.row_stride
+    return _whole_cells(base + c for base in range(0, rows * stride, stride)
+                        for c in range(stride - 2))
 
 
 @lru_cache(maxsize=64)
@@ -186,13 +182,13 @@ class EncodedMachine:
 
     @lazy
     def accept_region(self) -> MeasurableSet:
-        return MeasurableSet.from_boxes(
-            self.layout.accept_boxes(len(self.spec.states)))
+        return _whole_cells(map(self.layout.accept_cell,
+                                range(len(self.spec.states))))
 
     @lazy
     def reject_region(self) -> MeasurableSet:
-        return MeasurableSet.from_boxes(
-            self.layout.reject_boxes(len(self.spec.states)))
+        return _whole_cells(map(self.layout.reject_cell,
+                                range(len(self.spec.states))))
 
     def launch_region(self, word_len: int) -> MeasurableSet:
         """Accept region of the initial state's row, row 0, with every
@@ -216,9 +212,10 @@ def _response_edges(spec: MachineSpec, layout: TapeLayout,
             arrival_kinds.append(OUT)
         for kind in arrival_kinds:
             src_cell = layout.symbol_cell(symbol, kind, row_of[state])
-            source = MeasurableSet.of(RationalBox.make(src_cell))
+            source = _whole_cells((src_cell,))
             for action in actions:
-                perm = {1: action.swap, action.swap: 1} if action.swap else None
+                j = action.swap  # the transposition (1 j), pairs ascending
+                perm = ((1, j), (j, 1)) if j else ()
                 if action.is_terminal():
                     dst = (layout.accept_cell(row_of[state])
                            if action.kind == ACCEPT
@@ -228,8 +225,8 @@ def _response_edges(spec: MachineSpec, layout: TapeLayout,
                         MARKER if action.swap else symbol,
                         OUT if action.kind == ADVANCE else IN,
                         row_of[action.goto])
-                realizer = Realizer.make(dst - src_cell, perm)
-                edges.append(Edge(action.weight, source, realizer))
+                edges.append(Edge(action.weight, source,
+                                  Realizer(dst - src_cell, perm)))
     return edges
 
 
@@ -243,16 +240,13 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     layout = TapeLayout(tuple(spec.alphabet))
     row_of = {state: i for i, state in enumerate(spec.states)}
 
-    edges = [Edge(Fraction(1),
-                  MeasurableSet.of(RationalBox.make(layout.accept_cell())),
+    edges = [Edge(Fraction(1), _whole_cells((layout.accept_cell(),)),
                   Realizer.shift_by(layout.symbol_cell(MARKER, OUT)
                                     - layout.accept_cell()))]
     edges.extend(_response_edges(spec, layout, row_of))
 
-    rows = len(spec.states)
-    carrier = MeasurableSet.from_boxes(layout.tape_boxes(rows)
-                                       + layout.accept_boxes(rows)
-                                       + layout.reject_boxes(rows))
+    # the layout fills every cell of its rows
+    carrier = _whole_cells(range(len(spec.states) * layout.row_stride))
     monoid = PROBABILITIES if spec.mode == "prob" else TRIVIAL
     graphing = Graphing.make(monoid, Microcosm.mi(spec.heads), carrier, edges)
     return EncodedMachine(spec, layout, graphing)

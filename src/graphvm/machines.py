@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 
 from .space import lazy
 
@@ -150,16 +151,21 @@ def _find_problems(spec: MachineSpec) -> list[str]:
             problems.append(f"{where}: empty action set")
         if spec.mode == "det" and len(acts) != 1:
             problems.append(f"{where}: det mode allows exactly one action")
-        total = Fraction(0)
+        num, den = 0, 1  # the weights' running sum, decided in integers
         for a in acts:
             if a.kind not in _MOVES + _TERMINALS:
                 problems.append(f"{where}: unknown action {a.kind!r}")
                 continue
-            if spec.mode in ("det", "nondet") and a.weight != 1:
-                problems.append(f"{where}: weight {a.weight} in {spec.mode} mode")
-            if not (0 < a.weight <= 1):
-                problems.append(f"{where}: weight {a.weight} outside (0,1]")
-            total += a.weight
+            if not isinstance(a.weight, Rational):
+                problems.append(f"{where}: weight {a.weight!r} is not a p/q rational")
+            else:  # the denominator q is positive
+                p, q = a.weight.numerator, a.weight.denominator
+                if spec.mode in ("det", "nondet") and p != q:
+                    problems.append(
+                        f"{where}: weight {a.weight} in {spec.mode} mode")
+                if not 0 < p <= q:
+                    problems.append(f"{where}: weight {a.weight} outside (0,1]")
+                num, den = num * q + p * den, den * q
             if a.kind == RETREAT and not spec.two_way:
                 problems.append(f"{where}: retreat in a one-way machine")
             if a.swap is not None and not (2 <= a.swap <= spec.heads):
@@ -171,8 +177,9 @@ def _find_problems(spec: MachineSpec) -> list[str]:
                     problems.append(f"{where}: move without goto")
                 elif a.goto not in spec.states:
                     problems.append(f"{where}: goto unknown state {a.goto!r}")
-        if spec.mode == "prob" and total > 1:
-            problems.append(f"{where}: weights sum to {total} > 1")
+        if spec.mode == "prob" and num > den:
+            problems.append(
+                f"{where}: weights sum to {Fraction(num, den)} > 1")
     return problems
 
 

@@ -147,10 +147,6 @@ class RationalInterval:
             return lo < other_lo
         return self.b * other.d < other.b * self.d
 
-    def covers(self, other: "RationalInterval") -> bool:
-        return (self.a * other.d <= other.a * self.d
-                and other.b * self.d <= self.b * other.d)
-
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi})"
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,56 @@ def test_spec_validation():
     bad = MachineSpec("m", ("0",), 1, ("s",), "det", True,
                       ((("s", "0"), (Action("jump", goto="s"),)),))
     assert validate_spec(bad) == ["transition (s, 0): unknown action 'jump'"]
+
+
+def test_float_weights_are_refused():
+    # integer division makes a float: the slip this refuses
+    from graphvm.encodings import encode_machine
+    det = MachineSpec("m", ("0",), 1, ("s",), "det", True,
+                      ((("s", "0"), (Action("accept", 1 / 1),)),))
+    prob = MachineSpec("m", ("0",), 1, ("s",), "prob", True,
+                       ((("s", "0"), (Action("accept", 1 / 2),
+                                      Action("reject", Fraction(1, 2)))),))
+    for spec, shown in ((det, "1.0"), (prob, "0.5")):
+        problem = f"transition (s, 0): weight {shown} is not a p/q rational"
+        assert validate_spec(spec) == [problem]
+        with pytest.raises(ValueError, match="not a p/q rational"):
+            encode_machine(spec)
+
+
+def _fraction_weight_problems(mode, weights, where):
+    """The weight rules decided on Fractions, as a reference for the
+    rules ``validate_spec`` decides in integers."""
+    problems = []
+    total = Fraction(0)
+    for w in weights:
+        if mode in ("det", "nondet") and w != 1:
+            problems.append(f"{where}: weight {w} in {mode} mode")
+        if not (0 < w <= 1):
+            problems.append(f"{where}: weight {w} outside (0,1]")
+        total += w
+    if mode == "prob" and total > 1:
+        problems.append(f"{where}: weights sum to {total} > 1")
+    return problems
+
+
+# p/q for 1 <= q <= 6 and 0 <= p <= 2q, and the integer 1
+_WEIGHTS = sorted({Fraction(p, q) for q in range(1, 7)
+                   for p in range(2 * q + 1)}) + [1]
+
+
+@pytest.mark.parametrize("mode", ["det", "nondet", "prob"])
+def test_integer_weight_rules_match_the_fraction_rules(mode):
+    where = "transition (s, 0)"
+    for n in (1, 2, 3):
+        for weights in itertools.product(_WEIGHTS, repeat=n):
+            spec = MachineSpec("m", ("0",), 1, ("s",), mode, True, (
+                (("s", "0"), tuple(Action("reject", w) for w in weights)),))
+            expected = _fraction_weight_problems(mode, weights, where)
+            if mode == "det" and n != 1:
+                expected.insert(
+                    0, f"{where}: det mode allows exactly one action")
+            assert validate_spec(spec) == expected, weights
 
 
 def test_a_parsed_spec_is_validated_once(monkeypatch):

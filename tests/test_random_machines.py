@@ -18,11 +18,16 @@ import random
 
 import pytest
 
-from graphvm.encodings import encode_machine, run_word
+from graphvm.encodings import (IN, OUT, _tape_carrier, encode_machine,
+                               run_word)
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, accept_mass,
                                evaluate_test, language, reject_mass)
-from graphvm.machines import format_machine, load_machine, parse_machine
+from graphvm.graphing import PROBABILITIES, TRIVIAL, Edge, Graphing
+from graphvm.machines import (MARKER, format_machine, load_machine,
+                              parse_machine)
 from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
+from graphvm.realizers import Microcosm, Realizer
+from graphvm.space import MeasurableSet, RationalBox
 
 MACHINEGEN = os.path.join(os.path.dirname(__file__), "..", "perfbench",
                           "machinegen.py")
@@ -132,3 +137,35 @@ def test_verdicts_by_existence_match_the_landed_mass(spec, max_len):
             for test in (T_DET, T_NL, T_CONL):
                 assert evaluate_test(result, test, regions) \
                     is _by_landed_mass(result, test, regions), (word, test)
+
+
+def _swept(cells):
+    """The whole cells as ``MeasurableSet.from_boxes`` canonicalises them."""
+    return MeasurableSet.from_boxes([RationalBox.make(c) for c in cells])
+
+
+def test_machines_are_built_in_the_swept_normal_form():
+    """``encode_machine`` builds its sets and realizers directly: each
+    equals what the canonicalising constructors make of the same cells
+    and the same transposition, and so does the whole graphing."""
+    for spec in SHIPPED_SPECS + MACHINES:
+        machine = encode_machine(spec)
+        g, layout, rows = machine.graphing, machine.layout, len(spec.states)
+        carrier = _swept(range(rows * layout.row_stride))
+        assert g.carrier == carrier, spec.name
+        assert machine.accept_region == _swept(
+            layout.accept_cell(r) for r in range(rows))
+        assert machine.reject_region == _swept(
+            layout.reject_cell(r) for r in range(rows))
+        assert _tape_carrier(layout, rows) == _swept(
+            layout.symbol_cell(symbol, kind, r) for r in range(rows)
+            for symbol in (MARKER,) + layout.alphabet for kind in (IN, OUT))
+        swept = []
+        for e in g.edges:
+            source = _swept(e.source.cells())
+            realizer = Realizer.make(e.realizer.shift, dict(e.realizer.perm))
+            assert e.source == source and e.realizer == realizer, spec.name
+            swept.append(Edge(e.weight, source, realizer))
+        monoid = PROBABILITIES if spec.mode == "prob" else TRIVIAL
+        assert g == Graphing.make(monoid, Microcosm.mi(spec.heads), carrier,
+                                  swept), spec.name
