@@ -156,15 +156,15 @@ def _find_problems(spec: MachineSpec) -> list[str]:
             if a.kind not in _MOVES + _TERMINALS:
                 problems.append(f"{where}: unknown action {a.kind!r}")
                 continue
-            if not isinstance(a.weight, Rational):
-                problems.append(f"{where}: weight {a.weight!r} is not a p/q rational")
+            w = a.weight
+            if not isinstance(w, Rational):
+                problems.append(f"{where}: weight {w!r} is not a p/q rational")
             else:  # the denominator q is positive
-                p, q = a.weight.numerator, a.weight.denominator
+                p, q = w.numerator, w.denominator
                 if spec.mode in ("det", "nondet") and p != q:
-                    problems.append(
-                        f"{where}: weight {a.weight} in {spec.mode} mode")
+                    problems.append(f"{where}: weight {w} in {spec.mode} mode")
                 if not 0 < p <= q:
-                    problems.append(f"{where}: weight {a.weight} outside (0,1]")
+                    problems.append(f"{where}: weight {w} outside (0,1]")
                 num, den = num * q + p * den, den * q
             if a.kind == RETREAT and not spec.two_way:
                 problems.append(f"{where}: retreat in a one-way machine")
