@@ -10,6 +10,7 @@ mismatch against the oracle, 3 undetermined verdicts, 4 parse errors,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
@@ -230,7 +231,7 @@ def cmd_encode(args) -> int:
           f"{classify(graphing).value}, cost {export.frac_str(cost(graphing))}")
     if out:
         export.write_json(os.path.join(out, "encoding.json"),
-                          export.graphing_payload(graphing))
+                          json.loads(export.graphing_payload(graphing)))
         with open(os.path.join(out, "encoding.dot"), "w", encoding="utf-8") as fh:
             fh.write(export.graphing_dot(graphing, names))
     return EXIT_OK

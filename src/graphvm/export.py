@@ -2,13 +2,17 @@
 
 Every rational is rendered as the string "p/q" (denominator always
 written), never as a float; a weight that is no rational, from a
-table monoid, is written as its ``str``.  Exports carry no wall-clock
-data, so identical inputs produce byte-identical files.
+table monoid, is written as its ``str``.  Each ``*_payload`` returns
+compact JSON text, the bytes ``json.dumps`` gives with ``sort_keys``
+(coordinate keys sort as strings) and no spaces; ``dumps`` passes it
+through, and ``encode --out`` re-indents it.  Exports carry no
+wall-clock data, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from math import gcd
 
@@ -37,92 +41,82 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def box_payload(b: RationalBox) -> dict:
-    return {
-        "cell": b.cell,
-        "coords": {str(j): [_ratio_str(iv.a, iv.d), _ratio_str(iv.b, iv.d)]
-                   for j, iv in b.coords},
-    }
+def _by_index(pairs) -> str:
+    """A JSON object of ``(index, value text)`` pairs, keys sorted as
+    strings: a key's closing quote sorts before any digit."""
+    return "{" + ",".join(sorted(f'"{j}":{v}' for j, v in pairs)) + "}"
 
 
-def set_payload(s: MeasurableSet) -> dict:
-    return {
-        "boxes": [box_payload(b) for b in s.boxes],
-        "measure": frac_str(s.measure()),
-    }
+def box_payload(b: RationalBox) -> str:
+    coords = _by_index((j, f"[{_quote(_ratio_str(iv.a, iv.d))},"
+                           f"{_quote(_ratio_str(iv.b, iv.d))}]")
+                       for j, iv in b.coords)
+    return f'{{"cell":{b.cell},"coords":{coords}}}'
 
 
-def realizer_payload(r: Realizer) -> dict:
-    return {
-        "text": r.text(),
-        "shift": r.shift,
-        "perm": {str(j): k for j, k in r.perm},
-        "offsets": {str(j): frac_str(c) for j, c in r.offsets},
-    }
+def set_payload(s: MeasurableSet) -> str:
+    boxes = ",".join(map(box_payload, s.boxes))
+    measure = _quote(_ratio_str(*s._measure_ratio()))
+    return f'{{"boxes":[{boxes}],"measure":{measure}}}'
 
 
-def microcosm_payload(m: Microcosm) -> dict:
-    payload = {"kind": m.kind}
-    if m.kind == "mi":
-        payload["arity"] = m.arity
-    return payload
+def realizer_payload(r: Realizer) -> str:
+    offsets = _by_index((j, _quote(frac_str(c))) for j, c in r.offsets)
+    return (f'{{"offsets":{offsets},"perm":{_by_index(r.perm)},'
+            f'"shift":{r.shift},"text":{_quote(r.text())}}}')
 
 
-def graphing_payload(g: Graphing) -> dict:
-    return {
-        "weights": g.weights.name,
-        "microcosm": microcosm_payload(g.microcosm),
-        "carrier": set_payload(g.carrier),
-        "edges": [
-            {
-                "weight": frac_str(e.weight),
-                "source": set_payload(e.source),
-                "target": set_payload(e.target),
-                "realizer": realizer_payload(e.realizer),
-            }
-            for e in g.edges
-        ],
-        "cost": frac_str(cost(g)),
-    }
+def microcosm_payload(m: Microcosm) -> str:
+    arity = f'"arity":{m.arity},' if m.kind == "mi" else ""
+    return f'{{{arity}"kind":{_quote(m.kind)}}}'
 
 
-def path_payload(p: PathRecord) -> dict:
-    return {
-        "steps": [
-            {"side": side, "edge": idx, "region": set_payload(region)}
-            for (side, idx), region in zip(p.steps, p.regions)
-        ],
-        "source": set_payload(p.source),
-        "realizer": realizer_payload(p.realizer),
-        "weight": frac_str(p.weight),
-    }
+def graphing_payload(g: Graphing) -> str:
+    edges = ",".join(
+        f'{{"realizer":{realizer_payload(e.realizer)},'
+        f'"source":{set_payload(e.source)},'
+        f'"target":{set_payload(e.target)},'
+        f'"weight":{_quote(frac_str(e.weight))}}}' for e in g.edges)
+    return (f'{{"carrier":{set_payload(g.carrier)},'
+            f'"cost":{_quote(frac_str(cost(g)))},"edges":[{edges}],'
+            f'"microcosm":{microcosm_payload(g.microcosm)},'
+            f'"weights":{_quote(g.weights.name)}}}')
 
 
-def result_payload(result: PlugResult) -> dict:
+def path_payload(p: PathRecord) -> str:
+    steps = ",".join(
+        f'{{"edge":{idx},"region":{set_payload(region)},'
+        f'"side":{_quote(side)}}}'
+        for (side, idx), region in zip(p.steps, p.regions))
+    return (f'{{"realizer":{realizer_payload(p.realizer)},'
+            f'"source":{set_payload(p.source)},"steps":[{steps}],'
+            f'"weight":{_quote(frac_str(p.weight))}}}')
+
+
+def result_payload(result: PlugResult) -> str:
     d = result.diagnostics
-    return {
-        "graphing": graphing_payload(result.graphing),
-        "paths": [path_payload(p) for p in result.paths],
-        "dead_paths": [path_payload(p) for p in result.dead_paths],
-        "diagnostics": {
-            "complete": d.complete,
-            "steps_used": d.steps_used,
-            "unresolved_mass": frac_str(d.unresolved_mass),
-            "looping_mass": frac_str(d.looping_mass),
-            "dead_mass": frac_str(d.dead_mass),
-            "notes": list(d.notes),
-        },
-    }
+    dead = ",".join(map(path_payload, result.dead_paths))
+    paths = ",".join(map(path_payload, result.paths))
+    notes = ",".join(map(_quote, d.notes))
+    return (f'{{"dead_paths":[{dead}],"diagnostics":{{'
+            f'"complete":{"true" if d.complete else "false"},'
+            f'"dead_mass":{_quote(frac_str(d.dead_mass))},'
+            f'"looping_mass":{_quote(frac_str(d.looping_mass))},'
+            f'"notes":[{notes}],"steps_used":{d.steps_used},'
+            f'"unresolved_mass":{_quote(frac_str(d.unresolved_mass))}}},'
+            f'"graphing":{graphing_payload(result.graphing)},'
+            f'"paths":[{paths}]}}')
 
 
-def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def dumps(payload: str) -> str:
+    """A payload's JSON text as it is: the payload functions write it."""
+    return payload
 
 
 def write_jsonl(path, payloads) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for payload in payloads:
-            fh.write(dumps(payload) + "\n")
+            fh.write(payload + "\n")
 
 
 def write_json(path, payload) -> None:

@@ -366,7 +366,11 @@ class MeasurableSet:
         return not self.boxes
 
     def measure(self) -> Fraction:
-        # a running numerator over the lcm of the boxes' denominators
+        return Fraction(*self._measure_ratio())
+
+    def _measure_ratio(self) -> tuple[int, int]:
+        """The measure as a running numerator over the lcm of the boxes'
+        denominators, not reduced."""
         num, den = 0, 1
         for b in self.boxes:
             bnum, bden = b._measure_ratio()
@@ -374,7 +378,7 @@ class MeasurableSet:
                 scale = bden // gcd(den, bden)
                 num, den = num * scale, den * scale
             num += bnum * (den // bden)
-        return Fraction(num, den)
+        return num, den
 
     @lazy
     def _by_cell(self) -> dict[int, list[RationalBox]]:

@@ -6,7 +6,7 @@ import pytest
 from graphvm.execution import (INFINITY, T_CONL, T_DET, T_NL, PathRecord,
                                Regions, Verdict, accept_mass, evaluate_test,
                                plug, reject_mass, t_prob)
-from graphvm.export import (dumps, frac_str, graphing_dot, graphing_payload,
+from graphvm.export import (frac_str, graphing_dot, graphing_payload,
                             path_payload, result_payload)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, TableWeights,
                               classify, validate)
@@ -16,6 +16,14 @@ from graphvm.space import MeasurableSet, RationalBox, interval
 # the two-element monoid {e, a} with a*a = a
 PARITY = TableWeights(("e", "a"), {("e", "e"): "e", ("e", "a"): "a",
                                    ("a", "e"): "a", ("a", "a"): "a"}, "e")
+
+
+def canonical(text):
+    """The data of a payload's text, which must be the compact
+    sorted-key form ``json.dumps`` gives that data."""
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return data
 
 
 def _table_graphing():
@@ -38,21 +46,49 @@ def test_a_table_weighted_graphing_exports_to_json_and_dot():
     g = _table_graphing()
     assert validate(g) == []
     assert classify(g) is GraphingClass.GENERAL
-    payload = graphing_payload(g)
+    payload = canonical(graphing_payload(g))
     assert payload["weights"] == "table"
     assert [e["weight"] for e in payload["edges"]] == \
         [frac_str(e.weight) for e in g.edges]
     assert sorted(e["weight"] for e in payload["edges"]) == ["a", "e"]
     assert payload["cost"] == "1/1"
-    assert json.loads(dumps(payload)) == payload
     e = g.edges[0]
-    path = path_payload(PathRecord((("F", 0),), (e.source,), e.source,
-                                   e.realizer, e.weight))
+    path = canonical(path_payload(PathRecord((("F", 0),), (e.source,),
+                                              e.source, e.realizer,
+                                              e.weight)))
     assert path["weight"] == e.weight
     assert path["source"]["measure"] == "1/2"
     dot = graphing_dot(g, {0: "left", 1: "right"})
     assert dot.count('"left" -> "right"') == 2
     assert 'label="a"' in dot and 'label="e"' in dot
+
+
+ODD = 'q"\u00fc'  # a quote and a non-ASCII letter
+ODD_WEIGHTS = TableWeights(("e", ODD), {
+    (a, b): b if a == "e" else a for a in ("e", ODD) for b in ("e", ODD)},
+    "e")
+
+
+def test_payloads_sort_coordinate_keys_as_strings_and_escape_text():
+    source = MeasurableSet.of(RationalBox.make(
+        0, {2: interval(0, "1/2"), 10: interval("1/4", 1)}))
+    realizer = Realizer.make(1, {2: 10, 10: 2},
+                             {2: Fraction(-1, 4), 10: Fraction(1, 2)})
+    g = Graphing.make(ODD_WEIGHTS, Microcosm.macrocosm(), _cells(0, 1),
+                      [Edge(ODD, source, realizer)])
+    assert validate(g) == []
+    text = graphing_payload(g)
+    edge, = canonical(text)["edges"]
+    assert edge["weight"] == ODD and '"weight":"q\\"\\u00fc"' in text
+    assert edge["realizer"]["perm"] == {"2": 10, "10": 2}
+    assert '"perm":{"10":2,"2":10}' in text
+    assert '"offsets":{"10":"1/2","2":"-1/4"}' in text
+    assert '"coords":{"10":["1/4","1/1"],"2":["0/1","1/2"]}' in text
+    assert '"coords":{"10":["1/2","1/1"],"2":["0/1","3/4"]}' in text
+    e, = g.edges
+    path = path_payload(PathRecord((("F", 0),), (e.source,), e.source,
+                                   e.realizer, e.weight))
+    assert canonical(path)["weight"] == ODD
 
 
 # A table weight has no size: a plug's diagnostics add the bare measure of
@@ -73,9 +109,7 @@ def _into_cell_2(monoid, weight, source):
 
 
 def _diagnostics(result):
-    payload = result_payload(result)
-    assert json.loads(dumps(payload)) == payload
-    return payload["diagnostics"]
+    return canonical(result_payload(result))["diagnostics"]
 
 
 @pytest.mark.parametrize("monoid, weights, unresolved", [
@@ -102,7 +136,7 @@ def test_a_table_weighted_dead_path_exports_its_bare_measure():
         RationalBox.make(1, {1: interval(0, "1/2")})))
     result = plug(_table_graphing(), g)
     assert result.diagnostics.clean()
-    payload = result_payload(result)
+    payload = canonical(result_payload(result))
     assert payload["diagnostics"]["dead_mass"] == "1/2"
     dead, = payload["dead_paths"]
     assert dead["weight"] == "e"

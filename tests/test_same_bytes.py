@@ -14,10 +14,14 @@ the same:
   ``test_graphing``'s reference corpus, invalid ones included.
 
 The digests were recorded before the export writer emitted text
-directly; an intended change of output bytes updates them here.
+directly; an intended change of output bytes updates them here.  Each
+exported payload must also be the compact sorted-key text that
+``json.dumps`` gives for its own data.
 """
 
+import functools
 import hashlib
+import json
 import os
 import random
 
@@ -83,10 +87,21 @@ FAMILIES = {
 }
 
 
+@functools.cache
+def _lines(family):
+    return list(FAMILIES[family][0]())
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_a_family_keeps_its_bytes(family):
-    lines, want = FAMILIES[family]
     digest = hashlib.sha256()
-    for line in lines():
+    for line in _lines(family):
         digest.update(line.encode("utf-8") + b"\n")
-    assert digest.hexdigest() == want
+    assert digest.hexdigest() == FAMILIES[family][1]
+
+
+@pytest.mark.parametrize("family", ["machine_runs", "sampled_plugs"])
+def test_an_exported_payload_is_in_canonical_form(family):
+    for text in _lines(family):
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":"))
