@@ -109,7 +109,7 @@ def result_payload(result: PlugResult) -> str:
 
 
 def dumps(payload: str) -> str:
-    """A payload's JSON text as it is: the payload functions write it."""
+    """A payload's JSON text, unchanged: the name perfbench's op calls."""
     return payload
 
 

@@ -21,7 +21,6 @@ exported payload must also be the compact sorted-key text that
 
 import functools
 import hashlib
-import json
 import os
 import random
 
@@ -34,6 +33,7 @@ from graphvm.graphing import classify, validate
 from graphvm.machines import load_machine, words_up_to
 from graphvm.sampling import random_pair, random_triple
 
+from test_export import canonical
 from test_graphing import (_random_graphing, _sampled_graphings,
                            _with_a_corner_cut)
 
@@ -103,5 +103,4 @@ def test_a_family_keeps_its_bytes(family):
 @pytest.mark.parametrize("family", ["machine_runs", "sampled_plugs"])
 def test_an_exported_payload_is_in_canonical_form(family):
     for text in _lines(family):
-        assert text == json.dumps(json.loads(text), sort_keys=True,
-                                  separators=(",", ":"))
+        canonical(text)
