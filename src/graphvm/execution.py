@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .space import MeasurableSet, _exact, lazy
+from .space import _EMPTY, MeasurableSet, _exact, _ratio_sum, lazy
 from .realizers import Realizer
 from .graphing import (Edge, Graphing, ProbabilityWeights, TrivialWeights,
                        join_monoids, validate)
@@ -103,7 +103,7 @@ class Diagnostics:
 
     ``dead_mass`` is summed over the dead regions, which are built from
     the search's open nodes the first time it or ``PlugResult.dead_paths``
-    is read.
+    is read, as one integer ratio and one ``Fraction``.
     """
 
     complete: bool = True
@@ -124,8 +124,8 @@ class Diagnostics:
     def _dead(self) -> list[tuple[tuple[_Step, ...], MeasurableSet]]:
         """Per path that dies inside the cut: its trail and the dead
         region, what the hits leave of the node's part inside the cut.
-        ``subtract`` reads its other operand cell by cell only, so the
-        hits, which may overlap, go in as they are: one sweep per node."""
+        A one-box part less a one-box hit takes no sweep; other hits, which
+        may overlap, go in as they are, as ``subtract`` reads them by cell."""
         regions = []
         for trail, inside, hits in self._open_nodes:
             dead = inside.subtract(
@@ -136,8 +136,12 @@ class Diagnostics:
 
     @lazy
     def dead_mass(self) -> Fraction:
-        return sum((_mass(trail[-1][3], dead) for trail, dead in self._dead),
-                   Fraction(0))
+        ratios = []
+        for trail, dead in self._dead:  # as ``_mass`` weighs each region
+            w = trail[-1][3] if isinstance(trail[-1][3], Rational) else 1
+            num, den = dead._measure_ratio()
+            ratios.append((num * w.numerator, den * w.denominator))
+        return Fraction(*_ratio_sum(ratios))
 
 
 def _mass(weight, region: MeasurableSet) -> Fraction:
@@ -169,8 +173,8 @@ class PlugResult:
     and ``dead_paths`` (the maximal paths that die inside the cut, in the
     order the search met them) are built from the trails the first time
     they are read, so a caller that only reads the graphing never builds
-    them.  ``dead_paths`` reads the dead regions that
-    ``diagnostics.dead_mass`` reads, so reading both sweeps each node once.
+    them.  ``dead_paths`` and ``diagnostics.dead_mass`` read the same dead
+    regions, so reading both builds each node's region once.
     """
 
     graphing: Graphing
@@ -203,8 +207,17 @@ def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
 
 def _split(image: MeasurableSet,
            cut: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
-    """``image`` outside the cut, where a path leaves it, and inside."""
-    return image.subtract(cut), image.intersect(cut)
+    """``image`` outside the cut, where a path leaves it, and inside: its
+    boxes parted by cell when the cut holds each of its cells whole (alone
+    in the cell, in canonical form) or misses it, else cut by the sets."""
+    held = cut._by_cell
+    inside = tuple(b for b in image.boxes if b.cell in held)
+    if any(held[b.cell][0].coords for b in inside):
+        return image.subtract(cut), image.intersect(cut)
+    if not inside or len(inside) == len(image.boxes):
+        return (_EMPTY, image) if inside else (image, _EMPTY)
+    return (MeasurableSet(tuple(b for b in image.boxes if b.cell not in held)),
+            MeasurableSet(inside))
 
 
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
@@ -217,16 +230,18 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     Each graphing keeps its problems, so a graphing plugged again, such
     as a machine against every word, is swept only once.
 
-    At each node of the search, one split of the image at the cut gives
-    the part that exits and the part that goes on.  The dead part is what
-    the other side's sources leave of the latter: none when one source
-    holds all of it, as the meet then returns the node's own set.  Any
-    other node is kept with its trail and its hits, and its dead part is
-    swept only when ``dead_paths`` or ``diagnostics.dead_mass`` is read;
-    ``language`` and the property checks read neither.  A path repeats
-    when it takes an edge of its trail again with the same composite, on
-    a part of the region it had there; each path carries its trail's
-    edge keys, so the trail is scanned only for a key already in it.
+    The cut is ``g``'s carrier met with ``f``'s, a word's own carrier in a
+    machine run.  At each node of the search, one split of the image at
+    the cut gives the part that exits, kept as its edge's ``target``, and
+    the part that goes on.  The dead part is what the other side's
+    sources leave of the latter: none when one source holds all of it,
+    as the meet then returns the node's own set.  Any other node is kept
+    with its trail and its hits, and its dead part is built only when
+    ``dead_paths`` or ``diagnostics.dead_mass`` is read; ``language``
+    and the property checks read neither.  A path repeats when it takes
+    an edge of its trail again with the same composite, on a part of the
+    region it had there; each path carries its trail's edge keys, so the
+    trail is scanned only for a key already in it.
     The result keeps each path's trail; ``PlugResult`` builds the path
     records only when they are read.
 
@@ -254,7 +269,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             for method in (apply, compose, intersect, subtract, split))
     monoid = join_monoids(f.weights, g.weights)
     product = monoid.product
-    cut = intersect(f.carrier, g.carrier)
+    cut = intersect(g.carrier, f.carrier)
     sides = {"F": f, "G": g}
     diag = Diagnostics()
     steps = 0
@@ -276,8 +291,9 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
         (side, _), _, composite, weight = trail[-1]
         exits, inside = split(image, cut)
         if exits.boxes:
-            src = apply(composite.invert(), exits)
-            exits_found.append((Edge(weight, src, composite), trail))
+            edge = Edge(weight, apply(composite.invert(), exits), composite)
+            vars(edge)["target"] = exits  # the image of its source
+            exits_found.append((edge, trail))
         # a path inside the cut only meets the part of a source in the
         # cut, so whole edges need no split at it
         if not inside.boxes:

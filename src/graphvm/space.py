@@ -15,7 +15,7 @@ and measures run on plain integers; at the API, endpoints, lengths and
 measures are ``fractions.Fraction``.  Since everything is immutable, an
 operation whose result equals an operand returns the operand itself: a
 meet of boxes that cuts nothing, a set meet or restriction that leaves
-every box whole, a cell with one box and nothing to remove.  Half-open
+every box whole, a difference that removes nothing.  Half-open
 intervals make finite partitions exact rather than almost-everywhere,
 so emptiness checks replace null-measure conditions.
 """
@@ -302,6 +302,40 @@ def _canon_group(kept: list[dict[int, RationalInterval]],
     return out
 
 
+def _box_minus(k: RationalBox,
+               r: RationalBox) -> tuple[RationalBox, ...] | None:
+    """The sweep's boxes of ``k`` less ``r``, a box of its cell, unswept, or
+    None when ``r`` misses ``k``: per ascending axis, the part below the
+    overlap first, the part above it last, the overlap on to the next."""
+    axes = sorted({j for j, _ in k.coords + r.coords})
+    meets = [k.interval_at(j).intersect(r.interval_at(j)) for j in axes]
+    if None in meets:
+        return None
+    below, above = [], []
+    for n, (j, m) in enumerate(zip(axes, meets)):
+        iv = k.interval_at(j)
+        head = tuple(zip(axes[:n], meets[:n]))
+        tail = tuple(pair for pair in k.coords if pair[0] > j)
+        for part, lo, hi in ((below, iv.a * m.d, m.a * iv.d),
+                             (above, m.b * iv.d, iv.b * m.d)):
+            if lo < hi:
+                iv_part = RationalInterval.over(lo, hi, iv.d * m.d)
+                part.append(RationalBox(k.cell, head + ((j, iv_part),) + tail))
+    return tuple(below + above[::-1])
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of integer ratios as a running numerator over the lcm of
+    their denominators, not reduced."""
+    num, den = 0, 1
+    for bnum, bden in ratios:
+        if den % bden:
+            scale = bden // gcd(den, bden)
+            num, den = num * scale, den * scale
+        num += bnum * (den // bden)
+    return num, den
+
+
 def _canonicalize(boxes: Iterable[RationalBox],
                   removed: Mapping[int, list[RationalBox]]) -> tuple[RationalBox, ...]:
     """Canonical boxes of the points in some of ``boxes`` and in none of
@@ -371,14 +405,7 @@ class MeasurableSet:
     def _measure_ratio(self) -> tuple[int, int]:
         """The measure as a running numerator over the lcm of the boxes'
         denominators, not reduced."""
-        num, den = 0, 1
-        for b in self.boxes:
-            bnum, bden = b._measure_ratio()
-            if den % bden:
-                scale = bden // gcd(den, bden)
-                num, den = num * scale, den * scale
-            num += bnum * (den // bden)
-        return num, den
+        return _ratio_sum(map(RationalBox._measure_ratio, self.boxes))
 
     @lazy
     def _by_cell(self) -> dict[int, list[RationalBox]]:
@@ -415,8 +442,14 @@ class MeasurableSet:
         return MeasurableSet.from_boxes(self.boxes + other.boxes)
 
     def subtract(self, other: "MeasurableSet") -> "MeasurableSet":
+        """``self`` less ``other``, and ``self`` itself when nothing goes:
+        one box less one box directly, other shapes swept cell by cell."""
         if self.is_empty() or other.is_empty():
             return self
+        if len(self.boxes) == 1 == len(other.boxes):
+            (k,), (r,) = self.boxes, other.boxes
+            got = _box_minus(k, r) if k.cell == r.cell else None
+            return self if got is None else MeasurableSet(got)
         out: list[RationalBox] = []
         theirs = other._by_cell
         # self's cells come in ascending order, so appending keeps the order
@@ -426,7 +459,8 @@ class MeasurableSet:
                 out.extend(mine)  # untouched: already canonical
             elif all(b.coords for b in cut):  # a box with no coords fills the cell
                 out.extend(_canonicalize(mine, theirs))
-        return MeasurableSet(tuple(out))
+        got = tuple(out)  # canonical: equal to self's boxes when all is kept
+        return self if got == self.boxes else MeasurableSet(got)
 
     def restrict(self, constraints: Mapping[int, RationalInterval]) -> "MeasurableSet":
         """The part of the set whose coordinates lie in ``constraints``:
