@@ -209,7 +209,7 @@ def _split(image: MeasurableSet,
            cut: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
     """``image`` outside the cut, where a path leaves it, and inside: its
     boxes parted by cell when the cut holds each of its cells whole (alone
-    in the cell, in canonical form) or misses it, else cut by the sets."""
+    in the cell, in canonical form) or misses it, else by set operations."""
     held = cut._by_cell
     inside = tuple(b for b in image.boxes if b.cell in held)
     if any(held[b.cell][0].coords for b in inside):

@@ -304,9 +304,9 @@ def _canon_group(kept: list[dict[int, RationalInterval]],
 
 def _box_minus(k: RationalBox,
                r: RationalBox) -> tuple[RationalBox, ...] | None:
-    """The sweep's boxes of ``k`` less ``r``, a box of its cell, unswept, or
-    None when ``r`` misses ``k``: per ascending axis, the part below the
-    overlap first, the part above it last, the overlap on to the next."""
+    """The sweep's boxes for ``k`` less ``r``, a box of its cell, built
+    directly, or None when ``r`` misses ``k``: per ascending axis, the part
+    below the overlap first, the part above it last, the overlap onward."""
     axes = sorted({j for j, _ in k.coords + r.coords})
     meets = [k.interval_at(j).intersect(r.interval_at(j)) for j in axes]
     if None in meets:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from graphvm.execution import (INFINITY, MeasurementMap, PathRecord, T_CONL,
-                               T_DET, T_NL, Regions, Test, Verdict,
+                               T_DET, T_NL, Regions, Test, Verdict, _mass,
                                accept_mass,
                                cycles, evaluate_test, landing, measurement,
                                plug, reject_mass, t_prob)
@@ -809,6 +809,66 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
         assert got == {"dead_paths": dead_paths,
                        "dead_mass": diag["dead_mass"]}
         taken.clear()
+
+
+def _check_targets_and_dead_mass(result):
+    """Each result edge keeps its exit set as its ``target``, the image of
+    its source; ``dead_mass`` is the ``_mass`` sum over the dead regions."""
+    for e in result.graphing.edges:
+        assert "target" in vars(e)
+        assert e.target == e.realizer.apply(e.source)
+    diag = result.diagnostics
+    want = sum((_mass(trail[-1][3], dead) for trail, dead in diag._dead),
+               Fraction(0))
+    assert type(diag.dead_mass) is Fraction and diag.dead_mass == want
+    return len(diag._dead)
+
+
+@pytest.mark.parametrize("family", ["machine_runs", "sampled_plugs"])
+def test_kept_targets_and_dead_mass_match_their_definitions(family):
+    from test_same_bytes import machine_run_results, sampled_plug_results
+    results = {"machine_runs": machine_run_results,
+               "sampled_plugs": sampled_plug_results}[family]()
+    assert sum(map(_check_targets_and_dead_mass, results)) > 0
+
+
+def test_a_result_edge_keeps_the_part_of_its_image_that_exits():
+    # f carries cells 0 and 1 to 5 and 6; the cut is the left half of 5,
+    # so one image leaves the cut in two cells and goes on in one
+    f = graphing([Edge(Fraction(1), ms(cellbox(0), cellbox(1)),
+                       Realizer.shift_by(5))], (0, 1, 5, 6))
+    g = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
+                      ms(cellbox(5, 0, "1/2"), cellbox(9)),
+                      [Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
+                            Realizer.shift_by(4))])
+    result = plug(f, g)
+    assert [e.target for e in result.graphing.edges] == [
+        ms(cellbox(9, 0, "1/2")), ms(cellbox(5, "1/2", 1), cellbox(6))]
+    assert _check_targets_and_dead_mass(result) == 0
+
+
+def test_a_table_weighted_dead_mass_mixes_bare_and_scaled_measures():
+    from test_export import PARITY, _cells, _into_cell_2, _table_graphing
+    left = interval(0, "1/2")
+    on_left = MeasurableSet.of(RationalBox.make(1, {1: left}))
+    # the "e" edge lands on [1/2, 1) of cell 1, where g has no source
+    result = plug(_table_graphing(), _into_cell_2(PARITY, "a", on_left))
+    assert result.diagnostics.dead_mass == Fraction(1, 2)
+    assert _check_targets_and_dead_mass(result) == 1
+    # one path dies weighing "e", its bare measure 1/2, and one weighing
+    # the rational 1/3, a third of its 1/2
+    third = Fraction(1, 3)
+    table = TableWeights(("e", third), {
+        (a, b): "e" if a == b == "e" else third
+        for a in ("e", third) for b in ("e", third)}, "e")
+    f = Graphing.make(table, Microcosm.macrocosm(), _cells(0, 1), [
+        Edge("e", MeasurableSet.of(RationalBox.make(0, {1: left})),
+             Realizer.make(1, None, {1: Fraction(1, 2)})),
+        Edge(third, MeasurableSet.of(RationalBox.make(
+            0, {1: interval("1/2", 1)})), Realizer.shift_by(1))])
+    result = plug(f, _into_cell_2(table, "e", on_left))
+    assert result.diagnostics.dead_mass == Fraction(1, 2) + third / 2
+    assert _check_targets_and_dead_mass(result) == 2
 
 
 def test_records_are_built_only_when_read(monkeypatch):

@@ -42,7 +42,8 @@ MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
 MODES = ("det", "nondet", "prob")
 
 
-def _machine_runs():
+def machine_run_results():
+    """The plug results whose payloads make the ``machine_runs`` family."""
     for name in sorted(os.listdir(MACHINES)):
         machine = encode_machine(load_machine(os.path.join(MACHINES, name)))
         for word in words_up_to(machine.spec.alphabet, 4):
@@ -50,22 +51,32 @@ def _machine_runs():
                 for max_steps in (10000, 5):
                     result, _ = run_word(machine, word, one_way=one_way,
                                          max_steps=max_steps)
-                    yield dumps(result_payload(result))
+                    yield result
 
 
-def _sampled_plugs():
+def sampled_plug_results():
+    """The plug results whose payloads make the ``sampled_plugs`` family."""
     for max_steps in (10000, 3):
         for mode in MODES:
             for seed in range(6):
                 f, g = random_pair(seed, mode)
-                yield dumps(result_payload(plug(f, g, max_steps=max_steps)))
+                yield plug(f, g, max_steps=max_steps)
                 f, g, h = random_triple(seed, mode)
                 fg = plug(f, g, max_steps=max_steps)
                 gh = plug(g, h, max_steps=max_steps)
-                for result in (fg, gh,
-                               plug(fg.graphing, h, max_steps=max_steps),
-                               plug(f, gh.graphing, max_steps=max_steps)):
-                    yield dumps(result_payload(result))
+                yield from (fg, gh,
+                            plug(fg.graphing, h, max_steps=max_steps),
+                            plug(f, gh.graphing, max_steps=max_steps))
+
+
+def _machine_runs():
+    for result in machine_run_results():
+        yield dumps(result_payload(result))
+
+
+def _sampled_plugs():
+    for result in sampled_plug_results():
+        yield dumps(result_payload(result))
 
 
 def _checks():

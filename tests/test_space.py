@@ -1,11 +1,15 @@
+import collections
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphvm.execution import _split
 from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
-                           common_refinement, interval)
+                           _box_minus, _canon_group, common_refinement,
+                           interval)
 
 
 def ms(*boxes):
@@ -286,13 +290,27 @@ def test_subtract_passes_through_untouched_and_whole_cells():
     _check_against_points(several, whole)
     # removed boxes in cells the set lacks change nothing
     elsewhere = ms(RationalBox.make(2), RationalBox.make(3, {1: interval(0, ninth)}))
-    assert several.subtract(elsewhere).boxes == several.boxes
+    assert several.subtract(elsewhere) is several
     _check_against_points(several, elsewhere)
+    # nor do boxes of its cells that miss all of its boxes
+    beside = ms(RationalBox.make(0, {1: interval(3 * ninth, 1),
+                                     2: interval(4 * ninth, 1)}),
+                RationalBox.make(1, {1: interval(2 * ninth, 1),
+                                     2: interval(5 * ninth, 6 * ninth)}))
+    assert several.subtract(beside) is several
+    _check_against_points(several, beside)
+    # one box less a box of its cell that misses it
+    alone = ms(in_cell_0[0])
+    assert alone.subtract(beside) is alone
+    assert alone.subtract(ms(beside.boxes[0])) is alone
+    assert alone.subtract(ms(RationalBox.make(1))) is alone
 
 
 @settings(max_examples=150, deadline=None)
 @given(sets(), sets())
 def test_subtract_measure_identity(a, b):
+    got = a.subtract(b)
+    assert (got is a) == (got == a)
     assert a.subtract(b).measure() == a.measure() - a.intersect(b).measure()
 
 
@@ -550,3 +568,117 @@ def test_measure_sums_to_the_fraction_sum(bs):
     got = s.measure()
     assert type(got) is Fraction
     assert got == sum((b.measure() for b in bs), Fraction(0))
+
+
+# -- one box less one box, and the split at a cut, against the sweep ----------
+
+def _swept_difference(k, r):
+    """``k`` less ``r``, two boxes of one cell, by the sweep."""
+    axes = sorted({j for j, _ in k.coords + r.coords})
+    return [RationalBox(k.cell, coords) for coords in
+            _canon_group([k.coord_map], [r.coord_map], axes)]
+
+
+def _check_box_minus(k, r):
+    want = _swept_difference(k, r)
+    got = _box_minus(k, r)
+    assert (got is None) == (k.intersect(r) is None)
+    assert ([k] if got is None else list(got)) == want
+    one = MeasurableSet((k,))
+    diff = one.subtract(MeasurableSet((r,)))
+    assert list(diff.boxes) == want
+    assert (diff is one) == (got is None)
+
+
+def _grid_box(rng, cell, n):
+    """A box of ``cell`` on ``n`` of coordinates 1-3, each interval on the
+    1/D grid for a D drawn from 1-6 and 8 (D = 1 leaves it free)."""
+    coords = {}
+    for j in rng.sample((1, 2, 3), n):
+        d = rng.choice((1, 2, 3, 4, 5, 6, 8))
+        a = rng.randrange(d)
+        coords[j] = RationalInterval.over(a, rng.randrange(a + 1, d + 1), d)
+    return RationalBox.make(cell, coords)
+
+
+def test_one_box_less_one_box_is_the_sweep():
+    rng = random.Random(27)
+    kinds = collections.Counter()
+    for _ in range(12000):
+        k = _grid_box(rng, 0, rng.randint(0, 3))
+        other = _grid_box(rng, 0, rng.randint(0, 3))
+        r = rng.choice([other, k, k.intersect(other) or other,
+                        RationalBox.make(0)])
+        if rng.randrange(2):
+            k, r = r, k
+        meet = k.intersect(r)
+        kinds["disjoint" if meet is None else "equal" if k == r
+              else "whole cell" if not (k.coords and r.coords)
+              else "nested" if meet in (k, r) else "overlapping"] += 1
+        _check_box_minus(k, r)
+    assert min(kinds[kind] for kind in ("disjoint", "equal", "whole cell",
+                                        "nested", "overlapping")) > 100
+    # a box of another cell misses it
+    k = _grid_box(rng, 0, 2)
+    assert MeasurableSet((k,)).subtract(ms(RationalBox.make(1))).boxes == (k,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets(_MIXED), sets(_MIXED))
+def test_one_box_less_one_box_is_the_sweep_across_denominators(a, b):
+    for k in a.boxes + b.boxes:
+        for r in a.boxes + b.boxes:
+            if k.cell == r.cell:
+                _check_box_minus(k, r)
+
+
+@st.composite
+def _image_and_cut(draw):
+    """A set over cells 0-2, and a cut that holds each of those cells
+    whole, misses it, or holds part of it."""
+    image = MeasurableSet.from_boxes(draw(st.lists(
+        boxes(cells=3, denominators=_ALL_GRIDS), max_size=4)))
+    cut = []
+    for cell in range(3):
+        how = draw(st.sampled_from(("whole", "absent", "partial")))
+        if how == "whole":
+            cut.append(RationalBox.make(cell))
+        elif how == "partial":
+            cut += [RationalBox(cell, b.coords) for b in draw(st.lists(
+                boxes(cells=1, denominators=_ALL_GRIDS), min_size=1,
+                max_size=2))]
+    return image, MeasurableSet.from_boxes(cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_image_and_cut())
+def test_split_is_the_difference_and_the_meet(pair):
+    image, cut = pair
+    assert _split(image, cut) == (image.subtract(cut), image.intersect(cut))
+
+
+def test_split_parts_whole_cells_and_sweeps_partial_ones(monkeypatch):
+    half = interval(0, "1/2")
+    image = ms(RationalBox.make(0, {1: half}), RationalBox.make(1),
+               RationalBox.make(2, {2: half}))
+    swept = []
+    for name in ("subtract", "intersect"):
+        method = getattr(MeasurableSet, name)
+        monkeypatch.setattr(MeasurableSet, name,
+                            lambda a, b, method=method, name=name:
+                            swept.append(name) or method(a, b))
+    # whole cells: the boxes are parted by cell, with no set operation
+    exits, inside = _split(image, ms(RationalBox.make(0), RationalBox.make(2),
+                                     RationalBox.make(5)))
+    assert (exits.boxes, inside.boxes) == (image.boxes[1:2],
+                                           image.boxes[::2])
+    assert _split(image, ms(RationalBox.make(4)))[0] is image
+    assert _split(image, ms(*(RationalBox.make(c) for c in range(3))))[1] \
+        is image
+    assert swept == []
+    # a cut that holds part of cell 1 is subtracted and met
+    part = ms(RationalBox.make(0), RationalBox.make(1, {1: half}))
+    assert _split(image, part) == (
+        ms(RationalBox.make(1, {1: interval("1/2", 1)}), image.boxes[2]),
+        ms(image.boxes[0], RationalBox.make(1, {1: half})))
+    assert swept == ["subtract", "intersect"]
