@@ -5,7 +5,7 @@ from .space import (MeasurableSet, RationalBox, RationalInterval,
 from .realizers import (DomainViolation, Microcosm, Realizer,
                         standard_generators)
 from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
-                       TableWeights, classify, cost, disjoint_union, validate)
+                       classify, cost, disjoint_union, validate)
 from .execution import (AlternatingCycle, Diagnostics, INFINITY,
                         LanguageResult, MeasurementMap, PlugResult, Regions,
                         T_CONL, T_DET, T_NL, Test, Verdict, accept_mass,

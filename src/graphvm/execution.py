@@ -20,12 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 
 from .space import _EMPTY, MeasurableSet, _exact, _ratio_sum, lazy
 from .realizers import Realizer
-from .graphing import (Edge, Graphing, ProbabilityWeights, TrivialWeights,
-                       join_monoids, validate)
+from .graphing import Edge, Graphing, join_monoids, validate
 from .machines import require_probabilities, words_up_to
 
 
@@ -95,11 +93,8 @@ class Diagnostics:
     """Where a plug's mass went.
 
     A region adds its measure times the weight of the path that reaches
-    it when that weight is a rational, and its bare measure when it is
-    not, as for the elements of a ``TableWeights`` monoid.  So under any
-    weights the masses say how much of the space the plug left
-    unresolved, looping or dead, and ``clean()`` fails when the budget
-    runs out.
+    it.  So the masses weigh what the plug left unresolved, looping or
+    dead, and ``clean()`` fails when the budget runs out.
 
     ``dead_mass`` is summed over the dead regions, which are built from
     the search's open nodes the first time it or ``PlugResult.dead_paths``
@@ -137,20 +132,11 @@ class Diagnostics:
     @lazy
     def dead_mass(self) -> Fraction:
         ratios = []
-        for trail, dead in self._dead:  # as ``_mass`` weighs each region
-            w = trail[-1][3] if isinstance(trail[-1][3], Rational) else 1
+        for trail, dead in self._dead:  # times the weight of its path
+            w = trail[-1][3]
             num, den = dead._measure_ratio()
             ratios.append((num * w.numerator, den * w.denominator))
         return Fraction(*_ratio_sum(ratios))
-
-
-def _mass(weight, region: MeasurableSet) -> Fraction:
-    """The mass ``Diagnostics`` adds for ``region`` on a path of the
-    given weight: the measure scaled by a rational weight, and the bare
-    measure under any other."""
-    if isinstance(weight, Rational):
-        return weight * region.measure()
-    return region.measure()
 
 
 @dataclass(frozen=True)
@@ -308,7 +294,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
             whole = whole or hit is inside
             if steps >= max_steps:
                 diag.complete = False
-                diag.unresolved_mass += _mass(weight, hit)
+                diag.unresolved_mass += weight * hit.measure()
                 continue
             steps += 1
             new_comp = compose(composite, e.realizer)
@@ -321,7 +307,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
                                if k == key and comp == new_comp
                                and hit.subset_of(region)), None)
                 if repeat is not None:
-                    mass = _mass(new_weight, hit)
+                    mass = new_weight * hit.measure()
                     if new_weight == repeat:
                         diag.looping_mass += mass
                     else:
@@ -439,7 +425,7 @@ def _landed_mass(result: PlugResult, regions: Regions,
     lam = regions.launch.measure()
     if lam == 0:
         raise ValueError("launch region is null")
-    total = sum((_mass(e.weight, landing(e, regions, where))
+    total = sum((e.weight * landing(e, regions, where).measure()
                  for e in result.graphing.edges), Fraction(0))
     return total / lam
 
@@ -447,26 +433,21 @@ def _landed_mass(result: PlugResult, regions: Regions,
 def accept_mass(result: PlugResult, regions: Regions) -> Fraction:
     """Mass carried from the launch region into the accept cells,
     normalised by the launch measure: each edge adds the measure it lands
-    there, scaled by a rational weight and bare under any other (the
-    rule of ``Diagnostics``)."""
+    there times its weight."""
     return _landed_mass(result, regions, regions.accept)
 
 
 def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
     """Mass carried from the launch region into the reject cells,
     normalised by the launch measure: each edge adds the measure it lands
-    there, scaled by a rational weight and bare under any other (the
-    rule of ``Diagnostics``)."""
+    there times its weight."""
     return _landed_mass(result, regions, regions.reject)
 
 
 def _carries_mass(result: PlugResult, regions: Regions,
                   where: MeasurableSet) -> bool:
-    """Whether landed mass in ``where`` is positive: with nonnegative
-    weights, whether some edge of positive weight lands in it at all."""
-    if not isinstance(result.graphing.weights,
-                      (TrivialWeights, ProbabilityWeights)):
-        return _landed_mass(result, regions, where) > 0
+    """Whether landed mass in ``where`` is positive: as no weight is
+    negative, whether some edge of positive weight lands in it at all."""
     # a realizer moves every cell by its shift, so an edge whose shifted
     # source cells miss those of ``where`` lands nothing there
     cells = where.cells()

@@ -1,8 +1,7 @@
 """Deterministic serialization: JSON payloads with p/q rationals, DOT.
 
-Every rational is rendered as the string "p/q" (denominator always
-written), never as a float; a weight that is no rational, from a
-table monoid, is written as its ``str``.  Each ``*_payload`` returns
+Every rational, weights included, is rendered as the string "p/q"
+(denominator always written), never as a float.  Each ``*_payload`` returns
 compact JSON text, the bytes ``json.dumps`` gives with ``sort_keys``
 (coordinate keys sort as strings) and no spaces; ``dumps`` passes it
 through, and ``encode --out`` re-indents it.  Exports carry no
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from fractions import Fraction
 from math import gcd
 
 from .space import MeasurableSet, RationalBox
@@ -24,14 +22,10 @@ from .execution import INFINITY, PathRecord, PlugResult
 
 def frac_str(value) -> str:
     """``p/q`` for a rational (a ``Fraction`` or an ``int``), read off
-    its own numerator and denominator; ``inf`` for INFINITY; and
-    ``str(value)`` for anything else, such as the element of a
-    ``TableWeights`` monoid that an edge may weigh."""
+    its own numerator and denominator, and ``inf`` for INFINITY."""
     if value is INFINITY:
         return "inf"
-    if isinstance(value, (Fraction, int)):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _ratio_str(num: int, den: int) -> str:

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Rational
 
 from .space import MeasurableSet, lazy, owned_parts
 from .realizers import Microcosm, Realizer
@@ -55,9 +56,8 @@ class TrivialWeights(WeightMonoid):
         return UNIT
 
     def admits(self, w):
-        if isinstance(w, Fraction):  # lowest terms: 1 is 1/1
-            return w.numerator == w.denominator
-        return w == UNIT
+        # in integers, so a float 1.0 is refused: in lowest terms 1 is 1/1
+        return isinstance(w, Rational) and w.numerator == w.denominator
 
 
 class ProbabilityWeights(WeightMonoid):
@@ -76,61 +76,13 @@ class ProbabilityWeights(WeightMonoid):
         return isinstance(w, Fraction) and 0 <= w.numerator <= w.denominator
 
 
-class TableWeights(WeightMonoid):
-    """A finite monoid given by its elements and multiplication table."""
-
-    name = "table"
-
-    def __init__(self, elements, table, unit):
-        self.elements = tuple(elements)
-        self.table = dict(table)
-        self.unit = unit
-        if unit not in self.elements:
-            raise ValueError("unit must be one of the elements")
-        for a in self.elements:
-            for b in self.elements:
-                if (a, b) not in self.table:
-                    raise ValueError(f"table misses product {a}*{b}")
-                if self.table[(a, b)] not in self.elements:
-                    raise ValueError("table closes outside the elements")
-        for a in self.elements:
-            if self.table[(unit, a)] != a or self.table[(a, unit)] != a:
-                raise ValueError("unit law fails")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.table[(self.table[(a, b)], c)] != \
-                            self.table[(a, self.table[(b, c)])]:
-                        raise ValueError("associativity fails")
-
-    def one(self):
-        return self.unit
-
-    def product(self, a, b):
-        return self.table[(a, b)]
-
-    def admits(self, w):
-        return w in self.elements
-
-
 TRIVIAL = TrivialWeights()
 PROBABILITIES = ProbabilityWeights()
 
 
-class WeightError(ValueError):
-    pass
-
-
 def join_monoids(a: WeightMonoid, b: WeightMonoid) -> WeightMonoid:
-    """Common monoid when one embeds in the other (trivial embeds in all);
-    two table monoids join only when their elements, table and unit agree."""
-    if a is b or (type(a) is type(b) and vars(a) == vars(b)):
-        return a
-    if isinstance(a, TrivialWeights):
-        return b
-    if isinstance(b, TrivialWeights):
-        return a
-    raise WeightError(f"incompatible weight monoids: {a!r} vs {b!r}")
+    """Common monoid: the trivial one embeds in probabilities."""
+    return b if isinstance(a, TrivialWeights) else a
 
 
 @dataclass(frozen=True)

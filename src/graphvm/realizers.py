@@ -60,6 +60,8 @@ class Realizer:
     def make(shift: int = 0,
              perm: dict[int, int] | None = None,
              offsets: dict[int, Fraction] | None = None) -> "Realizer":
+        if type(shift) is not int:
+            raise TypeError(f"shift must be an int, got {shift!r}")
         exact = ((j, c if type(c) is Fraction else _exact(c))
                  for j, c in (offsets or {}).items())
         norm_off = tuple(sorted((j, c) for j, c in exact if c != 0))

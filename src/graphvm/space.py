@@ -189,6 +189,8 @@ class RationalBox:
 
     @staticmethod
     def make(cell: int, coords: Mapping[int, RationalInterval] | None = None) -> "RationalBox":
+        if type(cell) is not int:
+            raise TypeError(f"cell must be an int, got {cell!r}")
         items = []
         for j, iv in sorted((coords or {}).items()):
             if j < 1:

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from graphvm.execution import (INFINITY, MeasurementMap, PathRecord, T_CONL,
-                               T_DET, T_NL, Regions, Test, Verdict, _mass,
+                               T_DET, T_NL, Regions, Test, Verdict,
                                accept_mass,
                                cycles, evaluate_test, landing, measurement,
                                plug, reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, TableWeights, classify, disjoint_union,
+                              TRIVIAL, classify, disjoint_union,
                               join_monoids, validate)
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
@@ -231,15 +231,6 @@ def test_starts_through_the_edge_index_match_the_per_edge_scan():
             f.carrier.union(g.carrier).subtract(cut)
 
 
-def test_weight_monoid_mismatch_rejected():
-    from graphvm.graphing import TableWeights
-    table = TableWeights(("e",), {("e", "e"): "e"}, "e")
-    f = Graphing.make(table, Microcosm.macrocosm(), ms(cellbox(0)), ())
-    g = graphing([], (0,), PROBABILITIES)
-    with pytest.raises(ValueError):
-        plug(f, g)
-
-
 def test_forced_two_cycle():
     A, B = ms(cellbox(0)), ms(cellbox(1))
     carrier = A.union(B)
@@ -361,13 +352,7 @@ def test_weightless_edge_lands_without_mass():
     assert reject_mass(result, regions) == 1
 
 
-BOOLEAN = TableWeights((Fraction(0), Fraction(1)),
-                       {(a, b): a * b for a in (Fraction(0), Fraction(1))
-                        for b in (Fraction(0), Fraction(1))}, Fraction(1))
-
-
-@pytest.mark.parametrize("monoid", [PROBABILITIES, BOOLEAN])
-def test_a_weightless_landing_decides_no_verdict(monoid):
+def test_a_weightless_landing_decides_no_verdict():
     regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
     for to_accept, to_reject, det, conl in (
             (0, 1, Verdict.REJECT, Verdict.REJECT),
@@ -376,7 +361,7 @@ def test_a_weightless_landing_decides_no_verdict(monoid):
                            Realizer.shift_by(10)),
                       Edge(Fraction(to_reject), ms(cellbox(0)),
                            Realizer.shift_by(11))],
-                     (0, 10, 11), monoid)
+                     (0, 10, 11), PROBABILITIES)
         result = plug(f, graphing([], (5,)))
         assert evaluate_test(result, T_DET, regions) is det
         assert evaluate_test(result, T_NL, regions) is det
@@ -813,12 +798,13 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
 
 def _check_targets_and_dead_mass(result):
     """Each result edge keeps its exit set as its ``target``, the image of
-    its source; ``dead_mass`` is the ``_mass`` sum over the dead regions."""
+    its source; ``dead_mass`` sums each dead region's measure times the
+    weight of its path."""
     for e in result.graphing.edges:
         assert "target" in vars(e)
         assert e.target == e.realizer.apply(e.source)
     diag = result.diagnostics
-    want = sum((_mass(trail[-1][3], dead) for trail, dead in diag._dead),
+    want = sum((trail[-1][3] * dead.measure() for trail, dead in diag._dead),
                Fraction(0))
     assert type(diag.dead_mass) is Fraction and diag.dead_mass == want
     return len(diag._dead)
@@ -845,30 +831,6 @@ def test_a_result_edge_keeps_the_part_of_its_image_that_exits():
     assert [e.target for e in result.graphing.edges] == [
         ms(cellbox(9, 0, "1/2")), ms(cellbox(5, "1/2", 1), cellbox(6))]
     assert _check_targets_and_dead_mass(result) == 0
-
-
-def test_a_table_weighted_dead_mass_mixes_bare_and_scaled_measures():
-    from test_export import PARITY, _cells, _into_cell_2, _table_graphing
-    left = interval(0, "1/2")
-    on_left = MeasurableSet.of(RationalBox.make(1, {1: left}))
-    # the "e" edge lands on [1/2, 1) of cell 1, where g has no source
-    result = plug(_table_graphing(), _into_cell_2(PARITY, "a", on_left))
-    assert result.diagnostics.dead_mass == Fraction(1, 2)
-    assert _check_targets_and_dead_mass(result) == 1
-    # one path dies weighing "e", its bare measure 1/2, and one weighing
-    # the rational 1/3, a third of its 1/2
-    third = Fraction(1, 3)
-    table = TableWeights(("e", third), {
-        (a, b): "e" if a == b == "e" else third
-        for a in ("e", third) for b in ("e", third)}, "e")
-    f = Graphing.make(table, Microcosm.macrocosm(), _cells(0, 1), [
-        Edge("e", MeasurableSet.of(RationalBox.make(0, {1: left})),
-             Realizer.make(1, None, {1: Fraction(1, 2)})),
-        Edge(third, MeasurableSet.of(RationalBox.make(
-            0, {1: interval("1/2", 1)})), Realizer.shift_by(1))])
-    result = plug(f, _into_cell_2(table, "e", on_left))
-    assert result.diagnostics.dead_mass == Fraction(1, 2) + third / 2
-    assert _check_targets_and_dead_mass(result) == 2
 
 
 def test_records_are_built_only_when_read(monkeypatch):

@@ -7,8 +7,8 @@ from itertools import combinations, product
 import pytest
 
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, TableWeights, WeightError, classify,
-                              cost, disjoint_union, join_monoids, validate)
+                              TRIVIAL, classify, cost, disjoint_union,
+                              join_monoids, validate)
 from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
@@ -61,14 +61,14 @@ def test_validate_microcosm_membership():
 
 
 # (weight, admitted as a probability, admitted as the trivial weight):
-# only a Fraction is a probability, while 1 in any numeric type is trivial
+# only a Fraction is a probability, while 1 as any rational is trivial
 _WEIGHTS = [
     (Fraction(0), True, False), (Fraction(1, 2), True, False),
     (Fraction(1), True, True), (Fraction(3, 2), False, False),
     (Fraction(-1, 2), False, False), (Fraction(-1), False, False),
     (0, False, False), (1, False, True), (2, False, False),
     (False, False, False), (True, False, True),
-    (1 / 2, False, False), (1 / 1, False, True),  # integer division: floats
+    (1 / 2, False, False), (1 / 1, False, False),  # integer division: floats
     ("e", False, False), ("a", False, False),
 ]
 
@@ -88,6 +88,14 @@ def test_validate_reports_a_weight_outside_the_monoid():
         want = (GraphingClass.PROBABILISTIC if probability
                 else GraphingClass.GENERAL)
         assert classify(g) is want, w
+
+
+def test_a_float_unit_weight_is_refused():
+    # integer division makes a float: 1 / 1 is no trivial weight
+    g = simple([Edge(1 / 1, ms(cellbox(0)), Realizer.shift_by(1))], (0, 1))
+    assert validate(g) == ["edge 0: weight 1.0 not in monoid"]
+    with pytest.raises(ValueError, match="weight 1.0 not in monoid"):
+        plug(g, simple([], (5,)))
 
 
 def test_sampled_graphings_are_valid():
@@ -319,37 +327,9 @@ def test_disjoint_union():
 
 def test_join_monoids():
     assert join_monoids(TRIVIAL, PROBABILITIES) is PROBABILITIES
+    assert join_monoids(PROBABILITIES, TRIVIAL) is PROBABILITIES
+    assert join_monoids(PROBABILITIES, PROBABILITIES) is PROBABILITIES
     assert join_monoids(TRIVIAL, TRIVIAL) is TRIVIAL
-    table = TableWeights(("e", "a"), {("e", "e"): "e", ("e", "a"): "a",
-                                      ("a", "e"): "a", ("a", "a"): "e"}, "e")
-    with pytest.raises(WeightError):
-        join_monoids(table, PROBABILITIES)
-    assert join_monoids(table, TRIVIAL) is table
-
-
-def test_join_monoids_joins_a_table_only_with_an_equal_one():
-    def parity(e, a):
-        return TableWeights((e, a), {(e, e): e, (e, a): a,
-                                     (a, e): a, (a, a): e}, e)
-    table = parity("e", "a")
-    assert join_monoids(table, parity("e", "a")) is table
-    # other elements: plugging used to look up ("a", "b") in one table
-    with pytest.raises(WeightError):
-        join_monoids(table, parity("e", "b"))
-    # the same elements under another table: used to multiply by the first
-    absorbing = TableWeights(("e", "a"), {("e", "e"): "e", ("e", "a"): "a",
-                                          ("a", "e"): "a", ("a", "a"): "a"},
-                             "e")
-    with pytest.raises(WeightError):
-        join_monoids(table, absorbing)
-    with pytest.raises(WeightError):
-        join_monoids(absorbing, table)
-
-
-def test_table_weights_laws_checked():
-    with pytest.raises(ValueError):
-        TableWeights(("e", "a"), {("e", "e"): "e", ("e", "a"): "a",
-                                  ("a", "e"): "e", ("a", "a"): "e"}, "e")
 
 
 def test_target_is_derived():

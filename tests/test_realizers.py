@@ -85,6 +85,12 @@ def test_float_offsets_are_refused():
     assert Realizer.make(0, None, {1: 0}) == Realizer.identity()
 
 
+def test_a_float_shift_is_refused():
+    with pytest.raises(TypeError, match="shift must be an int"):
+        Realizer.make(1 / 1)
+    assert Realizer.make(1) == Realizer.shift_by(1)
+
+
 def test_realizers_built_along_different_paths_hash_alike():
     quarter = Fraction(1, 4)
     made = Realizer.make(3, {1: 2, 2: 1}, {2: quarter})

@@ -40,6 +40,12 @@ def test_float_endpoints_are_refused():
     assert interval(0, "1/2") == interval(Fraction(0), Fraction(1, 2))
 
 
+def test_a_float_cell_is_refused():
+    with pytest.raises(TypeError, match="cell must be an int"):
+        RationalBox.make(1 / 1)
+    assert RationalBox.make(1).cell == 1
+
+
 def test_interval_form_is_unique():
     half = RationalInterval(Fraction(1, 2), 1)
     assert RationalInterval(Fraction(2, 4), 1) == half
