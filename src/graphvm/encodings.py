@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .space import MeasurableSet, RationalBox, RationalInterval, lazy
+from .space import (MeasurableSet, RationalBox, RationalInterval, lazy,
+                    whole_cells)
 from .realizers import Microcosm, Realizer
 from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, validate
 from .machines import (ACCEPT, ADVANCE, MARKER, MachineSpec,
@@ -83,12 +84,6 @@ class TapeLayout:
         return names
 
 
-def _whole_cells(cells) -> MeasurableSet:
-    """The union of the given cells, each whole, in ascending order:
-    already canonical, so built without a sweep."""
-    return MeasurableSet(tuple(RationalBox(cell, ()) for cell in cells))
-
-
 def slice_interval(position: int, cells: int) -> RationalInterval:
     return RationalInterval.over(position, position + 1, cells)
 
@@ -120,7 +115,7 @@ def _tape_carrier(layout: TapeLayout, rows: int) -> MeasurableSet:
     """The In and Out cells of the marker and of every symbol, per row:
     each row's cells but its last two, the accept and reject cells."""
     stride = layout.row_stride
-    return _whole_cells(base + c for base in range(0, rows * stride, stride)
+    return whole_cells(base + c for base in range(0, rows * stride, stride)
                         for c in range(stride - 2))
 
 
@@ -182,12 +177,12 @@ class EncodedMachine:
 
     @lazy
     def accept_region(self) -> MeasurableSet:
-        return _whole_cells(map(self.layout.accept_cell,
+        return whole_cells(map(self.layout.accept_cell,
                                 range(len(self.spec.states))))
 
     @lazy
     def reject_region(self) -> MeasurableSet:
-        return _whole_cells(map(self.layout.reject_cell,
+        return whole_cells(map(self.layout.reject_cell,
                                 range(len(self.spec.states))))
 
     def launch_region(self, word_len: int) -> MeasurableSet:
@@ -212,7 +207,7 @@ def _response_edges(spec: MachineSpec, layout: TapeLayout,
             arrival_kinds.append(OUT)
         for kind in arrival_kinds:
             src_cell = layout.symbol_cell(symbol, kind, row_of[state])
-            source = _whole_cells((src_cell,))
+            source = whole_cells((src_cell,))
             for action in actions:
                 j = action.swap  # the transposition (1 j), pairs ascending
                 perm = ((1, j), (j, 1)) if j else ()
@@ -240,13 +235,13 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     layout = TapeLayout(tuple(spec.alphabet))
     row_of = {state: i for i, state in enumerate(spec.states)}
 
-    edges = [Edge(Fraction(1), _whole_cells((layout.accept_cell(),)),
+    edges = [Edge(Fraction(1), whole_cells((layout.accept_cell(),)),
                   Realizer.shift_by(layout.symbol_cell(MARKER, OUT)
                                     - layout.accept_cell()))]
     edges.extend(_response_edges(spec, layout, row_of))
 
     # the layout fills every cell of its rows
-    carrier = _whole_cells(range(len(spec.states) * layout.row_stride))
+    carrier = whole_cells(range(len(spec.states) * layout.row_stride))
     monoid = PROBABILITIES if spec.mode == "prob" else TRIVIAL
     graphing = Graphing.make(monoid, Microcosm.mi(spec.heads), carrier, edges)
     return EncodedMachine(spec, layout, graphing)

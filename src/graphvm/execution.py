@@ -193,8 +193,8 @@ def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
 
 def _split(image: MeasurableSet,
            cut: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
-    """``image`` outside the cut, where a path leaves it, and inside: its
-    boxes parted by cell when the cut holds each of its cells whole (alone
+    """``image`` outside the cut, where paths start and exit, and inside:
+    parted by cell when the cut holds each of its cells whole (alone
     in the cell, in canonical form) or misses it, else by set operations."""
     held = cut._by_cell
     inside = tuple(b for b in image.boxes if b.cell in held)
@@ -212,9 +212,10 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     into the graphing of maximal alternating paths.
 
     Every edge source must lie in its graphing's carrier, as ``validate``
-    checks: paths start where the carrier outside the cut meets a source.
-    Each graphing keeps its problems, so a graphing plugged again, such
-    as a machine against every word, is swept only once.
+    checks: so paths start on the sources' parts outside the cut, of the
+    edges over the carrier's part outside it, all read off by the search's
+    split at the cut.  Each graphing keeps its problems, so a graphing
+    plugged again, such as a machine against every word, is swept only once.
 
     The cut is ``g``'s carrier met with ``f``'s, a word's own carrier in a
     machine run.  At each node of the search, one split of the image at
@@ -234,7 +235,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     ``memo`` is a table that several plugs share, as ``language`` does
     with every word of one call against one machine.  It keys one
     ``lru_cache`` per operation (``Realizer.apply`` and ``compose``,
-    ``MeasurableSet.intersect`` and ``subtract``, the split at the cut)
+    ``MeasurableSet.intersect``, the split at the cut)
     by the method read when the plug began, so whatever is bound there
     sees every miss; results are shared, as sets and realizers are
     immutable.  A lone plug keeps no table.
@@ -246,13 +247,12 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
         if problems:
             raise ValueError(f"{name} graphing invalid: {problems}")
     apply, compose = Realizer.apply, Realizer.compose
-    intersect, subtract = MeasurableSet.intersect, MeasurableSet.subtract
-    split = _split
+    intersect, split = MeasurableSet.intersect, _split
     if memo is not None:
-        apply, compose, intersect, subtract, split = (
+        apply, compose, intersect, split = (
             memo.get(method)
             or memo.setdefault(method, lru_cache(maxsize=None)(method))
-            for method in (apply, compose, intersect, subtract, split))
+            for method in (apply, compose, intersect, split))
     monoid = join_monoids(f.weights, g.weights)
     product = monoid.product
     cut = intersect(g.carrier, f.carrier)
@@ -264,13 +264,16 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     queue: deque[tuple[MeasurableSet, tuple[_Step, ...],
                        tuple[tuple[str, int], ...]]] = deque()
 
-    outside = {side: subtract(graphing.carrier, cut)
-               for side, graphing in sides.items()}
+    outside = {}
     for side, graphing in sides.items():
-        for idx, e, start in graphing.edges_meeting(outside[side], intersect):
-            queue.append((apply(e.realizer, start),
-                          (((side, idx), start, e.realizer, e.weight),),
-                          ((side, idx),)))
+        outside[side] = split(graphing.carrier, cut)[0]
+        for idx in graphing.edges_over(outside[side]):
+            e = graphing.edges[idx]
+            start = split(e.source, cut)[0]
+            if start.boxes:
+                queue.append((apply(e.realizer, start),
+                              (((side, idx), start, e.realizer, e.weight),),
+                              ((side, idx),)))
 
     while queue:
         image, trail, keys = queue.popleft()

@@ -38,7 +38,8 @@ class WeightMonoid:
         raise NotImplementedError
 
     def is_unit(self, w) -> bool:
-        return w == self.one()
+        """An admitted weight equal to one: a float 1.0 is no unit."""
+        return self.admits(w) and w == self.one()
 
     def __repr__(self):
         return f"<{self.name} weights>"
@@ -72,8 +73,8 @@ class ProbabilityWeights(WeightMonoid):
         return a * b
 
     def admits(self, w):
-        # in integers: a Fraction's denominator is positive
-        return isinstance(w, Fraction) and 0 <= w.numerator <= w.denominator
+        # in integers, as the trivial monoid's: a denominator is positive
+        return isinstance(w, Rational) and 0 <= w.numerator <= w.denominator
 
 
 TRIVIAL = TrivialWeights()
@@ -128,21 +129,23 @@ class Graphing:
                 by_cell.setdefault(cell, []).append(idx)
         return by_cell
 
+    def edges_over(self, s: MeasurableSet):
+        """The ascending indices of the edges whose source meets a cell
+        of ``s``."""
+        by_cell = self.edges_by_cell
+        boxes = s.boxes
+        if boxes and boxes[0].cell == boxes[-1].cell:
+            # boxes come in cell order: one cell, whose list is ascending
+            return by_cell.get(boxes[0].cell, ())
+        return sorted({i for cell in s.cells() for i in by_cell.get(cell, ())})
+
     def edges_meeting(self, s: MeasurableSet, intersect=None):
         """``(index, edge, meet)`` for every edge whose source meets ``s``,
         in edge-index order; ``meet`` is ``s`` intersected with the source,
         by ``intersect(s, source)`` when given (a memoised lookup, say)
         and by ``MeasurableSet.intersect`` otherwise."""
         intersect = intersect or MeasurableSet.intersect
-        by_cell = self.edges_by_cell
-        boxes = s.boxes
-        if boxes and boxes[0].cell == boxes[-1].cell:
-            # boxes come in cell order: one cell, whose list is ascending
-            indices = by_cell.get(boxes[0].cell, ())
-        else:
-            indices = sorted({i for cell in s.cells()
-                              for i in by_cell.get(cell, ())})
-        for idx in indices:
+        for idx in self.edges_over(s):
             e = self.edges[idx]
             meet = intersect(s, e.source)
             if not meet.is_empty():

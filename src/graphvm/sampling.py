@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .space import MeasurableSet, RationalBox, RationalInterval
+from .space import MeasurableSet, RationalBox, RationalInterval, whole_cells
 from .realizers import Microcosm, Realizer
 from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
                        classify)
@@ -71,8 +71,7 @@ def _layered_graphing(rng: random.Random, left_cells, right_cells,
             iv = _dyadic_interval(rng)
             dst = rng.choice([c for c in right_cells if c > src])
             _emit(rng, edges, src, dst, iv, mode)
-    carrier = MeasurableSet.from_boxes(
-        [RationalBox.make(c) for c in list(left_cells) + list(right_cells)])
+    carrier = whole_cells(list(left_cells) + list(right_cells))
     monoid = PROBABILITIES if mode == "prob" else TRIVIAL
     return Graphing.make(monoid, Microcosm.macrocosm(), carrier, edges)
 

@@ -437,11 +437,17 @@ class MeasurableSet:
         return MeasurableSet.from_boxes(hits)
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
+        """The union: when the two share no cell, their boxes merged by
+        cell with no sweep, as canonical form is per cell; else swept."""
         if self.is_empty():
             return other
         if other.is_empty():
             return self
-        return MeasurableSet.from_boxes(self.boxes + other.boxes)
+        boxes = self.boxes + other.boxes
+        if self._by_cell.keys().isdisjoint(other._by_cell):
+            # a stable sort keeps each cell's boxes in their canonical order
+            return MeasurableSet(tuple(sorted(boxes, key=lambda b: b.cell)))
+        return MeasurableSet.from_boxes(boxes)
 
     def subtract(self, other: "MeasurableSet") -> "MeasurableSet":
         """``self`` less ``other``, and ``self`` itself when nothing goes:
@@ -484,6 +490,12 @@ class MeasurableSet:
 
 
 _EMPTY = MeasurableSet(())
+
+
+def whole_cells(cells: Iterable[int]) -> MeasurableSet:
+    """The union of the given cells, each whole, in ascending order:
+    already canonical, so built without a sweep."""
+    return MeasurableSet(tuple(RationalBox(cell, ()) for cell in cells))
 
 
 def common_refinement(sets: Sequence[MeasurableSet]) -> list[RationalBox]:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from graphvm.execution import (INFINITY, MeasurementMap, PathRecord, T_CONL,
-                               T_DET, T_NL, Regions, Test, Verdict,
+                               T_DET, T_NL, Regions, Test, Verdict, _split,
                                accept_mass,
                                cycles, evaluate_test, landing, measurement,
                                plug, reject_mass, t_prob)
@@ -196,9 +197,34 @@ def test_sampling_refuses_an_unknown_mode_or_property():
         property_holds("closur", 1, "det", 100)
 
 
+def _held_in_part(g, hi):
+    """``g`` on a carrier that holds its middle cells, 10 to 12, only on
+    [0, hi) of coordinate 1: each source met with the carrier, and the
+    edges whose source is then empty or whose target leaves it dropped."""
+    carrier = ms(*(cellbox(b.cell, 0, hi) if b.cell in (10, 11, 12) else b
+                   for b in g.carrier.boxes))
+    edges = [Edge(e.weight, source, e.realizer) for e in g.edges
+             for source in [e.source.intersect(carrier)]
+             if not source.is_empty()
+             and e.realizer.apply(source).subset_of(carrier)]
+    return Graphing.make(g.weights, g.microcosm, carrier, edges)
+
+
+def _partial_cell_pairs():
+    """Seeded sampling pairs in every mode whose cut holds part of each
+    middle cell: the first side keeps [0, 1/2) of it, the second [0, 1/2)
+    or [0, 3/4), where its own starts then lie in part of a cell."""
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(10):
+            f, g = random_pair(seed, mode)
+            yield (_held_in_part(f, "1/2"),
+                   _held_in_part(g, ("1/2", "3/4")[seed % 2]))
+
+
 def _start_scan_pairs():
     """Seeded sampling pairs and the four plugs of seeded triples in every
-    mode, then every shipped machine against its words up to length 2."""
+    mode, the pairs whose cut holds part of a cell, then every shipped
+    machine against its words up to length 2."""
     import os
     from graphvm.encodings import encode_machine, encode_word
     from graphvm.machines import load_machine, words_up_to
@@ -208,6 +234,7 @@ def _start_scan_pairs():
             f, g, h = random_triple(seed, mode)
             fg, gh = plug(f, g).graphing, plug(g, h).graphing
             yield from ((f, g), (g, h), (fg, h), (f, gh))
+    yield from _partial_cell_pairs()
     machines = os.path.join(os.path.dirname(__file__), "..", "machines")
     for name in sorted(os.listdir(machines)):
         m = encode_machine(load_machine(os.path.join(machines, name)))
@@ -227,6 +254,13 @@ def test_starts_through_the_edge_index_match_the_per_edge_scan():
             indexed = [(idx, start) for idx, _, start
                        in side.edges_meeting(side.carrier.subtract(cut))]
             assert indexed == brute
+            # plug's own setup: the split of the carrier and of each source
+            outside = _split(side.carrier, cut)[0]
+            assert outside == side.carrier.subtract(cut)
+            split = [(idx, start) for idx in side.edges_over(outside)
+                     for start in [_split(side.edges[idx].source, cut)[0]]
+                     if not start.is_empty()]
+            assert split == brute
         assert plug(f, g).graphing.carrier == \
             f.carrier.union(g.carrier).subtract(cut)
 
@@ -738,6 +772,24 @@ def test_a_budget_that_runs_out_mid_node():
     _assert_matches_eager(result, f, g, max_steps=1)
 
 
+def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
+    seen = collections.Counter()
+    for f, g in _partial_cell_pairs():
+        assert validate(f) == validate(g) == []
+        cut = f.carrier.intersect(g.carrier)
+        assert all(b.coords for b in cut.boxes) and cut.cells() == {10, 11, 12}
+        _assert_matches_eager_at_budgets(f, g)
+        result = plug(f, g)
+        for trail in result.exit_trails:
+            seen["crossing"] += len(trail) > 1
+            # a start beside the cut, in one of the cells it holds part of
+            seen["started in a cut cell"] += bool(trail[0][1].cells()
+                                                  & cut.cells())
+        seen["dead"] += len(result.dead_paths)
+    assert min(seen[kind] for kind in ("crossing", "started in a cut cell",
+                                       "dead")) > 20, seen
+
+
 def test_plug_matches_the_eager_reference():
     for f, g in _start_scan_pairs():
         _assert_matches_eager(plug(f, g), f, g)
@@ -752,6 +804,9 @@ def test_a_shared_table_matches_the_eager_reference():
         for word in words_up_to(m.spec.alphabet, 3):
             result, _ = run_word(m, word, memo=memo)
             _assert_matches_eager(result, *result.operands)
+        # the setup reads the cut's split too: no difference is tabled
+        assert set(memo) == {Realizer.apply, Realizer.compose,
+                             MeasurableSet.intersect, _split}
 
 
 def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
@@ -782,8 +837,9 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
     monkeypatch.setattr(MeasurableSet, "subtract", counted)
     for order in (("dead_paths", "dead_mass"), ("dead_mass", "dead_paths")):
         result = plug(f, g)
-        # the plug itself only takes the cut away: no dead region yet
-        assert taken and all(b == cut for b in taken)
+        # the plug splits the whole-cell cut by cell: no difference at all,
+        # so no dead region yet
+        assert taken == []
         taken.clear()
         got = {}
         for name in order:

@@ -61,13 +61,14 @@ def test_validate_microcosm_membership():
 
 
 # (weight, admitted as a probability, admitted as the trivial weight):
-# only a Fraction is a probability, while 1 as any rational is trivial
+# any rational in [0, 1] is a probability and 1 as any rational is
+# trivial, an int or a bool too; no float is either
 _WEIGHTS = [
     (Fraction(0), True, False), (Fraction(1, 2), True, False),
     (Fraction(1), True, True), (Fraction(3, 2), False, False),
     (Fraction(-1, 2), False, False), (Fraction(-1), False, False),
-    (0, False, False), (1, False, True), (2, False, False),
-    (False, False, False), (True, False, True),
+    (0, True, False), (1, True, True), (2, False, False),
+    (False, True, False), (True, True, True),
     (1 / 2, False, False), (1 / 1, False, False),  # integer division: floats
     ("e", False, False), ("a", False, False),
 ]
@@ -88,6 +89,25 @@ def test_validate_reports_a_weight_outside_the_monoid():
         want = (GraphingClass.PROBABILISTIC if probability
                 else GraphingClass.GENERAL)
         assert classify(g) is want, w
+
+
+def test_the_trivial_monoid_embeds_in_probabilities():
+    # join_monoids reads a trivial graphing as a probabilities one
+    for w, _, _ in _WEIGHTS:
+        assert not TRIVIAL.admits(w) or PROBABILITIES.admits(w), w
+
+
+def test_a_refused_unit_weight_is_no_unit():
+    # classify agrees with validate: a float 1.0 is refused by both
+    # monoids and is no unit, an int 1 is admitted by both and is one
+    for monoid in (TRIVIAL, PROBABILITIES):
+        for w, refused, want in ((1 / 1, True, GraphingClass.GENERAL),
+                                 (1, False, GraphingClass.DETERMINISTIC)):
+            g = simple([Edge(w, ms(cellbox(0)), Realizer.shift_by(1))],
+                       (0, 1), monoid)
+            assert bool(validate(g)) is refused, (monoid, w)
+            assert monoid.is_unit(w) is not refused, (monoid, w)
+            assert classify(g) is want, (monoid, w)
 
 
 def test_a_float_unit_weight_is_refused():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphvm import space
 from graphvm.execution import _split
 from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
                            _box_minus, _canon_group, common_refinement,
@@ -636,6 +637,34 @@ def test_one_box_less_one_box_is_the_sweep_across_denominators(a, b):
         for r in a.boxes + b.boxes:
             if k.cell == r.cell:
                 _check_box_minus(k, r)
+
+
+def test_union_is_the_sweep_of_both_sets_boxes(monkeypatch):
+    # sets that share no cell are merged by cell, with no sweep
+    rng = random.Random(29)
+    swept = []
+    canonicalize = space._canonicalize
+    monkeypatch.setattr(space, "_canonicalize",
+                        lambda *args: swept.append(1) or canonicalize(*args))
+    kinds = collections.Counter()
+    for _ in range(3000):
+        pool = rng.sample(range(-2, 4), 4)
+        disjoint = rng.randrange(2)
+        a, b = (MeasurableSet.from_boxes(
+                    _grid_box(rng, rng.choice(cells), rng.randint(0, 3))
+                    for _ in range(rng.randint(0, 4)))
+                for cells in ((pool[:2], pool[2:]) if disjoint
+                              else (pool, pool)))
+        want = MeasurableSet.from_boxes(a.boxes + b.boxes).boxes
+        swept.clear()
+        assert a.union(b).boxes == want
+        shared = not a.cells().isdisjoint(b.cells())
+        assert bool(swept) == shared
+        kinds["shared" if shared else "disjoint"] += 1
+        # a cell of several boxes keeps their canonical order in the merge
+        kinds["merged several boxes of a cell"] += not shared and any(
+            len(s.boxes) > len(s.cells()) for s in (a, b))
+    assert min(kinds.values()) > 300, kinds
 
 
 @st.composite
