@@ -116,7 +116,7 @@ def _tape_carrier(layout: TapeLayout, rows: int) -> MeasurableSet:
     each row's cells but its last two, the accept and reject cells."""
     stride = layout.row_stride
     return whole_cells(base + c for base in range(0, rows * stride, stride)
-                        for c in range(stride - 2))
+                       for c in range(stride - 2))
 
 
 @lru_cache(maxsize=64)
@@ -178,12 +178,12 @@ class EncodedMachine:
     @lazy
     def accept_region(self) -> MeasurableSet:
         return whole_cells(map(self.layout.accept_cell,
-                                range(len(self.spec.states))))
+                               range(len(self.spec.states))))
 
     @lazy
     def reject_region(self) -> MeasurableSet:
         return whole_cells(map(self.layout.reject_cell,
-                                range(len(self.spec.states))))
+                               range(len(self.spec.states))))
 
     def launch_region(self, word_len: int) -> MeasurableSet:
         """Accept region of the initial state's row, row 0, with every

@@ -197,13 +197,15 @@ def _split(image: MeasurableSet,
     parted by cell when the cut holds each of its cells whole (alone
     in the cell, in canonical form) or misses it, else by set operations."""
     held = cut._by_cell
-    inside = tuple(b for b in image.boxes if b.cell in held)
+    inside = [b for b in image.boxes if b.cell in held]
+    if not inside:
+        return image, _EMPTY
     if any(held[b.cell][0].coords for b in inside):
         return image.subtract(cut), image.intersect(cut)
-    if not inside or len(inside) == len(image.boxes):
-        return (_EMPTY, image) if inside else (image, _EMPTY)
+    if len(inside) == len(image.boxes):
+        return _EMPTY, image
     return (MeasurableSet(tuple(b for b in image.boxes if b.cell not in held)),
-            MeasurableSet(inside))
+            MeasurableSet(tuple(inside)))
 
 
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000,

@@ -39,7 +39,7 @@ class WeightMonoid:
 
     def is_unit(self, w) -> bool:
         """An admitted weight equal to one: a float 1.0 is no unit."""
-        return self.admits(w) and w == self.one()
+        return w == self.one() and self.admits(w)
 
     def __repr__(self):
         return f"<{self.name} weights>"

@@ -1,6 +1,5 @@
-import collections
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -773,7 +772,7 @@ def test_a_budget_that_runs_out_mid_node():
 
 
 def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
-    seen = collections.Counter()
+    seen = Counter()
     for f, g in _partial_cell_pairs():
         assert validate(f) == validate(g) == []
         cut = f.carrier.intersect(g.carrier)
