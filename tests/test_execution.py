@@ -210,14 +210,14 @@ def _held_in_part(g, hi):
 
 
 def _partial_cell_pairs():
-    """Seeded sampling pairs in every mode whose cut holds part of each
-    middle cell: the first side keeps [0, 1/2) of it, the second [0, 1/2)
-    or [0, 3/4), where its own starts then lie in part of a cell."""
+    """Seeded sampling pairs in every mode whose cut holds [0, 1/2) of
+    each middle cell: both sides keep that part, or one keeps [0, 3/4),
+    where its starts then begin and its images may exit in part."""
     for mode in ("det", "nondet", "prob"):
         for seed in range(10):
             f, g = random_pair(seed, mode)
-            yield (_held_in_part(f, "1/2"),
-                   _held_in_part(g, ("1/2", "3/4")[seed % 2]))
+            for f_hi, g_hi in (("1/2", "1/2"), ("1/2", "3/4"), ("3/4", "1/2")):
+                yield _held_in_part(f, f_hi), _held_in_part(g, g_hi)
 
 
 def _start_scan_pairs():
@@ -779,14 +779,19 @@ def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
         assert all(b.coords for b in cut.boxes) and cut.cells() == {10, 11, 12}
         _assert_matches_eager_at_budgets(f, g)
         result = plug(f, g)
-        for trail in result.exit_trails:
+        _check_targets_and_dead_mass(result)
+        for trail, e in zip(result.exit_trails, result.graphing.edges):
             seen["crossing"] += len(trail) > 1
+            # an exit set short of its node's image: the rest went on inside
+            (side, idx), region = trail[-1][:2]
+            last = (f if side == "F" else g).edges[idx]
+            seen["partial exit"] += last.realizer.apply(region) != e.target
             # a start beside the cut, in one of the cells it holds part of
             seen["started in a cut cell"] += bool(trail[0][1].cells()
                                                   & cut.cells())
         seen["dead"] += len(result.dead_paths)
     assert min(seen[kind] for kind in ("crossing", "started in a cut cell",
-                                       "dead")) > 20, seen
+                                       "partial exit", "dead")) > 10, seen
 
 
 def test_plug_matches_the_eager_reference():
