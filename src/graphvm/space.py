@@ -418,7 +418,9 @@ class MeasurableSet:
 
     def intersect(self, other: "MeasurableSet") -> "MeasurableSet":
         """The meet, and ``self`` itself when each of its boxes lies
-        inside one box of ``other``."""
+        inside one box of ``other``.  The meets of box pairs come in cell
+        order, so when no two share a cell they are canonical as they
+        stand, one box per cell; else they are swept."""
         hits = []
         unchanged = True
         theirs = other._by_cell
@@ -432,7 +434,7 @@ class MeasurableSet:
         # holds whole meets no other: when every box is hit so, it is self
         if unchanged and len(hits) == len(self.boxes):
             return self
-        if len(hits) <= 1:
+        if len(hits) <= 1 or len({b.cell for b in hits}) == len(hits):
             return MeasurableSet(tuple(hits))
         return MeasurableSet.from_boxes(hits)
 

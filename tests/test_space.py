@@ -667,6 +667,36 @@ def test_union_is_the_sweep_of_both_sets_boxes(monkeypatch):
     assert min(kinds.values()) > 300, kinds
 
 
+def test_intersect_sweeps_only_meets_that_share_a_cell(monkeypatch):
+    # the meets of box pairs come in cell order: one per cell is canonical
+    rng = random.Random(30)
+    swept = []
+    canonicalize = space._canonicalize
+    monkeypatch.setattr(space, "_canonicalize",
+                        lambda *args: swept.append(1) or canonicalize(*args))
+    kinds = collections.Counter()
+    for _ in range(3000):
+        one_per_cell = rng.randrange(2)
+        a, b = (MeasurableSet.from_boxes(
+                    _grid_box(rng, cell, rng.randint(0, 3))
+                    for cell in (rng.sample(range(-2, 3), rng.randint(1, 4))
+                                 if one_per_cell else
+                                 rng.choices(range(-1, 1), k=rng.randint(1, 5))))
+                for _ in range(2))
+        hits = [got for p in a.boxes for q in b.boxes
+                if (got := p.intersect(q)) is not None]
+        want = MeasurableSet.from_boxes(hits).boxes
+        swept.clear()
+        got = a.intersect(b)
+        assert got.boxes == want
+        shared = len({h.cell for h in hits}) < len(hits)
+        # a set whose every box lies whole in one of the other's is kept
+        assert bool(swept) == (shared and got is not a)
+        kinds["kept" if got is a else "swept" if shared
+              else "several cells" if len(hits) > 1 else "at most one"] += 1
+    assert min(kinds.values()) > 300, kinds
+
+
 @st.composite
 def _image_and_cut(draw):
     """A set over cells 0-2, and a cut that holds each of those cells
