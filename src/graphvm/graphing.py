@@ -14,10 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from numbers import Rational
 
-from .space import MeasurableSet, lazy, owned_parts
+from .space import MeasurableSet, lazy
 from .realizers import Microcosm, Realizer
 
 UNIT = Fraction(1)
@@ -197,21 +197,47 @@ def _find_problems(g: Graphing) -> list[str]:
 
 
 def classify(g: Graphing) -> GraphingClass:
-    """Strongest applicable class of the graphing."""
-    if all(g.weights.is_unit(e.weight) for e in g.edges):
-        overlap = any(
-            not g.edges[i].source.intersect(g.edges[j].source).is_empty()
-            for idxs in g.edges_by_cell.values()
-            for i, j in combinations(idxs, 2))
-        return (GraphingClass.NONDETERMINISTIC if overlap
+    """Strongest applicable class, by one integer test per cell: with the
+    weights as integers over the lcm L of their denominators (L = 1 for
+    units), does some point lie in sources weighing more than L?  For
+    units, that is two sources overlapping.  The boxes over a heaviest
+    point meet in a box whose lower corner is a heaviest point too, so
+    on each axis only the boxes' lower ends need be tried."""
+    weights = [e.weight for e in g.edges]
+    unit = all(map(g.weights.is_unit, weights))
+    if not unit and not all(map(PROBABILITIES.admits, weights)):
+        return GraphingClass.GENERAL
+    bound = lcm(*(w.denominator for w in weights))
+    by_cell: dict[int, list] = {}
+    for w, e in zip(weights, g.edges):
+        for b in e.source.boxes:
+            by_cell.setdefault(b.cell, []).append(
+                (w.numerator * (bound // w.denominator), b.coords))
+    heavy = any(_overweight(group, bound) for group in by_cell.values())
+    if unit:
+        return (GraphingClass.NONDETERMINISTIC if heavy
                 else GraphingClass.DETERMINISTIC)
-    rational = all(PROBABILITIES.admits(e.weight) for e in g.edges)
-    # per part of the sources' refinement, the weight of the edges over it
-    sums = (sum(g.edges[i].weight for i in owners)
-            for _, owners in owned_parts([e.source for e in g.edges]))
-    if rational and all(total <= 1 for total in sums):
-        return GraphingClass.PROBABILISTIC
-    return GraphingClass.GENERAL
+    return GraphingClass.GENERAL if heavy else GraphingClass.PROBABILISTIC
+
+
+def _overweight(group: list, bound: int) -> bool:
+    """Whether a point lies in boxes of ``group``, pairs of an integer
+    weight and the coordinates left to try, that weigh more than ``bound``.
+    A source's boxes are disjoint, so no point counts one edge twice."""
+    if sum(n for n, _ in group) <= bound:
+        return False
+    axes = [coords[0][0] for _, coords in group if coords]
+    if not axes:
+        return True
+    j = min(axes)
+    on = [(n, c[0][1], c[1:]) for n, c in group if c and c[0][0] == j]
+    off = [(n, c) for n, c in group if not c or c[0][0] != j]
+    scale = lcm(*(iv.d for _, iv, _ in on))
+    # each lower end on axis j, over the axis's lcm, keeps the boxes over it
+    return any(_overweight(off + [(n, rest) for n, iv, rest in on
+                                  if iv.a * scale <= x * iv.d < iv.b * scale],
+                           bound)
+               for x in {iv.a * (scale // iv.d) for _, iv, _ in on})
 
 
 def cost(g: Graphing) -> Fraction:

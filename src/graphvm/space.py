@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational, Real
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -505,41 +505,29 @@ def common_refinement(sets: Sequence[MeasurableSet]) -> list[RationalBox]:
 
     Returns plain boxes (a partition, not a canonical set): adjacent
     parts are deliberately left unmerged so every input set is exactly
-    a union of whole parts.  The parts come in ``RationalBox.key``
-    order: cells ascend, and each cell's grid is walked in ascending
-    lexicographic order of its constrained axes.
+    a union of whole parts.  Every endpoint of every box cuts its cell's
+    grid, so a part lies inside a box or misses it.  The parts come in
+    ``RationalBox.key`` order: cells ascend, and each cell's grid is
+    walked in ascending lexicographic order of its constrained axes.
     """
-    return [part for part, _ in owned_parts(sets)]
-
-
-def owned_parts(sets: Sequence[MeasurableSet]
-                ) -> Iterator[tuple[RationalBox, list[int]]]:
-    """The parts of :func:`common_refinement`, in its order, each with
-    the ascending indices of the sets that contain it.  Every endpoint
-    of every box cuts the grid, so a part lies inside a box or misses
-    it, and inside at most one of a set's pairwise-disjoint boxes."""
-    by_cell: dict[int, list[tuple[int, RationalBox]]] = {}
-    for idx, s in enumerate(sets):
+    by_cell: dict[int, list[RationalBox]] = {}
+    for s in sets:
         for b in s.boxes:
-            by_cell.setdefault(b.cell, []).append((idx, b))
+            by_cell.setdefault(b.cell, []).append(b)
+    parts = []
     for cell in sorted(by_cell):
         group = by_cell[cell]
-        axes = sorted({j for _, b in group for j, _ in b.coords})
-        spans: list[list[tuple[int, int]]] = [[] for _ in group]
+        axes = sorted({j for b in group for j, _ in b.coords})
         grids = []
         for j in axes:
-            intervals = [b.interval_at(j) for _, b in group]
+            intervals = [b.interval_at(j) for b in group]
             scale = lcm(*(iv.d for iv in intervals))
-            ends = [_scaled(iv, scale) for iv in intervals]
-            for box_spans, end in zip(spans, ends):
-                box_spans.append(end)
-            cuts = sorted({0, scale}.union(*ends))
-            grids.append([(lo, hi, RationalInterval.over(lo, hi, scale))
+            cuts = sorted({0, scale}.union(
+                *(_scaled(iv, scale) for iv in intervals)))
+            grids.append([RationalInterval.over(lo, hi, scale)
                           for lo, hi in zip(cuts, cuts[1:])])
         for combo in itertools.product(*grids):
-            owners = [idx for (idx, _), box_spans in zip(group, spans)
-                      if all(a <= lo and hi <= b
-                             for (a, b), (lo, hi, _) in zip(box_spans, combo))]
-            if owners:
-                yield RationalBox.make(
-                    cell, {j: iv for j, (_, _, iv) in zip(axes, combo)}), owners
+            part = RationalBox.make(cell, dict(zip(axes, combo)))
+            if any(part.intersect(b) is part for b in group):
+                parts.append(part)
+    return parts

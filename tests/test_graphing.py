@@ -12,7 +12,8 @@ from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
 from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
-from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
+from graphvm.space import (MeasurableSet, RationalBox, RationalInterval,
+                           common_refinement, interval)
 
 
 def ms(*boxes):
@@ -479,6 +480,84 @@ def test_classify_matches_a_grid_midpoint_reference():
                 assert got == _midpoint_class(x), (mode, seed)
                 seen[got] += 1
     assert set(seen) == set(GraphingClass)
+
+
+def _refinement_weights(g):
+    """Per part of the sources' common refinement, the weights of the
+    edges whose source holds it."""
+    return [[e.weight for e in g.edges
+             if any(part.intersect(b) is part for b in e.source.boxes)]
+            for part in common_refinement([e.source for e in g.edges])]
+
+
+def _refinement_class(g, sums):
+    """The class of ``g`` from its refinement sums, in the branch order
+    of the definition: units first, then admitted weights."""
+    if all(g.weights.is_unit(e.weight) for e in g.edges):
+        return (GraphingClass.NONDETERMINISTIC if any(t > 1 for t in sums)
+                else GraphingClass.DETERMINISTIC)
+    if all(PROBABILITIES.admits(e.weight) for e in g.edges) and \
+            all(t <= 1 for t in sums):
+        return GraphingClass.PROBABILISTIC
+    return GraphingClass.GENERAL
+
+
+_SWEEP_WEIGHTS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+def _swept_graphing(rng):
+    """Edges over cells 0-2 whose boxes constrain one to three of
+    coordinates 1-3 on the 1/D grid for D in 2-4 and 6; all weights 1,
+    or weights drawn from ``_SWEEP_WEIGHTS``."""
+    edges = []
+    unit = rng.randrange(2)
+    for _ in range(rng.randint(1, 4)):
+        boxes = []
+        for _ in range(rng.randint(1, 3)):
+            coords = {}
+            for j in rng.sample((1, 2, 3), rng.randint(1, 3)):
+                d = rng.choice((2, 3, 4, 6))
+                a = rng.randrange(d)
+                coords[j] = RationalInterval.over(a, rng.randint(a + 1, d), d)
+            boxes.append(RationalBox.make(rng.randrange(3), coords))
+        weight = Fraction(1) if unit else rng.choice(_SWEEP_WEIGHTS)
+        edges.append(Edge(weight, ms(*boxes), Realizer.shift_by(1)))
+    return Graphing.make(rng.choice((TRIVIAL, PROBABILITIES)),
+                         Microcosm.macrocosm(),
+                         ms(*(cellbox(c) for c in range(4))), edges)
+
+
+def test_classify_matches_the_refinement_sums():
+    rng = random.Random(30)
+    seen = Counter()
+    for _ in range(3000):
+        g = _swept_graphing(rng)
+        over = _refinement_weights(g)
+        got = classify(g)
+        assert got is _refinement_class(g, [sum(ws) for ws in over]), g
+        seen[got] += 1
+        # weights short of 1 that add up to the bound over a part
+        seen["at the bound"] += any(sum(ws) == 1 and max(ws) < 1
+                                    for ws in over)
+    assert len(seen) == 5 and min(seen.values()) > 100, seen
+
+
+def test_classify_builds_no_box(monkeypatch):
+    graphings = list(_sampled_graphings())
+    built = []
+    for cls, name in ((RationalInterval, "__post_init__"),
+                      (RationalBox, "__init__")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, method=method: (
+            built.append(args[0]), method(*args))[1])
+    # every class the sampled graphings take, general aside
+    assert {classify(g) for g in graphings} == {
+        GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
+        GraphingClass.PROBABILISTIC}
+    assert built == []
+    RationalBox.make(0, {1: interval(0, "1/2")})
+    assert len(built) == 2  # the counters see a construction
 
 
 def _fractions_in(key):
