@@ -204,8 +204,7 @@ def classify(g: Graphing) -> GraphingClass:
     point meet in a box whose lower corner is a heaviest point too, so
     on each axis only the boxes' lower ends need be tried."""
     weights = [e.weight for e in g.edges]
-    unit = all(map(g.weights.is_unit, weights))
-    if not unit and not all(map(PROBABILITIES.admits, weights)):
+    if not all(map(g.weights.admits, weights)):
         return GraphingClass.GENERAL
     bound = lcm(*(w.denominator for w in weights))
     by_cell: dict[int, list] = {}
@@ -214,7 +213,7 @@ def classify(g: Graphing) -> GraphingClass:
             by_cell.setdefault(b.cell, []).append(
                 (w.numerator * (bound // w.denominator), b.coords))
     heavy = any(_overweight(group, bound) for group in by_cell.values())
-    if unit:
+    if all(map(g.weights.is_unit, weights)):
         return (GraphingClass.NONDETERMINISTIC if heavy
                 else GraphingClass.DETERMINISTIC)
     return GraphingClass.GENERAL if heavy else GraphingClass.PROBABILISTIC

@@ -82,14 +82,21 @@ def test_validate_reports_a_weight_outside_the_monoid():
     for w, probability, trivial in _WEIGHTS:
         assert PROBABILITIES.admits(w) is probability, w
         assert TRIVIAL.admits(w) is trivial, w
-        # with weights other than 1, classify holds a graphing
-        # probabilistic exactly when the probability monoid admits each
-        g = simple([Edge(w, ms(cellbox(0)), Realizer.shift_by(1)),
-                    Edge(Fraction(1, 3), ms(cellbox(1)), Realizer.shift_by(1))],
-                   monoid=PROBABILITIES)
-        want = (GraphingClass.PROBABILISTIC if probability
-                else GraphingClass.GENERAL)
-        assert classify(g) is want, w
+        # classify agrees with validate: with weights other than 1, a
+        # graphing is probabilistic exactly when its monoid admits each,
+        # and a trivial graphing is deterministic exactly when it does
+        for monoid, other, admitted, want in (
+                (PROBABILITIES, Fraction(1, 3), probability,
+                 GraphingClass.PROBABILISTIC),
+                (TRIVIAL, Fraction(1), trivial,
+                 GraphingClass.DETERMINISTIC)):
+            g = simple([Edge(w, ms(cellbox(0)), Realizer.shift_by(1)),
+                        Edge(other, ms(cellbox(1)), Realizer.shift_by(1))],
+                       monoid=monoid)
+            assert validate(g) == ([] if admitted else
+                                   [f"edge 0: weight {w} not in monoid"]), w
+            assert classify(g) is (want if admitted
+                                   else GraphingClass.GENERAL), (monoid, w)
 
 
 def test_the_trivial_monoid_embeds_in_probabilities():
@@ -496,7 +503,7 @@ def _refinement_class(g, sums):
     if all(g.weights.is_unit(e.weight) for e in g.edges):
         return (GraphingClass.NONDETERMINISTIC if any(t > 1 for t in sums)
                 else GraphingClass.DETERMINISTIC)
-    if all(PROBABILITIES.admits(e.weight) for e in g.edges) and \
+    if all(g.weights.admits(e.weight) for e in g.edges) and \
             all(t <= 1 for t in sums):
         return GraphingClass.PROBABILISTIC
     return GraphingClass.GENERAL

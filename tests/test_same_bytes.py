@@ -93,8 +93,8 @@ FAMILIES = {
                                     "949c1b8f43705ce0f5772cf10fa48beb"),
     "sampled_plugs": (_sampled_plugs, "988d478cb3f3fcffa2e94ac8f18a83b1"
                                       "383b3a69ce4be0294aacad650b7fefaf"),
-    "checks": (_checks, "0679865f1d070a6a8115e0c3fe138f8b"
-                        "ee3b2059bb5ee01fdec9cba54aa6e514"),
+    "checks": (_checks, "fc01d6f6be6b0263f3c94692c560b785"
+                        "0bfaf485edb15089b96b74788237b962"),
 }
 
 
