@@ -553,11 +553,16 @@ def test_classify_matches_the_refinement_sums():
 def test_classify_builds_no_box(monkeypatch):
     graphings = list(_sampled_graphings())
     built = []
+
+    def counted(method):
+        def wrapper(obj, *args):
+            built.append(obj)
+            return method(obj, *args)
+        return wrapper
+
     for cls, name in ((RationalInterval, "__post_init__"),
                       (RationalBox, "__init__")):
-        method = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda *args, method=method: (
-            built.append(args[0]), method(*args))[1])
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
     # every class the sampled graphings take, general aside
     assert {classify(g) for g in graphings} == {
         GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
