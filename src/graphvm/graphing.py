@@ -24,12 +24,10 @@ UNIT = Fraction(1)
 
 
 class WeightMonoid:
-    """Weights an edge may carry, with their product and unit."""
+    """Weights an edge may carry, with their product.  Every monoid here
+    has the unit ``UNIT``."""
 
     name = "generic"
-
-    def one(self):
-        raise NotImplementedError
 
     def product(self, a, b):
         raise NotImplementedError
@@ -39,7 +37,7 @@ class WeightMonoid:
 
     def is_unit(self, w) -> bool:
         """An admitted weight equal to one: a float 1.0 is no unit."""
-        return w == self.one() and self.admits(w)
+        return w == UNIT and self.admits(w)
 
     def __repr__(self):
         return f"<{self.name} weights>"
@@ -49,9 +47,6 @@ class TrivialWeights(WeightMonoid):
     """The one-element monoid: every edge weighs 1."""
 
     name = "trivial"
-
-    def one(self):
-        return UNIT
 
     def product(self, a, b):
         return UNIT
@@ -65,9 +60,6 @@ class ProbabilityWeights(WeightMonoid):
     """Rationals in [0,1] under multiplication."""
 
     name = "probabilities"
-
-    def one(self):
-        return UNIT
 
     def product(self, a, b):
         return a * b

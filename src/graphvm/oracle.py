@@ -67,27 +67,6 @@ def successors(spec: MachineSpec, word: str, config: Config) -> list[Step]:
     return steps
 
 
-def dfa_accepts(spec: MachineSpec, word: str) -> bool:
-    """Deterministic run; a revisited configuration counts as rejection."""
-    if spec.mode != "det":
-        raise ValueError("dfa_accepts needs a det machine")
-    config = initial_config(spec, word)
-    seen = {config}
-    while True:
-        steps = successors(spec, word, config)
-        if not steps:
-            return False
-        step = steps[0]
-        if step.outcome == ACCEPT:
-            return True
-        if step.outcome in (REJECT, "dead"):
-            return False
-        config = step.config
-        if config in seen:
-            return False
-        seen.add(config)
-
-
 def _chain(spec: MachineSpec, word: str) -> dict[Config, list[Step]]:
     """Every configuration reachable from the initial one, which comes
     first, mapped to its single steps."""
@@ -110,6 +89,15 @@ def _outcome_reachable(spec: MachineSpec, word: str, outcome: str) -> bool:
 
 def nfa_accepts(spec: MachineSpec, word: str) -> bool:
     """Some branch reaches an accept terminal."""
+    return _outcome_reachable(spec, word, ACCEPT)
+
+
+def dfa_accepts(spec: MachineSpec, word: str) -> bool:
+    """Deterministic run; a revisited configuration counts as rejection.
+    A det configuration has one step, so the chain is the run up to its
+    first repeat, and the run accepts when the chain reaches accept."""
+    if spec.mode != "det":
+        raise ValueError("dfa_accepts needs a det machine")
     return _outcome_reachable(spec, word, ACCEPT)
 
 

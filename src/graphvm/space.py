@@ -255,38 +255,34 @@ class RationalBox:
 
 # -- canonical form ---------------------------------------------------------
 #
-# One sweep gives the canonical form of both a union and a difference.  Its
-# items are the coordinate maps of boxes, each kept or removed.  It recurses
-# over the constrained coordinates in fixed ascending order: slice the first
+# One sweep gives the canonical form of a union of boxes of one cell.  Its
+# items are the coordinate maps of the boxes.  It recurses over the
+# constrained coordinates in fixed ascending order: slice the first
 # coordinate at every endpoint of every item, sweep each slice over the
 # remaining coordinates with the items that cover it, and merge adjacent
 # slices whose canonical content coincides.  A slice with no coordinate left
-# survives when some kept item covers it and no removed item does.  The
-# outcome depends only on the point set, so point-set-equal inputs produce
-# identical tuples of boxes.
+# survives when some item covers it.  The outcome depends only on the point
+# set, so point-set-equal inputs produce identical tuples of boxes; a
+# difference is the union of the pieces that ``_box_minus`` leaves.
 
 _CoordMap = tuple[tuple[int, RationalInterval], ...]
 
 
-def _canon_group(kept: list[dict[int, RationalInterval]],
-                 removed: list[dict[int, RationalInterval]],
+def _canon_group(items: list[dict[int, RationalInterval]],
                  axes: list[int]) -> list[_CoordMap]:
-    if all(item in removed for item in kept):
+    if not items:
         return []
     if not axes:
-        return [] if removed else [()]
+        return [()]
     j, rest = axes[0], axes[1:]
-    intervals = [item.get(j, FULL) for item in kept + removed]
+    intervals = [item.get(j, FULL) for item in items]
     scale = lcm(*(iv.d for iv in intervals))
     spans = [_scaled(iv, scale) for iv in intervals]
-    kept_spans, removed_spans = spans[:len(kept)], spans[len(kept):]
     cuts = sorted({0, scale}.union(*spans))
     runs: list[list] = []  # [lo, hi, canonical slice], numerators over scale
     for lo, hi in zip(cuts, cuts[1:]):
         content = _canon_group(
-            [item for item, (a, b) in zip(kept, kept_spans)
-             if a <= lo and hi <= b],
-            [item for item, (a, b) in zip(removed, removed_spans)
+            [item for item, (a, b) in zip(items, spans)
              if a <= lo and hi <= b],
             rest)
         if runs and runs[-1][2] == content:
@@ -306,9 +302,10 @@ def _canon_group(kept: list[dict[int, RationalInterval]],
 
 def _box_minus(k: RationalBox,
                r: RationalBox) -> tuple[RationalBox, ...] | None:
-    """The sweep's boxes for ``k`` less ``r``, a box of its cell, built
-    directly, or None when ``r`` misses ``k``: per ascending axis, the part
-    below the overlap first, the part above it last, the overlap onward."""
+    """The canonical boxes of ``k`` less ``r``, a box of its cell, built
+    with no sweep, or None when ``r`` misses ``k``; empty when ``r`` covers
+    ``k``.  Per ascending axis, the part below the overlap comes first, the
+    part above it last, and the overlap goes on to the next axis."""
     axes = sorted({j for j, _ in k.coords + r.coords})
     meets = [k.interval_at(j).intersect(r.interval_at(j)) for j in axes]
     if None in meets:
@@ -338,30 +335,27 @@ def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
-def _canonicalize(boxes: Iterable[RationalBox],
-                  removed: Mapping[int, list[RationalBox]]) -> tuple[RationalBox, ...]:
-    """Canonical boxes of the points in some of ``boxes`` and in none of
-    the boxes that ``removed`` lists for their cell.
+def _canonicalize(boxes: Iterable[RationalBox]) -> tuple[RationalBox, ...]:
+    """Canonical boxes of the points in some of ``boxes``.
 
     They come out in ``RationalBox.key`` order with no sort: cells are
     swept in ascending order, and the sweep emits a cell's boxes in
     ascending order of their first constrained axis, then of the next.
     """
     boxes = list(boxes)
-    if not removed and len(boxes) <= 1:
+    if len(boxes) <= 1:
         return tuple(boxes)  # a single normalised box is its canonical form
     by_cell: dict[int, list[RationalBox]] = {}
     for b in boxes:
         by_cell.setdefault(b.cell, []).append(b)
     out: list[RationalBox] = []
     for cell in sorted(by_cell):
-        group, minus = by_cell[cell], removed.get(cell, [])
-        if len(group) == 1 and not minus:
+        group = by_cell[cell]
+        if len(group) == 1:
             out.append(group[0])  # a cell's only box is its canonical form
             continue
-        axes = sorted({j for b in group + minus for j, _ in b.coords})
-        for coords in _canon_group([b.coord_map for b in group],
-                                   [b.coord_map for b in minus], axes):
+        axes = sorted({j for b in group for j, _ in b.coords})
+        for coords in _canon_group([b.coord_map for b in group], axes):
             out.append(RationalBox(cell, coords))
     return tuple(out)
 
@@ -388,7 +382,7 @@ class MeasurableSet:
 
     @staticmethod
     def from_boxes(boxes: Iterable[RationalBox]) -> "MeasurableSet":
-        return MeasurableSet(_canonicalize(boxes, {}))
+        return MeasurableSet(_canonicalize(boxes))
 
     @staticmethod
     def empty() -> "MeasurableSet":
@@ -452,8 +446,10 @@ class MeasurableSet:
         return MeasurableSet.from_boxes(boxes)
 
     def subtract(self, other: "MeasurableSet") -> "MeasurableSet":
-        """``self`` less ``other``, and ``self`` itself when nothing goes:
-        one box less one box directly, other shapes swept cell by cell."""
+        """``self`` less ``other``, and ``self`` itself when nothing goes.
+        Each box of ``other`` is taken from every piece of its cell with
+        ``_box_minus``; one box less one box is canonical as it stands, and
+        any other cell that lost points is swept."""
         if self.is_empty() or other.is_empty():
             return self
         if len(self.boxes) == 1 == len(other.boxes):
@@ -464,11 +460,13 @@ class MeasurableSet:
         theirs = other._by_cell
         # self's cells come in ascending order, so appending keeps the order
         for cell, mine in self._by_cell.items():
-            cut = theirs.get(cell)
-            if cut is None:
-                out.extend(mine)  # untouched: already canonical
-            elif all(b.coords for b in cut):  # a box with no coords fills the cell
-                out.extend(_canonicalize(mine, theirs))
+            pieces = mine
+            for r in theirs.get(cell, ()):  # a miss (None) keeps the piece
+                cuts = [(k, _box_minus(k, r)) for k in pieces]
+                pieces = [p for k, got in cuts
+                          for p in ((k,) if got is None else got)]
+            # a piece that lost points equals no box of self
+            out.extend(mine if pieces == mine else _canonicalize(pieces))
         got = tuple(out)  # canonical: equal to self's boxes when all is kept
         return self if got == self.boxes else MeasurableSet(got)
 

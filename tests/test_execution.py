@@ -893,6 +893,33 @@ def test_a_result_edge_keeps_the_part_of_its_image_that_exits():
     assert _check_targets_and_dead_mass(result) == 0
 
 
+def test_workloads_never_sweep_a_set(monkeypatch):
+    # every union, meet and difference these runs take is kept whole, split
+    # by cell or one box less one box: none reaches the canonical sweep
+    from graphvm import export, sampling, space
+    from graphvm.encodings import run_word
+    from graphvm.execution import language
+    from graphvm.machines import words_up_to
+
+    sweeps = []
+    canon_group = space._canon_group
+    monkeypatch.setattr(space, "_canon_group",
+                        lambda *args: sweeps.append(1) or canon_group(*args))
+    runs = 0
+    for _, m in _shipped_machines():
+        for test in _tests_for(m.spec.mode):
+            language(m, test, 4)
+        for word in words_up_to(m.spec.alphabet, 4):
+            export.result_payload(run_word(m, word)[0])
+            runs += 1
+    for seed in range(6):
+        for mode in ("det", "nondet", "prob"):
+            assert sampling.property_holds("closure", seed, mode, 10000)
+        assert sampling.property_holds("associativity", seed, "det", 10000)
+    assert runs == 341
+    assert sweeps == []
+
+
 def test_records_are_built_only_when_read(monkeypatch):
     from graphvm import execution, sampling
     from graphvm.encodings import run_word

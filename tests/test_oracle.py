@@ -1,11 +1,16 @@
+import collections
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from graphvm.machines import Action, MachineSpec, parse_machine
+from graphvm.machines import (MARKER, Action, MachineSpec, load_machine,
+                              parse_machine)
 from graphvm.oracle import (conl_accepts, dfa_accepts, initial_config,
                             nfa_accepts, oracle_language, pfa_accept_prob,
                             pfa_outcome_probs, successors, words_up_to)
+from test_random_machines import _load_machinegen
 
 ONES = parse_machine("""
 name: ones
@@ -71,12 +76,14 @@ def test_dfa_examples():
     assert not dfa_accepts(ONE_THEN_ZERO, "0")
 
 
+SPINNER = MachineSpec("spin", ("0",), 1, ("s",), "det", True, (
+    (("s", "0"), (Action("advance", goto="s"),)),
+    (("s", "*"), (Action("advance", goto="s"),)),
+))
+
+
 def test_dfa_divergence_rejects():
-    spinner = MachineSpec("spin", ("0",), 1, ("s",), "det", True, (
-        (("s", "0"), (Action("advance", goto="s"),)),
-        (("s", "*"), (Action("advance", goto="s"),)),
-    ))
-    assert not dfa_accepts(spinner, "00")
+    assert not dfa_accepts(SPINNER, "00")
 
 
 def test_nfa_agrees_with_dfa_on_det_specs():
@@ -188,15 +195,64 @@ def test_two_way_pfa_needs_the_linear_solve():
     assert p == Fraction(2, 5)
 
 
+SWAP_AWAY = MachineSpec("sw", ("0", "1"), 2, ("a", "b"), "det", True, (
+    (("a", "0"), (Action("advance", swap=2, goto="b"),)),
+    (("b", "0"), (Action("advance", swap=2, goto="a"),)),
+    (("b", "1"), (Action("accept"),)),
+))
+
+
 def test_swap_away_from_marker_dies():
-    spec = MachineSpec("sw", ("0", "1"), 2, ("a", "b"), "det", True, (
-        (("a", "0"), (Action("advance", swap=2, goto="b"),)),
-        (("b", "0"), (Action("advance", swap=2, goto="a"),)),
-        (("b", "1"), (Action("accept"),)),
-    ))
     # first swap is fine (head 2 rests on the marker), the second is not
     # (head 1 was parked at position 1)
-    assert not dfa_accepts(spec, "01")
+    assert not dfa_accepts(SWAP_AWAY, "01")
+
+
+def _stepped_run(spec, word):
+    """How the det run of ``spec`` on ``word`` ends, taken one step at a
+    time from the rules: accept, reject, dead (no rule, or a head
+    activated away from the marker) or loop (a configuration recurs)."""
+    cells = len(word) + 1
+    state, pos = spec.initial, [1 % cells] + [0] * (spec.heads - 1)
+    seen = set()
+    while (state, tuple(pos)) not in seen:
+        seen.add((state, tuple(pos)))
+        acts = spec.actions(state, MARKER if pos[0] == 0 else word[pos[0] - 1])
+        if not acts:
+            return "dead"
+        (act,) = acts
+        if act.kind in ("accept", "reject"):
+            return act.kind
+        if act.swap is not None:
+            k = act.swap - 1
+            pos[0], pos[k] = pos[k], pos[0]
+            if pos[0] != 0:
+                return "dead"
+        pos[0] = (pos[0] + (1 if act.kind == "advance" else -1)) % cells
+        state = act.goto
+    return "loop"
+
+
+def test_dfa_run_is_the_stepped_run():
+    here = os.path.join(os.path.dirname(__file__), "..", "machines")
+    shipped = [load_machine(os.path.join(here, name))
+               for name in sorted(os.listdir(here))]
+    gen = _load_machinegen()
+    shapes = [(heads, states, two_way) for heads in (1, 2)
+              for states in (1, 2, 3) for two_way in (False, True)]
+    rng = random.Random(7)
+    seeded = [gen.random_spec(rng, i, "det", *shapes[i % len(shapes)])
+              for i in range(300)]
+    specs = [m for m in shipped if m.mode == "det"] + seeded + [SPINNER,
+                                                                 SWAP_AWAY]
+    ends = collections.Counter()
+    for spec in specs:
+        for word in words_up_to(spec.alphabet, 4):
+            end = _stepped_run(spec, word)
+            assert dfa_accepts(spec, word) == (end == "accept"), (spec, word)
+            ends[end] += 1
+    assert min(ends[end] for end in ("accept", "reject", "dead", "loop")) \
+        > 300, ends
 
 
 def test_language_enumeration_order():

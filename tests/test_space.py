@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from graphvm import space
 from graphvm.execution import _split
 from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
-                           _box_minus, _canon_group, common_refinement,
-                           interval)
+                           _box_minus, common_refinement, interval)
 
 
 def ms(*boxes):
@@ -577,17 +577,20 @@ def test_measure_sums_to_the_fraction_sum(bs):
     assert got == sum((b.measure() for b in bs), Fraction(0))
 
 
-# -- one box less one box, and the split at a cut, against the sweep ----------
+# -- the box difference, and the split at a cut, against the refinement -------
 
-def _swept_difference(k, r):
-    """``k`` less ``r``, two boxes of one cell, by the sweep."""
-    axes = sorted({j for j, _ in k.coords + r.coords})
-    return [RationalBox(k.cell, coords) for coords in
-            _canon_group([k.coord_map], [r.coord_map], axes)]
+def _refined_difference(a, b):
+    """``a`` less ``b`` from the common refinement: the parts that lie in
+    a box of ``a`` and miss every box of ``b``, swept to canonical form.
+    Every endpoint cuts the grid, so a part lies in a box or misses it."""
+    return MeasurableSet.from_boxes(
+        p for p in common_refinement([a, b])
+        if any(p.intersect(k) is p for k in a.boxes)
+        and all(p.intersect(r) is None for r in b.boxes))
 
 
 def _check_box_minus(k, r):
-    want = _swept_difference(k, r)
+    want = list(_refined_difference(ms(k), ms(r)).boxes)
     got = _box_minus(k, r)
     assert (got is None) == (k.intersect(r) is None)
     assert ([k] if got is None else list(got)) == want
@@ -637,6 +640,69 @@ def test_one_box_less_one_box_is_the_sweep_across_denominators(a, b):
         for r in a.boxes + b.boxes:
             if k.cell == r.cell:
                 _check_box_minus(k, r)
+
+
+def _part_points(*sets, n=240):
+    """One point inside each part of the common refinement of ``sets``,
+    as numerators over ``n``: every set holds that whole part or misses
+    it.  ``_grid_box`` endpoints lie on the 1/120 grid, so the midpoints
+    lie on the 1/240 one."""
+    def mid(iv):
+        return (iv.a + iv.b) * (n // iv.d) // 2
+    return [(p.cell, {j: mid(p.interval_at(j)) for j in (1, 2, 3)})
+            for p in common_refinement(sets)]
+
+
+def _holds(s, point, n=240):
+    cell, x = point
+    return any(b.cell == cell and all(iv.a * n <= x[j] * iv.d < iv.b * n
+                                      for j, iv in b.coords)
+               for b in s.boxes)
+
+
+def test_set_less_set_is_the_refined_difference():
+    # several boxes per cell on both sides; the boxes taken away may
+    # overlap, as a path's hits do when its dead region is read
+    rng = random.Random(31)
+    kinds = collections.Counter()
+    for _ in range(700):
+        cells = rng.sample(range(-1, 3), rng.randint(1, 3))
+        a = MeasurableSet.from_boxes(
+            _grid_box(rng, rng.choice(cells), rng.randint(1, 3))
+            for _ in range(rng.randint(3, 6)))
+        # two fifths of the cuts miss a: pieces of its complement, or
+        # boxes of a cell it lacks
+        miss = rng.randrange(5) < 2
+        cut = []
+        for _ in range(rng.randint(2, 5)):
+            how = rng.randrange(2, 4) if miss else rng.choice((0, 0, 1, 2, 3))
+            if how == 0:  # a piece of one of a's boxes
+                k = rng.choice(a.boxes)
+                cut.append(k.intersect(_grid_box(rng, k.cell, 2)) or k)
+            elif how == 1:
+                cut.append(RationalBox.make(rng.choice(cells)))
+            elif how == 2:
+                cut.append(_grid_box(rng, 5, rng.randint(0, 3)))
+            else:
+                cut += ms(RationalBox.make(rng.choice(cells))).subtract(a).boxes
+        b = MeasurableSet(tuple(cut))  # raw: in any order, overlaps kept
+        got = a.subtract(b)
+        assert got.boxes == _refined_difference(a, b).boxes
+        for point in _part_points(a, b, got):
+            assert _holds(got, point) == (_holds(a, point)
+                                          and not _holds(b, point))
+        missed = all(k.intersect(r) is None for k in a.boxes for r in cut)
+        assert (got is a) == missed
+        per_cell = collections.Counter(k.cell for k in a.boxes)
+        cut_cells = collections.Counter(r.cell for r in cut)
+        kinds["misses"] += missed
+        kinds["several boxes in a cell on both sides"] += any(
+            n > 1 and cut_cells[cell] > 1 for cell, n in per_cell.items())
+        kinds["overlapping cuts"] += any(
+            r.intersect(q) is not None for r, q in itertools.combinations(cut, 2))
+        kinds["whole cells"] += any(not r.coords for r in cut)
+        kinds["several cells"] += len(per_cell) > 1
+    assert min(kinds.values()) > 300, kinds
 
 
 def test_union_is_the_sweep_of_both_sets_boxes(monkeypatch):
