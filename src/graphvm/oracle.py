@@ -112,10 +112,12 @@ def conl_accepts(spec: MachineSpec, word: str) -> bool:
 
 
 def _solve_linear(matrix: list[list[Fraction]],
-                  rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination; the caller guarantees nonsingularity."""
+                  rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact Gauss-Jordan elimination of ``matrix x = rhs`` for every
+    right-hand-side column at once: ``rhs`` and the result hold one row
+    per equation.  ArithmeticError on a singular system."""
     n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [row + rhs_row for row, rhs_row in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -127,68 +129,62 @@ def _solve_linear(matrix: list[list[Fraction]],
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [row[n:] for row in a]
 
 
 def _absorption(spec: MachineSpec, chain: dict[Config, list[Step]],
-                outcome: str) -> Fraction:
-    """Exact probability that the run explored by ``chain`` halts with
-    ``outcome``."""
+                outcomes: tuple[str, ...]) -> tuple[Fraction, ...]:
+    """Exact probabilities that the run explored by ``chain`` halts with
+    each of ``outcomes``, from one elimination over the configurations
+    that reach one of them.  Each of those halts with positive
+    probability, so their ``I - P`` is nonsingular."""
     require_probabilities(spec)
-    direct: dict[Config, Fraction] = {}
+    deficit = REJECT if spec.mode == "prob" else None  # substochastic rest
+    direct: dict[Config, list[Fraction]] = {}
+    preds: dict[Config, list[Config]] = {c: [] for c in chain}
     for config, steps in chain.items():
-        direct[config] = sum((step.weight for step in steps
-                              if step.outcome == outcome), Fraction(0))
-        # substochastic deficit halts with a rejection in prob mode
         total = sum((step.weight for step in steps), Fraction(0))
-        if outcome == REJECT and spec.mode == "prob" and total < 1:
-            direct[config] += 1 - total
-    # keep only configurations from which the outcome is reachable;
-    # the rest absorb with probability zero and would make the system
-    # singular if retained
-    reaching = {c for c in chain if direct[c] > 0}
-    changed = True
-    while changed:
-        changed = False
-        for c, steps in chain.items():
-            if c in reaching:
-                continue
-            if any(step.outcome == "cont" and step.weight > 0
-                   and step.config in reaching for step in steps):
-                reaching.add(c)
-                changed = True
+        direct[config] = [sum((step.weight for step in steps
+                               if step.outcome == outcome), Fraction(0))
+                          + (1 - total if outcome == deficit else 0)
+                          for outcome in outcomes]
+        for step in steps:
+            if step.outcome == "cont" and step.weight > 0:
+                preds[step.config].append(config)
+    # one backward walk from the configurations that halt directly
+    reaching = {c for c, row in direct.items() if any(row)}
+    stack = list(reaching)
+    while stack:
+        fresh = set(preds[stack.pop()]) - reaching
+        reaching |= fresh
+        stack.extend(fresh)
     start = next(iter(chain))
     if start not in reaching:
-        return Fraction(0)
+        return (Fraction(0),) * len(outcomes)
     order = [c for c in chain if c in reaching]
     pos = {c: i for i, c in enumerate(order)}
-    n = len(order)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [direct[c] for c in order]
-    for c in order:
-        i = pos[c]
-        matrix[i][i] += 1
+    matrix = [[Fraction(int(c == d)) for d in order] for c in order]
+    for i, c in enumerate(order):
         for step in chain[c]:
             if step.outcome == "cont" and step.config in pos:
                 matrix[i][pos[step.config]] -= step.weight
-    solution = _solve_linear(matrix, rhs)
-    return solution[pos[start]]
+    solution = _solve_linear(matrix, [direct[c] for c in order])
+    return tuple(solution[pos[start]])
 
 
 def pfa_accept_prob(spec: MachineSpec, word: str) -> Fraction:
-    return _absorption(spec, _chain(spec, word), ACCEPT)
+    return _absorption(spec, _chain(spec, word), (ACCEPT,))[0]
 
 
 def pfa_outcome_probs(spec: MachineSpec, word: str):
     """(accept, reject, dead, diverge) probabilities, summing to 1.
 
-    The first three are independent absorption solves on one chain;
+    The first three come from one absorption solve on the run's chain;
     divergence is the remaining mass, never negative for a
     substochastic machine.
     """
-    chain = _chain(spec, word)
-    acc, rej, dead = (_absorption(spec, chain, outcome)
-                      for outcome in (ACCEPT, REJECT, "dead"))
+    acc, rej, dead = _absorption(spec, _chain(spec, word),
+                                 (ACCEPT, REJECT, "dead"))
     return acc, rej, dead, Fraction(1) - acc - rej - dead
 
 
