@@ -139,14 +139,15 @@ def _absorption(spec: MachineSpec, chain: dict[Config, list[Step]],
     that reach one of them.  Each of those halts with positive
     probability, so their ``I - P`` is nonsingular."""
     require_probabilities(spec)
-    deficit = REJECT if spec.mode == "prob" else None  # substochastic rest
     direct: dict[Config, list[Fraction]] = {}
     preds: dict[Config, list[Config]] = {c: [] for c in chain}
     for config, steps in chain.items():
         total = sum((step.weight for step in steps), Fraction(0))
+        # no step halts dead; a prob step's deficit halts with a rejection
+        rest = REJECT if steps and spec.mode == "prob" else "dead"
         direct[config] = [sum((step.weight for step in steps
                                if step.outcome == outcome), Fraction(0))
-                          + (1 - total if outcome == deficit else 0)
+                          + (1 - total if outcome == rest else 0)
                           for outcome in outcomes]
         for step in steps:
             if step.outcome == "cont" and step.weight > 0:

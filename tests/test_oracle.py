@@ -246,13 +246,24 @@ def test_dfa_run_is_the_stepped_run():
     specs = [m for m in shipped if m.mode == "det"] + seeded + [SPINNER,
                                                                  SWAP_AWAY]
     ends = collections.Counter()
+    outcomes = ("accept", "reject", "dead", "loop")
     for spec in specs:
         for word in words_up_to(spec.alphabet, 4):
             end = _stepped_run(spec, word)
             assert dfa_accepts(spec, word) == (end == "accept"), (spec, word)
+            assert pfa_outcome_probs(spec, word) == tuple(
+                int(end == outcome) for outcome in outcomes), (spec, word)
             ends[end] += 1
-    assert min(ends[end] for end in ("accept", "reject", "dead", "loop")) \
-        > 300, ends
+    assert min(ends[end] for end in outcomes) > 300, ends
+    # a missing entry halts dead in prob mode too; a deficit rejects
+    half = MachineSpec("half", ("0", "1"), 1, ("s",), "prob", True, (
+        (("s", "0"), (Action("advance", Fraction(1, 2), None, "s"),)),
+        (("s", "*"), (Action("accept"),)),
+    ))
+    assert pfa_outcome_probs(half, "1") == (0, 0, 1, 0)
+    assert pfa_outcome_probs(half, "0") == (Fraction(1, 2),) * 2 + (0, 0)
+    assert pfa_outcome_probs(half, "01") == (0,) + (Fraction(1, 2),) * 2 \
+        + (0,)
 
 
 def test_language_enumeration_order():
