@@ -198,6 +198,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(p), int(q) if slash else 1)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer or p/q") from None
 
 
 def _parse_action(tokens: list[str], line_no: int) -> Action:

@@ -213,11 +213,17 @@ def test_negative_bound_is_a_validation_error(argv, message, capsys):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
-def test_zero_denominator_cutpoint_is_a_validation_error(capsys):
+@pytest.mark.parametrize("cutpoint, words", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("0.5", "'0.5' is not an integer or p/q"),
+], ids=["1/0", "0.5"])
+def test_zero_denominator_cutpoint_is_a_validation_error(capsys, cutpoint,
+                                                         words):
     code = main(["run", mach("coin-flip.mach"), "01", "--test", "prob",
-                 "--cutpoint", "1/0"])
+                 "--cutpoint", cutpoint])
     assert code == EXIT_INVALID
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err
 
 
 def test_associativity_honours_the_step_budget(capsys):
