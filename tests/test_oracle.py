@@ -1,3 +1,4 @@
+import ast
 import collections
 import os
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphvm import oracle
 from graphvm.machines import (MARKER, Action, MachineSpec, load_machine,
                               parse_machine)
 from graphvm.oracle import (conl_accepts, dfa_accepts, initial_config,
@@ -264,6 +266,115 @@ def test_dfa_run_is_the_stepped_run():
     assert pfa_outcome_probs(half, "0") == (Fraction(1, 2),) * 2 + (0, 0)
     assert pfa_outcome_probs(half, "01") == (0,) + (Fraction(1, 2),) * 2 \
         + (0,)
+
+
+def _reference_outcome(spec, word, outcome):
+    """The probability that the run halts with ``outcome``, solved on its
+    own: a reachability fixpoint over the configurations, then one
+    elimination.  A configuration with no step halts dead; a step whose
+    weights sum below 1 files the rest as a rejection."""
+    start = initial_config(spec, word)
+    chain, todo = {}, [start]
+    while todo:
+        config = todo.pop()
+        if config not in chain:
+            chain[config] = successors(spec, word, config)
+            todo.extend(s.config for s in chain[config] if s.outcome == "cont")
+
+    def direct(steps):
+        mass = sum((s.weight for s in steps if s.outcome == outcome),
+                   Fraction(0))
+        if outcome == ("reject" if steps else "dead"):
+            mass += 1 - sum(s.weight for s in steps)
+        return mass
+
+    reach = {c for c, steps in chain.items() if direct(steps) > 0}
+    changed = True
+    while changed:
+        grown = {c for c, steps in chain.items()
+                 if any(s.outcome == "cont" and s.config in reach
+                        for s in steps)}
+        changed = not grown <= reach
+        reach |= grown
+    if start not in reach:
+        return Fraction(0)
+    index = {c: i for i, c in enumerate(reach)}
+    n = len(index)
+    rows = []
+    for config, i in index.items():
+        row = [Fraction(int(i == j)) for j in range(n)]
+        for s in chain[config]:
+            if s.outcome == "cont" and s.config in index:
+                row[index[s.config]] -= s.weight
+        rows.append(row + [direct(chain[config])])
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return rows[index[start]][n]
+
+
+def test_outcome_probs_match_a_solve_per_outcome(monkeypatch):
+    """Every prob run of the shipped machines and of 150 seeded prob
+    specs, words up to length 3: the one joint solve equals a separate
+    fixpoint and elimination per outcome, and each call of
+    ``pfa_outcome_probs`` or ``pfa_accept_prob`` solves at most once,
+    with one right-hand-side column per outcome asked."""
+    here = os.path.join(os.path.dirname(__file__), "..", "machines")
+    shipped = [load_machine(os.path.join(here, name))
+               for name in sorted(os.listdir(here))]
+    gen = _load_machinegen()
+    shapes = [(heads, states, two_way) for heads in (1, 2)
+              for states in (1, 2, 3) for two_way in (False, True)]
+    rng = random.Random(7)
+    specs = [m for m in shipped if m.mode == "prob"] + [
+        gen.random_spec(rng, i, "prob", *shapes[i % len(shapes)])
+        for i in range(150)]
+    solves, solve = [], oracle._solve_linear
+
+    def counted(matrix, rhs):
+        solves.append({len(row) for row in rhs})  # the columns
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(oracle, "_solve_linear", counted)
+    solved = 0
+    for spec in specs:
+        for word in words_up_to(spec.alphabet, 3):
+            solves.clear()
+            probs = pfa_outcome_probs(spec, word)
+            assert len(solves) <= 1 and all(c == {3} for c in solves)
+            solved += len(solves)
+            solves.clear()
+            acc = pfa_accept_prob(spec, word)
+            assert len(solves) <= 1 and all(c == {1} for c in solves)
+            want = tuple(_reference_outcome(spec, word, outcome)
+                         for outcome in ("accept", "reject", "dead"))
+            assert probs == want + (1 - sum(want),), (spec.name, word)
+            assert all(0 <= p <= 1 for p in probs) and sum(probs) == 1
+            assert probs[0] == acc
+    assert solved > 1000, solved
+
+
+def test_the_oracle_imports_only_the_machine_specs():
+    """The oracle is the reference the VM's verdicts are checked
+    against, so it shares no code with the VM's own modules."""
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "graphvm",
+                        "oracle.py")
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            imported.add(name.replace("graphvm.", ".", 1))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported
+            if name.startswith((".", "graphvm"))} == {".machines"}
 
 
 def test_language_enumeration_order():
