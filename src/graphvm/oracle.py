@@ -12,8 +12,8 @@ word).
 Outcomes: ``accept`` and ``reject`` are the explicit terminals, ``dead``
 is a halt with no verdict (missing transition, or activating a head
 that is not on the marker) and divergence is an endless run.  Exact
-rational absorption probabilities are computed by solving the finite
-configuration chain.
+rational absorption probabilities come from one elimination over the
+finite configuration chain, for every outcome asked.
 """
 
 from __future__ import annotations
