@@ -2,18 +2,17 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
 
 import pytest
 
+from gridmodel import Grid
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
                               TRIVIAL, classify, cost, disjoint_union,
                               join_monoids, validate)
 from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
-from graphvm.space import (MeasurableSet, RationalBox, RationalInterval,
-                           common_refinement, interval)
+from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
 
 
 def ms(*boxes):
@@ -422,50 +421,34 @@ def test_edges_meeting_matches_a_scan_of_every_edge():
             assert list(g.edges_meeting(s)) == scan
 
 
+def _loads(g):
+    """The weights over each square of the grid model of ``g``'s sources,
+    one list per class of squares that the same sources cover."""
+    grid = Grid(b for e in g.edges for b in e.source.boxes)
+    return grid.loads((e.weight, e.source.boxes) for e in g.edges)
+
+
+def _model_class(g, loads):
+    """The class of ``g`` from the summed weights over its squares, in the
+    branch order of the definition: units first, then admitted weights."""
+    heavy = any(sum(weights) > 1 for weights in loads)
+    if all(g.weights.is_unit(e.weight) for e in g.edges):
+        return (GraphingClass.NONDETERMINISTIC if heavy
+                else GraphingClass.DETERMINISTIC)
+    if all(g.weights.admits(e.weight) for e in g.edges) and not heavy:
+        return GraphingClass.PROBABILISTIC
+    return GraphingClass.GENERAL
+
+
 def test_classify_matches_the_pairwise_overlap_definition():
     seen = set()
     for g in _sampled_graphings():
         got = classify(g)
         seen.add(got)
-        if not all(g.weights.is_unit(e.weight) for e in g.edges):
-            assert got in (GraphingClass.PROBABILISTIC, GraphingClass.GENERAL)
-            continue
-        overlap = any(not e.source.intersect(f.source).is_empty()
-                      for e, f in combinations(g.edges, 2))
-        assert got == (GraphingClass.NONDETERMINISTIC if overlap
-                       else GraphingClass.DETERMINISTIC)
+        # with unit weights, sources overlap where a square weighs more than 1
+        assert got == _model_class(g, _loads(g))
     assert {GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
             GraphingClass.PROBABILISTIC} <= seen
-
-
-def _midpoint_class(g):
-    """The class of ``g`` read off the midpoints of the 1/16 grid: the
-    weight over a midpoint is the sum of the weights of the sources that
-    contain it.  Every endpoint is asserted to lie on the 1/16 grid, so
-    each midpoint stands for its whole grid square."""
-    axes = {}
-    for e in g.edges:
-        for b in e.source.boxes:
-            axes.setdefault(b.cell, set()).update(j for j, _ in b.coords)
-    weight_at = Counter()
-    for e in g.edges:
-        for b in e.source.boxes:
-            spans = []
-            for j in sorted(axes[b.cell]):
-                iv = b.interval_at(j)
-                assert 16 % iv.d == 0
-                # midpoints (2k+1)/32 of the grid squares inside [a/d, b/d)
-                spans.append([x for x in range(1, 32, 2)
-                              if 32 * iv.a <= x * iv.d < 32 * iv.b])
-            for point in product(*spans):
-                weight_at[b.cell, point] += e.weight
-    most = max(weight_at.values(), default=0)
-    if all(g.weights.is_unit(e.weight) for e in g.edges):
-        return (GraphingClass.DETERMINISTIC if most <= 1
-                else GraphingClass.NONDETERMINISTIC)
-    if most <= 1 and all(0 <= e.weight <= 1 for e in g.edges):
-        return GraphingClass.PROBABILISTIC
-    return GraphingClass.GENERAL
 
 
 def test_classify_matches_a_grid_midpoint_reference():
@@ -484,29 +467,9 @@ def test_classify_matches_a_grid_midpoint_reference():
                      for e in x.edges]) for x in sampled]
             for x in sampled:
                 got = classify(x)
-                assert got == _midpoint_class(x), (mode, seed)
+                assert got == _model_class(x, _loads(x)), (mode, seed)
                 seen[got] += 1
     assert set(seen) == set(GraphingClass)
-
-
-def _refinement_weights(g):
-    """Per part of the sources' common refinement, the weights of the
-    edges whose source holds it."""
-    return [[e.weight for e in g.edges
-             if any(part.intersect(b) is part for b in e.source.boxes)]
-            for part in common_refinement([e.source for e in g.edges])]
-
-
-def _refinement_class(g, sums):
-    """The class of ``g`` from its refinement sums, in the branch order
-    of the definition: units first, then admitted weights."""
-    if all(g.weights.is_unit(e.weight) for e in g.edges):
-        return (GraphingClass.NONDETERMINISTIC if any(t > 1 for t in sums)
-                else GraphingClass.DETERMINISTIC)
-    if all(g.weights.admits(e.weight) for e in g.edges) and \
-            all(t <= 1 for t in sums):
-        return GraphingClass.PROBABILISTIC
-    return GraphingClass.GENERAL
 
 
 _SWEEP_WEIGHTS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
@@ -540,11 +503,11 @@ def test_classify_matches_the_refinement_sums():
     seen = Counter()
     for _ in range(3000):
         g = _swept_graphing(rng)
-        over = _refinement_weights(g)
+        over = _loads(g)
         got = classify(g)
-        assert got is _refinement_class(g, [sum(ws) for ws in over]), g
+        assert got is _model_class(g, over), g
         seen[got] += 1
-        # weights short of 1 that add up to the bound over a part
+        # weights short of 1 that add up to the bound over a square
         seen["at the bound"] += any(sum(ws) == 1 and max(ws) < 1
                                     for ws in over)
     assert len(seen) == 5 and min(seen.values()) > 100, seen

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridmodel import Grid
 from graphvm import space
 from graphvm.execution import _split
 from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
@@ -209,55 +210,32 @@ def test_inclusion_exclusion(a, b):
         a.union(b).measure() + a.intersect(b).measure()
 
 
-# Every endpoint drawn on the 1/9 grid is a multiple of 1/9, so each
-# midpoint (2k+1)/18 of the 1/9 grid stands for its whole grid square:
-# membership at these points decides the point set exactly.  Endpoints on
-# the 1/4 and 1/6 grids are multiples of 1/12, and so is the 1/12 grid's.
-def _grid_points(n):
-    """Midpoints of the squares of the 1/n grid on coordinates 1 and 2,
-    in cells 0 and 1."""
-    mids = [Fraction(2 * k + 1, 2 * n) for k in range(n)]
-    return [(cell, {1: x, 2: y}) for cell in range(2) for x in mids for y in mids]
-
-
-_GRID = _grid_points(9)
-_GRID_12 = _grid_points(12)
-
-
-def _points_in(s, grid):
-    """The indices of the points of ``grid`` that lie in ``s``."""
-    boxes = [(b.cell, [(j, iv.lo, iv.hi) for j, iv in b.coords])
-             for b in s.boxes]
-    return {k for k, (cell, point) in enumerate(grid)
-            if any(c == cell and all(lo <= point[j] < hi for j, lo, hi in cons)
-                   for c, cons in boxes)}
-
-
-def _check_against_points(a, b, grid=_GRID):
-    in_a, in_b = _points_in(a, grid), _points_in(b, grid)
-    results = {"subtract": (a.subtract(b), in_a - in_b),
+def _check_against_the_model(a, b):
+    grid = Grid(a.boxes + b.boxes)
+    in_a, in_b = grid.bits(a.boxes), grid.bits(b.boxes)
+    results = {"subtract": (a.subtract(b), in_a & ~in_b),
                "intersect": (a.intersect(b), in_a & in_b),
                "union": (a.union(b), in_a | in_b)}
     for name, (got, want) in results.items():
-        assert MeasurableSet.from_boxes(got.boxes).boxes == got.boxes, name
-        assert _points_in(got, grid) == want, name
+        assert _is_canonical(got), name
+        assert grid.bits(got.boxes) == want, name
 
 
 @settings(max_examples=300, deadline=None)
 @given(sets(), sets())
 def test_set_operations_agree_with_point_membership(a, b):
-    _check_against_points(a, b)
+    _check_against_the_model(a, b)
     # a set against itself, and against a superset
-    _check_against_points(a, a)
-    _check_against_points(a, a.union(b))
+    _check_against_the_model(a, a)
+    _check_against_the_model(a, a.union(b))
 
 
 @settings(max_examples=150, deadline=None)
 @given(sets(_MIXED), sets(_MIXED))
 def test_set_operations_agree_with_point_membership_across_denominators(a, b):
-    _check_against_points(a, b, _GRID_12)
-    _check_against_points(a, a, _GRID_12)
-    _check_against_points(a, a.union(b), _GRID_12)
+    _check_against_the_model(a, b)
+    _check_against_the_model(a, a)
+    _check_against_the_model(a, a.union(b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,25 +265,25 @@ def test_subtract_passes_through_untouched_and_whole_cells():
     other_cell = ms(RationalBox.make(1, {1: interval(0, 5 * ninth)}))
     got = several.subtract(other_cell)
     assert [b for b in got.boxes if b.cell == 0] == in_cell_0
-    _check_against_points(several, other_cell)
+    _check_against_the_model(several, other_cell)
     # a whole-cell box beside a partial box in the same cell drops that
     # cell; the partial box in cell 1 is swept
     whole = ms(RationalBox.make(0),
                RationalBox.make(0, {2: interval(0, ninth)}),
                RationalBox.make(1, {1: interval(ninth, 7 * ninth)}))
     assert several.subtract(whole).cells() == {1}
-    _check_against_points(several, whole)
+    _check_against_the_model(several, whole)
     # removed boxes in cells the set lacks change nothing
     elsewhere = ms(RationalBox.make(2), RationalBox.make(3, {1: interval(0, ninth)}))
     assert several.subtract(elsewhere) is several
-    _check_against_points(several, elsewhere)
+    _check_against_the_model(several, elsewhere)
     # nor do boxes of its cells that miss all of its boxes
     beside = ms(RationalBox.make(0, {1: interval(3 * ninth, 1),
                                      2: interval(4 * ninth, 1)}),
                 RationalBox.make(1, {1: interval(2 * ninth, 1),
                                      2: interval(5 * ninth, 6 * ninth)}))
     assert several.subtract(beside) is several
-    _check_against_points(several, beside)
+    _check_against_the_model(several, beside)
     # one box less a box of its cell that misses it
     alone = ms(in_cell_0[0])
     assert alone.subtract(beside) is alone
@@ -350,9 +328,10 @@ def test_boolean_laws_across_denominators(a, b, c):
     _check_boolean_laws(a, b, c)
     meet_of_union = a.intersect(b.union(c))
     nested_difference = a.subtract(b).subtract(c)
-    x, y, z = (_points_in(s, _GRID_12) for s in (a, b, c))
-    assert _points_in(meet_of_union, _GRID_12) == x & (y | z)
-    assert _points_in(nested_difference, _GRID_12) == x - y - z
+    grid = Grid(a.boxes + b.boxes + c.boxes)
+    x, y, z = (grid.bits(s.boxes) for s in (a, b, c))
+    assert grid.bits(meet_of_union.boxes) == x & (y | z)
+    assert grid.bits(nested_difference.boxes) == x & ~y & ~z
 
 
 @settings(max_examples=150, deadline=None)
@@ -411,31 +390,15 @@ def test_restrict_meets_every_cell_with_the_constraints(s, constraint_box):
 def test_restrict_across_denominators(s, constraint_box):
     _check_restrict(s, constraint_box)
     c = constraint_box.coord_map
-    inside = {k for k, (_, point) in enumerate(_GRID_12)
-              if all(iv.lo <= point[j] < iv.hi for j, iv in c.items())}
-    assert _points_in(s.restrict(c), _GRID_12) == \
-        _points_in(s, _GRID_12) & inside
+    within = (RationalBox.make(0, c), RationalBox.make(1, c))
+    grid = Grid(s.boxes + within)
+    assert grid.bits(s.restrict(c).boxes) == \
+        grid.bits(s.boxes) & grid.bits(within)
 
 
 # -- fast paths: results that return an operand unchanged ---------------------
 
-_ALL_GRIDS = (4, 6, 9)  # endpoints on all three lie on the 1/36 grid
-
-
-def _squares_in(s, n=36):
-    """The squares of the 1/n grid on coordinates 1 and 2, in cells 0 and
-    1, whose midpoints lie in ``s``.  Every endpoint is a multiple of 1/n,
-    so the midpoint (2k+1)/(2n) lies in [a/d, b/d) exactly when a*n/d <= k
-    < b*n/d: the squares are counted from the endpoints' integers."""
-    out = set()
-    for b in s.boxes:
-        spans = []
-        for j in (1, 2):
-            iv = b.interval_at(j)
-            assert n % iv.d == 0
-            spans.append(range(iv.a * (n // iv.d), iv.b * (n // iv.d)))
-        out.update((b.cell, x, y) for x in spans[0] for y in spans[1])
-    return out
+_ALL_GRIDS = (4, 6, 9)
 
 
 def _inside_one_box_of(s, other):
@@ -469,9 +432,10 @@ def _nested_pair(draw):
 @given(st.one_of(st.tuples(sets(_ALL_GRIDS), sets(_ALL_GRIDS)), _nested_pair()))
 def test_intersect_returns_the_operand_when_nothing_is_cut(pair):
     a, b = pair
+    grid = Grid(a.boxes + b.boxes)
     for x, y in ((a, b), (b, a), (a, a), (b, b)):
         got = x.intersect(y)
-        assert _squares_in(got) == _squares_in(x) & _squares_in(y)
+        assert grid.bits(got.boxes) == grid.bits(x.boxes) & grid.bits(y.boxes)
         assert _is_canonical(got)
         if _inside_one_box_of(x, y):
             assert got is x
@@ -486,9 +450,9 @@ def test_restrict_returns_the_operand_when_nothing_is_cut(s, constraint_box,
     if inside:  # first move the set inside the constraints
         s = s.restrict(c)
     got = s.restrict(c)
-    within = _squares_in(
-        MeasurableSet.of(RationalBox.make(0, c), RationalBox.make(1, c)))
-    assert _squares_in(got) == _squares_in(s) & within
+    within = (RationalBox.make(0, c), RationalBox.make(1, c))
+    grid = Grid(s.boxes + within)
+    assert grid.bits(got.boxes) == grid.bits(s.boxes) & grid.bits(within)
     assert _is_canonical(got)
     if all(covers(c.get(j, FULL), b.interval_at(j))
            for b in s.boxes for j in (1, 2)):
@@ -577,26 +541,18 @@ def test_measure_sums_to_the_fraction_sum(bs):
     assert got == sum((b.measure() for b in bs), Fraction(0))
 
 
-# -- the box difference, and the split at a cut, against the refinement -------
-
-def _refined_difference(a, b):
-    """``a`` less ``b`` from the common refinement: the parts that lie in
-    a box of ``a`` and miss every box of ``b``, swept to canonical form.
-    Every endpoint cuts the grid, so a part lies in a box or misses it."""
-    return MeasurableSet.from_boxes(
-        p for p in common_refinement([a, b])
-        if any(p.intersect(k) is p for k in a.boxes)
-        and all(p.intersect(r) is None for r in b.boxes))
-
+# -- the box difference, and the split at a cut, against the grid model -------
 
 def _check_box_minus(k, r):
-    want = list(_refined_difference(ms(k), ms(r)).boxes)
     got = _box_minus(k, r)
     assert (got is None) == (k.intersect(r) is None)
-    assert ([k] if got is None else list(got)) == want
+    pieces = (k,) if got is None else got
+    grid = Grid((k, r))
+    assert grid.bits(pieces) == grid.bits((k,)) & ~grid.bits((r,))
+    assert MeasurableSet.from_boxes(pieces).boxes == pieces
     one = MeasurableSet((k,))
     diff = one.subtract(MeasurableSet((r,)))
-    assert list(diff.boxes) == want
+    assert diff.boxes == pieces
     assert (diff is one) == (got is None)
 
 
@@ -642,24 +598,6 @@ def test_one_box_less_one_box_is_the_sweep_across_denominators(a, b):
                 _check_box_minus(k, r)
 
 
-def _part_points(*sets, n=240):
-    """One point inside each part of the common refinement of ``sets``,
-    as numerators over ``n``: every set holds that whole part or misses
-    it.  ``_grid_box`` endpoints lie on the 1/120 grid, so the midpoints
-    lie on the 1/240 one."""
-    def mid(iv):
-        return (iv.a + iv.b) * (n // iv.d) // 2
-    return [(p.cell, {j: mid(p.interval_at(j)) for j in (1, 2, 3)})
-            for p in common_refinement(sets)]
-
-
-def _holds(s, point, n=240):
-    cell, x = point
-    return any(b.cell == cell and all(iv.a * n <= x[j] * iv.d < iv.b * n
-                                      for j, iv in b.coords)
-               for b in s.boxes)
-
-
 def test_set_less_set_is_the_refined_difference():
     # several boxes per cell on both sides; the boxes taken away may
     # overlap, as a path's hits do when its dead region is read
@@ -687,10 +625,9 @@ def test_set_less_set_is_the_refined_difference():
                 cut += ms(RationalBox.make(rng.choice(cells))).subtract(a).boxes
         b = MeasurableSet(tuple(cut))  # raw: in any order, overlaps kept
         got = a.subtract(b)
-        assert got.boxes == _refined_difference(a, b).boxes
-        for point in _part_points(a, b, got):
-            assert _holds(got, point) == (_holds(a, point)
-                                          and not _holds(b, point))
+        grid = Grid(a.boxes + b.boxes)
+        assert grid.bits(got.boxes) == grid.bits(a.boxes) & ~grid.bits(b.boxes)
+        assert _is_canonical(got)
         missed = all(k.intersect(r) is None for k in a.boxes for r in cut)
         assert (got is a) == missed
         per_cell = collections.Counter(k.cell for k in a.boxes)
@@ -703,6 +640,32 @@ def test_set_less_set_is_the_refined_difference():
         kinds["whole cells"] += any(not r.coords for r in cut)
         kinds["several cells"] += len(per_cell) > 1
     assert min(kinds.values()) > 300, kinds
+
+
+def test_the_grid_model_is_point_membership():
+    # a square's midpoint lies in the sources whose bits hold the square
+    rng = random.Random(33)
+    seen = collections.Counter()
+    for _ in range(300):
+        sources = [[_grid_box(rng, rng.randrange(2), rng.randint(0, 2))
+                    for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        grid = Grid(b for boxes in sources for b in boxes)
+        bits = [grid.bits(boxes) for boxes in sources]
+        held = set()
+        for k, (cell, ends) in enumerate(grid.squares()):
+            middle = {j: Fraction(lo + hi, 2 * grid.scale[j])
+                      for j, (lo, hi) in ends.items()}
+            over = tuple(i for i, boxes in enumerate(sources) if any(
+                b.cell == cell and all(iv.lo <= middle[j] < iv.hi
+                                       for j, iv in b.coords) for b in boxes))
+            assert tuple(i for i, b in enumerate(bits) if b >> k & 1) == over
+            held.add(over)
+            seen[len(over)] += 1
+        assert k + 1 == grid.size * len(grid.cells)
+        # each source weighs its index
+        loads = grid.loads(enumerate(sources))
+        assert sorted(map(tuple, loads)) == sorted(held - {()})
+    assert min(seen[n] for n in range(4)) > 300, seen
 
 
 def test_union_is_the_sweep_of_both_sets_boxes(monkeypatch):
