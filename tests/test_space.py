@@ -221,19 +221,17 @@ def _check_against_the_model(a, b):
         assert grid.bits(got.boxes) == want, name
 
 
+_BOTH_GRIDS = pytest.mark.parametrize("denominators", [_NINTHS, _MIXED],
+                                      ids=["ninths", "mixed"])
+
+
+@_BOTH_GRIDS
 @settings(max_examples=300, deadline=None)
-@given(sets(), sets())
-def test_set_operations_agree_with_point_membership(a, b):
+@given(data=st.data())
+def test_set_operations_agree_with_point_membership(denominators, data):
+    a, b = (data.draw(sets(denominators)) for _ in range(2))
     _check_against_the_model(a, b)
     # a set against itself, and against a superset
-    _check_against_the_model(a, a)
-    _check_against_the_model(a, a.union(b))
-
-
-@settings(max_examples=150, deadline=None)
-@given(sets(_MIXED), sets(_MIXED))
-def test_set_operations_agree_with_point_membership_across_denominators(a, b):
-    _check_against_the_model(a, b)
     _check_against_the_model(a, a)
     _check_against_the_model(a, a.union(b))
 
@@ -307,27 +305,19 @@ def test_subset_of_agrees_with_the_measure_identity(a, b):
     assert a.subset_of(a.union(b))
 
 
-def _check_boolean_laws(a, b, c):
+@_BOTH_GRIDS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_boolean_laws(denominators, data):
+    a, b, c = (data.draw(sets(denominators)) for _ in range(3))
     assert a.intersect(b) == b.intersect(a)
     assert a.union(b) == b.union(a)
-    assert a.intersect(b.union(c)) == a.intersect(b).union(a.intersect(c))
-    assert a.subtract(b).subtract(c) == a.subtract(b.union(c))
+    meet_of_union = a.intersect(b.union(c))
+    assert meet_of_union == a.intersect(b).union(a.intersect(c))
+    nested_difference = a.subtract(b).subtract(c)
+    assert nested_difference == a.subtract(b.union(c))
     assert a.union(a) == a
     assert a.intersect(a) == a
-
-
-@settings(max_examples=100, deadline=None)
-@given(sets(), sets(), sets())
-def test_boolean_laws(a, b, c):
-    _check_boolean_laws(a, b, c)
-
-
-@settings(max_examples=100, deadline=None)
-@given(sets(_MIXED), sets(_MIXED), sets(_MIXED))
-def test_boolean_laws_across_denominators(a, b, c):
-    _check_boolean_laws(a, b, c)
-    meet_of_union = a.intersect(b.union(c))
-    nested_difference = a.subtract(b).subtract(c)
     grid = Grid(a.boxes + b.boxes + c.boxes)
     x, y, z = (grid.bits(s.boxes) for s in (a, b, c))
     assert grid.bits(meet_of_union.boxes) == x & (y | z)
@@ -370,30 +360,20 @@ def test_pairwise_disjointness_of_canonical_boxes():
             assert x.intersect(y) is None
 
 
-def _check_restrict(s, constraint_box):
-    c = constraint_box.coord_map
+@_BOTH_GRIDS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_restrict_meets_every_cell_with_the_constraints(denominators, data):
+    s = data.draw(sets(denominators))
+    c = data.draw(boxes(cells=1, coords=3, denominators=denominators)).coord_map
+    within = tuple(RationalBox.make(cell, c) for cell in s.cells())
     expected = MeasurableSet.empty()
-    for cell in s.cells():
-        expected = expected.union(
-            s.intersect(MeasurableSet.of(RationalBox.make(cell, c))))
-    assert s.restrict(c) == expected
-
-
-@settings(max_examples=150, deadline=None)
-@given(sets(), boxes(cells=1, coords=3))
-def test_restrict_meets_every_cell_with_the_constraints(s, constraint_box):
-    _check_restrict(s, constraint_box)
-
-
-@settings(max_examples=150, deadline=None)
-@given(sets(_MIXED), boxes(cells=1, coords=2, denominators=_MIXED))
-def test_restrict_across_denominators(s, constraint_box):
-    _check_restrict(s, constraint_box)
-    c = constraint_box.coord_map
-    within = (RationalBox.make(0, c), RationalBox.make(1, c))
+    for box in within:
+        expected = expected.union(s.intersect(MeasurableSet.of(box)))
+    got = s.restrict(c)
+    assert got == expected
     grid = Grid(s.boxes + within)
-    assert grid.bits(s.restrict(c).boxes) == \
-        grid.bits(s.boxes) & grid.bits(within)
+    assert grid.bits(got.boxes) == grid.bits(s.boxes) & grid.bits(within)
 
 
 # -- fast paths: results that return an operand unchanged ---------------------
