@@ -1,7 +1,9 @@
+import ast
 import collections
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -646,6 +648,19 @@ def test_the_grid_model_is_point_membership():
         loads = grid.loads(enumerate(sources))
         assert sorted(map(tuple, loads)) == sorted(held - {()})
     assert min(seen[n] for n in range(4)) > 300, seen
+
+
+def test_the_grid_model_imports_nothing_from_graphvm():
+    """The model is the reference the set algebra is checked against, so
+    it imports the standard library alone."""
+    with open(sys.modules[Grid.__module__].__file__) as f:
+        nodes = list(ast.walk(ast.parse(f.read())))
+    imported = [alias.name for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in nodes
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and all(name.split(".")[0] in sys.stdlib_module_names
+                            for name in imported), imported
 
 
 def test_union_is_the_sweep_of_both_sets_boxes(monkeypatch):
