@@ -64,7 +64,8 @@ class Test:
     def __post_init__(self):
         if self.kind not in ("det", "nl", "conl", "prob"):
             raise ValueError(f"unknown test kind {self.kind!r}")
-        _exact(self.cutpoint)           # refuses a binary floating value
+        # a "p/q" string reads as its Fraction; a binary float is refused
+        object.__setattr__(self, "cutpoint", _exact(self.cutpoint))
         if not (0 <= self.cutpoint < 1):
             raise ValueError("cutpoint must lie in [0, 1)")
 
@@ -75,7 +76,7 @@ T_CONL = Test("conl")
 
 
 def t_prob(cutpoint=Fraction(1, 2)) -> Test:
-    return Test("prob", _exact(cutpoint))
+    return Test("prob", cutpoint)
 
 
 @dataclass(frozen=True)

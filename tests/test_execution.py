@@ -430,6 +430,8 @@ def test_float_cutpoints_are_refused():
     assert t_prob("1/10").cutpoint == Fraction(1, 10)
     assert t_prob(0).cutpoint == 0
     assert Test("prob", Fraction(1, 3)).cutpoint == Fraction(1, 3)
+    assert Test("prob", "1/2") == t_prob(Fraction(1, 2))
+    assert type(Test("prob", "1/2").cutpoint) is Fraction
 
 
 def test_decaying_revisit_is_unresolved_not_looping():
