@@ -124,6 +124,14 @@ def _node_id(name: str) -> str:
     return '"' + name.replace('"', "'") + '"'
 
 
+def _arrows(e):
+    """One arrow per source cell and target cell of ``e``, in cell order,
+    with its style: dashed when the realizer permutes coordinates."""
+    style = ["style=dashed"] if e.realizer.perm else []
+    return [(src_cell, dst_cell, style) for src_cell in sorted(e.source.cells())
+            for dst_cell in sorted(e.target.cells())]
+
+
 def graphing_dot(g: Graphing, names: dict[int, str]) -> str:
     """Quotient picture of a graphing: one node per cell, dashed for
     permutation-realized edges."""
@@ -134,17 +142,13 @@ def graphing_dot(g: Graphing, names: dict[int, str]) -> str:
         label = names.get(cell, f"cell{cell}")
         lines.append(f"  {_node_id(label)};")
     for e in g.edges:
-        for src_cell in sorted(e.source.cells()):
-            for dst_cell in sorted(e.target.cells()):
-                attrs = []
-                if e.realizer.perm:
-                    attrs.append("style=dashed")
-                if e.weight != 1:
-                    attrs.append(f'label="{frac_str(e.weight)}"')
-                attr = (" [" + ",".join(attrs) + "]") if attrs else ""
-                lines.append(f"  {_node_id(names.get(src_cell, f'cell{src_cell}'))}"
-                             f" -> {_node_id(names.get(dst_cell, f'cell{dst_cell}'))}"
-                             f"{attr};")
+        weight = [f'label="{frac_str(e.weight)}"'] if e.weight != 1 else []
+        for src_cell, dst_cell, style in _arrows(e):
+            attrs = style + weight
+            attr = (" [" + ",".join(attrs) + "]") if attrs else ""
+            lines.append(f"  {_node_id(names.get(src_cell, f'cell{src_cell}'))}"
+                         f" -> {_node_id(names.get(dst_cell, f'cell{dst_cell}'))}"
+                         f"{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -166,16 +170,13 @@ def run_dot(result: PlugResult, names: dict[int, str], accepting_steps) -> str:
 
     for tag, side, graphing in zip(("machine", "word"), "FG", result.operands):
         for idx, e in enumerate(graphing.edges):
-            for src_cell in sorted(e.source.cells()):
-                for dst_cell in sorted(e.target.cells()):
-                    attrs = [f'class="{tag}"']
-                    if e.realizer.perm:
-                        attrs.append("style=dashed")
-                    if tag == "word":
-                        attrs.append("color=gray40")
-                    if (side, idx) in bold:
-                        attrs.append("penwidth=3")
-                    lines.append(f"  {node(src_cell)} -> {node(dst_cell)}"
-                                 f" [{','.join(attrs)}];")
+            for src_cell, dst_cell, style in _arrows(e):
+                attrs = [f'class="{tag}"'] + style
+                if tag == "word":
+                    attrs.append("color=gray40")
+                if (side, idx) in bold:
+                    attrs.append("penwidth=3")
+                lines.append(f"  {node(src_cell)} -> {node(dst_cell)}"
+                             f" [{','.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
