@@ -6,7 +6,9 @@ inside a box or misses it.  A set of boxes is one bitmask per cell, one
 bit per square, laid end to end in one integer: union, meet and
 difference are ``|``, ``&`` and ``& ~``.  Of a box the model reads only
 ``cell`` and ``coords``, pairs of an axis and an interval with integer
-fields ``a < b`` over ``d``; it imports nothing from graphvm.
+fields ``a < b`` over ``d``, and of a realizer only ``shift``, the pairs
+of ``perm`` and the numerators and denominators of ``offsets``; it
+imports nothing from graphvm.
 """
 
 from itertools import product
@@ -54,6 +56,15 @@ class Grid:
             out |= mask << self.size * self.cells.index(box.cell)
         return out
 
+    def measure(self, bits) -> tuple[int, int]:
+        """The volume of the squares in ``bits``: a numerator over the
+        product of the axes' scales."""
+        volumes = [prod(hi - lo for lo, hi in ends.values())
+                   for _, ends in self.squares()]
+        held = format(bits, "b")[::-1]  # digit k is bit k
+        return (sum(v for v, digit in zip(volumes, held) if digit == "1"),
+                prod(self.scale.values()))
+
     def squares(self):
         """Each square in bit order: its cell, and per axis its ends as
         numerators over ``scale``."""
@@ -73,3 +84,33 @@ class Grid:
                                           (region & ~inside, weights))
                        if part]
         return [weights for _, weights in classes if weights]
+
+
+class Interval:
+    """[a/d, b/d), in integers that need not be reduced."""
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+
+
+class Box:
+    """A cell and pairs of an axis and an ``Interval``: a box as ``Grid``
+    reads one."""
+    def __init__(self, cell: int, coords: dict):
+        self.cell, self.coords = cell, tuple(coords.items())
+
+
+def image(realizer, box):
+    """The image of ``box``: its axes moved by ``perm``, each offset
+    ``p/q`` added on its axis and the cell moved by ``shift``; or, when an
+    offset pushes the box out of [0, 1), the input axis of the first such
+    offset in offset order."""
+    perm, back = dict(realizer.perm), {k: j for j, k in realizer.perm}
+    coords = {perm.get(j, j): iv for j, iv in box.coords}
+    for j, c in realizer.offsets:
+        p, q = c.numerator, c.denominator
+        iv = coords.get(j, Interval(0, 1, 1))
+        lo, hi = iv.a * q + p * iv.d, iv.b * q + p * iv.d
+        if lo < 0 or hi > q * iv.d:
+            return back.get(j, j)
+        coords[j] = Interval(lo, hi, q * iv.d)
+    return Box(box.cell + realizer.shift, coords)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridmodel import Grid, image
 import graphvm.realizers as realizer_module
 from graphvm.realizers import (DomainViolation, Microcosm, Realizer,
                                preimage_within, standard_generators)
@@ -248,11 +249,24 @@ def boxes(draw):
     return RationalBox.make(cell, constraints)
 
 
+def _check_image(got, boxes, *maps):
+    """``got`` has the bits of the model's image of ``boxes`` under each
+    of ``maps`` in turn, and the measure of both."""
+    want = boxes
+    for r in maps:
+        want = [image(r, b) for b in want]
+        assert not any(type(x) is int for x in want), want
+    grid = Grid([*got.boxes, *want, *boxes])
+    assert grid.bits(got.boxes) == grid.bits(want)
+    assert got.measure() == Fraction(*grid.measure(grid.bits(want))) == \
+        Fraction(*grid.measure(grid.bits(boxes)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(realizers(), boxes())
 def test_apply_preserves_measure(r, b):
     s = r.domain_within(ms(b))
-    assert r.apply(s).measure() == s.measure()
+    _check_image(r.apply(s), s.boxes, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,15 +276,16 @@ def test_compose_matches_sequential_application(r1, r2, b):
     s = r1.domain_within(s)
     image1 = r1.apply(s)
     s = r1.invert().apply(r2.domain_within(image1))
-    both = r1.compose(r2)
-    assert both.apply(s) == r2.apply(r1.apply(s))
+    _check_image(r1.compose(r2).apply(s), s.boxes, r1, r2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(realizers(), boxes())
 def test_invert_round_trips(r, b):
     s = r.domain_within(ms(b))
-    assert r.invert().apply(r.apply(s)) == s
+    _check_image(r.apply(s), s.boxes, r)
+    _check_image(r.invert().apply(r.apply(s)), s.boxes, r, r.invert())
+    _check_image(s, s.boxes, r, r.invert())
     back = r.invert().invert()
     assert back == r and hash(back) == hash(r)
 
@@ -280,38 +295,25 @@ def test_invert_round_trips(r, b):
 any_realizers = st.one_of(realizers(), realizers(permute=False))
 
 
-def _reference_apply_box(r, b):
-    """``r.apply_box(b)`` in Fraction arithmetic through
-    ``RationalBox.make``, or, when an offset takes the box out of [0, 1),
-    the input coordinate of the first such offset in offset order."""
-    coords = {r.perm_image(j): iv for j, iv in b.coords}
-    for j, c in r.offsets:
-        iv = coords.get(j, interval(0, 1))
-        if iv.lo + c < 0 or iv.hi + c > 1:
-            return r.perm_preimage(j)
-        coords[j] = interval(iv.lo + c, iv.hi + c)
-    return RationalBox.make(b.cell + r.shift, coords)
-
-
 @settings(max_examples=300, deadline=None)
 @given(any_realizers, boxes())
 def test_a_one_box_image_is_the_swept_one(r, b):
     for box in r.domain_within(ms(b)).boxes:
-        image = r.apply_box(box)
-        assert image == RationalBox.make(image.cell, image.coord_map)
-        assert image == _reference_apply_box(r, box)
+        got = r.apply_box(box)
+        assert got == RationalBox.make(got.cell, got.coord_map)
+        _check_image(MeasurableSet((got,)), (box,), r)
         # one box skips the sweep, and the box given twice goes through it
         assert r.apply(ms(box)).boxes == \
-            MeasurableSet.from_boxes([image]).boxes == \
-            MeasurableSet.from_boxes([image, image]).boxes
+            MeasurableSet.from_boxes([got]).boxes == \
+            MeasurableSet.from_boxes([got, got]).boxes
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_realizers, boxes())
 def test_a_violation_names_the_input_coordinate(r, b):
-    want = _reference_apply_box(r, b)
-    if isinstance(want, RationalBox):
-        assert r.apply(ms(b)) == ms(want)
+    want = image(r, b)
+    if type(want) is not int:
+        _check_image(r.apply(ms(b)), (b,), r)
         return
     for call in (r.apply_box, lambda box: r.apply(ms(box))):
         with pytest.raises(DomainViolation) as err:
@@ -483,7 +485,7 @@ def test_defined_on_is_exactly_where_apply_box_does_not_raise(r, b):
         applies = True
     except DomainViolation:
         applies = False
-    assert r.defined_on(b) == applies
+    assert (type(image(r, b)) is not int) == r.defined_on(b) == applies
     assert r.defined_on(b) == (r.domain_within(ms(b)) == ms(b))
     # the part of b in the domain reaches the domain's edge exactly
     for part in r.domain_within(ms(b)).boxes:
