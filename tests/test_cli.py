@@ -7,8 +7,7 @@ import pytest
 from graphvm import cli, encodings, load_machine, pfa_accept_prob
 from graphvm.cli import (EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_UNDETERMINED, main)
-
-MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
+from harness import MACHINES, log_calls, shipped_machines
 
 
 def mach(name):
@@ -70,18 +69,10 @@ def test_repeated_alphabet_symbol_is_a_parse_error(tmp_path, capsys):
 
 
 def test_run_out_encodes_the_word_once(tmp_path, monkeypatch):
-    calls = []
-    real = encodings.encode_word
-
-    def counting(word, *args, **kwargs):
-        calls.append(word)
-        return real(word, *args, **kwargs)
-
-    monkeypatch.setattr(encodings, "encode_word", counting)
-    monkeypatch.setattr(cli, "encode_word", counting)
+    calls = log_calls(monkeypatch, (encodings, "encode_word"))
     assert main(["run", mach("one-then-zero.mach"), "0110",
                  "--out", str(tmp_path)]) == EXIT_OK
-    assert calls == ["0110"]
+    assert [args[0] for _, args in calls] == ["0110"]
     assert (tmp_path / "run.dot").read_text().startswith('digraph "run"')
 
 
@@ -163,7 +154,7 @@ def test_experiment_compile(capsys):
 
 
 def test_experiment_compile_on_every_shipped_machine(capsys):
-    for name in sorted(os.listdir(MACHINES)):
+    for name, _ in shipped_machines():
         code = main(["experiment", "compile", mach(name), "--max-len", "3"])
         out, err = capsys.readouterr()
         if name == "one-then-zero.mach":  # two heads: a swap is no shift
@@ -320,14 +311,7 @@ def test_run_prob_prints_the_oracle_accept_mass(capsys):
 
 def test_run_prob_sums_the_accept_mass_once(monkeypatch, capsys):
     from graphvm import execution
-    calls = []
-    landed = execution._landed_mass
-
-    def counted(*args):
-        calls.append(args)
-        return landed(*args)
-
-    monkeypatch.setattr(execution, "_landed_mass", counted)
+    calls = log_calls(monkeypatch, (execution, "_landed_mass"))
     code = main(["run", mach("coin-flip.mach"), "01", "--test", "prob"])
     assert code == EXIT_OK
     assert "accept mass: 3/4" in capsys.readouterr().out

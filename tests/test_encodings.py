@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -10,11 +9,12 @@ from graphvm.encodings import (IN, OUT, WORD_EDGE_CACHE, EncodedMachine,
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, evaluate_test,
                                language, t_prob)
 from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
-from graphvm.machines import (MARKER, MachineSpec, load_machine,
-                              parse_machine, validate_spec)
+from graphvm.machines import (MARKER, MachineSpec, parse_machine,
+                              validate_spec)
 from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
 from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
+from harness import log_calls, shipped_machines
 
 LAYOUT = TapeLayout(("0", "1"))
 
@@ -189,17 +189,8 @@ def test_word_edges_up_to_length_ten_fit_in_the_cache():
 
 def test_repeated_word_encoding_builds_no_set_or_realizer(monkeypatch):
     encode_word("0110", LAYOUT, state_rows=2)
-    calls = []
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return staticmethod(wrapper)
-
-    monkeypatch.setattr(MeasurableSet, "from_boxes",
-                        counting("from_boxes", MeasurableSet.from_boxes))
-    monkeypatch.setattr(Realizer, "make", counting("make", Realizer.make))
+    calls = log_calls(monkeypatch, (MeasurableSet, "from_boxes"),
+                      (Realizer, "make"))
     again = encode_word("0110", LAYOUT, state_rows=2)
     assert calls == []
     assert len(again.graphing.edges) == 2 * 2 * 5
@@ -397,10 +388,8 @@ def test_one_way_words_change_nothing_without_retreats():
     only machines that retreat."""
     tests_of = {"det": (T_DET, T_CONL), "nondet": (T_NL, T_CONL),
                 "prob": (t_prob(),)}
-    here = os.path.join(os.path.dirname(__file__), "..", "machines")
     checked = []
-    for name in sorted(os.listdir(here)):
-        spec = load_machine(os.path.join(here, name))
+    for name, spec in shipped_machines():
         if spec.retreat_entered_states():
             continue
         m = encode_machine(spec)

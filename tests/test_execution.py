@@ -15,6 +15,7 @@ from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
+from harness import log_calls, shipped_machines
 
 
 def ms(*boxes):
@@ -224,9 +225,8 @@ def _start_scan_pairs():
     """Seeded sampling pairs and the four plugs of seeded triples in every
     mode, the pairs whose cut holds part of a cell, then every shipped
     machine against its words up to length 2."""
-    import os
     from graphvm.encodings import encode_machine, encode_word
-    from graphvm.machines import load_machine, words_up_to
+    from graphvm.machines import words_up_to
     for mode in ("det", "nondet", "prob"):
         for seed in range(10):
             yield random_pair(seed, mode)
@@ -234,9 +234,8 @@ def _start_scan_pairs():
             fg, gh = plug(f, g).graphing, plug(g, h).graphing
             yield from ((f, g), (g, h), (fg, h), (f, gh))
     yield from _partial_cell_pairs()
-    machines = os.path.join(os.path.dirname(__file__), "..", "machines")
-    for name in sorted(os.listdir(machines)):
-        m = encode_machine(load_machine(os.path.join(machines, name)))
+    for _, spec in shipped_machines():
+        m = encode_machine(spec)
         for word in words_up_to(m.spec.alphabet, 2):
             for one_way in (False, True):
                 yield m.graphing, encode_word(
@@ -408,18 +407,11 @@ def test_an_edge_that_cannot_land_makes_no_apply_call(monkeypatch):
     f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(11))],
                  (0, 11))
     result = plug(f, graphing([], (5,)))
-    calls = []
-    apply = Realizer.apply
-
-    def counted(realizer, s):
-        calls.append(realizer)
-        return apply(realizer, s)
-
-    monkeypatch.setattr(Realizer, "apply", counted)
+    calls = log_calls(monkeypatch, (Realizer, "apply"))
     assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
     assert calls == []
     assert evaluate_test(result, T_CONL, regions) is Verdict.REJECT
-    assert calls == [Realizer.shift_by(11)]
+    assert [args[0] for _, args in calls] == [Realizer.shift_by(11)]
 
 
 def test_float_cutpoints_are_refused():
@@ -465,12 +457,9 @@ def test_cycle_closing_only_from_a_later_rotation_is_not_kept():
 # -- the table that language shares across its words --------------------------
 
 def _shipped_machines():
-    import os
     from graphvm.encodings import encode_machine
-    from graphvm.machines import load_machine
-    here = os.path.join(os.path.dirname(__file__), "..", "machines")
-    for name in sorted(os.listdir(here)):
-        yield name, encode_machine(load_machine(os.path.join(here, name)))
+    for name, spec in shipped_machines():
+        yield name, encode_machine(spec)
 
 
 def _tests_for(mode):
@@ -504,31 +493,12 @@ def test_a_shared_table_gives_the_same_results():
 
 
 def _counting(monkeypatch):
-    """Wrap ``Realizer.compose`` and ``MeasurableSet.intersect`` so that
-    each computation is logged as ``(method, a, b)``; the log and a flag
-    telling whether the call came while ``run_word``'s plug ran."""
-    from graphvm import encodings
-    log = []
-    inside = [False]
-    for cls, name in ((Realizer, "compose"), (MeasurableSet, "intersect")):
-        method = getattr(cls, name)
-
-        def counted(a, b, method=method, name=name):
-            log.append((name, a, b, inside[0]))
-            return method(a, b)
-
-        monkeypatch.setattr(cls, name, counted)
-    real_plug = encodings.plug
-
-    def flagged_plug(*args, **kwargs):
-        inside[0] = True
-        try:
-            return real_plug(*args, **kwargs)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(encodings, "plug", flagged_plug)
-    return log
+    """Log every ``Realizer.compose`` and ``MeasurableSet.intersect``, and
+    the ``plug`` and ``evaluate_test`` calls that tell where each came."""
+    from graphvm import execution
+    return log_calls(monkeypatch, (Realizer, "compose"),
+                     (MeasurableSet, "intersect"), (execution, "plug"),
+                     (execution, "evaluate_test"))
 
 
 def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
@@ -542,9 +512,14 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         first_log = list(log)
         # evaluate_test's landing meets lie outside the table; every
         # compose and intersect a plug does goes through it
-        in_plug = [(method, a, b) for method, a, b, flag in first_log if flag]
+        in_plug, inside = [], False
+        for method, args in first_log:
+            if method in ("plug", "evaluate_test"):
+                inside = method == "plug"
+            elif inside:
+                in_plug.append((method, args))
         assert in_plug and len(set(in_plug)) == len(in_plug), name
-        assert any(method == "compose" for method, _, _ in in_plug), name
+        assert any(method == "compose" for method, _ in in_plug), name
         # the table is dropped with the call: the same call again
         # computes everything again
         log.clear()
@@ -582,13 +557,9 @@ def test_a_lone_plug_keeps_no_table(monkeypatch):
 # -- each graphing is checked once, however often it is plugged ----------------
 
 def _counting_sweeps(monkeypatch):
-    """The graphings ``graphing._find_problems`` sweeps, in call order."""
+    """Log the graphings ``graphing._find_problems`` sweeps."""
     from graphvm import graphing as graphing_module
-    swept = []
-    find = graphing_module._find_problems
-    monkeypatch.setattr(graphing_module, "_find_problems",
-                        lambda g: swept.append(g) or find(g))
-    return swept
+    return log_calls(monkeypatch, (graphing_module, "_find_problems"))
 
 
 def _shift_pair():
@@ -616,7 +587,7 @@ def test_a_graphing_plugged_twice_is_swept_once(monkeypatch):
     swept = _counting_sweeps(monkeypatch)
     f, g = _shift_pair()
     first = plug(f, g)
-    assert [id(x) for x in swept] == [id(f), id(g)]
+    assert [id(args[0]) for _, args in swept] == [id(f), id(g)]
     second = plug(f, g)
     assert len(swept) == 2 and second.graphing.same_as(first.graphing)
     # a plug result is a graphing like any other
@@ -624,7 +595,8 @@ def test_a_graphing_plugged_twice_is_swept_once(monkeypatch):
                  (2, 3))
     for _ in range(2):
         plug(first.graphing, h)
-    assert [id(x) for x in swept[2:]] == [id(first.graphing), id(h)]
+    assert [id(args[0]) for _, args in swept] == [
+        id(f), id(g), id(first.graphing), id(h)]
 
 
 def test_word_graphings_are_never_swept(monkeypatch):
@@ -833,14 +805,7 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
     _, _, dead_paths, diag = _eager_plug(f, g)
     assert [p.source for p in dead_paths] == [ms(cellbox(0, "3/4", 1))]
     cut = f.carrier.intersect(g.carrier)
-    taken = []
-    subtract = MeasurableSet.subtract
-
-    def counted(a, b):
-        taken.append(b)
-        return subtract(a, b)
-
-    monkeypatch.setattr(MeasurableSet, "subtract", counted)
+    taken = log_calls(monkeypatch, (MeasurableSet, "subtract"))
     for order in (("dead_paths", "dead_mass"), ("dead_mass", "dead_paths")):
         result = plug(f, g)
         # the plug splits the whole-cell cut by cell: no difference at all,
@@ -852,7 +817,8 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
             owner = result if name == "dead_paths" else result.diagnostics
             got[name] = getattr(owner, name)
             # the first read sweeps both nodes, the second sweeps none
-            assert len(taken) == 2 and cut not in taken, order
+            assert len(taken) == 2, order
+            assert cut not in [b for _, (_, b) in taken], order
         assert got == {"dead_paths": dead_paths,
                        "dead_mass": diag["dead_mass"]}
         taken.clear()
@@ -902,11 +868,7 @@ def test_workloads_never_sweep_a_set(monkeypatch):
     from graphvm.encodings import run_word
     from graphvm.execution import language
     from graphvm.machines import words_up_to
-
-    sweeps = []
-    canon_group = space._canon_group
-    monkeypatch.setattr(space, "_canon_group",
-                        lambda *args: sweeps.append(1) or canon_group(*args))
+    sweeps = log_calls(monkeypatch, (space, "_canon_group"))
     runs = 0
     for _, m in _shipped_machines():
         for test in _tests_for(m.spec.mode):

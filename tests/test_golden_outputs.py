@@ -15,8 +15,7 @@ import os
 import pytest
 
 from graphvm.cli import EXIT_OK, main
-
-MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
+from harness import MACHINES
 
 STDOUT = "<stdout>"
 

@@ -13,6 +13,7 @@ from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
+from harness import log_calls, shipped_machines
 
 
 def ms(*boxes):
@@ -221,11 +222,15 @@ _PROBLEM_KINDS = ("not in monoid", "exceeds realizer domain",
 
 def test_validate_matches_the_set_algebra_reference():
     rng = random.Random(23)
-    corpus = [_random_graphing(rng) for _ in range(1500)]
-    sampled = list(_sampled_graphings())
-    corpus += sampled + [_with_a_corner_cut(g, rng) for g in sampled]
+
+    def corpus():
+        yield from (_random_graphing(rng) for _ in range(1500))
+        # plug validates both sides: build the plugged part only after
+        # every random graphing has been compared with the model
+        sampled = list(_sampled_graphings())
+        yield from sampled + [_with_a_corner_cut(g, rng) for g in sampled]
     seen = Counter()
-    for g in corpus:
+    for g in corpus():
         got = validate(g)
         assert got == _model_problems(g)
         seen.update(kind for p in got for kind in _PROBLEM_KINDS if kind in p)
@@ -250,31 +255,19 @@ def test_validate_matches_the_set_algebra_reference():
 
 def test_sampled_graphings_are_built_and_checked_box_by_box(monkeypatch):
     import graphvm.realizers as realizer_module
-    calls = Counter()
-
-    def count(owner, name, wrap=lambda f: f):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrap(counted))
-
-    count(Realizer, "make", staticmethod)
-    count(realizer_module, "_normalize_perm")
+    calls = log_calls(monkeypatch, (Realizer, "make"),
+                      (realizer_module, "_normalize_perm"))
     # at seed 15 _disjoint_intervals draws the cuts 0 and 8 in every mode
     sampled = [g for seed in (0, 1, 2, 3, 4, 5, 15)
                for mode in ("det", "nondet", "prob")
                for g in random_pair(seed, mode)]
-    assert calls == Counter()
-    for name in ("intersect", "subset_of"):
-        count(MeasurableSet, name)
-    for name in ("apply", "domain_within"):
-        count(Realizer, name)
+    assert calls == []
+    checked = log_calls(monkeypatch, (MeasurableSet, "intersect"),
+                        (MeasurableSet, "subset_of"), (Realizer, "apply"),
+                        (Realizer, "domain_within"))
     for g in sampled:
         assert validate(g) == []
-    assert calls == Counter()
-    monkeypatch.undo()
+    assert calls == checked == []
     edges = [e for g in sampled for e in g.edges]
     assert not any("target" in vars(e) for e in edges)
     for e in edges:
@@ -506,17 +499,8 @@ def test_classify_matches_the_refinement_sums():
 
 def test_classify_builds_no_box(monkeypatch):
     graphings = list(_sampled_graphings())
-    built = []
-
-    def counted(method):
-        def wrapper(obj, *args):
-            built.append(obj)
-            return method(obj, *args)
-        return wrapper
-
-    for cls, name in ((RationalInterval, "__post_init__"),
-                      (RationalBox, "__init__")):
-        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    built = log_calls(monkeypatch, (RationalInterval, "__post_init__"),
+                      (RationalBox, "__init__"))
     # every class the sampled graphings take, general aside
     assert {classify(g) for g in graphings} == {
         GraphingClass.DETERMINISTIC, GraphingClass.NONDETERMINISTIC,
@@ -538,14 +522,11 @@ def _fractions_in(key):
 
 
 def test_edge_keys_build_no_fractions_outside_the_weight():
-    import os
     from graphvm.encodings import TapeLayout, encode_machine, encode_word
-    from graphvm.machines import load_machine
-    here = os.path.join(os.path.dirname(__file__), "..", "machines")
     graphings = [encode_word("01101001", TapeLayout(("0", "1")),
                              state_rows=3).graphing]
-    graphings += [encode_machine(load_machine(os.path.join(here, name))).graphing
-                  for name in sorted(os.listdir(here))]
+    graphings += [encode_machine(spec).graphing
+                  for _, spec in shipped_machines()]
     assert len(graphings) == 12
     for g in graphings:
         assert g.edges

@@ -6,6 +6,7 @@ import pytest
 from graphvm.machines import (Action, MachineParseError, MachineSpec,
                               MachineSpecError, format_machine, parse_machine,
                               validate_spec)
+from harness import log_calls
 
 ONES = """
 name: ones
@@ -147,13 +148,10 @@ def test_integer_weight_rules_match_the_fraction_rules(mode):
 def test_a_parsed_spec_is_validated_once(monkeypatch):
     from graphvm import machines
     from graphvm.encodings import encode_machine
-    checked = []
-    find = machines._find_problems
-    monkeypatch.setattr(machines, "_find_problems",
-                        lambda spec: checked.append(spec) or find(spec))
+    checked = log_calls(monkeypatch, (machines, "_find_problems"))
     spec = parse_machine(ONES)
     encode_machine(spec)
-    assert checked == [spec]
+    assert checked == [("_find_problems", (spec,))]
     # each caller gets a list of its own
     first = validate_spec(spec)
     first.append("scribble")

@@ -23,11 +23,11 @@ from graphvm.encodings import (IN, OUT, _tape_carrier, encode_machine,
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, accept_mass,
                                evaluate_test, language, reject_mass)
 from graphvm.graphing import PROBABILITIES, TRIVIAL, Edge, Graphing
-from graphvm.machines import (MARKER, format_machine, load_machine,
-                              parse_machine)
+from graphvm.machines import MARKER, format_machine, parse_machine
 from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.space import MeasurableSet, RationalBox
+from harness import shipped_machines
 
 MACHINEGEN = os.path.join(os.path.dirname(__file__), "..", "perfbench",
                           "machinegen.py")
@@ -118,9 +118,7 @@ def _by_landed_mass(result, test, regions):
     return Verdict.UNDETERMINED if pending else Verdict.REJECT
 
 
-SHIPPED = os.path.join(os.path.dirname(__file__), "..", "machines")
-SHIPPED_SPECS = [load_machine(os.path.join(SHIPPED, name))
-                 for name in sorted(os.listdir(SHIPPED))]
+SHIPPED_SPECS = [spec for _, spec in shipped_machines()]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from graphvm.realizers import (DomainViolation, Microcosm, Realizer,
                                preimage_within, standard_generators)
 from graphvm.sampling import random_pair
 from graphvm.space import MeasurableSet, RationalBox, interval
+from harness import log_calls
 
 
 def ms(*boxes):
@@ -333,21 +334,8 @@ def test_one_box_images_and_composites_take_the_direct_path(monkeypatch):
                   for r1 in realizers_met for r2 in realizers_met]
     assert any(r.perm for r, _, _ in images)
     assert any(not r.perm for r, _, _ in images)
-    calls = []
-    from_boxes = MeasurableSet.from_boxes
-    normalize = realizer_module._normalize_perm
-
-    def counted_from_boxes(boxes):
-        calls.append("from_boxes")
-        return from_boxes(boxes)
-
-    def counted_normalize(perm):
-        calls.append("_normalize_perm")
-        return normalize(perm)
-
-    monkeypatch.setattr(MeasurableSet, "from_boxes",
-                        staticmethod(counted_from_boxes))
-    monkeypatch.setattr(realizer_module, "_normalize_perm", counted_normalize)
+    calls = log_calls(monkeypatch, (MeasurableSet, "from_boxes"),
+                      (realizer_module, "_normalize_perm"))
     for r, s, want in images:
         assert r.apply(s) == want
     for r1, r2, want in composites:

@@ -21,7 +21,6 @@ exported payload must also be the compact sorted-key text that
 
 import functools
 import hashlib
-import os
 import random
 
 import pytest
@@ -30,22 +29,21 @@ from graphvm.encodings import encode_machine, run_word
 from graphvm.execution import plug
 from graphvm.export import dumps, result_payload
 from graphvm.graphing import classify, validate
-from graphvm.machines import load_machine, words_up_to
+from graphvm.machines import words_up_to
 from graphvm.sampling import random_pair, random_triple
 
+from harness import shipped_machines
 from test_export import canonical
 from test_graphing import (_random_graphing, _sampled_graphings,
                            _with_a_corner_cut)
-
-MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
 
 MODES = ("det", "nondet", "prob")
 
 
 def machine_run_results():
     """The plug results whose payloads make the ``machine_runs`` family."""
-    for name in sorted(os.listdir(MACHINES)):
-        machine = encode_machine(load_machine(os.path.join(MACHINES, name)))
+    for _, spec in shipped_machines():
+        machine = encode_machine(spec)
         for word in words_up_to(machine.spec.alphabet, 4):
             for one_way in (True, False):
                 for max_steps in (10000, 5):
