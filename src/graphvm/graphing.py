@@ -52,8 +52,10 @@ class TrivialWeights(WeightMonoid):
         return UNIT
 
     def admits(self, w):
-        # in integers, so a float 1.0 is refused: in lowest terms 1 is 1/1
-        return isinstance(w, Rational) and w.numerator == w.denominator
+        # in integers, so a float 1.0 is refused: in lowest terms 1 is 1/1;
+        # a Fraction is let through before the dearer ABC check
+        return ((type(w) is Fraction or isinstance(w, Rational))
+                and w.numerator == w.denominator)
 
 
 class ProbabilityWeights(WeightMonoid):
@@ -66,7 +68,8 @@ class ProbabilityWeights(WeightMonoid):
 
     def admits(self, w):
         # in integers, as the trivial monoid's: a denominator is positive
-        return isinstance(w, Rational) and 0 <= w.numerator <= w.denominator
+        return ((type(w) is Fraction or isinstance(w, Rational))
+                and 0 <= w.numerator <= w.denominator)
 
 
 TRIVIAL = TrivialWeights()
@@ -89,7 +92,8 @@ class Edge:
         return self.realizer.apply(self.source)
 
     def key(self):
-        return (tuple(b.key() for b in self.source.boxes),
+        # the boxes' own sort keys, read off their fields
+        return (tuple([(b.cell, b.coords) for b in self.source.boxes]),
                 self.realizer.key(), self.weight)
 
 

@@ -149,7 +149,11 @@ class Realizer:
         # The image is normal once its indices are sorted: the permutation
         # moves positive indices only, an offset on a coordinate b leaves
         # free has raised above, and a nonzero offset never yields [0, 1).
-        return RationalBox(b.cell + self.shift, tuple(sorted(coords.items())))
+        # So with no permutation the offsets rewrote coordinates of b in
+        # place, and b's order is the sorted one.
+        return RationalBox(b.cell + self.shift,
+                           tuple(sorted(coords.items())) if self.perm
+                           else tuple(coords.items()))
 
     def apply(self, s: MeasurableSet) -> MeasurableSet:
         """The image of ``s``.  A one-box set maps to its box's image,
@@ -178,11 +182,20 @@ class Realizer:
         """The map acting as ``then`` after ``self``, built in normal
         form: a composite of permutations is one, so its moved pairs need
         no check, and the offsets are summed in integers."""
+        shift = self.shift + then.shift
+        if not self.perm and not then.perm:
+            # shifts and offsets alone: one side's offsets, if only one
+            # has any, are the composite's as they stand
+            if not then.offsets:
+                return Realizer(shift, (), self.offsets)
+            if not self.offsets:
+                return Realizer(shift, (), then.offsets)
         support = ({j for j, _ in self.perm} | {j for j, _ in then.perm}
                    | {k for _, k in self.perm} | {k for _, k in then.perm})
         perm = tuple(sorted((j, k) for j in support
                             if (k := then.perm_image(self.perm_image(j))) != j))
-        offs = {then.perm_image(j): c for j, c in self.offsets}
+        offs = ({then.perm_image(j): c for j, c in self.offsets} if then.perm
+                else dict(self.offsets))
         for j, c in then.offsets:
             mine = offs.get(j)
             if mine is None:
@@ -195,8 +208,7 @@ class Realizer:
             else:
                 del offs[j]
         # every offset is a nonzero Fraction on a positive coordinate
-        return Realizer(self.shift + then.shift, perm,
-                        tuple(sorted(offs.items())))
+        return Realizer(shift, perm, tuple(sorted(offs.items())))
 
     def invert(self) -> "Realizer":
         return self._inverse
@@ -205,6 +217,10 @@ class Realizer:
     # every time the inverse is a key.
     @lazy
     def _inverse(self) -> "Realizer":
+        if not self.perm:
+            # the offsets negated keep their coordinates and order
+            return Realizer(-self.shift, (),
+                            tuple([(j, -c) for j, c in self.offsets]))
         # the inverse of a normal permutation is normal
         perm = tuple(sorted((k, j) for j, k in self.perm))
         offs = tuple(sorted((self.perm_preimage(j), -c)
@@ -212,8 +228,8 @@ class Realizer:
         return Realizer(-self.shift, perm, offs)
 
     def key(self):
-        return (self.shift, self.perm,
-                tuple((j, c.numerator, c.denominator) for j, c in self.offsets))
+        return (self.shift, self.perm, tuple(
+            [(j, c.numerator, c.denominator) for j, c in self.offsets]))
 
     def text(self) -> str:
         """Stable textual form: ``shift=k; perm=(a b)...; offsets=j:p/q,...``"""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .space import MeasurableSet, RationalBox, RationalInterval, whole_cells
 from .realizers import Microcosm, Realizer
 from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
-                       classify)
+                       UNIT, classify)
 from .execution import plug
 
 
@@ -77,14 +77,15 @@ def _layered_graphing(rng: random.Random, left_cells, right_cells,
 
 
 def _emit(rng, edges, src, dst, iv, mode):
-    # make drops the interval when it is [0, 1): one normal box is canonical
-    source = MeasurableSet((RationalBox.make(src, {1: iv}),))
+    # a normal box leaves [0, 1) out, and one normal box is canonical
+    box = RationalBox(src, () if iv.d == 1 else ((1, iv),))
+    source = MeasurableSet((box,))
     realizer = _random_realizer(rng, src, dst, iv)
     if mode in ("det", "nondet"):
-        edges.append(Edge(Fraction(1), source, realizer))
+        edges.append(Edge(UNIT, source, realizer))
         if mode == "nondet" and rng.randrange(2) == 0:
             other = Realizer.shift_by(dst - src)
-            edges.append(Edge(Fraction(1), source, other))
+            edges.append(Edge(UNIT, source, other))
     else:
         split = Fraction(rng.randrange(1, 4), 4)
         edges.append(Edge(split, source, realizer))

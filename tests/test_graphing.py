@@ -61,15 +61,22 @@ def test_validate_microcosm_membership():
     assert validate(ok) == []
 
 
+class _Ratio(Fraction):
+    """A ``Fraction`` subclass: the monoids admit it through the
+    ``Rational`` check, not their exact-type test."""
+
+
 # (weight, admitted as a probability, admitted as the trivial weight):
 # any rational in [0, 1] is a probability and 1 as any rational is
-# trivial, an int or a bool too; no float is either
+# trivial, an int, a bool or a Fraction subclass too; no float is either
 _WEIGHTS = [
     (Fraction(0), True, False), (Fraction(1, 2), True, False),
     (Fraction(1), True, True), (Fraction(3, 2), False, False),
     (Fraction(-1, 2), False, False), (Fraction(-1), False, False),
     (0, True, False), (1, True, True), (2, False, False),
     (False, True, False), (True, True, True),
+    (_Ratio(1), True, True), (_Ratio(1, 2), True, False),
+    (_Ratio(3, 2), False, False),
     (1 / 2, False, False), (1 / 1, False, False),  # integer division: floats
     ("e", False, False), ("a", False, False),
 ]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,11 @@ def boxes(draw):
     return RationalBox.make(cell, constraints)
 
 
+# ``realizers()`` permutes nothing one time in six; this draws both kinds
+# alike
+any_realizers = st.one_of(realizers(), realizers(permute=False))
+
+
 def _check_image(got, boxes, *maps):
     """``got`` has the bits of the model's image of ``boxes`` under each
     of ``maps`` in turn, and the measure of both."""
@@ -264,14 +270,14 @@ def _check_image(got, boxes, *maps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(realizers(), boxes())
+@given(any_realizers, boxes())
 def test_apply_preserves_measure(r, b):
     s = r.domain_within(ms(b))
     _check_image(r.apply(s), s.boxes, r)
 
 
 @settings(max_examples=200, deadline=None)
-@given(realizers(), realizers(), boxes())
+@given(any_realizers, any_realizers, boxes())
 def test_compose_matches_sequential_application(r1, r2, b):
     s = ms(b)
     s = r1.domain_within(s)
@@ -281,7 +287,7 @@ def test_compose_matches_sequential_application(r1, r2, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(realizers(), boxes())
+@given(any_realizers, boxes())
 def test_invert_round_trips(r, b):
     s = r.domain_within(ms(b))
     _check_image(r.apply(s), s.boxes, r)
@@ -289,11 +295,6 @@ def test_invert_round_trips(r, b):
     _check_image(s, s.boxes, r, r.invert())
     back = r.invert().invert()
     assert back == r and hash(back) == hash(r)
-
-
-# ``realizers()`` permutes nothing one time in six; this draws both kinds
-# alike
-any_realizers = st.one_of(realizers(), realizers(permute=False))
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,17 +331,30 @@ def test_one_box_images_and_composites_take_the_direct_path(monkeypatch):
                MeasurableSet.from_boxes([e.realizer.apply_box(b)]))
               for e in edges for b in e.source.boxes]
     realizers_met = {e.realizer for e in edges}
-    composites = [(r1, r2, _reference_compose(r1, r2))
-                  for r1 in realizers_met for r2 in realizers_met]
+    free_pairs = {(bool(r1.offsets), bool(r2.offsets))
+                  for r1 in realizers_met for r2 in realizers_met
+                  if not (r1.perm or r2.perm)}
+    assert len(free_pairs) == 4
     assert any(r.perm for r, _, _ in images)
     assert any(not r.perm for r, _, _ in images)
+    # (permutes, call, want); each inverse is of a copy that has none cached
+    cases = ([(r.perm, partial(r.apply, s), want) for r, s, want in images]
+             + [(r1.perm or r2.perm, partial(r1.compose, r2),
+                 _reference_compose(r1, r2))
+                for r1 in realizers_met for r2 in realizers_met]
+             + [(r.perm, r.invert, _reference_invert(r))
+                for r in map(dataclasses.replace, realizers_met)])
     calls = log_calls(monkeypatch, (MeasurableSet, "from_boxes"),
                       (realizer_module, "_normalize_perm"))
-    for r, s, want in images:
-        assert r.apply(s) == want
-    for r1, r2, want in composites:
-        assert r1.compose(r2) == want
-    assert calls == []
+    lookups = log_calls(monkeypatch, (Realizer, "perm_image"),
+                        (Realizer, "perm_preimage"))
+    free = []  # the lookups of maps and pairs that permute nothing
+    for permutes, call, want in cases:
+        start = len(lookups)
+        assert call() == want
+        if not permutes:
+            free += lookups[start:]
+    assert calls == [] and free == [] and lookups
 
 
 # Grid points sit on multiples of 1/18; every interval the strategies make
@@ -409,11 +423,12 @@ def test_standard_generators():
 # -- integer offset arithmetic against a Fraction reference -------------------
 
 @st.composite
-def mixed_realizers(draw):
+def mixed_realizers(draw, permute=True):
     """Realizers whose offsets lie on the 1/4, 1/6 or 1/9 grid and often
     cancel, or overflow [0, 1), once composed."""
     shift = draw(st.integers(-2, 2))
-    perm = dict(zip(COORDS, draw(st.permutations(COORDS))))
+    perm = (dict(zip(COORDS, draw(st.permutations(COORDS)))) if permute
+            else None)
     offsets = {}
     for j in COORDS:
         d = draw(st.sampled_from((4, 6, 9)))
@@ -451,8 +466,13 @@ def _check_normal(r):
     assert list(r.perm) == sorted(r.perm)
 
 
+# permuting and permutation-free maps alike, as ``any_realizers`` draws them
+any_mixed_realizers = st.one_of(mixed_realizers(),
+                                mixed_realizers(permute=False))
+
+
 @settings(max_examples=300, deadline=None)
-@given(mixed_realizers(), mixed_realizers())
+@given(any_mixed_realizers, any_mixed_realizers)
 def test_compose_and_invert_match_a_fraction_reference(r1, r2):
     for got, want in ((r1.compose(r2), _reference_compose(r1, r2)),
                       (r2.compose(r1), _reference_compose(r2, r1)),
