@@ -12,8 +12,9 @@ bounds.
 The cost side builds the canonical treeing of the coordinate-permutation
 action: boxes of dyadic ranks, refined wherever prefixes tie, each box
 carried by the head swap that moves its rank pattern one step closer to
-the sorted one.  Partial sums are exact; the closed-form total of the
-full treeing is 1 - 1/i!.
+the sorted one.  The full treeing costs 1 - 1/i!; its truncation at
+dyadic depth d costs that times perm(2^d, i) / 2^(d i), the measure of
+the points whose coordinates have pairwise distinct d-bit prefixes.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial, perm
 
 from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ONE,
-                    ZERO)
+                    ZERO, _exact)
 from .realizers import Microcosm, Realizer, standard_generators
 from .graphing import Edge, Graphing, TRIVIAL
 
@@ -91,6 +91,7 @@ def orbit(cell: int, values: dict[int, Fraction], generators,
     <= k; with inverses this samples the orbit equivalence, positive
     words sample the reachability preorder.  A word reaches the point
     when the point lies in the word's stepwise domain."""
+    values = {j: _exact(v) for j, v in values.items()}
     if not all(ZERO <= v < ONE for v in values.values()):
         raise ValueError("point coordinates must lie in [0, 1)")
     reached = set()
@@ -209,49 +210,22 @@ def unit_shift_witnesses(g: Graphing) -> dict[int, CompilationWitness]:
 
 # -- treeings and cost --------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _group_splits(size: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    """Ways one tied group splits on the next bit: probability and the
-    surviving tied subgroup sizes."""
-    out = []
-    for left in range(size + 1):
-        prob = Fraction(comb(size, left), 2 ** size)
-        survivors = tuple(s for s in (left, size - left) if s >= 2)
-        out.append((prob, survivors))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _untie_probability(groups: tuple[int, ...], levels: int) -> Fraction:
-    """Probability that every tied group separates within ``levels``
-    further dyadic bits."""
-    if not groups:
-        return Fraction(1)
-    if levels == 0:
-        return Fraction(0)
-    total = Fraction(0)
-    options = [_group_splits(size) for size in groups]
-    for combo in itertools.product(*options):
-        prob = Fraction(1)
-        merged: list[int] = []
-        for p, survivors in combo:
-            prob *= p
-            merged.extend(survivors)
-        total += prob * _untie_probability(tuple(sorted(merged)), levels - 1)
-    return total
-
-
 def treeing_cost(i: int, depth: int) -> tuple[Fraction, Fraction]:
     """(partial sum up to dyadic depth, closed-form total) of the cost
-    of the treeing of the i-coordinate permutation action."""
+    of the treeing of the i-coordinate permutation action.
+
+    A point is decided within ``depth`` bits exactly when its i
+    coordinates have pairwise distinct ``depth``-bit prefixes: measure
+    perm(2^depth, i) / 2^(depth i), 0 when i > 2^depth.  The i! rankings
+    share that measure evenly and all but the sorted one carry an edge,
+    so the partial sum is the total times the decided measure."""
     if i < 2:
         raise ValueError("need at least two coordinates to permute")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     total = 1 - Fraction(1, factorial(i))
-    decided = _untie_probability((i,), depth)
-    partial = total * decided
-    return partial, total
+    decided = Fraction(perm(2 ** depth, i), 2 ** (depth * i))
+    return total * decided, total
 
 
 def _swap_parents(i: int) -> dict[tuple[int, ...], int]:

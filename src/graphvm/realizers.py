@@ -165,7 +165,7 @@ class Realizer:
 
     def apply_point(self, cell: int, values: dict[int, Fraction]):
         """Image of a point, or None when outside the domain."""
-        out = {self.perm_image(j): v for j, v in values.items()}
+        out = {self.perm_image(j): _exact(v) for j, v in values.items()}
         for j, c in self.offsets:
             out[j] = out.get(j, ZERO) + c
         if not all(ZERO <= v < ONE for v in out.values()):

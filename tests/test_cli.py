@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm import cli, encodings, load_machine, pfa_accept_prob
+from graphvm import cli, encodings, export, load_machine, pfa_accept_prob
 from graphvm.cli import (EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_UNDETERMINED, main)
 from harness import MACHINES, log_calls, shipped_machines
@@ -129,12 +129,17 @@ def test_language_prob_table(tmp_path):
     assert payload["probabilities"]["0"] == "1/3"
 
 
-def test_experiment_cost(tmp_path, capsys):
-    code = main(["experiment", "cost", "--heads", "2", "--depth", "4",
+@pytest.mark.parametrize("depth, partial", [
+    (4, "15/32"),
+    # deeper than the interpreter's recursion limit
+    (500, export.frac_str(Fraction(2 ** 500 - 1, 2 ** 501))),
+], ids=["depth-4", "depth-500"])
+def test_experiment_cost(tmp_path, capsys, depth, partial):
+    code = main(["experiment", "cost", "--heads", "2", "--depth", str(depth),
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     payload = json.loads((tmp_path / "experiment.json").read_text())
-    assert payload["partial"] == "15/32"
+    assert payload["partial"] == partial
     assert payload["total"] == "1/2"
 
 

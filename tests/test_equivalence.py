@@ -12,7 +12,7 @@ from graphvm.execution import (MeasurementMap, T_DET, cycles, language,
                                measurement)
 from graphvm.graphing import Edge, Graphing, TRIVIAL, cost, validate
 from graphvm.machines import parse_machine
-from graphvm.realizers import Microcosm, Realizer
+from graphvm.realizers import Microcosm, Realizer, standard_generators
 from graphvm.space import MeasurableSet, RationalBox, interval
 
 
@@ -59,10 +59,13 @@ def test_orbit_examples():
     assert [p[0] for p in both] == [-2, -1, 0, 1, 2]
     # a word reaches the point only where every step stays in [0, 1)
     half = Realizer.offset({1: Fraction(1, 2)})
-    assert orbit(0, {1: Fraction(1, 4)}, [half], 3) == \
-        [(0, ((1, Fraction(1, 4)),)), (0, ((1, Fraction(3, 4)),))]
+    for quarter in (Fraction(1, 4), "1/4"):
+        assert orbit(0, {1: quarter}, [half], 3) == \
+            [(0, ((1, Fraction(1, 4)),)), (0, ((1, Fraction(3, 4)),))]
     with pytest.raises(ValueError):
         orbit(0, {1: Fraction(3, 2)}, [half], 1)
+    with pytest.raises(TypeError, match="p/q"):
+        orbit(0, {1: 1 / 2}, standard_generators(2), 1)
 
 
 def test_mutually_compilable_generators_give_the_same_orbits():
@@ -250,11 +253,16 @@ def test_treeing_partials_monotone_and_bounded():
 
 
 def test_explicit_treeing_matches_partial_sums():
-    for i, depth in [(2, 1), (2, 3), (3, 2), (3, 3)]:
+    for i, depth in [(2, 1), (2, 3), (2, 6), (3, 2), (3, 3), (3, 4),
+                     (4, 2), (5, 2)]:
         g = build_treeing(i, depth)
         assert validate(g) == []
         partial, _ = treeing_cost(i, depth)
         assert cost(g) == partial
+    assert treeing_cost(4, 2)[0] == Fraction(23, 256)
+    # pigeonhole: five coordinates never get distinct 2-bit prefixes
+    assert treeing_cost(5, 2)[0] == 0
+    assert build_treeing(5, 2).edges == ()
 
 
 def test_explicit_treeing_edges_are_swaps_into_sorted_order():

@@ -86,6 +86,10 @@ def test_float_offsets_are_refused():
     assert Realizer.make(0, None, {1: "1/10"}) \
         == Realizer.make(0, None, {1: Fraction(1, 10)})
     assert Realizer.make(0, None, {1: 0}) == Realizer.identity()
+    quarter = Realizer.offset({1: Fraction(1, 4)})
+    with pytest.raises(TypeError, match="p/q"):
+        quarter.apply_point(0, {1: 1 / 2})
+    assert quarter.apply_point(0, {1: "1/2"}) == (0, {1: Fraction(3, 4)})
 
 
 def test_a_float_shift_is_refused():
