@@ -138,16 +138,24 @@ def cmd_experiment(args) -> int:
     code = EXIT_OK
     if args.kind == "cost":
         partial, total = equivalence.treeing_cost(args.heads, args.depth)
+        try:
+            partial_text = export.frac_str(partial)
+            total_text = export.frac_str(total)
+        except ValueError:
+            # the interpreter caps int-to-str conversion, which is quadratic
+            raise ValueError(
+                f"--heads {args.heads} --depth {args.depth}: the exact cost "
+                f"has more than {sys.get_int_max_str_digits()} digits, the "
+                f"limit for writing an integer") from None
         payload = {
             "experiment": "cost",
             "heads": args.heads,
             "depth": args.depth,
-            "partial": export.frac_str(partial),
-            "total": export.frac_str(total),
+            "partial": partial_text,
+            "total": total_text,
         }
         print(f"treeing cost, {args.heads} coordinates: partial "
-              f"{export.frac_str(partial)} at depth {args.depth}, "
-              f"total {export.frac_str(total)}")
+              f"{partial_text} at depth {args.depth}, total {total_text}")
     elif args.kind == "separation":
         report = equivalence.separation_experiment(
             args.small, args.large, args.max_word_len, args.max_parts)

@@ -15,9 +15,10 @@ import os
 
 import pytest
 
+from harness import shipped
+
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench",
                       "tracer.py")
-MACHINES = os.path.join(os.path.dirname(__file__), "..", "machines")
 
 
 def _load_tracer():
@@ -45,12 +46,10 @@ def test_wrapped_name_resolves(layer, name):
 def test_language_traces_one_run_word_and_one_plug_per_word():
     from graphvm.encodings import encode_machine
     from graphvm.execution import T_DET, language
-    from graphvm.machines import load_machine
     tracer = _load_tracer()
     for layer in tracer.WRAPPED:
         importlib.import_module(f"graphvm.{layer}")
-    machine = encode_machine(load_machine(os.path.join(MACHINES,
-                                                       "ones.mach")))
+    machine = encode_machine(shipped("ones.mach"))
     with tracer.Tracer() as traced:
         result = language(machine, T_DET, 3)
     calls = {name: row["calls"] for name, row in traced.summary().items()}

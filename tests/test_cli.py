@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,10 @@ def test_experiment_count_below_one_is_a_validation_error(kind, count,
      "search bounds"),
     (["experiment", "separation", "2", "3", "--max-parts", "-1"],
      "search bounds"),
+    # a partial sum too long to write, rather than Python's own message
+    (["experiment", "cost", "--heads", "20", "--depth", "10000"],
+     f"--heads 20 --depth 10000: the exact cost has more than "
+     f"{sys.get_int_max_str_digits()} digits"),
 ])
 def test_negative_bound_is_a_validation_error(argv, message, capsys):
     assert main(argv) == EXIT_INVALID

@@ -14,34 +14,12 @@ from graphvm.machines import (MARKER, MachineSpec, parse_machine,
 from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
 from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
-from harness import log_calls, shipped_machines
+from harness import log_calls, shipped, shipped_machines, whole
 
 LAYOUT = TapeLayout(("0", "1"))
 
-ONES = parse_machine("""
-name: ones
-alphabet: 0 1
-heads: 1
-states: s0
-mode: det
-twoway: true
-s0, * -> reject
-s0, 0 -> advance goto s0
-s0, 1 -> accept
-""")
-
-ONE_THEN_ZERO = parse_machine("""
-name: one-then-zero
-alphabet: 0 1
-heads: 2
-states: L1 L0
-mode: det
-twoway: true
-L1, 0 -> advance goto L1
-L1, 1 -> advance swap 2 goto L0
-L0, 0 -> accept swap 2
-L0, 1 -> advance goto L0
-""")
+ONES = shipped("ones.mach")
+ONE_THEN_ZERO = shipped("one-then-zero.mach")
 
 
 def test_layout_cells_pairwise_distinct():
@@ -423,8 +401,7 @@ def test_tape_layout_refuses_what_a_spec_refuses(alphabet):
 
 def test_machine_graphing_is_validated_when_built():
     m = encode_machine(ONES)
-    stray = Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
-                 Realizer.shift_by(100))
+    stray = Edge(Fraction(1), whole(0), Realizer.shift_by(100))
     bad = Graphing.make(m.graphing.weights, m.graphing.microcosm,
                         m.graphing.carrier, m.graphing.edges + (stray,))
     with pytest.raises(ValueError, match="machine graphing invalid"):

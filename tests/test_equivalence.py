@@ -11,9 +11,9 @@ from graphvm.equivalence import (CompilationWitness, WitnessError,
 from graphvm.execution import (MeasurementMap, T_DET, cycles, language,
                                measurement)
 from graphvm.graphing import Edge, Graphing, TRIVIAL, cost, validate
-from graphvm.machines import parse_machine
 from graphvm.realizers import Microcosm, Realizer, standard_generators
-from graphvm.space import MeasurableSet, RationalBox, interval
+from graphvm.space import MeasurableSet, interval
+from harness import cellbox, ms, shipped, whole
 
 
 def test_phi_words_identity_only():
@@ -128,7 +128,7 @@ def test_is_compilable_needs_a_partition():
     covered = MeasurableSet.empty()
     for piece in witness.pieces:
         covered = covered.union(piece.part)
-    assert covered == MeasurableSet.of(RationalBox.make(0))
+    assert covered == whole(0)
 
 
 def test_max_parts_bound_is_respected():
@@ -140,17 +140,7 @@ def test_max_parts_bound_is_respected():
                          max_word_len=2, max_parts=1) is None
 
 
-ONES = parse_machine("""
-name: ones
-alphabet: 0 1
-heads: 1
-states: s0
-mode: det
-twoway: true
-s0, * -> reject
-s0, 0 -> advance goto s0
-s0, 1 -> accept
-""")
+ONES = shipped("ones.mach")
 
 
 def test_compile_machine_into_unit_shifts_preserves_language():
@@ -169,12 +159,11 @@ def test_compile_machine_into_unit_shifts_preserves_language():
 
 
 def test_compile_with_source_splitting_witness_keeps_cost():
-    src = MeasurableSet.of(RationalBox.make(0))
-    g = Graphing.make(TRIVIAL, Microcosm.m1(),
-                      MeasurableSet.of(RationalBox.make(0), RationalBox.make(1)),
+    src = whole(0)
+    g = Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1),
                       [Edge(Fraction(1), src, Realizer.shift_by(1))])
-    left = MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")}))
-    right = MeasurableSet.of(RationalBox.make(0, {1: interval("1/2", 1)}))
+    left = ms(cellbox(0, 0, "1/2"))
+    right = ms(cellbox(0, "1/2", 1))
     witness = CompilationWitness(Realizer.shift_by(1), tuple(
         WitnessPiece(part, (Realizer.shift_by(1),))
         for part in (left, right)))
@@ -187,12 +176,9 @@ def test_compile_with_source_splitting_witness_keeps_cost():
 def test_compiled_edge_carries_the_checked_realizer():
     # the piece's word composes to the edge's shift 1, which the witness
     # checks prove, so the compiled edge carries that realizer
-    g = Graphing.make(TRIVIAL, Microcosm.m1(),
-                      MeasurableSet.of(*(RationalBox.make(c) for c in range(3))),
-                      [Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
-                            Realizer.shift_by(1))])
-    piece = WitnessPiece(MeasurableSet.of(RationalBox.make(0)),
-                         (Realizer.shift_by(1),))
+    g = Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1, 2),
+                      [Edge(Fraction(1), whole(0), Realizer.shift_by(1))])
+    piece = WitnessPiece(whole(0), (Realizer.shift_by(1),))
     compiled = compile_graphing(
         g, {0: CompilationWitness(Realizer.shift_by(1), (piece,))},
         Microcosm.m1())
@@ -201,20 +187,16 @@ def test_compiled_edge_carries_the_checked_realizer():
 
 
 def test_invalid_witness_names_edge_and_part():
-    src = MeasurableSet.of(RationalBox.make(0))
-    g = Graphing.make(TRIVIAL, Microcosm.m1(),
-                      MeasurableSet.of(RationalBox.make(0), RationalBox.make(1)),
+    src = whole(0)
+    g = Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1),
                       [Edge(Fraction(1), src, Realizer.shift_by(1))])
     wrong = CompilationWitness(Realizer.shift_by(1), (
-        WitnessPiece(MeasurableSet.of(RationalBox.make(0)),
-                     (Realizer.shift_by(2),)),))
+        WitnessPiece(whole(0), (Realizer.shift_by(2),)),))
     with pytest.raises(WitnessError) as err:
         compile_graphing(g, {0: wrong}, Microcosm.m1())
     assert "edge 0" in str(err.value) and "part 0" in str(err.value)
     gappy = CompilationWitness(Realizer.shift_by(1), (
-        WitnessPiece(
-            MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")})),
-            (Realizer.shift_by(1),)),))
+        WitnessPiece(ms(cellbox(0, 0, "1/2")), (Realizer.shift_by(1),)),))
     with pytest.raises(WitnessError) as err:
         compile_graphing(g, {0: gappy}, Microcosm.m1())
     assert "cover" in str(err.value)
@@ -288,10 +270,8 @@ def test_separation_experiment():
 
 
 def _two_cell_shift():
-    return Graphing.make(TRIVIAL, Microcosm.m1(),
-                         MeasurableSet.of(RationalBox.make(0), RationalBox.make(1)),
-                         [Edge(Fraction(1), MeasurableSet.of(RationalBox.make(0)),
-                               Realizer.shift_by(1))])
+    return Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1),
+                         [Edge(Fraction(1), whole(0), Realizer.shift_by(1))])
 
 
 @pytest.mark.parametrize("call", [

@@ -1,36 +1,22 @@
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from graphvm.execution import (INFINITY, MeasurementMap, PathRecord, T_CONL,
-                               T_DET, T_NL, Regions, Test, Verdict, _split,
-                               accept_mass,
+from eagerplug import (assert_matches_eager, assert_matches_eager_at_budgets,
+                       eager_plug)
+from graphvm.execution import (INFINITY, MeasurementMap, T_CONL, T_DET, T_NL,
+                               Regions, Test, Verdict, _split, accept_mass,
                                cycles, evaluate_test, landing, measurement,
                                plug, reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, classify, disjoint_union,
-                              join_monoids, validate)
+                              TRIVIAL, classify, disjoint_union, validate)
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
-from harness import log_calls, shipped_machines
-
-
-def ms(*boxes):
-    return MeasurableSet.from_boxes(boxes)
-
-
-def cellbox(cell, lo=None, hi=None):
-    if lo is None:
-        return RationalBox.make(cell)
-    return RationalBox.make(cell, {1: interval(lo, hi)})
-
-
-def graphing(edges, cells, monoid=TRIVIAL):
-    return Graphing.make(monoid, Microcosm.macrocosm(),
-                         ms(*[cellbox(c) for c in cells]), edges)
+from harness import (cellbox, graphing, log_calls, machine_run_results, ms,
+                     sampled_plug_results, shipped, shipped_machines, whole)
 
 
 def test_plug_result_validates_whichever_arity_comes_first():
@@ -48,7 +34,7 @@ def test_plug_result_validates_whichever_arity_comes_first():
 
     def one_edge(m, source, r, shift):
         return Graphing.make(
-            TRIVIAL, m, ms(cellbox(source.cell), cellbox(source.cell + shift)),
+            TRIVIAL, m, whole(source.cell, source.cell + shift),
             [Edge(Fraction(1), ms(source), r.compose(Realizer.shift_by(shift)))])
 
     for (ma, ra, ca), (mb, rb, cb) in itertools.product(members, repeat=2):
@@ -63,10 +49,8 @@ def test_plug_result_validates_whichever_arity_comes_first():
 
 
 def test_empty_cut_is_disjoint_union():
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))],
-                 (0, 1))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-                 (5, 6))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1))], (0, 1))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     result = plug(f, g)
     assert result.diagnostics.clean()
     assert result.graphing.same_as(disjoint_union(f, g))
@@ -74,22 +58,19 @@ def test_empty_cut_is_disjoint_union():
 
 def test_two_step_composition():
     # f: 0 -> 5 (into the cut), g: 5 -> 9 (out of it)
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
-                 (0, 5))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(4))],
-                 (5, 9))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))], (0, 5))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(4))], (5, 9))
     result = plug(f, g)
     assert len(result.graphing.edges) == 1
     e = result.graphing.edges[0]
-    assert e.source == ms(cellbox(0))
+    assert e.source == whole(0)
     assert e.realizer == Realizer.shift_by(9)
     assert result.paths[0].steps == (("F", 0), ("G", 0))
 
 
 def test_partial_overlap_splits_domains():
     # g continues only on the left half of the cut region
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
-                 (0, 5))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))], (0, 5))
     g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
                        Realizer.shift_by(4))], (5, 9))
     result = plug(f, g)
@@ -100,9 +81,9 @@ def test_partial_overlap_splits_domains():
 
 
 def test_weights_multiply_along_paths():
-    f = graphing([Edge(Fraction(1, 2), ms(cellbox(0)), Realizer.shift_by(5))],
+    f = graphing([Edge(Fraction(1, 2), whole(0), Realizer.shift_by(5))],
                  (0, 5), PROBABILITIES)
-    g = graphing([Edge(Fraction(1, 3), ms(cellbox(5)), Realizer.shift_by(4))],
+    g = graphing([Edge(Fraction(1, 3), whole(5), Realizer.shift_by(4))],
                  (5, 9), PROBABILITIES)
     result = plug(f, g)
     assert result.graphing.edges[0].weight == Fraction(1, 6)
@@ -124,11 +105,10 @@ def test_weight_coherence_by_replaying_steps():
 
 
 def test_budget_exhaustion_is_flagged_partial():
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
-                  Edge(Fraction(1), ms(cellbox(6)), Realizer.shift_by(-1))],
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), whole(6), Realizer.shift_by(-1))],
                  (0, 5, 6))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-                 (5, 6))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     result = plug(f, g, max_steps=1)
     assert not result.diagnostics.complete
     assert result.diagnostics.unresolved_mass > 0
@@ -137,51 +117,27 @@ def test_budget_exhaustion_is_flagged_partial():
 def test_exact_loop_is_settled_divergence():
     # f: 5 -> 6, g: 6 -> 5; both regions inside the cut, a pure 2-cycle
     # reachable from outside via 0 -> 5
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
-                  Edge(Fraction(1), ms(cellbox(6)), Realizer.shift_by(-1))],
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), whole(6), Realizer.shift_by(-1))],
                  (0, 5, 6))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-                 (5, 6))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     result = plug(f, g)
     assert result.diagnostics.complete
     assert result.diagnostics.looping_mass > 0
     assert result.diagnostics.unresolved_mass == 0
     assert len(result.graphing.edges) == 0
-    _assert_matches_eager_at_budgets(f, g)
+    assert_matches_eager_at_budgets(f, g)
 
 
 def test_undetermined_only_when_it_could_flip():
-    regions = Regions(ms(cellbox(100)), ms(cellbox(100)), ms(cellbox(101)))
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
-                  Edge(Fraction(1), ms(cellbox(6)), Realizer.shift_by(-1))],
+    regions = Regions(whole(100), whole(100), whole(101))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), whole(6), Realizer.shift_by(-1))],
                  (0, 5, 6))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-                 (5, 6))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     starved = plug(f, g, max_steps=1)
     assert evaluate_test(starved, T_DET, regions) is Verdict.UNDETERMINED
     assert evaluate_test(starved, T_CONL, regions) is Verdict.UNDETERMINED
-
-
-def test_closure_properties_random():
-    for mode, wanted in [("det", GraphingClass.DETERMINISTIC),
-                         ("nondet", GraphingClass.NONDETERMINISTIC),
-                         ("prob", GraphingClass.PROBABILISTIC)]:
-        for seed in range(40):
-            f, g = random_pair(seed, mode)
-            result = plug(f, g)
-            assert result.diagnostics.clean()
-            got = classify(result.graphing)
-            assert got in (wanted, GraphingClass.DETERMINISTIC), (mode, seed)
-
-
-def test_associativity_random():
-    for seed in range(25):
-        f, g, h = random_triple(seed, "det")
-        assert f.carrier.intersect(h.carrier).is_empty()
-        left = plug(plug(f, g).graphing, h)
-        right = plug(f, plug(g, h).graphing)
-        assert left.diagnostics.clean() and right.diagnostics.clean()
-        assert left.graphing.same_as(right.graphing), seed
 
 
 def test_sampling_refuses_an_unknown_mode_or_property():
@@ -264,7 +220,7 @@ def test_starts_through_the_edge_index_match_the_per_edge_scan():
 
 
 def test_forced_two_cycle():
-    A, B = ms(cellbox(0)), ms(cellbox(1))
+    A, B = whole(0), whole(1)
     carrier = A.union(B)
     f = Graphing.make(TRIVIAL, Microcosm.m1(), carrier,
                       [Edge(Fraction(1), A, Realizer.shift_by(1))])
@@ -278,36 +234,22 @@ def test_forced_two_cycle():
 
 
 def test_disjoint_carriers_have_no_cycles():
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))],
-                 (0, 1))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-                 (5, 6))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1))], (0, 1))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     assert cycles(f, g, max_len=6) == []
     assert measurement(f, g, MeasurementMap.constant(Fraction(1))) == 0
 
 
 def test_machine_word_runs_are_acyclic():
     from graphvm.encodings import encode_machine, encode_word
-    from graphvm.machines import parse_machine
-    ones = parse_machine("""
-name: ones
-alphabet: 0 1
-heads: 1
-states: s0
-mode: det
-twoway: true
-s0, * -> reject
-s0, 0 -> advance goto s0
-s0, 1 -> accept
-""")
-    m = encode_machine(ones)
+    m = encode_machine(shipped("ones.mach"))
     for word in ("0", "11", "01"):
         enc = encode_word(word, m.layout)
         assert cycles(m.graphing, enc.graphing, max_len=6) == []
 
 
 def test_measurement_monotone_in_cycle_length():
-    A, B = ms(cellbox(0)), ms(cellbox(1))
+    A, B = whole(0), whole(1)
     carrier = A.union(B)
     f = Graphing.make(TRIVIAL, Microcosm.m1(), carrier,
                       [Edge(Fraction(1), A, Realizer.shift_by(1))])
@@ -327,12 +269,11 @@ def test_measurement_symmetric_in_arguments():
 
 def test_unit_loop_with_branch_keeps_verdict_exact():
     # inside the cut: 5 -> 6 -> 5 unit loop, but 6 also exits to 9
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
-                  Edge(Fraction(1), ms(cellbox(6)), Realizer.shift_by(-1)),
-                  Edge(Fraction(1), ms(cellbox(6)), Realizer.shift_by(3))],
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), whole(6), Realizer.shift_by(-1)),
+                  Edge(Fraction(1), whole(6), Realizer.shift_by(3))],
                  (0, 5, 6, 9))
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-                 (5, 6))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     result = plug(f, g)
     assert result.diagnostics.complete
     assert result.diagnostics.unresolved_mass == 0
@@ -341,16 +282,16 @@ def test_unit_loop_with_branch_keeps_verdict_exact():
     exits = [e for e in result.graphing.edges
              if list(e.target.cells()) == [9]]
     assert len(exits) == 1
-    _assert_matches_eager_at_budgets(f, g)
+    assert_matches_eager_at_budgets(f, g)
 
 
 def test_prob_test_verdicts():
-    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
-    half = graphing([Edge(Fraction(1, 2), ms(cellbox(0)), Realizer.shift_by(5)),
-                     Edge(Fraction(1, 2), ms(cellbox(0)), Realizer.shift_by(6))],
+    regions = Regions(whole(0), whole(10), whole(11))
+    half = graphing([Edge(Fraction(1, 2), whole(0), Realizer.shift_by(5)),
+                     Edge(Fraction(1, 2), whole(0), Realizer.shift_by(6))],
                     (0, 5, 6), PROBABILITIES)
-    lands = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(5)),
-                      Edge(Fraction(1), ms(cellbox(6)), Realizer.shift_by(5))],
+    lands = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(5)),
+                      Edge(Fraction(1), whole(6), Realizer.shift_by(5))],
                      (5, 6, 10, 11), PROBABILITIES)
     result = plug(half, lands)
     # half the mass lands in accept, half in reject
@@ -362,10 +303,9 @@ def test_prob_test_verdicts():
 
 
 def test_landed_masses_reject_a_null_launch_region():
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(10))],
-                 (0, 10))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(10))], (0, 10))
     result = plug(f, graphing([], (5,)))
-    null = Regions(MeasurableSet.empty(), ms(cellbox(10)), ms(cellbox(11)))
+    null = Regions(MeasurableSet.empty(), whole(10), whole(11))
     with pytest.raises(ValueError):
         accept_mass(result, null)
     with pytest.raises(ValueError):
@@ -373,27 +313,26 @@ def test_landed_masses_reject_a_null_launch_region():
 
 
 def test_weightless_edge_lands_without_mass():
-    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
-    f = graphing([Edge(Fraction(0), ms(cellbox(0)), Realizer.shift_by(10)),
-                  Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(11))],
+    regions = Regions(whole(0), whole(10), whole(11))
+    f = graphing([Edge(Fraction(0), whole(0), Realizer.shift_by(10)),
+                  Edge(Fraction(1), whole(0), Realizer.shift_by(11))],
                  (0, 10, 11), PROBABILITIES)
     result = plug(f, graphing([], (5,)))
     weightless, = [e for e in result.graphing.edges if e.weight == 0]
-    assert landing(weightless, regions, regions.accept) == ms(cellbox(10))
+    assert landing(weightless, regions, regions.accept) == whole(10)
     assert accept_mass(result, regions) == 0
     assert reject_mass(result, regions) == 1
 
 
 def test_a_weightless_landing_decides_no_verdict():
-    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
+    regions = Regions(whole(0), whole(10), whole(11))
     for to_accept, to_reject, det, conl in (
             (0, 1, Verdict.REJECT, Verdict.REJECT),
             (1, 0, Verdict.ACCEPT, Verdict.ACCEPT)):
-        f = graphing([Edge(Fraction(to_accept), ms(cellbox(0)),
+        f = graphing([Edge(Fraction(to_accept), whole(0),
                            Realizer.shift_by(10)),
-                      Edge(Fraction(to_reject), ms(cellbox(0)),
-                           Realizer.shift_by(11))],
-                     (0, 10, 11), PROBABILITIES)
+                      Edge(Fraction(to_reject), whole(0),
+                           Realizer.shift_by(11))], (0, 10, 11), PROBABILITIES)
         result = plug(f, graphing([], (5,)))
         assert evaluate_test(result, T_DET, regions) is det
         assert evaluate_test(result, T_NL, regions) is det
@@ -403,9 +342,8 @@ def test_a_weightless_landing_decides_no_verdict():
 def test_an_edge_that_cannot_land_makes_no_apply_call(monkeypatch):
     # the only edge carries the launch cell to the reject cell, so the
     # accept test need not image it, while the conl test must
-    regions = Regions(ms(cellbox(0)), ms(cellbox(10)), ms(cellbox(11)))
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(11))],
-                 (0, 11))
+    regions = Regions(whole(0), whole(10), whole(11))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(11))], (0, 11))
     result = plug(f, graphing([], (5,)))
     calls = log_calls(monkeypatch, (Realizer, "apply"))
     assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
@@ -429,10 +367,10 @@ def test_float_cutpoints_are_refused():
 def test_decaying_revisit_is_unresolved_not_looping():
     # 0 -> 5 -> 6 -> 5: the second entry into G's edge repeats the first
     # with the same composite but half the weight
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
-                  Edge(Fraction(1, 2), ms(cellbox(6)), Realizer.shift_by(-1))],
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1, 2), whole(6), Realizer.shift_by(-1))],
                  (0, 5, 6), PROBABILITIES)
-    g = graphing([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))],
                  (5, 6), PROBABILITIES)
     result = plug(f, g)
     diag = result.diagnostics
@@ -441,7 +379,7 @@ def test_decaying_revisit_is_unresolved_not_looping():
     assert diag.unresolved_mass == Fraction(1, 2)
     assert diag.looping_mass == 0
     assert result.graphing.edges == ()
-    _assert_matches_eager_at_budgets(f, g)
+    assert_matches_eager_at_budgets(f, g)
 
 
 def test_cycle_closing_only_from_a_later_rotation_is_not_kept():
@@ -564,17 +502,16 @@ def _counting_sweeps(monkeypatch):
 
 def _shift_pair():
     """``f`` carries cell 0 to cell 1, ``g`` carries cell 1 to cell 2."""
-    return (graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))],
+    return (graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1))],
                      (0, 1)),
-            graphing([Edge(Fraction(1), ms(cellbox(1)), Realizer.shift_by(1))],
+            graphing([Edge(Fraction(1), whole(1), Realizer.shift_by(1))],
                      (1, 2)))
 
 
 def test_plug_refuses_an_invalid_graphing_on_either_side():
     f, g = _shift_pair()
     # a source outside the carrier
-    bad = graphing([Edge(Fraction(1), ms(cellbox(1)), Realizer.shift_by(1))],
-                   (2,))
+    bad = graphing([Edge(Fraction(1), whole(1), Realizer.shift_by(1))], (2,))
     for left, right, name in ((bad, g, "first"), (f, bad, "second")):
         # the second plug reads the problems the graphing keeps
         for _ in range(2):
@@ -591,8 +528,7 @@ def test_a_graphing_plugged_twice_is_swept_once(monkeypatch):
     second = plug(f, g)
     assert len(swept) == 2 and second.graphing.same_as(first.graphing)
     # a plug result is a graphing like any other
-    h = graphing([Edge(Fraction(1), ms(cellbox(2)), Realizer.shift_by(1))],
-                 (2, 3))
+    h = graphing([Edge(Fraction(1), whole(2), Realizer.shift_by(1))], (2, 3))
     for _ in range(2):
         plug(first.graphing, h)
     assert [id(args[0]) for _, args in swept] == [
@@ -614,91 +550,9 @@ def test_word_graphings_are_never_swept(monkeypatch):
 
 # -- the dead part and the records, against an eager reference ----------------
 
-def _eager_plug(f, g, max_steps=10000):
-    """The path search as a plain loop over every edge: it builds each
-    record when it meets the path, and unions a node's hits one by one
-    into the part that does not die.  Returns the sorted edges, their
-    records, the dead records and the diagnostics."""
-    monoid = join_monoids(f.weights, g.weights)
-    cut = f.carrier.intersect(g.carrier)
-    sides = {"F": f, "G": g}
-    found, dead_paths = [], []
-    diag = {"steps_used": 0, "unresolved_mass": Fraction(0),
-            "looping_mass": Fraction(0), "dead_mass": Fraction(0)}
-
-    def record(trail, source):
-        return PathRecord(tuple(step[0] for step in trail),
-                          tuple(step[1] for step in trail),
-                          source, trail[-1][2], trail[-1][3])
-
-    queue = deque()
-    for side, graphing in sides.items():
-        for idx, e in enumerate(graphing.edges):
-            start = e.source.subtract(cut)
-            if not start.is_empty():
-                queue.append((e.realizer.apply(start),
-                              (((side, idx), start, e.realizer, e.weight),)))
-    while queue:
-        image, trail = queue.popleft()
-        (side, _), _, composite, weight = trail[-1]
-        exits = image.subtract(cut)
-        if not exits.is_empty():
-            src = composite.invert().apply(exits)
-            found.append((Edge(weight, src, composite), record(trail, src)))
-        inside = image.intersect(cut)
-        if inside.is_empty():
-            continue
-        other = "G" if side == "F" else "F"
-        covered = MeasurableSet.empty()
-        for idx, e in enumerate(sides[other].edges):
-            hit = inside.intersect(e.source)
-            if hit.is_empty():
-                continue
-            covered = covered.union(hit)
-            if diag["steps_used"] >= max_steps:
-                diag["unresolved_mass"] += weight * hit.measure()
-                continue
-            diag["steps_used"] += 1
-            comp = composite.compose(e.realizer)
-            w = monoid.product(weight, e.weight)
-            repeat = next((rw for key, region, rc, rw in trail
-                           if key == (other, idx) and rc == comp
-                           and hit.subset_of(region)), None)
-            if repeat is not None:
-                kind = "looping_mass" if w == repeat else "unresolved_mass"
-                diag[kind] += w * hit.measure()
-                continue
-            queue.append((e.realizer.apply(hit),
-                          trail + (((other, idx), hit, comp, w),)))
-        dead = inside.subtract(covered)
-        if not dead.is_empty():
-            diag["dead_mass"] += weight * dead.measure()
-            dead_paths.append(record(trail, composite.invert().apply(dead)))
-    found.sort(key=lambda pair: pair[0].key())
-    return ([e for e, _ in found], [r for _, r in found], dead_paths, diag)
-
-
-def _assert_matches_eager(result, f, g, max_steps=10000):
-    edges, paths, dead_paths, diag = _eager_plug(f, g, max_steps)
-    assert list(result.graphing.edges) == edges
-    assert result.paths == paths
-    assert result.dead_paths == dead_paths
-    got = result.diagnostics
-    assert (got.steps_used, got.unresolved_mass, got.looping_mass,
-            got.dead_mass) == (diag["steps_used"], diag["unresolved_mass"],
-                               diag["looping_mass"], diag["dead_mass"])
-
-
-def _assert_matches_eager_at_budgets(f, g):
-    for max_steps in (10000, 1, 3):
-        _assert_matches_eager(plug(f, g, max_steps=max_steps), f, g,
-                              max_steps)
-
-
 def test_overlapping_sources_that_cover_part_of_a_node():
     # g's two sources on the cut overlap, and together miss [3/4, 1)
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
-                 (0, 5))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))], (0, 5))
     g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
                        Realizer.shift_by(4)),
                   Edge(Fraction(1), ms(cellbox(5, "1/4", "3/4")),
@@ -707,14 +561,13 @@ def test_overlapping_sources_that_cover_part_of_a_node():
     assert classify(g) is GraphingClass.NONDETERMINISTIC
     assert result.diagnostics.dead_mass == Fraction(1, 4)
     assert [p.source for p in result.dead_paths] == [ms(cellbox(0, "3/4", 1))]
-    _assert_matches_eager(result, f, g)
+    assert_matches_eager(result, f, g)
 
 
 def test_a_fully_covered_node_leaves_nothing_dead():
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
-                 (0, 5))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))], (0, 5))
     # one source holds the whole node; then two that only cover it together
-    for sources in ([ms(cellbox(5)), ms(cellbox(5, 0, "1/2"))],
+    for sources in ([whole(5), ms(cellbox(5, 0, "1/2"))],
                     [ms(cellbox(5, 0, "1/2")), ms(cellbox(5, "1/2", 1))]):
         g = graphing([Edge(Fraction(1), src, Realizer.shift_by(4 + k))
                       for k, src in enumerate(sources)], (5, 9, 10))
@@ -722,14 +575,13 @@ def test_a_fully_covered_node_leaves_nothing_dead():
         assert result.diagnostics.dead_mass == 0
         assert result.dead_paths == []
         assert len(result.graphing.edges) == 2
-        _assert_matches_eager(result, f, g)
+        assert_matches_eager(result, f, g)
 
 
 def test_a_budget_that_runs_out_mid_node():
     # the first hit takes the only step; the next two are unresolved, and
     # all three count as covered, so [5/8, 1) dies
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))],
-                 (0, 5))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))], (0, 5))
     g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/4")),
                        Realizer.shift_by(4)),
                   Edge(Fraction(1), ms(cellbox(5, "1/8", "1/2")),
@@ -742,7 +594,7 @@ def test_a_budget_that_runs_out_mid_node():
     assert diag.unresolved_mass == Fraction(1, 2)
     assert diag.dead_mass == Fraction(3, 8)
     assert [p.source for p in result.dead_paths] == [ms(cellbox(0, "5/8", 1))]
-    _assert_matches_eager(result, f, g, max_steps=1)
+    assert_matches_eager(result, f, g, max_steps=1)
 
 
 def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
@@ -751,7 +603,7 @@ def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
         assert validate(f) == validate(g) == []
         cut = f.carrier.intersect(g.carrier)
         assert all(b.coords for b in cut.boxes) and cut.cells() == {10, 11, 12}
-        _assert_matches_eager_at_budgets(f, g)
+        assert_matches_eager_at_budgets(f, g)
         result = plug(f, g)
         _check_targets_and_dead_mass(result)
         for trail, e in zip(result.exit_trails, result.graphing.edges):
@@ -770,8 +622,8 @@ def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
 
 def test_plug_matches_the_eager_reference():
     for f, g in _start_scan_pairs():
-        _assert_matches_eager(plug(f, g), f, g)
-        _assert_matches_eager(plug(f, g, max_steps=3), f, g, max_steps=3)
+        assert_matches_eager(plug(f, g), f, g)
+        assert_matches_eager(plug(f, g, max_steps=3), f, g, max_steps=3)
 
 
 def test_a_shared_table_matches_the_eager_reference():
@@ -781,7 +633,7 @@ def test_a_shared_table_matches_the_eager_reference():
         memo: dict = {}
         for word in words_up_to(m.spec.alphabet, 3):
             result, _ = run_word(m, word, memo=memo)
-            _assert_matches_eager(result, *result.operands)
+            assert_matches_eager(result, *result.operands)
         # the setup reads the cut's split too: no difference is tabled
         assert set(memo) == {Realizer.apply, Realizer.compose,
                              MeasurableSet.intersect, _split}
@@ -791,8 +643,8 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
     # f carries cells 0 and 1 into the cut; g's sources on cell 5 overlap
     # and miss [3/4, 1), and on cell 6 two halves cover it only together:
     # two nodes that no hit holds whole, and one dead path
-    f = graphing([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5)),
-                  Edge(Fraction(1), ms(cellbox(1)), Realizer.shift_by(5))],
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), whole(1), Realizer.shift_by(5))],
                  (0, 1, 5, 6))
     g = graphing([Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
                        Realizer.shift_by(4)),
@@ -802,7 +654,7 @@ def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
                        Realizer.shift_by(5)),
                   Edge(Fraction(1), ms(cellbox(6, "1/2", 1)),
                        Realizer.shift_by(6))], (5, 6, 9, 10, 11, 12))
-    _, _, dead_paths, diag = _eager_plug(f, g)
+    _, _, dead_paths, diag = eager_plug(f, g)
     assert [p.source for p in dead_paths] == [ms(cellbox(0, "3/4", 1))]
     cut = f.carrier.intersect(g.carrier)
     taken = log_calls(monkeypatch, (MeasurableSet, "subtract"))
@@ -840,7 +692,6 @@ def _check_targets_and_dead_mass(result):
 
 @pytest.mark.parametrize("family", ["machine_runs", "sampled_plugs"])
 def test_kept_targets_and_dead_mass_match_their_definitions(family):
-    from test_same_bytes import machine_run_results, sampled_plug_results
     results = {"machine_runs": machine_run_results,
                "sampled_plugs": sampled_plug_results}[family]()
     assert sum(map(_check_targets_and_dead_mass, results)) > 0
@@ -849,8 +700,8 @@ def test_kept_targets_and_dead_mass_match_their_definitions(family):
 def test_a_result_edge_keeps_the_part_of_its_image_that_exits():
     # f carries cells 0 and 1 to 5 and 6; the cut is the left half of 5,
     # so one image leaves the cut in two cells and goes on in one
-    f = graphing([Edge(Fraction(1), ms(cellbox(0), cellbox(1)),
-                       Realizer.shift_by(5))], (0, 1, 5, 6))
+    f = graphing([Edge(Fraction(1), whole(0, 1), Realizer.shift_by(5))],
+                 (0, 1, 5, 6))
     g = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
                       ms(cellbox(5, 0, "1/2"), cellbox(9)),
                       [Edge(Fraction(1), ms(cellbox(5, 0, "1/2")),
@@ -916,4 +767,4 @@ def test_records_are_built_only_when_read(monkeypatch):
     # read afterwards, the records are the eager reference's
     assert any(r.paths for r in runs) and any(r.dead_paths for r in runs)
     for result in runs:
-        _assert_matches_eager(result, *result.operands)
+        assert_matches_eager(result, *result.operands)

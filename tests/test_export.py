@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -6,40 +5,29 @@ import pytest
 from graphvm.execution import INFINITY, PathRecord, plug
 from graphvm.export import (frac_str, graphing_dot, graphing_payload,
                             path_payload, result_payload)
-from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
-                              TRIVIAL, classify, validate)
-from graphvm.realizers import Microcosm, Realizer
-from graphvm.space import MeasurableSet, RationalBox, interval
+from graphvm.graphing import (Edge, GraphingClass, PROBABILITIES, TRIVIAL,
+                              classify, validate)
+from graphvm.realizers import Realizer
+from graphvm.space import RationalBox, interval
+from harness import canonical, cellbox, graphing, ms, whole
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
-
-
-def canonical(text):
-    """The data of a payload's text, which must be the compact
-    sorted-key form ``json.dumps`` gives that data."""
-    data = json.loads(text)
-    assert text == json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return data
-
-
-def _cells(*cells):
-    return MeasurableSet.of(*(RationalBox.make(c) for c in cells))
 
 
 def _split_graphing(weights=(HALF, THIRD), monoid=PROBABILITIES):
     """A graphing on cells 0 and 1 with two edges from the left half of
     cell 0: the first to the left half of cell 1, the second to its
     right half."""
-    left = MeasurableSet.of(RationalBox.make(0, {1: interval(0, "1/2")}))
+    left = ms(cellbox(0, 0, "1/2"))
     edges = [Edge(weights[0], left, Realizer.shift_by(1)),
              Edge(weights[1], left, Realizer.make(1, None, {1: HALF}))]
-    return Graphing.make(monoid, Microcosm.macrocosm(), _cells(0, 1), edges)
+    return graphing(edges, (0, 1), monoid)
 
 
 def _into_cell_2(monoid, weight, source):
     """A graphing on cells 1 and 2 with one edge from ``source`` to 2."""
-    return Graphing.make(monoid, Microcosm.macrocosm(), _cells(1, 2),
-                         [Edge(weight, source, Realizer.shift_by(1))])
+    return graphing([Edge(weight, source, Realizer.shift_by(1))], (1, 2),
+                    monoid)
 
 
 def _diagnostics(result):
@@ -81,12 +69,11 @@ ODD = 'q"\u00fc'  # a quote and a non-ASCII letter
 
 
 def test_payloads_sort_coordinate_keys_as_strings_and_escape_text():
-    source = MeasurableSet.of(RationalBox.make(
+    source = ms(RationalBox.make(
         0, {2: interval(0, "1/2"), 10: interval("1/4", 1)}))
     realizer = Realizer.make(1, {2: 10, 10: 2},
                              {2: Fraction(-1, 4), 10: Fraction(1, 2)})
-    g = Graphing.make(PROBABILITIES, Microcosm.macrocosm(), _cells(0, 1),
-                      [Edge(THIRD, source, realizer)])
+    g = graphing([Edge(THIRD, source, realizer)], (0, 1), PROBABILITIES)
     assert validate(g) == []
     text = graphing_payload(g)
     edge, = canonical(text)["edges"]
@@ -97,8 +84,7 @@ def test_payloads_sort_coordinate_keys_as_strings_and_escape_text():
     assert '"coords":{"10":["1/4","1/1"],"2":["0/1","1/2"]}' in text
     assert '"coords":{"10":["1/2","1/1"],"2":["0/1","3/4"]}' in text
     # the result of a plug across an empty cut keeps the edge as its path
-    result = plug(g, Graphing.make(TRIVIAL, Microcosm.macrocosm(),
-                                   _cells(5), []))
+    result = plug(g, graphing([], (5,)))
     result.diagnostics.notes.append(ODD)
     text = result_payload(result)
     payload = canonical(text)
@@ -115,7 +101,7 @@ def test_payloads_sort_coordinate_keys_as_strings_and_escape_text():
     ids=["trivial", "probabilities"])
 def test_a_budget_leaves_the_plug_unclean(monoid, weights, unresolved):
     result = plug(_split_graphing(weights, monoid),
-                  _into_cell_2(monoid, Fraction(1), _cells(1)), max_steps=0)
+                  _into_cell_2(monoid, Fraction(1), whole(1)), max_steps=0)
     assert not result.diagnostics.clean()
     diag = _diagnostics(result)
     assert diag["complete"] is False
@@ -124,8 +110,7 @@ def test_a_budget_leaves_the_plug_unclean(monoid, weights, unresolved):
 
 def test_a_dead_path_exports_its_source_and_weighted_mass():
     # the 1/3 edge lands on [1/2, 1) of cell 1, where g has no source
-    g = _into_cell_2(PROBABILITIES, Fraction(1), MeasurableSet.of(
-        RationalBox.make(1, {1: interval(0, "1/2")})))
+    g = _into_cell_2(PROBABILITIES, Fraction(1), ms(cellbox(1, 0, "1/2")))
     result = plug(_split_graphing(), g)
     assert result.diagnostics.clean()
     payload = canonical(result_payload(result))
@@ -144,11 +129,11 @@ def test_a_repeat_exports_its_weighted_mass(back, kind, mass):
     # 0 -> 5 -> 6 -> 5: the second entry into g's edge repeats the first
     # with the same composite, under the same weight when the way back
     # weighs 1 and under half of it when it weighs 1/2
-    f = Graphing.make(PROBABILITIES, Microcosm.macrocosm(), _cells(0, 5, 6),
-                      [Edge(Fraction(1), _cells(0), Realizer.shift_by(5)),
-                       Edge(back, _cells(6), Realizer.shift_by(-1))])
-    g = Graphing.make(PROBABILITIES, Microcosm.macrocosm(), _cells(5, 6),
-                      [Edge(Fraction(1), _cells(5), Realizer.shift_by(1))])
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(back, whole(6), Realizer.shift_by(-1))], (0, 5, 6),
+                 PROBABILITIES)
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6),
+                 PROBABILITIES)
     result = plug(f, g)
     diag = _diagnostics(result)
     assert diag["complete"] is True and diag["steps_used"] == 3

@@ -13,51 +13,34 @@ from graphvm.execution import plug
 from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
-from harness import log_calls, shipped_machines
-
-
-def ms(*boxes):
-    return MeasurableSet.from_boxes(boxes)
-
-
-def cellbox(cell, lo=None, hi=None):
-    if lo is None:
-        return RationalBox.make(cell)
-    return RationalBox.make(cell, {1: interval(lo, hi)})
-
-
-def simple(edges, carrier_cells=(0, 1, 2), monoid=TRIVIAL):
-    carrier = ms(*[cellbox(c) for c in carrier_cells])
-    return Graphing.make(monoid, Microcosm.macrocosm(), carrier, edges)
+from harness import (cellbox, graphing, log_calls, ms, random_graphing,
+                     sampled_graphings, shipped, shipped_machines, whole,
+                     with_a_corner_cut)
 
 
 def test_validate_empty_ok():
-    assert validate(simple([])) == []
+    assert validate(graphing([])) == []
 
 
 def test_validate_source_outside_carrier():
-    g = simple([Edge(Fraction(1), ms(cellbox(9)), Realizer.shift_by(1))],
-               carrier_cells=(9, 10))
+    g = graphing([Edge(Fraction(1), whole(9), Realizer.shift_by(1))], (9, 10))
     assert validate(g) == []
-    bad = simple([Edge(Fraction(1), ms(cellbox(9)), Realizer.shift_by(1))],
-                 carrier_cells=(10,))
+    bad = graphing([Edge(Fraction(1), whole(9), Realizer.shift_by(1))], (10,))
     assert any("source not in carrier" in p for p in validate(bad))
 
 
 def test_validate_target_outside_carrier():
-    bad = simple([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(5))])
+    bad = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))])
     assert any("target not in carrier" in p for p in validate(bad))
 
 
 def test_validate_microcosm_membership():
     word_edge = Realizer.make(1, None, {1: Fraction(1, 2)})
     src = ms(cellbox(0, 0, "1/2"))
-    g = Graphing.make(TRIVIAL, Microcosm.m1(), ms(cellbox(0), cellbox(1)),
+    g = Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1),
                       [Edge(Fraction(1), src, word_edge)])
     assert any("not in microcosm" in p for p in validate(g))
-    ok = Graphing.make(TRIVIAL, Microcosm.macrocosm(),
-                       ms(cellbox(0), cellbox(1)),
-                       [Edge(Fraction(1), src, word_edge)])
+    ok = graphing([Edge(Fraction(1), src, word_edge)], (0, 1))
     assert validate(ok) == []
 
 
@@ -83,8 +66,8 @@ _WEIGHTS = [
 
 
 def test_validate_reports_a_weight_outside_the_monoid():
-    heavy = simple([Edge(Fraction(3, 2), ms(cellbox(0)), Realizer.shift_by(1))],
-                   monoid=PROBABILITIES)
+    heavy = graphing([Edge(Fraction(3, 2), whole(0), Realizer.shift_by(1))],
+                     monoid=PROBABILITIES)
     assert validate(heavy) == ["edge 0: weight 3/2 not in monoid"]
     for w, probability, trivial in _WEIGHTS:
         assert PROBABILITIES.admits(w) is probability, w
@@ -97,9 +80,9 @@ def test_validate_reports_a_weight_outside_the_monoid():
                  GraphingClass.PROBABILISTIC),
                 (TRIVIAL, Fraction(1), trivial,
                  GraphingClass.DETERMINISTIC)):
-            g = simple([Edge(w, ms(cellbox(0)), Realizer.shift_by(1)),
-                        Edge(other, ms(cellbox(1)), Realizer.shift_by(1))],
-                       monoid=monoid)
+            g = graphing([Edge(w, whole(0), Realizer.shift_by(1)),
+                          Edge(other, whole(1), Realizer.shift_by(1))],
+                         monoid=monoid)
             assert validate(g) == ([] if admitted else
                                    [f"edge 0: weight {w} not in monoid"]), w
             assert classify(g) is (want if admitted
@@ -118,8 +101,8 @@ def test_a_refused_unit_weight_is_no_unit():
     for monoid in (TRIVIAL, PROBABILITIES):
         for w, refused, want in ((1 / 1, True, GraphingClass.GENERAL),
                                  (1, False, GraphingClass.DETERMINISTIC)):
-            g = simple([Edge(w, ms(cellbox(0)), Realizer.shift_by(1))],
-                       (0, 1), monoid)
+            g = graphing([Edge(w, whole(0), Realizer.shift_by(1))], (0, 1),
+                         monoid)
             assert bool(validate(g)) is refused, (monoid, w)
             assert monoid.is_unit(w) is not refused, (monoid, w)
             assert classify(g) is want, (monoid, w)
@@ -127,10 +110,10 @@ def test_a_refused_unit_weight_is_no_unit():
 
 def test_a_float_unit_weight_is_refused():
     # integer division makes a float: 1 / 1 is no trivial weight
-    g = simple([Edge(1 / 1, ms(cellbox(0)), Realizer.shift_by(1))], (0, 1))
+    g = graphing([Edge(1 / 1, whole(0), Realizer.shift_by(1))], (0, 1))
     assert validate(g) == ["edge 0: weight 1.0 not in monoid"]
     with pytest.raises(ValueError, match="weight 1.0 not in monoid"):
-        plug(g, simple([], (5,)))
+        plug(g, graphing([], (5,)))
 
 
 def test_sampled_graphings_are_valid():
@@ -163,65 +146,6 @@ def _model_problems(g):
     return problems
 
 
-def _random_box(rng, cell):
-    coords = {}
-    for j in (1, 2, 3):
-        if rng.randrange(2):
-            d = rng.choice((2, 3, 4, 8))
-            a = rng.randrange(d)
-            coords[j] = RationalInterval.over(a, rng.randrange(a + 1, d + 1), d)
-    return RationalBox.make(cell, coords)
-
-
-def _random_graphing(rng):
-    """Cells held whole, cut into several boxes, or partly; sources of
-    one to three boxes, often met with the carrier; realizers with
-    permutations and offsets of both signs; weights and microcosms that
-    may not admit them."""
-    cells = rng.sample(range(5), rng.randrange(1, 5))
-    pieces = []
-    for c in cells:
-        kind = rng.randrange(3)
-        if kind == 0:
-            pieces.append(ms(cellbox(c)))
-        elif kind == 1:  # the cell less a box: several boxes, as an L
-            pieces.append(ms(cellbox(c)).subtract(ms(_random_box(rng, c))))
-        else:
-            pieces.append(ms(*(_random_box(rng, c)
-                               for _ in range(rng.randrange(1, 4)))))
-    carrier = MeasurableSet.empty()
-    for piece in pieces:
-        carrier = carrier.union(piece)
-    edges = []
-    for _ in range(rng.randrange(6)):
-        source = ms(*(_random_box(rng, rng.choice(cells + [5]))
-                      for _ in range(rng.randrange(1, 4))))
-        if rng.randrange(2):
-            source = source.intersect(carrier)
-        perm = rng.choice((None, None, {1: 2, 2: 1}, {1: 3, 3: 1},
-                           {1: 2, 2: 3, 3: 1}))
-        offsets = {j: Fraction(rng.randrange(-8, 9), rng.choice((4, 8)))
-                   for j in rng.sample((1, 2, 3), rng.choice((0, 0, 1, 2)))}
-        realizer = Realizer.make(rng.choice((0, 0, 1, -1, 2)), perm, offsets)
-        weight = rng.choice((Fraction(1), Fraction(1), Fraction(1, 2),
-                             Fraction(3, 2)))
-        edges.append(Edge(weight, source, realizer))
-    return Graphing.make(
-        rng.choice((TRIVIAL, PROBABILITIES)),
-        rng.choice((Microcosm.m1(), Microcosm.mi(2), Microcosm.m_infinity(),
-                    Microcosm.macrocosm())), carrier, edges)
-
-
-def _with_a_corner_cut(g, rng):
-    """``g`` over a carrier that loses a corner of one of its cells."""
-    cell = rng.choice(sorted(g.carrier.cells()))
-    a, b = rng.randrange(1, 8), rng.randrange(1, 8)
-    corner = RationalBox.make(cell, {1: RationalInterval.over(a, 8, 8),
-                                     2: RationalInterval.over(0, b, 8)})
-    return Graphing.make(g.weights, g.microcosm,
-                         g.carrier.subtract(ms(corner)), g.edges)
-
-
 _PROBLEM_KINDS = ("not in monoid", "exceeds realizer domain",
                   "source not in carrier", "target not in carrier",
                   "not in microcosm")
@@ -231,11 +155,11 @@ def test_validate_matches_the_set_algebra_reference():
     rng = random.Random(23)
 
     def corpus():
-        yield from (_random_graphing(rng) for _ in range(1500))
+        yield from (random_graphing(rng) for _ in range(1500))
         # plug validates both sides: build the plugged part only after
         # every random graphing has been compared with the model
-        sampled = list(_sampled_graphings())
-        yield from sampled + [_with_a_corner_cut(g, rng) for g in sampled]
+        sampled = list(sampled_graphings())
+        yield from sampled + [with_a_corner_cut(g, rng) for g in sampled]
     seen = Counter()
     for g in corpus():
         got = validate(g)
@@ -289,23 +213,24 @@ def test_sampled_graphings_are_built_and_checked_box_by_box(monkeypatch):
 
 
 def test_validate_domain():
-    bad = simple([Edge(Fraction(1), ms(cellbox(0)),
-                       Realizer.make(1, None, {1: Fraction(1, 2)}))])
+    bad = graphing([Edge(Fraction(1), whole(0),
+                         Realizer.make(1, None, {1: Fraction(1, 2)}))])
     assert any("exceeds realizer domain" in p for p in validate(bad))
 
 
 def test_classify_examples():
     a = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
     b = Edge(Fraction(1), ms(cellbox(0, "1/2", 1)), Realizer.shift_by(2))
-    assert classify(simple([a, b])) == GraphingClass.DETERMINISTIC
+    assert classify(graphing([a, b])) == GraphingClass.DETERMINISTIC
     c = Edge(Fraction(1), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(2))
-    assert classify(simple([a, c])) == GraphingClass.NONDETERMINISTIC
+    assert classify(graphing([a, c])) == GraphingClass.NONDETERMINISTIC
     heavy = [Edge(Fraction(1, 2), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(1)),
              Edge(Fraction(2, 3), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(2))]
-    assert classify(simple(heavy, monoid=PROBABILITIES)) == GraphingClass.GENERAL
+    assert classify(graphing(heavy, monoid=PROBABILITIES)) == \
+        GraphingClass.GENERAL
     light = [Edge(Fraction(1, 2), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(1)),
              Edge(Fraction(1, 2), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(2))]
-    assert classify(simple(light, monoid=PROBABILITIES)) == \
+    assert classify(graphing(light, monoid=PROBABILITIES)) == \
         GraphingClass.PROBABILISTIC
 
 
@@ -314,41 +239,39 @@ def test_classify_sums_every_edge_over_a_shared_part():
     half = Fraction(1, 2)
     edges = [Edge(half, ms(cellbox(0, lo, hi)), Realizer.shift_by(1))
              for lo, hi in [(0, "1/2"), ("1/4", "3/4"), ("1/4", "1/2")]]
-    assert classify(simple(edges, monoid=PROBABILITIES)) == \
+    assert classify(graphing(edges, monoid=PROBABILITIES)) == \
         GraphingClass.GENERAL
-    assert classify(simple(edges[:2], monoid=PROBABILITIES)) == \
+    assert classify(graphing(edges[:2], monoid=PROBABILITIES)) == \
         GraphingClass.PROBABILISTIC
 
 
 def test_classify_deterministic_implies_probabilistic_admissible():
     a = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
-    g = simple([a], monoid=PROBABILITIES)
+    g = graphing([a], monoid=PROBABILITIES)
     assert classify(g) == GraphingClass.DETERMINISTIC
 
 
 def test_cost_examples():
-    assert cost(simple([])) == 0
+    assert cost(graphing([])) == 0
     one = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
-    assert cost(simple([one])) == Fraction(1, 2)
+    assert cost(graphing([one])) == Fraction(1, 2)
 
 
 def test_cost_invariant_under_source_splitting():
     whole = Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))
     left = Edge(Fraction(1), ms(cellbox(0, 0, "1/3")), Realizer.shift_by(1))
     right = Edge(Fraction(1), ms(cellbox(0, "1/3", 1)), Realizer.shift_by(1))
-    assert cost(simple([whole])) == cost(simple([left, right]))
+    assert cost(graphing([whole])) == cost(graphing([left, right]))
 
 
 def test_disjoint_union():
-    f = simple([Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))],
-               carrier_cells=(0, 1))
-    g = simple([Edge(Fraction(1), ms(cellbox(5)), Realizer.shift_by(1))],
-               carrier_cells=(5, 6))
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1))], (0, 1))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     u = disjoint_union(f, g)
     assert validate(u) == []
     assert classify(u) == GraphingClass.DETERMINISTIC
     assert cost(u) == cost(f) + cost(g)
-    empty = simple([], carrier_cells=(9,))
+    empty = graphing([], (9,))
     assert disjoint_union(f, empty).edges == f.edges
     with pytest.raises(ValueError):
         disjoint_union(f, f)
@@ -369,20 +292,9 @@ def test_target_is_derived():
 
 def test_edge_keys_equal_fresh_ones():
     from graphvm.encodings import encode_machine, encode_word
-    from graphvm.machines import parse_machine
-    m = encode_machine(parse_machine("""
-name: ones
-alphabet: 0 1
-heads: 1
-states: s0
-mode: det
-twoway: true
-s0, * -> reject
-s0, 0 -> advance goto s0
-s0, 1 -> accept
-"""))
+    m = encode_machine(shipped("ones.mach"))
     words = [encode_word(w, m.layout).graphing for w in ("", "0110", "10")]
-    for g in [m.graphing] + words + list(_sampled_graphings()):
+    for g in [m.graphing] + words + list(sampled_graphings()):
         for e in g.edges:
             fresh = (tuple(b.key() for b in e.source.boxes),
                      e.realizer.key(), e.weight)
@@ -398,20 +310,8 @@ s0, 1 -> accept
     assert e == Edge(e.weight, e.source, e.realizer)
 
 
-def _sampled_graphings():
-    """Seeded sampling pairs and triples in every mode, and the graphings
-    their plugs produce."""
-    for mode in ("det", "nondet", "prob"):
-        for seed in range(8):
-            f, g = random_pair(seed, mode)
-            yield from (f, g, plug(f, g).graphing)
-        for seed in range(3):
-            f, g, h = random_triple(seed, mode)
-            yield from (f, g, h, plug(f, g).graphing, plug(g, h).graphing)
-
-
 def test_edges_meeting_matches_a_scan_of_every_edge():
-    for g in _sampled_graphings():
+    for g in sampled_graphings():
         queries = [g.carrier] + [e.source for e in g.edges] + \
             [e.target for e in g.edges] + \
             [ms(cellbox(c, Fraction(1, 4), Fraction(5, 8)))
@@ -505,7 +405,7 @@ def test_classify_matches_the_refinement_sums():
 
 
 def test_classify_builds_no_box(monkeypatch):
-    graphings = list(_sampled_graphings())
+    graphings = list(sampled_graphings())
     built = log_calls(monkeypatch, (RationalInterval, "__post_init__"),
                       (RationalBox, "__init__"))
     # every class the sampled graphings take, general aside

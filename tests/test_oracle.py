@@ -1,7 +1,6 @@
 import ast
 import collections
 import os
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,63 +10,12 @@ from graphvm.machines import MARKER, Action, MachineSpec, parse_machine
 from graphvm.oracle import (conl_accepts, dfa_accepts, initial_config,
                             nfa_accepts, oracle_language, pfa_accept_prob,
                             pfa_outcome_probs, successors, words_up_to)
-from harness import log_calls, shipped_machines
-from test_random_machines import _load_machinegen
+from harness import log_calls, seeded_specs, shipped, shipped_machines
 
-ONES = parse_machine("""
-name: ones
-alphabet: 0 1
-heads: 1
-states: s0
-mode: det
-twoway: true
-s0, * -> reject
-s0, 0 -> advance goto s0
-s0, 1 -> accept
-""")
-
-ONE_THEN_ZERO = parse_machine("""
-name: one-then-zero
-alphabet: 0 1
-heads: 2
-states: L1 L0
-mode: det
-twoway: true
-L1, 0 -> advance goto L1
-L1, 1 -> advance swap 2 goto L0
-L0, 0 -> accept swap 2
-L0, 1 -> advance goto L0
-""")
-
-GUESS_11 = parse_machine("""
-name: guess-11
-alphabet: 0 1
-heads: 1
-states: scan commit
-mode: nondet
-twoway: true
-scan, 0 -> advance goto scan
-scan, 1 -> advance goto scan
-scan, 1 -> advance goto commit
-scan, * -> reject
-commit, 1 -> accept
-commit, 0 -> reject
-commit, * -> reject
-""")
-
-COIN_FLIP = parse_machine("""
-name: coin-flip
-alphabet: 0 1
-heads: 1
-states: s
-mode: prob
-twoway: false
-s, * -> reject
-s, 0 -> 1/2 accept
-s, 0 -> 1/2 advance goto s
-s, 1 -> 1/2 accept
-s, 1 -> 1/2 advance goto s
-""")
+ONES = shipped("ones.mach")
+ONE_THEN_ZERO = shipped("one-then-zero.mach")
+GUESS_11 = shipped("guess-11.mach")
+COIN_FLIP = shipped("coin-flip.mach")
 
 
 def test_dfa_examples():
@@ -238,13 +186,10 @@ def _stepped_run(spec, word):
 def _shipped_and_seeded(mode, count):
     """The shipped machines of ``mode``, then ``count`` seeded specs of
     ``perfbench/machinegen.py`` in that mode, over every shape."""
-    gen = _load_machinegen()
-    shapes = [(heads, states, two_way) for heads in (1, 2)
+    shapes = [(mode, heads, states, two_way) for heads in (1, 2)
               for states in (1, 2, 3) for two_way in (False, True)]
-    rng = random.Random(7)
-    return [spec for _, spec in shipped_machines() if spec.mode == mode] + [
-        gen.random_spec(rng, i, mode, *shapes[i % len(shapes)])
-        for i in range(count)]
+    return [spec for _, spec in shipped_machines() if spec.mode == mode] + \
+        seeded_specs(7, count, shapes)
 
 
 def test_dfa_run_is_the_stepped_run():

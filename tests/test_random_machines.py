@@ -12,12 +12,9 @@ shape is drawn at least once, and every word of length <= 3 is run.
   with probabilistic loops only reach a lower bound today.
 """
 
-import importlib.util
-import os
-import random
-
 import pytest
 
+from eagerplug import assert_matches_eager
 from graphvm.encodings import (IN, OUT, _tape_carrier, encode_machine,
                                run_word)
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, accept_mass,
@@ -26,34 +23,21 @@ from graphvm.graphing import PROBABILITIES, TRIVIAL, Edge, Graphing
 from graphvm.machines import MARKER, format_machine, parse_machine
 from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
 from graphvm.realizers import Microcosm, Realizer
-from graphvm.space import MeasurableSet, RationalBox
-from harness import shipped_machines
+from harness import load_machinegen, seeded_specs, shipped_machines, whole
 
-MACHINEGEN = os.path.join(os.path.dirname(__file__), "..", "perfbench",
-                          "machinegen.py")
 SEED = 1
 COUNT = 60
 MAX_LEN = 3
 
 
-def _load_machinegen():
-    spec = importlib.util.spec_from_file_location("perfbench_machinegen",
-                                                  MACHINEGEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _machines():
-    gen = _load_machinegen()
+    gen = load_machinegen()
     shapes = [(mode, heads, states, two_way)
               for mode in gen.MODES
               for heads in range(1, gen.MAX_HEADS + 1)
               for states in range(1, gen.MAX_STATES + 1)
               for two_way in (False, True)]
-    rng = random.Random(SEED)
-    return [gen.random_spec(rng, i, *shapes[i % len(shapes)])
-            for i in range(COUNT)]
+    return seeded_specs(SEED, COUNT, shapes)
 
 
 MACHINES = _machines()
@@ -92,13 +76,12 @@ def test_repeats_by_key_match_the_full_trail_scan():
     direction: the plug, whose repeat test scans a trail only for an edge
     key already on it, equals the eager reference, which scans every
     trail.  The runs include exact loops and decaying revisits."""
-    from test_execution import _assert_matches_eager
     looping = decaying = 0
     for spec in MACHINES:
         machine = encode_machine(spec)
         for word in words_up_to(spec.alphabet, MAX_LEN):
             result, _ = run_word(machine, word, not spec.two_way)
-            _assert_matches_eager(result, *result.operands)
+            assert_matches_eager(result, *result.operands)
             diag = result.diagnostics
             looping += diag.looping_mass > 0
             decaying += diag.complete and diag.unresolved_mass > 0
@@ -137,11 +120,6 @@ def test_verdicts_by_existence_match_the_landed_mass(spec, max_len):
                     is _by_landed_mass(result, test, regions), (word, test)
 
 
-def _swept(cells):
-    """The whole cells as ``MeasurableSet.from_boxes`` canonicalises them."""
-    return MeasurableSet.from_boxes([RationalBox.make(c) for c in cells])
-
-
 def test_machines_are_built_in_the_swept_normal_form():
     """``encode_machine`` builds its sets and realizers directly: each
     equals what the canonicalising constructors make of the same cells
@@ -149,18 +127,18 @@ def test_machines_are_built_in_the_swept_normal_form():
     for spec in SHIPPED_SPECS + MACHINES:
         machine = encode_machine(spec)
         g, layout, rows = machine.graphing, machine.layout, len(spec.states)
-        carrier = _swept(range(rows * layout.row_stride))
+        carrier = whole(*range(rows * layout.row_stride))
         assert g.carrier == carrier, spec.name
-        assert machine.accept_region == _swept(
-            layout.accept_cell(r) for r in range(rows))
-        assert machine.reject_region == _swept(
-            layout.reject_cell(r) for r in range(rows))
-        assert _tape_carrier(layout, rows) == _swept(
-            layout.symbol_cell(symbol, kind, r) for r in range(rows)
-            for symbol in (MARKER,) + layout.alphabet for kind in (IN, OUT))
+        assert machine.accept_region == whole(
+            *(layout.accept_cell(r) for r in range(rows)))
+        assert machine.reject_region == whole(
+            *(layout.reject_cell(r) for r in range(rows)))
+        assert _tape_carrier(layout, rows) == whole(
+            *(layout.symbol_cell(symbol, kind, r) for r in range(rows)
+              for symbol in (MARKER,) + layout.alphabet for kind in (IN, OUT)))
         swept = []
         for e in g.edges:
-            source = _swept(e.source.cells())
+            source = whole(*e.source.cells())
             realizer = Realizer.make(e.realizer.shift, dict(e.realizer.perm))
             assert e.source == source and e.realizer == realizer, spec.name
             swept.append(Edge(e.weight, source, realizer))

@@ -13,11 +13,7 @@ from graphvm.realizers import (DomainViolation, Microcosm, Realizer,
                                preimage_within, standard_generators)
 from graphvm.sampling import random_pair
 from graphvm.space import MeasurableSet, RationalBox, interval
-from harness import log_calls
-
-
-def ms(*boxes):
-    return MeasurableSet.from_boxes(boxes)
+from harness import log_calls, ms
 
 
 def test_apply_examples():

@@ -10,8 +10,10 @@ the same:
 - ``sampled_plugs``: the exported plug results of ``random_pair`` at
   seeds 0-5 in every mode and of both nestings of ``random_triple``,
   at budgets 10000 and 3;
-- ``checks``: ``validate`` and ``classify`` on the seeded graphings of
-  ``test_graphing``'s reference corpus, invalid ones included.
+- ``checks``: ``validate`` and ``classify`` on the seeded graphings that
+  ``test_graphing`` compares with the grid model, invalid ones included.
+
+The corpora come from ``harness.py``.
 
 The digests were recorded before the export writer emitted text
 directly; an intended change of output bytes updates them here.  Each
@@ -25,46 +27,11 @@ import random
 
 import pytest
 
-from graphvm.encodings import encode_machine, run_word
-from graphvm.execution import plug
 from graphvm.export import dumps, result_payload
 from graphvm.graphing import classify, validate
-from graphvm.machines import words_up_to
-from graphvm.sampling import random_pair, random_triple
-
-from harness import shipped_machines
-from test_export import canonical
-from test_graphing import (_random_graphing, _sampled_graphings,
-                           _with_a_corner_cut)
-
-MODES = ("det", "nondet", "prob")
-
-
-def machine_run_results():
-    """The plug results whose payloads make the ``machine_runs`` family."""
-    for _, spec in shipped_machines():
-        machine = encode_machine(spec)
-        for word in words_up_to(machine.spec.alphabet, 4):
-            for one_way in (True, False):
-                for max_steps in (10000, 5):
-                    result, _ = run_word(machine, word, one_way=one_way,
-                                         max_steps=max_steps)
-                    yield result
-
-
-def sampled_plug_results():
-    """The plug results whose payloads make the ``sampled_plugs`` family."""
-    for max_steps in (10000, 3):
-        for mode in MODES:
-            for seed in range(6):
-                f, g = random_pair(seed, mode)
-                yield plug(f, g, max_steps=max_steps)
-                f, g, h = random_triple(seed, mode)
-                fg = plug(f, g, max_steps=max_steps)
-                gh = plug(g, h, max_steps=max_steps)
-                yield from (fg, gh,
-                            plug(fg.graphing, h, max_steps=max_steps),
-                            plug(f, gh.graphing, max_steps=max_steps))
+from harness import (canonical, machine_run_results, random_graphing,
+                     sampled_graphings, sampled_plug_results,
+                     with_a_corner_cut)
 
 
 def _machine_runs():
@@ -79,9 +46,9 @@ def _sampled_plugs():
 
 def _checks():
     rng = random.Random(23)
-    corpus = [_random_graphing(rng) for _ in range(1500)]
-    sampled = list(_sampled_graphings())
-    corpus += sampled + [_with_a_corner_cut(g, rng) for g in sampled]
+    corpus = [random_graphing(rng) for _ in range(1500)]
+    sampled = list(sampled_graphings())
+    corpus += sampled + [with_a_corner_cut(g, rng) for g in sampled]
     for g in corpus:
         yield f"{validate(g)!r} {classify(g).value}"
 

@@ -16,11 +16,7 @@ from graphvm.execution import _split
 from graphvm.realizers import Realizer
 from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
                            _box_minus, common_refinement, interval)
-from harness import log_calls
-
-
-def ms(*boxes):
-    return MeasurableSet.from_boxes(boxes)
+from harness import log_calls, ms
 
 
 def covers(a, b):
