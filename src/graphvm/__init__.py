@@ -7,10 +7,9 @@ from .realizers import (DomainViolation, Microcosm, Realizer,
 from .graphing import (Edge, Graphing, GraphingClass, PROBABILITIES, TRIVIAL,
                        classify, cost, disjoint_union, validate)
 from .execution import (AlternatingCycle, Diagnostics, INFINITY,
-                        LanguageResult, MeasurementMap, PlugResult, Regions,
-                        T_CONL, T_DET, T_NL, Test, Verdict, accept_mass,
-                        cycles, evaluate_test, language, measurement, plug,
-                        t_prob)
+                        LanguageResult, PlugResult, Regions, T_CONL, T_DET,
+                        T_NL, Test, Verdict, accept_mass, cycles,
+                        evaluate_test, language, measurement, plug, t_prob)
 from .machines import (Action, MachineParseError, MachineSpec,
                        MachineSpecError, MARKER, load_machine, parse_machine,
                        validate_spec)

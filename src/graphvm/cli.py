@@ -137,25 +137,33 @@ def cmd_experiment(args) -> int:
     out = _ensure_out(args)
     code = EXIT_OK
     if args.kind == "cost":
-        partial, total = equivalence.treeing_cost(args.heads, args.depth)
+        heads, depth = args.heads, args.depth
+        limit = sys.get_int_max_str_digits()
+        too_long = ValueError(
+            f"--heads {heads} --depth {depth}: the exact cost has more than "
+            f"{limit} digits, the limit for writing an integer")
+        # for 2 <= heads <= 2^depth the 2-part of the partial's reduced
+        # denominator is 2^(depth (heads - 1) + v2(heads)), known up front
+        if limit and heads >= 2 and (heads - 1).bit_length() <= depth and \
+                depth * (heads - 1) + (heads & -heads).bit_length() - 1 \
+                >= (10 ** limit).bit_length():
+            raise too_long
+        partial, total = equivalence.treeing_cost(heads, depth)
         try:
             partial_text = export.frac_str(partial)
             total_text = export.frac_str(total)
         except ValueError:
             # the interpreter caps int-to-str conversion, which is quadratic
-            raise ValueError(
-                f"--heads {args.heads} --depth {args.depth}: the exact cost "
-                f"has more than {sys.get_int_max_str_digits()} digits, the "
-                f"limit for writing an integer") from None
+            raise too_long from None
         payload = {
             "experiment": "cost",
-            "heads": args.heads,
-            "depth": args.depth,
+            "heads": heads,
+            "depth": depth,
             "partial": partial_text,
             "total": total_text,
         }
-        print(f"treeing cost, {args.heads} coordinates: partial "
-              f"{partial_text} at depth {args.depth}, total {total_text}")
+        print(f"treeing cost, {heads} coordinates: partial "
+              f"{partial_text} at depth {depth}, total {total_text}")
     elif args.kind == "separation":
         report = equivalence.separation_experiment(
             args.small, args.large, args.max_word_len, args.max_parts)

@@ -343,7 +343,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
 
 @dataclass(frozen=True)
 class AlternatingCycle:
-    """A closed alternating chain, canonical up to rotation."""
+    """A primitive closed alternating chain, in its least rotation."""
 
     steps: tuple[tuple[str, int], ...]
     realizer: Realizer
@@ -353,8 +353,15 @@ class AlternatingCycle:
 
 def cycles(f: Graphing, g: Graphing,
            max_len: int = 8) -> list[AlternatingCycle]:
-    """All alternating cycles of length <= max_len with nonempty support,
-    deduplicated up to rotation: each is kept in its least rotation."""
+    """The primitive alternating cycles of length <= max_len with nonempty
+    support, each once: a step word is kept only when it is strictly below
+    each of its proper rotations (a Lyndon word), so no power u^k of a
+    cycle u is kept; as every ("F", i) sorts before every ("G", j), each
+    kept word starts on an edge of ``f``, where the search starts.
+
+    The support is the set of points of the first edge's source that land
+    back in it after one lap.  A point that a permutation moves is counted
+    once, in the word it follows, and is not weighted by its period."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     sides = {"F": f, "G": g}
@@ -362,10 +369,9 @@ def cycles(f: Graphing, g: Graphing,
     found: list[AlternatingCycle] = []
 
     def extend(steps, image, comp, weight):
-        if len(steps) >= 2 and steps[0][0] != steps[-1][0] and \
-                steps == min(steps[i:] + steps[:i] for i in range(len(steps))):
-            first = sides[steps[0][0]].edges[steps[0][1]]
-            closing = image.intersect(first.source)
+        if len(steps) % 2 == 0 and all(steps < steps[i:] + steps[:i]
+                                       for i in range(1, len(steps))):
+            closing = image.intersect(f.edges[steps[0][1]].source)
             if not closing.is_empty():
                 found.append(AlternatingCycle(
                     steps, comp, comp.invert().apply(closing), weight))
@@ -376,37 +382,16 @@ def cycles(f: Graphing, g: Graphing,
             extend(steps + ((other, idx),), e.realizer.apply(hit),
                    comp.compose(e.realizer), monoid.product(weight, e.weight))
 
-    for side in ("F", "G"):
-        for idx, e in enumerate(sides[side].edges):
-            extend(((side, idx),), e.realizer.apply(e.source), e.realizer,
-                   e.weight)
+    for idx, e in enumerate(f.edges):
+        extend((("F", idx),), e.realizer.apply(e.source), e.realizer, e.weight)
     return sorted(found, key=lambda cyc: cyc.steps)
 
 
-@dataclass(frozen=True)
-class MeasurementMap:
-    """Total map from weights to extended nonnegative values."""
-
-    table: tuple[tuple[Fraction, object], ...] = ()
-    default: object = None
-
-    @staticmethod
-    def constant(value) -> "MeasurementMap":
-        return MeasurementMap((), value)
-
-    def __call__(self, weight):
-        for key, value in self.table:
-            if key == weight:
-                return value
-        if self.default is None:
-            raise KeyError(f"measurement map undefined on weight {weight}")
-        return self.default
-
-
-def measurement(f: Graphing, g: Graphing, m: MeasurementMap,
-                max_len: int = 8):
-    """Sum over canonical cycles of support measure times the weight
-    image; INFINITY as soon as an infinite term has positive support."""
+def measurement(f: Graphing, g: Graphing, m, max_len: int = 8):
+    """Sum over the primitive cycles of support measure times ``m`` of the
+    cycle's weight, where ``m`` is any function from a weight to a
+    nonnegative rational or INFINITY; INFINITY as soon as an infinite
+    term has positive support."""
     total = Fraction(0)
     for cyc in cycles(f, g, max_len=max_len):
         value = m(cyc.weight)

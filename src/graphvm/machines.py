@@ -244,7 +244,6 @@ def _parse_action(tokens: list[str], line_no: int) -> Action:
 def parse_machine(text: str) -> MachineSpec:
     headers: dict[str, str] = {}
     transitions: dict[tuple[str, str], list[Action]] = {}
-    order: list[tuple[str, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -257,11 +256,7 @@ def parse_machine(text: str) -> MachineSpec:
                     line_no, "transition needs 'state, symbol' before '->'")
             state, symbol = lhs_parts
             action = _parse_action(rhs.split(), line_no)
-            key = (state, symbol)
-            if key not in transitions:
-                transitions[key] = []
-                order.append(key)
-            transitions[key].append(action)
+            transitions.setdefault((state, symbol), []).append(action)
         elif ":" in line:
             key, value = line.split(":", 1)
             key = key.strip().lower()
@@ -290,7 +285,8 @@ def parse_machine(text: str) -> MachineSpec:
         raise MachineParseError(0, "twoway must be true or false")
     two_way = two_way_text == "true"
     spec = MachineSpec(name, alphabet, heads, states, mode, two_way,
-                       tuple((k, tuple(transitions[k])) for k in order))
+                       tuple((k, tuple(acts))
+                             for k, acts in transitions.items()))
     problems = validate_spec(spec)
     if problems:
         raise MachineSpecError("; ".join(problems))

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm import cli, encodings, export, load_machine, pfa_accept_prob
+from graphvm import (cli, encodings, equivalence, export, load_machine,
+                     pfa_accept_prob)
 from graphvm.cli import (EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_UNDETERMINED, main)
 from harness import MACHINES, log_calls, shipped_machines
@@ -206,12 +207,20 @@ def test_experiment_count_below_one_is_a_validation_error(kind, count,
     (["experiment", "cost", "--heads", "20", "--depth", "10000"],
      f"--heads 20 --depth 10000: the exact cost has more than "
      f"{sys.get_int_max_str_digits()} digits"),
+    (["experiment", "cost", "--heads", "20", "--depth", "100000"],
+     f"--heads 20 --depth 100000: the exact cost has more than "
+     f"{sys.get_int_max_str_digits()} digits"),
 ])
-def test_negative_bound_is_a_validation_error(argv, message, capsys):
+def test_negative_bound_is_a_validation_error(argv, message, capsys,
+                                              monkeypatch):
+    calls = log_calls(monkeypatch, (equivalence, "treeing_cost"))
     assert main(argv) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    # a cost too long to write is refused before it is computed
+    if argv[:2] == ["experiment", "cost"]:
+        assert calls == []
 
 
 @pytest.mark.parametrize("cutpoint, words", [

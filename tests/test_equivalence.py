@@ -8,8 +8,7 @@ from graphvm.equivalence import (CompilationWitness, WitnessError,
                                  is_compilable, orbit, phi_words,
                                  separation_experiment, treeing_cost,
                                  unit_shift_witnesses)
-from graphvm.execution import (MeasurementMap, T_DET, cycles, language,
-                               measurement)
+from graphvm.execution import T_DET, cycles, language, measurement
 from graphvm.graphing import Edge, Graphing, TRIVIAL, cost, validate
 from graphvm.realizers import Microcosm, Realizer, standard_generators
 from graphvm.space import MeasurableSet, interval
@@ -277,7 +276,7 @@ def _two_cell_shift():
 @pytest.mark.parametrize("call", [
     lambda: cycles(_two_cell_shift(), _two_cell_shift(), max_len=-3),
     lambda: measurement(_two_cell_shift(), _two_cell_shift(),
-                        MeasurementMap.constant(Fraction(1)), max_len=-1),
+                        lambda w: Fraction(1), max_len=-1),
     lambda: is_compilable(Realizer.shift_by(1), [Realizer.shift_by(1)],
                           max_word_len=-1),
     lambda: is_compilable(Realizer.shift_by(1), [Realizer.shift_by(1)],

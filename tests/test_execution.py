@@ -6,10 +6,10 @@ import pytest
 
 from eagerplug import (assert_matches_eager, assert_matches_eager_at_budgets,
                        eager_plug)
-from graphvm.execution import (INFINITY, MeasurementMap, T_CONL, T_DET, T_NL,
-                               Regions, Test, Verdict, _split, accept_mass,
-                               cycles, evaluate_test, landing, measurement,
-                               plug, reject_mass, t_prob)
+from graphvm.execution import (INFINITY, T_CONL, T_DET, T_NL, Regions, Test,
+                               Verdict, _split, accept_mass, cycles,
+                               evaluate_test, landing, measurement, plug,
+                               reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
                               TRIVIAL, classify, disjoint_union, validate)
 from graphvm.realizers import Microcosm, Realizer
@@ -229,15 +229,34 @@ def test_forced_two_cycle():
     got = cycles(f, g, max_len=2)
     assert len(got) == 1
     assert got[0].support == A
-    assert measurement(f, g, MeasurementMap.constant(Fraction(1)), 2) == 1
-    assert measurement(f, g, MeasurementMap.constant(INFINITY), 2) is INFINITY
+    assert measurement(f, g, lambda w: INFINITY, 2) is INFINITY
+    # its powers are not cycles of their own, so longer searches add none
+    for k in (2, 4, 6, 8):
+        assert cycles(f, g, max_len=k) == got
+        assert measurement(f, g, lambda w: Fraction(1), k) == 1
+
+
+def test_primitive_four_cycle_is_kept_once():
+    # F: 0 -> 1 and 2 -> 3, G: 1 -> 2 and 3 -> 0
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1)),
+                  Edge(Fraction(1), whole(2), Realizer.shift_by(1))],
+                 (0, 1, 2, 3))
+    g = graphing([Edge(Fraction(1), whole(1), Realizer.shift_by(1)),
+                  Edge(Fraction(1), whole(3), Realizer.shift_by(-3))],
+                 (0, 1, 2, 3))
+    got = cycles(f, g, max_len=8)
+    # its square, the same word twice, is not kept
+    assert [cyc.steps for cyc in got] == [
+        (("F", 0), ("G", 0), ("F", 1), ("G", 1))]
+    assert got[0].support == whole(0)
+    assert measurement(f, g, lambda w: Fraction(1), 8) == 1
 
 
 def test_disjoint_carriers_have_no_cycles():
     f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1))], (0, 1))
     g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     assert cycles(f, g, max_len=6) == []
-    assert measurement(f, g, MeasurementMap.constant(Fraction(1))) == 0
+    assert measurement(f, g, lambda w: Fraction(1)) == 0
 
 
 def test_machine_word_runs_are_acyclic():
@@ -248,22 +267,12 @@ def test_machine_word_runs_are_acyclic():
         assert cycles(m.graphing, enc.graphing, max_len=6) == []
 
 
-def test_measurement_monotone_in_cycle_length():
-    A, B = whole(0), whole(1)
-    carrier = A.union(B)
-    f = Graphing.make(TRIVIAL, Microcosm.m1(), carrier,
-                      [Edge(Fraction(1), A, Realizer.shift_by(1))])
-    g = Graphing.make(TRIVIAL, Microcosm.m1(), carrier,
-                      [Edge(Fraction(1), B, Realizer.shift_by(-1))])
-    m = MeasurementMap.constant(Fraction(1))
-    values = [measurement(f, g, m, k) for k in (2, 4, 6)]
-    assert values == sorted(values)
-
-
 def test_measurement_symmetric_in_arguments():
+    def m(weight):
+        return Fraction(1)
+
     for seed in range(8):
         f, g = random_pair(seed, "det")
-        m = MeasurementMap.constant(Fraction(1))
         assert measurement(f, g, m, 6) == measurement(g, f, m, 6)
 
 
