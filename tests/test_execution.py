@@ -252,6 +252,20 @@ def test_primitive_four_cycle_is_kept_once():
     assert measurement(f, g, lambda w: Fraction(1), 8) == 1
 
 
+def test_measurement_monotone_in_cycle_length():
+    # the F: 0 -> 1, 2 -> 3 / G: 1 -> 2, 3 -> 0 four-cycle is found from k = 4
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1)),
+                  Edge(Fraction(1), whole(2), Realizer.shift_by(1))],
+                 (0, 1, 2, 3))
+    g = graphing([Edge(Fraction(1), whole(1), Realizer.shift_by(1)),
+                  Edge(Fraction(1), whole(3), Realizer.shift_by(-3))],
+                 (0, 1, 2, 3))
+    values = [measurement(f, g, lambda w: Fraction(1), k)
+              for k in (2, 4, 6, 8)]
+    assert values == sorted(values)
+    assert values == [0, 1, 1, 1]
+
+
 def test_disjoint_carriers_have_no_cycles():
     f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(1))], (0, 1))
     g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
