@@ -143,11 +143,19 @@ def cmd_experiment(args) -> int:
             f"--heads {heads} --depth {depth}: the exact cost has more than "
             f"{limit} digits, the limit for writing an integer")
         # for 2 <= heads <= 2^depth the 2-part of the partial's reduced
-        # denominator is 2^(depth (heads - 1) + v2(heads)), known up front
-        if limit and heads >= 2 and (heads - 1).bit_length() <= depth and \
-                depth * (heads - 1) + (heads & -heads).bit_length() - 1 \
-                >= (10 ** limit).bit_length():
-            raise too_long
+        # denominator is 2^(depth (heads - 1) + v2(heads)), known up front;
+        # the total's is heads!, multiplied up only until it passes the bound
+        if limit and heads >= 2:
+            bound = 10 ** limit
+            if (heads - 1).bit_length() <= depth and \
+                    depth * (heads - 1) + (heads & -heads).bit_length() - 1 \
+                    >= bound.bit_length():
+                raise too_long
+            product = 1
+            for k in range(2, heads + 1):
+                product *= k
+                if product >= bound:
+                    raise too_long
         partial, total = equivalence.treeing_cost(heads, depth)
         try:
             partial_text = export.frac_str(partial)

@@ -110,6 +110,20 @@ def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
     return Edge(Fraction(1), source, realizer)
 
 
+def _edge_from(cell: int, pos: int, out: int, base: int, symbols,
+               in_cell: dict[str, int], cells: int) -> Edge | None:
+    """The word edge from the slice of ``pos`` in ``cell``, the In
+    (``out`` 0) or Out (``out`` 1) cell of a symbol in the row at
+    ``base``: Out carries ``pos`` to the next In, In back to the last Out.
+    ``symbols`` is the marked word, ``cells`` long, or a prefix of it:
+    None when the prefix stops before the position the edge leads to."""
+    to = (pos + 1 if out else pos - 1) % cells
+    if to >= len(symbols):
+        return None
+    return _word_edge(cell, pos, base + in_cell[symbols[to]] + 1 - out, to,
+                      cells)
+
+
 @lru_cache(maxsize=64)
 def _tape_carrier(layout: TapeLayout, rows: int) -> MeasurableSet:
     """The In and Out cells of the marker and of every symbol, per row:
@@ -149,16 +163,89 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
             for out in (1,) if one_way else (0, 1):
                 cell = base + in_cell[symbol] + out
                 by_cell[cell] = list(range(len(edges), len(edges) + len(at)))
-                for pos in at:
-                    # Out carries pos to the next In, In back to the last Out
-                    to = (pos + 1 if out else pos - 1) % cells
-                    dst = base + in_cell[symbols[to]] + 1 - out
-                    edges.append(_word_edge(cell, pos, dst, to, cells))
+                edges.extend(_edge_from(cell, pos, out, base, symbols,
+                                        in_cell, cells) for pos in at)
     graphing = Graphing(TRIVIAL, Microcosm.macrocosm(),
                         _tape_carrier(layout, state_rows), tuple(edges))
     vars(graphing)["edges_by_cell"] = by_cell
     vars(graphing)["_problems"] = ()      # valid by construction
     return WordEncoding(graphing)
+
+
+class WordSide:
+    """The word side of one search shared by the words of one length, on
+    ``rows`` state rows: the word edges that a path meets, read off a
+    prefix of the word.  Each is built by ``_edge_from`` as
+    ``encode_word`` builds it, and keyed by its (cell, position), which
+    name it in every word that has it."""
+
+    weights = TRIVIAL
+
+    def __init__(self, layout: TapeLayout, rows: int, one_way: bool,
+                 length: int):
+        self.cells = length + 1
+        self.carrier = _tape_carrier(layout, rows)
+        self.microcosm = Microcosm.macrocosm()
+        self.in_cell = {s: layout.symbol_cell(s, IN)
+                        for s in (MARKER,) + layout.alphabet}
+        # per cell with word edges: its row's base, symbol and Out flag
+        self.kinds = {base + self.in_cell[s] + out: (base, s, out)
+                      for base in range(0, rows * layout.row_stride,
+                                        layout.row_stride)
+                      for s in self.in_cell
+                      for out in ((1,) if one_way else (0, 1))}
+        # per set met: its (cell, position) slices, in Edge.key order
+        self._slices: dict[MeasurableSet, list[tuple[int, int]]] = {}
+
+    def slices(self, s: MeasurableSet) -> list[tuple[int, int]]:
+        """The (cell, position) pairs, in order, whose slice of
+        coordinate 1 meets a box of ``s`` in a cell with word edges, the
+        marker's only at position 0 and a symbol's only after it.  They
+        do not depend on the word."""
+        got = self._slices.get(s)
+        if got is None:
+            cells, pairs = self.cells, set()
+            for b in s.boxes:
+                kind = self.kinds.get(b.cell)
+                if kind is None:
+                    continue
+                lo, hi = 0, cells
+                if b.coords and b.coords[0][0] == 1:
+                    iv = b.coords[0][1]
+                    lo, hi = iv.a * cells // iv.d, -(-iv.b * cells // iv.d)
+                if kind[1] == MARKER:
+                    hi = min(hi, 1)
+                else:
+                    lo = max(lo, 1)
+                pairs.update((b.cell, pos) for pos in range(lo, hi))
+            got = self._slices[s] = sorted(pairs)
+        return got
+
+    def meets(self, prefix: str, intersect):
+        """For the words that begin with ``prefix``: the ``meets`` of a
+        search, which gives ``((cell, position), edge, meet)`` for the
+        word edges whose source meets a set, or None, to park the path,
+        when one of them needs a symbol past the prefix, its source's or
+        the one it leads to."""
+        symbols = (MARKER,) + tuple(prefix)
+        kinds, in_cell, cells = self.kinds, self.in_cell, self.cells
+
+        def meets(s: MeasurableSet):
+            found = []
+            for cell, pos in self.slices(s):
+                if pos >= len(symbols):
+                    return None
+                base, symbol, out = kinds[cell]
+                if symbols[pos] == symbol:
+                    e = _edge_from(cell, pos, out, base, symbols, in_cell,
+                                   cells)
+                    if e is None:
+                        return None
+                    # the slice meets a box of s: the meet is not empty
+                    found.append(((cell, pos), e, intersect(s, e.source)))
+            return found
+
+        return meets
 
 
 @dataclass(frozen=True)

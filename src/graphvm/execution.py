@@ -16,15 +16,16 @@ when mass remains whose fate the budget could not settle.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .space import _EMPTY, MeasurableSet, _exact, _ratio_sum, lazy
 from .realizers import Realizer
 from .graphing import Edge, Graphing, join_monoids, validate
-from .machines import require_probabilities, words_up_to
+from .machines import require_probabilities
 
 
 class _Infinity:
@@ -162,11 +163,15 @@ class PlugResult:
     they are read, so a caller that only reads the graphing never builds
     them.  ``dead_paths`` and ``diagnostics.dead_mass`` read the same dead
     regions, so reading both builds each node's region once.
+
+    A word's result in ``language``'s prefix search has no word graphing:
+    its second operand is None, and its word steps are keyed by (cell,
+    position), not by edge index.
     """
 
     graphing: Graphing
     diagnostics: Diagnostics
-    operands: tuple[Graphing, Graphing]   # the sides "F" and "G" of the steps
+    operands: tuple[Graphing, Graphing | None]  # the sides "F" and "G"
     # per result edge, in edge order: the path's trail
     exit_trails: list[tuple[_Step, ...]]
 
@@ -209,6 +214,166 @@ def _split(image: MeasurableSet,
             MeasurableSet(tuple(inside)))
 
 
+def _table(memo: dict | None):
+    """``Realizer.apply`` and ``compose``, ``MeasurableSet.intersect`` and
+    the split at the cut: as they are, or through ``memo``, a table that
+    several searches share.  It keys one ``lru_cache`` per operation by
+    the method read when the search began, so whatever is bound there
+    sees every miss; results are shared, as sets and realizers are
+    immutable."""
+    ops = (Realizer.apply, Realizer.compose, MeasurableSet.intersect, _split)
+    if memo is None:
+        return ops
+    return tuple(memo.get(method)
+                 or memo.setdefault(method, lru_cache(maxsize=None)(method))
+                 for method in ops)
+
+
+class _Search:
+    """The alternating-path search of a plug across ``cut``, breadth
+    first.  A path is split at the cut when it is made: the part outside
+    exits, kept as a result edge, and the part inside is queued.  The
+    queue is first in, first out, so exits and open nodes come in the
+    order paths are made.
+
+    ``drain`` expands the queue with one ``meets`` function per side.  A
+    ``meets`` that returns None for a path parks it: it stays queued for
+    a search that ``fork`` continues with more known of that side, as
+    ``language`` continues a word prefix with each next symbol."""
+
+    def __init__(self, f_carrier: MeasurableSet, g_carrier: MeasurableSet,
+                 monoid, max_steps: int, memo: dict | None):
+        self.monoid = monoid
+        self.max_steps = max_steps
+        self.apply, self.compose, self.intersect, self.split = _table(memo)
+        self.cut = self.intersect(g_carrier, f_carrier)
+        self.steps = 0
+        self.diag = Diagnostics()
+        self.exits: list[tuple[Edge, tuple[_Step, ...]]] = []
+        # each path: the part of its image inside the cut, its trail and
+        # the trail's (side, edge) keys
+        self.queue: deque[tuple[MeasurableSet, tuple[_Step, ...],
+                                tuple]] = deque()
+
+    def fork(self) -> "_Search":
+        """A search that goes on from this one's state, which it leaves
+        as it is."""
+        child = object.__new__(_Search)
+        vars(child).update(vars(self))
+        diag = self.diag
+        child.diag = Diagnostics(diag.complete, diag.steps_used,
+                                 diag.unresolved_mass, diag.looping_mass,
+                                 list(diag.notes))
+        child.diag._open_nodes = list(diag._open_nodes)
+        child.exits = list(self.exits)
+        child.queue = deque(self.queue)
+        return child
+
+    def start(self, side: str, graphing: Graphing) -> MeasurableSet:
+        """Queue a path per edge over ``graphing``'s carrier outside the
+        cut, on its source's part outside it; return that part of the
+        carrier."""
+        split, apply, cut = self.split, self.apply, self.cut
+        outside = split(graphing.carrier, cut)[0]
+        for idx in graphing.edges_over(outside):
+            e = graphing.edges[idx]
+            start = split(e.source, cut)[0]
+            if start.boxes:
+                self.push(apply(e.realizer, start),
+                          (((side, idx), start, e.realizer, e.weight),),
+                          ((side, idx),))
+        return outside
+
+    def push(self, image: MeasurableSet, trail: tuple[_Step, ...],
+             keys: tuple) -> None:
+        exits, inside = self.split(image, self.cut)
+        if exits.boxes:
+            _, _, composite, weight = trail[-1]
+            edge = Edge(weight, self.apply(composite.invert(), exits),
+                        composite)
+            vars(edge)["target"] = exits  # the image of its source
+            self.exits.append((edge, trail))
+        # a path inside the cut only meets the part of a source in the
+        # cut, so whole edges need no split at it
+        if inside.boxes:
+            self.queue.append((inside, trail, keys))
+
+    def drain(self, meets: dict) -> None:
+        """Expand every queued path but those parked.  ``meets[side]``
+        gives ``(index, edge, hit)`` for each edge of the side whose source
+        meets a path's part inside the cut, ``hit`` the meet, in
+        ``Edge.key`` order, or None to park the path.  A step is keyed by
+        its side and that index."""
+        diag, queue, compose, apply, push = (
+            self.diag, self.queue, self.compose, self.apply, self.push)
+        product, max_steps, steps = self.monoid.product, self.max_steps, \
+            self.steps
+        parked = []
+        while queue:
+            node = queue.popleft()
+            inside, trail, keys = node
+            (side, _), _, composite, weight = trail[-1]
+            other = "G" if side == "F" else "F"
+            found = meets[other](inside)
+            if found is None:
+                parked.append(node)
+                continue
+            hits: list[MeasurableSet] = []
+            # a meet that cuts nothing returns its operand: then one source
+            # holds all of inside and nothing dies here
+            whole = False
+            for idx, e, hit in found:
+                hits.append(hit)
+                whole = whole or hit is inside
+                if steps >= max_steps:
+                    diag.complete = False
+                    diag.unresolved_mass += weight * hit.measure()
+                    continue
+                steps += 1
+                new_comp = compose(composite, e.realizer)
+                new_weight = product(weight, e.weight)
+                key = (other, idx)
+                # a repeat takes an edge the trail took before, so the
+                # trail is scanned only when the key is already in it
+                if key in keys:
+                    repeat = next((w for k, region, comp, w in trail
+                                   if k == key and comp == new_comp
+                                   and hit.subset_of(region)), None)
+                    if repeat is not None:
+                        mass = new_weight * hit.measure()
+                        if new_weight == repeat:
+                            diag.looping_mass += mass
+                        else:
+                            # decaying revisit: its remaining emissions are
+                            # bounded by the mass entering the repeat
+                            diag.unresolved_mass += mass
+                        continue
+                push(apply(e.realizer, hit),
+                     trail + ((key, hit, new_comp, new_weight),),
+                     keys + (key,))
+            if not whole:
+                diag._open_nodes.append((trail, inside, hits))
+        queue.extend(parked)
+        self.steps = steps
+
+    def result(self, microcosm, carrier: MeasurableSet,
+               operands: tuple) -> PlugResult:
+        """The graphing of the exits, in ``Edge.key`` order, over
+        ``carrier``, with the diagnostics and the exits' trails."""
+        found = self.exits
+        if len(found) > 1:
+            found = sorted(found, key=lambda found: found[0].key())
+        diag = self.diag
+        diag.steps_used = self.steps
+        if not diag.complete:
+            diag.notes.append(
+                f"step budget {self.max_steps} exhausted; result partial")
+        graphing = Graphing(self.monoid, microcosm, carrier,
+                            tuple(e for e, _ in found))
+        return PlugResult(graphing, diag, operands,
+                          [trail for _, trail in found])
+
+
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
          memo: dict | None = None) -> PlugResult:
     """Compose ``f`` and ``g`` across the cut, their carrier overlap,
@@ -221,27 +386,23 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     plugged again, such as a machine against every word, is swept only once.
 
     The cut is ``g``'s carrier met with ``f``'s, a word's own carrier in a
-    machine run.  At each node of the search, one split of the image at
-    the cut gives the part that exits, kept as its edge's ``target``, and
-    the part that goes on.  The dead part is what the other side's
-    sources leave of the latter: none when one source holds all of it,
-    as the meet then returns the node's own set.  Any other node is kept
-    with its trail and its hits, and its dead part is built only when
-    ``dead_paths`` or ``diagnostics.dead_mass`` is read; ``language``
-    and the property checks read neither.  A path repeats when it takes
-    an edge of its trail again with the same composite, on a part of the
-    region it had there; each path carries its trail's edge keys, so the
-    trail is scanned only for a key already in it.
+    machine run.  Each path made, one split of its image at the cut gives
+    the part that exits, kept as its edge's ``target``, and the part that
+    goes on.  The dead part is what the other side's sources leave of the
+    latter: none when one source holds all of it, as the meet then
+    returns the path's own set.  Any other node is kept with its trail
+    and its hits, and its dead part is built only when ``dead_paths`` or
+    ``diagnostics.dead_mass`` is read; ``language`` and the property
+    checks read neither.  A path repeats when it takes an edge of its
+    trail again with the same composite, on a part of the region it had
+    there; each path carries its trail's edge keys, so the trail is
+    scanned only for a key already in it.
     The result keeps each path's trail; ``PlugResult`` builds the path
     records only when they are read.
 
     ``memo`` is a table that several plugs share, as ``language`` does
-    with every word of one call against one machine.  It keys one
-    ``lru_cache`` per operation (``Realizer.apply`` and ``compose``,
-    ``MeasurableSet.intersect``, the split at the cut)
-    by the method read when the plug began, so whatever is bound there
-    sees every miss; results are shared, as sets and realizers are
-    immutable.  A lone plug keeps no table.
+    with the words its budget sends to ``run_word``; see ``_table``.
+    A lone plug keeps no table.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
@@ -249,94 +410,14 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
         problems = validate(graphing)
         if problems:
             raise ValueError(f"{name} graphing invalid: {problems}")
-    apply, compose = Realizer.apply, Realizer.compose
-    intersect, split = MeasurableSet.intersect, _split
-    if memo is not None:
-        apply, compose, intersect, split = (
-            memo.get(method)
-            or memo.setdefault(method, lru_cache(maxsize=None)(method))
-            for method in (apply, compose, intersect, split))
-    monoid = join_monoids(f.weights, g.weights)
-    product = monoid.product
-    cut = intersect(g.carrier, f.carrier)
-    sides = {"F": f, "G": g}
-    diag = Diagnostics()
-    steps = 0
-    exits_found: list[tuple[Edge, tuple[_Step, ...]]] = []
-    # each path: its image, its trail and the trail's (side, edge) keys
-    queue: deque[tuple[MeasurableSet, tuple[_Step, ...],
-                       tuple[tuple[str, int], ...]]] = deque()
-
-    outside = {}
-    for side, graphing in sides.items():
-        outside[side] = split(graphing.carrier, cut)[0]
-        for idx in graphing.edges_over(outside[side]):
-            e = graphing.edges[idx]
-            start = split(e.source, cut)[0]
-            if start.boxes:
-                queue.append((apply(e.realizer, start),
-                              (((side, idx), start, e.realizer, e.weight),),
-                              ((side, idx),)))
-
-    while queue:
-        image, trail, keys = queue.popleft()
-        (side, _), _, composite, weight = trail[-1]
-        exits, inside = split(image, cut)
-        if exits.boxes:
-            edge = Edge(weight, apply(composite.invert(), exits), composite)
-            vars(edge)["target"] = exits  # the image of its source
-            exits_found.append((edge, trail))
-        # a path inside the cut only meets the part of a source in the
-        # cut, so whole edges need no split at it
-        if not inside.boxes:
-            continue
-        other = "G" if side == "F" else "F"
-        hits: list[MeasurableSet] = []
-        # a meet that cuts nothing returns its operand: then one source
-        # holds all of inside and nothing dies here
-        whole = False
-        for idx, e, hit in sides[other].edges_meeting(inside, intersect):
-            hits.append(hit)
-            whole = whole or hit is inside
-            if steps >= max_steps:
-                diag.complete = False
-                diag.unresolved_mass += weight * hit.measure()
-                continue
-            steps += 1
-            new_comp = compose(composite, e.realizer)
-            new_weight = product(weight, e.weight)
-            key = (other, idx)
-            # a repeat takes an edge the trail took before, so the trail
-            # is scanned only when the key is already in it
-            if key in keys:
-                repeat = next((w for k, region, comp, w in trail
-                               if k == key and comp == new_comp
-                               and hit.subset_of(region)), None)
-                if repeat is not None:
-                    mass = new_weight * hit.measure()
-                    if new_weight == repeat:
-                        diag.looping_mass += mass
-                    else:
-                        # decaying revisit: its remaining emissions are
-                        # bounded by the mass entering the repeat
-                        diag.unresolved_mass += mass
-                    continue
-            queue.append((apply(e.realizer, hit),
-                          trail + ((key, hit, new_comp, new_weight),),
-                          keys + (key,)))
-        if not whole:
-            diag._open_nodes.append((trail, inside, hits))
-
-    if len(exits_found) > 1:
-        exits_found.sort(key=lambda found: found[0].key())
-    graphing = Graphing(monoid, f.microcosm.join(g.microcosm),
-                        outside["F"].union(outside["G"]),
-                        tuple(e for e, _ in exits_found))
-    diag.steps_used = steps
-    if not diag.complete:
-        diag.notes.append(f"step budget {max_steps} exhausted; result partial")
-    return PlugResult(graphing, diag, (f, g),
-                      [trail for _, trail in exits_found])
+    search = _Search(f.carrier, g.carrier, join_monoids(f.weights, g.weights),
+                     max_steps, memo)
+    outside = search.start("F", f), search.start("G", g)
+    intersect = search.intersect
+    search.drain({"F": partial(f.edges_meeting, intersect=intersect),
+                  "G": partial(g.edges_meeting, intersect=intersect)})
+    return search.result(f.microcosm.join(g.microcosm),
+                         outside[0].union(outside[1]), (f, g))
 
 
 # -- cycles and measurement ---------------------------------------------------
@@ -494,20 +575,65 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
              max_steps: int = 10000) -> LanguageResult:
     """Words of length <= max_len the encoded machine accepts under the
     test, in (length, alphabet) order.  Undetermined words are excluded
-    from the list and reported separately."""
-    from .encodings import run_word
+    from the list and reported separately.
+
+    Each length has one search, shared over the trie of word prefixes and
+    walked depth first in alphabet order.  The cut is the word's carrier,
+    which does not depend on the word, so the machine's paths start once
+    per length.  A prefix's search takes the steps its symbols decide; a
+    path whose next word edge needs a symbol past the prefix is parked,
+    and each next symbol's search goes on from the prefix's exits,
+    masses, step count and parked paths.  A word's search is then its
+    own plug's steps in another order, which leaves its exits and masses
+    as they are.  The order matters once the budget runs out: then every
+    word below goes through ``run_word``, its own plug, as the steps so
+    far are steps of each of them.  One table serves the whole call,
+    dropped when it returns: the searches repeat the same set and
+    realizer operations on equal operands."""
+    from .encodings import WordSide, run_word
 
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if test.kind == "prob":
         require_probabilities(machine.spec)
+    alphabet = machine.spec.alphabet
     verdicts: dict[str, Verdict] = {}
-    # one table for every word of this call, dropped when it returns: the
-    # words repeat the same set and realizer operations on equal operands
     memo: dict = {}
-    for word in words_up_to(machine.spec.alphabet, max_len):
-        result, regions = run_word(machine, word, one_way, max_steps, memo)
-        verdicts[word] = evaluate_test(result, test, regions)
+    for length in range(max_len + 1):
+        side = WordSide(machine.layout, len(machine.spec.states), one_way,
+                        length)
+        root = _Search(machine.graphing.carrier, side.carrier,
+                       join_monoids(machine.graphing.weights, side.weights),
+                       max_steps, memo)
+        # the word's carrier is the cut, so no path starts on its side
+        carrier = root.start("F", machine.graphing)
+        microcosm = machine.graphing.microcosm.join(side.microcosm)
+        regions = machine.regions_for(length)
+        intersect = root.intersect
+        on_machine = partial(machine.graphing.edges_meeting,
+                             intersect=intersect)
+        trie = [(root, "")]
+        while trie:
+            search, prefix = trie.pop()
+            search.drain({"F": on_machine,
+                          "G": side.meets(prefix, intersect)})
+            if not search.diag.complete:
+                for rest in itertools.product(alphabet,
+                                              repeat=length - len(prefix)):
+                    word = prefix + "".join(rest)
+                    result, _ = run_word(machine, word, one_way, max_steps,
+                                         memo)
+                    verdicts[word] = evaluate_test(result, test, regions)
+            elif len(prefix) == length:
+                result = search.result(microcosm, carrier,
+                                       (machine.graphing, None))
+                verdicts[prefix] = evaluate_test(result, test, regions)
+            else:
+                # the last symbol goes on in this search, the others in
+                # forks, pushed so that the first symbol comes off first
+                forks = [search.fork() for _ in alphabet[1:]] + [search]
+                trie.extend(zip(reversed(forks),
+                                [prefix + x for x in reversed(alphabet)]))
     return LanguageResult(
         [w for w, v in verdicts.items() if v is Verdict.ACCEPT],
         [w for w, v in verdicts.items() if v is Verdict.UNDETERMINED],

@@ -5,8 +5,9 @@ module attribute (``getattr``) or as an entry of a class ``__dict__``,
 so deleting or moving one of those names breaks
 ``perfbench/run.py --trace 1``.  This test fails first.  The tracer is
 loaded from its file and only read.  With it installed, ``language``
-must give each word its own ``run_word`` span, so that the per-word
-glue is not counted as ``language``'s own time.
+must give the verdicts it gives untraced, with a ``run_word`` span and a
+``plug`` span for each word whose budget ran out in the shared search,
+and for no other.
 """
 
 import importlib
@@ -43,16 +44,21 @@ def test_wrapped_name_resolves(layer, name):
         assert callable(getattr(module, name))
 
 
-def test_language_traces_one_run_word_and_one_plug_per_word():
+def test_language_traces_run_word_and_plug_only_for_budget_outs():
     from graphvm.encodings import encode_machine
     from graphvm.execution import T_DET, language
     tracer = _load_tracer()
     for layer in tracer.WRAPPED:
         importlib.import_module(f"graphvm.{layer}")
     machine = encode_machine(shipped("ones.mach"))
-    with tracer.Tracer() as traced:
-        result = language(machine, T_DET, 3)
-    calls = {name: row["calls"] for name, row in traced.summary().items()}
-    assert len(result.verdicts) == 15         # 1 + 2 + 4 + 8 words
-    assert calls.get("encodings.run_word") == 15
-    assert calls.get("execution.plug") == 15
+    for max_steps, per_word in ((10000, 0), (0, 1)):
+        untraced = language(machine, T_DET, 3, max_steps=max_steps)
+        with tracer.Tracer() as traced:
+            result = language(machine, T_DET, 3, max_steps=max_steps)
+        calls = {name: row["calls"] for name, row in traced.summary().items()}
+        assert result.verdicts == untraced.verdicts
+        assert len(result.verdicts) == 15         # 1 + 2 + 4 + 8 words
+        # the shared search makes no plug; a word the budget sends back
+        # to its own plug gets one run_word span and one plug span
+        assert calls.get("encodings.run_word", 0) == 15 * per_word
+        assert calls.get("execution.plug", 0) == 15 * per_word

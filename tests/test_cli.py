@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -131,18 +132,20 @@ def test_language_prob_table(tmp_path):
     assert payload["probabilities"]["0"] == "1/3"
 
 
-@pytest.mark.parametrize("depth, partial", [
-    (4, "15/32"),
+@pytest.mark.parametrize("heads, depth, partial, total", [
+    (2, 4, "15/32", "1/2"),
     # deeper than the interpreter's recursion limit
-    (500, export.frac_str(Fraction(2 ** 500 - 1, 2 ** 501))),
-], ids=["depth-4", "depth-500"])
-def test_experiment_cost(tmp_path, capsys, depth, partial):
-    code = main(["experiment", "cost", "--heads", "2", "--depth", str(depth),
-                 "--out", str(tmp_path)])
+    (2, 500, export.frac_str(Fraction(2 ** 500 - 1, 2 ** 501)), "1/2"),
+    # the most heads whose total, 1 - 1/heads!, the interpreter writes
+    (1558, 3, "0/1", export.frac_str(1 - Fraction(1, math.factorial(1558)))),
+], ids=["depth-4", "depth-500", "heads-1558"])
+def test_experiment_cost(tmp_path, capsys, heads, depth, partial, total):
+    code = main(["experiment", "cost", "--heads", str(heads), "--depth",
+                 str(depth), "--out", str(tmp_path)])
     assert code == EXIT_OK
     payload = json.loads((tmp_path / "experiment.json").read_text())
     assert payload["partial"] == partial
-    assert payload["total"] == "1/2"
+    assert payload["total"] == total
 
 
 def test_experiment_separation(tmp_path):
@@ -209,6 +212,13 @@ def test_experiment_count_below_one_is_a_validation_error(kind, count,
      f"{sys.get_int_max_str_digits()} digits"),
     (["experiment", "cost", "--heads", "20", "--depth", "100000"],
      f"--heads 20 --depth 100000: the exact cost has more than "
+     f"{sys.get_int_max_str_digits()} digits"),
+    # a total whose denominator, heads!, is too long to write
+    (["experiment", "cost", "--heads", "1559", "--depth", "3"],
+     f"--heads 1559 --depth 3: the exact cost has more than "
+     f"{sys.get_int_max_str_digits()} digits"),
+    (["experiment", "cost", "--heads", "1000000", "--depth", "3"],
+     f"--heads 1000000 --depth 3: the exact cost has more than "
      f"{sys.get_int_max_str_digits()} digits"),
 ])
 def test_negative_bound_is_a_validation_error(argv, message, capsys,

@@ -142,6 +142,36 @@ def test_word_graphings_come_in_key_order_with_their_index(alphabet, max_len):
                 assert list(g.edges_by_cell.items()) == list(swept.items())
 
 
+def test_the_word_side_meets_the_edges_of_the_encoded_word():
+    """For every prefix of a word, ``WordSide`` parks a set or gives the
+    word graphing's own edges and meets, keyed by (cell, position); a
+    whole cell of a symbol parks until the word is known."""
+    for word in ("", "0", "10", "0110"):
+        for one_way in (False, True):
+            g = encode_word(word, LAYOUT, 2, one_way).graphing
+            side = encodings.WordSide(LAYOUT, 2, one_way, len(word))
+            cells = len(word) + 1
+            sets = [whole(cell) for cell in sorted(g.carrier.cells())]
+            sets += [MeasurableSet.of(RationalBox.make(
+                cell, {1: slice_interval(pos, cells)}))
+                for cell in sorted(g.edges_by_cell) for pos in range(cells)]
+            sets.append(g.carrier)
+            symbol_cells = [whole(cell) for cell in g.edges_by_cell
+                            if cell % LAYOUT.row_stride > 1]
+            for s in sets:
+                want = [(e, hit) for _, e, hit in g.edges_meeting(s)]
+                got = side.meets(word, MeasurableSet.intersect)(s)
+                assert [(e, hit) for _, e, hit in got] == want, (word, s)
+                for (cell, pos), e, _ in got:
+                    assert e.source == MeasurableSet.of(RationalBox.make(
+                        cell, {1: slice_interval(pos, cells)}))
+                for k in range(len(word)):
+                    part = side.meets(word[:k], MeasurableSet.intersect)(s)
+                    assert part is None or part == got, (word, k, s)
+                    if s in symbol_cells:
+                        assert part is None, (word, k, s)
+
+
 def _covering_words(alphabet, length):
     """Words of the given length that put every symbol, and every pair of
     symbols, at every position: each word edge key of the length once."""

@@ -16,7 +16,8 @@ from graphvm.realizers import Microcosm, Realizer
 from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
 from harness import (cellbox, graphing, log_calls, machine_run_results, ms,
-                     sampled_plug_results, shipped, shipped_machines, whole)
+                     sampled_plug_results, seeded_specs, shipped,
+                     shipped_machines, whole)
 
 
 def test_plug_result_validates_whichever_arity_comes_first():
@@ -463,30 +464,84 @@ def _counting(monkeypatch):
 
 
 def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
-    from graphvm.execution import language
+    from graphvm import execution
     machines = dict(_shipped_machines())
     log = _counting(monkeypatch)
+    # evaluate_test's landing meets lie outside the table: note where each
+    # of its calls begins and ends in the log
+    evaluated = []
+    logged_evaluate = execution.evaluate_test
+
+    def evaluate(*args):
+        begin = len(log)
+        verdict = logged_evaluate(*args)
+        evaluated.append((begin, len(log)))
+        return verdict
+
+    monkeypatch.setattr(execution, "evaluate_test", evaluate)
     for name, test in (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
                        ("coin-flip.mach", t_prob())):
         log.clear()
-        first = language(machines[name], test, 4)
+        evaluated.clear()
+        first = execution.language(machines[name], test, 4)
         first_log = list(log)
-        # evaluate_test's landing meets lie outside the table; every
-        # compose and intersect a plug does goes through it
-        in_plug, inside = [], False
-        for method, args in first_log:
-            if method in ("plug", "evaluate_test"):
-                inside = method == "plug"
-            elif inside:
-                in_plug.append((method, args))
-        assert in_plug and len(set(in_plug)) == len(in_plug), name
-        assert any(method == "compose" for method, _ in in_plug), name
+        landings = {i for begin, end in evaluated for i in range(begin, end)}
+        # every compose and intersect the search makes goes through it
+        searched = [entry for i, entry in enumerate(first_log)
+                    if i not in landings]
+        assert searched and len(set(searched)) == len(searched), name
+        assert any(method == "compose" for method, _ in searched), name
+        assert not any(method == "plug" for method, _ in first_log), name
         # the table is dropped with the call: the same call again
         # computes everything again
         log.clear()
-        again = language(machines[name], test, 4)
+        again = execution.language(machines[name], test, 4)
         assert again.verdicts == first.verdicts
         assert len(log) == len(first_log), name
+
+
+def _trie_machines():
+    """The shipped machines with words up to length 3, then seeded specs
+    of every mode, head count and direction, on one to three states, with
+    words up to length 2."""
+    shapes = [(mode, heads, 1 + i % 3, two_way) for i, (mode, heads, two_way)
+              in enumerate(itertools.product(("det", "nondet", "prob"),
+                                             (1, 2), (False, True)))]
+    return [(spec, 3) for _, spec in shipped_machines()] + \
+        [(spec, 2) for spec in seeded_specs(41, len(shapes), shapes)]
+
+
+def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
+    """The search shared over the trie of word prefixes, budget-outs
+    included, gives the verdicts of each word's own plug, in order, and
+    runs a word alone exactly when its own plug runs out of budget."""
+    from graphvm import encodings
+    from graphvm.encodings import encode_machine, run_word
+    from graphvm.execution import language
+    from graphvm.machines import words_up_to
+    sent_back = log_calls(monkeypatch, (encodings, "run_word"))
+    budget_outs = Counter()
+    for spec, max_len in _trie_machines():
+        m = encode_machine(spec)
+        for one_way, max_steps in itertools.product((False, True),
+                                                    (0, 1, 7, 10000)):
+            runs = {word: run_word(m, word, one_way, max_steps)
+                    for word in words_up_to(spec.alphabet, max_len)}
+            budget_outs[max_steps, all(result.diagnostics.complete
+                                       for result, _ in runs.values())] += 1
+            out_of_budget = [word for word, (result, _) in runs.items()
+                             if not result.diagnostics.complete]
+            for test in _tests_for(spec.mode):
+                want = [(word, evaluate_test(result, test, regions))
+                        for word, (result, regions) in runs.items()]
+                sent_back.clear()
+                got = language(m, test, max_len, one_way=one_way,
+                               max_steps=max_steps)
+                assert list(got.verdicts.items()) == want, \
+                    (spec.name, one_way, max_steps, test)
+                assert [args[1] for _, args in sent_back] == out_of_budget
+    # at budget 7 some runs settle every word and some send words back
+    assert budget_outs[7, True] and budget_outs[7, False], budget_outs
 
 
 def test_a_lone_plug_keeps_no_table(monkeypatch):
