@@ -110,18 +110,22 @@ def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
     return Edge(Fraction(1), source, realizer)
 
 
-def _edge_from(cell: int, pos: int, out: int, base: int, symbols,
-               in_cell: dict[str, int], cells: int) -> Edge | None:
-    """The word edge from the slice of ``pos`` in ``cell``, the In
-    (``out`` 0) or Out (``out`` 1) cell of a symbol in the row at
-    ``base``: Out carries ``pos`` to the next In, In back to the last Out.
-    ``symbols`` is the marked word, ``cells`` long, or a prefix of it:
-    None when the prefix stops before the position the edge leads to."""
-    to = (pos + 1 if out else pos - 1) % cells
-    if to >= len(symbols):
-        return None
-    return _word_edge(cell, pos, base + in_cell[symbols[to]] + 1 - out, to,
-                      cells)
+def _edges_from(cell: int, at, out: int, base: int, symbols,
+                in_cell: dict[str, int], cells: int) -> list[Edge] | None:
+    """The word edges from the slices of the positions ``at`` in
+    ``cell``, the In (``out`` 0) or Out (``out`` 1) cell of their symbol
+    in the row at ``base``: Out carries a position to the next In, In back
+    to the last Out.  ``symbols`` is the marked word, ``cells`` long, or a
+    prefix of it: None when the prefix stops before a position an edge
+    leads to."""
+    edges = []
+    for pos in at:
+        to = (pos + 1 if out else pos - 1) % cells
+        if to >= len(symbols):
+            return None
+        dst = base + in_cell[symbols[to]] + 1 - out
+        edges.append(_word_edge(cell, pos, dst, to, cells))
+    return edges
 
 
 @lru_cache(maxsize=64)
@@ -163,8 +167,8 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
             for out in (1,) if one_way else (0, 1):
                 cell = base + in_cell[symbol] + out
                 by_cell[cell] = list(range(len(edges), len(edges) + len(at)))
-                edges.extend(_edge_from(cell, pos, out, base, symbols,
-                                        in_cell, cells) for pos in at)
+                edges += _edges_from(cell, at, out, base, symbols, in_cell,
+                                     cells)
     graphing = Graphing(TRIVIAL, Microcosm.macrocosm(),
                         _tape_carrier(layout, state_rows), tuple(edges))
     vars(graphing)["edges_by_cell"] = by_cell
@@ -175,9 +179,9 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
 class WordSide:
     """The word side of one search shared by the words of one length, on
     ``rows`` state rows: the word edges that a path meets, read off a
-    prefix of the word.  Each is built by ``_edge_from`` as
-    ``encode_word`` builds it, and keyed by its (cell, position), which
-    name it in every word that has it."""
+    prefix of the word.  They are built by ``_edges_from`` as
+    ``encode_word`` builds them, and each is keyed by its (cell,
+    position), which name it in every word that has it."""
 
     weights = TRIVIAL
 
@@ -194,17 +198,17 @@ class WordSide:
                                         layout.row_stride)
                       for s in self.in_cell
                       for out in ((1,) if one_way else (0, 1))}
-        # per set met: its (cell, position) slices, in Edge.key order
-        self._slices: dict[MeasurableSet, list[tuple[int, int]]] = {}
+        # per set met: its slices, in Edge.key order
+        self._slices: dict[MeasurableSet, list[tuple[int, list[int]]]] = {}
 
-    def slices(self, s: MeasurableSet) -> list[tuple[int, int]]:
-        """The (cell, position) pairs, in order, whose slice of
-        coordinate 1 meets a box of ``s`` in a cell with word edges, the
+    def slices(self, s: MeasurableSet) -> list[tuple[int, list[int]]]:
+        """Per cell with word edges, in order, the ascending positions
+        whose slice of coordinate 1 meets a box of ``s`` in it, the
         marker's only at position 0 and a symbol's only after it.  They
         do not depend on the word."""
         got = self._slices.get(s)
         if got is None:
-            cells, pairs = self.cells, set()
+            cells, by_cell = self.cells, {}
             for b in s.boxes:
                 kind = self.kinds.get(b.cell)
                 if kind is None:
@@ -217,32 +221,34 @@ class WordSide:
                     hi = min(hi, 1)
                 else:
                     lo = max(lo, 1)
-                pairs.update((b.cell, pos) for pos in range(lo, hi))
-            got = self._slices[s] = sorted(pairs)
+                by_cell.setdefault(b.cell, set()).update(range(lo, hi))
+            got = self._slices[s] = [(cell, sorted(at))
+                                     for cell, at in by_cell.items() if at]
         return got
 
-    def meets(self, prefix: str, intersect):
+    def meets(self, prefix: str):
         """For the words that begin with ``prefix``: the ``meets`` of a
         search, which gives ``((cell, position), edge, meet)`` for the
-        word edges whose source meets a set, or None, to park the path,
-        when one of them needs a symbol past the prefix, its source's or
-        the one it leads to."""
+        word edges whose source meets a set, the meet by ``intersect``,
+        or None, to park the path, when one of them needs a symbol past
+        the prefix, its source's or the one it leads to."""
         symbols = (MARKER,) + tuple(prefix)
         kinds, in_cell, cells = self.kinds, self.in_cell, self.cells
 
-        def meets(s: MeasurableSet):
+        def meets(s: MeasurableSet, intersect):
             found = []
-            for cell, pos in self.slices(s):
-                if pos >= len(symbols):
+            for cell, positions in self.slices(s):
+                if positions[-1] >= len(symbols):
                     return None
                 base, symbol, out = kinds[cell]
-                if symbols[pos] == symbol:
-                    e = _edge_from(cell, pos, out, base, symbols, in_cell,
-                                   cells)
-                    if e is None:
-                        return None
-                    # the slice meets a box of s: the meet is not empty
-                    found.append(((cell, pos), e, intersect(s, e.source)))
+                at = [pos for pos in positions if symbols[pos] == symbol]
+                edges = _edges_from(cell, at, out, base, symbols, in_cell,
+                                    cells)
+                if edges is None:
+                    return None
+                # each slice meets a box of s: no meet is empty
+                found += [((cell, pos), e, intersect(s, e.source))
+                          for pos, e in zip(at, edges)]
             return found
 
         return meets

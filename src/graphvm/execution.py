@@ -20,7 +20,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .space import _EMPTY, MeasurableSet, _exact, _ratio_sum, lazy
 from .realizers import Realizer
@@ -299,13 +299,14 @@ class _Search:
             self.queue.append((inside, trail, keys))
 
     def drain(self, meets: dict) -> None:
-        """Expand every queued path but those parked.  ``meets[side]``
-        gives ``(index, edge, hit)`` for each edge of the side whose source
-        meets a path's part inside the cut, ``hit`` the meet, in
-        ``Edge.key`` order, or None to park the path.  A step is keyed by
-        its side and that index."""
-        diag, queue, compose, apply, push = (
-            self.diag, self.queue, self.compose, self.apply, self.push)
+        """Expand every queued path but those parked.  For a path's part
+        inside the cut and the search's meet, ``meets[side]`` gives
+        ``(index, edge, hit)`` for each edge of the side whose source
+        meets it, ``hit`` the meet, in ``Edge.key`` order, or None to park
+        the path.  A step is keyed by its side and that index."""
+        diag, queue, compose, apply, intersect, push = (
+            self.diag, self.queue, self.compose, self.apply, self.intersect,
+            self.push)
         product, max_steps, steps = self.monoid.product, self.max_steps, \
             self.steps
         parked = []
@@ -314,7 +315,7 @@ class _Search:
             inside, trail, keys = node
             (side, _), _, composite, weight = trail[-1]
             other = "G" if side == "F" else "F"
-            found = meets[other](inside)
+            found = meets[other](inside, intersect)
             if found is None:
                 parked.append(node)
                 continue
@@ -413,9 +414,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     search = _Search(f.carrier, g.carrier, join_monoids(f.weights, g.weights),
                      max_steps, memo)
     outside = search.start("F", f), search.start("G", g)
-    intersect = search.intersect
-    search.drain({"F": partial(f.edges_meeting, intersect=intersect),
-                  "G": partial(g.edges_meeting, intersect=intersect)})
+    search.drain({"F": f.edges_meeting, "G": g.edges_meeting})
     return search.result(f.microcosm.join(g.microcosm),
                          outside[0].union(outside[1]), (f, g))
 
@@ -609,14 +608,11 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
         carrier = root.start("F", machine.graphing)
         microcosm = machine.graphing.microcosm.join(side.microcosm)
         regions = machine.regions_for(length)
-        intersect = root.intersect
-        on_machine = partial(machine.graphing.edges_meeting,
-                             intersect=intersect)
         trie = [(root, "")]
         while trie:
             search, prefix = trie.pop()
-            search.drain({"F": on_machine,
-                          "G": side.meets(prefix, intersect)})
+            search.drain({"F": machine.graphing.edges_meeting,
+                          "G": side.meets(prefix)})
             if not search.diag.complete:
                 for rest in itertools.product(alphabet,
                                               repeat=length - len(prefix)):

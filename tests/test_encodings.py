@@ -160,13 +160,13 @@ def test_the_word_side_meets_the_edges_of_the_encoded_word():
                             if cell % LAYOUT.row_stride > 1]
             for s in sets:
                 want = [(e, hit) for _, e, hit in g.edges_meeting(s)]
-                got = side.meets(word, MeasurableSet.intersect)(s)
+                got = side.meets(word)(s, MeasurableSet.intersect)
                 assert [(e, hit) for _, e, hit in got] == want, (word, s)
                 for (cell, pos), e, _ in got:
                     assert e.source == MeasurableSet.of(RationalBox.make(
                         cell, {1: slice_interval(pos, cells)}))
                 for k in range(len(word)):
-                    part = side.meets(word[:k], MeasurableSet.intersect)(s)
+                    part = side.meets(word[:k])(s, MeasurableSet.intersect)
                     assert part is None or part == got, (word, k, s)
                     if s in symbol_cells:
                         assert part is None, (word, k, s)
