@@ -341,14 +341,15 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
 
 
 def run_word(machine: EncodedMachine, word: str, one_way: bool = False,
-             max_steps: int = 10000, memo: dict | None = None):
-    """Plug the machine against the word.  Neither side is swept again:
-    the machine was when it was built, and ``encode_word`` records that
-    its graphings have no problems.  ``memo`` is handed to ``plug``.
-    Returns the plug result and the regions the tests need."""
+             max_steps: int = 10000):
+    """Plug the machine against the word, a lone plug with no table.
+    Neither side is swept again: the machine was when it was built, and
+    ``encode_word`` records that its graphings have no problems.  Returns
+    the plug result and the regions the tests need.  ``language`` gives
+    each word the verdict of this plug without calling it."""
     enc = encode_word(word, machine.layout,
                       state_rows=len(machine.spec.states), one_way=one_way)
-    result = plug(machine.graphing, enc.graphing, max_steps, memo=memo)
+    result = plug(machine.graphing, enc.graphing, max_steps)
     return result, machine.regions_for(len(word))
 
 

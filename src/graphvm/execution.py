@@ -103,16 +103,16 @@ class Diagnostics:
     is read, as one integer ratio and one ``Fraction``.
     """
 
-    complete: bool = True
-    steps_used: int = 0
-    unresolved_mass: Fraction = Fraction(0)
-    looping_mass: Fraction = Fraction(0)
-    notes: list[str] = field(default_factory=list)
+    complete: bool
+    steps_used: int
+    unresolved_mass: Fraction
+    looping_mass: Fraction
+    notes: list[str]
     # per node that no hit holds whole, in search order: its trail, the
     # part of its image inside the cut, and the hits
     _open_nodes: list[tuple[tuple[_Step, ...], MeasurableSet,
-                            list[MeasurableSet]]] = field(
-        default_factory=list, init=False, repr=False, compare=False)
+                            list[MeasurableSet]]] = field(repr=False,
+                                                          compare=False)
 
     def clean(self) -> bool:
         return self.complete and self.unresolved_mass == 0
@@ -164,9 +164,9 @@ class PlugResult:
     them.  ``dead_paths`` and ``diagnostics.dead_mass`` read the same dead
     regions, so reading both builds each node's region once.
 
-    A word's result in ``language``'s prefix search has no word graphing:
-    its second operand is None, and its word steps are keyed by (cell,
-    position), not by edge index.
+    A word's result in ``language`` has no word graphing: its second
+    operand is None, and its word steps are keyed by (cell, position),
+    not by edge index.
     """
 
     graphing: Graphing
@@ -241,15 +241,23 @@ class _Search:
     a search that ``fork`` continues with more known of that side, as
     ``language`` continues a word prefix with each next symbol."""
 
-    def __init__(self, f_carrier: MeasurableSet, g_carrier: MeasurableSet,
-                 monoid, max_steps: int, memo: dict | None):
-        self.monoid = monoid
+    def __init__(self, f, g, max_steps: int, memo: dict | None):
+        """A search of ``f`` against ``g``, each a ``Graphing`` or a
+        ``WordSide``: the weights, microcosm and carrier are read off
+        both."""
+        if max_steps < 0:
+            raise ValueError("max_steps must be nonnegative")
+        self.monoid = join_monoids(f.weights, g.weights)
+        self.microcosm = f.microcosm.join(g.microcosm)
         self.max_steps = max_steps
         self.apply, self.compose, self.intersect, self.split = _table(memo)
-        self.cut = self.intersect(g_carrier, f_carrier)
+        self.cut = self.intersect(g.carrier, f.carrier)
+        self.carrier = _EMPTY             # grows with each side started
+        self.complete = True
         self.steps = 0
-        self.diag = Diagnostics()
+        self.unresolved_mass = self.looping_mass = Fraction(0)
         self.exits: list[tuple[Edge, tuple[_Step, ...]]] = []
+        self.open_nodes: list = []       # as ``Diagnostics._open_nodes``
         # each path: the part of its image inside the cut, its trail and
         # the trail's (side, edge) keys
         self.queue: deque[tuple[MeasurableSet, tuple[_Step, ...],
@@ -260,19 +268,15 @@ class _Search:
         as it is."""
         child = object.__new__(_Search)
         vars(child).update(vars(self))
-        diag = self.diag
-        child.diag = Diagnostics(diag.complete, diag.steps_used,
-                                 diag.unresolved_mass, diag.looping_mass,
-                                 list(diag.notes))
-        child.diag._open_nodes = list(diag._open_nodes)
         child.exits = list(self.exits)
+        child.open_nodes = list(self.open_nodes)
         child.queue = deque(self.queue)
         return child
 
-    def start(self, side: str, graphing: Graphing) -> MeasurableSet:
+    def start(self, side: str, graphing: Graphing) -> None:
         """Queue a path per edge over ``graphing``'s carrier outside the
-        cut, on its source's part outside it; return that part of the
-        carrier."""
+        cut, on its source's part outside it, and add that part of the
+        carrier to the result's."""
         split, apply, cut = self.split, self.apply, self.cut
         outside = split(graphing.carrier, cut)[0]
         for idx in graphing.edges_over(outside):
@@ -282,7 +286,7 @@ class _Search:
                 self.push(apply(e.realizer, start),
                           (((side, idx), start, e.realizer, e.weight),),
                           ((side, idx),))
-        return outside
+        self.carrier = self.carrier.union(outside)
 
     def push(self, image: MeasurableSet, trail: tuple[_Step, ...],
              keys: tuple) -> None:
@@ -304,9 +308,9 @@ class _Search:
         ``(index, edge, hit)`` for each edge of the side whose source
         meets it, ``hit`` the meet, in ``Edge.key`` order, or None to park
         the path.  A step is keyed by its side and that index."""
-        diag, queue, compose, apply, intersect, push = (
-            self.diag, self.queue, self.compose, self.apply, self.intersect,
-            self.push)
+        queue, compose, apply, intersect, push, open_nodes = (
+            self.queue, self.compose, self.apply, self.intersect, self.push,
+            self.open_nodes)
         product, max_steps, steps = self.monoid.product, self.max_steps, \
             self.steps
         parked = []
@@ -327,8 +331,8 @@ class _Search:
                 hits.append(hit)
                 whole = whole or hit is inside
                 if steps >= max_steps:
-                    diag.complete = False
-                    diag.unresolved_mass += weight * hit.measure()
+                    self.complete = False
+                    self.unresolved_mass += weight * hit.measure()
                     continue
                 steps += 1
                 new_comp = compose(composite, e.realizer)
@@ -343,40 +347,37 @@ class _Search:
                     if repeat is not None:
                         mass = new_weight * hit.measure()
                         if new_weight == repeat:
-                            diag.looping_mass += mass
+                            self.looping_mass += mass
                         else:
                             # decaying revisit: its remaining emissions are
                             # bounded by the mass entering the repeat
-                            diag.unresolved_mass += mass
+                            self.unresolved_mass += mass
                         continue
                 push(apply(e.realizer, hit),
                      trail + ((key, hit, new_comp, new_weight),),
                      keys + (key,))
             if not whole:
-                diag._open_nodes.append((trail, inside, hits))
+                open_nodes.append((trail, inside, hits))
         queue.extend(parked)
         self.steps = steps
 
-    def result(self, microcosm, carrier: MeasurableSet,
-               operands: tuple) -> PlugResult:
-        """The graphing of the exits, in ``Edge.key`` order, over
-        ``carrier``, with the diagnostics and the exits' trails."""
+    def result(self, operands: tuple) -> PlugResult:
+        """The graphing of the exits, in ``Edge.key`` order, with the
+        diagnostics and the exits' trails."""
         found = self.exits
         if len(found) > 1:
             found = sorted(found, key=lambda found: found[0].key())
-        diag = self.diag
-        diag.steps_used = self.steps
-        if not diag.complete:
-            diag.notes.append(
-                f"step budget {self.max_steps} exhausted; result partial")
-        graphing = Graphing(self.monoid, microcosm, carrier,
+        notes = [] if self.complete else [
+            f"step budget {self.max_steps} exhausted; result partial"]
+        diag = Diagnostics(self.complete, self.steps, self.unresolved_mass,
+                           self.looping_mass, notes, self.open_nodes)
+        graphing = Graphing(self.monoid, self.microcosm, self.carrier,
                             tuple(e for e, _ in found))
         return PlugResult(graphing, diag, operands,
                           [trail for _, trail in found])
 
 
-def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
-         memo: dict | None = None) -> PlugResult:
+def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
     """Compose ``f`` and ``g`` across the cut, their carrier overlap,
     into the graphing of maximal alternating paths.
 
@@ -401,22 +402,18 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000,
     The result keeps each path's trail; ``PlugResult`` builds the path
     records only when they are read.
 
-    ``memo`` is a table that several plugs share, as ``language`` does
-    with the words its budget sends to ``run_word``; see ``_table``.
-    A lone plug keeps no table.
+    The search keeps no table: ``language`` shares one over its own
+    searches, but a lone plug's operands seldom repeat.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
+    search = _Search(f, g, max_steps, None)  # checks the budget first
     for name, graphing in (("first", f), ("second", g)):
         problems = validate(graphing)
         if problems:
             raise ValueError(f"{name} graphing invalid: {problems}")
-    search = _Search(f.carrier, g.carrier, join_monoids(f.weights, g.weights),
-                     max_steps, memo)
-    outside = search.start("F", f), search.start("G", g)
+    search.start("F", f)
+    search.start("G", g)
     search.drain({"F": f.edges_meeting, "G": g.edges_meeting})
-    return search.result(f.microcosm.join(g.microcosm),
-                         outside[0].union(outside[1]), (f, g))
+    return search.result((f, g))
 
 
 # -- cycles and measurement ---------------------------------------------------
@@ -579,51 +576,50 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     Each length has one search, shared over the trie of word prefixes and
     walked depth first in alphabet order.  The cut is the word's carrier,
     which does not depend on the word, so the machine's paths start once
-    per length.  A prefix's search takes the steps its symbols decide; a
-    path whose next word edge needs a symbol past the prefix is parked,
-    and each next symbol's search goes on from the prefix's exits,
-    masses, step count and parked paths.  A word's search is then its
-    own plug's steps in another order, which leaves its exits and masses
-    as they are.  The order matters once the budget runs out: then every
-    word below goes through ``run_word``, its own plug, as the steps so
-    far are steps of each of them.  One table serves the whole call,
-    dropped when it returns: the searches repeat the same set and
-    realizer operations on equal operands."""
-    from .encodings import WordSide, run_word
+    per length, in the length's root.  A prefix's search takes the steps
+    its symbols decide; a path whose next word edge needs a symbol past
+    the prefix is parked, and each next symbol's search goes on from the
+    prefix's exits, masses, step count and parked paths.  A word's search
+    is then its own plug's steps in another order, which leaves its exits
+    and masses as they are.  The order matters once the budget runs out:
+    then each word below drains a fork of the root with the whole word
+    known, which is its own plug's search step for step, as the word side
+    starts no path and meets edges in ``encode_word``'s edge order.  One
+    table serves the whole call, dropped when it returns: the searches
+    repeat the same set and realizer operations on equal operands."""
+    from .encodings import WordSide
 
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if test.kind == "prob":
         require_probabilities(machine.spec)
     alphabet = machine.spec.alphabet
+    edges_meeting = machine.graphing.edges_meeting
+    operands = (machine.graphing, None)
     verdicts: dict[str, Verdict] = {}
     memo: dict = {}
     for length in range(max_len + 1):
         side = WordSide(machine.layout, len(machine.spec.states), one_way,
                         length)
-        root = _Search(machine.graphing.carrier, side.carrier,
-                       join_monoids(machine.graphing.weights, side.weights),
-                       max_steps, memo)
+        root = _Search(machine.graphing, side, max_steps, memo)
         # the word's carrier is the cut, so no path starts on its side
-        carrier = root.start("F", machine.graphing)
-        microcosm = machine.graphing.microcosm.join(side.microcosm)
+        root.start("F", machine.graphing)
         regions = machine.regions_for(length)
-        trie = [(root, "")]
+        trie = [(root.fork(), "")]
         while trie:
             search, prefix = trie.pop()
-            search.drain({"F": machine.graphing.edges_meeting,
-                          "G": side.meets(prefix)})
-            if not search.diag.complete:
+            search.drain({"F": edges_meeting, "G": side.meets(prefix)})
+            if not search.complete:
                 for rest in itertools.product(alphabet,
                                               repeat=length - len(prefix)):
                     word = prefix + "".join(rest)
-                    result, _ = run_word(machine, word, one_way, max_steps,
-                                         memo)
-                    verdicts[word] = evaluate_test(result, test, regions)
+                    alone = root.fork()
+                    alone.drain({"F": edges_meeting, "G": side.meets(word)})
+                    verdicts[word] = evaluate_test(alone.result(operands),
+                                                   test, regions)
             elif len(prefix) == length:
-                result = search.result(microcosm, carrier,
-                                       (machine.graphing, None))
-                verdicts[prefix] = evaluate_test(result, test, regions)
+                verdicts[prefix] = evaluate_test(search.result(operands),
+                                                 test, regions)
             else:
                 # the last symbol goes on in this search, the others in
                 # forks, pushed so that the first symbol comes off first

@@ -5,9 +5,8 @@ module attribute (``getattr``) or as an entry of a class ``__dict__``,
 so deleting or moving one of those names breaks
 ``perfbench/run.py --trace 1``.  This test fails first.  The tracer is
 loaded from its file and only read.  With it installed, ``language``
-must give the verdicts it gives untraced, with a ``run_word`` span and a
-``plug`` span for each word whose budget ran out in the shared search,
-and for no other.
+must give the verdicts it gives untraced, with no ``run_word``,
+``encode_word`` or ``plug`` span, also when the budget runs out.
 """
 
 import importlib
@@ -45,20 +44,26 @@ def test_wrapped_name_resolves(layer, name):
 
 
 def test_language_traces_run_word_and_plug_only_for_budget_outs():
+    """``language`` is one search: it makes no ``run_word``,
+    ``encode_word`` or ``plug`` span, at a budget that settles every word
+    or at one that settles none."""
     from graphvm.encodings import encode_machine
     from graphvm.execution import T_DET, language
     tracer = _load_tracer()
     for layer in tracer.WRAPPED:
         importlib.import_module(f"graphvm.{layer}")
     machine = encode_machine(shipped("ones.mach"))
-    for max_steps, per_word in ((10000, 0), (0, 1)):
+    for max_steps in (10000, 0):
         untraced = language(machine, T_DET, 3, max_steps=max_steps)
         with tracer.Tracer() as traced:
             result = language(machine, T_DET, 3, max_steps=max_steps)
         calls = {name: row["calls"] for name, row in traced.summary().items()}
         assert result.verdicts == untraced.verdicts
         assert len(result.verdicts) == 15         # 1 + 2 + 4 + 8 words
-        # the shared search makes no plug; a word the budget sends back
-        # to its own plug gets one run_word span and one plug span
-        assert calls.get("encodings.run_word", 0) == 15 * per_word
-        assert calls.get("execution.plug", 0) == 15 * per_word
+        # a word the budget sends back drains a fork of its length's
+        # root: no word is encoded or plugged on its own
+        for name in ("encodings.run_word", "encodings.encode_word",
+                     "execution.plug"):
+            assert calls.get(name, 0) == 0, (max_steps, name)
+        # the tracer is on: each word's verdict is a span
+        assert calls["execution.evaluate_test"] == 15

@@ -220,6 +220,7 @@ def test_experiment_count_below_one_is_a_validation_error(kind, count,
     (["experiment", "cost", "--heads", "1000000", "--depth", "3"],
      f"--heads 1000000 --depth 3: the exact cost has more than "
      f"{sys.get_int_max_str_digits()} digits"),
+    (["language", mach("ones.mach"), "--max-steps", "-1"], "max_steps"),
 ])
 def test_negative_bound_is_a_validation_error(argv, message, capsys,
                                               monkeypatch):

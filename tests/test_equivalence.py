@@ -8,7 +8,7 @@ from graphvm.equivalence import (CompilationWitness, WitnessError,
                                  is_compilable, orbit, phi_words,
                                  separation_experiment, treeing_cost,
                                  unit_shift_witnesses)
-from graphvm.execution import T_DET, cycles, language, measurement
+from graphvm.execution import T_DET, cycles, language, measurement, plug
 from graphvm.graphing import Edge, Graphing, TRIVIAL, cost, validate
 from graphvm.realizers import Microcosm, Realizer, standard_generators
 from graphvm.space import MeasurableSet, interval
@@ -283,8 +283,17 @@ def _two_cell_shift():
                           max_parts=-1),
     lambda: phi_words([Realizer.shift_by(1)], -2),
     lambda: orbit(0, {}, [Realizer.shift_by(1)], -1),
+    lambda: plug(_two_cell_shift(), _two_cell_shift(), max_steps=-1),
+    # the budget is checked before the operands: this one's source lies
+    # outside its carrier
+    lambda: plug(Graphing.make(TRIVIAL, Microcosm.m1(), whole(1),
+                               _two_cell_shift().edges),
+                 _two_cell_shift(), max_steps=-1),
+    lambda: language(encode_machine(shipped("ones.mach")), T_DET, 2,
+                     max_steps=-1),
 ], ids=["cycles", "measurement", "is_compilable-word-len",
-        "is_compilable-parts", "phi_words", "orbit"])
+        "is_compilable-parts", "phi_words", "orbit", "plug",
+        "plug-invalid-operand", "language"])
 def test_negative_search_bound_is_an_error(call):
     with pytest.raises(ValueError, match="nonnegative"):
         call()

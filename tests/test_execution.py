@@ -282,13 +282,38 @@ def test_machine_word_runs_are_acyclic():
         assert cycles(m.graphing, enc.graphing, max_len=6) == []
 
 
+def _feedback_pairs():
+    """Pairs with alternating cycles whose laps move no point off itself,
+    and the measurement each gives: cell 2 -> 3 against a nondet 3 -> 2,
+    by shifts only; and (1 2)-swaps, whose laps are the identity, on one
+    cell and across two."""
+    up, down, swap = (Realizer.shift_by(1), Realizer.shift_by(-1),
+                      Realizer.head_swap(2))
+    yield (graphing([Edge(Fraction(1), whole(2), up)], (2, 3)),
+           graphing([Edge(Fraction(1), whole(3), down),
+                     Edge(Fraction(1), ms(cellbox(3, 0, "1/2")), down)],
+                    (2, 3)),
+           Fraction(9, 2))
+    yield (graphing([Edge(Fraction(1), whole(2), swap)], (2,)),
+           graphing([Edge(Fraction(1), whole(2), swap)], (2,)), Fraction(1))
+    yield (graphing([Edge(Fraction(1), whole(2), swap)], (2,)),
+           graphing([Edge(Fraction(1), ms(cellbox(2, 0, "1/2")), swap)],
+                    (2,)), Fraction(1, 2))
+    yield (graphing([Edge(Fraction(1), whole(2), up.compose(swap))], (2, 3)),
+           graphing([Edge(Fraction(1), ms(cellbox(3, 0, "1/2")),
+                          down.compose(swap))], (2, 3)), Fraction(1, 2))
+
+
 def test_measurement_symmetric_in_arguments():
     def m(weight):
         return Fraction(1)
 
+    # layered pairs have no alternating cycle: both sides are 0
     for seed in range(8):
         f, g = random_pair(seed, "det")
         assert measurement(f, g, m, 6) == measurement(g, f, m, 6)
+    for f, g, want in _feedback_pairs():
+        assert measurement(f, g, m) == measurement(g, f, m) == want
 
 
 def test_unit_loop_with_branch_keeps_verdict_exact():
@@ -431,22 +456,16 @@ def _tests_for(mode):
 
 
 def test_a_shared_table_gives_the_same_results():
-    from graphvm import export
+    """``language``, whose searches share one table, gives every word up
+    to length 4 of each shipped machine the verdict of its own plug, which
+    keeps no table."""
     from graphvm.encodings import run_word
     from graphvm.execution import language
     from graphvm.machines import words_up_to
     for name, m in _shipped_machines():
         for one_way in (False, True):
-            words = list(words_up_to(m.spec.alphabet, 4))
-            memo: dict = {}
-            plain = {}
-            for word in words:
-                alone = run_word(m, word, one_way=one_way)
-                shared, _ = run_word(m, word, one_way=one_way, memo=memo)
-                assert export.dumps(export.result_payload(shared)) == \
-                    export.dumps(export.result_payload(alone[0])), \
-                    (name, one_way, word)
-                plain[word] = alone
+            plain = {word: run_word(m, word, one_way=one_way)
+                     for word in words_up_to(m.spec.alphabet, 4)}
             for test in _tests_for(m.spec.mode):
                 want = {word: evaluate_test(result, test, regions)
                         for word, (result, regions) in plain.items()}
@@ -475,29 +494,40 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
     def evaluate(*args):
         begin = len(log)
         verdict = logged_evaluate(*args)
-        evaluated.append((begin, len(log)))
+        evaluated.append((begin, len(log), args[0]))
         return verdict
 
     monkeypatch.setattr(execution, "evaluate_test", evaluate)
-    for name, test in (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
-                       ("coin-flip.mach", t_prob())):
+    budget_outs = Counter()
+    for (name, test), max_steps in itertools.product(
+            (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
+             ("coin-flip.mach", t_prob())), (10000, 7)):
+        case = (name, max_steps)
         log.clear()
         evaluated.clear()
-        first = execution.language(machines[name], test, 4)
+        first = execution.language(machines[name], test, 4,
+                                   max_steps=max_steps)
         first_log = list(log)
-        landings = {i for begin, end in evaluated for i in range(begin, end)}
-        # every compose and intersect the search makes goes through it
+        landings = {i for begin, end, _ in evaluated
+                    for i in range(begin, end)}
+        # every compose and intersect the search makes goes through it,
+        # the searches of words the budget sends back included
         searched = [entry for i, entry in enumerate(first_log)
                     if i not in landings]
-        assert searched and len(set(searched)) == len(searched), name
-        assert any(method == "compose" for method, _ in searched), name
-        assert not any(method == "plug" for method, _ in first_log), name
+        assert searched and len(set(searched)) == len(searched), case
+        assert any(method == "compose" for method, _ in searched), case
+        assert not any(method == "plug" for method, _ in first_log), case
+        budget_outs[max_steps] += sum(not result.diagnostics.complete
+                                      for _, _, result in evaluated)
         # the table is dropped with the call: the same call again
         # computes everything again
         log.clear()
-        again = execution.language(machines[name], test, 4)
+        again = execution.language(machines[name], test, 4,
+                                   max_steps=max_steps)
         assert again.verdicts == first.verdicts
-        assert len(log) == len(first_log), name
+        assert len(log) == len(first_log), case
+    # at budget 7 words are sent back; at 10000 none
+    assert budget_outs[7] and not budget_outs[10000], budget_outs
 
 
 def _trie_machines():
@@ -514,7 +544,7 @@ def _trie_machines():
 def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
     """The search shared over the trie of word prefixes, budget-outs
     included, gives the verdicts of each word's own plug, in order, and
-    runs a word alone exactly when its own plug runs out of budget."""
+    never calls that plug."""
     from graphvm import encodings
     from graphvm.encodings import encode_machine, run_word
     from graphvm.execution import language
@@ -529,8 +559,6 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
                     for word in words_up_to(spec.alphabet, max_len)}
             budget_outs[max_steps, all(result.diagnostics.complete
                                        for result, _ in runs.values())] += 1
-            out_of_budget = [word for word, (result, _) in runs.items()
-                             if not result.diagnostics.complete]
             for test in _tests_for(spec.mode):
                 want = [(word, evaluate_test(result, test, regions))
                         for word, (result, regions) in runs.items()]
@@ -539,7 +567,8 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
                                max_steps=max_steps)
                 assert list(got.verdicts.items()) == want, \
                     (spec.name, one_way, max_steps, test)
-                assert [args[1] for _, args in sent_back] == out_of_budget
+                # a word the budget sends back drains its own search
+                assert sent_back == [], (spec.name, one_way, max_steps)
     # at budget 7 some runs settle every word and some send words back
     assert budget_outs[7, True] and budget_outs[7, False], budget_outs
 
@@ -704,17 +733,34 @@ def test_plug_matches_the_eager_reference():
         assert_matches_eager(plug(f, g, max_steps=3), f, g, max_steps=3)
 
 
-def test_a_shared_table_matches_the_eager_reference():
+def test_a_shared_table_matches_the_eager_reference(monkeypatch):
+    """Each word up to length 3 of each shipped machine: its own plug
+    matches the eager reference, and ``language``'s search, through the
+    table it shares, gives the word that plug's graphing and
+    diagnostics."""
+    from graphvm import execution
     from graphvm.encodings import run_word
     from graphvm.machines import words_up_to
-    for _, m in _shipped_machines():
-        memo: dict = {}
-        for word in words_up_to(m.spec.alphabet, 3):
-            result, _ = run_word(m, word, memo=memo)
+    shared = []
+    plain_evaluate = execution.evaluate_test
+
+    def evaluate(result, *args):
+        shared.append(result)
+        return plain_evaluate(result, *args)
+
+    monkeypatch.setattr(execution, "evaluate_test", evaluate)
+    for name, m in _shipped_machines():
+        shared.clear()
+        execution.language(m, T_NL if m.spec.mode == "nondet" else T_DET, 3)
+        words = list(words_up_to(m.spec.alphabet, 3))
+        assert len(shared) == len(words), name
+        for word, got in zip(words, shared):
+            result, _ = run_word(m, word)
             assert_matches_eager(result, *result.operands)
-        # the setup reads the cut's split too: no difference is tabled
-        assert set(memo) == {Realizer.apply, Realizer.compose,
-                             MeasurableSet.intersect, _split}
+            assert got.graphing.same_as(result.graphing), (name, word)
+            assert got.diagnostics == result.diagnostics, (name, word)
+            assert got.diagnostics.dead_mass == \
+                result.diagnostics.dead_mass, (name, word)
 
 
 def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
