@@ -214,19 +214,13 @@ def _split(image: MeasurableSet,
             MeasurableSet(tuple(inside)))
 
 
-def _table(memo: dict | None):
+def _ops():
     """``Realizer.apply`` and ``compose``, ``MeasurableSet.intersect`` and
-    the split at the cut: as they are, or through ``memo``, a table that
-    several searches share.  It keys one ``lru_cache`` per operation by
-    the method read when the search began, so whatever is bound there
-    sees every miss; results are shared, as sets and realizers are
-    immutable."""
-    ops = (Realizer.apply, Realizer.compose, MeasurableSet.intersect, _split)
-    if memo is None:
-        return ops
-    return tuple(memo.get(method)
-                 or memo.setdefault(method, lru_cache(maxsize=None)(method))
-                 for method in ops)
+    the split at the cut, read when called, so a wrapper bound there is
+    what the search calls.  ``language`` wraps each in one ``lru_cache``
+    per call, a table its searches share; results are shared, as sets
+    and realizers are immutable."""
+    return (Realizer.apply, Realizer.compose, MeasurableSet.intersect, _split)
 
 
 class _Search:
@@ -241,16 +235,16 @@ class _Search:
     a search that ``fork`` continues with more known of that side, as
     ``language`` continues a word prefix with each next symbol."""
 
-    def __init__(self, f, g, max_steps: int, memo: dict | None):
+    def __init__(self, f, g, max_steps: int, ops: tuple):
         """A search of ``f`` against ``g``, each a ``Graphing`` or a
-        ``WordSide``: the weights, microcosm and carrier are read off
-        both."""
+        ``WordSide``, through ``ops``, as ``_ops`` gives them: the
+        weights, microcosm and carrier are read off both."""
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         self.monoid = join_monoids(f.weights, g.weights)
         self.microcosm = f.microcosm.join(g.microcosm)
         self.max_steps = max_steps
-        self.apply, self.compose, self.intersect, self.split = _table(memo)
+        self.apply, self.compose, self.intersect, self.split = ops
         self.cut = self.intersect(g.carrier, f.carrier)
         self.carrier = _EMPTY             # grows with each side started
         self.complete = True
@@ -405,7 +399,7 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
     The search keeps no table: ``language`` shares one over its own
     searches, but a lone plug's operands seldom repeat.
     """
-    search = _Search(f, g, max_steps, None)  # checks the budget first
+    search = _Search(f, g, max_steps, _ops())  # checks the budget first
     for name, graphing in (("first", f), ("second", g)):
         problems = validate(graphing)
         if problems:
@@ -597,11 +591,11 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     edges_meeting = machine.graphing.edges_meeting
     operands = (machine.graphing, None)
     verdicts: dict[str, Verdict] = {}
-    memo: dict = {}
+    ops = tuple(lru_cache(maxsize=None)(op) for op in _ops())
     for length in range(max_len + 1):
         side = WordSide(machine.layout, len(machine.spec.states), one_way,
                         length)
-        root = _Search(machine.graphing, side, max_steps, memo)
+        root = _Search(machine.graphing, side, max_steps, ops)
         # the word's carrier is the cut, so no path starts on its side
         root.start("F", machine.graphing)
         regions = machine.regions_for(length)

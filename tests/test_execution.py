@@ -455,24 +455,6 @@ def _tests_for(mode):
     return tests if mode == "nondet" else tests + [t_prob()]
 
 
-def test_a_shared_table_gives_the_same_results():
-    """``language``, whose searches share one table, gives every word up
-    to length 4 of each shipped machine the verdict of its own plug, which
-    keeps no table."""
-    from graphvm.encodings import run_word
-    from graphvm.execution import language
-    from graphvm.machines import words_up_to
-    for name, m in _shipped_machines():
-        for one_way in (False, True):
-            plain = {word: run_word(m, word, one_way=one_way)
-                     for word in words_up_to(m.spec.alphabet, 4)}
-            for test in _tests_for(m.spec.mode):
-                want = {word: evaluate_test(result, test, regions)
-                        for word, (result, regions) in plain.items()}
-                assert language(m, test, 4, one_way=one_way).verdicts == \
-                    want, (name, one_way, test)
-
-
 def _counting(monkeypatch):
     """Log every ``Realizer.compose`` and ``MeasurableSet.intersect``, and
     the ``plug`` and ``evaluate_test`` calls that tell where each came."""
@@ -531,44 +513,60 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
 
 
 def _trie_machines():
-    """The shipped machines with words up to length 3, then seeded specs
-    of every mode, head count and direction, on one to three states, with
-    words up to length 2."""
+    """Each spec with the longest word it runs at each budget: the shipped
+    machines up to length 3, and 4 at budget 10000; then seeded specs of
+    every mode, head count and direction, on one to three states, up to
+    length 2."""
     shapes = [(mode, heads, 1 + i % 3, two_way) for i, (mode, heads, two_way)
               in enumerate(itertools.product(("det", "nondet", "prob"),
                                              (1, 2), (False, True)))]
-    return [(spec, 3) for _, spec in shipped_machines()] + \
-        [(spec, 2) for spec in seeded_specs(41, len(shapes), shapes)]
+    return [(spec, {0: 3, 1: 3, 7: 3, 10000: 4})
+            for _, spec in shipped_machines()] + \
+        [(spec, dict.fromkeys((0, 1, 7, 10000), 2))
+         for spec in seeded_specs(41, len(shapes), shapes)]
 
 
 def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
-    """The search shared over the trie of word prefixes, budget-outs
-    included, gives the verdicts of each word's own plug, in order, and
-    never calls that plug."""
-    from graphvm import encodings
+    """The search shared over the trie of word prefixes, through its call's
+    table, budget-outs included, gives each word, in order, its own plug's
+    graphing, diagnostics and verdicts, and never calls that plug, which
+    keeps no table.  Each own plug of a word up to length 3 matches the
+    eager reference."""
+    from graphvm import encodings, execution
     from graphvm.encodings import encode_machine, run_word
-    from graphvm.execution import language
     from graphvm.machines import words_up_to
-    sent_back = log_calls(monkeypatch, (encodings, "run_word"))
+    log = log_calls(monkeypatch, (encodings, "run_word"),
+                    (execution, "evaluate_test"))
     budget_outs = Counter()
-    for spec, max_len in _trie_machines():
+    for spec, lengths in _trie_machines():
         m = encode_machine(spec)
-        for one_way, max_steps in itertools.product((False, True),
-                                                    (0, 1, 7, 10000)):
+        for one_way, (max_steps, max_len) in itertools.product(
+                (False, True), lengths.items()):
+            case = (spec.name, one_way, max_steps)
             runs = {word: run_word(m, word, one_way, max_steps)
                     for word in words_up_to(spec.alphabet, max_len)}
+            for word, (result, _) in runs.items():
+                if len(word) <= 3:
+                    assert_matches_eager(result, *result.operands, max_steps)
             budget_outs[max_steps, all(result.diagnostics.complete
                                        for result, _ in runs.values())] += 1
             for test in _tests_for(spec.mode):
                 want = [(word, evaluate_test(result, test, regions))
                         for word, (result, regions) in runs.items()]
-                sent_back.clear()
-                got = language(m, test, max_len, one_way=one_way,
-                               max_steps=max_steps)
-                assert list(got.verdicts.items()) == want, \
-                    (spec.name, one_way, max_steps, test)
-                # a word the budget sends back drains its own search
-                assert sent_back == [], (spec.name, one_way, max_steps)
+                log.clear()
+                got = execution.language(m, test, max_len, one_way=one_way,
+                                         max_steps=max_steps)
+                assert list(got.verdicts.items()) == want, (case, test)
+                # one result per word, read by evaluate_test: a word the
+                # budget sends back drains its own search, with no run_word
+                assert [name for name, _ in log] == \
+                    ["evaluate_test"] * len(runs), case
+                for (word, (result, _)), (_, (own, *_)) in zip(runs.items(),
+                                                               log):
+                    assert own.graphing.same_as(result.graphing), (case, word)
+                    assert own.diagnostics == result.diagnostics, (case, word)
+                    assert own.diagnostics.dead_mass == \
+                        result.diagnostics.dead_mass, (case, word)
     # at budget 7 some runs settle every word and some send words back
     assert budget_outs[7, True] and budget_outs[7, False], budget_outs
 
@@ -733,36 +731,6 @@ def test_plug_matches_the_eager_reference():
         assert_matches_eager(plug(f, g, max_steps=3), f, g, max_steps=3)
 
 
-def test_a_shared_table_matches_the_eager_reference(monkeypatch):
-    """Each word up to length 3 of each shipped machine: its own plug
-    matches the eager reference, and ``language``'s search, through the
-    table it shares, gives the word that plug's graphing and
-    diagnostics."""
-    from graphvm import execution
-    from graphvm.encodings import run_word
-    from graphvm.machines import words_up_to
-    shared = []
-    plain_evaluate = execution.evaluate_test
-
-    def evaluate(result, *args):
-        shared.append(result)
-        return plain_evaluate(result, *args)
-
-    monkeypatch.setattr(execution, "evaluate_test", evaluate)
-    for name, m in _shipped_machines():
-        shared.clear()
-        execution.language(m, T_NL if m.spec.mode == "nondet" else T_DET, 3)
-        words = list(words_up_to(m.spec.alphabet, 3))
-        assert len(shared) == len(words), name
-        for word, got in zip(words, shared):
-            result, _ = run_word(m, word)
-            assert_matches_eager(result, *result.operands)
-            assert got.graphing.same_as(result.graphing), (name, word)
-            assert got.diagnostics == result.diagnostics, (name, word)
-            assert got.diagnostics.dead_mass == \
-                result.diagnostics.dead_mass, (name, word)
-
-
 def test_dead_parts_are_swept_once_when_first_read(monkeypatch):
     # f carries cells 0 and 1 into the cut; g's sources on cell 5 overlap
     # and miss [3/4, 1), and on cell 6 two halves cover it only together:
@@ -836,34 +804,36 @@ def test_a_result_edge_keeps_the_part_of_its_image_that_exits():
     assert _check_targets_and_dead_mass(result) == 0
 
 
-def test_workloads_never_sweep_a_set(monkeypatch):
-    # every union, meet and difference these runs take is kept whole, split
-    # by cell or one box less one box: none reaches the canonical sweep
-    from graphvm import export, sampling, space
-    from graphvm.encodings import run_word
+def _run_the_workloads():
+    """``language`` on each shipped machine with words up to length 4 under
+    every test its mode allows, and the closure and associativity checks;
+    returns the machine-run corpus, all 1364 runs."""
+    from graphvm import sampling
     from graphvm.execution import language
-    from graphvm.machines import words_up_to
-    sweeps = log_calls(monkeypatch, (space, "_canon_group"))
-    runs = 0
     for _, m in _shipped_machines():
         for test in _tests_for(m.spec.mode):
             language(m, test, 4)
-        for word in words_up_to(m.spec.alphabet, 4):
-            export.result_payload(run_word(m, word)[0])
-            runs += 1
     for seed in range(6):
         for mode in ("det", "nondet", "prob"):
             assert sampling.property_holds("closure", seed, mode, 10000)
         assert sampling.property_holds("associativity", seed, "det", 10000)
-    assert runs == 341
+    runs = list(machine_run_results())
+    assert len(runs) == 1364
+    return runs
+
+
+def test_workloads_never_sweep_a_set(monkeypatch):
+    # every union, meet and difference these runs take is kept whole, split
+    # by cell or one box less one box: none reaches the canonical sweep
+    from graphvm import export, space
+    sweeps = log_calls(monkeypatch, (space, "_canon_group"))
+    for result in _run_the_workloads():
+        export.result_payload(result)
     assert sweeps == []
 
 
 def test_records_are_built_only_when_read(monkeypatch):
-    from graphvm import execution, sampling
-    from graphvm.encodings import run_word
-    from graphvm.execution import language
-    from graphvm.machines import words_up_to
+    from graphvm import execution
 
     def no_record(*args):
         raise AssertionError("a path record was built")
@@ -874,21 +844,14 @@ def test_records_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(execution, "PathRecord", no_record)
     monkeypatch.setattr(execution.Diagnostics, "_dead",
                         property(no_dead_region))
-    runs = []
-    for _, m in _shipped_machines():
-        language(m, T_NL if m.spec.mode == "nondet" else T_DET, 3)
-        for word in words_up_to(m.spec.alphabet, 2):
-            result, regions = run_word(m, word)
-            evaluate_test(result, T_NL, regions)
-            assert "paths" not in vars(result)
-            assert "dead_paths" not in vars(result)
-            runs.append(result)
-    for seed in range(6):
-        for mode in ("det", "nondet", "prob"):
-            assert sampling.property_holds("closure", seed, mode, 10000)
-        assert sampling.property_holds("associativity", seed, "det", 10000)
+    runs = _run_the_workloads()
+    assert not any("paths" in vars(result) or "dead_paths" in vars(result)
+                   for result in runs)
     monkeypatch.undo()
-    # read afterwards, the records are the eager reference's
+    # read afterwards, the records are the eager reference's; a run that
+    # ran out of budget took exactly its budget's steps
     assert any(r.paths for r in runs) and any(r.dead_paths for r in runs)
     for result in runs:
-        assert_matches_eager(result, *result.operands)
+        diag = result.diagnostics
+        assert_matches_eager(result, *result.operands,
+                             10000 if diag.complete else diag.steps_used)

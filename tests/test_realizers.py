@@ -270,13 +270,6 @@ def _check_image(got, boxes, *maps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(any_realizers, boxes())
-def test_apply_preserves_measure(r, b):
-    s = r.domain_within(ms(b))
-    _check_image(r.apply(s), s.boxes, r)
-
-
-@settings(max_examples=200, deadline=None)
 @given(any_realizers, any_realizers, boxes())
 def test_compose_matches_sequential_application(r1, r2, b):
     s = ms(b)
@@ -394,17 +387,6 @@ def test_apply_point_agrees_with_apply_box(r, b):
             continue
         assert r.apply_box(_point_box(b.cell, values)) == _point_box(*image)
         assert r.invert().apply_point(*image) == (b.cell, values)
-
-
-@settings(max_examples=200, deadline=None)
-@given(realizers(), realizers(), boxes())
-def test_compose_agrees_with_apply_point(r1, r2, b):
-    both = r1.compose(r2)
-    for values in _grid_points(b):
-        middle = r1.apply_point(b.cell, values)
-        if middle is None:
-            continue
-        assert both.apply_point(b.cell, values) == r2.apply_point(*middle)
 
 
 def test_text_form():

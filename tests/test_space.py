@@ -237,19 +237,6 @@ def test_set_operations_agree_with_point_membership(denominators, data):
     _check_against_the_model(a, a.union(b))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([_NINTHS, _MIXED]).flatmap(
-    lambda ds: st.tuples(sets(ds), sets(ds))))
-def test_results_come_in_key_order(pair):
-    a, b = pair
-    results = [MeasurableSet.from_boxes(a.boxes + b.boxes), a.union(b),
-               a.intersect(b), a.subtract(b), b.subtract(a)]
-    for got in results:
-        assert list(got.boxes) == sorted(got.boxes, key=RationalBox.key)
-    parts = common_refinement([a, b])
-    assert parts == sorted(parts, key=RationalBox.key)
-
-
 def test_subtract_passes_through_untouched_and_whole_cells():
     ninth = Fraction(1, 9)
     several = ms(RationalBox.make(0, {1: interval(0, 3 * ninth)}),
@@ -290,33 +277,6 @@ def test_subtract_passes_through_untouched_and_whole_cells():
     assert alone.subtract(ms(RationalBox.make(1))) is alone
 
 
-@_BOTH_GRIDS
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_boolean_laws(denominators, data):
-    a, b, c = (data.draw(sets(denominators)) for _ in range(3))
-    assert a.intersect(b) == b.intersect(a)
-    assert a.union(b) == b.union(a)
-    meet_of_union = a.intersect(b.union(c))
-    assert meet_of_union == a.intersect(b).union(a.intersect(c))
-    nested_difference = a.subtract(b).subtract(c)
-    assert nested_difference == a.subtract(b.union(c))
-    assert a.union(a) == a
-    assert a.intersect(a) == a
-    grid = Grid(a.boxes + b.boxes + c.boxes)
-    x, y, z = (grid.bits(s.boxes) for s in (a, b, c))
-    assert grid.bits(meet_of_union.boxes) == x & (y | z)
-    assert grid.bits(nested_difference.boxes) == x & ~y & ~z
-
-
-@settings(max_examples=150, deadline=None)
-@given(sets())
-def test_canonicalization_is_retraction(a):
-    again = MeasurableSet.from_boxes(a.boxes)
-    assert again == a
-    assert again.boxes == a.boxes
-
-
 @settings(max_examples=150, deadline=None)
 @given(sets(), sets())
 def test_point_set_equality_gives_identical_forms(a, b):
@@ -327,23 +287,17 @@ def test_point_set_equality_gives_identical_forms(a, b):
     assert hash(left) == hash(right)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sets(), sets())
-def test_refinement_parts_are_disjoint_and_cover(a, b):
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([_NINTHS, _MIXED]).flatmap(
+    lambda ds: st.tuples(sets(ds), sets(ds))))
+def test_refinement_parts_are_disjoint_and_cover(pair):
+    a, b = pair
     parts = common_refinement([a, b])
+    assert parts == sorted(parts, key=RationalBox.key)
     grid = Grid([*a.boxes, *b.boxes, *parts])
     # the parts' bits add up to their union only when no two share a bit
     assert sum(grid.bits((p,)) for p in parts) == grid.bits(parts) == \
         grid.bits(a.boxes) | grid.bits(b.boxes)
-
-
-def test_pairwise_disjointness_of_canonical_boxes():
-    a = ms(RationalBox.make(0, {1: interval(0, "2/3")}),
-           RationalBox.make(0, {1: interval("1/3", 1)}),
-           RationalBox.make(0, {2: interval(0, "1/2")}))
-    for i, x in enumerate(a.boxes):
-        for y in a.boxes[i + 1:]:
-            assert x.intersect(y) is None
 
 
 @_BOTH_GRIDS
