@@ -83,11 +83,17 @@ def t_prob(cutpoint=Fraction(1, 2)) -> Test:
 @dataclass(frozen=True)
 class Regions:
     """Named regions a test needs: where runs launch from, and the
-    accept/reject landing cells."""
+    accept/reject landing cells, each a union of whole cells."""
 
     launch: MeasurableSet
     accept: MeasurableSet
     reject: MeasurableSet
+
+    def __post_init__(self):
+        for name in ("accept", "reject"):
+            if any(b.coords for b in getattr(self, name).boxes):
+                raise ValueError(f"{name} region must be a union of whole "
+                                 f"cells")
 
 
 @dataclass
@@ -474,22 +480,43 @@ def measurement(f: Graphing, g: Graphing, m, max_len: int = 8):
 
 # -- acceptance ---------------------------------------------------------------
 
+def _landing_part(e: Edge, regions: Regions,
+                  cells: set[int]) -> MeasurableSet:
+    """The part of the edge's source in the launch region that lands in
+    ``cells``.  A realizer moves a box of cell n into cell n plus its
+    shift, so, as the accept and reject regions hold their cells whole,
+    the part is the boxes whose cells it moves into ``cells``, whole cells
+    of the meet and so canonical; a measure-preserving map lands their
+    measure there."""
+    shift = e.realizer.shift
+    if not any(b.cell + shift in cells for b in e.source.boxes):
+        return _EMPTY
+    return MeasurableSet(tuple(b for b in e.source.intersect(regions.launch)
+                               .boxes if b.cell + shift in cells))
+
+
 def landing(e: Edge, regions: Regions, where: MeasurableSet) -> MeasurableSet:
-    """The part of ``where`` into which the edge carries launch-region
-    points.  It can be nonempty while carrying no mass, on a weight-0
-    edge."""
-    src = e.source.intersect(regions.launch)
-    return e.realizer.apply(src).intersect(where)
+    """The part of ``where``, a union of whole cells, into which the edge
+    carries launch-region points: the image of the part that lands there.
+    It can be nonempty while carrying no mass, on a weight-0 edge."""
+    return e.realizer.apply(_landing_part(e, regions, where.cells()))
 
 
 def _landed_mass(result: PlugResult, regions: Regions,
                  where: MeasurableSet) -> Fraction:
+    """The weighted measure of the parts that land in ``where``, summed in
+    integers, over the launch measure."""
     lam = regions.launch.measure()
     if lam == 0:
         raise ValueError("launch region is null")
-    total = sum((e.weight * landing(e, regions, where).measure()
-                 for e in result.graphing.edges), Fraction(0))
-    return total / lam
+    cells = where.cells()
+    ratios = []
+    for e in result.graphing.edges:
+        if e.weight:
+            num, den = _landing_part(e, regions, cells)._measure_ratio()
+            ratios.append((num * e.weight.numerator,
+                           den * e.weight.denominator))
+    return Fraction(*_ratio_sum(ratios)) / lam
 
 
 def accept_mass(result: PlugResult, regions: Regions) -> Fraction:
@@ -510,13 +537,8 @@ def _carries_mass(result: PlugResult, regions: Regions,
                   where: MeasurableSet) -> bool:
     """Whether landed mass in ``where`` is positive: as no weight is
     negative, whether some edge of positive weight lands in it at all."""
-    # a realizer moves every cell by its shift, so an edge whose shifted
-    # source cells miss those of ``where`` lands nothing there
     cells = where.cells()
-    return any(e.weight > 0
-               and any(b.cell + e.realizer.shift in cells
-                       for b in e.source.boxes)
-               and not landing(e, regions, where).is_empty()
+    return any(e.weight > 0 and _landing_part(e, regions, cells).boxes
                for e in result.graphing.edges)
 
 

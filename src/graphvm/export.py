@@ -28,11 +28,12 @@ def frac_str(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """``frac_str(Fraction(num, den))`` for a positive ``den``, without
-    building the Fraction."""
+def _ratio_text(num: int, den: int) -> str:
+    """``frac_str(Fraction(num, den))`` as a JSON string, for a positive
+    ``den``, without building the Fraction: its digits, sign and slash
+    need no escape."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g}"
+    return f'"{num // g}/{den // g}"'
 
 
 def _by_index(pairs) -> str:
@@ -42,15 +43,18 @@ def _by_index(pairs) -> str:
 
 
 def box_payload(b: RationalBox) -> str:
-    coords = _by_index((j, f"[{_quote(_ratio_str(iv.a, iv.d))},"
-                           f"{_quote(_ratio_str(iv.b, iv.d))}]")
-                       for j, iv in b.coords)
-    return f'{{"cell":{b.cell},"coords":{coords}}}'
+    coords = [f'"{j}":[{_ratio_text(iv.a, iv.d)},{_ratio_text(iv.b, iv.d)}]'
+              for j, iv in b.coords]
+    # a normal box's indices ascend, and while each is one digit they
+    # sort as strings the same way
+    if coords and b.coords[-1][0] > 9:
+        coords.sort()
+    return f'{{"cell":{b.cell},"coords":{{{",".join(coords)}}}}}'
 
 
 def set_payload(s: MeasurableSet) -> str:
     boxes = ",".join(map(box_payload, s.boxes))
-    measure = _quote(_ratio_str(*s._measure_ratio()))
+    measure = _ratio_text(*s._measure_ratio())
     return f'{{"boxes":[{boxes}],"measure":{measure}}}'
 
 
@@ -66,40 +70,105 @@ def microcosm_payload(m: Microcosm) -> str:
 
 
 def graphing_payload(g: Graphing) -> str:
+    return _graphing(g, set_payload, realizer_payload)
+
+
+def _graphing(g: Graphing, set_text, realizer_text) -> str:
+    """``graphing_payload``, with sets and realizers written by
+    ``set_text`` and ``realizer_text``."""
     edges = ",".join(
-        f'{{"realizer":{realizer_payload(e.realizer)},'
-        f'"source":{set_payload(e.source)},'
-        f'"target":{set_payload(e.target)},'
+        f'{{"realizer":{realizer_text(e.realizer)},'
+        f'"source":{set_text(e.source)},'
+        f'"target":{set_text(e.target)},'
         f'"weight":{_quote(frac_str(e.weight))}}}' for e in g.edges)
-    return (f'{{"carrier":{set_payload(g.carrier)},'
+    return (f'{{"carrier":{set_text(g.carrier)},'
             f'"cost":{_quote(frac_str(cost(g)))},"edges":[{edges}],'
             f'"microcosm":{microcosm_payload(g.microcosm)},'
             f'"weights":{_quote(g.weights.name)}}}')
 
 
+def _step(key: tuple[str, int], region: str) -> str:
+    """One step of a path: its (side, edge index) and its region's text."""
+    side, idx = key
+    return f'{{"edge":{idx},"region":{region},"side":{_quote(side)}}}'
+
+
+def _path(realizer: str, source: str, steps: str, weight) -> str:
+    """One path record from the texts of its realizer, source and steps."""
+    return (f'{{"realizer":{realizer},"source":{source},"steps":[{steps}],'
+            f'"weight":{_quote(frac_str(weight))}}}')
+
+
 def path_payload(p: PathRecord) -> str:
-    steps = ",".join(
-        f'{{"edge":{idx},"region":{set_payload(region)},'
-        f'"side":{_quote(side)}}}'
-        for (side, idx), region in zip(p.steps, p.regions))
-    return (f'{{"realizer":{realizer_payload(p.realizer)},'
-            f'"source":{set_payload(p.source)},"steps":[{steps}],'
-            f'"weight":{_quote(frac_str(p.weight))}}}')
+    steps = ",".join(_step(key, set_payload(region))
+                     for key, region in zip(p.steps, p.regions))
+    return _path(realizer_payload(p.realizer), set_payload(p.source), steps,
+                 p.weight)
 
 
 def result_payload(result: PlugResult) -> str:
+    """The result's dead paths, diagnostics, graphing and paths, the
+    records ``path_payload`` writes, written from the trails.
+
+    Each piece is written once per call.  The text of a set or a
+    realizer is kept by its identity: every one written stays alive for
+    the call.  A trail's steps are the text of its longest prefix already
+    written, then the steps after it: the search builds each step once,
+    on one parent trail, so a step fixes its whole prefix.  A step's
+    entry is the text it was written in and where its prefix ends there,
+    so the entries of a trail take no more room than its text."""
+    texts: dict[int, str] = {}
+    prefixes: dict[int, tuple[str, int]] = {}
+
+    def kept(write):
+        def text(piece) -> str:
+            got = texts.get(id(piece))
+            if got is None:
+                got = texts[id(piece)] = write(piece)
+            return got
+        return text
+
+    set_text, realizer_text = kept(set_payload), kept(realizer_payload)
+
+    def steps_text(trail) -> str:
+        k = len(trail)
+        while k and id(trail[k - 1]) not in prefixes:
+            k -= 1
+        if k:
+            text, end = prefixes[id(trail[k - 1])]
+            head = [text[:end]]
+        else:
+            head, end = [], -1  # the first step follows no comma
+        parts = [_step(step[0], set_text(step[1])) for step in trail[k:]]
+        text = ",".join(head + parts)
+        for step, part in zip(trail[k:], parts):
+            end += 1 + len(part)
+            prefixes[id(step)] = (text, end)
+        return text
+
+    def path(trail, source) -> str:
+        _, _, composite, weight = trail[-1]
+        return _path(realizer_text(composite), set_text(source),
+                     steps_text(trail), weight)
+
     d = result.diagnostics
-    dead = ",".join(map(path_payload, result.dead_paths))
-    paths = ",".join(map(path_payload, result.paths))
+    # the dead paths' sources, the dead regions pulled back along their
+    # composites, are held here while their texts are kept
+    dead = [(trail, trail[-1][2].invert().apply(region))
+            for trail, region in d._dead]
+    dead_text = ",".join(path(trail, source) for trail, source in dead)
+    # an exit's edge takes its source and composite, written here first
+    graphing = _graphing(result.graphing, set_text, realizer_text)
+    paths = ",".join(path(trail, e.source) for trail, e in
+                     zip(result.exit_trails, result.graphing.edges))
     notes = ",".join(map(_quote, d.notes))
-    return (f'{{"dead_paths":[{dead}],"diagnostics":{{'
+    return (f'{{"dead_paths":[{dead_text}],"diagnostics":{{'
             f'"complete":{"true" if d.complete else "false"},'
             f'"dead_mass":{_quote(frac_str(d.dead_mass))},'
             f'"looping_mass":{_quote(frac_str(d.looping_mass))},'
             f'"notes":[{notes}],"steps_used":{d.steps_used},'
             f'"unresolved_mass":{_quote(frac_str(d.unresolved_mass))}}},'
-            f'"graphing":{graphing_payload(result.graphing)},'
-            f'"paths":[{paths}]}}')
+            f'"graphing":{graphing},"paths":[{paths}]}}')
 
 
 def dumps(payload: str) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .space import MeasurableSet, lazy
+from .space import MeasurableSet, _ratio_sum, lazy
 from .realizers import Microcosm, Realizer
 
 UNIT = Fraction(1)
@@ -236,8 +236,8 @@ def _overweight(group: list, bound: int) -> bool:
 
 
 def cost(g: Graphing) -> Fraction:
-    """Sum of the source measures over all edges."""
-    return sum((e.source.measure() for e in g.edges), Fraction(0))
+    """Sum of the source measures over all edges, in integers."""
+    return Fraction(*_ratio_sum(e.source._measure_ratio() for e in g.edges))
 
 
 def disjoint_union(f: Graphing, g: Graphing) -> Graphing:

@@ -185,17 +185,21 @@ class Realizer:
         shift = self.shift + then.shift
         if not self.perm and not then.perm:
             # shifts and offsets alone: one side's offsets, if only one
-            # has any, are the composite's as they stand
+            # has any, are the composite's as they stand, and both sides'
+            # are summed per coordinate
             if not then.offsets:
                 return Realizer(shift, (), self.offsets)
             if not self.offsets:
                 return Realizer(shift, (), then.offsets)
-        support = ({j for j, _ in self.perm} | {j for j, _ in then.perm}
-                   | {k for _, k in self.perm} | {k for _, k in then.perm})
-        perm = tuple(sorted((j, k) for j in support
-                            if (k := then.perm_image(self.perm_image(j))) != j))
-        offs = ({then.perm_image(j): c for j, c in self.offsets} if then.perm
-                else dict(self.offsets))
+            perm, offs = (), dict(self.offsets)
+        else:
+            support = ({j for j, _ in self.perm} | {j for j, _ in then.perm}
+                       | {k for _, k in self.perm} | {k for _, k in then.perm})
+            perm = tuple(sorted(
+                (j, k) for j in support
+                if (k := then.perm_image(self.perm_image(j))) != j))
+            offs = ({then.perm_image(j): c for j, c in self.offsets}
+                    if then.perm else dict(self.offsets))
         for j, c in then.offsets:
             mine = offs.get(j)
             if mine is None:

@@ -188,15 +188,15 @@ def sampled_graphings():
 
 def machine_run_results():
     """The plug result of every shipped machine on every word up to length
-    4, one-way and two-way, at ``max_steps`` 10000 and 5."""
+    4, one-way and two-way, at ``max_steps`` 10000 and 5, with the regions
+    its tests need, as ``run_word`` gives them."""
     for _, spec in shipped_machines():
         machine = encode_machine(spec)
         for word in words_up_to(machine.spec.alphabet, 4):
             for one_way in (True, False):
                 for max_steps in (10000, 5):
-                    result, _ = run_word(machine, word, one_way=one_way,
-                                         max_steps=max_steps)
-                    yield result
+                    yield run_word(machine, word, one_way=one_way,
+                                   max_steps=max_steps)
 
 
 def sampled_plug_results():

@@ -334,15 +334,34 @@ def test_unit_loop_with_branch_keeps_verdict_exact():
     assert_matches_eager_at_budgets(f, g)
 
 
-def test_prob_test_verdicts():
-    regions = Regions(whole(0), whole(10), whole(11))
+# launch cell 0, accept cell 10 and reject cell 11
+CELLS_0_10_11 = Regions(whole(0), whole(10), whole(11))
+
+
+def _half_and_half():
+    """Half the launch mass lands in accept, half in reject, each in two
+    steps."""
     half = graphing([Edge(Fraction(1, 2), whole(0), Realizer.shift_by(5)),
                      Edge(Fraction(1, 2), whole(0), Realizer.shift_by(6))],
                     (0, 5, 6), PROBABILITIES)
     lands = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(5)),
                       Edge(Fraction(1), whole(6), Realizer.shift_by(5))],
                      (5, 6, 10, 11), PROBABILITIES)
-    result = plug(half, lands)
+    return plug(half, lands)
+
+
+def _two_landings(to_accept, to_reject):
+    """Launch cell 0 carried whole to accept cell 10 under the weight
+    ``to_accept`` and to reject cell 11 under ``to_reject``."""
+    f = graphing([Edge(Fraction(to_accept), whole(0), Realizer.shift_by(10)),
+                  Edge(Fraction(to_reject), whole(0), Realizer.shift_by(11))],
+                 (0, 10, 11), PROBABILITIES)
+    return plug(f, graphing([], (5,)))
+
+
+def test_prob_test_verdicts():
+    regions = CELLS_0_10_11
+    result = _half_and_half()
     # half the mass lands in accept, half in reject
     assert accept_mass(result, regions) == Fraction(1, 2)
     assert evaluate_test(result, t_prob(Fraction(1, 2)), regions) \
@@ -362,11 +381,8 @@ def test_landed_masses_reject_a_null_launch_region():
 
 
 def test_weightless_edge_lands_without_mass():
-    regions = Regions(whole(0), whole(10), whole(11))
-    f = graphing([Edge(Fraction(0), whole(0), Realizer.shift_by(10)),
-                  Edge(Fraction(1), whole(0), Realizer.shift_by(11))],
-                 (0, 10, 11), PROBABILITIES)
-    result = plug(f, graphing([], (5,)))
+    regions = CELLS_0_10_11
+    result = _two_landings(0, 1)
     weightless, = [e for e in result.graphing.edges if e.weight == 0]
     assert landing(weightless, regions, regions.accept) == whole(10)
     assert accept_mass(result, regions) == 0
@@ -374,31 +390,96 @@ def test_weightless_edge_lands_without_mass():
 
 
 def test_a_weightless_landing_decides_no_verdict():
-    regions = Regions(whole(0), whole(10), whole(11))
+    regions = CELLS_0_10_11
     for to_accept, to_reject, det, conl in (
             (0, 1, Verdict.REJECT, Verdict.REJECT),
             (1, 0, Verdict.ACCEPT, Verdict.ACCEPT)):
-        f = graphing([Edge(Fraction(to_accept), whole(0),
-                           Realizer.shift_by(10)),
-                      Edge(Fraction(to_reject), whole(0),
-                           Realizer.shift_by(11))], (0, 10, 11), PROBABILITIES)
-        result = plug(f, graphing([], (5,)))
+        result = _two_landings(to_accept, to_reject)
         assert evaluate_test(result, T_DET, regions) is det
         assert evaluate_test(result, T_NL, regions) is det
         assert evaluate_test(result, T_CONL, regions) is conl
 
 
 def test_an_edge_that_cannot_land_makes_no_apply_call(monkeypatch):
-    # the only edge carries the launch cell to the reject cell, so the
-    # accept test need not image it, while the conl test must
+    # the only edge carries the launch cell to the reject cell: the accept
+    # test reads off its source that it lands nothing there, and the conl
+    # test that it lands in the reject cell, neither imaging it
     regions = Regions(whole(0), whole(10), whole(11))
     f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(11))], (0, 11))
     result = plug(f, graphing([], (5,)))
     calls = log_calls(monkeypatch, (Realizer, "apply"))
     assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
-    assert calls == []
     assert evaluate_test(result, T_CONL, regions) is Verdict.REJECT
-    assert [args[0] for _, args in calls] == [Realizer.shift_by(11)]
+    assert calls == []
+
+
+def _landed_by_image(result, regions, where):
+    """Per edge: its weight and ``realizer.apply(source & launch) & where``,
+    the landing the source-side rule must give."""
+    return [(e.weight, e.realizer.apply(e.source.intersect(regions.launch))
+             .intersect(where)) for e in result.graphing.edges]
+
+
+def _verdict_by_image(result, test, regions):
+    """``evaluate_test``'s verdict, read off the images of the edges."""
+    pending = result.diagnostics.unresolved_mass > 0
+    if test.kind in ("det", "nl", "conl"):
+        where = regions.reject if test.kind == "conl" else regions.accept
+        if any(w > 0 and not hit.is_empty()
+               for w, hit in _landed_by_image(result, regions, where)):
+            return Verdict.REJECT if test.kind == "conl" else Verdict.ACCEPT
+        if pending:
+            return Verdict.UNDETERMINED
+        return Verdict.ACCEPT if test.kind == "conl" else Verdict.REJECT
+    lam = regions.launch.measure()
+    mass = sum((w * hit.measure() for w, hit in
+                _landed_by_image(result, regions, regions.accept)),
+               Fraction(0)) / lam
+    if mass > test.cutpoint:
+        return Verdict.ACCEPT
+    slack = result.diagnostics.unresolved_mass / lam
+    return Verdict.REJECT if mass + slack <= test.cutpoint \
+        else Verdict.UNDETERMINED
+
+
+def test_landings_read_off_the_source_match_the_images():
+    # a machine run's exits start inside its launch region; the sampled
+    # plugs' sources, of several boxes, with offsets and permutations,
+    # meet a launch region of half cells, and land in even or odd cells
+    halves = Regions(ms(*(cellbox(c, 0, "1/2") for c in range(-9, 19))),
+                     whole(*range(-8, 19, 2)), whole(*range(-9, 19, 2)))
+    runs = list(machine_run_results())
+    runs += [(result, halves) for result in sampled_plug_results()]
+    runs += [(_half_and_half(), CELLS_0_10_11)]
+    runs += [(_two_landings(*weights), regions)
+             for weights in ((0, 1), (1, 0), (0, 0), (1, 1))
+             for regions in (CELLS_0_10_11, halves)]
+    assert len(runs) == 1553
+    kinds = Counter()
+    for result, regions in runs:
+        lam = regions.launch.measure()
+        for where, mass in ((regions.accept, accept_mass),
+                            (regions.reject, reject_mass)):
+            landed = _landed_by_image(result, regions, where)
+            assert [landing(e, regions, where) for e in
+                    result.graphing.edges] == [hit for _, hit in landed]
+            assert mass(result, regions) == sum(
+                (w * hit.measure() for w, hit in landed), Fraction(0)) / lam
+        for test in (T_DET, T_NL, T_CONL, t_prob(), t_prob("1/3")):
+            verdict = evaluate_test(result, test, regions)
+            assert verdict is _verdict_by_image(result, test, regions)
+            kinds[test.kind, verdict] += 1
+    # every kind gives each verdict somewhere
+    assert len(kinds) == 12, kinds
+
+
+def test_regions_hold_their_accept_and_reject_cells_whole():
+    half_cell = ms(cellbox(10, 0, "1/2"))
+    for accept, reject in ((half_cell, whole(11)), (whole(11), half_cell)):
+        with pytest.raises(ValueError, match="whole cells"):
+            Regions(whole(0), accept, reject)
+    # the launch region may hold part of a cell
+    assert Regions(half_cell, whole(10), whole(11)).launch == half_cell
 
 
 def test_float_cutpoints_are_refused():
@@ -784,7 +865,7 @@ def _check_targets_and_dead_mass(result):
 
 @pytest.mark.parametrize("family", ["machine_runs", "sampled_plugs"])
 def test_kept_targets_and_dead_mass_match_their_definitions(family):
-    results = {"machine_runs": machine_run_results,
+    results = {"machine_runs": lambda: (r for r, _ in machine_run_results()),
                "sampled_plugs": sampled_plug_results}[family]()
     assert sum(map(_check_targets_and_dead_mass, results)) > 0
 
@@ -817,7 +898,7 @@ def _run_the_workloads():
         for mode in ("det", "nondet", "prob"):
             assert sampling.property_holds("closure", seed, mode, 10000)
         assert sampling.property_holds("associativity", seed, "det", 10000)
-    runs = list(machine_run_results())
+    runs = [result for result, _ in machine_run_results()]
     assert len(runs) == 1364
     return runs
 

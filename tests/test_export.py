@@ -9,7 +9,7 @@ from graphvm.graphing import (Edge, GraphingClass, PROBABILITIES, TRIVIAL,
                               classify, validate)
 from graphvm.realizers import Realizer
 from graphvm.space import RationalBox, interval
-from harness import canonical, cellbox, graphing, ms, whole
+from harness import canonical, cellbox, graphing, log_calls, ms, whole
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -140,3 +140,38 @@ def test_a_repeat_exports_its_weighted_mass(back, kind, mass):
     assert {name: diag[name] for name in ("looping_mass", "unresolved_mass")} \
         == {"looping_mass": "0/1", "unresolved_mass": "0/1", kind: mass}
     assert result.graphing.edges == ()
+
+
+def test_a_result_writes_each_shared_set_and_prefix_once(monkeypatch):
+    from graphvm import export
+    # 0 -> 5 -> 6 in two steps; from 6, only the left half goes on, to 9,
+    # and the right half dies: the dead path is the two-step prefix of
+    # the result path, and the first step's region is f's first source
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), ms(cellbox(6, 0, "1/2")),
+                       Realizer.shift_by(3))], (0, 5, 6, 9))
+    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
+    result = plug(f, g)
+    (dead_trail, _), = result.diagnostics._dead
+    trail, = result.exit_trails
+    assert len(trail) == 3 and trail[:2] == dead_trail
+    assert all(a is b for a, b in zip(trail, dead_trail))
+    assert trail[0][1] is f.edges[0].source
+    log = log_calls(monkeypatch, (export, "set_payload"), (export, "_step"))
+    payload = canonical(result_payload(result))
+    written = [args[0] for name, args in log if name == "set_payload"]
+    pieces = ([result.graphing.carrier]
+              + [s for e in result.graphing.edges for s in (e.source, e.target)]
+              + [step[1] for t in (trail, dead_trail) for step in t])
+    # each set written once, and the dead path's source, built here, too
+    assert len({id(s) for s in written}) == len(written) \
+        == len({id(s) for s in pieces}) + 1
+    assert {id(s) for s in pieces} < {id(s) for s in written}
+    # each step written once: the shared prefix is not written again
+    assert sum(name == "_step" for name, _ in log) == len(trail)
+    monkeypatch.undo()
+    for key, records in (("dead_paths", result.dead_paths),
+                         ("paths", result.paths)):
+        assert payload[key] == [canonical(path_payload(r)) for r in records]
+    assert [len(p["steps"]) for p in payload["dead_paths"] + payload["paths"]] \
+        == [2, 3]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridmodel import Grid, image
 import graphvm.realizers as realizer_module
@@ -316,6 +316,24 @@ def test_a_violation_names_the_input_coordinate(r, b):
         assert (err.value.box, err.value.coordinate) == (b, want)
 
 
+@st.composite
+def several_boxes(draw):
+    """Two to four boxes across cells, or moved into the first one's
+    cell."""
+    drawn = draw(st.lists(boxes(), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        drawn = [RationalBox(drawn[0].cell, b.coords) for b in drawn]
+    return drawn
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_realizers, several_boxes())
+def test_a_several_box_image_matches_the_model(r, drawn):
+    s = r.domain_within(ms(*drawn))
+    assume(len(s.boxes) >= 2)
+    _check_image(r.apply(s), s.boxes, r)
+
+
 def test_one_box_images_and_composites_take_the_direct_path(monkeypatch):
     # the realizers and one-box sets of seeded pairs, in every mode
     edges = [e for seed in range(6) for mode in ("det", "nondet", "prob")
@@ -504,6 +522,39 @@ def test_compose_cancels_offsets_exactly():
     assert both.offsets == ((2, Fraction(1, 2)),)
     _check_normal(both)
     assert up.compose(up.invert()) == Realizer.identity()
+
+
+def test_offsets_on_both_sides_sum_per_coordinate(monkeypatch):
+    # seeded pairs of maps that permute nothing, each with offsets; in
+    # every other pair the two cancel on one coordinate
+    rng = random.Random(44)
+
+    def offsets():
+        return {j: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9),
+                            rng.choice((4, 6, 9)))
+                for j in rng.sample(COORDS, rng.randrange(1, 4))}
+
+    pairs = []
+    for n in range(120):
+        first, then = offsets(), offsets()
+        if n % 2:
+            j = rng.choice(COORDS)
+            first[j] = -then.setdefault(j, Fraction(rng.randrange(1, 9), 9))
+        pairs.append((Realizer.make(rng.randrange(-2, 3), None, first),
+                      Realizer.make(rng.randrange(-2, 3), None, then)))
+    lookups = log_calls(monkeypatch, (Realizer, "perm_image"),
+                        (Realizer, "perm_preimage"))
+    cancelled = 0
+    for r1, r2 in pairs:
+        assert r1.offsets and r2.offsets and not (r1.perm or r2.perm)
+        got = r1.compose(r2)
+        want = _reference_compose(r1, r2)
+        assert got == want and hash(got) == hash(want)
+        _check_normal(got)
+        cancelled += len(dict(r1.offsets).keys() & dict(r2.offsets).keys()
+                         - dict(got.offsets).keys())
+    assert cancelled >= 60
+    assert lookups == []
 
 
 def test_inverse_is_cached_and_matches_the_reference():

@@ -35,7 +35,7 @@ from harness import (canonical, machine_run_results, random_graphing,
 
 
 def _machine_runs():
-    for result in machine_run_results():
+    for result, _ in machine_run_results():
         yield dumps(result_payload(result))
 
 
