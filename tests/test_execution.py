@@ -404,7 +404,7 @@ def test_an_edge_that_cannot_land_makes_no_apply_call(monkeypatch):
     # the only edge carries the launch cell to the reject cell: the accept
     # test reads off its source that it lands nothing there, and the conl
     # test that it lands in the reject cell, neither imaging it
-    regions = Regions(whole(0), whole(10), whole(11))
+    regions = CELLS_0_10_11
     f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(11))], (0, 11))
     result = plug(f, graphing([], (5,)))
     calls = log_calls(monkeypatch, (Realizer, "apply"))
