@@ -292,9 +292,17 @@ class _Search:
              keys: tuple) -> None:
         exits, inside = self.split(image, self.cut)
         if exits.boxes:
-            _, _, composite, weight = trail[-1]
-            edge = Edge(weight, self.apply(composite.invert(), exits),
-                        composite)
+            _, region, composite, weight = trail[-1]
+            if exits is not image:
+                source = self.apply(composite.invert(), exits)
+            elif len(trail) == 1:
+                source = region             # the start the image is of
+            else:
+                # the image is the last edge's image of ``region``, so the
+                # source is ``region`` pulled back along the composite
+                # before that step, whose inverse the node's exits share
+                source = self.apply(trail[-2][2].invert(), region)
+            edge = Edge(weight, source, composite)
             vars(edge)["target"] = exits  # the image of its source
             self.exits.append((edge, trail))
         # a path inside the cut only meets the part of a source in the
@@ -392,7 +400,11 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
     the part that exits, kept as its edge's ``target``, and the part that
     goes on.  The dead part is what the other side's sources leave of the
     latter: none when one source holds all of it, as the meet then
-    returns the path's own set.  Any other node is kept with its trail
+    returns the path's own set.  An exit that is the whole image reads
+    its source off the trail: a one-step path's start, or else the region
+    before the last step pulled back along the composite before it, an
+    inverse the node's exits share; only a part of an image is pulled
+    back along the whole composite.  Any other node is kept with its trail
     and its hits, and its dead part is built only when ``dead_paths`` or
     ``diagnostics.dead_mass`` is read; ``language`` and the property
     checks read neither.  A path repeats when it takes an edge of its
@@ -536,9 +548,11 @@ def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
 def _carries_mass(result: PlugResult, regions: Regions,
                   where: MeasurableSet) -> bool:
     """Whether landed mass in ``where`` is positive: as no weight is
-    negative, whether some edge of positive weight lands in it at all."""
+    negative, whether some edge of positive weight lands in it at all.
+    A weight's sign is its numerator's, as its denominator is positive."""
     cells = where.cells()
-    return any(e.weight > 0 and _landing_part(e, regions, cells).boxes
+    return any(e.weight.numerator > 0
+               and _landing_part(e, regions, cells).boxes
                for e in result.graphing.edges)
 
 

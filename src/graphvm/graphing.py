@@ -139,12 +139,18 @@ class Graphing:
         """``(index, edge, meet)`` for every edge whose source meets ``s``,
         in edge-index order; ``meet`` is ``s`` intersected with the source,
         by ``intersect(s, source)`` when given (a memoised lookup, say)
-        and by ``MeasurableSet.intersect`` otherwise."""
+        and by ``MeasurableSet.intersect`` otherwise.  Consecutive edges
+        that share a source object, as a branch pair does (they sort next
+        to each other), share one meet."""
         intersect = intersect or MeasurableSet.intersect
+        edges = self.edges
+        source = meet = None
         for idx in self.edges_over(s):
-            e = self.edges[idx]
-            meet = intersect(s, e.source)
-            if not meet.is_empty():
+            e = edges[idx]
+            if e.source is not source:
+                source = e.source
+                meet = intersect(s, source)
+            if meet.boxes:
                 yield idx, e, meet
 
     def same_as(self, other: "Graphing") -> bool:
@@ -168,7 +174,8 @@ def _find_problems(g: Graphing) -> list[str]:
     in the domain or the carrier exactly when each of its boxes does.
     A cell the carrier holds whole holds any box, so a box's image is
     built only when it lands in another cell, and the edge's ``target``
-    is never built."""
+    is never built.  One pass over the boxes decides both containments,
+    a box tried only for the ones no earlier box refuted."""
     problems = []
     carrier = g.carrier
     whole = {b.cell for b in carrier.boxes if not b.coords}
@@ -179,12 +186,16 @@ def _find_problems(g: Graphing) -> list[str]:
         if not all(map(r.defined_on, boxes)):
             problems.append(f"edge {i}: source exceeds realizer domain")
             continue
-        if not all(b.cell in whole or MeasurableSet((b,)).subset_of(carrier)
-                   for b in boxes):
+        shift = r.shift
+        source_in = target_in = True
+        for b in boxes:
+            if source_in and b.cell not in whole:
+                source_in = MeasurableSet((b,)).subset_of(carrier)
+            if target_in and b.cell + shift not in whole:
+                target_in = MeasurableSet((r.apply_box(b),)).subset_of(carrier)
+        if not source_in:
             problems.append(f"edge {i}: source not in carrier")
-        if not all(b.cell + r.shift in whole
-                   or MeasurableSet((r.apply_box(b),)).subset_of(carrier)
-                   for b in boxes):
+        if not target_in:
             problems.append(f"edge {i}: target not in carrier")
         if not g.microcosm.contains(r):
             problems.append(f"edge {i}: realizer not in microcosm "

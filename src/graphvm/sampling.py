@@ -22,6 +22,10 @@ from .execution import plug
 
 # denominator of every sampled interval endpoint and offset
 GRID = 8
+# the offsets k/GRID, k nonzero, and the branch splits (k/4, 1 - k/4), as
+# the exact Fractions every edge would otherwise build again
+_OFFSETS = {k: Fraction(k, GRID) for k in range(1 - GRID, GRID) if k}
+_SPLITS = {k: (Fraction(k, 4), 1 - Fraction(k, 4)) for k in range(1, 4)}
 
 
 def _dyadic_interval(rng: random.Random) -> RationalInterval:
@@ -49,7 +53,7 @@ def _random_realizer(rng: random.Random, src_cell: int, dst_cell: int,
         room_down = iv.a * GRID // iv.d
         room_up = (iv.d - iv.b) * GRID // iv.d
         choices = [k for k in range(-room_down, room_up + 1) if k != 0]
-        offsets = ((coord, Fraction(rng.choice(choices), GRID)),) \
+        offsets = ((coord, _OFFSETS[rng.choice(choices)]),) \
             if choices else ()
     else:
         offsets = ()
@@ -87,9 +91,9 @@ def _emit(rng, edges, src, dst, iv, mode):
             other = Realizer.shift_by(dst - src)
             edges.append(Edge(UNIT, source, other))
     else:
-        split = Fraction(rng.randrange(1, 4), 4)
+        split, rest = _SPLITS[rng.randrange(1, 4)]
         edges.append(Edge(split, source, realizer))
-        edges.append(Edge(1 - split, source, Realizer.shift_by(dst - src)))
+        edges.append(Edge(rest, source, Realizer.shift_by(dst - src)))
 
 
 def _chain(seed: int, mode: str, *layers) -> tuple[Graphing, ...]:

@@ -806,6 +806,75 @@ def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
                                        "partial exit", "dead")) > 10, seen
 
 
+def _fed_feedback_pairs():
+    """Each of ``_feedback_pairs()``, whose cut is its whole carrier, with
+    a way in and a way out on its second side: an edge from cell 0 into
+    the first side's first source cell, and one from every cell the first
+    side lands in to cell 9, beside the cycle's own edges."""
+    for f, g, _ in _feedback_pairs():
+        into = f.edges[0].source.boxes[0].cell
+        lands = sorted({c for e in f.edges for c in e.target.cells()})
+        edges = [*g.edges, Edge(Fraction(1), whole(0), Realizer.shift_by(into))]
+        edges += [Edge(Fraction(1), whole(c), Realizer.shift_by(9 - c))
+                  for c in lands]
+        yield f, graphing(edges, sorted(g.carrier.cells() | {0, 9}))
+
+
+def _exit_rule(result, trail, e):
+    """How the search read the exit's source: off a one-step path's
+    ``start``, ``pulled back`` from the region before the last step, or,
+    for a ``partial`` exit, from the exit set along the whole composite."""
+    (side, idx), region = trail[-1][:2]
+    last = result.operands[side == "G"].edges[idx]
+    if last.realizer.apply(region) != e.target:
+        return "partial"
+    return "start" if len(trail) == 1 else "pulled back"
+
+
+def test_an_exit_source_is_its_target_pulled_back():
+    corpora = {
+        "machine runs": [result for result, _ in machine_run_results()],
+        "sampled plugs": list(sampled_plug_results()),
+        "partial cuts": [plug(f, g) for f, g in _partial_cell_pairs()],
+        "fed feedback pairs": [plug(f, g) for f, g in _fed_feedback_pairs()],
+    }
+    rules = {}
+    for name, results in corpora.items():
+        seen = rules[name] = Counter()
+        for result in results:
+            for trail, e in zip(result.exit_trails, result.graphing.edges):
+                assert e.source == e.realizer.invert().apply(e.target), name
+                seen[_exit_rule(result, trail, e)] += 1
+    # every corpus pulls sources back off longer paths; the partial cuts
+    # keep the whole-composite rule, and plugs exit on their first step
+    assert all(seen["pulled back"] for seen in rules.values()), rules
+    assert rules["partial cuts"]["partial"], rules
+    assert rules["sampled plugs"]["start"], rules
+
+
+def test_exits_on_the_first_step_pull_no_source_back(monkeypatch):
+    # every path of f leaves the cut, cell 2, on its first step, one of
+    # them through a swap and an offset; g's only edge lies in the cut
+    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
+                  Edge(Fraction(1), ms(cellbox(1, 0, "1/2")),
+                       Realizer.make(5, {1: 2, 2: 1}, {2: Fraction(1, 2)}))],
+                 (0, 1, 2, 5, 6))
+    g = graphing([Edge(Fraction(1), whole(2), Realizer.shift_by(1))], (2, 3))
+    assert validate(f) == validate(g) == []
+    calls = log_calls(monkeypatch, (Realizer, "apply"))
+    result = plug(f, g)
+    # one apply per path, for the image of its start, and none for a source
+    assert [args for _, args in calls] == [(e.realizer, e.source)
+                                           for e in f.edges]
+    monkeypatch.undo()
+    assert [len(trail) for trail in result.exit_trails] == [1, 1]
+    for trail, e in zip(result.exit_trails, result.graphing.edges):
+        assert e.source is trail[0][1]
+        assert e.source == e.realizer.invert().apply(e.target)
+    assert [e.source for e in result.graphing.edges] == \
+        [e.source for e in f.edges]
+
+
 def test_plug_matches_the_eager_reference():
     for f, g in _start_scan_pairs():
         assert_matches_eager(plug(f, g), f, g)

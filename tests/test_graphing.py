@@ -151,7 +151,42 @@ _PROBLEM_KINDS = ("not in monoid", "exceeds realizer domain",
                   "not in microcosm")
 
 
+def _several_box_problems():
+    """Hand-built graphings whose sources have several boxes, with the
+    problems ``validate`` must give, in order: a box outside the carrier
+    beside a box whose image leaves it, either one first, on cells the
+    carrier holds whole or in part; and a domain violation, which skips
+    both containment checks although both fail."""
+    shift = Realizer.shift_by(1)
+    one_half, two_half = cellbox(1, 0, "1/2"), cellbox(3, 0, "1/2")
+    both = ["edge 0: source not in carrier", "edge 0: target not in carrier"]
+    # the first box's image leaves the carrier, the second box lies outside
+    yield (Graphing.make(TRIVIAL, Microcosm.macrocosm(), ms(cellbox(0),
+                                                           two_half),
+                         [Edge(Fraction(1), ms(cellbox(0, "1/2", 1),
+                                               cellbox(2, 0, "1/2")), shift)]),
+           both)
+    # the first box lies outside, the second box's image leaves
+    yield (Graphing.make(TRIVIAL, Microcosm.macrocosm(), ms(one_half,
+                                                           cellbox(2)),
+                         [Edge(Fraction(1), ms(cellbox(0, 0, "1/2"),
+                                               cellbox(2, 0, "1/2")), shift)]),
+           both)
+    # edge 1 leaves the domain on its box in cell 5, outside the carrier,
+    # and its box in cell 0 lands outside it; edge 0 is no m1 member
+    yield (Graphing.make(PROBABILITIES, Microcosm.m1(), whole(0),
+                         [Edge(Fraction(1), whole(0), Realizer.head_swap(2)),
+                          Edge(Fraction(3, 2), ms(cellbox(0, 0, "1/2"),
+                                                  cellbox(5, "1/2", 1)),
+                               Realizer.make(1, None, {1: Fraction(1, 2)}))]),
+           ["edge 0: realizer not in microcosm m1",
+            "edge 1: weight 3/2 not in monoid",
+            "edge 1: source exceeds realizer domain"])
+
+
 def test_validate_matches_the_set_algebra_reference():
+    for g, want in _several_box_problems():
+        assert validate(g) == _model_problems(g) == want
     rng = random.Random(23)
 
     def corpus():
@@ -310,17 +345,61 @@ def test_edge_keys_equal_fresh_ones():
     assert e == Edge(e.weight, e.source, e.realizer)
 
 
+def _equal_sources_apart():
+    """Two equal sources that are distinct objects, one of them taken
+    again after the other in edge order."""
+    half, again = ms(cellbox(0, 0, "1/2")), ms(cellbox(0, 0, "1/2"))
+    g = graphing([Edge(Fraction(1), half, Realizer.shift_by(1)),
+                  Edge(Fraction(1), again, Realizer.shift_by(2)),
+                  Edge(Fraction(1), half, Realizer.shift_by(2)),
+                  Edge(Fraction(1), ms(cellbox(0, "1/4", 1)),
+                       Realizer.shift_by(1))])
+    assert [e.source is half for e in g.edges] == [True, False, True, False]
+    return g
+
+
+def _queries(g):
+    """The carrier, every source and target, and a box in each cell."""
+    return [g.carrier] + [e.source for e in g.edges] + \
+        [e.target for e in g.edges] + \
+        [ms(cellbox(c, Fraction(1, 4), Fraction(5, 8)))
+         for c in g.carrier.cells()]
+
+
 def test_edges_meeting_matches_a_scan_of_every_edge():
-    for g in sampled_graphings():
-        queries = [g.carrier] + [e.source for e in g.edges] + \
-            [e.target for e in g.edges] + \
-            [ms(cellbox(c, Fraction(1, 4), Fraction(5, 8)))
-             for c in g.carrier.cells()]
-        for s in queries:
+    for g in [*sampled_graphings(), _equal_sources_apart()]:
+        for s in _queries(g):
             scan = [(i, e, s.intersect(e.source))
                     for i, e in enumerate(g.edges)
                     if not s.intersect(e.source).is_empty()]
             assert list(g.edges_meeting(s)) == scan
+
+
+def test_edges_that_share_a_source_share_one_meet():
+    from graphvm.encodings import encode_machine
+    # a nondet or prob branch pair shares its source object, and so do
+    # the actions of one machine transition
+    corpus = [g for seed in range(6) for mode in ("nondet", "prob")
+              for g in random_pair(seed, mode)]
+    corpus.append(encode_machine(shipped("guess-11.mach")).graphing)
+    shared = 0
+    for g in corpus:
+        for s in _queries(g):
+            met = []
+
+            def intersect(a, b):
+                met.append(b)
+                return a.intersect(b)
+
+            got = list(g.edges_meeting(s, intersect))
+            # one meet per distinct source object of the edges over s
+            assert sorted(map(id, met)) == sorted(
+                {id(g.edges[idx].source) for idx in g.edges_over(s)})
+            meet_of = {}
+            for _, e, meet in got:
+                assert meet_of.setdefault(id(e.source), meet) is meet
+            shared += len(got) - len(meet_of)
+    assert shared > 0
 
 
 def _loads(g):
