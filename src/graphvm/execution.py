@@ -293,15 +293,9 @@ class _Search:
         exits, inside = self.split(image, self.cut)
         if exits.boxes:
             _, region, composite, weight = trail[-1]
-            if exits is not image:
-                source = self.apply(composite.invert(), exits)
-            elif len(trail) == 1:
-                source = region             # the start the image is of
-            else:
-                # the image is the last edge's image of ``region``, so the
-                # source is ``region`` pulled back along the composite
-                # before that step, whose inverse the node's exits share
-                source = self.apply(trail[-2][2].invert(), region)
+            # a path that exits whole on its first step exits on its start
+            source = region if exits is image and len(trail) == 1 \
+                else self.apply(composite.invert(), exits)
             edge = Edge(weight, source, composite)
             vars(edge)["target"] = exits  # the image of its source
             self.exits.append((edge, trail))
@@ -400,19 +394,17 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
     the part that exits, kept as its edge's ``target``, and the part that
     goes on.  The dead part is what the other side's sources leave of the
     latter: none when one source holds all of it, as the meet then
-    returns the path's own set.  An exit that is the whole image reads
-    its source off the trail: a one-step path's start, or else the region
-    before the last step pulled back along the composite before it, an
-    inverse the node's exits share; only a part of an image is pulled
-    back along the whole composite.  Any other node is kept with its trail
+    returns the path's own set.  Any other node is kept with its trail
     and its hits, and its dead part is built only when ``dead_paths`` or
     ``diagnostics.dead_mass`` is read; ``language`` and the property
     checks read neither.  A path repeats when it takes an edge of its
     trail again with the same composite, on a part of the region it had
     there; each path carries its trail's edge keys, so the trail is
     scanned only for a key already in it.
-    The result keeps each path's trail; ``PlugResult`` builds the path
-    records only when they are read.
+    An edge's source is its exit set pulled back along its composite,
+    except on a path that exits whole on its first step: that source is
+    the path's start.  The result keeps each path's trail;
+    ``PlugResult`` builds the path records only when they are read.
 
     The search keeps no table: ``language`` shares one over its own
     searches, but a lone plug's operands seldom repeat.

@@ -821,9 +821,9 @@ def _fed_feedback_pairs():
 
 
 def _exit_rule(result, trail, e):
-    """How the search read the exit's source: off a one-step path's
-    ``start``, ``pulled back`` from the region before the last step, or,
-    for a ``partial`` exit, from the exit set along the whole composite."""
+    """How the search read the exit's source: a one-step path that exits
+    whole exits on its ``start``; a longer one, or a ``partial`` exit, is
+    pulled back along its composite."""
     (side, idx), region = trail[-1][:2]
     last = result.operands[side == "G"].edges[idx]
     if last.realizer.apply(region) != e.target:
@@ -845,8 +845,8 @@ def test_an_exit_source_is_its_target_pulled_back():
             for trail, e in zip(result.exit_trails, result.graphing.edges):
                 assert e.source == e.realizer.invert().apply(e.target), name
                 seen[_exit_rule(result, trail, e)] += 1
-    # every corpus pulls sources back off longer paths; the partial cuts
-    # keep the whole-composite rule, and plugs exit on their first step
+    # every corpus pulls sources back from longer paths, the partial cuts
+    # from parts of images, and the sampled plugs exit on first steps
     assert all(seen["pulled back"] for seen in rules.values()), rules
     assert rules["partial cuts"]["partial"], rules
     assert rules["sampled plugs"]["start"], rules
