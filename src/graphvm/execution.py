@@ -293,9 +293,14 @@ class _Search:
         exits, inside = self.split(image, self.cut)
         if exits.boxes:
             _, region, composite, weight = trail[-1]
-            # a path that exits whole on its first step exits on its start
-            source = region if exits is image and len(trail) == 1 \
-                else self.apply(composite.invert(), exits)
+            if exits is not image or len(trail) > 2:
+                source = self.apply(composite.invert(), exits)
+            else:
+                # a whole image: on a first step, of the start; on a second,
+                # of the hit, pulled back along the first edge's realizer,
+                # whose inverse the edge keeps
+                source = region if len(trail) == 1 else self.apply(
+                    trail[0][2].invert(), region)
             edge = Edge(weight, source, composite)
             vars(edge)["target"] = exits  # the image of its source
             self.exits.append((edge, trail))
@@ -402,8 +407,12 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
     there; each path carries its trail's edge keys, so the trail is
     scanned only for a key already in it.
     An edge's source is its exit set pulled back along its composite,
-    except on a path that exits whole on its first step: that source is
-    the path's start.  The result keeps each path's trail;
+    except on a path that exits whole on its first or second step: then
+    it is the path's start, or the hit of its second step pulled back
+    along its first edge's realizer, an inverse the edge keeps for every
+    plug it is in.  A longer path's composite before its last step is
+    built for that path alone, so pulling back along it would build one
+    more inverse.  The result keeps each path's trail;
     ``PlugResult`` builds the path records only when they are read.
 
     The search keeps no table: ``language`` shares one over its own

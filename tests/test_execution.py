@@ -821,14 +821,16 @@ def _fed_feedback_pairs():
 
 
 def _exit_rule(result, trail, e):
-    """How the search read the exit's source: a one-step path that exits
-    whole exits on its ``start``; a longer one, or a ``partial`` exit, is
-    pulled back along its composite."""
+    """How the search read the exit's source: a path that exits whole on
+    its first step exits on its ``start``, one that exits whole on its
+    second step on its hit pulled back along its ``first edge``; a
+    ``longer`` path, or a ``partial`` exit, is pulled back along its
+    composite."""
     (side, idx), region = trail[-1][:2]
     last = result.operands[side == "G"].edges[idx]
     if last.realizer.apply(region) != e.target:
         return "partial"
-    return "start" if len(trail) == 1 else "pulled back"
+    return {1: "start", 2: "first edge"}.get(len(trail), "longer")
 
 
 def test_an_exit_source_is_its_target_pulled_back():
@@ -845,11 +847,14 @@ def test_an_exit_source_is_its_target_pulled_back():
             for trail, e in zip(result.exit_trails, result.graphing.edges):
                 assert e.source == e.realizer.invert().apply(e.target), name
                 seen[_exit_rule(result, trail, e)] += 1
-    # every corpus pulls sources back from longer paths, the partial cuts
-    # from parts of images, and the sampled plugs exit on first steps
-    assert all(seen["pulled back"] for seen in rules.values()), rules
-    assert rules["partial cuts"]["partial"], rules
+    # each rule reads sources somewhere: the sampled plugs exit on first
+    # and second steps, the machine runs and the fed feedback pairs on
+    # longer paths, and the partial cuts on parts of images
     assert rules["sampled plugs"]["start"], rules
+    assert rules["sampled plugs"]["first edge"], rules
+    assert rules["machine runs"]["longer"], rules
+    assert rules["fed feedback pairs"]["longer"], rules
+    assert rules["partial cuts"]["partial"], rules
 
 
 def test_exits_on_the_first_step_pull_no_source_back(monkeypatch):
