@@ -158,16 +158,16 @@ def _several_box_problems():
     carrier holds whole or in part; and a domain violation, which skips
     both containment checks although both fail."""
     shift = Realizer.shift_by(1)
-    one_half, two_half = cellbox(1, 0, "1/2"), cellbox(3, 0, "1/2")
+    left_of_1, left_of_3 = cellbox(1, 0, "1/2"), cellbox(3, 0, "1/2")
     both = ["edge 0: source not in carrier", "edge 0: target not in carrier"]
     # the first box's image leaves the carrier, the second box lies outside
     yield (Graphing.make(TRIVIAL, Microcosm.macrocosm(), ms(cellbox(0),
-                                                           two_half),
+                                                           left_of_3),
                          [Edge(Fraction(1), ms(cellbox(0, "1/2", 1),
                                                cellbox(2, 0, "1/2")), shift)]),
            both)
     # the first box lies outside, the second box's image leaves
-    yield (Graphing.make(TRIVIAL, Microcosm.macrocosm(), ms(one_half,
+    yield (Graphing.make(TRIVIAL, Microcosm.macrocosm(), ms(left_of_1,
                                                            cellbox(2)),
                          [Edge(Fraction(1), ms(cellbox(0, 0, "1/2"),
                                                cellbox(2, 0, "1/2")), shift)]),
