@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import equivalence, export, oracle, sampling
-from .execution import (Test, Verdict, _by_cutpoint, evaluate_test, landing,
+from .execution import (Test, Verdict, decide, evaluate_test, landing,
                         language, accept_mass, t_prob)
 from .encodings import (EncodedMachine, TapeLayout, encode_machine,
                         encode_word, run_word)
@@ -59,7 +59,8 @@ def cmd_run(args) -> int:
     # a prob verdict reads the accept mass the run prints: sum it once
     mass = accept_mass(result, regions) if test.kind == "prob" else None
     verdict = (evaluate_test(result, test, regions) if mass is None
-               else _by_cutpoint(mass, result, test, regions))
+               else decide(test, mass, result.diagnostics.unresolved_mass,
+                           regions))
     print(f"{machine.spec.name} on {args.word!r}: {verdict.value}")
     if mass is not None:
         print(f"accept mass: {export.frac_str(mass)}")

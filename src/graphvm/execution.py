@@ -515,6 +515,18 @@ def landing(e: Edge, regions: Regions, where: MeasurableSet) -> MeasurableSet:
     return e.realizer.apply(_landing_part(e, regions, where.cells()))
 
 
+def _landed_ratio(edges, regions: Regions, cells: set[int]) -> tuple[int, int]:
+    """The weighted measure of the edges' parts that land in ``cells``, as
+    an integer ratio, not reduced."""
+    ratios = []
+    for e in edges:
+        if e.weight:
+            num, den = _landing_part(e, regions, cells)._measure_ratio()
+            ratios.append((num * e.weight.numerator,
+                           den * e.weight.denominator))
+    return _ratio_sum(ratios)
+
+
 def _landed_mass(result: PlugResult, regions: Regions,
                  where: MeasurableSet) -> Fraction:
     """The weighted measure of the parts that land in ``where``, summed in
@@ -522,14 +534,8 @@ def _landed_mass(result: PlugResult, regions: Regions,
     lam = regions.launch.measure()
     if lam == 0:
         raise ValueError("launch region is null")
-    cells = where.cells()
-    ratios = []
-    for e in result.graphing.edges:
-        if e.weight:
-            num, den = _landing_part(e, regions, cells)._measure_ratio()
-            ratios.append((num * e.weight.numerator,
-                           den * e.weight.denominator))
-    return Fraction(*_ratio_sum(ratios)) / lam
+    return Fraction(*_landed_ratio(result.graphing.edges, regions,
+                                   where.cells())) / lam
 
 
 def accept_mass(result: PlugResult, regions: Regions) -> Fraction:
@@ -546,49 +552,86 @@ def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
     return _landed_mass(result, regions, regions.reject)
 
 
-def _carries_mass(result: PlugResult, regions: Regions,
-                  where: MeasurableSet) -> bool:
-    """Whether landed mass in ``where`` is positive: as no weight is
-    negative, whether some edge of positive weight lands in it at all.
-    A weight's sign is its numerator's, as its denominator is positive."""
-    cells = where.cells()
-    return any(e.weight.numerator > 0
-               and _landing_part(e, regions, cells).boxes
-               for e in result.graphing.edges)
+def _landing_cells(test: Test, regions: Regions) -> set[int]:
+    """The cells whose landings the test reads: the reject cells for
+    conl, the accept cells for the others."""
+    return (regions.reject if test.kind == "conl" else regions.accept).cells()
 
 
-def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
-    """Apply a test to an execution result.
+def decide(test: Test, landed, unresolved_mass: Fraction,
+           regions: Regions) -> Verdict:
+    """The test's verdict on what a run landed in the cells it reads:
+    for det, nl and conl whether some edge of positive weight carries
+    launch mass there, for prob the accept mass.
 
     Unresolved mass (budget exhaustion, decaying revisits) makes a
     verdict undetermined only when it could still flip it; exactly
     repeating unit-weight loops are settled divergence and never do.
     """
+    if test.kind == "prob":
+        if landed > test.cutpoint:
+            return Verdict.ACCEPT
+        slack = unresolved_mass / regions.launch.measure()
+        if landed + slack <= test.cutpoint:
+            return Verdict.REJECT
+        return Verdict.UNDETERMINED
+    # det and nl accept on a landing in the accept cells, conl rejects on
+    # one in the reject cells
+    hit, miss = ((Verdict.REJECT, Verdict.ACCEPT) if test.kind == "conl"
+                 else (Verdict.ACCEPT, Verdict.REJECT))
+    if landed:
+        return hit
+    return Verdict.UNDETERMINED if unresolved_mass > 0 else miss
+
+
+def _check_regions(regions: Regions) -> None:
+    """Refuse regions a test cannot read."""
     if regions.launch.is_empty() or regions.accept.is_empty() \
             or regions.reject.is_empty():
         raise ValueError("test needs nonempty launch/accept/reject regions")
-    diag = result.diagnostics
-    pending = diag.unresolved_mass > 0
-    if test.kind in ("det", "nl"):
-        if _carries_mass(result, regions, regions.accept):
-            return Verdict.ACCEPT
-        return Verdict.UNDETERMINED if pending else Verdict.REJECT
-    if test.kind == "conl":
-        if _carries_mass(result, regions, regions.reject):
-            return Verdict.REJECT
-        return Verdict.UNDETERMINED if pending else Verdict.ACCEPT
-    return _by_cutpoint(accept_mass(result, regions), result, test, regions)
 
 
-def _by_cutpoint(mass: Fraction, result: PlugResult, test: Test,
-                 regions: Regions) -> Verdict:
-    """The prob test's verdict on ``mass``, the result's accept mass."""
-    if mass > test.cutpoint:
-        return Verdict.ACCEPT
-    slack = result.diagnostics.unresolved_mass / regions.launch.measure()
-    if mass + slack <= test.cutpoint:
-        return Verdict.REJECT
-    return Verdict.UNDETERMINED
+def _lands(e: Edge, regions: Regions, cells: set[int]) -> bool:
+    """Whether the edge carries mass into ``cells``: as no weight is
+    negative, whether it has positive weight and lands there at all.  A
+    weight's sign is its numerator's, as its denominator is positive."""
+    return e.weight.numerator > 0 and bool(_landing_part(e, regions,
+                                                         cells).boxes)
+
+
+def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
+    """Apply a test to an execution result, by ``decide``.  For det, nl
+    and conl, the edges are read until one lands."""
+    _check_regions(regions)
+    if test.kind == "prob":
+        landed = accept_mass(result, regions)
+    else:
+        cells = _landing_cells(test, regions)
+        landed = any(_lands(e, regions, cells) for e in result.graphing.edges)
+    return decide(test, landed, result.diagnostics.unresolved_mass, regions)
+
+
+def _fold_landings(landed, exits: list, regions: Regions, cells: set[int]):
+    """``landed`` with the exits a node of ``language``'s trie made, each
+    read once: for prob an integer ratio, plus their weighted measure that
+    lands in ``cells``; for the other tests a bool, true once one of
+    positive weight lands there."""
+    if landed.__class__ is tuple:
+        return _ratio_sum((landed, _landed_ratio((e for e, _ in exits),
+                                                 regions, cells)))
+    for e, _ in exits:
+        if _lands(e, regions, cells):
+            landed = True
+    return landed
+
+
+def _leaf_verdict(search: _Search, test: Test, landed,
+                  regions: Regions) -> Verdict:
+    """A settled word's verdict, off what the exits of its trie path
+    landed and its search's unresolved mass."""
+    if test.kind == "prob":
+        landed = Fraction(*landed) / regions.launch.measure()
+    return decide(test, landed, search.unresolved_mass, regions)
 
 
 @dataclass
@@ -617,7 +660,15 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     known, which is its own plug's search step for step, as the word side
     starts no path and meets edges in ``encode_word``'s edge order.  One
     table serves the whole call, dropped when it returns: the searches
-    repeat the same set and realizer operations on equal operands."""
+    repeat the same set and realizer operations on equal operands.
+
+    Verdicts are folded per trie node: a node decides only the exits it
+    made, each once, and its forks inherit what they landed in the cells
+    the test reads, a bool for det, nl and conl and an integer ratio of
+    accept mass for prob.  A settled word's verdict is ``decide`` on that
+    and its search's unresolved mass, and the word builds no
+    ``PlugResult``; a word the budget sends back is read by
+    ``evaluate_test`` from its own result."""
     from .encodings import WordSide
 
     if max_len < 0:
@@ -636,9 +687,14 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
         # the word's carrier is the cut, so no path starts on its side
         root.start("F", machine.graphing)
         regions = machine.regions_for(length)
-        trie = [(root.fork(), "")]
+        _check_regions(regions)
+        cells = _landing_cells(test, regions)
+        # each entry: a search, its prefix, how many of its exits are
+        # decided and what they landed
+        trie = [(root.fork(), "", 0, (0, 1) if test.kind == "prob"
+                 else False)]
         while trie:
-            search, prefix = trie.pop()
+            search, prefix, seen, landed = trie.pop()
             search.drain({"F": edges_meeting, "G": side.meets(prefix)})
             if not search.complete:
                 for rest in itertools.product(alphabet,
@@ -648,15 +704,20 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
                     alone.drain({"F": edges_meeting, "G": side.meets(word)})
                     verdicts[word] = evaluate_test(alone.result(operands),
                                                    test, regions)
-            elif len(prefix) == length:
-                verdicts[prefix] = evaluate_test(search.result(operands),
-                                                 test, regions)
+                continue
+            exits = search.exits
+            if len(exits) > seen:
+                landed = _fold_landings(landed, exits[seen:], regions, cells)
+            if len(prefix) == length:
+                verdicts[prefix] = _leaf_verdict(search, test, landed,
+                                                 regions)
             else:
                 # the last symbol goes on in this search, the others in
                 # forks, pushed so that the first symbol comes off first
                 forks = [search.fork() for _ in alphabet[1:]] + [search]
-                trie.extend(zip(reversed(forks),
-                                [prefix + x for x in reversed(alphabet)]))
+                seen = len(exits)
+                trie.extend((fork, prefix + x, seen, landed) for fork, x
+                            in zip(reversed(forks), reversed(alphabet)))
     return LanguageResult(
         [w for w, v in verdicts.items() if v is Verdict.ACCEPT],
         [w for w, v in verdicts.items() if v is Verdict.UNDETERMINED],

@@ -35,7 +35,15 @@ def _dyadic_interval(rng: random.Random) -> RationalInterval:
 
 
 def _disjoint_intervals(rng: random.Random, count: int) -> list[RationalInterval]:
-    cuts = sorted(rng.sample(range(GRID + 1), count + 1))
+    # the draws of ``rng.sample(range(GRID + 1), count + 1)``: its pool
+    # algorithm, one ``randrange`` per cut, with no ``Sequence`` check
+    pool = list(range(GRID + 1))
+    cuts = []
+    for i in range(count + 1):
+        j = rng.randrange(GRID + 1 - i)
+        cuts.append(pool[j])
+        pool[j] = pool[GRID - i]
+    cuts.sort()
     return [RationalInterval.over(a, b, GRID) for a, b in zip(cuts, cuts[1:])]
 
 

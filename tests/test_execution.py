@@ -549,39 +549,41 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
     from graphvm import execution
     machines = dict(_shipped_machines())
     log = _counting(monkeypatch)
-    # evaluate_test's landing meets lie outside the table: note where each
-    # of its calls begins and ends in the log
-    evaluated = []
-    logged_evaluate = execution.evaluate_test
+    # the landing meets, of the trie's fold and of evaluate_test, lie
+    # outside the table: note where each begins and ends in the log
+    landed = []
+    logged_landing_part = execution._landing_part
 
-    def evaluate(*args):
+    def landing_part(*args):
         begin = len(log)
-        verdict = logged_evaluate(*args)
-        evaluated.append((begin, len(log), args[0]))
-        return verdict
+        part = logged_landing_part(*args)
+        landed.append((begin, len(log)))
+        return part
 
-    monkeypatch.setattr(execution, "evaluate_test", evaluate)
+    monkeypatch.setattr(execution, "_landing_part", landing_part)
     budget_outs = Counter()
     for (name, test), max_steps in itertools.product(
             (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
              ("coin-flip.mach", t_prob())), (10000, 7)):
         case = (name, max_steps)
         log.clear()
-        evaluated.clear()
+        landed.clear()
         first = execution.language(machines[name], test, 4,
                                    max_steps=max_steps)
         first_log = list(log)
-        landings = {i for begin, end, _ in evaluated
-                    for i in range(begin, end)}
+        landings = {i for begin, end in landed for i in range(begin, end)}
         # every compose and intersect the search makes goes through it,
         # the searches of words the budget sends back included
         searched = [entry for i, entry in enumerate(first_log)
-                    if i not in landings]
+                    if i not in landings and entry[0] != "evaluate_test"]
         assert searched and len(set(searched)) == len(searched), case
         assert any(method == "compose" for method, _ in searched), case
         assert not any(method == "plug" for method, _ in first_log), case
-        budget_outs[max_steps] += sum(not result.diagnostics.complete
-                                      for _, _, result in evaluated)
+        # only a word the budget sends back builds a result
+        evaluated = [args[0] for method, args in first_log
+                     if method == "evaluate_test"]
+        assert not any(result.diagnostics.complete for result in evaluated)
+        budget_outs[max_steps] += len(evaluated)
         # the table is dropped with the call: the same call again
         # computes everything again
         log.clear()
@@ -618,9 +620,19 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
     from graphvm.machines import words_up_to
     log = log_calls(monkeypatch, (encodings, "run_word"),
                     (execution, "evaluate_test"))
+    # a settled word builds no result: its leaf's search builds it here
+    leaf_verdict = execution._leaf_verdict
+    operands = []
+
+    def leaf(search, *args):
+        log.append(("leaf", (search.result(operands[-1]),)))
+        return leaf_verdict(search, *args)
+
+    monkeypatch.setattr(execution, "_leaf_verdict", leaf)
     budget_outs = Counter()
     for spec, lengths in _trie_machines():
         m = encode_machine(spec)
+        operands.append((m.graphing, None))
         for one_way, (max_steps, max_len) in itertools.product(
                 (False, True), lengths.items()):
             case = (spec.name, one_way, max_steps)
@@ -638,10 +650,12 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
                 got = execution.language(m, test, max_len, one_way=one_way,
                                          max_steps=max_steps)
                 assert list(got.verdicts.items()) == want, (case, test)
-                # one result per word, read by evaluate_test: a word the
-                # budget sends back drains its own search, with no run_word
-                assert [name for name, _ in log] == \
-                    ["evaluate_test"] * len(runs), case
+                # one result per word: a settled word's from its leaf, and
+                # a word the budget sends back drains its own search, read
+                # by evaluate_test, with no run_word
+                assert [name == "leaf" for name, _ in log] == \
+                    [result.diagnostics.complete
+                     for result, _ in runs.values()], case
                 for (word, (result, _)), (_, (own, *_)) in zip(runs.items(),
                                                                log):
                     assert own.graphing.same_as(result.graphing), (case, word)
@@ -650,6 +664,39 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
                         result.diagnostics.dead_mass, (case, word)
     # at budget 7 some runs settle every word and some send words back
     assert budget_outs[7, True] and budget_outs[7, False], budget_outs
+
+
+def test_language_decides_each_exit_once_per_length(monkeypatch):
+    """A trie node decides the exits it makes, and its forks inherit what
+    they landed: over one ``language`` call, ``_landing_part`` reads each
+    exit of positive weight once, not once per word that inherits it."""
+    from graphvm import execution
+    machines = dict(_shipped_machines())
+    log = log_calls(monkeypatch, (execution, "_landing_part"))
+    leaf_verdict = execution._leaf_verdict
+    leaves = []
+
+    def leaf(search, *args):
+        leaves.append(search)
+        return leaf_verdict(search, *args)
+
+    monkeypatch.setattr(execution, "_leaf_verdict", leaf)
+    for name, test in itertools.product(("one-then-zero.mach",
+                                         "branchy.mach"), (T_CONL, T_NL)):
+        case = (name, test.kind)
+        log.clear()
+        leaves.clear()
+        got = execution.language(machines[name], test, 4)
+        assert len(leaves) == len(got.verdicts) == 31, case  # all settled
+        exits = {id(e): e for search in leaves for e, _ in search.exits
+                 if e.weight > 0}
+        read = [id(args[0]) for _, args in log]
+        assert len(read) == len(set(read)) == len(exits), case
+        assert set(read) == set(exits), case
+        # leaves inherit exits that their prefixes made: 12 exits against
+        # 22 (leaf, exit) pairs, and 57 against 80
+        pairs = sum(len(search.exits) for search in leaves)
+        assert len(exits) < pairs, (case, len(exits), pairs)
 
 
 def test_a_lone_plug_keeps_no_table(monkeypatch):
