@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import equivalence, export, oracle, sampling
-from .execution import (Test, Verdict, decide, evaluate_test, landing,
-                        language, accept_mass, t_prob)
+from .execution import (Test, Verdict, evaluate_test, landing, language,
+                        accept_mass, t_prob)
 from .encodings import (EncodedMachine, TapeLayout, encode_machine,
                         encode_word, run_word)
 from .graphing import classify, cost
@@ -56,14 +56,10 @@ def cmd_run(args) -> int:
         oracle.require_probabilities(machine.spec)
     result, regions = run_word(machine, args.word, one_way=args.one_way,
                                max_steps=args.max_steps)
-    # a prob verdict reads the accept mass the run prints: sum it once
-    mass = accept_mass(result, regions) if test.kind == "prob" else None
-    verdict = (evaluate_test(result, test, regions) if mass is None
-               else decide(test, mass, result.diagnostics.unresolved_mass,
-                           regions))
+    verdict = evaluate_test(result, test, regions)
     print(f"{machine.spec.name} on {args.word!r}: {verdict.value}")
-    if mass is not None:
-        print(f"accept mass: {export.frac_str(mass)}")
+    if test.kind == "prob":
+        print(f"accept mass: {export.frac_str(accept_mass(result, regions))}")
     out = _ensure_out(args)
     if out:
         export.write_jsonl(os.path.join(out, "trace.jsonl"),

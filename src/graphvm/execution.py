@@ -82,16 +82,19 @@ def t_prob(cutpoint=Fraction(1, 2)) -> Test:
 
 @dataclass(frozen=True)
 class Regions:
-    """Named regions a test needs: where runs launch from, and the
-    accept/reject landing cells, each a union of whole cells."""
+    """Named regions a test needs, each nonempty: where runs launch from,
+    and the accept/reject landing cells, each a union of whole cells."""
 
     launch: MeasurableSet
     accept: MeasurableSet
     reject: MeasurableSet
 
     def __post_init__(self):
-        for name in ("accept", "reject"):
-            if any(b.coords for b in getattr(self, name).boxes):
+        for name in ("launch", "accept", "reject"):
+            region = getattr(self, name)
+            if not region.boxes:
+                raise ValueError(f"{name} region is empty")
+            if name != "launch" and any(b.coords for b in region.boxes):
                 raise ValueError(f"{name} region must be a union of whole "
                                  f"cells")
 
@@ -169,15 +172,11 @@ class PlugResult:
     they are read, so a caller that only reads the graphing never builds
     them.  ``dead_paths`` and ``diagnostics.dead_mass`` read the same dead
     regions, so reading both builds each node's region once.
-
-    A word's result in ``language`` has no word graphing: its second
-    operand is None, and its word steps are keyed by (cell, position),
-    not by edge index.
     """
 
     graphing: Graphing
     diagnostics: Diagnostics
-    operands: tuple[Graphing, Graphing | None]  # the sides "F" and "G"
+    operands: tuple[Graphing, Graphing]  # the sides "F" and "G"
     # per result edge, in edge order: the path's trail
     exit_trails: list[tuple[_Step, ...]]
 
@@ -515,27 +514,31 @@ def landing(e: Edge, regions: Regions, where: MeasurableSet) -> MeasurableSet:
     return e.realizer.apply(_landing_part(e, regions, where.cells()))
 
 
-def _landed_ratio(edges, regions: Regions, cells: set[int]) -> tuple[int, int]:
-    """The weighted measure of the edges' parts that land in ``cells``, as
-    an integer ratio, not reduced."""
-    ratios = []
-    for e in edges:
-        if e.weight:
-            num, den = _landing_part(e, regions, cells)._measure_ratio()
-            ratios.append((num * e.weight.numerator,
-                           den * e.weight.denominator))
-    return _ratio_sum(ratios)
+def _fold(landed, edges, regions: Regions, cells: set[int]):
+    """``landed`` with what ``edges`` carry from the launch region into
+    ``cells``: for prob, an integer ratio, plus their weighted measure
+    there; for the other tests, a bool, true once one edge of positive
+    weight lands there, so the edges are read only until one does (a
+    weight's sign is its numerator's, and none is negative)."""
+    if landed.__class__ is tuple:
+        ratios = [landed]
+        for e in edges:
+            if e.weight:
+                num, den = _landing_part(e, regions, cells)._measure_ratio()
+                ratios.append((num * e.weight.numerator,
+                               den * e.weight.denominator))
+        return _ratio_sum(ratios)
+    return landed or any(e.weight.numerator > 0
+                         and _landing_part(e, regions, cells).boxes
+                         for e in edges)
 
 
 def _landed_mass(result: PlugResult, regions: Regions,
                  where: MeasurableSet) -> Fraction:
     """The weighted measure of the parts that land in ``where``, summed in
     integers, over the launch measure."""
-    lam = regions.launch.measure()
-    if lam == 0:
-        raise ValueError("launch region is null")
-    return Fraction(*_landed_ratio(result.graphing.edges, regions,
-                                   where.cells())) / lam
+    return Fraction(*_fold((0, 1), result.graphing.edges, regions,
+                           where.cells())) / regions.launch.measure()
 
 
 def accept_mass(result: PlugResult, regions: Regions) -> Fraction:
@@ -552,27 +555,33 @@ def reject_mass(result: PlugResult, regions: Regions) -> Fraction:
     return _landed_mass(result, regions, regions.reject)
 
 
-def _landing_cells(test: Test, regions: Regions) -> set[int]:
-    """The cells whose landings the test reads: the reject cells for
-    conl, the accept cells for the others."""
-    return (regions.reject if test.kind == "conl" else regions.accept).cells()
+def _reads(test: Test, regions: Regions) -> tuple:
+    """What the test folds from, nothing landed yet, and the cells whose
+    landings it reads: the reject cells for conl, the accept cells for
+    the others."""
+    if test.kind == "prob":
+        return (0, 1), regions.accept.cells()
+    return False, (regions.reject if test.kind == "conl"
+                   else regions.accept).cells()
 
 
 def decide(test: Test, landed, unresolved_mass: Fraction,
            regions: Regions) -> Verdict:
-    """The test's verdict on what a run landed in the cells it reads:
+    """The test's verdict on what ``_fold`` gives from the edges of a run:
     for det, nl and conl whether some edge of positive weight carries
-    launch mass there, for prob the accept mass.
+    launch mass into the cells the test reads, for prob the integer ratio
+    of accept mass, taken here over the launch measure.
 
     Unresolved mass (budget exhaustion, decaying revisits) makes a
     verdict undetermined only when it could still flip it; exactly
     repeating unit-weight loops are settled divergence and never do.
     """
     if test.kind == "prob":
-        if landed > test.cutpoint:
+        lam = regions.launch.measure()
+        mass = Fraction(*landed) / lam
+        if mass > test.cutpoint:
             return Verdict.ACCEPT
-        slack = unresolved_mass / regions.launch.measure()
-        if landed + slack <= test.cutpoint:
+        if mass + unresolved_mass / lam <= test.cutpoint:
             return Verdict.REJECT
         return Verdict.UNDETERMINED
     # det and nl accept on a landing in the accept cells, conl rejects on
@@ -584,53 +593,18 @@ def decide(test: Test, landed, unresolved_mass: Fraction,
     return Verdict.UNDETERMINED if unresolved_mass > 0 else miss
 
 
-def _check_regions(regions: Regions) -> None:
-    """Refuse regions a test cannot read."""
-    if regions.launch.is_empty() or regions.accept.is_empty() \
-            or regions.reject.is_empty():
-        raise ValueError("test needs nonempty launch/accept/reject regions")
-
-
-def _lands(e: Edge, regions: Regions, cells: set[int]) -> bool:
-    """Whether the edge carries mass into ``cells``: as no weight is
-    negative, whether it has positive weight and lands there at all.  A
-    weight's sign is its numerator's, as its denominator is positive."""
-    return e.weight.numerator > 0 and bool(_landing_part(e, regions,
-                                                         cells).boxes)
-
-
 def evaluate_test(result: PlugResult, test: Test, regions: Regions) -> Verdict:
-    """Apply a test to an execution result, by ``decide``.  For det, nl
-    and conl, the edges are read until one lands."""
-    _check_regions(regions)
-    if test.kind == "prob":
-        landed = accept_mass(result, regions)
-    else:
-        cells = _landing_cells(test, regions)
-        landed = any(_lands(e, regions, cells) for e in result.graphing.edges)
-    return decide(test, landed, result.diagnostics.unresolved_mass, regions)
+    """Apply a test to an execution result: ``decide`` on the fold of its
+    edges and its unresolved mass."""
+    start, cells = _reads(test, regions)
+    return decide(test, _fold(start, result.graphing.edges, regions, cells),
+                  result.diagnostics.unresolved_mass, regions)
 
 
-def _fold_landings(landed, exits: list, regions: Regions, cells: set[int]):
-    """``landed`` with the exits a node of ``language``'s trie made, each
-    read once: for prob an integer ratio, plus their weighted measure that
-    lands in ``cells``; for the other tests a bool, true once one of
-    positive weight lands there."""
-    if landed.__class__ is tuple:
-        return _ratio_sum((landed, _landed_ratio((e for e, _ in exits),
-                                                 regions, cells)))
-    for e, _ in exits:
-        if _lands(e, regions, cells):
-            landed = True
-    return landed
-
-
-def _leaf_verdict(search: _Search, test: Test, landed,
+def _word_verdict(search: _Search, test: Test, landed,
                   regions: Regions) -> Verdict:
-    """A settled word's verdict, off what the exits of its trie path
-    landed and its search's unresolved mass."""
-    if test.kind == "prob":
-        landed = Fraction(*landed) / regions.launch.measure()
+    """A word's verdict in ``language``, off what the exits of its search
+    landed and its unresolved mass."""
     return decide(test, landed, search.unresolved_mass, regions)
 
 
@@ -662,13 +636,12 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     table serves the whole call, dropped when it returns: the searches
     repeat the same set and realizer operations on equal operands.
 
-    Verdicts are folded per trie node: a node decides only the exits it
-    made, each once, and its forks inherit what they landed in the cells
-    the test reads, a bool for det, nl and conl and an integer ratio of
-    accept mass for prob.  A settled word's verdict is ``decide`` on that
-    and its search's unresolved mass, and the word builds no
-    ``PlugResult``; a word the budget sends back is read by
-    ``evaluate_test`` from its own result."""
+    A word's verdict is ``decide`` on the fold of its exits, as for its
+    own plug's result, but the fold runs per trie node: a node folds only
+    the exits it made, each at most once, into what its prefix landed, and
+    its forks inherit the outcome, so a det, nl or conl node below one
+    that landed reads no exit.  A word the budget sends back folds its own
+    search's exits from the start.  No word builds a ``PlugResult``."""
     from .encodings import WordSide
 
     if max_len < 0:
@@ -677,7 +650,6 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
         require_probabilities(machine.spec)
     alphabet = machine.spec.alphabet
     edges_meeting = machine.graphing.edges_meeting
-    operands = (machine.graphing, None)
     verdicts: dict[str, Verdict] = {}
     ops = tuple(lru_cache(maxsize=None)(op) for op in _ops())
     for length in range(max_len + 1):
@@ -687,12 +659,10 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
         # the word's carrier is the cut, so no path starts on its side
         root.start("F", machine.graphing)
         regions = machine.regions_for(length)
-        _check_regions(regions)
-        cells = _landing_cells(test, regions)
+        start, cells = _reads(test, regions)
         # each entry: a search, its prefix, how many of its exits are
-        # decided and what they landed
-        trie = [(root.fork(), "", 0, (0, 1) if test.kind == "prob"
-                 else False)]
+        # folded and what they landed
+        trie = [(root.fork(), "", 0, start)]
         while trie:
             search, prefix, seen, landed = trie.pop()
             search.drain({"F": edges_meeting, "G": side.meets(prefix)})
@@ -702,14 +672,16 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
                     word = prefix + "".join(rest)
                     alone = root.fork()
                     alone.drain({"F": edges_meeting, "G": side.meets(word)})
-                    verdicts[word] = evaluate_test(alone.result(operands),
-                                                   test, regions)
+                    own = _fold(start, (e for e, _ in alone.exits), regions,
+                                cells)
+                    verdicts[word] = _word_verdict(alone, test, own, regions)
                 continue
             exits = search.exits
             if len(exits) > seen:
-                landed = _fold_landings(landed, exits[seen:], regions, cells)
+                landed = _fold(landed, (e for e, _ in exits[seen:]),
+                               regions, cells)
             if len(prefix) == length:
-                verdicts[prefix] = _leaf_verdict(search, test, landed,
+                verdicts[prefix] = _word_verdict(search, test, landed,
                                                  regions)
             else:
                 # the last symbol goes on in this search, the others in

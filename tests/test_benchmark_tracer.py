@@ -6,7 +6,8 @@ so deleting or moving one of those names breaks
 ``perfbench/run.py --trace 1``.  This test fails first.  The tracer is
 loaded from its file and only read.  With it installed, ``language``
 must give the verdicts it gives untraced, with no ``run_word``,
-``encode_word`` or ``plug`` span, also when the budget runs out.
+``encode_word``, ``plug`` or ``evaluate_test`` span, also when the
+budget runs out.
 """
 
 import importlib
@@ -45,8 +46,8 @@ def test_wrapped_name_resolves(layer, name):
 
 def test_language_traces_run_word_and_plug_only_for_budget_outs():
     """``language`` is one search: it makes no ``run_word``,
-    ``encode_word`` or ``plug`` span, at a budget that settles every word
-    or at one that settles none."""
+    ``encode_word``, ``plug`` or ``evaluate_test`` span, at a budget that
+    settles every word or at one that settles none."""
     from graphvm.encodings import encode_machine
     from graphvm.execution import T_DET, language
     tracer = _load_tracer()
@@ -65,8 +66,7 @@ def test_language_traces_run_word_and_plug_only_for_budget_outs():
         for name in ("encodings.run_word", "encodings.encode_word",
                      "execution.plug"):
             assert calls.get(name, 0) == 0, (max_steps, name)
-        # the tracer is on: a settled word's verdict is folded in the trie
-        # with no span, and each word the budget sends back is read by
-        # evaluate_test from its own result
-        assert calls.get("execution.evaluate_test", 0) == \
-            {10000: 0, 0: 15}[max_steps], max_steps
+        # the tracer is on: every word's verdict, settled or sent back by
+        # the budget, is folded off its own search with no result and no
+        # evaluate_test span
+        assert calls.get("execution.evaluate_test", 0) == 0, max_steps

@@ -339,15 +339,6 @@ def test_run_prob_prints_the_oracle_accept_mass(capsys):
         capsys.readouterr().out
 
 
-def test_run_prob_sums_the_accept_mass_once(monkeypatch, capsys):
-    from graphvm import execution
-    calls = log_calls(monkeypatch, (execution, "_landed_mass"))
-    code = main(["run", mach("coin-flip.mach"), "01", "--test", "prob"])
-    assert code == EXIT_OK
-    assert "accept mass: 3/4" in capsys.readouterr().out
-    assert len(calls) == 1
-
-
 def test_run_prob_out_of_steps_is_undetermined(capsys):
     code = main(["run", mach("coin-flip.mach"), "0", "--test", "prob",
                  "--one-way", "--max-steps", "0"])

@@ -370,14 +370,14 @@ def test_prob_test_verdicts():
         is Verdict.ACCEPT
 
 
-def test_landed_masses_reject_a_null_launch_region():
-    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(10))], (0, 10))
-    result = plug(f, graphing([], (5,)))
-    null = Regions(MeasurableSet.empty(), whole(10), whole(11))
-    with pytest.raises(ValueError):
-        accept_mass(result, null)
-    with pytest.raises(ValueError):
-        reject_mass(result, null)
+@pytest.mark.parametrize("empty", ["launch", "accept", "reject"])
+def test_regions_refuse_an_empty_region(empty):
+    # a test divides by the launch measure and reads landings in the
+    # accept and reject cells: none of them may be empty
+    regions = {"launch": whole(0), "accept": whole(10), "reject": whole(11)}
+    regions[empty] = MeasurableSet.empty()
+    with pytest.raises(ValueError, match=f"^{empty} region is empty$"):
+        Regions(**regions)
 
 
 def test_weightless_edge_lands_without_mass():
@@ -545,12 +545,27 @@ def _counting(monkeypatch):
                      (execution, "evaluate_test"))
 
 
+def _word_searches(monkeypatch):
+    """Wrap ``language``'s word verdict and return the list of the
+    searches it reads, one per word, in verdict order."""
+    from graphvm import execution
+    searches = []
+    word_verdict = execution._word_verdict
+
+    def logged(search, *args):
+        searches.append(search)
+        return word_verdict(search, *args)
+
+    monkeypatch.setattr(execution, "_word_verdict", logged)
+    return searches
+
+
 def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
     from graphvm import execution
     machines = dict(_shipped_machines())
     log = _counting(monkeypatch)
-    # the landing meets, of the trie's fold and of evaluate_test, lie
-    # outside the table: note where each begins and ends in the log
+    # the landing meets of the fold lie outside the table: note where each
+    # begins and ends in the log
     landed = []
     logged_landing_part = execution._landing_part
 
@@ -561,6 +576,7 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         return part
 
     monkeypatch.setattr(execution, "_landing_part", landing_part)
+    searches = _word_searches(monkeypatch)
     budget_outs = Counter()
     for (name, test), max_steps in itertools.product(
             (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
@@ -568,6 +584,7 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         case = (name, max_steps)
         log.clear()
         landed.clear()
+        searches.clear()
         first = execution.language(machines[name], test, 4,
                                    max_steps=max_steps)
         first_log = list(log)
@@ -575,15 +592,16 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         # every compose and intersect the search makes goes through it,
         # the searches of words the budget sends back included
         searched = [entry for i, entry in enumerate(first_log)
-                    if i not in landings and entry[0] != "evaluate_test"]
+                    if i not in landings]
         assert searched and len(set(searched)) == len(searched), case
         assert any(method == "compose" for method, _ in searched), case
-        assert not any(method == "plug" for method, _ in first_log), case
-        # only a word the budget sends back builds a result
-        evaluated = [args[0] for method, args in first_log
-                     if method == "evaluate_test"]
-        assert not any(result.diagnostics.complete for result in evaluated)
-        budget_outs[max_steps] += len(evaluated)
+        # no word is plugged or read from a result
+        assert not any(method in ("plug", "evaluate_test")
+                       for method, _ in first_log), case
+        # one word verdict per word, off the word's search
+        assert len(searches) == len(first.verdicts), case
+        budget_outs[max_steps] += sum(not search.complete
+                                      for search in searches)
         # the table is dropped with the call: the same call again
         # computes everything again
         log.clear()
@@ -620,19 +638,10 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
     from graphvm.machines import words_up_to
     log = log_calls(monkeypatch, (encodings, "run_word"),
                     (execution, "evaluate_test"))
-    # a settled word builds no result: its leaf's search builds it here
-    leaf_verdict = execution._leaf_verdict
-    operands = []
-
-    def leaf(search, *args):
-        log.append(("leaf", (search.result(operands[-1]),)))
-        return leaf_verdict(search, *args)
-
-    monkeypatch.setattr(execution, "_leaf_verdict", leaf)
+    searches = _word_searches(monkeypatch)
     budget_outs = Counter()
     for spec, lengths in _trie_machines():
         m = encode_machine(spec)
-        operands.append((m.graphing, None))
         for one_way, (max_steps, max_len) in itertools.product(
                 (False, True), lengths.items()):
             case = (spec.name, one_way, max_steps)
@@ -647,17 +656,18 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
                 want = [(word, evaluate_test(result, test, regions))
                         for word, (result, regions) in runs.items()]
                 log.clear()
+                searches.clear()
                 got = execution.language(m, test, max_len, one_way=one_way,
                                          max_steps=max_steps)
                 assert list(got.verdicts.items()) == want, (case, test)
-                # one result per word: a settled word's from its leaf, and
-                # a word the budget sends back drains its own search, read
-                # by evaluate_test, with no run_word
-                assert [name == "leaf" for name, _ in log] == \
-                    [result.diagnostics.complete
-                     for result, _ in runs.values()], case
-                for (word, (result, _)), (_, (own, *_)) in zip(runs.items(),
-                                                               log):
+                # each word's verdict reads its own search, settled or
+                # sent back by the budget, with no run_word or evaluate_test
+                assert log == [] and len(searches) == len(runs), case
+                for (word, (result, _)), search in zip(runs.items(),
+                                                       searches):
+                    # the search's result, built here: its diagnostics
+                    # compare complete and steps_used too
+                    own = search.result(result.operands)
                     assert own.graphing.same_as(result.graphing), (case, word)
                     assert own.diagnostics == result.diagnostics, (case, word)
                     assert own.diagnostics.dead_mass == \
@@ -667,36 +677,62 @@ def test_language_gives_each_word_the_verdict_of_its_own_plug(monkeypatch):
 
 
 def test_language_decides_each_exit_once_per_length(monkeypatch):
-    """A trie node decides the exits it makes, and its forks inherit what
+    """A trie node folds the exits it makes, and its forks inherit what
     they landed: over one ``language`` call, ``_landing_part`` reads each
-    exit of positive weight once, not once per word that inherits it."""
+    exit of positive weight at most once, not once per word that inherits
+    it, in the node that made it, only until one lands, and not at all in
+    a node whose prefix already landed."""
     from graphvm import execution
     machines = dict(_shipped_machines())
+    landing_part = execution._landing_part
     log = log_calls(monkeypatch, (execution, "_landing_part"))
-    leaf_verdict = execution._leaf_verdict
-    leaves = []
+    searches = _word_searches(monkeypatch)
+    fold = execution._fold
+    folds = []
 
-    def leaf(search, *args):
-        leaves.append(search)
-        return leaf_verdict(search, *args)
+    def logged_fold(landed, edges, regions, cells):
+        edges = list(edges)
+        begin = len(log)
+        out = fold(landed, edges, regions, cells)
+        folds.append((landed, edges, regions, cells, log[begin:]))
+        return out
 
-    monkeypatch.setattr(execution, "_leaf_verdict", leaf)
+    monkeypatch.setattr(execution, "_fold", logged_fold)
+    skipped = Counter()
     for name, test in itertools.product(("one-then-zero.mach",
                                          "branchy.mach"), (T_CONL, T_NL)):
         case = (name, test.kind)
         log.clear()
-        leaves.clear()
+        searches.clear()
+        folds.clear()
         got = execution.language(machines[name], test, 4)
-        assert len(leaves) == len(got.verdicts) == 31, case  # all settled
-        exits = {id(e): e for search in leaves for e, _ in search.exits
+        assert len(searches) == len(got.verdicts) == 31, case
+        assert all(search.complete for search in searches), case
+        exits = {id(e) for search in searches for e, _ in search.exits
                  if e.weight > 0}
         read = [id(args[0]) for _, args in log]
-        assert len(read) == len(set(read)) == len(exits), case
-        assert set(read) == set(exits), case
-        # leaves inherit exits that their prefixes made: 12 exits against
-        # 22 (leaf, exit) pairs, and 57 against 80
-        pairs = sum(len(search.exits) for search in leaves)
+        assert len(read) == len(set(read)) and set(read) <= exits, case
+        assert len(read) == sum(len(reads) for *_, reads in folds), case
+        for landed, edges, regions, cells, reads in folds:
+            if landed:
+                # a landing the prefix made decides the node
+                assert reads == [], case
+                skipped[case] += len(edges)
+                continue
+            want = []
+            for e in edges:
+                if e.weight > 0:
+                    want.append(id(e))
+                    if landing_part(e, regions, cells).boxes:
+                        break
+            assert [id(args[0]) for _, args in reads] == want, case
+        # leaves inherit exits that their prefixes made: fewer exits than
+        # (leaf, exit) pairs
+        pairs = sum(len(search.exits) for search in searches)
         assert len(exits) < pairs, (case, len(exits), pairs)
+    # on branchy.mach under nl, nodes below one that landed make 38 exits
+    # that none reads; the other cases make no exit below a landing
+    assert skipped == {("branchy.mach", "nl"): 38}, skipped
 
 
 def test_a_lone_plug_keeps_no_table(monkeypatch):
