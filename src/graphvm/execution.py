@@ -6,11 +6,13 @@ between their edges, starts outside the cut region and ends outside it;
 each such path becomes one edge of the result, realized by the exact
 composite map on the exact surviving domain.  Paths that die inside the
 cut vanish: the search keeps the nodes where something may die, and the
-dead regions and their mass are built from them only when read.  The
-search is breadth-first with exact domain propagation, a step budget,
-and a repetition detector that scans a path's trail only when the path
-takes an edge already on it, so a verdict is only ever ``undetermined``
-when mass remains whose fate the budget could not settle.
+dead regions and their mass are built from them only when read.  A path
+is the node of its last step, linked to the node of the step before, so
+paths that branch share every step they have in common.  The search is
+breadth-first with exact domain propagation, a step budget, and a
+repetition detector that walks up a path's nodes, so a verdict is only
+ever ``undetermined`` when mass remains whose fate the budget could not
+settle.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ class Diagnostics:
     unresolved_mass: Fraction
     looping_mass: Fraction
     notes: list[str]
-    # per node that no hit holds whole, in search order: its trail, the
+    # per node that no hit holds whole, in search order: the node, the
     # part of its image inside the cut, and the hits
-    _open_nodes: list[tuple[tuple[_Step, ...], MeasurableSet,
+    _open_nodes: list[tuple[_Node, MeasurableSet,
                             list[MeasurableSet]]] = field(repr=False,
                                                           compare=False)
 
@@ -127,24 +129,24 @@ class Diagnostics:
         return self.complete and self.unresolved_mass == 0
 
     @lazy
-    def _dead(self) -> list[tuple[tuple[_Step, ...], MeasurableSet]]:
-        """Per path that dies inside the cut: its trail and the dead
+    def _dead(self) -> list[tuple[_Node, MeasurableSet]]:
+        """Per path that dies inside the cut: its node and the dead
         region, what the hits leave of the node's part inside the cut.
         A one-box part less a one-box hit takes no sweep; other hits, which
         may overlap, go in as they are, as ``subtract`` reads them by cell."""
         regions = []
-        for trail, inside, hits in self._open_nodes:
+        for node, inside, hits in self._open_nodes:
             dead = inside.subtract(
                 MeasurableSet(tuple(b for hit in hits for b in hit.boxes)))
             if dead.boxes:
-                regions.append((trail, dead))
+                regions.append((node, dead))
         return regions
 
     @lazy
     def dead_mass(self) -> Fraction:
         ratios = []
-        for trail, dead in self._dead:  # times the weight of its path
-            w = trail[-1][3]
+        for node, dead in self._dead:  # times the weight of its path
+            w = node[3]
             num, den = dead._measure_ratio()
             ratios.append((num * w.numerator, den * w.denominator))
         return Fraction(*_ratio_sum(ratios))
@@ -164,42 +166,60 @@ class PathRecord:
 
 @dataclass
 class PlugResult:
-    """A plug's graphing and diagnostics, with the path search's trails.
+    """A plug's graphing and diagnostics, with the path search's nodes.
 
     ``paths`` (aligned with ``graphing.edges``, whose sources they take)
     and ``dead_paths`` (the maximal paths that die inside the cut, in the
-    order the search met them) are built from the trails the first time
-    they are read, so a caller that only reads the graphing never builds
-    them.  ``dead_paths`` and ``diagnostics.dead_mass`` read the same dead
-    regions, so reading both builds each node's region once.
+    order the search met them) are built from the nodes the first time
+    they are read, each by one walk up its parents, so a caller that only
+    reads the graphing never builds them.  ``dead_paths`` and
+    ``diagnostics.dead_mass`` read the same dead regions, so reading both
+    builds each node's region once.
     """
 
     graphing: Graphing
     diagnostics: Diagnostics
     operands: tuple[Graphing, Graphing]  # the sides "F" and "G"
-    # per result edge, in edge order: the path's trail
-    exit_trails: list[tuple[_Step, ...]]
+    # per result edge, in edge order: the node of the path's last step
+    exit_nodes: list[_Node]
 
     @lazy
     def paths(self) -> list[PathRecord]:
-        return [_record(trail, e.source)
-                for trail, e in zip(self.exit_trails, self.graphing.edges)]
+        return [_record(node, e.source)
+                for node, e in zip(self.exit_nodes, self.graphing.edges)]
+
+    @lazy
+    def _dead_ends(self) -> list[tuple[_Node, MeasurableSet]]:
+        """Per dead path: its node and its source, the dead region pulled
+        back along its composite."""
+        return [(node, node[2].invert().apply(dead))
+                for node, dead in self.diagnostics._dead]
 
     @lazy
     def dead_paths(self) -> list[PathRecord]:
-        # the source is the dead region pulled back along the composite
-        return [_record(trail, trail[-1][2].invert().apply(dead))
-                for trail, dead in self.diagnostics._dead]
+        return [_record(node, source) for node, source in self._dead_ends]
 
 
-# One trail entry per edge a path takes: the (side, edge index), the
-# region alive just before the step, and the composite and weight after it.
-_Step = tuple[tuple[str, int], MeasurableSet, Realizer, Fraction]
+# A path is the node of its last step: the (side, edge index) of the edge
+# it takes, the region alive just before the step, the composite and
+# weight after it, and the node of the step before, None on a first step.
+_Node = tuple[tuple[str, int], MeasurableSet, Realizer, Fraction,
+              "_Node | None"]
 
 
-def _record(trail: tuple[_Step, ...], source: MeasurableSet) -> PathRecord:
-    steps, regions, composites, weights = zip(*trail)
-    return PathRecord(steps, regions, source, composites[-1], weights[-1])
+def _trail(node: _Node) -> list[_Node]:
+    """The nodes of the path that ends at ``node``, first step first."""
+    trail = []
+    while node is not None:
+        trail.append(node)
+        node = node[4]
+    trail.reverse()
+    return trail
+
+
+def _record(node: _Node, source: MeasurableSet) -> PathRecord:
+    steps, regions, *_ = zip(*_trail(node))
+    return PathRecord(steps, regions, source, node[2], node[3])
 
 
 def _split(image: MeasurableSet,
@@ -255,12 +275,10 @@ class _Search:
         self.complete = True
         self.steps = 0
         self.unresolved_mass = self.looping_mass = Fraction(0)
-        self.exits: list[tuple[Edge, tuple[_Step, ...]]] = []
+        self.exits: list[tuple[Edge, _Node]] = []
         self.open_nodes: list = []       # as ``Diagnostics._open_nodes``
-        # each path: the part of its image inside the cut, its trail and
-        # the trail's (side, edge) keys
-        self.queue: deque[tuple[MeasurableSet, tuple[_Step, ...],
-                                tuple]] = deque()
+        # each path: the part of its image inside the cut, and its node
+        self.queue: deque[tuple[MeasurableSet, _Node]] = deque()
 
     def fork(self) -> "_Search":
         """A search that goes on from this one's state, which it leaves
@@ -283,30 +301,29 @@ class _Search:
             start = split(e.source, cut)[0]
             if start.boxes:
                 self.push(apply(e.realizer, start),
-                          (((side, idx), start, e.realizer, e.weight),),
-                          ((side, idx),))
+                          ((side, idx), start, e.realizer, e.weight, None))
         self.carrier = self.carrier.union(outside)
 
-    def push(self, image: MeasurableSet, trail: tuple[_Step, ...],
-             keys: tuple) -> None:
+    def push(self, image: MeasurableSet, node: _Node) -> None:
         exits, inside = self.split(image, self.cut)
         if exits.boxes:
-            _, region, composite, weight = trail[-1]
-            if exits is not image or len(trail) > 2:
+            _, region, composite, weight, parent = node
+            if exits is not image or (parent is not None
+                                      and parent[4] is not None):
                 source = self.apply(composite.invert(), exits)
             else:
                 # a whole image: on a first step, of the start; on a second,
                 # of the hit, pulled back along the first edge's realizer,
                 # whose inverse the edge keeps
-                source = region if len(trail) == 1 else self.apply(
-                    trail[0][2].invert(), region)
+                source = region if parent is None else self.apply(
+                    parent[2].invert(), region)
             edge = Edge(weight, source, composite)
             vars(edge)["target"] = exits  # the image of its source
-            self.exits.append((edge, trail))
+            self.exits.append((edge, node))
         # a path inside the cut only meets the part of a source in the
         # cut, so whole edges need no split at it
         if inside.boxes:
-            self.queue.append((inside, trail, keys))
+            self.queue.append((inside, node))
 
     def drain(self, meets: dict) -> None:
         """Expand every queued path but those parked.  For a path's part
@@ -321,13 +338,12 @@ class _Search:
             self.steps
         parked = []
         while queue:
-            node = queue.popleft()
-            inside, trail, keys = node
-            (side, _), _, composite, weight = trail[-1]
+            inside, node = entry = queue.popleft()
+            (side, _), _, composite, weight, _ = node
             other = "G" if side == "F" else "F"
             found = meets[other](inside, intersect)
             if found is None:
-                parked.append(node)
+                parked.append(entry)
                 continue
             hits: list[MeasurableSet] = []
             # a meet that cuts nothing returns its operand: then one source
@@ -344,32 +360,34 @@ class _Search:
                 new_comp = compose(composite, e.realizer)
                 new_weight = product(weight, e.weight)
                 key = (other, idx)
-                # a repeat takes an edge the trail took before, so the
-                # trail is scanned only when the key is already in it
-                if key in keys:
-                    repeat = next((w for k, region, comp, w in trail
-                                   if k == key and comp == new_comp
-                                   and hit.subset_of(region)), None)
-                    if repeat is not None:
-                        mass = new_weight * hit.measure()
-                        if new_weight == repeat:
-                            self.looping_mass += mass
-                        else:
-                            # decaying revisit: its remaining emissions are
-                            # bounded by the mass entering the repeat
-                            self.unresolved_mass += mass
-                        continue
+                # a repeat takes an edge of the path again with the same
+                # composite, on a part of the region it had there; no path
+                # holds two such steps, so the first found walking up is
+                # the only one
+                repeat = node
+                while repeat is not None and not (
+                        repeat[0] == key and repeat[2] == new_comp
+                        and hit.subset_of(repeat[1])):
+                    repeat = repeat[4]
+                if repeat is not None:
+                    mass = new_weight * hit.measure()
+                    if new_weight == repeat[3]:
+                        self.looping_mass += mass
+                    else:
+                        # decaying revisit: its remaining emissions are
+                        # bounded by the mass entering the repeat
+                        self.unresolved_mass += mass
+                    continue
                 push(apply(e.realizer, hit),
-                     trail + ((key, hit, new_comp, new_weight),),
-                     keys + (key,))
+                     (key, hit, new_comp, new_weight, node))
             if not whole:
-                open_nodes.append((trail, inside, hits))
+                open_nodes.append((node, inside, hits))
         queue.extend(parked)
         self.steps = steps
 
     def result(self, operands: tuple) -> PlugResult:
         """The graphing of the exits, in ``Edge.key`` order, with the
-        diagnostics and the exits' trails."""
+        diagnostics and the exits' nodes."""
         found = self.exits
         if len(found) > 1:
             found = sorted(found, key=lambda found: found[0].key())
@@ -380,7 +398,7 @@ class _Search:
         graphing = Graphing(self.monoid, self.microcosm, self.carrier,
                             tuple(e for e, _ in found))
         return PlugResult(graphing, diag, operands,
-                          [trail for _, trail in found])
+                          [node for _, node in found])
 
 
 def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
@@ -398,20 +416,21 @@ def plug(f: Graphing, g: Graphing, max_steps: int = 10000) -> PlugResult:
     the part that exits, kept as its edge's ``target``, and the part that
     goes on.  The dead part is what the other side's sources leave of the
     latter: none when one source holds all of it, as the meet then
-    returns the path's own set.  Any other node is kept with its trail
-    and its hits, and its dead part is built only when ``dead_paths`` or
+    returns the path's own set.  Any other node is kept with its hits,
+    and its dead part is built only when ``dead_paths`` or
     ``diagnostics.dead_mass`` is read; ``language`` and the property
-    checks read neither.  A path repeats when it takes an edge of its
-    trail again with the same composite, on a part of the region it had
-    there; each path carries its trail's edge keys, so the trail is
-    scanned only for a key already in it.
+    checks read neither.  A path is the node of its last step, and a step
+    links one new node to the path's node, so paths share the steps they
+    have in common and no step copies a path.  A path repeats when it takes
+    one of its edges again with the same composite, on a part of the
+    region it had there, found by walking up its nodes.
     An edge's source is its exit set pulled back along its composite,
     except on a path that exits whole on its first or second step: then
     it is the path's start, or the hit of its second step pulled back
     along its first edge's realizer, an inverse the edge keeps for every
     plug it is in.  A longer path's composite before its last step is
     built for that path alone, so pulling back along it would build one
-    more inverse.  The result keeps each path's trail;
+    more inverse.  The result keeps each path's node;
     ``PlugResult`` builds the path records only when they are read.
 
     The search keeps no table: ``language`` shares one over its own

@@ -17,7 +17,7 @@ from math import gcd
 from .space import MeasurableSet, RationalBox
 from .realizers import Microcosm, Realizer
 from .graphing import Graphing, cost
-from .execution import INFINITY, PathRecord, PlugResult
+from .execution import INFINITY, PathRecord, PlugResult, _trail
 
 
 def frac_str(value) -> str:
@@ -108,17 +108,14 @@ def path_payload(p: PathRecord) -> str:
 
 def result_payload(result: PlugResult) -> str:
     """The result's dead paths, diagnostics, graphing and paths, the
-    records ``path_payload`` writes, written from the trails.
+    records ``path_payload`` writes, written from the search's nodes.
 
-    Each piece is written once per call.  The text of a set or a
-    realizer is kept by its identity: every one written stays alive for
-    the call.  A trail's steps are the text of its longest prefix already
-    written, then the steps after it: the search builds each step once,
-    on one parent trail, so a step fixes its whole prefix.  A step's
-    entry is the text it was written in and where its prefix ends there,
-    so the entries of a trail take no more room than its text."""
+    Each piece is written once per call.  The text of a set, a realizer
+    or a step is kept by its identity: every one written stays alive for
+    the call.  A path's steps are the kept texts of its nodes, walked up
+    from its last and joined: paths that share a step share its node, so
+    each step is written once."""
     texts: dict[int, str] = {}
-    prefixes: dict[int, tuple[str, int]] = {}
 
     def kept(write):
         def text(piece) -> str:
@@ -129,38 +126,19 @@ def result_payload(result: PlugResult) -> str:
         return text
 
     set_text, realizer_text = kept(set_payload), kept(realizer_payload)
+    step_text = kept(lambda node: _step(node[0], set_text(node[1])))
 
-    def steps_text(trail) -> str:
-        k = len(trail)
-        while k and id(trail[k - 1]) not in prefixes:
-            k -= 1
-        if k:
-            text, end = prefixes[id(trail[k - 1])]
-            head = [text[:end]]
-        else:
-            head, end = [], -1  # the first step follows no comma
-        parts = [_step(step[0], set_text(step[1])) for step in trail[k:]]
-        text = ",".join(head + parts)
-        for step, part in zip(trail[k:], parts):
-            end += 1 + len(part)
-            prefixes[id(step)] = (text, end)
-        return text
-
-    def path(trail, source) -> str:
-        _, _, composite, weight = trail[-1]
-        return _path(realizer_text(composite), set_text(source),
-                     steps_text(trail), weight)
+    def path(node, source) -> str:
+        return _path(realizer_text(node[2]), set_text(source),
+                     ",".join(map(step_text, _trail(node))), node[3])
 
     d = result.diagnostics
-    # the dead paths' sources, the dead regions pulled back along their
-    # composites, are held here while their texts are kept
-    dead = [(trail, trail[-1][2].invert().apply(region))
-            for trail, region in d._dead]
-    dead_text = ",".join(path(trail, source) for trail, source in dead)
+    dead_text = ",".join(path(node, source)
+                         for node, source in result._dead_ends)
     # an exit's edge takes its source and composite, written here first
     graphing = _graphing(result.graphing, set_text, realizer_text)
-    paths = ",".join(path(trail, e.source) for trail, e in
-                     zip(result.exit_trails, result.graphing.edges))
+    paths = ",".join(path(node, e.source) for node, e in
+                     zip(result.exit_nodes, result.graphing.edges))
     notes = ",".join(map(_quote, d.notes))
     return (f'{{"dead_paths":[{dead_text}],"diagnostics":{{'
             f'"complete":{"true" if d.complete else "false"},'

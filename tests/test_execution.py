@@ -7,7 +7,7 @@ import pytest
 from eagerplug import (assert_matches_eager, assert_matches_eager_at_budgets,
                        eager_plug)
 from graphvm.execution import (INFINITY, T_CONL, T_DET, T_NL, Regions, Test,
-                               Verdict, _split, accept_mass, cycles,
+                               Verdict, _split, _trail, accept_mass, cycles,
                                evaluate_test, landing, measurement, plug,
                                reject_mass, t_prob)
 from graphvm.graphing import (Edge, Graphing, GraphingClass, PROBABILITIES,
@@ -875,14 +875,14 @@ def test_cuts_that_hold_part_of_a_cell_match_the_eager_reference():
         assert_matches_eager_at_budgets(f, g)
         result = plug(f, g)
         _check_targets_and_dead_mass(result)
-        for trail, e in zip(result.exit_trails, result.graphing.edges):
-            seen["crossing"] += len(trail) > 1
+        for node, e in zip(result.exit_nodes, result.graphing.edges):
+            seen["crossing"] += node[4] is not None
             # an exit set short of its node's image: the rest went on inside
-            (side, idx), region = trail[-1][:2]
+            (side, idx), region = node[:2]
             last = (f if side == "F" else g).edges[idx]
             seen["partial exit"] += last.realizer.apply(region) != e.target
             # a start beside the cut, in one of the cells it holds part of
-            seen["started in a cut cell"] += bool(trail[0][1].cells()
+            seen["started in a cut cell"] += bool(_trail(node)[0][1].cells()
                                                   & cut.cells())
         seen["dead"] += len(result.dead_paths)
     assert min(seen[kind] for kind in ("crossing", "started in a cut cell",
@@ -903,17 +903,26 @@ def _fed_feedback_pairs():
         yield f, graphing(edges, sorted(g.carrier.cells() | {0, 9}))
 
 
-def _exit_rule(result, trail, e):
+def _exit_rule(result, node, e):
     """How the search read the exit's source: a path that exits whole on
     its first step exits on its ``start``, one that exits whole on its
     second step on its hit pulled back along its ``first edge``; a
     ``longer`` path, or a ``partial`` exit, is pulled back along its
-    composite."""
-    (side, idx), region = trail[-1][:2]
+    composite.  The path's depth is read off its parents."""
+    (side, idx), region, _, _, parent = node
     last = result.operands[side == "G"].edges[idx]
     if last.realizer.apply(region) != e.target:
         return "partial"
-    return {1: "start", 2: "first edge"}.get(len(trail), "longer")
+    if parent is None:
+        return "start"
+    return "first edge" if parent[4] is None else "longer"
+
+
+def _repeated_steps(node):
+    """How many steps of the path ending at ``node`` take an earlier
+    step's (side, edge) again with the same composite."""
+    steps = [(step[0], step[2]) for step in _trail(node)]
+    return len(steps) - len(set(steps))
 
 
 def test_an_exit_source_is_its_target_pulled_back():
@@ -924,12 +933,20 @@ def test_an_exit_source_is_its_target_pulled_back():
         "fed feedback pairs": [plug(f, g) for f, g in _fed_feedback_pairs()],
     }
     rules = {}
+    walked = Counter()
     for name, results in corpora.items():
         seen = rules[name] = Counter()
         for result in results:
-            for trail, e in zip(result.exit_trails, result.graphing.edges):
+            for node, e in zip(result.exit_nodes, result.graphing.edges):
                 assert e.source == e.realizer.invert().apply(e.target), name
-                seen[_exit_rule(result, trail, e)] += 1
+                seen[_exit_rule(result, node, e)] += 1
+            # no path takes an edge twice with the same composite, so the
+            # search's repeat walk may stop at the first match it meets
+            ends = result.exit_nodes + [
+                node for node, _, _ in result.diagnostics._open_nodes]
+            assert not any(map(_repeated_steps, ends)), name
+            walked[name] += len(ends)
+    assert all(walked[name] for name in corpora), walked
     # each rule reads sources somewhere: the sampled plugs exit on first
     # and second steps, the machine runs and the fed feedback pairs on
     # longer paths, and the partial cuts on parts of images
@@ -955,9 +972,9 @@ def test_exits_on_the_first_step_pull_no_source_back(monkeypatch):
     assert [args for _, args in calls] == [(e.realizer, e.source)
                                            for e in f.edges]
     monkeypatch.undo()
-    assert [len(trail) for trail in result.exit_trails] == [1, 1]
-    for trail, e in zip(result.exit_trails, result.graphing.edges):
-        assert e.source is trail[0][1]
+    assert [len(_trail(node)) for node in result.exit_nodes] == [1, 1]
+    for node, e in zip(result.exit_nodes, result.graphing.edges):
+        assert e.source is _trail(node)[0][1]
         assert e.source == e.realizer.invert().apply(e.target)
     assert [e.source for e in result.graphing.edges] == \
         [e.source for e in f.edges]
@@ -1014,7 +1031,7 @@ def _check_targets_and_dead_mass(result):
         assert "target" in vars(e)
         assert e.target == e.realizer.apply(e.source)
     diag = result.diagnostics
-    want = sum((trail[-1][3] * dead.measure() for trail, dead in diag._dead),
+    want = sum((node[3] * dead.measure() for node, dead in diag._dead),
                Fraction(0))
     assert type(diag.dead_mass) is Fraction and diag.dead_mass == want
     return len(diag._dead)

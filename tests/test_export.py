@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphvm.execution import INFINITY, PathRecord, plug
+from graphvm.execution import INFINITY, PathRecord, _trail, plug
 from graphvm.export import (frac_str, graphing_dot, graphing_payload,
                             path_payload, result_payload)
 from graphvm.graphing import (Edge, GraphingClass, PROBABILITIES, TRIVIAL,
@@ -152,8 +152,12 @@ def test_a_result_writes_each_shared_set_and_prefix_once(monkeypatch):
                        Realizer.shift_by(3))], (0, 5, 6, 9))
     g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
     result = plug(f, g)
-    (dead_trail, _), = result.diagnostics._dead
-    trail, = result.exit_trails
+    (dead_node, _), = result.diagnostics._dead
+    node, = result.exit_nodes
+    # the dead path is the result path's parent node: its two steps are
+    # the result path's first two, shared
+    assert node[4] is dead_node
+    trail, dead_trail = _trail(node), _trail(dead_node)
     assert len(trail) == 3 and trail[:2] == dead_trail
     assert all(a is b for a, b in zip(trail, dead_trail))
     assert trail[0][1] is f.edges[0].source
@@ -167,8 +171,10 @@ def test_a_result_writes_each_shared_set_and_prefix_once(monkeypatch):
     assert len({id(s) for s in written}) == len(written) \
         == len({id(s) for s in pieces}) + 1
     assert {id(s) for s in pieces} < {id(s) for s in written}
-    # each step written once: the shared prefix is not written again
-    assert sum(name == "_step" for name, _ in log) == len(trail)
+    # each step written once: once per distinct node, so the shared
+    # prefix is not written again
+    assert sum(name == "_step" for name, _ in log) == len(trail) \
+        == len({id(n) for t in (trail, dead_trail) for n in t})
     monkeypatch.undo()
     for key, records in (("dead_paths", result.dead_paths),
                          ("paths", result.paths)):

@@ -73,9 +73,11 @@ def test_random_machine_agrees_with_oracle(spec):
 
 def test_repeats_by_key_match_the_full_trail_scan():
     """Every word up to length 3 on every seeded machine, run in its own
-    direction: the plug, whose repeat test scans a trail only for an edge
-    key already on it, equals the eager reference, which scans every
-    trail.  The runs include exact loops and decaying revisits."""
+    direction: the plug, whose repeat test walks up a path's nodes and
+    stops at the first step with the same edge key and composite whose
+    region holds the hit, equals the eager reference, which scans every
+    trail from its first step.  The runs include exact loops and decaying
+    revisits."""
     looping = decaying = 0
     for spec in MACHINES:
         machine = encode_machine(spec)
