@@ -99,30 +99,33 @@ WORD_EDGE_CACHE = 4096
 
 
 @lru_cache(maxsize=WORD_EDGE_CACHE)
+def _slice_source(cell: int, pos: int, cells: int) -> MeasurableSet:
+    """The address slice of ``pos`` in ``cell``, with the unit sliced into
+    ``cells``: the source of the word edges from that position."""
+    return MeasurableSet.of(RationalBox.make(
+        cell, {1: slice_interval(pos, cells)}))
+
+
+@lru_cache(maxsize=WORD_EDGE_CACHE)
 def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
                cells: int) -> Edge:
     """Carry the address slice of ``src_pos`` in ``src_cell`` onto that of
     ``dst_pos`` in ``dst_cell``, with the unit sliced into ``cells``."""
-    source = MeasurableSet.of(RationalBox.make(
-        src_cell, {1: slice_interval(src_pos, cells)}))
     realizer = Realizer.make(dst_cell - src_cell, None,
                              {1: Fraction(dst_pos - src_pos, cells)})
-    return Edge(Fraction(1), source, realizer)
+    return Edge(Fraction(1), _slice_source(src_cell, src_pos, cells),
+                realizer)
 
 
 def _edges_from(cell: int, at, out: int, base: int, symbols,
-                in_cell: dict[str, int], cells: int) -> list[Edge] | None:
+                in_cell: dict[str, int], cells: int) -> list[Edge]:
     """The word edges from the slices of the positions ``at`` in
     ``cell``, the In (``out`` 0) or Out (``out`` 1) cell of their symbol
     in the row at ``base``: Out carries a position to the next In, In back
-    to the last Out.  ``symbols`` is the marked word, ``cells`` long, or a
-    prefix of it: None when the prefix stops before a position an edge
-    leads to."""
+    to the last Out.  ``symbols`` is the marked word, ``cells`` long."""
     edges = []
     for pos in at:
         to = (pos + 1 if out else pos - 1) % cells
-        if to >= len(symbols):
-            return None
         dst = base + in_cell[symbols[to]] + 1 - out
         edges.append(_word_edge(cell, pos, dst, to, cells))
     return edges
@@ -179,9 +182,10 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
 class WordSide:
     """The word side of one search shared by the words of one length, on
     ``rows`` state rows: the word edges that a path meets, read off a
-    prefix of the word.  They are built by ``_edges_from`` as
-    ``encode_word`` builds them, and each is keyed by its (cell,
-    position), which name it in every word that has it."""
+    prefix of the word, each keyed by its (cell, position), which name it
+    in every word that has it.  Per set met it keeps a plan of the slices
+    that meet it, with their meets, built once: within one length they do
+    not depend on the word, so a prefix only reads its symbols."""
 
     weights = TRIVIAL
 
@@ -198,57 +202,66 @@ class WordSide:
                                         layout.row_stride)
                       for s in self.in_cell
                       for out in ((1,) if one_way else (0, 1))}
-        # per set met: its slices, in Edge.key order
-        self._slices: dict[MeasurableSet, list[tuple[int, list[int]]]] = {}
+        self._plans: dict[MeasurableSet, tuple[int, list[tuple]]] = {}
 
-    def slices(self, s: MeasurableSet) -> list[tuple[int, list[int]]]:
-        """Per cell with word edges, in order, the ascending positions
-        whose slice of coordinate 1 meets a box of ``s`` in it, the
-        marker's only at position 0 and a symbol's only after it.  They
-        do not depend on the word."""
-        got = self._slices.get(s)
-        if got is None:
-            cells, by_cell = self.cells, {}
-            for b in s.boxes:
-                kind = self.kinds.get(b.cell)
-                if kind is None:
-                    continue
-                lo, hi = 0, cells
-                if b.coords and b.coords[0][0] == 1:
-                    iv = b.coords[0][1]
-                    lo, hi = iv.a * cells // iv.d, -(-iv.b * cells // iv.d)
-                if kind[1] == MARKER:
-                    hi = min(hi, 1)
-                else:
-                    lo = max(lo, 1)
-                by_cell.setdefault(b.cell, set()).update(range(lo, hi))
-            got = self._slices[s] = [(cell, sorted(at))
-                                     for cell, at in by_cell.items() if at]
-        return got
+    def _plan(self, s: MeasurableSet, intersect) -> tuple[int, list[tuple]]:
+        """The last position any slice that meets ``s`` reaches, and per
+        (cell, position) whose slice of coordinate 1 meets a box of ``s``
+        in it, in ``Edge.key`` order: the cell's row base, symbol and Out
+        flag, the position its edge leads to, and the meet of ``s`` with
+        the slice, by ``intersect``.  The marker's cells have a slice at
+        position 0 only, a symbol's after it."""
+        cells, kinds, by_cell = self.cells, self.kinds, {}
+        for b in s.boxes:
+            kind = kinds.get(b.cell)
+            if kind is None:
+                continue
+            lo, hi = 0, cells
+            if b.coords and b.coords[0][0] == 1:
+                iv = b.coords[0][1]
+                lo, hi = iv.a * cells // iv.d, -(-iv.b * cells // iv.d)
+            if kind[1] == MARKER:
+                hi = min(hi, 1)
+            else:
+                lo = max(lo, 1)
+            by_cell.setdefault(b.cell, set()).update(range(lo, hi))
+        last, entries = -1, []
+        for cell, at in by_cell.items():
+            base, symbol, out = kinds[cell]
+            for pos in sorted(at):
+                # each slice meets a box of s: no meet is empty
+                entries.append((cell, pos, base, symbol, out,
+                                (pos + 1 if out else pos - 1) % cells,
+                                intersect(s, _slice_source(cell, pos, cells))))
+                last = max(last, pos)
+        return last, entries
 
     def meets(self, prefix: str):
         """For the words that begin with ``prefix``: the ``meets`` of a
         search, which gives ``((cell, position), edge, meet)`` for the
-        word edges whose source meets a set, the meet by ``intersect``,
-        or None, to park the path, when one of them needs a symbol past
-        the prefix, its source's or the one it leads to."""
+        word edges whose source meets a set, or None, to park the path,
+        when one of them needs a symbol past the prefix, its source's or
+        the one it leads to."""
         symbols = (MARKER,) + tuple(prefix)
-        kinds, in_cell, cells = self.kinds, self.in_cell, self.cells
+        known, in_cell, cells, plans = (len(symbols), self.in_cell,
+                                        self.cells, self._plans)
 
         def meets(s: MeasurableSet, intersect):
+            plan = plans.get(s)
+            if plan is None:
+                plan = plans[s] = self._plan(s, intersect)
+            last, entries = plan
+            if last >= known:
+                return None
             found = []
-            for cell, positions in self.slices(s):
-                if positions[-1] >= len(symbols):
+            for cell, pos, base, symbol, out, to, meet in entries:
+                if symbols[pos] != symbol:
+                    continue
+                if to >= known:
                     return None
-                base, symbol, out = kinds[cell]
-                at = [pos for pos in positions if symbols[pos] == symbol]
-                edges = _edges_from(cell, at, out, base, symbols, in_cell,
-                                    cells)
-                if edges is None:
-                    return None
-                # each slice meets a box of s: no meet is empty
-                found += [((cell, pos), e, intersect(s, e.source))
-                          for pos, e in zip(at, edges)]
+                found.append(((cell, pos), _word_edge(
+                    cell, pos, base + in_cell[symbols[to]] + 1 - out, to,
+                    cells), meet))
             return found
 
         return meets

@@ -648,12 +648,16 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     the prefix is parked, and each next symbol's search goes on from the
     prefix's exits, masses, step count and parked paths.  A word's search
     is then its own plug's steps in another order, which leaves its exits
-    and masses as they are.  The order matters once the budget runs out:
-    then each word below drains a fork of the root with the whole word
-    known, which is its own plug's search step for step, as the word side
-    starts no path and meets edges in ``encode_word``'s edge order.  One
-    table serves the whole call, dropped when it returns: the searches
-    repeat the same set and realizer operations on equal operands.
+    and masses as they are.  A prefix whose search is left with nothing
+    queued, parked or not, settles every word below it: each gets the
+    prefix's search, with no fork and no drain.  The order matters once
+    the budget runs out: then each word below drains a fork of the root
+    with the whole word known, which is its own plug's search step for
+    step, as the word side starts no path and meets edges in
+    ``encode_word``'s edge order.  One table serves the whole call,
+    dropped when it returns: the searches repeat the same set and
+    realizer operations on equal operands, and meet the same sets with
+    the machine's edges.  The word side keeps its own meets per length.
 
     A word's verdict is ``decide`` on the fold of its exits, as for its
     own plug's result, but the fold runs per trie node: a node folds only
@@ -671,6 +675,8 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     edges_meeting = machine.graphing.edges_meeting
     verdicts: dict[str, Verdict] = {}
     ops = tuple(lru_cache(maxsize=None)(op) for op in _ops())
+    machine_meets = lru_cache(maxsize=None)(
+        lambda s, intersect: tuple(edges_meeting(s, intersect)))
     for length in range(max_len + 1):
         side = WordSide(machine.layout, len(machine.spec.states), one_way,
                         length)
@@ -684,13 +690,14 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
         trie = [(root.fork(), "", 0, start)]
         while trie:
             search, prefix, seen, landed = trie.pop()
-            search.drain({"F": edges_meeting, "G": side.meets(prefix)})
+            search.drain({"F": machine_meets, "G": side.meets(prefix)})
+            # the words below the prefix, in alphabet order
+            below = (prefix + "".join(rest) for rest in itertools.product(
+                alphabet, repeat=length - len(prefix)))
             if not search.complete:
-                for rest in itertools.product(alphabet,
-                                              repeat=length - len(prefix)):
-                    word = prefix + "".join(rest)
+                for word in below:
                     alone = root.fork()
-                    alone.drain({"F": edges_meeting, "G": side.meets(word)})
+                    alone.drain({"F": machine_meets, "G": side.meets(word)})
                     own = _fold(start, (e for e, _ in alone.exits), regions,
                                 cells)
                     verdicts[word] = _word_verdict(alone, test, own, regions)
@@ -699,9 +706,12 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
             if len(exits) > seen:
                 landed = _fold(landed, (e for e, _ in exits[seen:]),
                                regions, cells)
-            if len(prefix) == length:
-                verdicts[prefix] = _word_verdict(search, test, landed,
-                                                 regions)
+            if len(prefix) == length or not search.queue:
+                # a leaf, or a prefix whose search has nothing left to
+                # expand: no word below takes another step
+                for word in below:
+                    verdicts[word] = _word_verdict(
+                        search, test, landed, regions)
             else:
                 # the last symbol goes on in this search, the others in
                 # forks, pushed so that the first symbol comes off first
