@@ -577,6 +577,8 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
 
     monkeypatch.setattr(execution, "_landing_part", landing_part)
     searches = _word_searches(monkeypatch)
+    # the machine side's meets: one per set per call
+    machine_meets = log_calls(monkeypatch, (Graphing, "edges_meeting"))
     budget_outs = Counter()
     for (name, test), max_steps in itertools.product(
             (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
@@ -585,6 +587,7 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         log.clear()
         landed.clear()
         searches.clear()
+        machine_meets.clear()
         first = execution.language(machines[name], test, 4,
                                    max_steps=max_steps)
         first_log = list(log)
@@ -602,15 +605,55 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         assert len(searches) == len(first.verdicts), case
         budget_outs[max_steps] += sum(not search.complete
                                       for search in searches)
+        met = [args[1] for _, args in machine_meets]
+        assert met and len(met) == len(set(met)), case
         # the table is dropped with the call: the same call again
         # computes everything again
         log.clear()
+        machine_meets.clear()
         again = execution.language(machines[name], test, 4,
                                    max_steps=max_steps)
         assert again.verdicts == first.verdicts
         assert len(log) == len(first_log), case
+        assert [args[1] for _, args in machine_meets] == met, case
     # at budget 7 words are sent back; at 10000 none
     assert budget_outs[7] and not budget_outs[10000], budget_outs
+
+
+def test_language_drains_nothing_below_a_settled_prefix(monkeypatch):
+    """A prefix whose search is complete with nothing queued takes no more
+    steps, and neither does any word below it: no drain runs on a search
+    that a drain left so, nor on a fork of one.  Each word still gets one
+    verdict, off the settled prefix's search."""
+    from graphvm import execution
+    machines = dict(_shipped_machines())
+    searches = _word_searches(monkeypatch)
+    fork, drain = execution._Search.fork, execution._Search.drain
+    settled, again = [], []
+
+    def logged_fork(self):
+        child = fork(self)
+        if any(self is s for s in settled):
+            settled.append(child)
+        return child
+
+    def logged_drain(self, meets):
+        if any(self is s for s in settled):
+            again.append(self)
+        drain(self, meets)
+        if self.complete and not self.queue:
+            settled.append(self)
+
+    monkeypatch.setattr(execution._Search, "fork", logged_fork)
+    monkeypatch.setattr(execution._Search, "drain", logged_drain)
+    for name, one_way in (("ones.mach", False), ("one-then-zero.mach", True)):
+        settled.clear()
+        searches.clear()
+        got = execution.language(machines[name], T_DET, 5, one_way=one_way)
+        assert again == [], name
+        assert len(searches) == len(got.verdicts) == 63, name
+        # some settled prefix gives its search to several words
+        assert len({id(search) for search in searches}) < 63, name
 
 
 def _trie_machines():
