@@ -204,12 +204,12 @@ class WordSide:
                       for out in ((1,) if one_way else (0, 1))}
         self._plans: dict[MeasurableSet, tuple[int, list[tuple]]] = {}
 
-    def _plan(self, s: MeasurableSet, intersect) -> tuple[int, list[tuple]]:
+    def _plan(self, s: MeasurableSet) -> tuple[int, list[tuple]]:
         """The last position any slice that meets ``s`` reaches, and per
         (cell, position) whose slice of coordinate 1 meets a box of ``s``
         in it, in ``Edge.key`` order: the cell's row base, symbol and Out
-        flag, the position its edge leads to, and the meet of ``s`` with
-        the slice, by ``intersect``.  The marker's cells have a slice at
+        flag, the position its edge leads to, and ``s.intersect`` of the
+        slice, made once per set here.  The marker's cells have a slice at
         position 0 only, a symbol's after it."""
         cells, kinds, by_cell = self.cells, self.kinds, {}
         for b in s.boxes:
@@ -232,24 +232,24 @@ class WordSide:
                 # each slice meets a box of s: no meet is empty
                 entries.append((cell, pos, base, symbol, out,
                                 (pos + 1 if out else pos - 1) % cells,
-                                intersect(s, _slice_source(cell, pos, cells))))
+                                s.intersect(_slice_source(cell, pos, cells))))
                 last = max(last, pos)
         return last, entries
 
     def meets(self, prefix: str):
         """For the words that begin with ``prefix``: the ``meets`` of a
         search, which gives ``((cell, position), edge, meet)`` for the
-        word edges whose source meets a set, or None, to park the path,
-        when one of them needs a symbol past the prefix, its source's or
-        the one it leads to."""
+        word edges whose source meets a set, the meets read off the set's
+        plan, or None, to park the path, when one of them needs a symbol
+        past the prefix, its source's or the one it leads to."""
         symbols = (MARKER,) + tuple(prefix)
         known, in_cell, cells, plans = (len(symbols), self.in_cell,
                                         self.cells, self._plans)
 
-        def meets(s: MeasurableSet, intersect):
+        def meets(s: MeasurableSet):
             plan = plans.get(s)
             if plan is None:
-                plan = plans[s] = self._plan(s, intersect)
+                plan = plans[s] = self._plan(s)
             last, entries = plan
             if last >= known:
                 return None

@@ -240,12 +240,12 @@ def _split(image: MeasurableSet,
 
 
 def _ops():
-    """``Realizer.apply`` and ``compose``, ``MeasurableSet.intersect`` and
-    the split at the cut, read when called, so a wrapper bound there is
-    what the search calls.  ``language`` wraps each in one ``lru_cache``
-    per call, a table its searches share; results are shared, as sets
-    and realizers are immutable."""
-    return (Realizer.apply, Realizer.compose, MeasurableSet.intersect, _split)
+    """``Realizer.apply`` and ``compose`` and the split at the cut, read
+    when called, so a wrapper bound there is what the search calls.
+    ``language`` wraps each in one ``lru_cache`` per call, a table its
+    searches share, as sets and realizers are immutable.  Sets are met
+    by ``MeasurableSet.intersect`` in each side's ``meets``, not here."""
+    return (Realizer.apply, Realizer.compose, _split)
 
 
 class _Search:
@@ -263,14 +263,16 @@ class _Search:
     def __init__(self, f, g, max_steps: int, ops: tuple):
         """A search of ``f`` against ``g``, each a ``Graphing`` or a
         ``WordSide``, through ``ops``, as ``_ops`` gives them: the
-        weights, microcosm and carrier are read off both."""
+        weights, microcosm and carrier are read off both.  The cut, ``g``'s
+        carrier met with ``f``'s, is the split's inside part: no set
+        operation when ``f``'s carrier holds ``g``'s cells whole."""
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         self.monoid = join_monoids(f.weights, g.weights)
         self.microcosm = f.microcosm.join(g.microcosm)
         self.max_steps = max_steps
-        self.apply, self.compose, self.intersect, self.split = ops
-        self.cut = self.intersect(g.carrier, f.carrier)
+        self.apply, self.compose, self.split = ops
+        self.cut = self.split(g.carrier, f.carrier)[1]
         self.carrier = _EMPTY             # grows with each side started
         self.complete = True
         self.steps = 0
@@ -327,13 +329,12 @@ class _Search:
 
     def drain(self, meets: dict) -> None:
         """Expand every queued path but those parked.  For a path's part
-        inside the cut and the search's meet, ``meets[side]`` gives
-        ``(index, edge, hit)`` for each edge of the side whose source
-        meets it, ``hit`` the meet, in ``Edge.key`` order, or None to park
+        inside the cut, ``meets[side]`` gives ``(index, edge, hit)`` for
+        each edge of the side whose source meets it, ``hit`` the meet by
+        ``MeasurableSet.intersect``, in ``Edge.key`` order, or None to park
         the path.  A step is keyed by its side and that index."""
-        queue, compose, apply, intersect, push, open_nodes = (
-            self.queue, self.compose, self.apply, self.intersect, self.push,
-            self.open_nodes)
+        queue, compose, apply, push, open_nodes = (
+            self.queue, self.compose, self.apply, self.push, self.open_nodes)
         product, max_steps, steps = self.monoid.product, self.max_steps, \
             self.steps
         parked = []
@@ -341,7 +342,7 @@ class _Search:
             inside, node = entry = queue.popleft()
             (side, _), _, composite, weight, _ = node
             other = "G" if side == "F" else "F"
-            found = meets[other](inside, intersect)
+            found = meets[other](inside)
             if found is None:
                 parked.append(entry)
                 continue
@@ -655,9 +656,9 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     with the whole word known, which is its own plug's search step for
     step, as the word side starts no path and meets edges in
     ``encode_word``'s edge order.  One table serves the whole call,
-    dropped when it returns: the searches repeat the same set and
-    realizer operations on equal operands, and meet the same sets with
-    the machine's edges.  The word side keeps its own meets per length.
+    dropped when it returns: it holds the applies, composites and splits
+    the searches repeat, and each set's meets with the machine's edges.
+    The word side keeps its own meets per set, per length.
 
     A word's verdict is ``decide`` on the fold of its exits, as for its
     own plug's result, but the fold runs per trie node: a node folds only
@@ -676,7 +677,7 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     verdicts: dict[str, Verdict] = {}
     ops = tuple(lru_cache(maxsize=None)(op) for op in _ops())
     machine_meets = lru_cache(maxsize=None)(
-        lambda s, intersect: tuple(edges_meeting(s, intersect)))
+        lambda s: tuple(edges_meeting(s)))
     for length in range(max_len + 1):
         side = WordSide(machine.layout, len(machine.spec.states), one_way,
                         length)

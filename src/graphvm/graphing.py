@@ -135,21 +135,19 @@ class Graphing:
             return by_cell.get(boxes[0].cell, ())
         return sorted({i for cell in s.cells() for i in by_cell.get(cell, ())})
 
-    def edges_meeting(self, s: MeasurableSet, intersect=None):
+    def edges_meeting(self, s: MeasurableSet):
         """``(index, edge, meet)`` for every edge whose source meets ``s``,
-        in edge-index order; ``meet`` is ``s`` intersected with the source,
-        by ``intersect(s, source)`` when given (a memoised lookup, say)
-        and by ``MeasurableSet.intersect`` otherwise.  Consecutive edges
-        that share a source object, as a branch pair does (they sort next
-        to each other), share one meet."""
-        intersect = intersect or MeasurableSet.intersect
+        in edge-index order; ``meet`` is ``s.intersect(source)``, made
+        afresh on each call (``language`` keeps the meets per set).
+        Consecutive edges that share a source object, as a branch pair
+        does (they sort next to each other), share one meet."""
         edges = self.edges
         source = meet = None
         for idx in self.edges_over(s):
             e = edges[idx]
             if e.source is not source:
                 source = e.source
-                meet = intersect(s, source)
+                meet = s.intersect(source)
             if meet.boxes:
                 yield idx, e, meet
 

@@ -142,24 +142,17 @@ def test_word_graphings_come_in_key_order_with_their_index(alphabet, max_len):
                 assert list(g.edges_by_cell.items()) == list(swept.items())
 
 
-def test_the_word_side_meets_the_edges_of_the_encoded_word():
+def test_the_word_side_meets_the_edges_of_the_encoded_word(monkeypatch):
     """For every prefix of a word, ``WordSide`` parks a set or gives the
     word graphing's own edges and meets, keyed by (cell, position); a
     whole cell of a symbol parks until the word is known.  One
     ``WordSide`` meets each set with each slice at most once, over all
     the prefixes it serves."""
+    cases = []
     for word in ("", "0", "10", "0110"):
         for one_way in (False, True):
             for rows in (1, 2):
-                case = (word, one_way, rows)
                 g = encode_word(word, LAYOUT, rows, one_way).graphing
-                side = encodings.WordSide(LAYOUT, rows, one_way, len(word))
-                met = []
-
-                def intersect(s, t):
-                    met.append((s, t))
-                    return s.intersect(t)
-
                 cells = len(word) + 1
                 sets = [whole(cell) for cell in sorted(g.carrier.cells())]
                 sets += [MeasurableSet.of(RationalBox.make(
@@ -169,19 +162,30 @@ def test_the_word_side_meets_the_edges_of_the_encoded_word():
                 sets.append(g.carrier)
                 symbol_cells = [whole(cell) for cell in g.edges_by_cell
                                 if cell % LAYOUT.row_stride > 1]
-                for s in sets:
-                    want = [(e, hit) for _, e, hit in g.edges_meeting(s)]
-                    got = side.meets(word)(s, intersect)
-                    assert [(e, hit) for _, e, hit in got] == want, (case, s)
-                    for (cell, pos), e, _ in got:
-                        assert e.source == MeasurableSet.of(RationalBox.make(
-                            cell, {1: slice_interval(pos, cells)}))
-                    for k in range(len(word)):
-                        part = side.meets(word[:k])(s, intersect)
-                        assert part is None or part == got, (case, k, s)
-                        if s in symbol_cells:
-                            assert part is None, (case, k, s)
-                assert met and len(met) == len(set(met)), case
+                # the word graphing's own meets, built before the log is
+                wants = [[(e, hit) for _, e, hit in g.edges_meeting(s)]
+                         for s in sets]
+                cases.append(((word, one_way, rows), sets, wants,
+                              symbol_cells))
+    met = log_calls(monkeypatch, (MeasurableSet, "intersect"))
+    for case, sets, wants, symbol_cells in cases:
+        word, one_way, rows = case
+        cells = len(word) + 1
+        side = encodings.WordSide(LAYOUT, rows, one_way, len(word))
+        met.clear()
+        for s, want in zip(sets, wants):
+            got = side.meets(word)(s)
+            assert [(e, hit) for _, e, hit in got] == want, (case, s)
+            for (cell, pos), e, _ in got:
+                assert e.source == MeasurableSet.of(RationalBox.make(
+                    cell, {1: slice_interval(pos, cells)}))
+            for k in range(len(word)):
+                part = side.meets(word[:k])(s)
+                assert part is None or part == got, (case, k, s)
+                if s in symbol_cells:
+                    assert part is None, (case, k, s)
+        pairs = [args for _, args in met]
+        assert pairs and len(pairs) == len(set(pairs)), case
 
 
 def _covering_words(alphabet, length):

@@ -579,6 +579,19 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
     searches = _word_searches(monkeypatch)
     # the machine side's meets: one per set per call
     machine_meets = log_calls(monkeypatch, (Graphing, "edges_meeting"))
+    # what the call's table wraps, with the cached function it makes, and
+    # the meets each drain is given
+    tabled, make_table = [], execution.lru_cache
+
+    def table(*args, **kwargs):
+        def wrap(fn):
+            cached = make_table(*args, **kwargs)(fn)
+            tabled.append((fn, cached))
+            return cached
+        return wrap
+
+    monkeypatch.setattr(execution, "lru_cache", table)
+    drains = log_calls(monkeypatch, (execution._Search, "drain"))
     budget_outs = Counter()
     for (name, test), max_steps in itertools.product(
             (("one-then-zero.mach", T_DET), ("guess-11.mach", T_NL),
@@ -588,12 +601,22 @@ def test_language_computes_each_operand_pair_once_per_call(monkeypatch):
         landed.clear()
         searches.clear()
         machine_meets.clear()
+        tabled.clear()
+        drains.clear()
         first = execution.language(machines[name], test, 4,
                                    max_steps=max_steps)
         first_log = list(log)
+        # the table holds apply, compose, the split and the machine side's
+        # meets, each once, and no meet of two sets
+        assert [fn for fn, _ in tabled[:3]] == [
+            Realizer.apply, Realizer.compose, execution._split], case
+        assert len(tabled) == 4, case
+        assert {id(args[1]["F"]) for _, args in drains} == {
+            id(tabled[3][1])}, case
         landings = {i for begin, end in landed for i in range(begin, end)}
-        # every compose and intersect the search makes goes through it,
-        # the searches of words the budget sends back included
+        # no compose the table holds and no meet the per-set plans and
+        # machine-side entry hold is made twice, the searches of words the
+        # budget sends back included
         searched = [entry for i, entry in enumerate(first_log)
                     if i not in landings]
         assert searched and len(set(searched)) == len(searched), case
@@ -776,6 +799,30 @@ def test_language_decides_each_exit_once_per_length(monkeypatch):
     # on branchy.mach under nl, nodes below one that landed make 38 exits
     # that none reads; the other cases make no exit below a landing
     assert skipped == {("branchy.mach", "nl"): 38}, skipped
+
+
+def test_a_run_meets_and_subtracts_no_set_before_its_first_drain(
+        monkeypatch):
+    """The cut and each side's start are read off by the split: when one
+    carrier holds the other's cells whole, as a machine's holds a word's
+    and as the sides of a sampled pair do, setting a run up meets and
+    subtracts no set."""
+    from graphvm import execution
+    from graphvm.encodings import encode_word
+    runs = [(m.graphing, encode_word(word, m.layout,
+                                     len(m.spec.states)).graphing)
+            for _, m in _shipped_machines()
+            for word in ("", m.spec.alphabet[0] * 3)]
+    runs += [random_pair(seed, mode) for seed in range(6)
+             for mode in ("det", "prob")]
+    log = log_calls(monkeypatch, (MeasurableSet, "intersect"),
+                    (MeasurableSet, "subtract"))
+    for f, g in runs:
+        # as ``plug`` does up to its first drain
+        search = execution._Search(f, g, 10000, execution._ops())
+        search.start("F", f)
+        search.start("G", g)
+        assert search.queue and log == [], [name for name, _ in log]
 
 
 def test_a_lone_plug_keeps_no_table(monkeypatch):

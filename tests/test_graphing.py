@@ -375,30 +375,31 @@ def test_edges_meeting_matches_a_scan_of_every_edge():
             assert list(g.edges_meeting(s)) == scan
 
 
-def test_edges_that_share_a_source_share_one_meet():
+def test_edges_that_share_a_source_share_one_meet(monkeypatch):
     from graphvm.encodings import encode_machine
     # a nondet or prob branch pair shares its source object, and so do
     # the actions of one machine transition
     corpus = [g for seed in range(6) for mode in ("nondet", "prob")
               for g in random_pair(seed, mode)]
     corpus.append(encode_machine(shipped("guess-11.mach")).graphing)
+    # the queries and their scans are built before the meets are logged
+    cases = [(g, s, list(g.edges_meeting(s)))
+             for g in corpus for s in _queries(g)]
+    met = log_calls(monkeypatch, (MeasurableSet, "intersect"))
     shared = 0
-    for g in corpus:
-        for s in _queries(g):
-            met = []
-
-            def intersect(a, b):
-                met.append(b)
-                return a.intersect(b)
-
-            got = list(g.edges_meeting(s, intersect))
-            # one meet per distinct source object of the edges over s
-            assert sorted(map(id, met)) == sorted(
-                {id(g.edges[idx].source) for idx in g.edges_over(s)})
-            meet_of = {}
-            for _, e, meet in got:
-                assert meet_of.setdefault(id(e.source), meet) is meet
-            shared += len(got) - len(meet_of)
+    for g, s, want in cases:
+        met.clear()
+        got = list(g.edges_meeting(s))
+        assert got == want
+        # one meet per distinct source object of the edges over s, each of
+        # s with that source
+        assert all(args[0] is s for _, args in met)
+        assert sorted(id(args[1]) for _, args in met) == sorted(
+            {id(g.edges[idx].source) for idx in g.edges_over(s)})
+        meet_of = {}
+        for _, e, meet in got:
+            assert meet_of.setdefault(id(e.source), meet) is meet
+        shared += len(got) - len(meet_of)
     assert shared > 0
 
 
