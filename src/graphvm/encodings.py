@@ -29,7 +29,7 @@ from functools import lru_cache
 from .space import (MeasurableSet, RationalBox, RationalInterval, lazy,
                     whole_cells)
 from .realizers import Microcosm, Realizer
-from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, validate
+from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, UNIT, validate
 from .machines import (ACCEPT, ADVANCE, MARKER, MachineSpec,
                        alphabet_problems, validate_spec)
 from .execution import PlugResult, Regions, accept_mass, plug, reject_mass
@@ -113,7 +113,7 @@ def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
     ``dst_pos`` in ``dst_cell``, with the unit sliced into ``cells``."""
     realizer = Realizer.make(dst_cell - src_cell, None,
                              {1: Fraction(dst_pos - src_pos, cells)})
-    return Edge(Fraction(1), _slice_source(src_cell, src_pos, cells),
+    return Edge(UNIT, _slice_source(src_cell, src_pos, cells),
                 realizer)
 
 
@@ -341,7 +341,7 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     layout = TapeLayout(tuple(spec.alphabet))
     row_of = {state: i for i, state in enumerate(spec.states)}
 
-    edges = [Edge(Fraction(1), whole_cells((layout.accept_cell(),)),
+    edges = [Edge(UNIT, whole_cells((layout.accept_cell(),)),
                   Realizer.shift_by(layout.symbol_cell(MARKER, OUT)
                                     - layout.accept_cell()))]
     edges.extend(_response_edges(spec, layout, row_of))

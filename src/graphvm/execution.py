@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .space import _EMPTY, MeasurableSet, _exact, _ratio_sum, lazy
+from .space import _EMPTY, ZERO, MeasurableSet, _exact, _ratio_sum, lazy
 from .realizers import Realizer
 from .graphing import Edge, Graphing, join_monoids, validate
 from .machines import require_probabilities
@@ -276,7 +276,7 @@ class _Search:
         self.carrier = _EMPTY             # grows with each side started
         self.complete = True
         self.steps = 0
-        self.unresolved_mass = self.looping_mass = Fraction(0)
+        self.unresolved_mass = self.looping_mass = ZERO
         self.exits: list[tuple[Edge, _Node]] = []
         self.open_nodes: list = []       # as ``Diagnostics._open_nodes``
         # each path: the part of its image inside the cut, and its node

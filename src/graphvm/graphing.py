@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .space import MeasurableSet, _ratio_sum, lazy
+from .space import MeasurableSet, _ratio_sum, _reduce, lazy
 from .realizers import Microcosm, Realizer
 
 UNIT = Fraction(1)
@@ -81,11 +81,22 @@ def join_monoids(a: WeightMonoid, b: WeightMonoid) -> WeightMonoid:
     return b if isinstance(a, TrivialWeights) else a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
+    # "__dict__" holds the lazy attributes
+    __slots__ = ("weight", "source", "realizer", "__dict__")
+
     weight: Fraction
     source: MeasurableSet
     realizer: Realizer
+
+    # writes the slots past the frozen guard, as ``RationalBox`` does
+    def __init__(self, weight, source, realizer):
+        _set_weight(self, weight)
+        _set_source(self, source)
+        _set_realizer(self, realizer)
+
+    __reduce__ = _reduce
 
     @lazy
     def target(self) -> MeasurableSet:
@@ -97,6 +108,11 @@ class Edge:
                 self.realizer.key(), self.weight)
 
 
+_set_weight = Edge.weight.__set__
+_set_source = Edge.source.__set__
+_set_realizer = Edge.realizer.__set__
+
+
 class GraphingClass(enum.Enum):
     DETERMINISTIC = "deterministic"
     NONDETERMINISTIC = "nondeterministic"
@@ -104,12 +120,23 @@ class GraphingClass(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graphing:
+    # "__dict__" holds the lazy attributes
+    __slots__ = ("weights", "microcosm", "carrier", "edges", "__dict__")
+
     weights: WeightMonoid
     microcosm: Microcosm
     carrier: MeasurableSet
     edges: tuple[Edge, ...]
+
+    def __init__(self, weights, microcosm, carrier, edges):
+        _set_weights(self, weights)
+        _set_microcosm(self, microcosm)
+        _set_carrier(self, carrier)
+        _set_edges(self, edges)
+
+    __reduce__ = _reduce
 
     @staticmethod
     def make(weights, microcosm, carrier, edges) -> "Graphing":
@@ -159,6 +186,12 @@ class Graphing:
     @lazy
     def _problems(self) -> tuple[str, ...]:
         return tuple(_find_problems(self))
+
+
+_set_weights = Graphing.weights.__set__
+_set_microcosm = Graphing.microcosm.__set__
+_set_carrier = Graphing.carrier.__set__
+_set_edges = Graphing.edges.__set__
 
 
 def validate(g: Graphing) -> list[str]:

@@ -32,11 +32,11 @@ Missing (state, symbol) entries halt the run dead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .space import lazy
+from .space import ONE, _reduce, lazy
 
 MARKER = "*"
 
@@ -62,26 +62,59 @@ class MachineSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Action:
+    __slots__ = ("kind", "weight", "swap", "goto")
+
     kind: str                    # advance | retreat | accept | reject
-    weight: Fraction = Fraction(1)
-    swap: int | None = None      # head to activate first
-    goto: str | None = None      # next state, None for terminals
+    weight: Fraction
+    swap: int | None             # head to activate first
+    goto: str | None             # next state, None for terminals
+
+    # writes the slots past the frozen guard, as ``space.RationalBox`` does
+    def __init__(self, kind, weight=ONE, swap=None, goto=None):
+        _set_kind(self, kind)
+        _set_weight(self, weight)
+        _set_swap(self, swap)
+        _set_goto(self, goto)
+
+    __reduce__ = _reduce
 
     def is_terminal(self) -> bool:
         return self.kind in _TERMINALS
 
 
-@dataclass(frozen=True)
+_set_kind = Action.kind.__set__
+_set_weight = Action.weight.__set__
+_set_swap = Action.swap.__set__
+_set_goto = Action.goto.__set__
+
+
+@dataclass(frozen=True, init=False)
 class MachineSpec:
+    # "__dict__" holds the lazy attributes
+    __slots__ = ("name", "alphabet", "heads", "states", "mode", "two_way",
+                 "transitions", "__dict__")
+
     name: str
     alphabet: tuple[str, ...]
     heads: int
     states: tuple[str, ...]      # first entry is the initial state
     mode: str                    # det | nondet | prob
     two_way: bool
-    transitions: tuple[tuple[tuple[str, str], tuple[Action, ...]], ...] = field(default=())
+    transitions: tuple[tuple[tuple[str, str], tuple[Action, ...]], ...]
+
+    def __init__(self, name, alphabet, heads, states, mode, two_way,
+                 transitions=()):
+        _set_name(self, name)
+        _set_alphabet(self, alphabet)
+        _set_heads(self, heads)
+        _set_states(self, states)
+        _set_mode(self, mode)
+        _set_two_way(self, two_way)
+        _set_transitions(self, transitions)
+
+    __reduce__ = _reduce
 
     @property
     def initial(self) -> str:
@@ -103,6 +136,15 @@ class MachineSpec:
     @lazy
     def _problems(self) -> tuple[str, ...]:
         return tuple(_find_problems(self))
+
+
+_set_name = MachineSpec.name.__set__
+_set_alphabet = MachineSpec.alphabet.__set__
+_set_heads = MachineSpec.heads.__set__
+_set_states = MachineSpec.states.__set__
+_set_mode = MachineSpec.mode.__set__
+_set_two_way = MachineSpec.two_way.__set__
+_set_transitions = MachineSpec.transitions.__set__
 
 
 def require_probabilities(spec: MachineSpec) -> None:
@@ -204,7 +246,7 @@ def parse_rational(text: str) -> Fraction:
 
 def _parse_action(tokens: list[str], line_no: int) -> Action:
     idx = 0
-    weight = Fraction(1)
+    weight = ONE
     if tokens and (tokens[0][0].isdigit() or "/" in tokens[0]):
         try:
             weight = parse_rational(tokens[0])

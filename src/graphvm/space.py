@@ -18,12 +18,19 @@ meet of boxes that cuts nothing, a set meet or restriction that leaves
 every box whole, a difference that removes nothing.  Half-open
 intervals make finite partitions exact rather than almost-everywhere,
 so emptiness checks replace null-measure conditions.
+
+The value types built at every step (intervals, boxes and sets here;
+realizers, microcosms, edges, graphings, actions and machine specs
+elsewhere) keep their fields in ``__slots__`` and are built by their own
+``__init__``, which stores each field through its slot descriptor past
+the immutability guard: a frozen dataclass's generated ``__init__``
+pays an ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational, Real
@@ -43,7 +50,8 @@ def _exact(value) -> Fraction:
 class lazy:
     """A per-instance attribute computed on first read and stored in the
     instance ``__dict__``, where every later read finds it without
-    calling back here.
+    calling back here.  A slotted class with a lazy attribute keeps
+    ``"__dict__"`` among its slots for it.
 
     Unlike ``functools.cached_property`` on Python 3.11 it takes no
     lock: two threads racing on a first read both compute the value,
@@ -154,7 +162,9 @@ class RationalInterval:
         return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
 
-# construction writes the slots past the immutability guard
+# Construction writes the slots past the immutability guard.  Every hot
+# value type below is built so, through its slot descriptors: a frozen
+# dataclass's own ``__init__`` pays an ``object.__setattr__`` per field.
 _new = object.__new__
 _set_a = RationalInterval.a.__set__
 _set_b = RationalInterval.b.__set__
@@ -174,7 +184,14 @@ def _scaled(iv: RationalInterval, scale: int) -> tuple[int, int]:
     return iv.a * m, iv.b * m
 
 
-@dataclass(frozen=True)
+def _reduce(self):
+    """``__reduce__`` of the slotted frozen dataclasses: rebuild through
+    ``__init__`` from the field values, so lazy attributes are computed
+    afresh, for ``copy`` and ``pickle``."""
+    return type(self), tuple([getattr(self, f.name) for f in fields(self)])
+
+
+@dataclass(frozen=True, init=False)
 class RationalBox:
     """One cell of Z with finitely many constrained cube coordinates.
 
@@ -184,8 +201,17 @@ class RationalBox:
     for single boxes.
     """
 
+    __slots__ = ("cell", "coords")
+
     cell: int
     coords: tuple[tuple[int, RationalInterval], ...]
+
+    # writes the slots past the frozen guard, as ``RationalInterval`` does
+    def __init__(self, cell, coords):
+        _set_cell(self, cell)
+        _set_coords(self, coords)
+
+    __reduce__ = _reduce
 
     @staticmethod
     def make(cell: int, coords: Mapping[int, RationalInterval] | None = None) -> "RationalBox":
@@ -251,6 +277,10 @@ class RationalBox:
     def __str__(self) -> str:
         inner = ", ".join(f"x{j} in {iv}" for j, iv in self.coords)
         return f"{{cell {self.cell}" + (f": {inner}}}" if inner else "}")
+
+
+_set_cell = RationalBox.cell.__set__
+_set_coords = RationalBox.coords.__set__
 
 
 # -- canonical form ---------------------------------------------------------
@@ -360,7 +390,7 @@ def _canonicalize(boxes: Iterable[RationalBox]) -> tuple[RationalBox, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurableSet:
     """Finite union of pairwise-disjoint boxes in canonical order.
 
@@ -369,7 +399,15 @@ class MeasurableSet:
     set, so ``==`` is point-set equality.
     """
 
+    # "__dict__" holds the lazy attributes
+    __slots__ = ("boxes", "__dict__")
+
     boxes: tuple[RationalBox, ...]
+
+    def __init__(self, boxes):
+        _set_boxes(self, boxes)
+
+    __reduce__ = _reduce
 
     # Sets are hashed as memo keys over and over; equality stays the
     # dataclass's structural one.
@@ -488,6 +526,8 @@ class MeasurableSet:
             return "{}"
         return " u ".join(str(b) for b in self.boxes)
 
+
+_set_boxes = MeasurableSet.boxes.__set__
 
 _EMPTY = MeasurableSet(())
 
