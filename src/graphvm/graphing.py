@@ -12,12 +12,11 @@ emptiness, which the half-open box representation makes equivalent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .space import MeasurableSet, _ratio_sum, _reduce, lazy
+from .space import MeasurableSet, _ratio_sum, lazy, value_type
 from .realizers import Microcosm, Realizer
 
 UNIT = Fraction(1)
@@ -42,11 +41,17 @@ class WeightMonoid:
     def __repr__(self):
         return f"<{self.name} weights>"
 
+    def __reduce__(self):
+        """The name of the module constant this monoid is, which copy and
+        pickle give back itself: monoids compare by identity."""
+        return self.constant
+
 
 class TrivialWeights(WeightMonoid):
     """The one-element monoid: every edge weighs 1."""
 
     name = "trivial"
+    constant = "TRIVIAL"
 
     def product(self, a, b):
         return UNIT
@@ -62,6 +67,7 @@ class ProbabilityWeights(WeightMonoid):
     """Rationals in [0,1] under multiplication."""
 
     name = "probabilities"
+    constant = "PROBABILITIES"
 
     def product(self, a, b):
         return a * b
@@ -81,22 +87,11 @@ def join_monoids(a: WeightMonoid, b: WeightMonoid) -> WeightMonoid:
     return b if isinstance(a, TrivialWeights) else a
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class Edge:
-    # "__dict__" holds the lazy attributes
-    __slots__ = ("weight", "source", "realizer", "__dict__")
-
     weight: Fraction
     source: MeasurableSet
     realizer: Realizer
-
-    # writes the slots past the frozen guard, as ``RationalBox`` does
-    def __init__(self, weight, source, realizer):
-        _set_weight(self, weight)
-        _set_source(self, source)
-        _set_realizer(self, realizer)
-
-    __reduce__ = _reduce
 
     @lazy
     def target(self) -> MeasurableSet:
@@ -108,11 +103,6 @@ class Edge:
                 self.realizer.key(), self.weight)
 
 
-_set_weight = Edge.weight.__set__
-_set_source = Edge.source.__set__
-_set_realizer = Edge.realizer.__set__
-
-
 class GraphingClass(enum.Enum):
     DETERMINISTIC = "deterministic"
     NONDETERMINISTIC = "nondeterministic"
@@ -120,23 +110,12 @@ class GraphingClass(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class Graphing:
-    # "__dict__" holds the lazy attributes
-    __slots__ = ("weights", "microcosm", "carrier", "edges", "__dict__")
-
     weights: WeightMonoid
     microcosm: Microcosm
     carrier: MeasurableSet
     edges: tuple[Edge, ...]
-
-    def __init__(self, weights, microcosm, carrier, edges):
-        _set_weights(self, weights)
-        _set_microcosm(self, microcosm)
-        _set_carrier(self, carrier)
-        _set_edges(self, edges)
-
-    __reduce__ = _reduce
 
     @staticmethod
     def make(weights, microcosm, carrier, edges) -> "Graphing":
@@ -186,12 +165,6 @@ class Graphing:
     @lazy
     def _problems(self) -> tuple[str, ...]:
         return tuple(_find_problems(self))
-
-
-_set_weights = Graphing.weights.__set__
-_set_microcosm = Graphing.microcosm.__set__
-_set_carrier = Graphing.carrier.__set__
-_set_edges = Graphing.edges.__set__
 
 
 def validate(g: Graphing) -> list[str]:

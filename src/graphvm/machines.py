@@ -32,11 +32,10 @@ Missing (state, symbol) entries halt the run dead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .space import ONE, _reduce, lazy
+from .space import ONE, lazy, value_type
 
 MARKER = "*"
 
@@ -62,59 +61,26 @@ class MachineSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class Action:
-    __slots__ = ("kind", "weight", "swap", "goto")
-
     kind: str                    # advance | retreat | accept | reject
-    weight: Fraction
-    swap: int | None             # head to activate first
-    goto: str | None             # next state, None for terminals
-
-    # writes the slots past the frozen guard, as ``space.RationalBox`` does
-    def __init__(self, kind, weight=ONE, swap=None, goto=None):
-        _set_kind(self, kind)
-        _set_weight(self, weight)
-        _set_swap(self, swap)
-        _set_goto(self, goto)
-
-    __reduce__ = _reduce
+    weight: Fraction = ONE
+    swap: int | None = None      # head to activate first
+    goto: str | None = None      # next state, None for terminals
 
     def is_terminal(self) -> bool:
         return self.kind in _TERMINALS
 
 
-_set_kind = Action.kind.__set__
-_set_weight = Action.weight.__set__
-_set_swap = Action.swap.__set__
-_set_goto = Action.goto.__set__
-
-
-@dataclass(frozen=True, init=False)
+@value_type
 class MachineSpec:
-    # "__dict__" holds the lazy attributes
-    __slots__ = ("name", "alphabet", "heads", "states", "mode", "two_way",
-                 "transitions", "__dict__")
-
     name: str
     alphabet: tuple[str, ...]
     heads: int
     states: tuple[str, ...]      # first entry is the initial state
     mode: str                    # det | nondet | prob
     two_way: bool
-    transitions: tuple[tuple[tuple[str, str], tuple[Action, ...]], ...]
-
-    def __init__(self, name, alphabet, heads, states, mode, two_way,
-                 transitions=()):
-        _set_name(self, name)
-        _set_alphabet(self, alphabet)
-        _set_heads(self, heads)
-        _set_states(self, states)
-        _set_mode(self, mode)
-        _set_two_way(self, two_way)
-        _set_transitions(self, transitions)
-
-    __reduce__ = _reduce
+    transitions: tuple[tuple[tuple[str, str], tuple[Action, ...]], ...] = ()
 
     @property
     def initial(self) -> str:
@@ -136,15 +102,6 @@ class MachineSpec:
     @lazy
     def _problems(self) -> tuple[str, ...]:
         return tuple(_find_problems(self))
-
-
-_set_name = MachineSpec.name.__set__
-_set_alphabet = MachineSpec.alphabet.__set__
-_set_heads = MachineSpec.heads.__set__
-_set_states = MachineSpec.states.__set__
-_set_mode = MachineSpec.mode.__set__
-_set_two_way = MachineSpec.two_way.__set__
-_set_transitions = MachineSpec.transitions.__set__
 
 
 def require_probabilities(spec: MachineSpec) -> None:

@@ -14,12 +14,11 @@ microcosms is decidable by inspection rather than word search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ZERO,
-                    ONE, _exact, _reduce, lazy)
+                    ONE, _exact, lazy, value_type)
 
 
 class DomainViolation(ValueError):
@@ -41,22 +40,11 @@ def _normalize_perm(perm: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(moved.items()))
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class Realizer:
-    # "__dict__" holds the lazy attributes
-    __slots__ = ("shift", "perm", "offsets", "__dict__")
-
     shift: int
-    perm: tuple[tuple[int, int], ...]
-    offsets: tuple[tuple[int, Fraction], ...]
-
-    # writes the slots past the frozen guard, as ``RationalBox`` does
-    def __init__(self, shift, perm=(), offsets=()):
-        _set_shift(self, shift)
-        _set_perm(self, perm)
-        _set_offsets(self, offsets)
-
-    __reduce__ = _reduce
+    perm: tuple[tuple[int, int], ...] = ()
+    offsets: tuple[tuple[int, Fraction], ...] = ()
 
     # Hashing the offsets' Fractions is dear, and realizers are memo keys;
     # equality stays the dataclass's structural one.
@@ -275,10 +263,6 @@ class Realizer:
         return self.text()
 
 
-_set_shift = Realizer.shift.__set__
-_set_perm = Realizer.perm.__set__
-_set_offsets = Realizer.offsets.__set__
-
 _IDENTITY = Realizer(0)
 
 
@@ -294,7 +278,7 @@ def preimage_within(r: Realizer, source: MeasurableSet,
 _KIND_ORDER = {"m1": 0, "mi": 1, "minf": 2, "macro": 3}
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class Microcosm:
     """A named composition-closed family of realizers, on the chain
     m1 < mi(2) < mi(3) < ... < minf < macro.
@@ -305,16 +289,8 @@ class Microcosm:
     inspecting the realizer.
     """
 
-    __slots__ = ("kind", "arity")
-
     kind: str
-    arity: int
-
-    def __init__(self, kind, arity=0):
-        _set_kind(self, kind)
-        _set_arity(self, arity)
-
-    __reduce__ = _reduce
+    arity: int = 0
 
     @staticmethod
     def m1() -> "Microcosm":
@@ -352,10 +328,6 @@ class Microcosm:
         if self.kind == "mi":
             return f"mi({self.arity})"
         return self.kind
-
-
-_set_kind = Microcosm.kind.__set__
-_set_arity = Microcosm.arity.__set__
 
 
 def standard_generators(i: int) -> list[Realizer]:

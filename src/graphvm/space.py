@@ -19,18 +19,17 @@ every box whole, a difference that removes nothing.  Half-open
 intervals make finite partitions exact rather than almost-everywhere,
 so emptiness checks replace null-measure conditions.
 
-The value types built at every step (intervals, boxes and sets here;
-realizers, microcosms, edges, graphings, actions and machine specs
-elsewhere) keep their fields in ``__slots__`` and are built by their own
-``__init__``, which stores each field through its slot descriptor past
-the immutability guard: a frozen dataclass's generated ``__init__``
-pays an ``object.__setattr__`` per field.
+The value types built at every step (boxes and sets here; realizers,
+microcosms, edges, graphings, actions and machine specs elsewhere) are
+declared with ``value_type``: frozen dataclasses whose fields are
+``__slots__``, stored through the slot descriptors by a generated
+``__init__``.  Intervals are written the same way, by hand.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational, Real
@@ -50,8 +49,8 @@ def _exact(value) -> Fraction:
 class lazy:
     """A per-instance attribute computed on first read and stored in the
     instance ``__dict__``, where every later read finds it without
-    calling back here.  A slotted class with a lazy attribute keeps
-    ``"__dict__"`` among its slots for it.
+    calling back here.  ``value_type`` keeps ``"__dict__"`` among the
+    slots of a class with a lazy attribute, for it.
 
     Unlike ``functools.cached_property`` on Python 3.11 it takes no
     lock: two threads racing on a first read both compute the value,
@@ -113,6 +112,11 @@ class RationalInterval:
     def __setattr__(self, name, value):
         raise AttributeError("RationalInterval is immutable")
 
+    # copy and pickle rebuild an interval through ``over``, as
+    # ``__setattr__`` refuses the slot state they would restore
+    def __reduce__(self):
+        return RationalInterval.over, (self.a, self.b, self.d)
+
     @property
     def lo(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -162,9 +166,7 @@ class RationalInterval:
         return f"RationalInterval(lo={self.lo!r}, hi={self.hi!r})"
 
 
-# Construction writes the slots past the immutability guard.  Every hot
-# value type below is built so, through its slot descriptors: a frozen
-# dataclass's own ``__init__`` pays an ``object.__setattr__`` per field.
+# Construction writes the slots past the immutability guard.
 _new = object.__new__
 _set_a = RationalInterval.a.__set__
 _set_b = RationalInterval.b.__set__
@@ -184,14 +186,46 @@ def _scaled(iv: RationalInterval, scale: int) -> tuple[int, int]:
     return iv.a * m, iv.b * m
 
 
-def _reduce(self):
-    """``__reduce__`` of the slotted frozen dataclasses: rebuild through
-    ``__init__`` from the field values, so lazy attributes are computed
-    afresh, for ``copy`` and ``pickle``."""
-    return type(self), tuple([getattr(self, f.name) for f in fields(self)])
+def value_type(cls):
+    """Declare ``cls`` one of the value types built at every step.
+
+    It becomes a frozen dataclass whose fields are its ``__slots__``, with
+    an ``__init__`` that stores each field through its slot descriptor,
+    past the frozen guard: a frozen dataclass's own ``__init__`` pays an
+    ``object.__setattr__`` per field.  A default in the class body is
+    that parameter's default, and a class with a ``lazy`` attribute keeps
+    a ``"__dict__"`` slot for it.  ``copy`` and ``pickle`` rebuild an
+    instance through ``__init__``, so its lazy attributes are computed
+    afresh.  As under ``dataclass(slots=True)``, which keeps no
+    ``"__dict__"`` slot, the class is built anew, since a default and a
+    slot of one name conflict.
+    """
+    body = dict(cls.__dict__)
+    names = tuple(body["__annotations__"])
+    defaults = {name: body.pop(name) for name in names if name in body}
+    has_lazy = any(isinstance(value, lazy) for value in body.values())
+    del body["__dict__"], body["__weakref__"]
+    body["__slots__"] = names + ("__dict__",) * has_lazy
+    cls = dataclass(frozen=True, init=False)(
+        type(cls)(cls.__name__, cls.__bases__, body))
+    env = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    env.update({f"_default_{name}": value
+                for name, value in defaults.items()})
+    params = ", ".join(f"{name}=_default_{name}" if name in defaults
+                       else name for name in names)
+    exec(f"def __init__(self, {params}):\n" + "".join(
+        f"    _set_{name}(self, {name})\n" for name in names), env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __reduce__(self):
+        return cls, tuple([getattr(self, name) for name in names])
+
+    cls.__reduce__ = __reduce__
+    return cls
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class RationalBox:
     """One cell of Z with finitely many constrained cube coordinates.
 
@@ -201,17 +235,8 @@ class RationalBox:
     for single boxes.
     """
 
-    __slots__ = ("cell", "coords")
-
     cell: int
     coords: tuple[tuple[int, RationalInterval], ...]
-
-    # writes the slots past the frozen guard, as ``RationalInterval`` does
-    def __init__(self, cell, coords):
-        _set_cell(self, cell)
-        _set_coords(self, coords)
-
-    __reduce__ = _reduce
 
     @staticmethod
     def make(cell: int, coords: Mapping[int, RationalInterval] | None = None) -> "RationalBox":
@@ -277,10 +302,6 @@ class RationalBox:
     def __str__(self) -> str:
         inner = ", ".join(f"x{j} in {iv}" for j, iv in self.coords)
         return f"{{cell {self.cell}" + (f": {inner}}}" if inner else "}")
-
-
-_set_cell = RationalBox.cell.__set__
-_set_coords = RationalBox.coords.__set__
 
 
 # -- canonical form ---------------------------------------------------------
@@ -390,7 +411,7 @@ def _canonicalize(boxes: Iterable[RationalBox]) -> tuple[RationalBox, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class MeasurableSet:
     """Finite union of pairwise-disjoint boxes in canonical order.
 
@@ -399,15 +420,7 @@ class MeasurableSet:
     set, so ``==`` is point-set equality.
     """
 
-    # "__dict__" holds the lazy attributes
-    __slots__ = ("boxes", "__dict__")
-
     boxes: tuple[RationalBox, ...]
-
-    def __init__(self, boxes):
-        _set_boxes(self, boxes)
-
-    __reduce__ = _reduce
 
     # Sets are hashed as memo keys over and over; equality stays the
     # dataclass's structural one.
@@ -526,8 +539,6 @@ class MeasurableSet:
             return "{}"
         return " u ".join(str(b) for b in self.boxes)
 
-
-_set_boxes = MeasurableSet.boxes.__set__
 
 _EMPTY = MeasurableSet(())
 

@@ -3,6 +3,7 @@ live in ``__slots__`` and are stored through their slot descriptors."""
 
 import copy
 import dataclasses
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -45,6 +46,19 @@ CASES = [
                   mode="prob", two_way=True, transitions=SPEC.transitions)]),
 ]
 
+# each constructor's signature, as its hand-written ``__init__`` spelled it
+SIGNATURES = {
+    RationalBox: lambda cell, coords: None,
+    MeasurableSet: lambda boxes: None,
+    Realizer: lambda shift, perm=(), offsets=(): None,
+    Microcosm: lambda kind, arity=0: None,
+    Edge: lambda weight, source, realizer: None,
+    Graphing: lambda weights, microcosm, carrier, edges: None,
+    Action: lambda kind, weight=Fraction(1), swap=None, goto=None: None,
+    MachineSpec: lambda name, alphabet, heads, states, mode, two_way,
+    transitions=(): None,
+}
+
 # the constructors' defaults, each call against the form that spells them out
 DEFAULTS = [
     (Realizer(4), Realizer(4, (), ())),
@@ -82,25 +96,21 @@ def test_the_value_types_are_slotted_frozen_dataclasses():
             cls.__init__.__code__.co_names), cls
         assert ("__dict__" in cls.__slots__) == has_dict, cls
         assert hasattr(x, "__dict__") == has_dict, cls
+        assert inspect.signature(cls) == inspect.signature(SIGNATURES[cls])
     for called, spelled in DEFAULTS:
         assert called == spelled
 
 
 def test_copy_and_pickle_work_where_they_did():
-    """``copy.copy`` rebuilds all eight types; ``deepcopy`` and ``pickle``
-    rebuild the four whose fields hold no ``RationalInterval``, which
-    refuses them."""
-    picklable = (Realizer, Microcosm, Action, MachineSpec)
-    for x, *_ in CASES:
+    """``copy.copy``, ``deepcopy`` and ``pickle`` rebuild all eight types
+    and intervals, and a graphing's weight monoid is the module constant
+    it was, so the rebuilt graphing equals its original."""
+    for x in [x for x, *_ in CASES] + [interval("1/4", 1)]:
         assert copy.copy(x) == x
-        if isinstance(x, picklable):
-            assert copy.deepcopy(x) == x
-            assert pickle.loads(pickle.dumps(x)) == x
-        else:
-            with pytest.raises(AttributeError, match="immutable"):
-                copy.deepcopy(x)
-            with pytest.raises(AttributeError, match="immutable"):
-                pickle.loads(pickle.dumps(x))
+        assert copy.deepcopy(x) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+    for got in (copy.deepcopy(GRAPHING), pickle.loads(pickle.dumps(GRAPHING))):
+        assert got.weights is TRIVIAL
     # a copy is rebuilt through __init__, so its lazy attributes are
     # computed afresh, not carried over
     REALIZER.invert()
