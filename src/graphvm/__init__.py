@@ -18,9 +18,8 @@ from .encodings import (EncodedMachine, TapeLayout, WordEncoding,
                         run_word)
 from .oracle import (conl_accepts, dfa_accepts, nfa_accepts, oracle_language,
                      pfa_accept_prob, pfa_outcome_probs, words_up_to)
-from .equivalence import (CompilationWitness, PhiWord, build_treeing,
-                          compile_graphing, is_compilable, orbit, phi_words,
-                          separation_experiment, treeing_cost,
-                          unit_shift_witnesses)
+from .equivalence import (CompilationWitness, compile_graphing,
+                          is_compilable, orbit, separation_experiment,
+                          treeing_cost, unit_shift_witnesses)
 
 __version__ = "0.1.0"

@@ -9,35 +9,25 @@ generator words that compose to the same symbol.  Searches are bounded
 and three-valued: a negative only means nothing was found within the
 bounds.
 
-The cost side builds the canonical treeing of the coordinate-permutation
+The cost side is the canonical treeing of the coordinate-permutation
 action: boxes of dyadic ranks, refined wherever prefixes tie, each box
 carried by the head swap that moves its rank pattern one step closer to
-the sorted one.  The full treeing costs 1 - 1/i!; its truncation at
-dyadic depth d costs that times perm(2^d, i) / 2^(d i), the measure of
-the points whose coordinates have pairwise distinct d-bit prefixes.
+the sorted one.  Its cost is computed in closed form, without building
+the treeing: the full treeing costs 1 - 1/i!; its truncation at dyadic
+depth d costs that times perm(2^d, i) / 2^(d i), the measure of the
+points whose coordinates have pairwise distinct d-bit prefixes.  The
+tests build the treeing box by box as the reference for that form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
 
-from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ONE,
-                    ZERO, _exact)
+from .space import MeasurableSet, RationalBox, ONE, ZERO, _exact
 from .realizers import Microcosm, Realizer, standard_generators
-from .graphing import Edge, Graphing, TRIVIAL
-
-
-@dataclass(frozen=True)
-class PhiWord:
-    """A composite of generators and (optionally) their inverses, with
-    the exact domain the composition survives on."""
-
-    letters: tuple[tuple[int, int], ...]   # (generator index, +1 or -1)
-    realizer: Realizer
-    domain: tuple[tuple[int, RationalInterval], ...]
+from .graphing import Edge, Graphing
 
 
 def _word_states(generators, k: int, positive_only: bool):
@@ -74,15 +64,6 @@ def _word_states(generators, k: int, positive_only: bool):
                 nxt.append(state)
                 yield state
         frontier = nxt
-
-
-def phi_words(generators, k: int, positive_only: bool = False) -> list[PhiWord]:
-    """All distinct partial maps realized by generator words of length
-    <= k with nonempty domain (the empty word always included)."""
-    out = []
-    for word, comp, dom in _word_states(list(generators), k, positive_only):
-        out.append(PhiWord(word, comp, dom.coords))
-    return out
 
 
 def orbit(cell: int, values: dict[int, Fraction], generators,
@@ -226,76 +207,6 @@ def treeing_cost(i: int, depth: int) -> tuple[Fraction, Fraction]:
     total = 1 - Fraction(1, factorial(i))
     decided = Fraction(perm(2 ** depth, i), 2 ** (depth * i))
     return total * decided, total
-
-
-def _swap_parents(i: int) -> dict[tuple[int, ...], int]:
-    """Breadth-first spanning tree of the permutations of 1..i under the
-    head swaps: maps each non-identity ranking to the swap index moving
-    it one step closer to sorted."""
-    identity = tuple(range(1, i + 1))
-    parents: dict[tuple[int, ...], int] = {}
-    frontier = [identity]
-    seen = {identity}
-    while frontier:
-        nxt = []
-        for sigma in frontier:
-            for j in range(2, i + 1):
-                # left multiplication by the swap (1 j)
-                child = tuple(1 if v == j else j if v == 1 else v
-                              for v in sigma)
-                if child not in seen:
-                    seen.add(child)
-                    parents[child] = j
-                    nxt.append(child)
-        frontier = nxt
-    return parents
-
-
-def build_treeing(i: int, depth: int) -> Graphing:
-    """Explicit truncated treeing as a graphing: one edge per
-    non-sorted ranking, sourced on the dyadic boxes of cell 0 decided
-    within ``depth`` bits.  Its cost equals the partial sum of
-    :func:`treeing_cost`."""
-    if i < 2:
-        raise ValueError("need at least two coordinates to permute")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    parents = _swap_parents(i)
-    sources: dict[tuple[int, ...], list[RationalBox]] = {
-        sigma: [] for sigma in parents}
-
-    def refine(intervals: dict[int, RationalInterval], level: int):
-        groups: dict[tuple[Fraction, Fraction], list[int]] = {}
-        for j, iv in intervals.items():
-            groups.setdefault((iv.lo, iv.hi), []).append(j)
-        tied = [g for g in groups.values() if len(g) >= 2]
-        if not tied:
-            order = tuple(j for _, j in sorted(
-                (intervals[j].lo, j) for j in intervals))
-            if order in parents:
-                sources[order].append(RationalBox.make(0, intervals))
-            return
-        if level >= depth:
-            return
-        flat = [j for g in tied for j in g]
-        for bits in itertools.product((0, 1), repeat=len(flat)):
-            split = dict(intervals)
-            for j, bit in zip(flat, bits):
-                iv = intervals[j]
-                mid = (iv.lo + iv.hi) / 2
-                split[j] = RationalInterval(iv.lo, mid) if bit == 0 \
-                    else RationalInterval(mid, iv.hi)
-            refine(split, level + 1)
-
-    refine({j: FULL for j in range(1, i + 1)}, 0)
-    edges = []
-    for sigma in sorted(parents):
-        boxes = sources[sigma]
-        if boxes:
-            edges.append(Edge(Fraction(1), MeasurableSet.from_boxes(boxes),
-                              Realizer.head_swap(parents[sigma])))
-    carrier = MeasurableSet.of(RationalBox.make(0))
-    return Graphing.make(TRIVIAL, Microcosm.mi(i), carrier, edges)
 
 
 def separation_experiment(i: int, j: int, max_word_len: int = 6,

@@ -275,6 +275,35 @@ def test_the_package_imports_only_the_standard_library():
     assert not outside, outside
 
 
+def test_every_package_import_is_read():
+    """Each module-level import of a ``src/graphvm`` module is read in
+    that module; a name read only in an annotation counts.  No linter
+    ships with the package, so this is the check for stale imports.
+    ``__init__.py`` imports to re-export, and is left out."""
+    unread = []
+    package = os.path.join(ROOT, "src", "graphvm")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name.split(".")[0],
+                              node.lineno) for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound.update((alias.asname or alias.name, node.lineno)
+                             for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{name}:{line} {alias}"
+                   for alias, line in bound.items() if alias not in read]
+    assert not unread, unread
+
+
 def test_no_test_module_imports_another():
     """What several test modules share lives in the support modules
     beside them (``harness``, ``eagerplug``, ``gridmodel``), so that no

@@ -1,45 +1,45 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from graphvm.encodings import EncodedMachine, encode_machine
 from graphvm.equivalence import (CompilationWitness, WitnessError,
-                                 WitnessPiece, build_treeing, compile_graphing,
-                                 is_compilable, orbit, phi_words,
-                                 separation_experiment, treeing_cost,
-                                 unit_shift_witnesses)
+                                 WitnessPiece, _word_states, compile_graphing,
+                                 is_compilable, orbit, separation_experiment,
+                                 treeing_cost, unit_shift_witnesses)
 from graphvm.execution import T_DET, cycles, language, measurement, plug
 from graphvm.graphing import Edge, Graphing, TRIVIAL, cost, validate
 from graphvm.realizers import Microcosm, Realizer, standard_generators
-from graphvm.space import MeasurableSet, interval
+from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
 from harness import cellbox, ms, shipped, whole
 
 
-def test_phi_words_identity_only():
-    words = phi_words([], 0)
+def test_word_states_identity_only():
+    words = list(_word_states([], 0, False))
     assert len(words) == 1
-    assert words[0].realizer == Realizer.identity()
-    assert words[0].letters == ()
+    assert words[0][1] == Realizer.identity()  # the composite
+    assert words[0][0] == ()                   # the word
 
 
-def test_phi_words_involution_collapses():
-    words = phi_words([Realizer.head_swap(2)], 2, positive_only=True)
+def test_word_states_involution_collapses():
+    words = list(_word_states([Realizer.head_swap(2)], 2, True))
     assert len(words) == 2
-    assert {w.realizer for w in words} == {Realizer.identity(),
-                                           Realizer.head_swap(2)}
+    assert {c for _, c, _ in words} == {Realizer.identity(),
+                                        Realizer.head_swap(2)}
 
 
-def test_phi_words_shift_tower():
-    words = phi_words([Realizer.shift_by(1)], 3, positive_only=True)
-    assert sorted(w.realizer.shift for w in words) == [0, 1, 2, 3]
-    both = phi_words([Realizer.shift_by(1)], 2, positive_only=False)
-    assert sorted(w.realizer.shift for w in both) == [-2, -1, 0, 1, 2]
+def test_word_states_shift_tower():
+    words = _word_states([Realizer.shift_by(1)], 3, True)
+    assert sorted(c.shift for _, c, _ in words) == [0, 1, 2, 3]
+    both = _word_states([Realizer.shift_by(1)], 2, False)
+    assert sorted(c.shift for _, c, _ in both) == [-2, -1, 0, 1, 2]
 
 
-def test_phi_words_track_partial_domains():
+def test_word_states_track_partial_domains():
     g = Realizer.offset({1: Fraction(1, 2)})
-    words = phi_words([g], 2, positive_only=True)
-    by_len = {w.letters: dict(w.domain) for w in words}
+    words = list(_word_states([g], 2, True))
+    by_len = {word: domain.coord_map for word, _, domain in words}
     assert by_len[((0, 1),)][1] == interval(0, "1/2")
     # g twice is void, so only the empty word and g survive
     assert len(words) == 2
@@ -201,6 +201,76 @@ def test_invalid_witness_names_edge_and_part():
     assert "cover" in str(err.value)
 
 
+def _swap_parents(i: int) -> dict[tuple[int, ...], int]:
+    """Breadth-first spanning tree of the permutations of 1..i under the
+    head swaps: maps each non-identity ranking to the swap index moving
+    it one step closer to sorted."""
+    identity = tuple(range(1, i + 1))
+    parents: dict[tuple[int, ...], int] = {}
+    frontier = [identity]
+    seen = {identity}
+    while frontier:
+        nxt = []
+        for sigma in frontier:
+            for j in range(2, i + 1):
+                # left multiplication by the swap (1 j)
+                child = tuple(1 if v == j else j if v == 1 else v
+                              for v in sigma)
+                if child not in seen:
+                    seen.add(child)
+                    parents[child] = j
+                    nxt.append(child)
+        frontier = nxt
+    return parents
+
+
+def build_treeing(i: int, depth: int) -> Graphing:
+    """Explicit truncated treeing as a graphing: one edge per
+    non-sorted ranking, sourced on the dyadic boxes of cell 0 decided
+    within ``depth`` bits.  The reference for :func:`treeing_cost`,
+    whose partial sum must equal its cost."""
+    if i < 2:
+        raise ValueError("need at least two coordinates to permute")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    parents = _swap_parents(i)
+    sources: dict[tuple[int, ...], list[RationalBox]] = {
+        sigma: [] for sigma in parents}
+
+    def refine(intervals: dict[int, RationalInterval], level: int):
+        groups: dict[tuple[Fraction, Fraction], list[int]] = {}
+        for j, iv in intervals.items():
+            groups.setdefault((iv.lo, iv.hi), []).append(j)
+        tied = [g for g in groups.values() if len(g) >= 2]
+        if not tied:
+            order = tuple(j for _, j in sorted(
+                (intervals[j].lo, j) for j in intervals))
+            if order in parents:
+                sources[order].append(RationalBox.make(0, intervals))
+            return
+        if level >= depth:
+            return
+        flat = [j for g in tied for j in g]
+        for bits in itertools.product((0, 1), repeat=len(flat)):
+            split = dict(intervals)
+            for j, bit in zip(flat, bits):
+                iv = intervals[j]
+                mid = (iv.lo + iv.hi) / 2
+                split[j] = RationalInterval(iv.lo, mid) if bit == 0 \
+                    else RationalInterval(mid, iv.hi)
+            refine(split, level + 1)
+
+    refine({j: interval(0, 1) for j in range(1, i + 1)}, 0)
+    edges = []
+    for sigma in sorted(parents):
+        boxes = sources[sigma]
+        if boxes:
+            edges.append(Edge(Fraction(1), MeasurableSet.from_boxes(boxes),
+                              Realizer.head_swap(parents[sigma])))
+    carrier = MeasurableSet.of(RationalBox.make(0))
+    return Graphing.make(TRIVIAL, Microcosm.mi(i), carrier, edges)
+
+
 def test_treeing_cost_closed_forms():
     partial, total = treeing_cost(2, 4)
     assert partial == Fraction(15, 32)
@@ -281,7 +351,7 @@ def _two_cell_shift():
                           max_word_len=-1),
     lambda: is_compilable(Realizer.shift_by(1), [Realizer.shift_by(1)],
                           max_parts=-1),
-    lambda: phi_words([Realizer.shift_by(1)], -2),
+    lambda: next(_word_states([Realizer.shift_by(1)], -2, False)),
     lambda: orbit(0, {}, [Realizer.shift_by(1)], -1),
     lambda: plug(_two_cell_shift(), _two_cell_shift(), max_steps=-1),
     # the budget is checked before the operands: this one's source lies
@@ -292,7 +362,7 @@ def _two_cell_shift():
     lambda: language(encode_machine(shipped("ones.mach")), T_DET, 2,
                      max_steps=-1),
 ], ids=["cycles", "measurement", "is_compilable-word-len",
-        "is_compilable-parts", "phi_words", "orbit", "plug",
+        "is_compilable-parts", "word_states", "orbit", "plug",
         "plug-invalid-operand", "language"])
 def test_negative_search_bound_is_an_error(call):
     with pytest.raises(ValueError, match="nonnegative"):

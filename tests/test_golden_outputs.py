@@ -6,7 +6,8 @@ command list was added, so any output byte that changes between
 commits fails here.  ``test_outputs_are_deterministic`` in
 ``test_cli.py`` only compares two runs of the same code.  The closure
 and associativity experiments run with smaller ``--count`` values than
-the README's to keep this file fast.
+the README's to keep this file fast.  The README's "Programmatic use"
+block runs here too, so a public name it imports cannot go unnoticed.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from graphvm.cli import EXIT_OK, main
 from harness import MACHINES
 
 STDOUT = "<stdout>"
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 GOLDEN = [
     (["run", "ones.mach", "11"], {
@@ -90,3 +92,15 @@ def test_readme_command_writes_golden_bytes(argv, digests, tmp_path, capsys):
            for path in tmp_path.iterdir()}
     got[STDOUT] = _sha256(capsys.readouterr().out.encode())
     assert got == digests
+
+
+def test_readme_programmatic_use_prints_what_its_comments_state(
+        monkeypatch, capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Programmatic use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)  # the block loads machines/ones.mach
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Verdict.ACCEPT"
+    assert lines[2:] == ["(Fraction(53975, 65536), Fraction(5, 6))", "True"]
