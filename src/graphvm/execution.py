@@ -295,14 +295,18 @@ class _Search:
     def start(self, side: str, graphing: Graphing) -> None:
         """Queue a path per edge over ``graphing``'s carrier outside the
         cut, on its source's part outside it, and add that part of the
-        carrier to the result's."""
+        carrier to the result's.  An edge whose whole source lies
+        outside the cut, which the split returns as that source itself,
+        starts from its kept ``target``."""
         split, apply, cut = self.split, self.apply, self.cut
         outside = split(graphing.carrier, cut)[0]
         for idx in graphing.edges_over(outside):
             e = graphing.edges[idx]
             start = split(e.source, cut)[0]
             if start.boxes:
-                self.push(apply(e.realizer, start),
+                image = (e.target if start is e.source
+                         else apply(e.realizer, start))
+                self.push(image,
                           ((side, idx), start, e.realizer, e.weight, None))
         self.carrier = self.carrier.union(outside)
 

@@ -154,6 +154,24 @@ def test_sampling_refuses_an_unknown_mode_or_property():
         property_holds("closur", 1, "det", 100)
 
 
+def test_sampling_draws_what_randrange_and_choice_draw():
+    # sampling reads ``getrandbits`` through ``_below``, as this
+    # interpreter's ``randrange`` and ``choice`` do: if they ever draw
+    # otherwise, this fails before the seeded digests move
+    import random
+    from graphvm.sampling import _below
+    for seed in range(6):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        bits = mine.getrandbits
+        for n in range(1, 17):
+            seq = list(range(100, 100 + n))
+            for _ in range(3):
+                assert _below(bits, n) == theirs.randrange(n)
+                assert 3 + _below(bits, n) == theirs.randrange(3, 3 + n)
+                assert seq[_below(bits, n)] == theirs.choice(seq)
+        assert mine.getstate() == theirs.getstate()
+
+
 def _held_in_part(g, hi):
     """``g`` on a carrier that holds its middle cells, 10 to 12, only on
     [0, hi) of coordinate 1: each source met with the carrier, and the
@@ -849,6 +867,29 @@ def test_a_lone_plug_keeps_no_table(monkeypatch):
         second = plug(left, right)
         assert counted > 0 and len(log) == counted
         assert second.graphing.same_as(first.graphing)
+
+
+def test_a_plug_starts_a_whole_outside_source_from_its_kept_target(
+        monkeypatch):
+    # an edge whose whole source lies outside the cut starts from its
+    # ``target``, which the edge keeps: a second plug of the same pair
+    # applies no such edge's realizer again
+    log = log_calls(monkeypatch, (Realizer, "apply"))
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(4):
+            f, g = random_pair(seed, mode)
+            validate(f)
+            validate(g)
+            cut = f.carrier.intersect(g.carrier)
+            outside = sum(e.source.intersect(cut).is_empty()
+                          for side in (f, g) for e in side.edges)
+            log.clear()
+            first = plug(f, g)
+            applied = len(log)
+            log.clear()
+            second = plug(f, g)
+            assert outside > 0 and len(log) == applied - outside
+            assert second.graphing.same_as(first.graphing)
 
 
 # -- each graphing is checked once, however often it is plugged ----------------

@@ -123,6 +123,17 @@ def test_sampled_graphings_are_valid():
                 assert validate(g) == []
 
 
+def test_sampled_graphings_come_in_edge_key_order():
+    # sampling builds its graphings with no sort; these seeds reach every
+    # order of a same-source pair: the plain shift first, and a drawn plain
+    # shift against it, of lighter, heavier or equal weight
+    for mode in ("det", "nondet", "prob"):
+        for seed in range(200):
+            for g in random_pair(seed, mode) + random_triple(seed, mode):
+                assert g == Graphing.make(g.weights, g.microcosm, g.carrier,
+                                          g.edges)
+
+
 def _model_problems(g):
     """``validate`` on the grid model: the domain from the model's image
     of each source box, and containment in the carrier from bits."""
