@@ -474,7 +474,13 @@ def cycles(f: Graphing, g: Graphing,
 
     The support is the set of points of the first edge's source that land
     back in it after one lap.  A point that a permutation moves is counted
-    once, in the word it follows, and is not weighted by its period."""
+    once, in the word it follows, and is not weighted by its period.  As
+    the first edge is one of ``f``'s, the support is read off the first
+    argument's edge sources, and on a feedback pair the two argument
+    orders can differ: with ``f`` one identity edge on the whole of cell 2
+    and ``g`` one edge on [3/4, 1) of coordinate 1 in cell 2, offset
+    -3/4, ``cycles(f, g)`` finds one cycle of support [3/4, 1) and
+    ``cycles(g, f)`` finds none."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     sides = {"F": f, "G": g}
@@ -504,7 +510,11 @@ def measurement(f: Graphing, g: Graphing, m, max_len: int = 8):
     """Sum over the primitive cycles of support measure times ``m`` of the
     cycle's weight, where ``m`` is any function from a weight to a
     nonnegative rational or INFINITY; INFINITY as soon as an infinite
-    term has positive support."""
+    term has positive support.  The supports are those of ``cycles``, read
+    off ``f``'s edge sources, so the argument order can matter on a
+    feedback pair: on ``cycles``'s example, with ``m`` giving 1 to every
+    weight, ``measurement(f, g, m)`` is 1/4 and ``measurement(g, f, m)``
+    is 0."""
     total = Fraction(0)
     for cyc in cycles(f, g, max_len=max_len):
         value = m(cyc.weight)

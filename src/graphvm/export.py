@@ -59,7 +59,7 @@ def set_payload(s: MeasurableSet) -> str:
 
 
 def realizer_payload(r: Realizer) -> str:
-    offsets = _by_index((j, _quote(frac_str(c))) for j, c in r.offsets)
+    offsets = _by_index((j, _ratio_text(p, q)) for j, p, q in r.offsets)
     return (f'{{"offsets":{offsets},"perm":{_by_index(r.perm)},'
             f'"shift":{r.shift},"text":{_quote(r.text())}}}')
 

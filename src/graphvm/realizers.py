@@ -5,7 +5,10 @@ coordinates, adding a rational offset to finitely many of them, and
 shifting the cell: the output's coordinate j is ``x[perm^-1(j)] +
 offset[j]`` and the cell becomes ``n + shift``.  The map is defined
 exactly where every offset keeps its coordinate inside [0, 1); on that
-domain it is invertible and measure-preserving.
+domain it is invertible and measure-preserving.  Each offset is kept as
+an integer triple ``(j, p, q)``, the rational p/q in lowest terms with
+q > 0, as an interval keeps integer endpoints, so no ``Fraction`` is
+built, read or hashed when maps are applied, composed or inverted.
 
 The fixed order of action (permute, then offset, then shift) makes
 composition closed-form, so membership in the coordinate-permutation
@@ -15,7 +18,7 @@ microcosms is decidable by inspection rather than word search.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .space import (FULL, MeasurableSet, RationalBox, RationalInterval, ZERO,
                     ONE, _exact, lazy, value_type)
@@ -44,10 +47,11 @@ def _normalize_perm(perm: dict[int, int]) -> tuple[tuple[int, int], ...]:
 class Realizer:
     shift: int
     perm: tuple[tuple[int, int], ...] = ()
-    offsets: tuple[tuple[int, Fraction], ...] = ()
+    offsets: tuple[tuple[int, int, int], ...] = ()
 
-    # Hashing the offsets' Fractions is dear, and realizers are memo keys;
-    # equality stays the dataclass's structural one.
+    # Realizers are memo keys, hashed at every lookup, so the hash of the
+    # nested field tuples is worked out once; equality stays the
+    # dataclass's structural one.
     @lazy
     def _hash(self) -> int:
         return hash((self.shift, self.perm, self.offsets))
@@ -63,8 +67,9 @@ class Realizer:
             raise TypeError(f"shift must be an int, got {shift!r}")
         exact = ((j, c if type(c) is Fraction else _exact(c))
                  for j, c in (offsets or {}).items())
-        norm_off = tuple(sorted((j, c) for j, c in exact if c != 0))
-        if any(j < 1 for j, _ in norm_off):
+        norm_off = tuple(sorted((j, c.numerator, c.denominator)
+                                for j, c in exact if c != 0))
+        if any(j < 1 for j, _, _ in norm_off):
             raise ValueError("offsets apply to positive coordinates only")
         return Realizer(shift, _normalize_perm(perm or {}), norm_off)
 
@@ -111,8 +116,7 @@ class Realizer:
         searches and are dropped there).
         """
         out: dict[int, RationalInterval] = {}
-        for j, c in self.offsets:
-            p, q = c.numerator, c.denominator
+        for j, p, q in self.offsets:
             if not -q < p < q:
                 return None
             # [max(0, -c), min(1, 1 - c)) for the offset c = p/q
@@ -125,8 +129,7 @@ class Realizer:
         """Whether the map is defined on all of ``b``, so that
         ``apply_box(b)`` does not raise: each offset keeps the input
         interval it moves inside [0, 1), compared in integers."""
-        for j, c in self.offsets:
-            p, q = c.numerator, c.denominator
+        for j, p, q in self.offsets:
             iv = b.interval_at(self.perm_preimage(j))
             if iv.a * q + p * iv.d < 0 or iv.b * q + p * iv.d > q * iv.d:
                 return False
@@ -136,8 +139,7 @@ class Realizer:
         # coords[j] is the input interval at perm_preimage(j)
         coords = ({self.perm_image(j): iv for j, iv in b.coords}
                   if self.perm else dict(b.coords))
-        for j, c in self.offsets:
-            p, q = c.numerator, c.denominator
+        for j, p, q in self.offsets:
             src = coords.get(j, FULL)
             scale = lcm(src.d, q)
             m, k = scale // src.d, p * (scale // q)
@@ -165,8 +167,8 @@ class Realizer:
     def apply_point(self, cell: int, values: dict[int, Fraction]):
         """Image of a point, or None when outside the domain."""
         out = {self.perm_image(j): _exact(v) for j, v in values.items()}
-        for j, c in self.offsets:
-            out[j] = out.get(j, ZERO) + c
+        for j, p, q in self.offsets:
+            out[j] = out.get(j, ZERO) + Fraction(p, q)
         if not all(ZERO <= v < ONE for v in out.values()):
             return None
         return (cell + self.shift, {j: v for j, v in out.items() if v != 0})
@@ -190,28 +192,34 @@ class Realizer:
                 return Realizer(shift, (), self.offsets)
             if not self.offsets:
                 return Realizer(shift, (), then.offsets)
-            perm, offs = (), dict(self.offsets)
+            perm, offs = (), {t[0]: t for t in self.offsets}
         else:
             support = ({j for j, _ in self.perm} | {j for j, _ in then.perm}
                        | {k for _, k in self.perm} | {k for _, k in then.perm})
             perm = tuple(sorted(
                 (j, k) for j in support
                 if (k := then.perm_image(self.perm_image(j))) != j))
-            offs = ({then.perm_image(j): c for j, c in self.offsets}
-                    if then.perm else dict(self.offsets))
-        for j, c in then.offsets:
+            offs = ({(k := then.perm_image(j)): (k, p, q)
+                     for j, p, q in self.offsets}
+                    if then.perm else {t[0]: t for t in self.offsets})
+        for t in then.offsets:
+            j, r, s = t
             mine = offs.get(j)
             if mine is None:
-                offs[j] = c
+                offs[j] = t
                 continue
-            # p/q + r/s over q*s in integers; Fraction reduces it once
-            p = mine.numerator * c.denominator + c.numerator * mine.denominator
+            # p/q + r/s over q*s, reduced by their gcd
+            _, p, q = mine
+            p = p * s + r * q
             if p:
-                offs[j] = Fraction(p, mine.denominator * c.denominator)
+                q *= s
+                g = gcd(p, q)
+                offs[j] = (j, p // g, q // g)
             else:
                 del offs[j]
-        # every offset is a nonzero Fraction on a positive coordinate
-        return Realizer(shift, perm, tuple(sorted(offs.items())))
+        # every offset is a nonzero p/q in lowest terms on a positive
+        # coordinate, and no two share one, so the triples sort by it
+        return Realizer(shift, perm, tuple(sorted(offs.values())))
 
     def invert(self) -> "Realizer":
         return self._inverse
@@ -223,16 +231,15 @@ class Realizer:
         if not self.perm:
             # the offsets negated keep their coordinates and order
             return Realizer(-self.shift, (),
-                            tuple([(j, -c) for j, c in self.offsets]))
+                            tuple([(j, -p, q) for j, p, q in self.offsets]))
         # the inverse of a normal permutation is normal
         perm = tuple(sorted((k, j) for j, k in self.perm))
-        offs = tuple(sorted((self.perm_preimage(j), -c)
-                            for j, c in self.offsets))
+        offs = tuple(sorted((self.perm_preimage(j), -p, q)
+                            for j, p, q in self.offsets))
         return Realizer(-self.shift, perm, offs)
 
     def key(self):
-        return (self.shift, self.perm, tuple(
-            [(j, c.numerator, c.denominator) for j, c in self.offsets]))
+        return (self.shift, self.perm, self.offsets)
 
     def text(self) -> str:
         """Stable textual form: ``shift=k; perm=(a b)...; offsets=j:p/q,...``"""
@@ -256,7 +263,7 @@ class Realizer:
             parts.append("perm=" + "".join(cycles))
         if self.offsets:
             parts.append("offsets=" + ",".join(
-                f"{j}:{c.numerator}/{c.denominator}" for j, c in self.offsets))
+                f"{j}:{p}/{q}" for j, p, q in self.offsets))
         return "; ".join(parts)
 
     def __str__(self) -> str:

@@ -5,7 +5,9 @@ the cell index, so alternating paths always terminate and diagnostics
 stay clean, which is what the closure and associativity statements
 assume.  Sources are dyadic boxes, offsets dyadic rationals, and a
 transposition is thrown in now and then so permutation realizers get
-exercised too.
+exercised too.  Realizers are built in the normal form ``make`` gives,
+each offset the integer triple ``(j, p, q)`` with p/q in lowest terms,
+read from a table of the ``(p, q)`` pairs.
 
 Every draw comes straight from ``random.Random(seed).getrandbits``
 through ``_below``, which makes the draws ``randrange`` and ``choice``
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .space import MeasurableSet, RationalBox, RationalInterval, whole_cells
 from .realizers import Microcosm, Realizer
@@ -27,9 +30,11 @@ from .execution import plug
 
 # denominator of every sampled interval endpoint and offset
 GRID = 8
-# the offsets k/GRID, k nonzero, and the branch splits (k/4, 1 - k/4), as
-# the exact Fractions every edge would otherwise build again
-_OFFSETS = {k: Fraction(k, GRID) for k in range(1 - GRID, GRID) if k}
+# the offsets k/GRID, k nonzero, as the (p, q) pairs in lowest terms that
+# a realizer keeps, and the branch splits (k/4, 1 - k/4), as the exact
+# Fractions every edge would otherwise build again
+_OFFSETS = {k: (k // gcd(k, GRID), GRID // gcd(k, GRID))
+            for k in range(1 - GRID, GRID) if k}
 _SPLITS = {k: (Fraction(k, 4), 1 - Fraction(k, 4)) for k in range(1, 4)}
 
 
@@ -77,7 +82,7 @@ def _random_realizer(bits, src_cell: int, dst_cell: int,
         room_down = iv.a * GRID // iv.d
         room_up = (iv.d - iv.b) * GRID // iv.d
         choices = [k for k in range(-room_down, room_up + 1) if k != 0]
-        offsets = ((coord, _OFFSETS[choices[_below(bits, len(choices))]]),) \
+        offsets = ((coord, *_OFFSETS[choices[_below(bits, len(choices))]]),) \
             if choices else ()
     else:
         offsets = ()

@@ -7,7 +7,7 @@ bit per square, laid end to end in one integer: union, meet and
 difference are ``|``, ``&`` and ``& ~``.  Of a box the model reads only
 ``cell`` and ``coords``, pairs of an axis and an interval with integer
 fields ``a < b`` over ``d``, and of a realizer only ``shift``, the pairs
-of ``perm`` and the numerators and denominators of ``offsets``; it
+of ``perm`` and the integer triples ``(j, p, q)`` of ``offsets``; it
 imports nothing from graphvm.
 """
 
@@ -106,8 +106,7 @@ def image(realizer, box):
     offset in offset order."""
     perm, back = dict(realizer.perm), {k: j for j, k in realizer.perm}
     coords = {perm.get(j, j): iv for j, iv in box.coords}
-    for j, c in realizer.offsets:
-        p, q = c.numerator, c.denominator
+    for j, p, q in realizer.offsets:
         iv = coords.get(j, Interval(0, 1, 1))
         lo, hi = iv.a * q + p * iv.d, iv.b * q + p * iv.d
         if lo < 0 or hi > q * iv.d:

@@ -213,10 +213,10 @@ def test_validate_matches_the_set_algebra_reference():
         seen.update(kind for p in got for kind in _PROBLEM_KINDS if kind in p)
         for e in g.edges:
             seen["perm"] += bool(e.realizer.perm)
-            for j, c in e.realizer.offsets:
+            for j, p, _ in e.realizer.offsets:
                 free = all(b.interval_at(e.realizer.perm_preimage(j)).d == 1
                            for b in e.source.boxes)
-                seen["free" if free else "constrained", c > 0] += 1
+                seen["free" if free else "constrained", p > 0] += 1
             seen["several boxes"] += len(e.source.boxes) > 1
             for b in e.source.boxes:
                 # inside the carrier, but in no one of its boxes
@@ -249,7 +249,8 @@ def test_sampled_graphings_are_built_and_checked_box_by_box(monkeypatch):
     assert not any("target" in vars(e) for e in edges)
     for e in edges:
         r = e.realizer
-        made = Realizer.make(r.shift, dict(r.perm), dict(r.offsets))
+        made = Realizer.make(r.shift, dict(r.perm),
+                             {j: Fraction(p, q) for j, p, q in r.offsets})
         assert (r, hash(r), repr(r)) == (made, hash(made), repr(made))
         assert e.source == MeasurableSet.from_boxes(e.source.boxes)
     assert any(e.realizer.perm for e in edges)

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +12,8 @@ from gridmodel import Grid, image
 import graphvm.realizers as realizer_module
 from graphvm.realizers import (DomainViolation, Microcosm, Realizer,
                                preimage_within, standard_generators)
-from graphvm.sampling import random_pair
+from graphvm.encodings import TapeLayout, encode_word
+from graphvm.sampling import random_pair, random_triple
 from graphvm.space import MeasurableSet, RationalBox, interval
 from harness import log_calls, ms
 
@@ -110,7 +112,7 @@ def test_realizers_built_along_different_paths_hash_alike():
     assert [f.name for f in dataclasses.fields(Realizer)] == \
         ["shift", "perm", "offsets"]
     assert repr(made) == ("Realizer(shift=3, perm=((1, 2), (2, 1)), "
-                          "offsets=((2, Fraction(1, 4)),))")
+                          "offsets=((2, 1, 4),))")
 
 
 def test_invert_examples():
@@ -443,25 +445,29 @@ def _reference_compose(first, then):
     p, q = dict(first.perm), dict(then.perm)
     perm = {j: q.get(p.get(j, j), p.get(j, j)) for j in set(p) | set(q)}
     offsets = {}
-    for j, c in first.offsets:
+    for j, num, den in first.offsets:
         k = q.get(j, j)
-        offsets[k] = offsets.get(k, Fraction(0)) + c
-    for j, c in then.offsets:
-        offsets[j] = offsets.get(j, Fraction(0)) + c
+        offsets[k] = offsets.get(k, Fraction(0)) + Fraction(num, den)
+    for j, num, den in then.offsets:
+        offsets[j] = offsets.get(j, Fraction(0)) + Fraction(num, den)
     return Realizer.make(first.shift + then.shift, perm, offsets)
 
 
 def _reference_invert(r):
     back = {k: j for j, k in r.perm}
     return Realizer.make(-r.shift, back,
-                         {back.get(j, j): -c for j, c in r.offsets})
+                         {back.get(j, j): Fraction(-p, q)
+                          for j, p, q in r.offsets})
 
 
 def _check_normal(r):
-    assert all(type(j) is int and type(c) is Fraction and c != 0
-               for j, c in r.offsets)
-    assert list(r.offsets) == sorted(r.offsets)
-    assert len({j for j, _ in r.offsets}) == len(r.offsets)
+    """Each offset an integer triple ``(j, p, q)``: p/q nonzero and in
+    lowest terms with q positive, on a positive coordinate j, the
+    coordinates strictly ascending; the moved pairs sorted."""
+    assert all(type(j) is type(p) is type(q) is int and j >= 1 and q >= 1
+               and p != 0 and gcd(abs(p), q) == 1 for j, p, q in r.offsets)
+    coords = [j for j, _, _ in r.offsets]
+    assert all(a < b for a, b in zip(coords, coords[1:]))
     assert all(j != k for j, k in r.perm)
     assert list(r.perm) == sorted(r.perm)
 
@@ -504,8 +510,7 @@ def test_defined_on_is_exactly_where_apply_box_does_not_raise(r, b):
 def test_make_keeps_its_checks_and_wraps_only_what_is_no_fraction():
     third = Fraction(1, 3)
     r = Realizer.make(0, None, {2: third, 1: 0, 3: "1/6"})
-    assert r.offsets == ((2, third), (3, Fraction(1, 6)))
-    assert r.offsets[0][1] is third
+    assert r.offsets == ((2, 1, 3), (3, 1, 6))
     _check_normal(r)
     with pytest.raises(ValueError):
         Realizer.make(0, None, {0: third})
@@ -519,7 +524,7 @@ def test_compose_cancels_offsets_exactly():
     up = Realizer.offset({1: Fraction(1, 4), 2: Fraction(1, 6)})
     down = Realizer.offset({1: Fraction(-2, 8), 2: Fraction(1, 3)})
     both = up.compose(down)
-    assert both.offsets == ((2, Fraction(1, 2)),)
+    assert both.offsets == ((2, 1, 2),)
     _check_normal(both)
     assert up.compose(up.invert()) == Realizer.identity()
 
@@ -551,8 +556,8 @@ def test_offsets_on_both_sides_sum_per_coordinate(monkeypatch):
         want = _reference_compose(r1, r2)
         assert got == want and hash(got) == hash(want)
         _check_normal(got)
-        cancelled += len(dict(r1.offsets).keys() & dict(r2.offsets).keys()
-                         - dict(got.offsets).keys())
+        coords = [{j for j, _, _ in r.offsets} for r in (r1, r2, got)]
+        cancelled += len(coords[0] & coords[1] - coords[2])
     assert cancelled >= 60
     assert lookups == []
 
@@ -573,3 +578,68 @@ def test_inverse_is_cached_and_matches_the_reference():
         assert hash(inverse) == hash(_reference_invert(r))
         assert inverse.invert() == r
         _check_normal(inverse)
+
+
+def test_sampled_and_word_realizers_are_in_normal_form():
+    # sampling builds its realizers from its table of offsets and word
+    # edges are built through ``make``; both must be in make's normal form
+    drawn = {e.realizer for seed in range(20)
+             for mode in ("det", "nondet", "prob")
+             for g in (*random_pair(seed, mode), *random_triple(seed, mode))
+             for e in g.edges}
+    layout = TapeLayout(("0", "1"))
+    words = {e.realizer for word in ("", "0", "01", "0110", "10101")
+             for rows in (1, 3) for one_way in (False, True)
+             for e in encode_word(word, layout, rows, one_way).graphing.edges}
+    assert any(r.offsets and r.perm for r in drawn)
+    # k/8 reduces to halves and quarters too
+    assert {q for r in drawn for _, _, q in r.offsets} == {2, 4, 8}
+    assert any(r.offsets for r in words)
+    for r in drawn | words:
+        _check_normal(r)
+
+
+def test_offset_arithmetic_builds_no_fraction(monkeypatch):
+    # seeded maps with offsets, some permuting, composed both ways; most
+    # composites sum two offsets on one coordinate
+    rng = random.Random(58)
+
+    def draw():
+        perm = rng.choice((None, None, {1: 2, 2: 1}, {1: 2, 2: 3, 3: 1}))
+        return Realizer.make(rng.randrange(-2, 3), perm, {
+            j: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9),
+                        rng.choice((4, 6, 9)))
+            for j in COORDS if rng.randrange(3)} or {1: Fraction(1, 2)})
+
+    pairs = [(draw(), draw()) for _ in range(150)]
+    boxes = []
+    for _ in range(40):
+        ends = {j: sorted(rng.sample(range(37), 2))
+                for j in rng.sample(COORDS, rng.randrange(1, 4))}
+        boxes.append(RationalBox.make(rng.randrange(-1, 2), {
+            j: interval(Fraction(a, 36), Fraction(b, 36))
+            for j, (a, b) in ends.items()}))
+    # copies with no hash or inverse cached
+    fresh = [dataclasses.replace(r) for pair in pairs for r in pair]
+    built = log_calls(monkeypatch, (Fraction, "__new__"))
+    composites = [(r1, r2, r1.compose(r2)) for a, b in pairs
+                  for r1, r2 in ((a, b), (b, a))]
+    inverses = [(r, r.invert()) for r in fresh]
+    keys = [(r, r.key(), hash(r)) for r in fresh]
+    images = [(r, b, r.apply_box(b)) for r in fresh for b in boxes
+              if r.defined_on(b)]
+    assert built == []
+    monkeypatch.undo()
+    assert all(r1.offsets and r2.offsets for r1, r2, _ in composites)
+    assert sum(len(r.offsets) < len(r1.offsets) + len(r2.offsets)
+               for r1, r2, r in composites) >= 200
+    for r1, r2, got in composites:
+        assert got == _reference_compose(r1, r2)
+    for r, got in inverses:
+        assert got == _reference_invert(r)
+    for r, key, h in keys:
+        assert key == (r.shift, r.perm, r.offsets) and h == hash(
+            (r.shift, r.perm, r.offsets))
+    assert len(images) >= 400
+    for r, b, got in images:
+        _check_image(MeasurableSet((got,)), (b,), r)

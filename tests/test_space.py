@@ -602,8 +602,7 @@ def test_the_model_image_holds_each_mapped_midpoint():
         perm, back = dict(r.perm), {k: j for j, k in r.perm}
         # each moved axis is cut where its input leaves [0, 1)
         ends = [Box(0, {back.get(j, j): Interval(max(0, -p), min(q, q - p), q)})
-                for j, (p, q) in ((j, c.as_integer_ratio())
-                                  for j, c in r.offsets)]
+                for j, p, q in r.offsets]
         grid = Grid([b, *ends, _grid_box(rng, 0, 3)])
         inside, want = grid.bits((b,)), image(r, b)
         pushed = set()
@@ -614,9 +613,9 @@ def test_the_model_image_holds_each_mapped_midpoint():
                 j: Fraction(lo + hi, 2 * grid.scale[j])
                 for j, (lo, hi) in sides.items()}
             moved = {perm.get(j, j): v for j, v in point.items()}
-            for j, c in r.offsets:
-                moved[j] += c
-            pushed |= {j for j, _ in r.offsets if not 0 <= moved[j] < 1}
+            for j, p, q in r.offsets:
+                moved[j] += Fraction(p, q)
+            pushed |= {j for j, _, _ in r.offsets if not 0 <= moved[j] < 1}
             assert type(want) is int or all(
                 iv.a <= moved[j] * iv.d < iv.b for j, iv in want.coords)
         if type(want) is int:
@@ -628,8 +627,8 @@ def test_the_model_image_holds_each_mapped_midpoint():
                 iv.hi - iv.lo for _, iv in b.coords) == \
                 Fraction(*mapped.measure(mapped.bits((want,))))
         seen[type(want), bool(r.perm)] += 1
-        seen["up"] += any(c > 0 for _, c in r.offsets)
-        seen["down"] += any(c < 0 for _, c in r.offsets)
+        seen["up"] += any(p > 0 for _, p, _ in r.offsets)
+        seen["down"] += any(p < 0 for _, p, _ in r.offsets)
     assert len(seen) == 6 and min(seen.values()) > 40, seen
 
 

@@ -31,7 +31,7 @@ CASES = [
      [RationalBox(cell=2, coords=BOX.coords)]),
     (SET, ("boxes",), True, [MeasurableSet(boxes=SET.boxes)]),
     (REALIZER, ("shift", "perm", "offsets"), True,
-     [Realizer(1, perm=((1, 2), (2, 1)), offsets=((3, Fraction(-1, 4)),))]),
+     [Realizer(1, perm=((1, 2), (2, 1)), offsets=((3, -1, 4),))]),
     (MICROCOSM, ("kind", "arity"), False, [Microcosm(kind="mi", arity=3)]),
     (EDGE, ("weight", "source", "realizer"), True,
      [Edge(weight=Fraction(1), source=SET, realizer=REALIZER)]),
