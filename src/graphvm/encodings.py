@@ -18,6 +18,11 @@ Activating head j composes the response with the coordinate swap
 must sit on the marker for the run to survive.  The active head's
 address always lives on coordinate 1; parked heads keep theirs on
 higher coordinates.
+
+Both compilers emit their edges in ``Edge.key`` order, cell by cell, and
+record the graphing's cell index as they go, so neither sorts its edges
+nor sweeps them for the index.  A word graphing is valid by construction;
+a machine graphing is validated once, by ``EncodedMachine``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .space import (MeasurableSet, RationalBox, RationalInterval, lazy,
                     whole_cells)
 from .realizers import Microcosm, Realizer
 from .graphing import Edge, Graphing, PROBABILITIES, TRIVIAL, UNIT, validate
-from .machines import (ACCEPT, ADVANCE, MARKER, MachineSpec,
+from .machines import (ACCEPT, ADVANCE, MARKER, REJECT, MachineSpec,
                        alphabet_problems, validate_spec)
 from .execution import PlugResult, Regions, accept_mass, plug, reject_mass
 
@@ -90,6 +95,8 @@ def slice_interval(position: int, cells: int) -> RationalInterval:
 
 @dataclass(frozen=True)
 class WordEncoding:
+    """The graphing of a marked cyclic word, as ``encode_word`` builds it."""
+
     graphing: Graphing
 
 
@@ -303,53 +310,62 @@ class EncodedMachine:
                        self.accept_region, self.reject_region)
 
 
-def _response_edges(spec: MachineSpec, layout: TapeLayout,
-                    row_of: dict[str, int]) -> list[Edge]:
-    edges = []
-    retreat_entered = spec.retreat_entered_states()
-    for (state, symbol), actions in spec.transitions:
-        arrival_kinds = [IN]
-        if state in retreat_entered:
-            arrival_kinds.append(OUT)
-        for kind in arrival_kinds:
-            src_cell = layout.symbol_cell(symbol, kind, row_of[state])
-            source = whole_cells((src_cell,))
-            for action in actions:
-                j = action.swap  # the transposition (1 j), pairs ascending
-                perm = ((1, j), (j, 1)) if j else ()
-                if action.is_terminal():
-                    dst = (layout.accept_cell(row_of[state])
-                           if action.kind == ACCEPT
-                           else layout.reject_cell(row_of[state]))
-                else:  # a retreat exits through the word's reverse edges
-                    dst = layout.symbol_cell(
-                        MARKER if action.swap else symbol,
-                        OUT if action.kind == ADVANCE else IN,
-                        row_of[action.goto])
-                edges.append(Edge(action.weight, source,
-                                  Realizer(dst - src_cell, perm)))
-    return edges
-
-
 def encode_machine(spec: MachineSpec) -> EncodedMachine:
     """Compile a machine spec into a graphing in the microcosm of its
     head count.  Each state owns the row of its index, so the initial
-    state, the first, owns row 0."""
+    state, the first, owns row 0.
+
+    ``Edge.key`` compares the sources' boxes, then the realizers' shift,
+    perm and offsets, then the weights.  Every source here is one whole
+    cell and no realizer has an offset, so emitting the cells in ascending
+    order, each with its ``(shift, perm, weight)`` triples sorted, is that
+    order: the edges need no sort, and the cell index is filled as they
+    are emitted, with no sweep."""
     problems = validate_spec(spec)
     if problems:
         raise ValueError("; ".join(problems))
     layout = TapeLayout(tuple(spec.alphabet))
-    row_of = {state: i for i, state in enumerate(spec.states)}
+    stride = layout.row_stride
+    base_of = {state: i * stride for i, state in enumerate(spec.states)}
+    # a symbol's Out cell comes right after its In cell
+    in_cell = {s: layout.symbol_cell(s, IN)
+               for s in (MARKER,) + layout.alphabet}
+    accept = layout.accept_cell()
+    retreat_entered = spec.retreat_entered_states()
 
-    edges = [Edge(UNIT, whole_cells((layout.accept_cell(),)),
-                  Realizer.shift_by(layout.symbol_cell(MARKER, OUT)
-                                    - layout.accept_cell()))]
-    edges.extend(_response_edges(spec, layout, row_of))
-
-    # the layout fills every cell of its rows
-    carrier = whole_cells(range(len(spec.states) * layout.row_stride))
+    # per source cell, its edges' (shift, perm, weight): the starter edge,
+    # then each transition's response from where its observation arrives
+    by_source = {accept: [(in_cell[MARKER] + 1 - accept, (), UNIT)]}
+    for (state, symbol), actions in spec.transitions:
+        base = base_of[state]
+        for out in (0, 1) if state in retreat_entered else (0,):
+            cell = base + in_cell[symbol] + out
+            triples = by_source.setdefault(cell, [])
+            for a in actions:
+                j = a.swap  # the transposition (1 j), pairs ascending
+                if a.kind == ACCEPT:
+                    dst = base + accept
+                elif a.kind == REJECT:
+                    dst = base + accept + 1
+                else:  # a retreat exits through the word's reverse edges
+                    dst = (base_of[a.goto] + in_cell[MARKER if j else symbol]
+                           + (a.kind == ADVANCE))
+                triples.append((dst - cell, ((1, j), (j, 1)) if j else (),
+                                a.weight))
+    # the layout fills every cell of its rows, so box ``cell`` of the
+    # carrier is that cell whole: each source is one of its boxes
+    carrier = whole_cells(range(len(spec.states) * stride))
+    edges, by_cell = [], {}
+    for cell in sorted(by_source):
+        source = MeasurableSet(carrier.boxes[cell:cell + 1])
+        triples = sorted(by_source[cell])
+        by_cell[cell] = list(range(len(edges), len(edges) + len(triples)))
+        edges += [Edge(weight, source, Realizer(shift, perm))
+                  for shift, perm, weight in triples]
     monoid = PROBABILITIES if spec.mode == "prob" else TRIVIAL
-    graphing = Graphing.make(monoid, Microcosm.mi(spec.heads), carrier, edges)
+    graphing = Graphing(monoid, Microcosm.mi(spec.heads), carrier,
+                        tuple(edges))
+    vars(graphing)["edges_by_cell"] = by_cell
     return EncodedMachine(spec, layout, graphing)
 
 

@@ -85,12 +85,18 @@ def orbit(cell: int, values: dict[int, Fraction], generators,
 
 @dataclass(frozen=True)
 class WitnessPiece:
+    """A part of the target's domain and a generator word that realizes
+    the target on it."""
+
     part: MeasurableSet                 # cell-free constraints, kept at cell 0
     word: tuple[Realizer, ...]
 
 
 @dataclass(frozen=True)
 class CompilationWitness:
+    """A partition of ``target``'s domain into pieces, each realized by a
+    generator word."""
+
     target: Realizer
     pieces: tuple[WitnessPiece, ...]
 

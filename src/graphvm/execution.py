@@ -644,6 +644,9 @@ def _word_verdict(search: _Search, test: Test, landed,
 
 @dataclass
 class LanguageResult:
+    """``language``'s answer: the accepted words in (length, alphabet)
+    order, the undetermined ones, and every word's verdict."""
+
     accepted: list[str]
     undetermined: list[str]
     verdicts: dict[str, Verdict]

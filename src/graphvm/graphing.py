@@ -89,6 +89,9 @@ def join_monoids(a: WeightMonoid, b: WeightMonoid) -> WeightMonoid:
 
 @value_type
 class Edge:
+    """A weighted edge: ``realizer`` maps ``source`` onto the derived
+    ``target``."""
+
     weight: Fraction
     source: MeasurableSet
     realizer: Realizer
@@ -112,6 +115,10 @@ class GraphingClass(enum.Enum):
 
 @value_type
 class Graphing:
+    """Weighted edges over a carrier, with weights from ``weights`` and
+    realizers from ``microcosm``.  ``make`` sorts the edges by
+    ``Edge.key``; the constructor keeps them as given."""
+
     weights: WeightMonoid
     microcosm: Microcosm
     carrier: MeasurableSet

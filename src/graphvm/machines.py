@@ -46,6 +46,7 @@ REJECT = "reject"
 
 _MOVES = (ADVANCE, RETREAT)
 _TERMINALS = (ACCEPT, REJECT)
+_KINDS = _MOVES + _TERMINALS
 _MODES = ("det", "nondet", "prob")
 _HEADERS = ("name", "alphabet", "heads", "states", "mode", "twoway")
 
@@ -63,6 +64,9 @@ class MachineSpecError(ValueError):
 
 @value_type
 class Action:
+    """One weighted response to an observation: a move to ``goto``,
+    activating head ``swap`` first if given, or a halt."""
+
     kind: str                    # advance | retreat | accept | reject
     weight: Fraction = ONE
     swap: int | None = None      # head to activate first
@@ -74,6 +78,9 @@ class Action:
 
 @value_type
 class MachineSpec:
+    """A multihead automaton: its header fields and, per (state, symbol)
+    observed, its actions, in the order they were given."""
+
     name: str
     alphabet: tuple[str, ...]
     heads: int
@@ -152,11 +159,12 @@ def _find_problems(spec: MachineSpec) -> list[str]:
             problems.append(f"{where}: det mode allows exactly one action")
         num, den = 0, 1  # the weights' running sum, decided in integers
         for a in acts:
-            if a.kind not in _MOVES + _TERMINALS:
+            if a.kind not in _KINDS:
                 problems.append(f"{where}: unknown action {a.kind!r}")
                 continue
             w = a.weight
-            if not isinstance(w, Rational):
+            # a Fraction is let through before the dearer ABC check
+            if not (type(w) is Fraction or isinstance(w, Rational)):
                 problems.append(f"{where}: weight {w!r} is not a p/q rational")
             else:  # the denominator q is positive
                 p, q = w.numerator, w.denominator
@@ -169,13 +177,13 @@ def _find_problems(spec: MachineSpec) -> list[str]:
                 problems.append(f"{where}: retreat in a one-way machine")
             if a.swap is not None and not (2 <= a.swap <= spec.heads):
                 problems.append(f"{where}: swap target {a.swap} out of range")
-            if a.is_terminal() and a.goto is not None:
-                problems.append(f"{where}: terminal action with goto")
-            if not a.is_terminal():
-                if a.goto is None:
-                    problems.append(f"{where}: move without goto")
-                elif a.goto not in spec.states:
-                    problems.append(f"{where}: goto unknown state {a.goto!r}")
+            if a.kind in _TERMINALS:
+                if a.goto is not None:
+                    problems.append(f"{where}: terminal action with goto")
+            elif a.goto is None:
+                problems.append(f"{where}: move without goto")
+            elif a.goto not in spec.states:
+                problems.append(f"{where}: goto unknown state {a.goto!r}")
         if spec.mode == "prob" and num > den:
             problems.append(
                 f"{where}: weights sum to {Fraction(num, den)} > 1")
@@ -215,7 +223,7 @@ def _parse_action(tokens: list[str], line_no: int) -> Action:
         raise MachineParseError(line_no, "missing action keyword")
     kind = tokens[idx]
     idx += 1
-    if kind not in _MOVES + _TERMINALS:
+    if kind not in _KINDS:
         raise MachineParseError(line_no, f"unknown action {kind!r}")
     swap = None
     goto = None

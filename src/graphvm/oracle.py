@@ -29,6 +29,9 @@ Config = tuple[str, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class Step:
+    """One weighted successor of a configuration: its outcome, and the
+    configuration it continues in when the outcome is ``'cont'``."""
+
     weight: Fraction
     outcome: str          # 'accept' | 'reject' | 'dead' | 'cont'
     config: Config | None

@@ -45,6 +45,10 @@ def _normalize_perm(perm: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 @value_type
 class Realizer:
+    """A map of the cells: permute ``perm``'s coordinates, add each
+    offset ``(j, p, q)``'s p/q to coordinate j, then shift the cell by
+    ``shift``; defined where every offset keeps its coordinate in [0, 1)."""
+
     shift: int
     perm: tuple[tuple[int, int], ...] = ()
     offsets: tuple[tuple[int, int, int], ...] = ()

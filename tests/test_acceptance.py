@@ -304,6 +304,28 @@ def test_every_package_import_is_read():
     assert not unread, unread
 
 
+def test_every_package_dataclass_has_a_docstring():
+    """Each ``@dataclass`` or ``@value_type`` class of a ``src/graphvm``
+    module has a docstring: for a class without one, ``dataclass()`` makes
+    one from ``inspect.signature`` at import, on every CLI start."""
+    bare = []
+    package = os.path.join(ROOT, "src", "graphvm")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = {getattr(d.func if isinstance(d, ast.Call) else d,
+                                  "id", None) for d in node.decorator_list}
+            if (decorators & {"dataclass", "value_type"}
+                    and ast.get_docstring(node) is None):
+                bare.append(f"{name}:{node.lineno} {node.name}")
+    assert not bare, bare
+
+
 def test_no_test_module_imports_another():
     """What several test modules share lives in the support modules
     beside them (``harness``, ``eagerplug``, ``gridmodel``), so that no

@@ -14,7 +14,8 @@ from graphvm.machines import (MARKER, MachineSpec, parse_machine,
 from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
 from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
-from harness import log_calls, shipped, shipped_machines, whole
+from harness import (load_machinegen, log_calls, seeded_specs, shipped,
+                     shipped_machines, whole)
 
 LAYOUT = TapeLayout(("0", "1"))
 
@@ -140,6 +141,36 @@ def test_word_graphings_come_in_key_order_with_their_index(alphabet, max_len):
                 swept = Graphing(g.weights, g.microcosm, g.carrier,
                                  g.edges).edges_by_cell
                 assert list(g.edges_by_cell.items()) == list(swept.items())
+
+
+def test_machine_graphings_come_in_key_order_with_their_index(monkeypatch):
+    """``encode_machine`` builds each graphing as ``encode_word`` does: in
+    ``Edge.key`` order with its cell index, and no ``Graphing.make`` sort.
+    ``EncodedMachine`` still validates it.  Every shipped machine and 20
+    seeded specs of each (mode, heads, states, two-way) shape."""
+    gen = load_machinegen()
+    shapes = [(mode, heads, states, two_way) for mode in gen.MODES
+              for heads in range(1, gen.MAX_HEADS + 1)
+              for states in range(1, gen.MAX_STATES + 1)
+              for two_way in (False, True)]
+    specs = [spec for _, spec in shipped_machines()]
+    specs += seeded_specs(59, 20 * len(shapes), shapes)
+    made = log_calls(monkeypatch, (Graphing, "make"))
+    graphings = []
+    for spec in specs:
+        g = encode_machine(spec).graphing
+        assert "edges_by_cell" in vars(g), spec.name
+        graphings.append(g)
+    assert made == []
+    for spec, g in zip(specs, graphings):
+        assert g.edges == Graphing.make(g.weights, g.microcosm, g.carrier,
+                                        g.edges).edges, spec.name
+        # the index a fresh graphing sweeps for, in the same order
+        swept = Graphing(g.weights, g.microcosm, g.carrier,
+                         g.edges).edges_by_cell
+        assert list(g.edges_by_cell.items()) == list(swept.items()), \
+            spec.name
+        assert validate(g) == [], spec.name
 
 
 def test_the_word_side_meets_the_edges_of_the_encoded_word(monkeypatch):
