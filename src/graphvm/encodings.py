@@ -366,7 +366,13 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     graphing = Graphing(monoid, Microcosm.mi(spec.heads), carrier,
                         tuple(edges))
     vars(graphing)["edges_by_cell"] = by_cell
-    return EncodedMachine(spec, layout, graphing)
+    machine = EncodedMachine(spec, layout, graphing)
+    # every row's accept and reject cells, whole, are carrier boxes too
+    vars(machine)["accept_region"] = MeasurableSet(
+        carrier.boxes[accept::stride])
+    vars(machine)["reject_region"] = MeasurableSet(
+        carrier.boxes[accept + 1::stride])
+    return machine
 
 
 def run_word(machine: EncodedMachine, word: str, one_way: bool = False,

@@ -189,12 +189,14 @@ def _find_problems(g: Graphing) -> list[str]:
     a box tried only for the ones no earlier box refuted."""
     problems = []
     carrier = g.carrier
+    admits, contains = g.weights.admits, g.microcosm.contains
     whole = {b.cell for b in carrier.boxes if not b.coords}
     for i, e in enumerate(g.edges):
         r, boxes = e.realizer, e.source.boxes
-        if not g.weights.admits(e.weight):
+        if not admits(e.weight):
             problems.append(f"edge {i}: weight {e.weight} not in monoid")
-        if not all(map(r.defined_on, boxes)):
+        # a realizer with no offset is defined everywhere
+        if r.offsets and not all(map(r.defined_on, boxes)):
             problems.append(f"edge {i}: source exceeds realizer domain")
             continue
         shift = r.shift
@@ -208,7 +210,7 @@ def _find_problems(g: Graphing) -> list[str]:
             problems.append(f"edge {i}: source not in carrier")
         if not target_in:
             problems.append(f"edge {i}: target not in carrier")
-        if not g.microcosm.contains(r):
+        if not contains(r):
             problems.append(f"edge {i}: realizer not in microcosm "
                             f"{g.microcosm.describe()}")
     return problems

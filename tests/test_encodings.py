@@ -154,7 +154,7 @@ def test_machine_graphings_come_in_key_order_with_their_index(monkeypatch):
               for states in range(1, gen.MAX_STATES + 1)
               for two_way in (False, True)]
     specs = [spec for _, spec in shipped_machines()]
-    specs += seeded_specs(59, 20 * len(shapes), shapes)
+    specs += seeded_specs(7, 20 * len(shapes), shapes)
     made = log_calls(monkeypatch, (Graphing, "make"))
     graphings = []
     for spec in specs:
