@@ -17,7 +17,7 @@ from math import gcd
 from .space import MeasurableSet, RationalBox
 from .realizers import Microcosm, Realizer
 from .graphing import Graphing, cost
-from .execution import INFINITY, PathRecord, PlugResult, _trail
+from .execution import INFINITY, PathRecord, PlugResult
 
 
 def frac_str(value) -> str:
@@ -28,39 +28,66 @@ def frac_str(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """``frac_str(Fraction(num, den))`` as a JSON string, for a positive
-    ``den``, without building the Fraction: its digits, sign and slash
-    need no escape."""
-    g = gcd(num, den)
-    return f'"{num // g}/{den // g}"'
-
-
 def _by_index(pairs) -> str:
     """A JSON object of ``(index, value text)`` pairs, keys sorted as
     strings: a key's closing quote sorts before any digit."""
     return "{" + ",".join(sorted(f'"{j}":{v}' for j, v in pairs)) + "}"
 
 
+def _boxes(boxes) -> tuple[list[str], int, int]:
+    """Each box's text and, summed in the same pass, their measure as a
+    numerator over the lcm of the boxes' denominators, not reduced.  An
+    interval ``(a, b, d)`` is written as ``a/d`` and ``b/d``, each reduced
+    by its own gcd."""
+    texts = []
+    num, den = 0, 1
+    for box in boxes:
+        if not box.coords:  # a whole cell, of measure 1
+            texts.append(f'{{"cell":{box.cell},"coords":{{}}}}')
+            num += den
+            continue
+        coords = []
+        bnum = bden = 1
+        for j, iv in box.coords:
+            a, b, d = iv.a, iv.b, iv.d
+            g, h = gcd(a, d), gcd(b, d)
+            coords.append(f'"{j}":["{a // g}/{d // g}","{b // h}/{d // h}"]')
+            bnum *= b - a
+            bden *= d
+        # a normal box's indices ascend, and while each is one digit they
+        # sort as strings the same way
+        if box.coords[-1][0] > 9:
+            coords.sort()
+        texts.append(f'{{"cell":{box.cell},"coords":{{{",".join(coords)}}}}}')
+        if den % bden:
+            scale = bden // gcd(den, bden)
+            num, den = num * scale, den * scale
+        num += bnum * (den // bden)
+    return texts, num, den
+
+
 def box_payload(b: RationalBox) -> str:
-    coords = [f'"{j}":[{_ratio_text(iv.a, iv.d)},{_ratio_text(iv.b, iv.d)}]'
-              for j, iv in b.coords]
-    # a normal box's indices ascend, and while each is one digit they
-    # sort as strings the same way
-    if coords and b.coords[-1][0] > 9:
-        coords.sort()
-    return f'{{"cell":{b.cell},"coords":{{{",".join(coords)}}}}}'
+    (text,), _, _ = _boxes((b,))
+    return text
 
 
 def set_payload(s: MeasurableSet) -> str:
-    boxes = ",".join(map(box_payload, s.boxes))
-    measure = _ratio_text(*s._measure_ratio())
-    return f'{{"boxes":[{boxes}],"measure":{measure}}}'
+    """The set's boxes and its measure, written in one pass over them.
+    The measure is reduced here, and written with no escape: its digits
+    and slash need none."""
+    texts, num, den = _boxes(s.boxes)
+    g = gcd(num, den)
+    return (f'{{"boxes":[{",".join(texts)}],'
+            f'"measure":"{num // g}/{den // g}"}}')
 
 
 def realizer_payload(r: Realizer) -> str:
-    offsets = _by_index((j, _ratio_text(p, q)) for j, p, q in r.offsets)
-    return (f'{{"offsets":{offsets},"perm":{_by_index(r.perm)},'
+    """A realizer's fields and text.  Its offsets are in lowest terms, as
+    its normal form keeps them, so each ``p/q`` is written as it stands."""
+    offsets = (_by_index((j, f'"{p}/{q}"') for j, p, q in r.offsets)
+               if r.offsets else "{}")
+    perm = _by_index(r.perm) if r.perm else "{}"
+    return (f'{{"offsets":{offsets},"perm":{perm},'
             f'"shift":{r.shift},"text":{_quote(r.text())}}}')
 
 
@@ -111,34 +138,44 @@ def result_payload(result: PlugResult) -> str:
     records ``path_payload`` writes, written from the search's nodes.
 
     Each piece is written once per call.  The text of a set, a realizer
-    or a step is kept by its identity: every one written stays alive for
-    the call.  A path's steps are the kept texts of its nodes, walked up
-    from its last and joined: paths that share a step share its node, so
-    each step is written once."""
+    or a step is kept in one table by its identity: every one written
+    stays alive for the call.  A path's steps are the kept texts of its
+    nodes, walked up from its last and joined: paths that share a step
+    share its node, so each step is written once."""
     texts: dict[int, str] = {}
+    kept = texts.get
 
-    def kept(write):
-        def text(piece) -> str:
-            got = texts.get(id(piece))
-            if got is None:
-                got = texts[id(piece)] = write(piece)
-            return got
-        return text
+    def set_text(s: MeasurableSet) -> str:
+        got = kept(id(s))
+        if got is None:
+            got = texts[id(s)] = set_payload(s)
+        return got
 
-    set_text, realizer_text = kept(set_payload), kept(realizer_payload)
-    step_text = kept(lambda node: _step(node[0], set_text(node[1])))
+    def realizer_text(r: Realizer) -> str:
+        got = kept(id(r))
+        if got is None:
+            got = texts[id(r)] = realizer_payload(r)
+        return got
 
     def path(node, source) -> str:
-        return _path(realizer_text(node[2]), set_text(source),
-                     ",".join(map(step_text, _trail(node))), node[3])
+        steps, last = [], node
+        while node is not None:
+            got = kept(id(node))
+            if got is None:
+                got = texts[id(node)] = _step(node[0], set_text(node[1]))
+            steps.append(got)
+            node = node[4]
+        steps.reverse()
+        return _path(realizer_text(last[2]), set_text(source),
+                     ",".join(steps), last[3])
 
     d = result.diagnostics
-    dead_text = ",".join(path(node, source)
-                         for node, source in result._dead_ends)
+    dead_text = ",".join([path(node, source)
+                          for node, source in result._dead_ends])
     # an exit's edge takes its source and composite, written here first
     graphing = _graphing(result.graphing, set_text, realizer_text)
-    paths = ",".join(path(node, e.source) for node, e in
-                     zip(result.exit_nodes, result.graphing.edges))
+    paths = ",".join([path(node, e.source) for node, e in
+                      zip(result.exit_nodes, result.graphing.edges)])
     notes = ",".join(map(_quote, d.notes))
     return (f'{{"dead_paths":[{dead_text}],"diagnostics":{{'
             f'"complete":{"true" if d.complete else "false"},'
