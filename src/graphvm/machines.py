@@ -252,20 +252,28 @@ def parse_machine(text: str) -> MachineSpec:
     headers: dict[str, str] = {}
     transitions: dict[tuple[str, str], list[Action]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if "->" in line:
-            lhs, rhs = line.split("->", 1)
-            lhs_parts = [p.strip() for p in lhs.split(",")]
-            if len(lhs_parts) != 2 or not all(lhs_parts):
+        lhs, arrow, rhs = line.partition("->")
+        if arrow:
+            state, _, symbol = lhs.partition(",")
+            state, symbol = state.strip(), symbol.strip()
+            if not (state and symbol) or "," in symbol:
                 raise MachineParseError(
                     line_no, "transition needs 'state, symbol' before '->'")
-            state, symbol = lhs_parts
-            action = _parse_action(rhs.split(), line_no)
+            tokens = rhs.split()
+            # the commonest shapes, ``kind`` and ``kind goto s``, directly
+            if len(tokens) == 1 and tokens[0] in _KINDS:
+                action = Action(tokens[0])
+            elif (len(tokens) == 3 and tokens[1] == "goto"
+                  and tokens[0] in _KINDS):
+                action = Action(tokens[0], ONE, None, tokens[2])
+            else:
+                action = _parse_action(tokens, line_no)
             transitions.setdefault((state, symbol), []).append(action)
         elif ":" in line:
-            key, value = line.split(":", 1)
+            key, _, value = line.partition(":")
             key = key.strip().lower()
             if key not in _HEADERS or key in headers:
                 problem = "repeated" if key in headers else "unknown"
