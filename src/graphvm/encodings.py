@@ -310,6 +310,19 @@ class EncodedMachine:
                        self.accept_region, self.reject_region)
 
 
+# Structural caches, keyed by an alphabet and by a cell count: the layout
+# of an alphabet, whose check then runs once per alphabet, and the carrier
+# of a machine's rows, every cell whole.
+@lru_cache(maxsize=64)
+def _layout(alphabet: tuple[str, ...]) -> TapeLayout:
+    return TapeLayout(alphabet)
+
+
+@lru_cache(maxsize=64)
+def _machine_carrier(cells: int) -> MeasurableSet:
+    return whole_cells(range(cells))
+
+
 def encode_machine(spec: MachineSpec) -> EncodedMachine:
     """Compile a machine spec into a graphing in the microcosm of its
     head count.  Each state owns the row of its index, so the initial
@@ -324,7 +337,7 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     problems = validate_spec(spec)
     if problems:
         raise ValueError("; ".join(problems))
-    layout = TapeLayout(tuple(spec.alphabet))
+    layout = _layout(tuple(spec.alphabet))
     stride = layout.row_stride
     base_of = {state: i * stride for i, state in enumerate(spec.states)}
     # a symbol's Out cell comes right after its In cell
@@ -354,7 +367,7 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
                                 a.weight))
     # the layout fills every cell of its rows, so box ``cell`` of the
     # carrier is that cell whole: each source is one of its boxes
-    carrier = whole_cells(range(len(spec.states) * stride))
+    carrier = _machine_carrier(len(spec.states) * stride)
     edges, by_cell = [], {}
     for cell in sorted(by_source):
         source = MeasurableSet(carrier.boxes[cell:cell + 1])
