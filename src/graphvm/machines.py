@@ -187,6 +187,42 @@ def _find_problems(spec: MachineSpec) -> list[str]:
         if spec.mode == "prob" and num > den:
             problems.append(
                 f"{where}: weights sum to {Fraction(num, den)} > 1")
+    problems.extend(_text_problems(spec))
+    return problems
+
+
+def _are_words(words) -> bool:
+    """Whether ``words`` read back as themselves from a blank-separated
+    list: joined by blanks they split back into themselves, and none has
+    a ``#``, which starts a comment, a ``,``, which ends a transition's
+    state, or a ``->``."""
+    text = " ".join(words)
+    return (text.split() == list(words) and "#" not in text
+            and "," not in text and "->" not in text)
+
+
+def _text_problems(spec: MachineSpec) -> list[str]:
+    """What ``format_machine`` could not write so that ``parse_machine``
+    reads it back: a name that is not one line, stripped, with no ``#``
+    or ``->``, a state or an alphabet symbol that is not a word, and a
+    (state, symbol) listed twice, whose actions would read back as one
+    list."""
+    problems = []
+    name = spec.name
+    if ("#" in name or "->" in name or name != name.strip()
+            or len(name.splitlines()) > 1):
+        problems.append(f"name {name!r} cannot be written in the text format")
+    if not _are_words((*spec.states, *spec.alphabet)):
+        problems += [f"{kind} {word!r} cannot be written in the text format"
+                     for kind, words in (("state", spec.states),
+                                         ("alphabet symbol", spec.alphabet))
+                     for word in words if not _are_words((word,))]
+    if len(spec.transition_map) != len(spec.transitions):
+        seen = set()
+        for (state, symbol), _ in spec.transitions:
+            if (state, symbol) in seen:
+                problems.append(f"transition ({state}, {symbol}): listed twice")
+            seen.add((state, symbol))
     return problems
 
 

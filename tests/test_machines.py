@@ -1,12 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from graphvm.machines import (Action, MachineParseError, MachineSpec,
-                              MachineSpecError, format_machine, parse_machine,
-                              validate_spec)
-from harness import log_calls
+                              MachineSpecError, _parse_action, format_machine,
+                              parse_machine, validate_spec)
+from harness import (load_machinegen, log_calls, seeded_specs,
+                     shipped_machines)
 
 ONES = """
 name: ones
@@ -253,3 +255,146 @@ a, 0 -> retreat goto b
 b, 0 -> advance goto a
 """)
     assert spec.retreat_entered_states() == {"b"}
+
+
+_HEADER = "name: m\nalphabet: 0\nheads: 2\nstates: s t\nmode: prob\n"
+
+
+@pytest.mark.parametrize("action", [
+    "accept", "reject", "advance", "retreat",
+    "advance goto t", "retreat goto s", "accept goto s",
+    "1/2 accept", "1 reject", "2/4 advance goto t",
+    "advance swap 2", "advance goto t swap 2", "advance swap 2 goto t",
+    "1/3 retreat goto s swap 2", "advance goto goto", "advance goto swap",
+])
+def test_the_direct_action_shapes_parse_as_the_general_parser_does(
+        action, monkeypatch):
+    """``parse_machine`` builds a bare kind and ``kind goto s`` itself;
+    every shape, direct or not, gives the ``Action`` of ``_parse_action``
+    on its tokens.  The spec check is switched off here, so that shapes
+    it refuses (a move without goto, a halt with one) are read too."""
+    from graphvm import machines
+    monkeypatch.setattr(machines, "validate_spec", lambda spec: [])
+    spec = parse_machine(_HEADER + f"s, 0 -> {action}\n")
+    assert spec.actions("s", "0") == (_parse_action(action.split(), 6),)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("s0 0 -> accept", "transition needs 'state, symbol' before '->'"),
+    ("s0, -> accept", "transition needs 'state, symbol' before '->'"),
+    (", 0 -> accept", "transition needs 'state, symbol' before '->'"),
+    ("s0, 0, 1 -> accept", "transition needs 'state, symbol' before '->'"),
+    ("s0, 0 -> accept goto", "goto needs a state name"),
+    ("s0, 0 -> bogus", "unknown action 'bogus'"),
+    ("s0, 0 -> bogus goto s0", "unknown action 'bogus'"),
+    ("s0, 0 -> ", "missing action keyword"),
+    ("s0, 0 -> 1/0 accept", "bad rational '1/0'"),
+    ("s0, 0 -> advance stay s0", "unexpected token 'stay'"),
+])
+def test_a_malformed_transition_line_keeps_its_line_and_message(line,
+                                                                message):
+    text = ONES.replace("s0, 1 -> accept", f"s0, 1 -> accept\n{line}")
+    with pytest.raises(MachineParseError) as err:
+        parse_machine(text)
+    assert (err.value.line_no, err.value.message) == (12, message)
+    assert str(err.value) == f"line 12: {message}"
+
+
+def _spec(**fields):
+    base = dict(name="m", alphabet=("0",), heads=1, states=("s",),
+                mode="det", two_way=True,
+                transitions=((("s", "0"), (Action("accept"),)),))
+    return MachineSpec(**{**base, **fields})
+
+
+@pytest.mark.parametrize("spec, problem", [
+    (_spec(name="x#1"), "name 'x#1' cannot be written in the text format"),
+    (_spec(name="a->b"), "name 'a->b' cannot be written in the text format"),
+    (_spec(name=" m"), "name ' m' cannot be written in the text format"),
+    (_spec(name="m\nn"), "name 'm\\nn' cannot be written in the text "
+                         "format"),
+    (_spec(states=("q,1",), transitions=(
+        (("q,1", "0"), (Action("accept"),)),)),
+     "state 'q,1' cannot be written in the text format"),
+    (_spec(states=("s 0",), transitions=(
+        (("s 0", "0"), (Action("accept"),)),)),
+     "state 's 0' cannot be written in the text format"),
+    (_spec(states=("s#",), transitions=(
+        (("s#", "0"), (Action("accept"),)),)),
+     "state 's#' cannot be written in the text format"),
+    (_spec(alphabet=("#",), transitions=()),
+     "alphabet symbol '#' cannot be written in the text format"),
+    (_spec(alphabet=(",",), transitions=()),
+     "alphabet symbol ',' cannot be written in the text format"),
+    (_spec(alphabet=(" ",), transitions=()),
+     "alphabet symbol ' ' cannot be written in the text format"),
+    (_spec(mode="nondet", transitions=(
+        (("s", "0"), (Action("accept"),)),
+        (("s", "0"), (Action("reject"),)))),
+     "transition (s, 0): listed twice"),
+])
+def test_a_spec_the_text_format_cannot_write_back_is_refused(spec, problem):
+    from graphvm.encodings import encode_machine
+    assert validate_spec(spec) == [problem]
+    with pytest.raises(ValueError, match="cannot be written|listed twice"):
+        encode_machine(spec)
+    # what its text reads back as is refused or another spec
+    try:
+        back = parse_machine(format_machine(spec))
+    except (MachineParseError, MachineSpecError):
+        return
+    assert back != spec
+
+
+# characters that the text format gives a meaning, with plain ones
+_PIECES = ("a", "q1", "x y", "#", ",", "->", "-", ">", ":", "*", " ", "\t",
+           "\n", "")
+_SYMBOLS = ("0", "1", "a", "#", ",", " ", "\t", "-", ">", ":", "*")
+
+
+def _renamed(spec, rng):
+    """``spec`` with its name, and each state and symbol with even odds,
+    renamed to a draw that may carry such characters."""
+    def draw(pieces, count):
+        return "".join(rng.choice(pieces) for _ in range(count))
+
+    name = draw(_PIECES, rng.randint(1, 3)) if rng.randrange(2) else spec.name
+    state = {s: draw(_PIECES, rng.randint(1, 2)) if rng.randrange(2) else s
+             for s in spec.states}
+    symbol = {x: draw(_SYMBOLS, 1) if rng.randrange(2) else x
+              for x in spec.alphabet}
+    symbol["*"] = "*"
+    transitions = tuple(
+        ((state[s], symbol[x]),
+         tuple(Action(a.kind, a.weight, a.swap,
+                      None if a.goto is None else state[a.goto])
+               for a in acts))
+        for (s, x), acts in spec.transitions)
+    return MachineSpec(name, tuple(symbol[x] for x in spec.alphabet),
+                       spec.heads, tuple(state[s] for s in spec.states),
+                       spec.mode, spec.two_way, transitions)
+
+
+def test_a_spec_is_valid_exactly_when_its_text_reads_back_as_it():
+    """``parse_machine`` checks the spec it builds, so an invalid spec
+    never reads back as itself; the check refuses each spec whose text
+    reads back as another, over seeded specs of every shape, renamed."""
+    gen = load_machinegen()
+    shapes = [(mode, heads, states, two_way) for mode in gen.MODES
+              for heads in range(1, gen.MAX_HEADS + 1)
+              for states in range(1, gen.MAX_STATES + 1)
+              for two_way in (False, True)]
+    specs = seeded_specs(7, 2 * len(shapes), shapes)
+    rng = random.Random(7)
+    renamed = [_renamed(spec, rng) for spec in specs for _ in range(4)]
+    shipped = [spec for _, spec in shipped_machines()]
+    valid = 0
+    for spec in specs + shipped + renamed:
+        try:
+            reads_back = parse_machine(format_machine(spec)) == spec
+        except (MachineParseError, MachineSpecError):
+            reads_back = False
+        assert (validate_spec(spec) == []) == reads_back, spec
+        valid += reads_back
+    # the renamed specs hold both kinds
+    assert len(specs) + len(shipped) < valid < len(specs + shipped + renamed)
