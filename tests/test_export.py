@@ -1,14 +1,18 @@
+import json
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from graphvm.execution import INFINITY, PathRecord, _trail, plug
-from graphvm.export import (frac_str, graphing_dot, graphing_payload,
-                            path_payload, result_payload)
+from graphvm.export import (box_payload, frac_str, graphing_dot,
+                            graphing_payload, path_payload, result_payload,
+                            set_payload)
 from graphvm.graphing import (Edge, GraphingClass, PROBABILITIES, TRIVIAL,
                               classify, validate)
 from graphvm.realizers import Realizer
-from graphvm.space import RationalBox, interval
+from graphvm.space import MeasurableSet, RationalBox, RationalInterval, interval
 from harness import canonical, cellbox, graphing, log_calls, ms, whole
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -93,6 +97,60 @@ def test_payloads_sort_coordinate_keys_as_strings_and_escape_text():
     path, = payload["paths"]
     assert path["weight"] == "1/3"
     assert '"perm":{"10":2,"2":10}' in text
+
+
+def _text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _set_reference(s: MeasurableSet) -> str:
+    """A set's payload from ``Fraction`` endpoints and measure, through
+    ``json.dumps``."""
+    boxes = [{"cell": b.cell,
+              "coords": {str(j): [_text(iv.lo), _text(iv.hi)]
+                         for j, iv in b.coords}} for b in s.boxes]
+    measure = sum((prod(iv.length for _, iv in b.coords) for b in s.boxes),
+                  Fraction(0))
+    return json.dumps({"boxes": boxes, "measure": _text(measure)},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def _seeded_sets():
+    """The empty set, whole cells, and seeded unions of boxes on few
+    cells, several often in one cell, over coordinates 1, 2, 9, 10 and
+    12, and over denominators whose measures reduce."""
+    yield MeasurableSet.empty()
+    yield whole(3)
+    yield whole(0, 2, 11)
+    # a half and two quarters, of measure 4/4, written 1/1
+    yield ms(cellbox(0, 0, "1/2"), cellbox(1, "1/4", "1/2"),
+             cellbox(1, "3/4", 1))
+    rng = random.Random(11)
+    for _ in range(200):
+        boxes = []
+        for _ in range(rng.randint(1, 4)):
+            coords = {}
+            for j in rng.sample((1, 2, 9, 10, 12), rng.randint(0, 3)):
+                d = rng.choice((2, 4, 6, 12, 30))
+                a = rng.randrange(d)
+                coords[j] = RationalInterval.over(
+                    a, rng.randrange(a + 1, d + 1), d)
+            boxes.append(RationalBox.make(rng.choice((0, 1, 7)), coords))
+        yield MeasurableSet.from_boxes(boxes)
+
+
+def test_a_set_is_written_as_json_writes_it_from_fractions():
+    sets = list(_seeded_sets())
+    for s in sets:
+        assert set_payload(s) == _set_reference(s), s
+        for b in s.boxes:
+            assert box_payload(b) == json.dumps(
+                json.loads(_set_reference(MeasurableSet((b,))))["boxes"][0],
+                sort_keys=True, separators=(",", ":"))
+    # the seeded sets hold what the writer tells apart
+    assert any(len(s.boxes) > 1 == len(s.cells()) for s in sets)
+    assert any(j >= 10 for s in sets for b in s.boxes for j, _ in b.coords)
+    assert any(s.measure().denominator < s._measure_ratio()[1] for s in sets)
 
 
 @pytest.mark.parametrize("monoid, weights, unresolved", [
