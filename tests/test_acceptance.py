@@ -326,6 +326,68 @@ def test_every_package_dataclass_has_a_docstring():
     assert not bare, bare
 
 
+def _outside_functions(tree):
+    """The nodes of a module outside every function body: a function's
+    decorators are outside it, its body is not."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _functools_cache(node):
+    """``"lru_cache"`` or ``"cache"`` when ``node`` names that decorator
+    of ``functools``, bare or as an attribute of the module."""
+    if isinstance(node, ast.Attribute) and getattr(
+            node.value, "id", None) == "functools":
+        name = node.attr
+    else:
+        name = getattr(node, "id", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def test_every_module_level_lru_cache_is_bounded():
+    """Each ``lru_cache`` of a ``src/graphvm`` module that is not made
+    inside a function, and so lives as long as the process, names an
+    integer ``maxsize``: a literal, or a module constant bound to one.
+    A bare ``@lru_cache`` and ``functools.cache`` count as unnamed.  The
+    per-call tables that ``language`` makes in its body are dropped when
+    it returns, and may be unbounded."""
+    unbounded = []
+    package = os.path.join(ROOT, "src", "graphvm")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        ints = {target.id: node.value.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int
+                for target in node.targets if isinstance(target, ast.Name)}
+        called = set()  # the decorators named by a call, read with it
+        for node in _outside_functions(tree):
+            size = None
+            if isinstance(node, ast.Call) and _functools_cache(node.func):
+                called.add(id(node.func))
+                sizes = [k.value for k in node.keywords if k.arg == "maxsize"]
+                size = (sizes + node.args)[0] if sizes or node.args else None
+                if _functools_cache(node.func) == "cache":
+                    size = None
+                elif isinstance(size, ast.Name):
+                    size = ints.get(size.id)
+                elif isinstance(size, ast.Constant):
+                    size = size.value
+            elif not _functools_cache(node) or id(node) in called:
+                continue
+            if not (type(size) is int and size > 0):
+                unbounded.append(f"{name}:{node.lineno}")
+    assert not unbounded, unbounded
+
 def test_no_test_module_imports_another():
     """What several test modules share lives in the support modules
     beside them (``harness``, ``eagerplug``, ``gridmodel``), so that no
