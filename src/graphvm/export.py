@@ -6,6 +6,11 @@ compact JSON text, the bytes ``json.dumps`` gives with ``sort_keys``
 (coordinate keys sort as strings) and no spaces; ``dumps`` passes it
 through, and ``encode --out`` re-indents it.  Exports carry no
 wall-clock data, so identical inputs produce byte-identical files.
+
+Rationals are written from integers, with no ``Fraction`` built: a set
+in one pass over its boxes, each interval endpoint from its ``(a, b,
+d)`` with one gcd and the measure summed in the same loop, and a
+realizer's offsets as the ``(j, p, q)`` triples it keeps in lowest terms.
 """
 
 from __future__ import annotations
