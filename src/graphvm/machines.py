@@ -217,7 +217,7 @@ def _text_problems(spec: MachineSpec) -> list[str]:
                      for kind, words in (("state", spec.states),
                                          ("alphabet symbol", spec.alphabet))
                      for word in words if not _are_words((word,))]
-    if len(spec.transition_map) != len(spec.transitions):
+    if len({key for key, _ in spec.transitions}) != len(spec.transitions):
         seen = set()
         for (state, symbol), _ in spec.transitions:
             if (state, symbol) in seen:
