@@ -298,16 +298,8 @@ def parse_machine(text: str) -> MachineSpec:
             if not (state and symbol) or "," in symbol:
                 raise MachineParseError(
                     line_no, "transition needs 'state, symbol' before '->'")
-            tokens = rhs.split()
-            # the commonest shapes, ``kind`` and ``kind goto s``, directly
-            if len(tokens) == 1 and tokens[0] in _KINDS:
-                action = Action(tokens[0])
-            elif (len(tokens) == 3 and tokens[1] == "goto"
-                  and tokens[0] in _KINDS):
-                action = Action(tokens[0], ONE, None, tokens[2])
-            else:
-                action = _parse_action(tokens, line_no)
-            transitions.setdefault((state, symbol), []).append(action)
+            transitions.setdefault((state, symbol), []).append(
+                _parse_action(rhs.split(), line_no))
         elif ":" in line:
             key, _, value = line.partition(":")
             key = key.strip().lower()

@@ -58,6 +58,7 @@ def test_criterion_1_golden_figures(tmp_path):
         dot = (out / "run.dot").read_text()
         bold_accepting = "penwidth" in dot
         ok = ok and verdict is want and elapsed < SECOND_NS and code == EXIT_OK
+        ok = ok and result.diagnostics.clean()
         ok = ok and bold_accepting == (want is Verdict.ACCEPT)
     report(1, ok, "golden machine verdicts and bold accepting paths")
 

@@ -11,7 +11,7 @@ from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, evaluate_test,
 from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
 from graphvm.machines import (MARKER, MachineSpec, parse_machine,
                               validate_spec)
-from graphvm.oracle import dfa_accepts, oracle_language, words_up_to
+from graphvm.oracle import dfa_accepts, words_up_to
 from graphvm.realizers import Realizer
 from graphvm.space import MeasurableSet, RationalBox
 from harness import (load_machinegen, log_calls, seeded_specs, shipped,
@@ -344,24 +344,6 @@ s, 0 -> 1/3 accept
         GraphingClass.PROBABILISTIC
 
 
-def test_golden_verdicts_first_machine():
-    m = encode_machine(ONES)
-    for word, want in [("0", Verdict.REJECT), ("11", Verdict.ACCEPT),
-                       ("01", Verdict.ACCEPT)]:
-        result, regions = run_word(m, word)
-        assert result.diagnostics.clean()
-        assert evaluate_test(result, T_DET, regions) is want
-
-
-def test_golden_verdicts_second_machine():
-    m = encode_machine(ONE_THEN_ZERO)
-    for word, want in [("0", Verdict.REJECT), ("11", Verdict.REJECT),
-                       ("01", Verdict.ACCEPT)]:
-        result, regions = run_word(m, word)
-        assert result.diagnostics.clean()
-        assert evaluate_test(result, T_DET, regions) is want
-
-
 def test_head_swap_path_continues_after_permutation():
     m = encode_machine(ONE_THEN_ZERO)
 
@@ -377,38 +359,6 @@ def test_head_swap_path_continues_after_permutation():
     swapped = [p for p in result.dead_paths if crosses_swap(p)]
     assert swapped
     assert max(len(p.steps) for p in swapped) > 4  # it keeps walking after s2
-
-
-def test_classify_result_examples():
-    m = encode_machine(ONES)
-    result, regions = run_word(m, "11")
-    assert classify_result(result, regions) == "true"
-    result, regions = run_word(m, "0")
-    assert classify_result(result, regions) == "false"
-    empty = encode_machine(parse_machine("""
-name: empty
-alphabet: 0 1
-heads: 1
-states: s
-mode: det
-twoway: true
-"""))
-    result, regions = run_word(empty, "0")
-    assert classify_result(result, regions) == "other"
-
-
-def test_oracle_equivalence_small_two_head_sweep():
-    m = encode_machine(ONE_THEN_ZERO)
-    got = language(m, T_DET, 4)
-    assert got.accepted == oracle_language(ONE_THEN_ZERO, 4)
-    assert not got.undetermined
-
-
-def test_empty_word_runs_on_the_bare_marker():
-    m = encode_machine(ONES)
-    result, regions = run_word(m, "")
-    assert evaluate_test(result, T_DET, regions) is Verdict.REJECT
-    assert classify_result(result, regions) == "false"
 
 
 def test_retreat_on_one_way_word_is_a_runtime_diagnostic():
@@ -458,11 +408,26 @@ def test_one_way_words_change_nothing_without_retreats():
 def test_classify_result_tracks_the_oracle():
     for spec in (ONES, ONE_THEN_ZERO):
         m = encode_machine(spec)
-        from graphvm.oracle import words_up_to
         for word in words_up_to(spec.alphabet, 4):
             result, regions = run_word(m, word)
-            verdict = classify_result(result, regions)
-            assert (verdict == "true") == dfa_accepts(spec, word)
+            accepts = dfa_accepts(spec, word)
+            assert evaluate_test(result, T_DET, regions) is (
+                Verdict.ACCEPT if accepts else Verdict.REJECT)
+            assert (classify_result(result, regions) == "true") == accepts
+    empty = parse_machine("""
+name: empty
+alphabet: 0 1
+heads: 1
+states: s
+mode: det
+twoway: true
+""")
+    # the empty word runs on the bare marker; with no transition, no
+    # launch mass lands
+    for spec, word, want in ((ONES, "11", "true"), (ONES, "0", "false"),
+                             (ONES, "", "false"), (empty, "0", "other")):
+        result, regions = run_word(encode_machine(spec), word)
+        assert classify_result(result, regions) == want, (spec.name, word)
 
 
 @pytest.mark.parametrize("alphabet", [("0", MARKER), ("0", "01"),

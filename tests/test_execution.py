@@ -105,23 +105,25 @@ def test_weight_coherence_by_replaying_steps():
             assert replay == edge.realizer
 
 
-def test_budget_exhaustion_is_flagged_partial():
+def _two_cycle():
+    """f: 0 -> 5 and 6 -> 5, g: 5 -> 6; both of the cut's cells lie on a
+    pure 2-cycle, reachable from outside via 0 -> 5."""
     f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
                   Edge(Fraction(1), whole(6), Realizer.shift_by(-1))],
                  (0, 5, 6))
     g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
+    return f, g
+
+
+def test_budget_exhaustion_is_flagged_partial():
+    f, g = _two_cycle()
     result = plug(f, g, max_steps=1)
     assert not result.diagnostics.complete
     assert result.diagnostics.unresolved_mass > 0
 
 
 def test_exact_loop_is_settled_divergence():
-    # f: 5 -> 6, g: 6 -> 5; both regions inside the cut, a pure 2-cycle
-    # reachable from outside via 0 -> 5
-    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
-                  Edge(Fraction(1), whole(6), Realizer.shift_by(-1))],
-                 (0, 5, 6))
-    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
+    f, g = _two_cycle()
     result = plug(f, g)
     assert result.diagnostics.complete
     assert result.diagnostics.looping_mass > 0
@@ -132,10 +134,7 @@ def test_exact_loop_is_settled_divergence():
 
 def test_undetermined_only_when_it_could_flip():
     regions = Regions(whole(100), whole(100), whole(101))
-    f = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5)),
-                  Edge(Fraction(1), whole(6), Realizer.shift_by(-1))],
-                 (0, 5, 6))
-    g = graphing([Edge(Fraction(1), whole(5), Realizer.shift_by(1))], (5, 6))
+    f, g = _two_cycle()
     starved = plug(f, g, max_steps=1)
     assert evaluate_test(starved, T_DET, regions) is Verdict.UNDETERMINED
     assert evaluate_test(starved, T_CONL, regions) is Verdict.UNDETERMINED

@@ -18,32 +18,6 @@ from harness import (cellbox, graphing, log_calls, ms, random_graphing,
                      with_a_corner_cut)
 
 
-def test_validate_empty_ok():
-    assert validate(graphing([])) == []
-
-
-def test_validate_source_outside_carrier():
-    g = graphing([Edge(Fraction(1), whole(9), Realizer.shift_by(1))], (9, 10))
-    assert validate(g) == []
-    bad = graphing([Edge(Fraction(1), whole(9), Realizer.shift_by(1))], (10,))
-    assert any("source not in carrier" in p for p in validate(bad))
-
-
-def test_validate_target_outside_carrier():
-    bad = graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))])
-    assert any("target not in carrier" in p for p in validate(bad))
-
-
-def test_validate_microcosm_membership():
-    word_edge = Realizer.make(1, None, {1: Fraction(1, 2)})
-    src = ms(cellbox(0, 0, "1/2"))
-    g = Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1),
-                      [Edge(Fraction(1), src, word_edge)])
-    assert any("not in microcosm" in p for p in validate(g))
-    ok = graphing([Edge(Fraction(1), src, word_edge)], (0, 1))
-    assert validate(ok) == []
-
-
 class _Ratio(Fraction):
     """A ``Fraction`` subclass: the monoids admit it through the
     ``Rational`` check, not their exact-type test."""
@@ -162,13 +136,29 @@ _PROBLEM_KINDS = ("not in monoid", "exceeds realizer domain",
                   "not in microcosm")
 
 
-def _several_box_problems():
-    """Hand-built graphings whose sources have several boxes, with the
-    problems ``validate`` must give, in order: a box outside the carrier
-    beside a box whose image leaves it, either one first, on cells the
-    carrier holds whole or in part; and a domain violation, which skips
-    both containment checks although both fail."""
+def _hand_problems():
+    """Hand-built graphings with the problems ``validate`` must give, in
+    order.  Of at most one edge: the empty graphing, each kind of problem
+    but the weight's alone, and two graphings beside them with none.
+    With sources of several boxes: a box outside the carrier beside a box
+    whose image leaves it, either one first, on cells the carrier holds
+    whole or in part; and a domain violation, which skips both
+    containment checks although both fail."""
     shift = Realizer.shift_by(1)
+    word_edge = Realizer.make(1, None, {1: Fraction(1, 2)})
+    half = ms(cellbox(0, 0, "1/2"))
+    yield graphing([]), []
+    yield graphing([Edge(Fraction(1), whole(9), shift)], (9, 10)), []
+    yield (graphing([Edge(Fraction(1), whole(9), shift)], (10,)),
+           ["edge 0: source not in carrier"])
+    yield (graphing([Edge(Fraction(1), whole(0), Realizer.shift_by(5))]),
+           ["edge 0: target not in carrier"])
+    yield (Graphing.make(TRIVIAL, Microcosm.m1(), whole(0, 1),
+                         [Edge(Fraction(1), half, word_edge)]),
+           ["edge 0: realizer not in microcosm m1"])
+    yield graphing([Edge(Fraction(1), half, word_edge)], (0, 1)), []
+    yield (graphing([Edge(Fraction(1), whole(0), word_edge)]),
+           ["edge 0: source exceeds realizer domain"])
     left_of_1, left_of_3 = cellbox(1, 0, "1/2"), cellbox(3, 0, "1/2")
     both = ["edge 0: source not in carrier", "edge 0: target not in carrier"]
     # the first box's image leaves the carrier, the second box lies outside
@@ -189,14 +179,14 @@ def _several_box_problems():
                          [Edge(Fraction(1), whole(0), Realizer.head_swap(2)),
                           Edge(Fraction(3, 2), ms(cellbox(0, 0, "1/2"),
                                                   cellbox(5, "1/2", 1)),
-                               Realizer.make(1, None, {1: Fraction(1, 2)}))]),
+                               word_edge)]),
            ["edge 0: realizer not in microcosm m1",
             "edge 1: weight 3/2 not in monoid",
             "edge 1: source exceeds realizer domain"])
 
 
 def test_validate_matches_the_set_algebra_reference():
-    for g, want in _several_box_problems():
+    for g, want in _hand_problems():
         assert validate(g) == _model_problems(g) == want
     rng = random.Random(23)
 
@@ -259,52 +249,10 @@ def test_sampled_graphings_are_built_and_checked_box_by_box(monkeypatch):
     assert any(b.coords == () for e in edges for b in e.source.boxes)
 
 
-def test_validate_domain():
-    bad = graphing([Edge(Fraction(1), whole(0),
-                         Realizer.make(1, None, {1: Fraction(1, 2)}))])
-    assert any("exceeds realizer domain" in p for p in validate(bad))
-
-
-def test_classify_examples():
-    a = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
-    b = Edge(Fraction(1), ms(cellbox(0, "1/2", 1)), Realizer.shift_by(2))
-    assert classify(graphing([a, b])) == GraphingClass.DETERMINISTIC
-    c = Edge(Fraction(1), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(2))
-    assert classify(graphing([a, c])) == GraphingClass.NONDETERMINISTIC
-    heavy = [Edge(Fraction(1, 2), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(1)),
-             Edge(Fraction(2, 3), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(2))]
-    assert classify(graphing(heavy, monoid=PROBABILITIES)) == \
-        GraphingClass.GENERAL
-    light = [Edge(Fraction(1, 2), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(1)),
-             Edge(Fraction(1, 2), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(2))]
-    assert classify(graphing(light, monoid=PROBABILITIES)) == \
-        GraphingClass.PROBABILISTIC
-
-
-def test_classify_sums_every_edge_over_a_shared_part():
-    # each pair of sources sums to 1, but [1/4, 1/2) lies in all three
-    half = Fraction(1, 2)
-    edges = [Edge(half, ms(cellbox(0, lo, hi)), Realizer.shift_by(1))
-             for lo, hi in [(0, "1/2"), ("1/4", "3/4"), ("1/4", "1/2")]]
-    assert classify(graphing(edges, monoid=PROBABILITIES)) == \
-        GraphingClass.GENERAL
-    assert classify(graphing(edges[:2], monoid=PROBABILITIES)) == \
-        GraphingClass.PROBABILISTIC
-
-
-def test_classify_deterministic_implies_probabilistic_admissible():
-    a = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
-    g = graphing([a], monoid=PROBABILITIES)
-    assert classify(g) == GraphingClass.DETERMINISTIC
-
-
-def test_cost_examples():
+def test_cost_invariant_under_source_splitting():
     assert cost(graphing([])) == 0
     one = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
     assert cost(graphing([one])) == Fraction(1, 2)
-
-
-def test_cost_invariant_under_source_splitting():
     whole = Edge(Fraction(1), ms(cellbox(0)), Realizer.shift_by(1))
     left = Edge(Fraction(1), ms(cellbox(0, 0, "1/3")), Realizer.shift_by(1))
     right = Edge(Fraction(1), ms(cellbox(0, "1/3", 1)), Realizer.shift_by(1))
@@ -481,7 +429,36 @@ def _swept_graphing(rng):
                          ms(*(cellbox(c) for c in range(4))), edges)
 
 
+def _classify_examples():
+    """Hand-built graphings with their classes: units over disjoint or
+    overlapping sources, weights that add up past 1 over a point or not,
+    and units over the probabilities monoid."""
+    a = Edge(Fraction(1), ms(cellbox(0, 0, "1/2")), Realizer.shift_by(1))
+    b = Edge(Fraction(1), ms(cellbox(0, "1/2", 1)), Realizer.shift_by(2))
+    c = Edge(Fraction(1), ms(cellbox(0, 0, "3/4")), Realizer.shift_by(2))
+    yield graphing([a, b]), GraphingClass.DETERMINISTIC
+    yield graphing([a, c]), GraphingClass.NONDETERMINISTIC
+    yield graphing([a], monoid=PROBABILITIES), GraphingClass.DETERMINISTIC
+    # over [0, 1/2), 1/2 + 2/3 is past 1 and 1/2 + 1/2 is not
+    for weight, want in ((Fraction(2, 3), GraphingClass.GENERAL),
+                         (Fraction(1, 2), GraphingClass.PROBABILISTIC)):
+        yield graphing([
+            Edge(Fraction(1, 2), ms(cellbox(0, 0, "3/4")),
+                 Realizer.shift_by(1)),
+            Edge(weight, ms(cellbox(0, 0, "1/2")), Realizer.shift_by(2))],
+            monoid=PROBABILITIES), want
+    # each pair of sources sums to 1, but [1/4, 1/2) lies in all three
+    half = Fraction(1, 2)
+    edges = [Edge(half, ms(cellbox(0, lo, hi)), Realizer.shift_by(1))
+             for lo, hi in [(0, "1/2"), ("1/4", "3/4"), ("1/4", "1/2")]]
+    yield graphing(edges, monoid=PROBABILITIES), GraphingClass.GENERAL
+    yield (graphing(edges[:2], monoid=PROBABILITIES),
+           GraphingClass.PROBABILISTIC)
+
+
 def test_classify_matches_the_refinement_sums():
+    for g, want in _classify_examples():
+        assert classify(g) is _model_class(g, _loads(g)) is want, g
     rng = random.Random(30)
     seen = Counter()
     for _ in range(3000):

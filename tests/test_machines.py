@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from graphvm.machines import (Action, MachineParseError, MachineSpec,
-                              MachineSpecError, _parse_action, format_machine,
-                              parse_machine, validate_spec)
+                              MachineSpecError, format_machine, parse_machine,
+                              validate_spec)
 from harness import (load_machinegen, log_calls, seeded_specs,
                      shipped_machines)
 
@@ -50,22 +50,6 @@ q, * -> accept
     assert acts[0] == Action("advance", Fraction(1, 3), 2, "q")
     assert acts[1] == Action("reject", Fraction(2, 3))
     assert parse_machine(format_machine(spec)) == spec
-
-
-def test_parse_errors_cite_line_numbers():
-    with pytest.raises(MachineParseError) as err:
-        parse_machine(ONES.replace("s0, 1 -> accept", "s0, 1 -> acceptx"))
-    assert "line 11" in str(err.value)
-    with pytest.raises(MachineParseError) as err:
-        parse_machine("name: x\nalphabet: 0\nheads: 1\nstates: s\nmode: det\n"
-                      "twoway: true\ns, 0 -> advance goto\n")
-    assert "line 7" in str(err.value)
-    assert err.value.line_no == 7
-
-
-def test_missing_header_rejected():
-    with pytest.raises(MachineParseError):
-        parse_machine("name: x\nheads: 1\nstates: s\nmode: det\n")
 
 
 def test_spec_validation():
@@ -203,6 +187,7 @@ def test_parse_rejects_invalid_spec():
      "line 12: cannot parse 's0 1 accept'"),
     ("heads: 1", "heads: one", "heads must be an integer"),
     ("twoway: true", "twoway: yes", "twoway must be true or false"),
+    ("alphabet: 0 1", "", "missing header 'alphabet'"),
 ])
 def test_malformed_machine_file_is_a_parse_error(old, new, message, tmp_path,
                                                  capsys):
@@ -257,36 +242,16 @@ b, 0 -> advance goto a
     assert spec.retreat_entered_states() == {"b"}
 
 
-_HEADER = "name: m\nalphabet: 0\nheads: 2\nstates: s t\nmode: prob\n"
-
-
-@pytest.mark.parametrize("action", [
-    "accept", "reject", "advance", "retreat",
-    "advance goto t", "retreat goto s", "accept goto s",
-    "1/2 accept", "1 reject", "2/4 advance goto t",
-    "advance swap 2", "advance goto t swap 2", "advance swap 2 goto t",
-    "1/3 retreat goto s swap 2", "advance goto goto", "advance goto swap",
-])
-def test_the_direct_action_shapes_parse_as_the_general_parser_does(
-        action, monkeypatch):
-    """``parse_machine`` builds a bare kind and ``kind goto s`` itself;
-    every shape, direct or not, gives the ``Action`` of ``_parse_action``
-    on its tokens.  The spec check is switched off here, so that shapes
-    it refuses (a move without goto, a halt with one) are read too."""
-    from graphvm import machines
-    monkeypatch.setattr(machines, "validate_spec", lambda spec: [])
-    spec = parse_machine(_HEADER + f"s, 0 -> {action}\n")
-    assert spec.actions("s", "0") == (_parse_action(action.split(), 6),)
-
-
 @pytest.mark.parametrize("line, message", [
     ("s0 0 -> accept", "transition needs 'state, symbol' before '->'"),
     ("s0, -> accept", "transition needs 'state, symbol' before '->'"),
     (", 0 -> accept", "transition needs 'state, symbol' before '->'"),
     ("s0, 0, 1 -> accept", "transition needs 'state, symbol' before '->'"),
     ("s0, 0 -> accept goto", "goto needs a state name"),
+    ("s0, 0 -> advance goto", "goto needs a state name"),
     ("s0, 0 -> bogus", "unknown action 'bogus'"),
     ("s0, 0 -> bogus goto s0", "unknown action 'bogus'"),
+    ("s0, 1 -> acceptx", "unknown action 'acceptx'"),
     ("s0, 0 -> ", "missing action keyword"),
     ("s0, 0 -> 1/0 accept", "bad rational '1/0'"),
     ("s0, 0 -> advance stay s0", "unexpected token 'stay'"),

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridmodel import Box, Grid, Interval, image
 from graphvm import space
@@ -16,7 +16,7 @@ from graphvm.execution import _split
 from graphvm.realizers import Realizer
 from graphvm.space import (FULL, MeasurableSet, RationalBox, RationalInterval,
                            _box_minus, common_refinement, interval)
-from harness import log_calls, ms
+from harness import cellbox, log_calls, ms
 
 
 def covers(a, b):
@@ -85,21 +85,6 @@ def test_interval_text_is_unchanged():
         "{cell 2: x1 in [1/4,1), x3 in [0,5/12)}"
 
 
-def test_measure_examples():
-    assert MeasurableSet.empty().measure() == 0
-    b = RationalBox.make(3, {1: interval(0, "1/2"), 2: interval("1/4", "3/4")})
-    assert ms(b).measure() == Fraction(1, 4)
-    left = RationalBox.make(0, {1: interval(0, "1/3")})
-    right = RationalBox.make(0, {1: interval("1/3", 1)})
-    assert ms(left, right).measure() == 1
-
-
-def test_partition_of_unit_merges_to_full_box():
-    left = RationalBox.make(0, {1: interval(0, "1/3")})
-    right = RationalBox.make(0, {1: interval("1/3", 1)})
-    assert ms(left, right) == ms(RationalBox.make(0))
-
-
 def test_sets_built_along_different_paths_hash_alike():
     merged = ms(RationalBox.make(0, {1: interval("1/4", 1)}))
     halves = ms(RationalBox.make(0, {1: interval("1/4", "1/2")}),
@@ -123,27 +108,6 @@ def test_sets_built_along_different_paths_hash_alike():
         != merged
 
 
-def test_intersect_examples():
-    a = ms(RationalBox.make(0, {1: interval(0, "2/3")}))
-    b = ms(RationalBox.make(0, {1: interval("1/3", 1)}))
-    assert a.intersect(a) == a
-    other_cell = ms(RationalBox.make(1, {1: interval(0, "1/2")}))
-    assert ms(RationalBox.make(0, {1: interval(0, "1/2")})) \
-        .intersect(other_cell).is_empty()
-    assert a.intersect(b) == ms(RationalBox.make(0, {1: interval("1/3", "2/3")}))
-
-
-def test_subtract_examples():
-    a = ms(RationalBox.make(0, {1: interval(0, "2/3")}))
-    assert a.subtract(a).is_empty()
-    assert a.subtract(MeasurableSet.empty()) == a
-    unit = ms(RationalBox.make(0))
-    left_half = ms(RationalBox.make(0, {1: interval(0, "1/2")}))
-    right_half = unit.subtract(left_half)
-    assert right_half == ms(RationalBox.make(0, {1: interval("1/2", 1)}))
-    assert right_half.measure() == Fraction(1, 2)
-
-
 def test_common_refinement_examples():
     a = ms(RationalBox.make(0, {1: interval(0, "2/3")}))
     b = ms(RationalBox.make(0, {1: interval("1/3", 1)}))
@@ -153,16 +117,6 @@ def test_common_refinement_examples():
     assert common_refinement([a]) == list(a.boxes)
     c = ms(RationalBox.make(5, {1: interval(0, "1/2")}))
     assert common_refinement([a, c]) == list(a.boxes) + list(c.boxes)
-
-
-def test_common_refinement_restores_inputs():
-    a = ms(RationalBox.make(0, {1: interval(0, "3/4"), 2: interval("1/4", 1)}))
-    b = ms(RationalBox.make(0, {2: interval(0, "1/2")}))
-    parts = common_refinement([a, b])
-    grid = Grid([*a.boxes, *b.boxes, *parts])
-    for original in (a, b):
-        bits = grid.bits(original.boxes)
-        assert grid.bits([p for p in parts if grid.bits((p,)) & bits]) == bits
 
 
 # Endpoints on the 1/9 grid, or each interval on the 1/4 or the 1/6 grid:
@@ -237,6 +191,37 @@ def test_set_operations_agree_with_point_membership(denominators, data):
     _check_against_the_model(a, a.union(b))
 
 
+_EMPTY, _UNIT = MeasurableSet.empty(), ms(cellbox(0))
+_LEFT_TWO_THIRDS = ms(cellbox(0, 0, "2/3"))
+_THIRDS = ms(cellbox(0, 0, "1/3"), cellbox(0, "1/3", 1))
+
+
+# (a, b, operation, its value): ``a.measure()``, or ``a`` met with, less
+# or joined with ``b``
+@pytest.mark.parametrize("a, b, operation, want", [
+    (_EMPTY, _EMPTY, "measure", 0),
+    (ms(RationalBox.make(3, {1: interval(0, "1/2"),
+                             2: interval("1/4", "3/4")})),
+     _EMPTY, "measure", Fraction(1, 4)),
+    # a partition of the unit merges to the whole cell
+    (_THIRDS, _EMPTY, "union", _UNIT),
+    (_THIRDS, _EMPTY, "measure", 1),
+    (ms(cellbox(0, 0, "1/3")), ms(cellbox(0, "1/3", 1)), "union", _UNIT),
+    (_LEFT_TWO_THIRDS, _LEFT_TWO_THIRDS, "intersect", _LEFT_TWO_THIRDS),
+    (ms(cellbox(0, 0, "1/2")), ms(cellbox(1, 0, "1/2")), "intersect", _EMPTY),
+    (_LEFT_TWO_THIRDS, ms(cellbox(0, "1/3", 1)), "intersect",
+     ms(cellbox(0, "1/3", "2/3"))),
+    (_LEFT_TWO_THIRDS, _LEFT_TWO_THIRDS, "subtract", _EMPTY),
+    (_LEFT_TWO_THIRDS, _EMPTY, "subtract", _LEFT_TWO_THIRDS),
+    (_UNIT, ms(cellbox(0, 0, "1/2")), "subtract", ms(cellbox(0, "1/2", 1))),
+    (ms(cellbox(0, "1/2", 1)), _EMPTY, "measure", Fraction(1, 2)),
+])
+def test_hand_sets_agree_with_the_model(a, b, operation, want):
+    _check_against_the_model(a, b)
+    got = a.measure() if operation == "measure" else getattr(a, operation)(b)
+    assert got == want
+
+
 def test_subtract_passes_through_untouched_and_whole_cells():
     ninth = Fraction(1, 9)
     several = ms(RationalBox.make(0, {1: interval(0, 3 * ninth)}),
@@ -290,6 +275,9 @@ def test_point_set_equality_gives_identical_forms(a, b):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([_NINTHS, _MIXED]).flatmap(
     lambda ds: st.tuples(sets(ds), sets(ds))))
+@example((ms(RationalBox.make(0, {1: interval(0, "3/4"),
+                                  2: interval("1/4", 1)})),
+          ms(RationalBox.make(0, {2: interval(0, "1/2")}))))
 def test_refinement_parts_are_disjoint_and_cover(pair):
     a, b = pair
     parts = common_refinement([a, b])
@@ -298,6 +286,10 @@ def test_refinement_parts_are_disjoint_and_cover(pair):
     # the parts' bits add up to their union only when no two share a bit
     assert sum(grid.bits((p,)) for p in parts) == grid.bits(parts) == \
         grid.bits(a.boxes) | grid.bits(b.boxes)
+    # each input is the union of the parts that meet it
+    for original in (a, b):
+        bits = grid.bits(original.boxes)
+        assert grid.bits([p for p in parts if grid.bits((p,)) & bits]) == bits
 
 
 @_BOTH_GRIDS
