@@ -4,7 +4,7 @@ experiments, dump encodings.
 
 Exit codes: 0 success (determinate verdict, empty diff), 2 language
 mismatch against the oracle, 3 undetermined verdicts, 4 parse errors,
-5 validation failures.
+5 validation failures and usage errors.
 """
 
 from __future__ import annotations
@@ -347,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help, or its usage and error
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return args.func(args)
     except (MachineParseError, MachineSpecError) as exc:

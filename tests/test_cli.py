@@ -221,6 +221,13 @@ def test_experiment_count_below_one_is_a_validation_error(kind, count,
      f"--heads 1000000 --depth 3: the exact cost has more than "
      f"{sys.get_int_max_str_digits()} digits"),
     (["language", mach("ones.mach"), "--max-steps", "-1"], "max_steps"),
+    # bounds below their least value, which the CLI passes on as given
+    (["experiment", "cost", "--heads", "1", "--depth", "2"],
+     "need at least two coordinates to permute"),
+    (["experiment", "separation", "1", "3"], "need 2 <= i < j"),
+    (["encode", "word", "01", "--rows", "0"], "need at least one state row"),
+    (["run", mach("coin-flip.mach"), "01", "--test", "prob",
+      "--cutpoint", "1"], "cutpoint must lie in [0, 1)"),
 ])
 def test_negative_bound_is_a_validation_error(argv, message, capsys,
                                               monkeypatch):
@@ -230,8 +237,28 @@ def test_negative_bound_is_a_validation_error(argv, message, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     # a cost too long to write is refused before it is computed
-    if argv[:2] == ["experiment", "cost"]:
+    if "the exact cost has more than" in message:
         assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["language", mach("ones.mach"), "--max-len", "abc"],
+     "argument --max-len: invalid int value: 'abc'"),
+    (["run", mach("ones.mach")], "the following arguments are required: word"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    # argparse reads a negative fraction as an option
+    (["run", mach("coin-flip.mach"), "01", "--test", "prob",
+      "--cutpoint", "-1/2"], "argument --cutpoint: expected one argument"),
+])
+def test_a_usage_error_is_a_validation_error(argv, message, capsys):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: graphvm")
+    assert f"error: {message}" in captured.err
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: graphvm")
 
 
 @pytest.mark.parametrize("cutpoint, words", [

@@ -511,6 +511,12 @@ def test_float_cutpoints_are_refused():
     assert type(Test("prob", "1/2").cutpoint) is Fraction
 
 
+def test_an_unknown_test_kind_is_refused():
+    # the CLI's --test choices keep it out of the CLI
+    with pytest.raises(ValueError, match="unknown test kind 'bogus'"):
+        Test("bogus")
+
+
 def test_decaying_revisit_is_unresolved_not_looping():
     # 0 -> 5 -> 6 -> 5: the second entry into G's edge repeats the first
     # with the same composite but half the weight
