@@ -8,6 +8,8 @@ import re
 import time
 from fractions import Fraction
 
+import pytest
+
 from graphvm.cli import EXIT_OK, main
 from graphvm.encodings import EncodedMachine, encode_machine
 from graphvm.equivalence import (compile_graphing, is_compilable,
@@ -252,16 +254,24 @@ def test_criterion_10_exactness_sweep(tmp_path):
            + (f"; offenders {offenders[:4]}" if offenders else ""))
 
 
-def test_the_package_imports_only_the_standard_library():
+@pytest.fixture(scope="session")
+def package_modules():
+    """``(file name, tree)`` of each module of ``src/graphvm``, in name
+    order, each parsed once for the static checks below."""
+    package = os.path.join(ROOT, "src", "graphvm")
+    modules = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                modules.append((name, ast.parse(fh.read(), filename=name)))
+    return modules
+
+
+def test_the_package_imports_only_the_standard_library(package_modules):
     # pyproject.toml declares ``dependencies = []``
     import sys
     outside = []
-    package = os.path.join(ROOT, "src", "graphvm")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+    for name, tree in package_modules:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -276,18 +286,15 @@ def test_the_package_imports_only_the_standard_library():
     assert not outside, outside
 
 
-def test_every_package_import_is_read():
+def test_every_package_import_is_read(package_modules):
     """Each module-level import of a ``src/graphvm`` module is read in
     that module; a name read only in an annotation counts.  No linter
     ships with the package, so this is the check for stale imports.
     ``__init__.py`` imports to re-export, and is left out."""
     unread = []
-    package = os.path.join(ROOT, "src", "graphvm")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py") or name == "__init__.py":
+    for name, tree in package_modules:
+        if name == "__init__.py":
             continue
-        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
         bound = {}
         for node in tree.body:
             if isinstance(node, ast.Import):
@@ -305,17 +312,12 @@ def test_every_package_import_is_read():
     assert not unread, unread
 
 
-def test_every_package_dataclass_has_a_docstring():
+def test_every_package_dataclass_has_a_docstring(package_modules):
     """Each ``@dataclass`` or ``@value_type`` class of a ``src/graphvm``
     module has a docstring: for a class without one, ``dataclass()`` makes
     one from ``inspect.signature`` at import, on every CLI start."""
     bare = []
-    package = os.path.join(ROOT, "src", "graphvm")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+    for name, tree in package_modules:
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -351,7 +353,7 @@ def _functools_cache(node):
     return name if name in ("lru_cache", "cache") else None
 
 
-def test_every_module_level_lru_cache_is_bounded():
+def test_every_module_level_lru_cache_is_bounded(package_modules):
     """Each ``lru_cache`` of a ``src/graphvm`` module that is not made
     inside a function, and so lives as long as the process, names an
     integer ``maxsize``: a literal, or a module constant bound to one.
@@ -359,12 +361,7 @@ def test_every_module_level_lru_cache_is_bounded():
     per-call tables that ``language`` makes in its body are dropped when
     it returns, and may be unbounded."""
     unbounded = []
-    package = os.path.join(ROOT, "src", "graphvm")
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=name)
+    for name, tree in package_modules:
         ints = {target.id: node.value.value for node in tree.body
                 if isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Constant)
