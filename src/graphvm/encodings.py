@@ -45,7 +45,8 @@ OUT = "out"
 
 @dataclass(frozen=True)
 class TapeLayout:
-    """Deterministic assignment of named regions to integer cells.
+    """Deterministic assignment of named regions to integer cells: the one
+    description of the tape that words and machines are compiled onto.
 
     Per state row: the marker's In/Out cells, then In/Out per alphabet
     symbol, then the accept and reject cells; rows repeat at
@@ -63,12 +64,23 @@ class TapeLayout:
     def row_stride(self) -> int:
         return 2 * len(self.alphabet) + 4
 
+    @lazy
+    def in_cells(self) -> dict[str, int]:
+        """Row 0's In cell of the marker and of each symbol, in that order;
+        each Out cell is the one after its In cell."""
+        return {s: 2 * i for i, s in enumerate((MARKER,) + self.alphabet)}
+
     def symbol_cell(self, symbol: str, kind: str, row: int = 0) -> int:
-        if symbol == MARKER:
-            base = 0
-        else:
-            base = 2 + 2 * self.alphabet.index(symbol)
-        return row * self.row_stride + base + (0 if kind == IN else 1)
+        return row * self.row_stride + self.in_cells[symbol] + (kind != IN)
+
+    def word_cells(self, rows: int, one_way: bool):
+        """``(cell, row base, symbol, Out flag)`` of each cell with word
+        edges on ``rows`` state rows, ascending, as ``Edge.key`` orders
+        their edges; a one-way word has no In edges."""
+        for base in range(0, rows * self.row_stride, self.row_stride):
+            for symbol, cell in self.in_cells.items():
+                for out in (1,) if one_way else (0, 1):
+                    yield base + cell + out, base, symbol, out
 
     def accept_cell(self, row: int = 0) -> int:
         return row * self.row_stride + 2 * len(self.alphabet) + 2
@@ -124,27 +136,25 @@ def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
                 realizer)
 
 
-def _edges_from(cell: int, at, out: int, base: int, symbols,
-                in_cell: dict[str, int], cells: int) -> list[Edge]:
-    """The word edges from the slices of the positions ``at`` in
-    ``cell``, the In (``out`` 0) or Out (``out`` 1) cell of their symbol
-    in the row at ``base``: Out carries a position to the next In, In back
-    to the last Out.  ``symbols`` is the marked word, ``cells`` long."""
-    edges = []
-    for pos in at:
-        to = (pos + 1 if out else pos - 1) % cells
-        dst = base + in_cell[symbols[to]] + 1 - out
-        edges.append(_word_edge(cell, pos, dst, to, cells))
-    return edges
+def _edge_from(cell: int, pos: int, out: int, base: int, symbols,
+               cells: int, in_cells: dict[str, int]) -> Edge | None:
+    """The word edge that leaves the slice of ``pos`` in ``cell``, the In
+    (``out`` 0) or Out (``out`` 1) cell of its symbol in the row at
+    ``base``: Out carries a position to the next In, In back to the last
+    Out.  ``symbols`` is the marked word, ``cells`` long, or a prefix of
+    it; None when the edge leads to a position past the prefix."""
+    to = (pos + 1 if out else pos - 1) % cells
+    if to >= len(symbols):
+        return None
+    return _word_edge(cell, pos, base + in_cells[symbols[to]] + 1 - out, to,
+                      cells)
 
 
 @lru_cache(maxsize=64)
 def _tape_carrier(layout: TapeLayout, rows: int) -> MeasurableSet:
     """The In and Out cells of the marker and of every symbol, per row:
-    each row's cells but its last two, the accept and reject cells."""
-    stride = layout.row_stride
-    return whole_cells(base + c for base in range(0, rows * stride, stride)
-                       for c in range(stride - 2))
+    every cell but the accept and reject cells."""
+    return whole_cells(cell for cell, *_ in layout.word_cells(rows, False))
 
 
 @lru_cache(maxsize=64)
@@ -166,19 +176,16 @@ def encode_word(word: str, layout: TapeLayout, state_rows: int = 1,
     if state_rows < 1:
         raise ValueError("need at least one state row")
     cells = len(word) + 1
-    symbols = [MARKER] + list(word)
-    positions = [(s, [p for p, x in enumerate(symbols) if x == s])
-                 for s in (MARKER,) + layout.alphabet if s in symbols]
-    # a symbol's Out cell comes right after its In cell
-    in_cell = {s: layout.symbol_cell(s, IN) for s, _ in positions}
+    symbols = (MARKER,) + tuple(word)
+    in_cells = layout.in_cells
+    at = {s: [p for p, x in enumerate(symbols) if x == s] for s in in_cells}
     edges, by_cell = [], {}
-    for base in range(0, state_rows * layout.row_stride, layout.row_stride):
-        for symbol, at in positions:
-            for out in (1,) if one_way else (0, 1):
-                cell = base + in_cell[symbol] + out
-                by_cell[cell] = list(range(len(edges), len(edges) + len(at)))
-                edges += _edges_from(cell, at, out, base, symbols, in_cell,
-                                     cells)
+    for cell, base, symbol, out in layout.word_cells(state_rows, one_way):
+        new = [_edge_from(cell, pos, out, base, symbols, cells, in_cells)
+               for pos in at[symbol]]
+        if new:
+            by_cell[cell] = list(range(len(edges), len(edges) + len(new)))
+            edges += new
     graphing = Graphing(TRIVIAL, Microcosm.macrocosm(),
                         _tape_carrier(layout, state_rows), tuple(edges))
     vars(graphing)["edges_by_cell"] = by_cell
@@ -201,23 +208,18 @@ class WordSide:
         self.cells = length + 1
         self.carrier = _tape_carrier(layout, rows)
         self.microcosm = Microcosm.macrocosm()
-        self.in_cell = {s: layout.symbol_cell(s, IN)
-                        for s in (MARKER,) + layout.alphabet}
+        self.in_cells = layout.in_cells
         # per cell with word edges: its row's base, symbol and Out flag
-        self.kinds = {base + self.in_cell[s] + out: (base, s, out)
-                      for base in range(0, rows * layout.row_stride,
-                                        layout.row_stride)
-                      for s in self.in_cell
-                      for out in ((1,) if one_way else (0, 1))}
+        self.kinds = {cell: (base, symbol, out) for cell, base, symbol, out
+                      in layout.word_cells(rows, one_way)}
         self._plans: dict[MeasurableSet, tuple[int, list[tuple]]] = {}
 
     def _plan(self, s: MeasurableSet) -> tuple[int, list[tuple]]:
         """The last position any slice that meets ``s`` reaches, and per
         (cell, position) whose slice of coordinate 1 meets a box of ``s``
         in it, in ``Edge.key`` order: the cell's row base, symbol and Out
-        flag, the position its edge leads to, and ``s.intersect`` of the
-        slice, made once per set here.  The marker's cells have a slice at
-        position 0 only, a symbol's after it."""
+        flag, and ``s.intersect`` of the slice, made once per set here.  The
+        marker's cells have a slice at position 0 only, a symbol's past it."""
         cells, kinds, by_cell = self.cells, self.kinds, {}
         for b in s.boxes:
             kind = kinds.get(b.cell)
@@ -238,7 +240,6 @@ class WordSide:
             for pos in sorted(at):
                 # each slice meets a box of s: no meet is empty
                 entries.append((cell, pos, base, symbol, out,
-                                (pos + 1 if out else pos - 1) % cells,
                                 s.intersect(_slice_source(cell, pos, cells))))
                 last = max(last, pos)
         return last, entries
@@ -250,8 +251,8 @@ class WordSide:
         plan, or None, to park the path, when one of them needs a symbol
         past the prefix, its source's or the one it leads to."""
         symbols = (MARKER,) + tuple(prefix)
-        known, in_cell, cells, plans = (len(symbols), self.in_cell,
-                                        self.cells, self._plans)
+        known, in_cells, cells, plans = (len(symbols), self.in_cells,
+                                         self.cells, self._plans)
 
         def meets(s: MeasurableSet):
             plan = plans.get(s)
@@ -261,14 +262,14 @@ class WordSide:
             if last >= known:
                 return None
             found = []
-            for cell, pos, base, symbol, out, to, meet in entries:
+            for cell, pos, base, symbol, out, meet in entries:
                 if symbols[pos] != symbol:
                     continue
-                if to >= known:
+                edge = _edge_from(cell, pos, out, base, symbols, cells,
+                                  in_cells)
+                if edge is None:
                     return None
-                found.append(((cell, pos), _word_edge(
-                    cell, pos, base + in_cell[symbols[to]] + 1 - out, to,
-                    cells), meet))
+                found.append(((cell, pos), edge, meet))
             return found
 
         return meets
@@ -340,9 +341,7 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     layout = _layout(tuple(spec.alphabet))
     stride = layout.row_stride
     base_of = {state: i * stride for i, state in enumerate(spec.states)}
-    # a symbol's Out cell comes right after its In cell
-    in_cell = {s: layout.symbol_cell(s, IN)
-               for s in (MARKER,) + layout.alphabet}
+    in_cell = layout.in_cells  # a symbol's Out cell is the next one
     accept = layout.accept_cell()
     retreat_entered = spec.retreat_entered_states()
 

@@ -24,14 +24,23 @@ ONE_THEN_ZERO = shipped("one-then-zero.mach")
 
 
 def test_layout_cells_pairwise_distinct():
-    cells = []
-    for row in (0, 1):
-        for symbol in (MARKER, "0", "1"):
-            cells.append(LAYOUT.symbol_cell(symbol, IN, row))
-            cells.append(LAYOUT.symbol_cell(symbol, OUT, row))
-        cells.append(LAYOUT.accept_cell(row))
-        cells.append(LAYOUT.reject_cell(row))
-    assert len(set(cells)) == len(cells)
+    """On alphabets of 0-3 symbols and 1-3 rows, the layout's cells fill
+    its rows exactly, each Out cell is its In cell plus one, and the tape
+    carrier is every cell but the accept and reject cells."""
+    for alphabet in ((), ("0",), ("0", "1"), ("a", "b", "c")):
+        layout = TapeLayout(alphabet)
+        for rows in (1, 2, 3):
+            cells, terminal = [], set()
+            for row in range(rows):
+                for symbol in (MARKER,) + alphabet:
+                    in_cell = layout.symbol_cell(symbol, IN, row)
+                    assert layout.symbol_cell(symbol, OUT, row) == in_cell + 1
+                    cells += [in_cell, in_cell + 1]
+                terminal |= {layout.accept_cell(row), layout.reject_cell(row)}
+            cells += sorted(terminal)
+            assert sorted(cells) == list(range(rows * layout.row_stride))
+            assert encodings._tape_carrier(layout, rows) == whole(
+                *(set(cells) - terminal)), (alphabet, rows)
 
 
 def test_encode_single_zero_word():
