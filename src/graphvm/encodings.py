@@ -306,6 +306,24 @@ class EncodedMachine:
         return _launch_set(self.layout.accept_cell(), self.spec.heads,
                            word_len + 1)
 
+    def graphing_for(self, word_len: int) -> Graphing:
+        """``graphing`` with its start edge, the one edge out of row 0's
+        accept cell, starting from ``launch_region(word_len)`` only: every
+        path is then a run of the automaton.  Built once per length; the
+        start edge keeps its place in ``Edge.key`` order and its cells."""
+        scoped = vars(self).setdefault("_scoped", {})
+        if word_len not in scoped:
+            g = self.graphing
+            [idx] = g.edges_by_cell[self.layout.accept_cell()]
+            edges = list(g.edges)
+            edges[idx] = Edge(edges[idx].weight, self.launch_region(word_len),
+                              edges[idx].realizer)
+            scoped[word_len] = Graphing(g.weights, g.microcosm, g.carrier,
+                                        tuple(edges))
+            vars(scoped[word_len]).update(edges_by_cell=g.edges_by_cell,
+                                          _problems=())
+        return scoped[word_len]
+
     def regions_for(self, word_len: int) -> Regions:
         return Regions(self.launch_region(word_len),
                        self.accept_region, self.reject_region)
@@ -389,14 +407,15 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
 
 def run_word(machine: EncodedMachine, word: str, one_way: bool = False,
              max_steps: int = 10000):
-    """Plug the machine against the word, a lone plug with no table.
-    Neither side is swept again: the machine was when it was built, and
-    ``encode_word`` records that its graphings have no problems.  Returns
-    the plug result and the regions the tests need.  ``language`` gives
-    each word the verdict of this plug without calling it."""
+    """Plug the machine, its start edge scoped to the word's launch region,
+    against the word, a lone plug with no table.  Neither side is swept
+    again: the machine was when it was built, and ``encode_word`` records
+    that its graphings have no problems.  Returns the plug result and the
+    regions the tests need.  ``language`` gives each word the verdict of
+    this plug without calling it."""
     enc = encode_word(word, machine.layout,
                       state_rows=len(machine.spec.states), one_way=one_way)
-    result = plug(machine.graphing, enc.graphing, max_steps)
+    result = plug(machine.graphing_for(len(word)), enc.graphing, max_steps)
     return result, machine.regions_for(len(word))
 
 

@@ -661,10 +661,13 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     Each length has one search, shared over the trie of word prefixes and
     walked depth first in alphabet order.  The cut is the word's carrier,
     which does not depend on the word, so the machine's paths start once
-    per length, in the length's root.  A prefix's search takes the steps
-    its symbols decide; a path whose next word edge needs a symbol past
-    the prefix is parked, and each next symbol's search goes on from the
-    prefix's exits, masses, step count and parked paths.  A word's search
+    per length, in the length's root, from ``graphing_for`` the length, as
+    in ``run_word``: the start edge scoped to the launch region.  Inside
+    the cut that graphing meets sets as the machine's own does, since the
+    start edge's source lies outside it.  A prefix's search takes the
+    steps its symbols decide; a path whose next word edge needs a symbol
+    past the prefix is parked, and each next symbol's search goes on from
+    the prefix's exits, masses, step count and parked paths.  A word's search
     is then its own plug's steps in another order, which leaves its exits
     and masses as they are.  A prefix whose search is left with nothing
     queued, parked or not, settles every word below it: each gets the
@@ -698,9 +701,10 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     for length in range(max_len + 1):
         side = WordSide(machine.layout, len(machine.spec.states), one_way,
                         length)
-        root = _Search(machine.graphing, side, max_steps, ops)
+        scoped = machine.graphing_for(length)
+        root = _Search(scoped, side, max_steps, ops)
         # the word's carrier is the cut, so no path starts on its side
-        root.start("F", machine.graphing)
+        root.start("F", scoped)
         regions = machine.regions_for(length)
         start, cells = _reads(test, regions)
         # each entry: a search, its prefix, how many of its exits are

@@ -24,12 +24,12 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = [
     (["run", "ones.mach", "11"], {
         "run.dot": "0d6f2482402402cc9704ada37515ede62596bc8d4e738aaaac65f78dc99fbe15",
-        "trace.jsonl": "4bc3bfa535103d1349aa10060e351c9edd5c8cda53a14ab95a885739e76b7632",
+        "trace.jsonl": "5be5d5670fc524bdbb68cf1c049ce9d84b40379e24f57d84173e4d09b8b32e5d",
         STDOUT: "d6c1afecd67a9bb0fa784b39593e38e0f215b359f7d1f38ecefcc8406d2ff0e9",
     }),
     (["run", "one-then-zero.mach", "01", "--test", "det"], {
         "run.dot": "48ace9186ca560ce418b9ee0aa3ac0d26613007bcc7e7683f87d50554dfe131a",
-        "trace.jsonl": "7e3aa317f2bb4af5321de3ae383ab6e58b43ed23fcf216e2b994de1c150a38ad",
+        "trace.jsonl": "557aa11f52a1017e04d6700f9ee9167f8e0313325dffe7fb8d60aa91b6845796",
         STDOUT: "c93f4fdb5ac77b725d9ef5a59a8d47e2872edb77e033c72d01498666d26fc81f",
     }),
     (["language", "guess-11.mach", "--test", "nl", "--max-len", "5"], {

@@ -16,14 +16,17 @@ import pytest
 
 from eagerplug import assert_matches_eager
 from graphvm.encodings import (IN, OUT, _tape_carrier, encode_machine,
-                               run_word)
+                               encode_word, run_word, slice_interval)
 from graphvm.execution import (T_CONL, T_DET, T_NL, Verdict, accept_mass,
-                               evaluate_test, language, reject_mass)
+                               evaluate_test, language, plug, reject_mass,
+                               t_prob)
 from graphvm.graphing import PROBABILITIES, TRIVIAL, Edge, Graphing
 from graphvm.machines import MARKER, format_machine, parse_machine
-from graphvm.oracle import oracle_language, pfa_accept_prob, words_up_to
+from graphvm.oracle import (_chain, oracle_language, pfa_accept_prob,
+                            words_up_to)
 from graphvm.realizers import Microcosm, Realizer
-from harness import load_machinegen, seeded_specs, shipped_machines, whole
+from harness import (load_machinegen, log_calls, seeded_specs,
+                     shipped_machines, whole)
 
 SEED = 1
 COUNT = 60
@@ -147,3 +150,97 @@ def test_machines_are_built_in_the_swept_normal_form():
         monoid = PROBABILITIES if spec.mode == "prob" else TRIVIAL
         assert g == Graphing.make(monoid, Microcosm.mi(spec.heads), carrier,
                                   swept), spec.name
+
+
+def _configuration(box, machine, word):
+    """The oracle configuration, (state, head positions), that a box the
+    machine's edges meet stands for, or None when it is not exactly one:
+    the box's row names the state, the slice that coordinate j holds is
+    head j's position, and its cell is the In or Out cell of the symbol
+    under head 1."""
+    spec, layout, cells = machine.spec, machine.layout, len(word) + 1
+    if any(j > spec.heads for j, _ in box.coords):
+        return None
+    slices = {slice_interval(pos, cells): pos for pos in range(cells)}
+    positions = tuple(slices.get(box.interval_at(j))
+                      for j in range(1, spec.heads + 1))
+    if None in positions:
+        return None
+    row, cell = divmod(box.cell, layout.row_stride)
+    symbol = MARKER if positions[0] == 0 else word[positions[0] - 1]
+    if cell - layout.in_cells[symbol] not in (0, 1):
+        return None
+    return spec.states[row], positions
+
+
+def test_each_box_a_run_meets_is_one_configuration(monkeypatch):
+    """A run starts from the launch region only, so it walks the
+    automaton's configurations: on every shipped and seeded machine and
+    every word up to length 3, each box of each set met with the machine's
+    edges is one configuration, and they are the configurations that the
+    oracle reaches from the initial one."""
+    met = log_calls(monkeypatch, (Graphing, "edges_meeting"))
+    for spec in SHIPPED_SPECS + MACHINES:
+        machine = encode_machine(spec)
+        for word in words_up_to(spec.alphabet, MAX_LEN):
+            met.clear()
+            run_word(machine, word, not spec.two_way)
+            scoped = machine.graphing_for(len(word))
+            configs = [_configuration(box, machine, word)
+                       for _, (g, s) in met if g is scoped for box in s.boxes]
+            assert None not in configs, (spec.name, word)
+            assert set(configs) == set(_chain(spec, word)), (spec.name, word)
+
+
+def test_the_launch_region_decides_what_the_whole_cell_leaves_open():
+    """Head 2 never moves.  Started from the whole accept cell, its
+    coordinate spans the unit, so the decaying revisit of the loop
+    through the marker counts the whole launch mass as unresolved, twice
+    what the launch region puts there, and accept mass 0 plus that could
+    pass the cutpoint 1/2.  From the launch region it counts 1/2, and the
+    word is rejected, as the oracle's acceptance probability 0 says, by
+    ``run_word`` and ``language`` alike."""
+    spec = parse_machine("""
+name: parked
+alphabet: 0
+heads: 2
+states: s
+mode: prob
+twoway: false
+s, * -> advance goto s
+s, 0 -> 1/2 advance goto s
+s, 0 -> 1/2 reject
+""")
+    machine = encode_machine(spec)
+    whole_cell = plug(machine.graphing,
+                      encode_word("0", machine.layout, one_way=True).graphing)
+    scoped, regions = run_word(machine, "0", one_way=True)
+    assert whole_cell.diagnostics.unresolved_mass == regions.launch.measure()
+    assert scoped.diagnostics.unresolved_mass == regions.launch.measure() / 2
+    assert evaluate_test(whole_cell, t_prob(), regions) \
+        is Verdict.UNDETERMINED
+    assert evaluate_test(scoped, t_prob(), regions) is Verdict.REJECT
+    assert language(machine, t_prob(), 1, one_way=True).verdicts["0"] \
+        is Verdict.REJECT
+    assert pfa_accept_prob(spec, "0") == 0
+
+
+def test_a_run_from_the_launch_region_changes_no_decided_verdict():
+    """On every shipped and seeded det and nondet machine and every word
+    up to length 3, under the mode's own test and ``T_CONL``: a verdict
+    that the run from the whole accept cell decides, the run from the
+    launch region gives too."""
+    for spec in SHIPPED_SPECS + MACHINES:
+        if spec.mode == "prob":
+            continue
+        machine, one_way = encode_machine(spec), not spec.two_way
+        own = T_DET if spec.mode == "det" else T_NL
+        for word in words_up_to(spec.alphabet, MAX_LEN):
+            enc = encode_word(word, machine.layout, len(spec.states), one_way)
+            whole_cell = plug(machine.graphing, enc.graphing)
+            scoped, regions = run_word(machine, word, one_way)
+            for test in (own, T_CONL):
+                before = evaluate_test(whole_cell, test, regions)
+                if before is not Verdict.UNDETERMINED:
+                    assert evaluate_test(scoped, test, regions) is before, \
+                        (spec.name, word, test.kind)

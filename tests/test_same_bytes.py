@@ -54,8 +54,8 @@ def _checks():
 
 
 FAMILIES = {
-    "machine_runs": (_machine_runs, "48b81a6e9ef6f39a5d006cdc2c37f09f"
-                                    "949c1b8f43705ce0f5772cf10fa48beb"),
+    "machine_runs": (_machine_runs, "753244feaba4433939744553f9374213"
+                                    "210fb7dea7a1c65be4c1618cbdaa77da"),
     "sampled_plugs": (_sampled_plugs, "988d478cb3f3fcffa2e94ac8f18a83b1"
                                       "383b3a69ce4be0294aacad650b7fefaf"),
     "checks": (_checks, "fc01d6f6be6b0263f3c94692c560b785"
