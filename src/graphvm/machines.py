@@ -354,7 +354,7 @@ def format_machine(spec: MachineSpec) -> str:
     for (state, symbol), acts in spec.transitions:
         for a in acts:
             parts = []
-            if a.weight != 1:
+            if a.weight.numerator != a.weight.denominator:
                 parts.append(f"{a.weight.numerator}/{a.weight.denominator}")
             parts.append(a.kind)
             if a.swap is not None:

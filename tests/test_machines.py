@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,35 +51,6 @@ q, * -> accept
     assert acts[0] == Action("advance", Fraction(1, 3), 2, "q")
     assert acts[1] == Action("reject", Fraction(2, 3))
     assert parse_machine(format_machine(spec)) == spec
-
-
-def test_spec_validation():
-    spec = parse_machine(ONES)
-    assert validate_spec(spec) == []
-    bad = MachineSpec("m", ("0",), 1, ("s",), "det", False,
-                      ((("s", "0"), (Action("retreat", goto="s"),)),))
-    assert any("retreat in a one-way machine" in p for p in validate_spec(bad))
-    bad = MachineSpec("m", ("0",), 1, ("s",), "det", True,
-                      ((("s", "0"), (Action("advance", goto="s"),
-                                     Action("accept"))),))
-    assert any("exactly one action" in p for p in validate_spec(bad))
-    bad = MachineSpec("m", ("0",), 1, ("s",), "prob", True,
-                      ((("s", "0"), (Action("accept", Fraction(2, 3)),
-                                     Action("reject", Fraction(2, 3)))),))
-    assert any("sum to" in p for p in validate_spec(bad))
-    bad = MachineSpec("m", ("0",), 1, ("s",), "det", True,
-                      ((("s", "0"), (Action("advance", swap=2, goto="s"),)),))
-    assert any("swap target" in p for p in validate_spec(bad))
-    bad = MachineSpec("m", ("0", "0"), 1, ("s",), "det", True,
-                      ((("s", "0"), (Action("accept"),)),))
-    assert validate_spec(bad) == ["duplicate alphabet symbols"]
-    # the parser refuses both before a spec exists
-    bad = MachineSpec("m", ("0",), 1, ("s",), "nondet", True,
-                      ((("s", "0"), ()),))
-    assert validate_spec(bad) == ["transition (s, 0): empty action set"]
-    bad = MachineSpec("m", ("0",), 1, ("s",), "det", True,
-                      ((("s", "0"), (Action("jump", goto="s"),)),))
-    assert validate_spec(bad) == ["transition (s, 0): unknown action 'jump'"]
 
 
 def test_float_weights_are_refused():
@@ -145,55 +117,81 @@ def test_a_parsed_spec_is_validated_once(monkeypatch):
 
 
 def test_a_hand_built_invalid_spec_is_refused_when_encoded():
+    """Each spec has exactly its one problem.  No text gives the last two:
+    the parser refuses an empty action set and an unknown action before a
+    spec exists."""
     from graphvm.encodings import encode_machine
-    bad = MachineSpec("m", ("0",), 1, ("s",), "det", False,
-                      ((("s", "0"), (Action("retreat", goto="s"),)),))
-    with pytest.raises(ValueError, match="retreat in a one-way machine"):
-        encode_machine(bad)
-    # again, from the problems the spec keeps
-    with pytest.raises(ValueError, match="retreat in a one-way machine"):
-        encode_machine(bad)
+    for bad, problem in [
+        (_spec(two_way=False, transitions=(
+            (("s", "0"), (Action("retreat", goto="s"),)),)),
+         "transition (s, 0): retreat in a one-way machine"),
+        (_spec(alphabet=("0", "0")), "duplicate alphabet symbols"),
+        (_spec(mode="nondet", transitions=((("s", "0"), ()),)),
+         "transition (s, 0): empty action set"),
+        (_spec(transitions=((("s", "0"), (Action("jump", goto="s"),)),)),
+         "transition (s, 0): unknown action 'jump'"),
+    ]:
+        assert validate_spec(bad) == [problem]
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            encode_machine(bad)
+        # again, from the problems the spec keeps
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            encode_machine(bad)
 
 
-def test_parse_rejects_invalid_spec():
-    with pytest.raises(MachineSpecError):
-        parse_machine(ONES.replace("mode: det", "mode: banana"))
-    with pytest.raises(MachineSpecError, match="duplicate alphabet"):
-        parse_machine(ONES.replace("alphabet: 0 1", "alphabet: 0 0"))
-
-
-@pytest.mark.parametrize("old, new, message", [
+@pytest.mark.parametrize("old, new, message, error", [
     # a symbol is one character of a word, so an ``ab`` transition could
     # never fire
-    ("alphabet: 0 1", "alphabet: 0 1 ab", "single characters"),
+    ("alphabet: 0 1", "alphabet: 0 1 ab", "single characters",
+     MachineSpecError),
     # ``two_way`` is not ``twoway``: the machine would stay two-way
-    ("twoway: true", "two_way: false", "line 7: unknown header 'two_way'"),
+    ("twoway: true", "two_way: false", "line 7: unknown header 'two_way'",
+     MachineParseError),
     # the second name would win silently
-    ("mode: det", "mode: det\nname: other", "line 7: repeated header 'name'"),
-    ("states: s0", "states:", "at least one state is required"),
-    ("heads: 1", "heads: 0", "heads must be at least 1"),
-    ("states: s0", "states: s0 s0", "duplicate state names"),
-    ("s0, 1 -> accept", "s0, 1 -> 1/2 accept", "weight 1/2 in det mode"),
-    ("s0, 1 -> accept", "s0, 1 -> accept goto s0", "terminal action with goto"),
-    ("s0, 0 -> advance goto s0", "s0, 0 -> advance", "move without goto"),
-    ("s0, 1 -> accept", "s0, 1 -> 1/2", "line 11: missing action keyword"),
+    ("mode: det", "mode: det\nname: other", "line 7: repeated header 'name'",
+     MachineParseError),
+    ("states: s0", "states:", "at least one state is required",
+     MachineSpecError),
+    ("heads: 1", "heads: 0", "heads must be at least 1", MachineSpecError),
+    ("states: s0", "states: s0 s0", "duplicate state names", MachineSpecError),
+    ("s0, 1 -> accept", "s0, 1 -> 1/2 accept", "weight 1/2 in det mode",
+     MachineSpecError),
+    ("s0, 1 -> accept", "s0, 1 -> accept goto s0", "terminal action with goto",
+     MachineSpecError),
+    ("s0, 0 -> advance goto s0", "s0, 0 -> advance", "move without goto",
+     MachineSpecError),
+    ("s0, 1 -> accept", "s0, 1 -> 1/2", "line 11: missing action keyword",
+     MachineParseError),
     ("s0, 0 -> advance goto s0", "s0, 0 -> advance goto s0 swap",
-     "line 10: swap needs a head number"),
+     "line 10: swap needs a head number", MachineParseError),
     ("s0, 0 -> advance goto s0", "s0, 0 -> advance swap x goto s0",
-     "line 10: bad head number 'x'"),
+     "line 10: bad head number 'x'", MachineParseError),
     ("s0, 1 -> accept", "s0, 1 -> accept now",
-     "line 11: unexpected token 'now'"),
+     "line 11: unexpected token 'now'", MachineParseError),
     ("s0, 1 -> accept", "s0, 1 -> accept\ns0 1 accept",
-     "line 12: cannot parse 's0 1 accept'"),
-    ("heads: 1", "heads: one", "heads must be an integer"),
-    ("twoway: true", "twoway: yes", "twoway must be true or false"),
-    ("alphabet: 0 1", "", "missing header 'alphabet'"),
+     "line 12: cannot parse 's0 1 accept'", MachineParseError),
+    ("heads: 1", "heads: one", "heads must be an integer", MachineParseError),
+    ("twoway: true", "twoway: yes", "twoway must be true or false",
+     MachineParseError),
+    ("alphabet: 0 1", "", "missing header 'alphabet'", MachineParseError),
+    ("mode: det", "mode: banana", "unknown mode 'banana'", MachineSpecError),
+    ("alphabet: 0 1", "alphabet: 0 0", "duplicate alphabet", MachineSpecError),
+    ("twoway: true\n\ns0, * -> reject\ns0, 0 -> advance",
+     "twoway: false\n\ns0, * -> reject\ns0, 0 -> retreat",
+     "retreat in a one-way machine", MachineSpecError),
+    ("s0, 1 -> accept", "s0, 1 -> accept\ns0, 1 -> reject",
+     "det mode allows exactly one action", MachineSpecError),
+    ("mode: det\ntwoway: true\n\ns0, * -> reject",
+     "mode: prob\ntwoway: true\n\ns0, * -> 2/3 reject\ns0, * -> 2/3 accept",
+     "weights sum to 4/3 > 1", MachineSpecError),
+    ("s0, 0 -> advance goto s0", "s0, 0 -> advance swap 2 goto s0",
+     "swap target 2 out of range", MachineSpecError),
 ])
-def test_malformed_machine_file_is_a_parse_error(old, new, message, tmp_path,
-                                                 capsys):
+def test_malformed_machine_file_is_a_parse_error(old, new, message, error,
+                                                 tmp_path, capsys):
     from graphvm.cli import EXIT_PARSE, main
     text = ONES.replace(old, new)
-    with pytest.raises((MachineParseError, MachineSpecError), match=message):
+    with pytest.raises(error, match=message):
         parse_machine(text)
     path = tmp_path / "bad.mach"
     path.write_text(text)
