@@ -17,7 +17,9 @@ Activating head j composes the response with the coordinate swap
 (1 j) and emits into the marker's region, so the freshly active head
 must sit on the marker for the run to survive.  The active head's
 address always lives on coordinate 1; parked heads keep theirs on
-higher coordinates.
+higher coordinates.  A run takes the starter edge from the launch region
+only, every head on the marker's slice (``EncodedMachine.graphing_for``),
+so each of its paths is a run of the automaton.
 
 Both compilers emit their edges in ``Edge.key`` order, cell by cell, and
 record the graphing's cell index as they go, so neither sorts its edges
@@ -359,17 +361,17 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
     layout = _layout(tuple(spec.alphabet))
     stride = layout.row_stride
     base_of = {state: i * stride for i, state in enumerate(spec.states)}
-    in_cell = layout.in_cells  # a symbol's Out cell is the next one
+    in_cells = layout.in_cells  # a symbol's Out cell is the next one
     accept = layout.accept_cell()
     retreat_entered = spec.retreat_entered_states()
 
     # per source cell, its edges' (shift, perm, weight): the starter edge,
     # then each transition's response from where its observation arrives
-    by_source = {accept: [(in_cell[MARKER] + 1 - accept, (), UNIT)]}
+    by_source = {accept: [(in_cells[MARKER] + 1 - accept, (), UNIT)]}
     for (state, symbol), actions in spec.transitions:
         base = base_of[state]
         for out in (0, 1) if state in retreat_entered else (0,):
-            cell = base + in_cell[symbol] + out
+            cell = base + in_cells[symbol] + out
             triples = by_source.setdefault(cell, [])
             for a in actions:
                 j = a.swap  # the transposition (1 j), pairs ascending
@@ -378,7 +380,7 @@ def encode_machine(spec: MachineSpec) -> EncodedMachine:
                 elif a.kind == REJECT:
                     dst = base + accept + 1
                 else:  # a retreat exits through the word's reverse edges
-                    dst = (base_of[a.goto] + in_cell[MARKER if j else symbol]
+                    dst = (base_of[a.goto] + in_cells[MARKER if j else symbol]
                            + (a.kind == ADVANCE))
                 triples.append((dst - cell, ((1, j), (j, 1)) if j else (),
                                 a.weight))

@@ -661,7 +661,7 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     Each length has one search, shared over the trie of word prefixes and
     walked depth first in alphabet order.  The cut is the word's carrier,
     which does not depend on the word, so the machine's paths start once
-    per length, in the length's root, from ``graphing_for`` the length, as
+    per length, in the length's root, from ``graphing_for(length)``, as
     in ``run_word``: the start edge scoped to the launch region.  Inside
     the cut that graphing meets sets as the machine's own does, since the
     start edge's source lies outside it.  A prefix's search takes the
