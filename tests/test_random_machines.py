@@ -10,6 +10,10 @@ shape is drawn at least once, and every word of length <= 3 is run.
 - prob machines: the accept mass never exceeds the oracle's exact
   acceptance probability, and equals it when the run is clean.  Runs
   with probabilistic loops only reach a lower bound today.
+- every machine: a run, which starts from the launch region only, meets
+  the machine's edges on exactly the oracle's configurations, and keeps
+  every det and nondet verdict that a start from the whole accept cell
+  decides.
 """
 
 import pytest
