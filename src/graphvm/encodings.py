@@ -19,7 +19,9 @@ must sit on the marker for the run to survive.  The active head's
 address always lives on coordinate 1; parked heads keep theirs on
 higher coordinates.  A run takes the starter edge from the launch region
 only, every head on the marker's slice (``EncodedMachine.graphing_for``),
-so each of its paths is a run of the automaton.
+so each of its paths is a run of the automaton.  ``EncodedMachine``
+refuses a graphing that is not normative, so each box a run meets is one
+configuration, and ``WordSide`` reads its word edge off its slice.
 
 Both compilers emit their edges in ``Edge.key`` order, cell by cell, and
 record the graphing's cell index as they go, so neither sorts its edges
@@ -120,22 +122,14 @@ WORD_EDGE_CACHE = 4096
 
 
 @lru_cache(maxsize=WORD_EDGE_CACHE)
-def _slice_source(cell: int, pos: int, cells: int) -> MeasurableSet:
-    """The address slice of ``pos`` in ``cell``, with the unit sliced into
-    ``cells``: the source of the word edges from that position."""
-    return MeasurableSet.of(RationalBox.make(
-        cell, {1: slice_interval(pos, cells)}))
-
-
-@lru_cache(maxsize=WORD_EDGE_CACHE)
 def _word_edge(src_cell: int, src_pos: int, dst_cell: int, dst_pos: int,
                cells: int) -> Edge:
     """Carry the address slice of ``src_pos`` in ``src_cell`` onto that of
     ``dst_pos`` in ``dst_cell``, with the unit sliced into ``cells``."""
     realizer = Realizer.make(dst_cell - src_cell, None,
                              {1: Fraction(dst_pos - src_pos, cells)})
-    return Edge(UNIT, _slice_source(src_cell, src_pos, cells),
-                realizer)
+    return Edge(UNIT, MeasurableSet.of(RationalBox.make(
+        src_cell, {1: slice_interval(src_pos, cells)})), realizer)
 
 
 def _edge_from(cell: int, pos: int, out: int, base: int, symbols,
@@ -199,9 +193,10 @@ class WordSide:
     """The word side of one search shared by the words of one length, on
     ``rows`` state rows: the word edges that a path meets, read off a
     prefix of the word, each keyed by its (cell, position), which name it
-    in every word that has it.  Per set met it keeps a plan of the slices
-    that meet it, with their meets, built once: within one length they do
-    not depend on the word, so a prefix only reads its symbols."""
+    in every word that has it.  Every set a machine run meets is one box,
+    one configuration (``EncodedMachine`` refuses any other machine), so
+    it lies in one word edge's source slice or misses them all: a prefix
+    reads the slice's symbol, with no meet and nothing kept."""
 
     weights = TRIVIAL
 
@@ -214,82 +209,73 @@ class WordSide:
         # per cell with word edges: its row's base, symbol and Out flag
         self.kinds = {cell: (base, symbol, out) for cell, base, symbol, out
                       in layout.word_cells(rows, one_way)}
-        self._plans: dict[MeasurableSet, tuple[int, list[tuple]]] = {}
-
-    def _plan(self, s: MeasurableSet) -> tuple[int, list[tuple]]:
-        """The last position any slice that meets ``s`` reaches, and per
-        (cell, position) whose slice of coordinate 1 meets a box of ``s``
-        in it, in ``Edge.key`` order: the cell's row base, symbol and Out
-        flag, and ``s.intersect`` of the slice, made once per set here.  The
-        marker's cells have a slice at position 0 only, a symbol's past it."""
-        cells, kinds, by_cell = self.cells, self.kinds, {}
-        for b in s.boxes:
-            kind = kinds.get(b.cell)
-            if kind is None:
-                continue
-            lo, hi = 0, cells
-            if b.coords and b.coords[0][0] == 1:
-                iv = b.coords[0][1]
-                lo, hi = iv.a * cells // iv.d, -(-iv.b * cells // iv.d)
-            if kind[1] == MARKER:
-                hi = min(hi, 1)
-            else:
-                lo = max(lo, 1)
-            by_cell.setdefault(b.cell, set()).update(range(lo, hi))
-        last, entries = -1, []
-        for cell, at in by_cell.items():
-            base, symbol, out = kinds[cell]
-            for pos in sorted(at):
-                # each slice meets a box of s: no meet is empty
-                entries.append((cell, pos, base, symbol, out,
-                                s.intersect(_slice_source(cell, pos, cells))))
-                last = max(last, pos)
-        return last, entries
 
     def meets(self, prefix: str):
         """For the words that begin with ``prefix``: the ``meets`` of a
-        search, which gives ``((cell, position), edge, meet)`` for the
-        word edges whose source meets a set, the meets read off the set's
-        plan, or None, to park the path, when one of them needs a symbol
-        past the prefix, its source's or the one it leads to."""
+        search, which gives ``((cell, position), edge, s)`` for the word
+        edge whose source slice holds the configuration ``s``, ``()`` when
+        no word edge leaves its slice, or None, to park the path, when the
+        slice's symbol or the one its edge leads to lies past the prefix.
+        The position is the slice that coordinate 1 holds; a box with no
+        coordinate, as on the empty word, is at position 0."""
         symbols = (MARKER,) + tuple(prefix)
-        known, in_cells, cells, plans = (len(symbols), self.in_cells,
-                                         self.cells, self._plans)
+        known, in_cells, cells, kinds = (len(symbols), self.in_cells,
+                                         self.cells, self.kinds)
 
         def meets(s: MeasurableSet):
-            plan = plans.get(s)
-            if plan is None:
-                plan = plans[s] = self._plan(s)
-            last, entries = plan
-            if last >= known:
+            (b,) = s.boxes
+            kind = kinds.get(b.cell)
+            if kind is None:
+                return ()
+            base, symbol, out = kind
+            pos = 0
+            if b.coords:  # coordinate 1's, the first
+                iv = b.coords[0][1]
+                pos = iv.a * cells // iv.d
+            # the marker's cells have a slice at position 0 only, a
+            # symbol's past it
+            if (pos == 0) != (symbol == MARKER):
+                return ()
+            if pos >= known:
                 return None
-            found = []
-            for cell, pos, base, symbol, out, meet in entries:
-                if symbols[pos] != symbol:
-                    continue
-                edge = _edge_from(cell, pos, out, base, symbols, cells,
-                                  in_cells)
-                if edge is None:
-                    return None
-                found.append(((cell, pos), edge, meet))
-            return found
+            if symbols[pos] != symbol:
+                return ()
+            edge = _edge_from(b.cell, pos, out, base, symbols, cells,
+                              in_cells)
+            return None if edge is None else (((b.cell, pos), edge, s),)
 
         return meets
 
 
 @dataclass(frozen=True)
 class EncodedMachine:
-    """A machine spec with its graphing, which is validated here, once,
-    whoever built it: runs plug it without sweeping it again."""
+    """A machine spec with its graphing, checked here, once, whoever built
+    it: runs plug it without sweeping it again.  Beyond ``validate``, the
+    graphing must be normative: in mi(heads) at most, so no realizer
+    offsets a coordinate or swaps one past the heads; no carrier or source
+    box constrains a coordinate; one edge, the start edge, leaves row 0's
+    accept cell.  From the launch region each box a run meets is then one
+    configuration: a cell, with coordinates 1..heads each on one slice."""
 
     spec: MachineSpec
     layout: TapeLayout
     graphing: Graphing
 
     def __post_init__(self):
-        problems = validate(self.graphing)
+        g, mi = self.graphing, Microcosm.mi(self.spec.heads)
+        problems = validate(g)
         if problems:
             raise ValueError(f"machine graphing invalid: {problems}")
+        if g.microcosm.join(mi) != mi:
+            raise ValueError(f"machine graphing in {g.microcosm.describe()}, "
+                             f"above {mi.describe()}")
+        if any(b.coords for s in (g.carrier, *(e.source for e in g.edges))
+               for b in s.boxes):
+            raise ValueError("machine graphing constrains a coordinate in "
+                             "its carrier or an edge source")
+        if len(g.edges_by_cell.get(self.layout.accept_cell(), ())) != 1:
+            raise ValueError("machine graphing needs one edge out of row "
+                             "0's accept cell")
 
     @lazy
     def accept_region(self) -> MeasurableSet:

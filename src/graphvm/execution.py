@@ -132,8 +132,8 @@ class Diagnostics:
     def _dead(self) -> list[tuple[_Node, MeasurableSet]]:
         """Per path that dies inside the cut: its node and the dead
         region, what the hits leave of the node's part inside the cut.
-        A one-box part less a one-box hit takes no sweep; other hits, which
-        may overlap, go in as they are, as ``subtract`` reads them by cell."""
+        The hits, which may overlap, go in as they are, as ``subtract``
+        reads them by cell; a machine run's open nodes hold none."""
         regions = []
         for node, inside, hits in self._open_nodes:
             dead = inside.subtract(
@@ -244,7 +244,7 @@ def _ops():
     when called, so a wrapper bound there is what the search calls.
     ``language`` wraps each in one ``lru_cache`` per call, a table its
     searches share, as sets and realizers are immutable.  Sets are met
-    by ``MeasurableSet.intersect`` in each side's ``meets``, not here."""
+    in each side's ``meets``, not here."""
     return (Realizer.apply, Realizer.compose, _split)
 
 
@@ -334,9 +334,9 @@ class _Search:
     def drain(self, meets: dict) -> None:
         """Expand every queued path but those parked.  For a path's part
         inside the cut, ``meets[side]`` gives ``(index, edge, hit)`` for
-        each edge of the side whose source meets it, ``hit`` the meet by
-        ``MeasurableSet.intersect``, in ``Edge.key`` order, or None to park
-        the path.  A step is keyed by its side and that index."""
+        each edge of the side whose source meets it, ``hit`` the meet, in
+        ``Edge.key`` order, or None to park the path.  A step is keyed by
+        its side and that index."""
         queue, compose, apply, push, open_nodes = (
             self.queue, self.compose, self.apply, self.push, self.open_nodes)
         product, max_steps, steps = self.monoid.product, self.max_steps, \
@@ -678,7 +678,8 @@ def language(machine, test: Test, max_len: int, one_way: bool = False,
     ``encode_word``'s edge order.  One table serves the whole call,
     dropped when it returns: it holds the applies, composites and splits
     the searches repeat, and each set's meets with the machine's edges.
-    The word side keeps its own meets per set, per length.
+    The word side keeps nothing: each set a run meets is one
+    configuration, and it reads the word edge off that set's slice.
 
     A word's verdict is ``decide`` on the fold of its exits, as for its
     own plug's result, but the fold runs per trie node: a node folds only

@@ -19,7 +19,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from .space import MeasurableSet, RationalBox
+from .space import MeasurableSet
 from .realizers import Microcosm, Realizer
 from .graphing import Graphing, cost
 from .execution import INFINITY, PathRecord, PlugResult
@@ -69,11 +69,6 @@ def _boxes(boxes) -> tuple[list[str], int, int]:
             num, den = num * scale, den * scale
         num += bnum * (den // bden)
     return texts, num, den
-
-
-def box_payload(b: RationalBox) -> str:
-    (text,), _, _ = _boxes((b,))
-    return text
 
 
 def set_payload(s: MeasurableSet) -> str:

@@ -499,14 +499,9 @@ class MeasurableSet:
     def subtract(self, other: "MeasurableSet") -> "MeasurableSet":
         """``self`` less ``other``, and ``self`` itself when nothing goes.
         Each box of ``other`` is taken from every piece of its cell with
-        ``_box_minus``; one box less one box is canonical as it stands, and
-        any other cell that lost points is swept."""
+        ``_box_minus``, and each cell that lost points is swept."""
         if self.is_empty() or other.is_empty():
             return self
-        if len(self.boxes) == 1 == len(other.boxes):
-            (k,), (r,) = self.boxes, other.boxes
-            got = _box_minus(k, r) if k.cell == r.cell else None
-            return self if got is None else MeasurableSet(got)
         out: list[RationalBox] = []
         theirs = other._by_cell
         # self's cells come in ascending order, so appending keeps the order

@@ -12,10 +12,10 @@ from graphvm.graphing import Edge, Graphing, GraphingClass, classify, validate
 from graphvm.machines import (MARKER, MachineSpec, parse_machine,
                               validate_spec)
 from graphvm.oracle import dfa_accepts, words_up_to
-from graphvm.realizers import Realizer
+from graphvm.realizers import Microcosm, Realizer
 from graphvm.space import MeasurableSet, RationalBox
-from harness import (load_machinegen, log_calls, seeded_specs, shipped,
-                     shipped_machines, whole)
+from harness import (cellbox, load_machinegen, log_calls, ms, seeded_specs,
+                     shipped, shipped_machines, whole)
 
 LAYOUT = TapeLayout(("0", "1"))
 
@@ -183,49 +183,54 @@ def test_machine_graphings_come_in_key_order_with_their_index(monkeypatch):
 
 
 def test_the_word_side_meets_the_edges_of_the_encoded_word(monkeypatch):
-    """For every prefix of a word, ``WordSide`` parks a set or gives the
-    word graphing's own edges and meets, keyed by (cell, position); a
-    whole cell of a symbol parks until the word is known.  One
-    ``WordSide`` meets each set with each slice at most once, over all
-    the prefixes it serves."""
+    """A run meets the word one configuration at a time: a one- or
+    two-head box in one cell, coordinate 1 on a position's slice.  For
+    every such box in the cells of a word's rows and every prefix,
+    ``WordSide`` gives the word graphing's own edges and meets, keyed by
+    (cell, position), with the box itself as the meet; or it parks the
+    box, only when the position may hold the cell's symbol and that
+    symbol, or the one its edge leads to, lies past the prefix.  It meets
+    no set."""
     cases = []
     for word in ("", "0", "10", "0110"):
+        cells = len(word) + 1
+        slices = [slice_interval(pos, cells) for pos in range(cells)]
         for one_way in (False, True):
             for rows in (1, 2):
                 g = encode_word(word, LAYOUT, rows, one_way).graphing
-                cells = len(word) + 1
-                sets = [whole(cell) for cell in sorted(g.carrier.cells())]
-                sets += [MeasurableSet.of(RationalBox.make(
-                    cell, {1: slice_interval(pos, cells)}))
-                    for cell in sorted(g.edges_by_cell)
-                    for pos in range(cells)]
-                sets.append(g.carrier)
-                symbol_cells = [whole(cell) for cell in g.edges_by_cell
-                                if cell % LAYOUT.row_stride > 1]
+                configs = [(cell, pos, MeasurableSet.of(RationalBox.make(
+                    cell, {1: slices[pos], **heads})))
+                    for cell in range(rows * LAYOUT.row_stride)
+                    for pos in range(cells)
+                    for heads in ({}, *({2: iv} for iv in slices))]
                 # the word graphing's own meets, built before the log is
                 wants = [[(e, hit) for _, e, hit in g.edges_meeting(s)]
-                         for s in sets]
-                cases.append(((word, one_way, rows), sets, wants,
-                              symbol_cells))
+                         for _, _, s in configs]
+                cases.append(((word, one_way, rows), configs, wants))
     met = log_calls(monkeypatch, (MeasurableSet, "intersect"))
-    for case, sets, wants, symbol_cells in cases:
+    for case, configs, wants in cases:
         word, one_way, rows = case
         cells = len(word) + 1
         side = encodings.WordSide(LAYOUT, rows, one_way, len(word))
-        met.clear()
-        for s, want in zip(sets, wants):
+        for (cell, pos, s), want in zip(configs, wants):
             got = side.meets(word)(s)
             assert [(e, hit) for _, e, hit in got] == want, (case, s)
-            for (cell, pos), e, _ in got:
+            for key, e, hit in got:
+                assert key == (cell, pos) and hit is s, (case, s)
                 assert e.source == MeasurableSet.of(RationalBox.make(
                     cell, {1: slice_interval(pos, cells)}))
+            # an Out cell's edge leads to the next position, an In cell's
+            # to the last; the marker is at position 0, every symbol past it
+            to = (pos + 1 if cell % 2 else pos - 1) % cells
+            marker = cell % LAYOUT.row_stride < 2
             for k in range(len(word)):
                 part = side.meets(word[:k])(s)
-                assert part is None or part == got, (case, k, s)
-                if s in symbol_cells:
-                    assert part is None, (case, k, s)
-        pairs = [args for _, args in met]
-        assert pairs and len(pairs) == len(set(pairs)), case
+                if part is None:
+                    assert (pos == 0) == marker and max(pos, to) > k, \
+                        (case, k, s)
+                else:
+                    assert part == got, (case, k, s)
+    assert met == []
 
 
 def _covering_words(alphabet, length):
@@ -457,6 +462,49 @@ def test_machine_graphing_is_validated_when_built():
                         m.graphing.carrier, m.graphing.edges + (stray,))
     with pytest.raises(ValueError, match="machine graphing invalid"):
         EncodedMachine(m.spec, m.layout, bad)
+
+
+def _ones_graphing(case):
+    """ones.mach's graphing, a valid one-head graphing, broken by ``case``.
+    Its edges leave cells 0 (``*``), 2 (``0``), 4 (``1``, to accept) and
+    6 (the start edge); cell 5, the Out cell of ``1``, no edge touches."""
+    g = encode_machine(ONES).graphing
+    microcosm, carrier, edges = g.microcosm, g.carrier, list(g.edges)
+    at = {e.source.boxes[0].cell: i for i, e in enumerate(edges)}
+    if case == "cut source":
+        # the accept edge's source cut to x1 in [0, 1/2): on ``01`` its
+        # accept mass then depends on which slice holds which position
+        e = edges[at[4]]
+        edges[at[4]] = Edge(e.weight, ms(cellbox(4, 0, "1/2")), e.realizer)
+    elif case == "carrier cell in part":
+        carrier = ms(*(cellbox(c) for c in (0, 1, 2, 3, 4, 6, 7)),
+                     cellbox(5, 0, "1/2"))
+    elif case == "swap past the heads":
+        microcosm = Microcosm.m_infinity()
+        edges[at[2]] = Edge(Fraction(1), whole(2),
+                            Realizer(1, ((1, 2), (2, 1))))
+    elif case == "no start edge":
+        del edges[at[6]]
+    else:  # two start edges
+        edges.append(Edge(Fraction(1), whole(6), Realizer.shift_by(1)))
+    bad = Graphing.make(g.weights, microcosm, carrier, edges)
+    assert validate(bad) == []
+    return bad
+
+
+@pytest.mark.parametrize("case, message", [
+    ("cut source", "constrains a coordinate"),
+    ("carrier cell in part", "constrains a coordinate"),
+    ("swap past the heads", r"in minf, above m1"),
+    ("no start edge", "one edge out of row 0's accept cell"),
+    ("two start edges", "one edge out of row 0's accept cell")])
+def test_a_machine_graphing_that_is_not_normative_is_refused(case, message):
+    """A valid graphing whose runs could meet part of a configuration, or
+    that has no single start edge, is not a machine's: ``EncodedMachine``
+    refuses it, and builds the graphing it was cut from."""
+    EncodedMachine(ONES, LAYOUT, encode_machine(ONES).graphing)
+    with pytest.raises(ValueError, match=message):
+        EncodedMachine(ONES, LAYOUT, _ones_graphing(case))
 
 
 def test_language_refuses_the_prob_test_before_any_run():

@@ -1214,8 +1214,8 @@ def _run_the_workloads():
 
 
 def test_workloads_never_sweep_a_set(monkeypatch):
-    # every union, meet and difference these runs take is kept whole, split
-    # by cell or one box less one box: none reaches the canonical sweep
+    # every union, meet and difference these runs take is kept whole or
+    # split by cell: none reaches the canonical sweep
     from graphvm import export, space
     sweeps = log_calls(monkeypatch, (space, "_canon_group"))
     for result in _run_the_workloads():

@@ -182,18 +182,21 @@ def test_each_box_a_run_meets_is_one_configuration(monkeypatch):
     automaton's configurations: on every shipped and seeded machine and
     every word up to length 3, each box of each set met with the machine's
     edges is one configuration, and they are the configurations that the
-    oracle reaches from the initial one."""
+    oracle reaches from the initial one.  Each node is met whole or not at
+    all: no open node holds a hit."""
     met = log_calls(monkeypatch, (Graphing, "edges_meeting"))
     for spec in SHIPPED_SPECS + MACHINES:
         machine = encode_machine(spec)
         for word in words_up_to(spec.alphabet, MAX_LEN):
             met.clear()
-            run_word(machine, word, not spec.two_way)
+            result, _ = run_word(machine, word, not spec.two_way)
             scoped = machine.graphing_for(len(word))
             configs = [_configuration(box, machine, word)
                        for _, (g, s) in met if g is scoped for box in s.boxes]
             assert None not in configs, (spec.name, word)
             assert set(configs) == set(_chain(spec, word)), (spec.name, word)
+            assert all(not hits for _, _, hits
+                       in result.diagnostics._open_nodes), (spec.name, word)
 
 
 def test_the_launch_region_decides_what_the_whole_cell_leaves_open():
